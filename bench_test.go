@@ -758,3 +758,40 @@ func BenchmarkRobustAgg(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExactFold prices the exact fold behind the sharded topologies
+// (fl.NewExact over fl.ExactVec) at the tree-100k model size: each op is one
+// round — Begin, Kt FoldClient calls of a 4,270-parameter update, Commit —
+// at an edge's share of a cohort (Kt=32) and a flat server's (Kt=1000).
+// ns/addend is the per-coordinate cost of absorbing one float64 exactly.
+func BenchmarkExactFold(b *testing.B) {
+	const dim = 4270
+	rng := tensor.Split(42, 12)
+	updates := make([][]*tensor.Tensor, 32)
+	for i := range updates {
+		u := tensor.New(dim)
+		rng.FillNormal(u, 0, 0.06)
+		updates[i] = []*tensor.Tensor{u}
+	}
+	base := tensor.New(dim)
+	rng.FillNormal(base, 0, 1)
+	for _, kt := range []int{32, 1000} {
+		b.Run(fmt.Sprintf("kt%d", kt), func(b *testing.B) {
+			params := []*tensor.Tensor{base.Clone()}
+			agg, err := fl.NewExact(fl.AggFedSGD)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agg.Begin(params)
+				for c := 0; c < kt; c++ {
+					agg.FoldClient(c, updates[c%len(updates)], 1)
+				}
+				agg.Commit(params)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*kt*dim), "ns/addend")
+		})
+	}
+}

@@ -212,6 +212,9 @@ func (e *Experiment) Validate() error {
 	if !fl.ValidQuant(e.Codec.Quant) {
 		return fmt.Errorf("config: codec.quant %d not in {0, 8, 16}", e.Codec.Quant)
 	}
+	if e.Runtime.Simnet && e.Codec.Quant != 0 {
+		return fmt.Errorf("config: codec.quant %d is not plumbed into runtime.simnet clients, which would send dense updates; set codec.quant to 0", e.Codec.Quant)
+	}
 	if !fl.ValidAggregation(e.Aggregation.Rule) {
 		return fmt.Errorf("config: unknown aggregation.rule %q", e.Aggregation.Rule)
 	}
@@ -336,6 +339,7 @@ func (e *Experiment) CoreConfig() core.Config {
 		NoiseEngine:     e.Method.NoiseEngine,
 		Runtime:         e.Runtime.Name,
 		Codec:           e.Codec.Wire,
+		Quant:           e.Codec.Quant,
 		Precision:       e.Model.Precision,
 		DropoutRate:     e.Runtime.Dropout,
 		RoundDeadline:   e.Runtime.Deadline,
@@ -395,7 +399,7 @@ func FromCore(cfg core.Config, simnetRun bool) *Experiment {
 			Sampler:    cfg.Sampler,
 			MuxWorkers: cfg.MuxWorkers,
 		},
-		Codec: CodecBlock{Wire: cfg.Codec},
+		Codec: CodecBlock{Wire: cfg.Codec, Quant: cfg.Quant},
 		Training: TrainingBlock{
 			K:             cfg.K,
 			Kt:            cfg.Kt,

@@ -339,6 +339,7 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown sampler", func(e *Experiment) { e.Aggregation.Sampler = "knuth" }, "unknown aggregation.sampler"},
 		{"unknown codec", func(e *Experiment) { e.Codec.Wire = "json" }, "unknown codec.wire"},
 		{"bad quant", func(e *Experiment) { e.Codec.Quant = 4 }, "codec.quant"},
+		{"quant under simnet", func(e *Experiment) { e.Codec.Quant, e.Runtime.Simnet = 8, true }, "not plumbed into runtime.simnet"},
 		{"unknown aggregation", func(e *Experiment) { e.Aggregation.Rule = "mode" }, "unknown aggregation.rule"},
 		{"unknown scenario", func(e *Experiment) { e.Data.Scenario = "zipf" }, "data.scenario"},
 		{"bad fault plan", func(e *Experiment) { e.Faults.Plan = "meteor=1" }, "faults.plan"},

@@ -89,6 +89,12 @@ type Config struct {
 	// every transport session (see DESIGN.md, "Wire codec").
 	Codec string
 
+	// Quant is the update quantization a deployment's clients apply on the
+	// binary codec (codec.quant: 0, 8 or 16 bits). Run has no update wire,
+	// so it has nothing to quantize; RunSimnet's clients are not plumbed
+	// for it and refuse a non-zero value rather than run dense unannounced.
+	Quant int
+
 	// Precision selects the client GEMM arithmetic width:
 	// tensor.PrecisionFP64 (the default, pinned as the reference oracle)
 	// or tensor.PrecisionFP32, the bulk float32 path (see DESIGN.md,

@@ -20,9 +20,9 @@ func simnetClientHost(id int) string { return fmt.Sprintf("c%d", id) }
 // simnetCohort picks a round's participating clients honoring the
 // configured sampler and the open-world population — the same draw fl.Run
 // would make (fl.ActiveCohort's static branch is the pre-population draw
-// verbatim).
-func simnetCohort(cfg Config, pop fl.Population, round int) []int {
-	return fl.ActiveCohort(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, false)
+// verbatim) — and reports the size of the active set it drew from.
+func simnetCohort(cfg Config, pop fl.Population, round int) (cohort []int, active int) {
+	return fl.ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, false)
 }
 
 // clientOutcome is one simnet client goroutine's terminal state. planned
@@ -77,6 +77,9 @@ func RunSimnet(cfg Config) (*Result, error) {
 	}
 	if !fl.ValidCodec(cfg.Codec) {
 		return nil, fmt.Errorf("core: unknown wire codec %q", cfg.Codec)
+	}
+	if cfg.Quant != 0 {
+		return nil, fmt.Errorf("core: update quantization (quant=%d) is not plumbed into the simnet clients, which would send dense updates; use quant=0", cfg.Quant)
 	}
 	if !fl.ValidAggregation(cfg.Aggregation) {
 		return nil, fmt.Errorf("core: unknown aggregation %q", cfg.Aggregation)
@@ -164,7 +167,7 @@ func RunSimnet(cfg Config) (*Result, error) {
 			}
 		}
 
-		cohort := simnetCohort(cfg, pop, round)
+		cohort, activeN := simnetCohort(cfg, pop, round)
 		// Partitioned members cannot even open a session; they are excluded
 		// from the round's admission quota (the harness, unlike the server,
 		// is allowed to know who is unreachable).
@@ -175,7 +178,7 @@ func RunSimnet(cfg Config) (*Result, error) {
 			}
 		}
 
-		rs := fl.RoundStats{Round: round, Active: pop.ActiveCount(round), Committed: 0 >= cfg.MinQuorum, Dropped: len(cohort)}
+		rs := fl.RoundStats{Round: round, Active: activeN, Committed: 0 >= cfg.MinQuorum, Dropped: len(cohort)}
 		wireBefore := n.BytesWritten()
 		if len(reachable) > 0 {
 			outcomes := make(chan clientOutcome, len(reachable))

@@ -162,7 +162,7 @@ func runSimnetTree(cfg Config, spec dataset.Spec, strat fl.Strategy, ds *dataset
 			}
 		}
 
-		cohort := simnetCohort(cfg, pop, round)
+		cohort, activeN := simnetCohort(cfg, pop, round)
 		// Route each cohort member to its shard, excluding clients that
 		// cannot reach their edge and shards whose edge cannot reach the
 		// root — like the flat harness, the orchestrator (not any server)
@@ -194,7 +194,7 @@ func runSimnetTree(cfg Config, spec dataset.Spec, strat fl.Strategy, ds *dataset
 			}
 		}
 
-		rs := fl.RoundStats{Round: round, Active: pop.ActiveCount(round), Committed: 0 >= cfg.MinQuorum, Dropped: len(cohort)}
+		rs := fl.RoundStats{Round: round, Active: activeN, Committed: 0 >= cfg.MinQuorum, Dropped: len(cohort)}
 		wireBefore := n.BytesWritten()
 		rootSessions := len(active)
 		if edges == 0 {

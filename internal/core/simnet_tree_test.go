@@ -128,12 +128,14 @@ func TestSimnetTreeFloydSampler(t *testing.T) {
 	}
 }
 
-// Invalid topology and sampler configurations must be rejected up front.
+// Invalid topology and sampler configurations — and update quantization,
+// which the simnet clients would silently ignore — must be rejected up front.
 func TestSimnetTreeConfigRejected(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Shards = -1 },
 		func(c *Config) { c.Shards = c.K + 1 },
 		func(c *Config) { c.Sampler = "reservoir" },
+		func(c *Config) { c.Quant = 8 },
 	} {
 		cfg := simnetBaseConfig()
 		mutate(&cfg)

@@ -36,6 +36,20 @@
 // example count with the update — carried on UpdateMsg.Weight over the
 // wire — so weighted FedAvg follows the same fold-order rules.
 //
+// # Exact and hierarchical aggregation
+//
+// Config.Shards ≥ 1 swaps the float folds for ExactAggregator (one shard,
+// the parity oracle) or TreeAggregator (edge folds composed into a root):
+// sums accumulate in ExactVec, a fixed-point superaccumulator on the
+// float64 grid (bit 0 = 2^-1074, two's-complement uint64 limbs, one limb
+// window per vector grown on demand), so addition is exact, any grouping
+// of a cohort into partials commits the same bits, and each coordinate
+// rounds to float64 once at Commit. Edges forward their sums as Partials
+// (PartialWire on the wire, an exclusive UpdateMsg encoding); wire scalars
+// are held to the accumulator's envelope (ErrExactEnvelope) before any
+// storage is sized from them. See exact.go and DESIGN.md, "Hierarchical
+// aggregation".
+//
 // # Noise engines and the key schedule
 //
 // RoundConfig.NoiseEngine selects the DP noise source. The counter engine

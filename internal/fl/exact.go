@@ -1,9 +1,10 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/big"
+	"math/bits"
 	"sync"
 
 	"fedcdp/internal/tensor"
@@ -29,16 +30,29 @@ import (
 // fold is the single-shard exact fold (Shards=1), and every pre-existing
 // seeded golden — which runs with Shards=0 — is untouched.
 
-// exactPrec is the accumulator width in bits. A float64 addend spans at
-// most 53 mantissa bits anywhere in [2^-1074, 2^1024); after N ≤ 2^150
-// exact additions the sum's magnitude is below 2^(1024+150), so the widest
-// window any reachable sum needs is (1024+150) − (−1074) + margin < 2304.
-// Within that window big.Float addition at this precision never rounds.
-const exactPrec = 2304
+// Accumulator geometry. Every finite float64 is an integer multiple of
+// 2^-1074, so the accumulator is a two's-complement integer on that grid:
+// absolute bit 0 weighs 2^-1074 and limb L holds bits [64L, 64L+64). A
+// float64 addend is a 53-bit mantissa at bit offset ≤ 2045: two adjacent
+// limbs, no higher than limb 32.
+const (
+	// exactMaxLimbs is the widest window (2304 bits) addends or wire input
+	// can demand — a wire scalar may reach limb 34, plus one carry limb —
+	// and so the size of Round's and ScalarWire's stack scratch.
+	exactMaxLimbs = 36
+	// exactMinExp is the grid: no wire scalar may carry bits below 2^-1074.
+	exactMinExp = -1074
+	// exactTopBit is the highest absolute bit a wire scalar may set: the top
+	// of limb 34, |value| < 2^1166.
+	exactTopBit = 64*(exactMaxLimbs-1) - 1
+	// exactMantBytes caps a wire mantissa's byte length at the widest window;
+	// the codecs enforce it before copying a mantissa off the frame.
+	exactMantBytes = exactMaxLimbs * 8
+)
 
-// Special-value codes tracked per element beside the exact accumulator
-// (big.Float has no NaN, and ±Inf must merge by IEEE rules: opposite
-// infinities yield NaN, NaN absorbs everything).
+// Special-value codes tracked per element beside the exact accumulator (an
+// integer has no NaN, and ±Inf must merge by IEEE rules: opposite infinities
+// yield NaN, NaN absorbs everything).
 const (
 	exactFinite byte = iota
 	exactPosInf
@@ -73,60 +87,140 @@ func specFloat(s byte) float64 {
 }
 
 // ExactVec is a vector of exact fixed-point accumulators for float64
-// addends. Addition is exact (see exactPrec), hence commutative and
-// associative: sums are invariant to arrival order, grouping, shard
-// assignment and tree fanout, which is the arithmetic foundation of the
-// hierarchical fold. Round performs the single round-to-nearest-even per
-// element. Not safe for concurrent use; the aggregators lock around it.
+// addends: a superaccumulator. Addition is integer addition on the 2^-1074
+// grid, hence exact, commutative and associative: sums are invariant to
+// arrival order, grouping, shard assignment and tree fanout, which is the
+// arithmetic foundation of the hierarchical fold. Round performs the single
+// round-to-nearest-even per element. Not safe for concurrent use; the
+// aggregators lock around it.
+//
+// Layout. All n elements share one limb window [lo, lo+w): element i is the
+// w little-endian limbs at limbs[i·w:], a two's-complement integer scaled by
+// 2^(64·lo−1074). The first addend sets the window and it only ever grows
+// (reserve); Zero keeps it, so a reused vector re-lays nothing after its
+// first round. One window per vector, not the full 36 limbs per coordinate,
+// is a memory decision: clipped and noised updates span 3–5 limbs, where
+// the full range is 288 B × 4,270 parameters × 33 aggregators ≈ 40 MB on a
+// 32-shard tree whose whole process peaks at 79 MB.
+//
+// Headroom (why no sum wraps). Every leaf — a float64 addend or a wire
+// scalar — lies strictly below the window's top limb, |leaf| < 2^(64(w−1)),
+// and every element keeps |sum| < 2^(64w−2): the top limb's two highest
+// bits agree. A leaf added to such a sum, or two such sums merged in the
+// union of their windows, stay below 2^(64w−1), inside the signed range;
+// a result that uses the headroom bit widens the window by one limb before
+// the next operation. One limb of headroom is ~2^62 leaves (the wire caps
+// a partial at 2^31 clients), so in a fold the widening never fires; it
+// exists so that no call sequence can wrap.
 type ExactVec struct {
-	acc     []big.Float
-	spec    []byte
-	scratch big.Float
+	n     int
+	lo, w int
+	limbs []uint64
+	spec  []byte
 }
 
 // NewExactVec returns a zeroed n-element exact accumulator.
 func NewExactVec(n int) *ExactVec {
-	v := &ExactVec{acc: make([]big.Float, n), spec: make([]byte, n)}
-	for i := range v.acc {
-		v.acc[i].SetPrec(exactPrec)
-	}
-	v.scratch.SetPrec(53)
-	return v
+	return &ExactVec{n: n, spec: make([]byte, n)}
 }
 
 // Len returns the element count.
-func (v *ExactVec) Len() int { return len(v.acc) }
+func (v *ExactVec) Len() int { return v.n }
 
-// Zero resets every element to an empty sum (for reuse across rounds).
+// Zero resets every element to an empty sum (for reuse across rounds). The
+// window is kept, so this is O(n·w) — O(w) on the one-element vector the
+// trimmed mean zeroes per coordinate.
 func (v *ExactVec) Zero() {
-	for i := range v.acc {
-		v.acc[i].SetInt64(0)
-		v.spec[i] = exactFinite
+	clear(v.limbs)
+	clear(v.spec) // exactFinite
+}
+
+// reserve grows the window to cover absolute limbs [lo, hi), re-laying the
+// slab: new low limbs are zero, new high limbs extend each element's sign.
+func (v *ExactVec) reserve(lo, hi int) {
+	if v.w != 0 {
+		if lo >= v.lo && hi <= v.lo+v.w {
+			return
+		}
+		lo, hi = min(lo, v.lo), max(hi, v.lo+v.w)
+	}
+	w := hi - lo
+	limbs := make([]uint64, v.n*w)
+	if v.w != 0 {
+		off := v.lo - lo
+		for i := 0; i < v.n; i++ {
+			src, dst := v.limbs[i*v.w:(i+1)*v.w], limbs[i*w:(i+1)*w]
+			copy(dst[off:], src)
+			if int64(src[v.w-1]) < 0 {
+				for j := off + v.w; j < w; j++ {
+					dst[j] = ^uint64(0)
+				}
+			}
+		}
+	}
+	v.lo, v.w, v.limbs = lo, w, limbs
+}
+
+// negate replaces a two's-complement integer by its negation.
+func negate(a []uint64) {
+	c := uint64(1)
+	for j := range a {
+		a[j], c = bits.Add64(^a[j], 0, c)
 	}
 }
+
+// crowded reports whether a top limb has used its headroom bit (its two
+// highest bits disagree), the signal to widen the window by one limb.
+func crowded(top uint64) bool { return (top^top<<1)>>63 != 0 }
 
 // Add absorbs one float64 addend into element i, exactly. Zero addends are
 // skipped (an exact sum is unchanged; note this canonicalizes a sum of
 // negative zeros to +0, one of the documented exact-mode semantics).
 // Non-finite addends fold into the element's special-value code.
 func (v *ExactVec) Add(i int, x float64) {
-	if x == 0 {
+	b := math.Float64bits(x)
+	e := int(b >> 52 & 0x7ff)
+	m := b & (1<<52 - 1)
+	switch {
+	case e == 0x7ff:
+		s := exactNaN
+		if m == 0 {
+			s = exactPosInf + byte(b>>63)
+		}
+		v.spec[i] = mergeSpec(v.spec[i], s)
 		return
-	}
-	if math.IsNaN(x) {
-		v.spec[i] = mergeSpec(v.spec[i], exactNaN)
+	case e != 0:
+		m |= 1 << 52
+	case m == 0:
 		return
+	default: // subnormal: same scale as biased exponent 1
+		e = 1
 	}
-	if math.IsInf(x, 1) {
-		v.spec[i] = mergeSpec(v.spec[i], exactPosInf)
-		return
+	// |x| = m·2^(e−1) grid units: the mantissa sits at absolute bit e−1,
+	// across limb (e−1)/64 and the one above, with one carry limb over them.
+	limb, sh := (e-1)>>6, uint(e-1)&63
+	k := limb - v.lo
+	if k < 0 || k+3 > v.w {
+		v.reserve(limb, limb+3)
+		k = limb - v.lo
 	}
-	if math.IsInf(x, -1) {
-		v.spec[i] = mergeSpec(v.spec[i], exactNegInf)
-		return
+	a := v.limbs[i*v.w+k : (i+1)*v.w]
+	// A negative addend is added in two's complement: complement the two
+	// mantissa limbs, carry in 1, and extend with all-ones limbs above.
+	neg := b >> 63
+	ext := -neg
+	var c uint64
+	a[0], c = bits.Add64(a[0], m<<sh^ext, neg)
+	a[1], c = bits.Add64(a[1], m>>(64-sh)^ext, c)
+	// Above the mantissa, ext+c changes a limb only while c differs from the
+	// addend's sign — a carry (or borrow) still rippling.
+	j := 2
+	for ; c != neg && j < len(a); j++ {
+		a[j], c = bits.Add64(a[j], ext, c)
 	}
-	v.scratch.SetFloat64(x)
-	v.acc[i].Add(&v.acc[i], &v.scratch)
+	if j == len(a) && crowded(a[j-1]) {
+		v.reserve(v.lo, v.lo+v.w+1)
+	}
 }
 
 // AddAll absorbs data element-wise: acc[i] += data[i].
@@ -146,16 +240,75 @@ func (v *ExactVec) AddAllScaled(s float64, data []float64) {
 	}
 }
 
-// Merge absorbs another accumulator: the grouping step of a tree fold.
+// Merge absorbs another accumulator: the grouping step of a tree fold, an
+// aligned limb-wise add in the union of the two windows.
 func (v *ExactVec) Merge(o *ExactVec) error {
 	if o.Len() != v.Len() {
 		return fmt.Errorf("fl: exact merge of %d elements into %d", o.Len(), v.Len())
 	}
-	for i := range v.acc {
-		v.spec[i] = mergeSpec(v.spec[i], o.spec[i])
-		v.acc[i].Add(&v.acc[i], &o.acc[i])
+	for i, s := range o.spec {
+		v.spec[i] = mergeSpec(v.spec[i], s)
+	}
+	if o.w == 0 {
+		return nil
+	}
+	v.reserve(o.lo, o.lo+o.w)
+	off, widen := o.lo-v.lo, false
+	for i := 0; i < v.n; i++ {
+		src, dst := o.limbs[i*o.w:(i+1)*o.w], v.limbs[i*v.w+off:(i+1)*v.w]
+		var c uint64
+		for j, s := range src {
+			dst[j], c = bits.Add64(dst[j], s, c)
+		}
+		ext := uint64(int64(src[o.w-1]) >> 63)
+		for j := o.w; c != ext&1 && j < len(dst); j++ {
+			dst[j], c = bits.Add64(dst[j], ext, c)
+		}
+		widen = widen || crowded(dst[len(dst)-1])
+	}
+	if widen {
+		v.reserve(v.lo, v.lo+v.w+1)
 	}
 	return nil
+}
+
+// magnitude copies |element i| into buf (the heap past exactMaxLimbs) and
+// returns its limbs — relative to the window, trimmed of high zero limbs,
+// empty for zero — and its sign.
+func (v *ExactVec) magnitude(i int, buf *[exactMaxLimbs]uint64) (mag []uint64, neg bool) {
+	if mag = buf[:]; v.w > len(buf) {
+		mag = make([]uint64, v.w)
+	}
+	mag = mag[:v.w]
+	copy(mag, v.limbs[i*v.w:])
+	if neg = v.w > 0 && int64(mag[v.w-1]) < 0; neg {
+		negate(mag)
+	}
+	for len(mag) > 0 && mag[len(mag)-1] == 0 {
+		mag = mag[:len(mag)-1]
+	}
+	return mag, neg
+}
+
+// bitsAt returns the 64 bits of mag starting at bit p (zero past the end).
+func bitsAt(mag []uint64, p int) uint64 {
+	j, s := p>>6, uint(p)&63
+	x := mag[j] >> s
+	if s != 0 && j+1 < len(mag) {
+		x |= mag[j+1] << (64 - s)
+	}
+	return x
+}
+
+// anyBelow reports whether mag has a set bit strictly below bit p.
+func anyBelow(mag []uint64, p int) bool {
+	j := p >> 6
+	for _, l := range mag[:j] {
+		if l != 0 {
+			return true
+		}
+	}
+	return mag[j]&(1<<(uint(p)&63)-1) != 0
 }
 
 // Round returns element i rounded once to the nearest float64 (ties to
@@ -165,23 +318,45 @@ func (v *ExactVec) Round(i int) float64 {
 	if v.spec[i] != exactFinite {
 		return specFloat(v.spec[i])
 	}
-	f, _ := v.acc[i].Float64()
-	return f
+	var buf [exactMaxLimbs]uint64
+	mag, neg := v.magnitude(i, &buf)
+	if len(mag) == 0 {
+		return 0
+	}
+	// top is the absolute index of the leading bit. On the 2^-1074 grid a
+	// float64's bit pattern is the integer itself up to bit 52 (subnormals
+	// and the first normal binade, all exact); above that the pattern is
+	// (top−52)<<52 plus the 53 leading bits, and a round-up that overflows
+	// the mantissa carries into the exponent field by plain addition.
+	rel := len(mag)*64 - 1 - bits.LeadingZeros64(mag[len(mag)-1])
+	top := v.lo*64 + rel
+	var f uint64
+	switch p := rel - 52; {
+	case top <= 52:
+		f = mag[0]
+	case top-51 >= 0x7ff:
+		f = 0x7ff << 52
+	case p <= 0: // the whole sum fits in the mantissa
+		f = uint64(top-52)<<52 + mag[0]<<uint(-p)
+	default:
+		f = uint64(top-52)<<52 + bitsAt(mag, p)
+		if bitsAt(mag, p-1)&1 != 0 && (f&1 != 0 || anyBelow(mag, p-1)) {
+			f++
+		}
+	}
+	if neg {
+		f |= 1 << 63
+	}
+	return math.Float64frombits(f)
 }
 
 // --- Wire form -------------------------------------------------------------
 
-// Caps on hostile wire input: a mantissa cannot be wider than the
-// accumulator, and no reachable sum's exponent leaves ±2^20.
-const (
-	exactMantBytes = exactPrec / 8
-	exactExpBound  = 1 << 20
-)
-
 // ExactScalarWire is one exact accumulator element in wire form: the value
 // is sign·Mant·2^Exp with Mant a big-endian minimal mantissa (empty means
-// zero), plus the special-value code. The representation is canonical, so
-// encode/decode round-trips preserve the sum bit for bit.
+// zero), plus the special-value code. ScalarWire emits the canonical form —
+// Mant odd with no leading zero byte — so encode/decode round-trips preserve
+// the sum bit for bit and equal sums serialize to equal bytes.
 type ExactScalarWire struct {
 	Spec byte
 	Neg  bool
@@ -191,35 +366,78 @@ type ExactScalarWire struct {
 
 // ScalarWire returns element i in wire form.
 func (v *ExactVec) ScalarWire(i int) ExactScalarWire {
-	w := ExactScalarWire{Spec: v.spec[i]}
-	a := &v.acc[i]
-	if a.Sign() == 0 {
-		return w
-	}
-	w.Neg = a.Signbit()
-	var mant big.Float
-	exp := a.MantExp(&mant) // |mant| ∈ [0.5, 1), value = mant·2^exp
-	mant.Abs(&mant)
-	p := int(a.MinPrec())
-	mant.SetMantExp(&mant, p) // integer in [2^(p-1), 2^p)
-	mi, _ := mant.Int(nil)    // exact: mant is an integer
-	w.Mant = mi.Bytes()
-	w.Exp = int64(exp - p)
+	w, _ := v.appendScalarWire(nil, i)
 	return w
 }
 
-// validateExactScalar rejects wire scalars outside the representable
-// envelope before any allocation or arithmetic touches them.
+// appendScalarWire is ScalarWire with the mantissa appended to buf (which
+// it returns grown), so a whole tensor's mantissas share one allocation.
+func (v *ExactVec) appendScalarWire(buf []byte, i int) (ExactScalarWire, []byte) {
+	w := ExactScalarWire{Spec: v.spec[i]}
+	var scratch [exactMaxLimbs]uint64
+	mag, neg := v.magnitude(i, &scratch)
+	if len(mag) == 0 {
+		return w, buf
+	}
+	low := 0
+	for mag[low>>6] == 0 {
+		low += 64
+	}
+	low += bits.TrailingZeros64(mag[low>>6])
+	top := len(mag)*64 - 1 - bits.LeadingZeros64(mag[len(mag)-1])
+	w.Neg = neg
+	w.Exp = int64(v.lo*64 + low + exactMinExp)
+	// The canonical mantissa is mag>>low, big-endian: lay it down 64 bits
+	// at a time from the low end.
+	start, n := len(buf), (top-low)/8+1
+	buf = append(buf, make([]byte, n)...)
+	w.Mant = buf[start : start+n : start+n]
+	for p := low; n > 0; p += 64 {
+		c := bitsAt(mag, p)
+		for k := 0; k < 8 && n > 0; k++ {
+			n--
+			w.Mant[n] = byte(c)
+			c >>= 8
+		}
+	}
+	return w, buf
+}
+
+// ErrExactEnvelope marks a wire scalar outside what the accumulator can
+// hold; validateExactScalar's errors wrap it.
+var ErrExactEnvelope = errors.New("fl: exact scalar outside the accumulator envelope")
+
+// validateExactScalar rejects wire scalars outside the accumulator's
+// envelope before any slab is sized from them: a known special code, at
+// most exactMantBytes of mantissa, no bit below 2^-1074 (Exp ≥ −1074) and
+// no bit above exactTopBit. The rule for non-canonical mantissas is that
+// they decode to the value they spell: leading zero bytes and trailing zero
+// bits are legal and count toward the byte cap and the Exp floor as
+// written, but only set bits count toward the top.
 func validateExactScalar(w ExactScalarWire) error {
 	switch {
 	case w.Spec > exactNaN:
-		return fmt.Errorf("fl: unknown exact special code %d", w.Spec)
+		return fmt.Errorf("%w: unknown special code %d", ErrExactEnvelope, w.Spec)
 	case len(w.Mant) > exactMantBytes:
-		return fmt.Errorf("fl: exact mantissa of %d bytes exceeds %d", len(w.Mant), exactMantBytes)
-	case w.Exp < -exactExpBound || w.Exp > exactExpBound:
-		return fmt.Errorf("fl: exact exponent %d outside ±%d", w.Exp, exactExpBound)
+		return fmt.Errorf("%w: mantissa of %d bytes exceeds %d", ErrExactEnvelope, len(w.Mant), exactMantBytes)
+	case w.Exp < exactMinExp || w.Exp > exactTopBit+exactMinExp:
+		return fmt.Errorf("%w: exponent %d outside [%d, %d]", ErrExactEnvelope, w.Exp, exactMinExp, exactTopBit+exactMinExp)
+	}
+	if top := wireTopBit(w); top > exactTopBit {
+		return fmt.Errorf("%w: leading bit 2^%d above 2^%d", ErrExactEnvelope, top+exactMinExp, exactTopBit+exactMinExp)
 	}
 	return nil
+}
+
+// wireTopBit returns the absolute index of a wire scalar's leading set bit,
+// or −1 for a zero mantissa.
+func wireTopBit(w ExactScalarWire) int {
+	for i, b := range w.Mant {
+		if b != 0 {
+			return int(w.Exp) - exactMinExp + 8*(len(w.Mant)-1-i) + bits.Len8(b) - 1
+		}
+	}
+	return -1
 }
 
 // SetScalarWire installs a wire scalar into element i, validating first.
@@ -227,20 +445,38 @@ func (v *ExactVec) SetScalarWire(i int, w ExactScalarWire) error {
 	if err := validateExactScalar(w); err != nil {
 		return err
 	}
-	v.spec[i] = w.Spec
-	a := &v.acc[i]
-	if len(w.Mant) == 0 {
-		a.SetInt64(0)
-		return nil
-	}
-	var mi big.Int
-	mi.SetBytes(w.Mant)
-	a.SetInt(&mi)
-	a.SetMantExp(a, int(w.Exp))
-	if w.Neg {
-		a.Neg(a)
-	}
+	v.setScalar(i, w)
 	return nil
+}
+
+// setScalar installs an already-validated wire scalar into element i.
+func (v *ExactVec) setScalar(i int, w ExactScalarWire) {
+	v.spec[i] = w.Spec
+	top, base := wireTopBit(w), int(w.Exp)-exactMinExp
+	if top >= 0 {
+		// The scalar is a leaf: keep it strictly below the window's top limb.
+		v.reserve(base>>6, top>>6+2)
+	}
+	a := v.limbs[i*v.w : (i+1)*v.w]
+	clear(a)
+	if top < 0 {
+		return
+	}
+	// Deposit the mantissa 64 bits at a time from its low end; chunks at or
+	// past the top limb can only be a non-canonical form's leading zeros.
+	for n, p := len(w.Mant), base-v.lo*64; n > 0 && p>>6 < len(a)-1; p += 64 {
+		var c uint64
+		for k := uint(0); k < 64 && n > 0; k += 8 {
+			n--
+			c |= uint64(w.Mant[n]) << k
+		}
+		j, s := p>>6, uint(p)&63
+		a[j] |= c << s
+		a[j+1] |= c >> (64 - s)
+	}
+	if w.Neg {
+		negate(a)
+	}
 }
 
 // ExactTensorWire is one shaped exact-sum tensor in wire form.
@@ -298,8 +534,11 @@ func (p *Partial) Wire() *PartialWire {
 			Shape: append([]int(nil), p.Shapes[i]...),
 			Elems: make([]ExactScalarWire, s.Len()),
 		}
+		// One backing array for the tensor's mantissas; a typical sum of a
+		// few thousand clipped updates is ~100 bits, under 16 bytes.
+		mants := make([]byte, 0, 16*s.Len())
 		for j := range tw.Elems {
-			tw.Elems[j] = s.ScalarWire(j)
+			tw.Elems[j], mants = s.appendScalarWire(mants, j)
 		}
 		w.Sums[i] = tw
 	}
@@ -376,17 +615,13 @@ func PartialFromWire(w *PartialWire) (*Partial, error) {
 		p.Shapes[i] = append([]int(nil), t.Shape...)
 		v := NewExactVec(len(t.Elems))
 		for j, e := range t.Elems {
-			if err := v.SetScalarWire(j, e); err != nil {
-				return nil, err
-			}
+			v.setScalar(j, e)
 		}
 		p.Sums[i] = v
 	}
 	if w.HasWSum {
 		p.WSum = NewExactVec(1)
-		if err := p.WSum.SetScalarWire(0, w.WSum); err != nil {
-			return nil, err
-		}
+		p.WSum.setScalar(0, w.WSum)
 	}
 	return p, nil
 }
@@ -441,13 +676,6 @@ func (t Topology) Range(s int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- Interfaces ------------------------------------------------------------

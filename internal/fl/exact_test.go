@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -186,18 +188,86 @@ func TestExactScalarWireRoundTrip(t *testing.T) {
 	}
 }
 
+// envelopeMant returns a minimal mantissa whose leading bit, at exponent
+// exp, is absolute bit top of the accumulator grid.
+func envelopeMant(exp int64, top int) []byte {
+	n := top - int(exp-exactMinExp) // leading bit index within the mantissa
+	m := make([]byte, n/8+1)
+	m[0] = 1 << (n % 8)
+	m[len(m)-1] |= 1 // odd, so the form is canonical
+	return m
+}
+
 func TestExactScalarWireRejectsHostileInput(t *testing.T) {
 	v := NewExactVec(1)
-	bad := []ExactScalarWire{
-		{Spec: 9},
-		{Mant: make([]byte, exactMantBytes+1)},
-		{Exp: exactExpBound + 1, Mant: []byte{1}},
-		{Exp: -exactExpBound - 1, Mant: []byte{1}},
-	}
-	for i, w := range bad {
-		if err := v.SetScalarWire(0, w); err == nil {
-			t.Fatalf("case %d: hostile scalar accepted", i)
+	topExp := int64(exactTopBit + exactMinExp)
+	for name, c := range map[string]struct {
+		w  ExactScalarWire
+		ok bool
+	}{
+		"bad-spec":           {ExactScalarWire{Spec: 9}, false},
+		"exp-floor":          {ExactScalarWire{Exp: exactMinExp, Mant: []byte{1}}, true},
+		"exp-below-floor":    {ExactScalarWire{Exp: exactMinExp - 1, Mant: []byte{1}}, false},
+		"even-below-floor":   {ExactScalarWire{Exp: exactMinExp - 1, Mant: []byte{2}}, false},
+		"top-bit-at-limit":   {ExactScalarWire{Exp: topExp, Mant: []byte{1}}, true},
+		"top-bit-past-limit": {ExactScalarWire{Exp: topExp + 1, Mant: []byte{1}}, false},
+		"wide-at-limit":      {ExactScalarWire{Exp: exactMinExp, Mant: envelopeMant(exactMinExp, exactTopBit)}, true},
+		"wide-past-limit":    {ExactScalarWire{Exp: exactMinExp, Mant: envelopeMant(exactMinExp, exactTopBit+1)}, false},
+		"neg-wide-at-limit":  {ExactScalarWire{Neg: true, Exp: exactMinExp, Mant: envelopeMant(exactMinExp, exactTopBit)}, true},
+		"mant-288-bytes":     {ExactScalarWire{Mant: append(make([]byte, exactMantBytes-1), 1)}, true},
+		"mant-289-bytes":     {ExactScalarWire{Mant: append(make([]byte, exactMantBytes), 1)}, false},
+		"zero-mant-huge-exp": {ExactScalarWire{Exp: 1 << 20, Mant: []byte{0}}, false},
+		"exp-wraps-int":      {ExactScalarWire{Exp: math.MaxInt64, Mant: []byte{1}}, false},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(10, func() { err = v.SetScalarWire(0, c.w) })
+		if c.ok {
+			if err != nil {
+				t.Fatalf("%s: rejected: %v", name, err)
+			}
+			continue
 		}
+		if !errors.Is(err, ErrExactEnvelope) {
+			t.Fatalf("%s: got %v, want an ErrExactEnvelope", name, err)
+		}
+		if allocs > 8 {
+			t.Fatalf("%s: rejection cost %v allocations", name, allocs)
+		}
+	}
+}
+
+// TestExactScalarWireNonCanonicalDecodesToItsValue pins the one rule for
+// mantissas ScalarWire would not have written: even, or with leading zero
+// bytes, they decode to the value they spell and re-encode canonically.
+func TestExactScalarWireNonCanonicalDecodesToItsValue(t *testing.T) {
+	want := NewExactVec(1)
+	want.Add(0, -0x1.8p-30) // −3·2^-31
+	canon := want.ScalarWire(0)
+	if canon.Exp != -31 || !bytes.Equal(canon.Mant, []byte{3}) || !canon.Neg {
+		t.Fatalf("canonical form %+v", canon)
+	}
+	for name, w := range map[string]ExactScalarWire{
+		"even":         {Neg: true, Exp: -34, Mant: []byte{24}},
+		"leading-zero": {Neg: true, Exp: -31, Mant: []byte{0, 0, 3}},
+		"both":         {Neg: true, Exp: -39, Mant: append(make([]byte, 200), 3, 0)},
+	} {
+		v := NewExactVec(1)
+		if err := v.SetScalarWire(0, w); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := v.ScalarWire(0)
+		if got.Neg != canon.Neg || got.Exp != canon.Exp || !bytes.Equal(got.Mant, canon.Mant) {
+			t.Fatalf("%s: re-encodes as %+v, want %+v", name, got, canon)
+		}
+	}
+	// A zero mantissa is +0 whatever its sign flag and length.
+	v := NewExactVec(1)
+	v.Add(0, 7)
+	if err := v.SetScalarWire(0, ExactScalarWire{Neg: true, Mant: []byte{0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := v.ScalarWire(0); got.Neg || got.Exp != 0 || len(got.Mant) != 0 || math.Signbit(v.Round(0)) {
+		t.Fatalf("zero mantissa decodes to %+v (%g)", got, v.Round(0))
 	}
 }
 
@@ -213,6 +283,12 @@ func TestPartialWireValidate(t *testing.T) {
 	if err := mk().Validate(); err != nil {
 		t.Fatalf("valid partial rejected: %v", err)
 	}
+	atLimit := mk()
+	atLimit.Sums[0].Elems[1] = ExactScalarWire{Exp: exactMinExp, Mant: envelopeMant(exactMinExp, exactTopBit)}
+	atLimit.WSum = ExactScalarWire{Exp: int64(exactTopBit + exactMinExp), Mant: []byte{1}}
+	if _, err := PartialFromWire(atLimit); err != nil {
+		t.Fatalf("partial at the envelope's edge rejected: %v", err)
+	}
 	for name, mutate := range map[string]func(*PartialWire){
 		"bad-rule":       func(w *PartialWire) { w.Rule = "median" },
 		"neg-clients":    func(w *PartialWire) { w.Clients = -1 },
@@ -222,11 +298,28 @@ func TestPartialWireValidate(t *testing.T) {
 		"unweighted-wsum": func(w *PartialWire) {
 			w.Rule = AggFedSGD
 		},
+		"elem-below-grid": func(w *PartialWire) {
+			w.Sums[0].Elems[1] = ExactScalarWire{Exp: exactMinExp - 1, Mant: []byte{1}}
+		},
+		"elem-past-top": func(w *PartialWire) {
+			w.Sums[0].Elems[0] = ExactScalarWire{Exp: exactMinExp, Mant: envelopeMant(exactMinExp, exactTopBit+1)}
+		},
+		"wsum-past-top": func(w *PartialWire) {
+			w.WSum = ExactScalarWire{Exp: int64(exactTopBit+exactMinExp) + 1, Mant: []byte{1}}
+		},
+		"wsum-wide-mant": func(w *PartialWire) {
+			w.WSum = ExactScalarWire{Mant: make([]byte, exactMantBytes+1)}
+		},
 	} {
 		w := mk()
 		mutate(w)
-		if err := w.Validate(); err == nil {
+		var err error
+		allocs := testing.AllocsPerRun(10, func() { _, err = PartialFromWire(w) })
+		if err == nil {
 			t.Fatalf("%s: accepted", name)
+		}
+		if allocs > 8 {
+			t.Fatalf("%s: rejection cost %v allocations", name, allocs)
 		}
 	}
 }

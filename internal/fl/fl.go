@@ -602,7 +602,7 @@ func Run(cfg Config) (*History, error) {
 			agg, _ = NewAggregatorFor(cfg.Aggregation, cfg.Shards, cfg.TreeFanout, cfg.K)
 			serverRNG = tensor.Split(cfg.Seed, 2, int64(round))
 		}
-		cohort := sampleCohort(cfg, round)
+		cohort, active := ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, cfg.SampleWithReplacement)
 		cohort = dropClients(cfg, round, cohort, dropCoin)
 		var rs RoundStats
 		if cfg.Runtime == RuntimeBarrier {
@@ -611,7 +611,7 @@ func Run(cfg Config) (*History, error) {
 			rs = runStreamingRound(cfg, global, cohort, round, workers, serverRNG, agg, clock)
 		}
 		rs.Round = round
-		rs.Active = pop.ActiveCount(round)
+		rs.Active = active
 		if round%evalEvery == 0 || r == cfg.Rounds-1 {
 			rs.Accuracy = Evaluate(global, valX, valY)
 			rs.Evaluated = true
@@ -686,12 +686,6 @@ func clientNoiseFor(rc RoundConfig, seed int64, round, clientID int) *tensor.Cou
 	}
 	n := ClientNoise(seed, round, clientID)
 	return &n
-}
-
-// sampleCohort picks the participating client IDs for a round, drawing
-// only from the population's active set (see ActiveCohort).
-func sampleCohort(cfg Config, round int) []int {
-	return ActiveCohort(cfg.Seed, round, population(cfg), cfg.Kt, cfg.Sampler, cfg.SampleWithReplacement)
 }
 
 // SampleCohort returns the participating client ids fl.Run would draw for

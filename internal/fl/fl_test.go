@@ -320,3 +320,8 @@ func TestClientStatsMsPerIter(t *testing.T) {
 		t.Fatalf("zero stats MsPerIter = %v, want 0", got)
 	}
 }
+
+// sampleCohort is the round's cohort draw as Run makes it.
+func sampleCohort(cfg Config, round int) []int {
+	return ActiveCohort(cfg.Seed, round, population(cfg), cfg.Kt, cfg.Sampler, cfg.SampleWithReplacement)
+}

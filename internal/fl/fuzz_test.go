@@ -27,6 +27,36 @@ func gobBytes(tb testing.TB, v any) []byte {
 	return buf.Bytes()
 }
 
+// fuzzPartialMsg is an edge→root update for the seed corpora: a weighted
+// partial whose sums span several limbs, with a cancelled-to-zero element
+// and a NaN-poisoned one.
+func fuzzPartialMsg() *UpdateMsg {
+	edge, _ := NewExact(AggWeighted)
+	edge.Begin([]*tensor.Tensor{tensor.FromSlice([]float64{0.5, -2, 1e-9, 0}, 2, 2)})
+	edge.FoldClient(0, []*tensor.Tensor{tensor.FromSlice([]float64{1e-7, 3, -1e-9, math.NaN()}, 2, 2)}, 3)
+	edge.FoldClient(1, []*tensor.Tensor{tensor.FromSlice([]float64{-0.25, 1e12, -1e-9, 1}, 2, 2)}, 1)
+	return &UpdateMsg{ClientID: 2, Round: 1, Partial: edge.TakePartial().Wire()}
+}
+
+// checkPartialSound asserts what validation promises about a wire partial:
+// it installs without error, and the installed sums re-encode to a
+// canonical form that is a fixed point of decode→encode.
+func checkPartialSound(t *testing.T, w *PartialWire) {
+	t.Helper()
+	p, err := PartialFromWire(w)
+	if err != nil {
+		t.Fatalf("validated partial does not install: %v", err)
+	}
+	canon := p.Wire()
+	again, err := PartialFromWire(canon)
+	if err != nil {
+		t.Fatalf("canonical partial rejected: %v", err)
+	}
+	if !bytes.Equal(appendPartial(nil, canon), appendPartial(nil, again.Wire())) {
+		t.Fatal("canonical partial is not a fixed point of decode→encode")
+	}
+}
+
 func FuzzUpdateMsgDecode(f *testing.F) {
 	good := UpdateMsg{ClientID: 3, Round: 1, Weight: 5}
 	good.Delta = WireFromTensors([]*tensor.Tensor{tensor.FromSlice([]float64{1, -2, 3, 4}, 2, 2)})
@@ -38,6 +68,7 @@ func FuzzUpdateMsgDecode(f *testing.F) {
 	f.Add(gobBytes(f, sparse))
 	f.Add(gobBytes(f, hostileNaN))
 	f.Add(gobBytes(f, hostileLen))
+	f.Add(gobBytes(f, *fuzzPartialMsg()))
 	f.Add([]byte{0x03, 0xff, 0x00})
 	f.Add([]byte(nil))
 
@@ -49,6 +80,9 @@ func FuzzUpdateMsgDecode(f *testing.F) {
 		ts, err := m.DecodeTensors()
 		if err != nil {
 			return // hostile but well-formed gob is rejected by validation
+		}
+		if m.Partial != nil {
+			checkPartialSound(t, m.Partial)
 		}
 		// Whatever survived validation must be sound: finite values in
 		// tensors whose element counts match their declared shapes.
@@ -136,6 +170,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(appendUpdatePayload(nil, um))
 	f.Add(appendUpdatePayload(nil, sp))
 	f.Add(appendUpdatePayload(nil, q))
+	f.Add(appendUpdatePayload(nil, fuzzPartialMsg()))
 	f.Add(appendParamPayload(nil, pm))
 	f.Add(appendAckPayload(nil, &AckMsg{Accepted: true, Reason: "ok"}))
 	f.Add(frameBytes(binaryVersion, kindUpdate, appendUpdatePayload(nil, um)))
@@ -160,6 +195,9 @@ func FuzzBinaryDecode(f *testing.F) {
 				t.Fatalf("re-parsing a validated update: %v", err)
 			}
 			checkUpdateEqual(t, "fuzz update", &gotUM, &again)
+			if gotUM.Partial != nil {
+				checkPartialSound(t, gotUM.Partial)
+			}
 		}
 		var gotAck AckMsg
 		_ = parseAckPayload(data, &gotAck)

@@ -117,19 +117,28 @@ func (p Population) AwayBetween(from, to, id int) bool {
 // active count, and an empty active set yields an empty cohort (the round
 // trains nobody and cannot meet a positive quorum).
 func ActiveCohort(seed int64, round int, pop Population, kt int, sampler string, withReplacement bool) []int {
+	cohort, _ := ActiveCohortCount(seed, round, pop, kt, sampler, withReplacement)
+	return cohort
+}
+
+// ActiveCohortCount is ActiveCohort plus the size of the round's active set
+// (RoundStats.Active), both from one walk over the population: a dynamic
+// plan's ClientActive coins are the cost of a round at large K, so the
+// runtimes materialize the active set once and use it for both.
+func ActiveCohortCount(seed int64, round int, pop Population, kt int, sampler string, withReplacement bool) (cohort []int, active int) {
 	if !pop.Dynamic() {
 		if sampler == SamplerFloyd && !withReplacement {
-			return SampleCohortFloyd(seed, round, pop.K, kt)
+			return SampleCohortFloyd(seed, round, pop.K, kt), pop.K
 		}
-		return SampleCohort(seed, round, pop.K, kt, withReplacement)
+		return SampleCohort(seed, round, pop.K, kt, withReplacement), pop.K
 	}
-	active := pop.ActiveSet(round)
-	n := len(active)
+	ids := pop.ActiveSet(round)
+	n := len(ids)
 	if kt > n {
 		kt = n
 	}
 	if kt == 0 {
-		return nil
+		return nil, n
 	}
 	var pos []int
 	if sampler == SamplerFloyd && !withReplacement {
@@ -137,9 +146,9 @@ func ActiveCohort(seed int64, round int, pop Population, kt int, sampler string,
 	} else {
 		pos = SampleCohort(seed, round, n, kt, withReplacement)
 	}
-	ids := make([]int, len(pos))
+	cohort = make([]int, len(pos))
 	for i, at := range pos {
-		ids[i] = active[at]
+		cohort[i] = ids[at]
 	}
-	return ids
+	return cohort, n
 }

@@ -20,8 +20,8 @@ import (
 // round — the explicit price of robustness, paid only when a robust rule is
 // selected. The buffered statistics are pure functions of the update
 // MULTISET: the median picks sorted middles ((a+b)/2 for even n), the
-// trimmed mean sorts before trimming and sums survivors in exact (big.Float)
-// arithmetic, and Krum's pairwise distances are symmetric with a
+// trimmed mean sorts before trimming and sums survivors in exact fixed-point
+// arithmetic (ExactVec), and Krum's pairwise distances are symmetric with a
 // deterministic total-order tie-break — so Commit is bit-identical in any
 // arrival order, at any GOMAXPROCS, even over the simnet fabric's
 // arrival-order folds.
@@ -131,7 +131,8 @@ func (a *CoordMedianAggregator) Commit(params []*tensor.Tensor) {
 
 // TrimmedMeanAggregator commits W ← W + trimmedmean_β(ΔW) coordinate-wise:
 // each coordinate sorts its Kt values, discards the ⌊β·Kt⌋ smallest and
-// largest, and averages the survivors in exact (big.Float) arithmetic,
+// largest, and averages the survivors in exact fixed-point arithmetic (one
+// reused single-element ExactVec, zeroed in O(window) per coordinate),
 // rounding once — so at β=0 the commit is bit-identical to the flat exact
 // mean fold (NewExact, the repo's mean parity oracle), and at any β the
 // result is arrival-order invariant. Buffers O(Kt·model).
