@@ -380,8 +380,9 @@ func BenchmarkNoiseEngine(b *testing.B) {
 		}
 	})
 
-	// One Fed-CDP local iteration at the benchmark batch size, per engine.
-	iteration := func(b *testing.B, noiseEngine string) {
+	// One Fed-CDP local iteration at the benchmark batch size: the
+	// sequential dp.Sanitize stream against the keyed batch pipeline.
+	iteration := func(b *testing.B, reference bool) {
 		m := nn.Build(spec.ModelSpec(), tensor.NewRNG(1))
 		arena := tensor.NewArena()
 		m.UseArena(arena)
@@ -400,7 +401,7 @@ func BenchmarkNoiseEngine(b *testing.B) {
 			for _, t := range batch {
 				t.Zero()
 			}
-			if noiseEngine == fl.NoiseReference {
+			if reference {
 				m.BatchGradients(xs, ys, scratch, func(j int, g []*tensor.Tensor) {
 					dp.Sanitize(g, 4, 6, rng)
 					tensor.AddAllScaled(batch, 1/float64(len(xs)), g)
@@ -420,8 +421,8 @@ func BenchmarkNoiseEngine(b *testing.B) {
 			})
 		}
 	}
-	b.Run("fedcdp-iter/reference", func(b *testing.B) { iteration(b, fl.NoiseReference) })
-	b.Run("fedcdp-iter/counter", func(b *testing.B) { iteration(b, fl.NoiseCounter) })
+	b.Run("fedcdp-iter/reference", func(b *testing.B) { iteration(b, true) })
+	b.Run("fedcdp-iter/counter", func(b *testing.B) { iteration(b, false) })
 }
 
 // BenchmarkSimnetScale measures hierarchical simnet deployments along the

@@ -191,7 +191,7 @@ func attackMethod(method string) string {
 	switch method {
 	case core.MethodNonPrivate:
 		return "non-private"
-	case core.MethodFedSDPSrv:
+	case core.MethodFedSDP, core.MethodFedSDPSrv:
 		return "fed-sdp"
 	case core.MethodFedCDP:
 		return "fed-cdp"
@@ -205,13 +205,15 @@ func attackMethod(method string) string {
 }
 
 // coreMethod maps fedattack's paper-style defense names onto core's method
-// ids for the -simnet defense evaluation.
+// ids for the -simnet defense evaluation. fed-sdp means client-side
+// placement: the simnet round servers do not sanitize, and the accounting
+// is the same for both placements (Section IV-B).
 func coreMethod(method string) string {
 	switch method {
 	case "non-private":
 		return core.MethodNonPrivate
 	case "fed-sdp":
-		return core.MethodFedSDPSrv
+		return core.MethodFedSDP
 	case "fed-cdp":
 		return core.MethodFedCDP
 	case "fed-cdp(decay)":

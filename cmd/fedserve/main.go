@@ -43,7 +43,6 @@ func main() {
 	secure := flag.Bool("secure", false, "encrypt the channel (X25519 + AES-GCM)")
 	codec := flag.String("codec", "", "wire codec offered to clients: gob (default) or binary (negotiated per session, see DESIGN.md)")
 	precision := flag.String("precision", "", "client GEMM precision published with the round: fp64 (default) or fp32")
-	noiseEngine := flag.String("noise-engine", "", "DP noise engine published to clients: counter (default) or reference (see DESIGN.md)")
 	scenario := flag.String("scenario", "", "data-heterogeneity scenario published to clients: "+strings.Join(dataset.ScenarioNames(), ", ")+" (default iid)")
 	alpha := flag.Float64("alpha", 0, "dirichlet concentration (0 = default 0.5)")
 	shards := flag.Int("shards", 0, "pathological label shards per client (0 = default 2)")
@@ -63,7 +62,7 @@ func main() {
 		flagSrc := config.FromCore(core.Config{
 			Dataset: *dsName, Kt: *kt, Rounds: *rounds, BatchSize: *batch,
 			LocalIters: *iters, LR: *lr, RoundDeadline: *deadline, MinQuorum: *quorum,
-			Codec: *codec, Precision: *precision, NoiseEngine: *noiseEngine,
+			Codec: *codec, Precision: *precision,
 			Scenario:    dataset.Scenario{Name: *scenario, Alpha: *alpha, Shards: *shards},
 			Aggregation: *aggRule, Shards: *aggShards, TreeFanout: *treeFanout, Seed: *seed,
 		}, false)
@@ -74,7 +73,7 @@ func main() {
 		*dsName, *kt, *rounds = exp.Data.Dataset, exp.Training.Kt, exp.Training.Rounds
 		*batch, *iters, *lr = exp.Training.BatchSize, exp.Training.LocalIters, exp.Training.LR
 		*deadline, *quorum = exp.Runtime.Deadline, exp.Runtime.Quorum
-		*codec, *precision, *noiseEngine = exp.Codec.Wire, exp.Model.Precision, exp.Method.NoiseEngine
+		*codec, *precision = exp.Codec.Wire, exp.Model.Precision
 		*scenario, *alpha, *shards = exp.Data.Scenario, exp.Data.Alpha, exp.Data.Shards
 		*aggRule, *aggShards, *treeFanout = exp.Aggregation.Rule, exp.Aggregation.Shards, exp.Aggregation.TreeFanout
 		*seed = exp.Seed
@@ -118,7 +117,7 @@ func main() {
 	fmt.Printf("fedserve: %s on %s (secure=%v, codec=%s), %d rounds, %d clients/round, deadline=%v, quorum=%d, scenario=%s\n",
 		*dsName, srv.Addr(), *secure, codecName(*codec), *rounds, *kt, *deadline, *quorum, sc)
 
-	cfg := fl.RoundConfig{BatchSize: *batch, LocalIters: *iters, LR: *lr, TotalRounds: *rounds, NoiseEngine: *noiseEngine, Scenario: sc, Precision: *precision, ConfigDigest: digest}
+	cfg := fl.RoundConfig{BatchSize: *batch, LocalIters: *iters, LR: *lr, TotalRounds: *rounds, Scenario: sc, Precision: *precision, ConfigDigest: digest}
 	// K=0: a standalone server has no declared population, so tree shards
 	// partition client ids by modulo instead of contiguous ranges.
 	agg, err := fl.NewAggregatorFor(*aggRule, *aggShards, *treeFanout, 0)

@@ -59,9 +59,6 @@ func main() {
 	flag.Float64Var(&cfg.DecayTo, "decay-to", 2, "decay schedule final bound")
 	flag.Float64Var(&cfg.CompressRatio, "compress", 0, "gradient prune ratio (communication-efficient FL)")
 	flag.Float64Var(&cfg.ShareFraction, "share", 0.1, "DSSGD share fraction")
-	flag.StringVar(&cfg.Engine, "engine", "", "execution engine: batched (default) or reference (see DESIGN.md)")
-	flag.StringVar(&cfg.NoiseEngine, "noise-engine", "", "DP noise engine: counter (default, parallel) or reference (see DESIGN.md)")
-	flag.StringVar(&cfg.Runtime, "runtime", "", "round runtime: streaming (default) or barrier (see DESIGN.md)")
 	flag.StringVar(&cfg.Codec, "codec", "", "wire codec: gob (default, parity oracle) or binary (see DESIGN.md)")
 	flag.StringVar(&cfg.Precision, "precision", "", "client GEMM precision: fp64 (default, parity oracle) or fp32 (see DESIGN.md)")
 	flag.StringVar(&cfg.Scenario.Name, "scenario", "", "data-heterogeneity scenario: "+strings.Join(dataset.ScenarioNames(), ", ")+" (default iid)")

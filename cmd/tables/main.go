@@ -13,7 +13,7 @@
 // the paper's exact parameters (it is a pure computation).
 //
 // Beyond the paper's tables, "-exp faults" renders the fault-sensitivity
-// matrix: {runtime × scenario × method × fault plan} under deterministic
+// matrix: {scenario × method × fault plan} under deterministic
 // fault injection (see DESIGN.md, "Simnet").
 //
 // "-exp bench" is the perf regression gate: it re-runs the six recorded

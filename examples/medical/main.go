@@ -83,11 +83,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	noise := fl.ClientNoise(5, 0, 0)
 	env2 := &fl.ClientEnv{
 		ClientID: 0, Round: 0,
 		Model: buildModel(spec), Data: ds.Client(0),
-		RNG: tensor.Split(5, 4, 0, 0),
-		Cfg: fl.RoundConfig{BatchSize: 4, LocalIters: 10, LR: 0.1, TotalRounds: 3},
+		RNG:   tensor.Split(5, 4, 0, 0),
+		Cfg:   fl.RoundConfig{BatchSize: 4, LocalIters: 10, LR: 0.1, TotalRounds: 3},
+		Noise: &noise,
 	}
 	safe, err := core.LeakRoundUpdate(env2, core.Config{Method: core.MethodFedCDP, Clip: 4, Sigma: 6}, true, tensor.NewRNG(1))
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 // normalized returns a copy with every enum default spelled out by its
 // concrete name, so documents that determine the same run — one saying
-// "engine: batched", one omitting the key, one writing "" — share one
+// "wire: gob", one omitting the key, one writing "" — share one
 // canonical form and therefore one digest. Normalization never changes
 // what a run computes: each empty name and its concrete default are pinned
 // bit-identical by the packages that consume them (see e.g.
@@ -25,13 +25,10 @@ func (e *Experiment) normalized() *Experiment {
 			*p = name
 		}
 	}
-	def(&c.Model.Engine, fl.EngineBatched)
 	def(&c.Model.Precision, tensor.PrecisionFP64)
 	def(&c.Data.Dataset, "mnist")
 	def(&c.Data.Scenario, dataset.ScenarioIID)
 	def(&c.Method.Name, core.MethodFedCDP)
-	def(&c.Method.NoiseEngine, fl.NoiseCounter)
-	def(&c.Runtime.Name, fl.RuntimeStreaming)
 	def(&c.Aggregation.Rule, fl.AggFedSGD)
 	def(&c.Aggregation.Sampler, fl.SamplerLegacy)
 	def(&c.Codec.Wire, fl.CodecGob)

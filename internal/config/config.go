@@ -47,9 +47,8 @@ type Experiment struct {
 	Sweep       SweepBlock
 }
 
-// ModelBlock selects the execution engine and arithmetic width.
+// ModelBlock selects the arithmetic width.
 type ModelBlock struct {
-	Engine    string // "" (batched) or "reference"
 	Precision string // "" (fp64) or "fp32"
 }
 
@@ -73,12 +72,10 @@ type MethodBlock struct {
 	DecayTo         float64
 	ShareFraction   float64
 	Compress        float64 // gradient prune ratio (0 = off)
-	NoiseEngine     string  // "" (counter) or "reference"
 }
 
-// RuntimeBlock selects round orchestration and its failure posture.
+// RuntimeBlock selects the deployment and its failure posture.
 type RuntimeBlock struct {
-	Name     string        // "" (streaming) or "barrier"
 	Simnet   bool          // deploy over the in-memory simnet fabric
 	Deadline time.Duration // per-round straggler cutoff (0 = wait)
 	Quorum   int           // minimum folded updates to commit
@@ -191,16 +188,7 @@ func (e *Experiment) Validate() error {
 	if e.Method.Name != "" && !knownMethod(e.Method.Name) {
 		return fmt.Errorf("config: unknown method.name %q (have %v)", e.Method.Name, core.Methods())
 	}
-	if err := oneOf("model.engine", e.Model.Engine, fl.EngineBatched, fl.EngineReference); err != nil {
-		return err
-	}
 	if err := oneOf("model.precision", e.Model.Precision, tensor.PrecisionFP64, tensor.PrecisionFP32); err != nil {
-		return err
-	}
-	if err := oneOf("method.noise-engine", e.Method.NoiseEngine, fl.NoiseCounter, fl.NoiseReference); err != nil {
-		return err
-	}
-	if err := oneOf("runtime.name", e.Runtime.Name, fl.RuntimeStreaming, fl.RuntimeBarrier); err != nil {
 		return err
 	}
 	if err := oneOf("aggregation.sampler", e.Aggregation.Sampler, fl.SamplerLegacy, fl.SamplerFloyd); err != nil {
@@ -214,6 +202,9 @@ func (e *Experiment) Validate() error {
 	}
 	if e.Runtime.Simnet && e.Codec.Quant != 0 {
 		return fmt.Errorf("config: codec.quant %d is not plumbed into runtime.simnet clients, which would send dense updates; set codec.quant to 0", e.Codec.Quant)
+	}
+	if e.Runtime.Simnet && e.Method.Name == core.MethodFedSDPSrv {
+		return fmt.Errorf("config: method.name %s sanitizes at the server, which runtime.simnet's round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", core.MethodFedSDPSrv, core.MethodFedSDP)
 	}
 	if !fl.ValidAggregation(e.Aggregation.Rule) {
 		return fmt.Errorf("config: unknown aggregation.rule %q", e.Aggregation.Rule)
@@ -335,9 +326,6 @@ func (e *Experiment) CoreConfig() core.Config {
 		ValExamples:     e.Training.ValExamples,
 		EvalEvery:       e.Training.EvalEvery,
 		Parallelism:     e.Training.Parallelism,
-		Engine:          e.Model.Engine,
-		NoiseEngine:     e.Method.NoiseEngine,
-		Runtime:         e.Runtime.Name,
 		Codec:           e.Codec.Wire,
 		Quant:           e.Codec.Quant,
 		Precision:       e.Model.Precision,
@@ -364,7 +352,7 @@ func FromCore(cfg core.Config, simnetRun bool) *Experiment {
 	return &Experiment{
 		Version: Version,
 		Seed:    cfg.Seed,
-		Model:   ModelBlock{Engine: cfg.Engine, Precision: cfg.Precision},
+		Model:   ModelBlock{Precision: cfg.Precision},
 		Data: DataBlock{
 			Dataset:  cfg.Dataset,
 			Scenario: cfg.Scenario.Name,
@@ -382,10 +370,8 @@ func FromCore(cfg core.Config, simnetRun bool) *Experiment {
 			DecayTo:         cfg.DecayTo,
 			ShareFraction:   cfg.ShareFraction,
 			Compress:        cfg.CompressRatio,
-			NoiseEngine:     cfg.NoiseEngine,
 		},
 		Runtime: RuntimeBlock{
-			Name:     cfg.Runtime,
 			Simnet:   simnetRun,
 			Deadline: cfg.RoundDeadline,
 			Quorum:   cfg.MinQuorum,

@@ -38,7 +38,6 @@ version: 1
 seed: 7
 
 model:
-  engine: reference
   precision: fp32
 
 data:
@@ -50,10 +49,8 @@ method:
   name: fedsdp-server
   clip: 2.5
   sigma: 0.05
-  noise-engine: reference
 
 runtime:
-  name: barrier
   simnet: false
   deadline: 150ms
   quorum: 2
@@ -89,13 +86,12 @@ sweep:
 	}
 	want := Default()
 	want.Seed = 7
-	want.Model = ModelBlock{Engine: fl.EngineReference, Precision: "fp32"}
+	want.Model = ModelBlock{Precision: "fp32"}
 	want.Data = DataBlock{Dataset: "cancer", Scenario: "dirichlet", Alpha: 0.1}
 	want.Method.Name = core.MethodFedSDPSrv
 	want.Method.Clip = 2.5
 	want.Method.Sigma = 0.05
-	want.Method.NoiseEngine = fl.NoiseReference
-	want.Runtime = RuntimeBlock{Name: fl.RuntimeBarrier, Deadline: 150 * time.Millisecond, Quorum: 2, Dropout: 0.25}
+	want.Runtime = RuntimeBlock{Deadline: 150 * time.Millisecond, Quorum: 2, Dropout: 0.25}
 	want.Faults = FaultsBlock{Plan: "drop=0.2,crash=1"}
 	want.Aggregation = AggregationBlock{Rule: "trimmed:0.34", Shards: 4, Sampler: fl.SamplerFloyd}
 	want.Codec = CodecBlock{Wire: fl.CodecBinary, Quant: 8}
@@ -120,6 +116,11 @@ func TestParseErrors(t *testing.T) {
 		{"unknown section", "bogus:\n  key: 1\n", `unknown section "bogus"`},
 		{"unknown key in section", "method:\n  strength: 11\n", `unknown key "strength" in section method`},
 		{"unknown top-level key", "speed: 9\n", `unknown key "speed" in top level`},
+		// The mode switches retired with their oracles are unknown keys now —
+		// refused with a line number, not silently ignored.
+		{"removed model.engine", "model:\n  engine: batched\n", `line 2: unknown key "engine" in section model`},
+		{"removed method.noise-engine", "method:\n  sigma: 1\n  noise-engine: counter\n", `line 3: unknown key "noise-engine" in section method`},
+		{"removed runtime.name", "runtime:\n  name: streaming\n", `line 2: unknown key "name" in section runtime`},
 		{"duplicate key", "method:\n  sigma: 1\n  sigma: 2\n", "duplicate key method.sigma"},
 		{"duplicate top-level key", "seed: 1\nseed: 2\n", "duplicate key seed"},
 		{"duplicate section", "method:\n  sigma: 1\nmethod:\n  clip: 2\n", `duplicate section "method"`},
@@ -178,7 +179,6 @@ method:
   name: dssgd
   share: 0.25
 runtime:
-  name: barrier
   deadline: 2s
 aggregation:
   rule: krum:2
@@ -238,8 +238,8 @@ data:
   scenario: iid      # the default, spelled out
 
 seed: 5
-model:
-  engine: batched
+codec:
+  wire: gob
 `
 	ea, err := Parse([]byte(a))
 	if err != nil {
@@ -287,17 +287,11 @@ func TestDigestDistinguishesEveryField(t *testing.T) {
 			case "scenario":
 				v = "dirichlet"
 			case "name":
-				if f.section == "runtime" {
-					v = fl.RuntimeBarrier
-				} else if f.section == "experiment" {
+				if f.section == "experiment" {
 					v = "table1"
 				} else {
 					v = core.MethodDSSGD
 				}
-			case "engine":
-				v = fl.EngineReference
-			case "noise-engine":
-				v = fl.NoiseReference
 			case "precision":
 				v = "fp32"
 			case "rule":
@@ -333,13 +327,12 @@ func TestValidateRejections(t *testing.T) {
 		{"empty dataset", func(e *Experiment) { e.Data.Dataset = "" }, "data.dataset must be set"},
 		{"unknown dataset", func(e *Experiment) { e.Data.Dataset = "imagenet" }, "data.dataset"},
 		{"unknown method", func(e *Experiment) { e.Method.Name = "fed-prox" }, "unknown method.name"},
-		{"unknown engine", func(e *Experiment) { e.Model.Engine = "gpu" }, "unknown model.engine"},
 		{"unknown precision", func(e *Experiment) { e.Model.Precision = "fp16" }, "unknown model.precision"},
-		{"unknown runtime", func(e *Experiment) { e.Runtime.Name = "async" }, "unknown runtime.name"},
 		{"unknown sampler", func(e *Experiment) { e.Aggregation.Sampler = "knuth" }, "unknown aggregation.sampler"},
 		{"unknown codec", func(e *Experiment) { e.Codec.Wire = "json" }, "unknown codec.wire"},
 		{"bad quant", func(e *Experiment) { e.Codec.Quant = 4 }, "codec.quant"},
 		{"quant under simnet", func(e *Experiment) { e.Codec.Quant, e.Runtime.Simnet = 8, true }, "not plumbed into runtime.simnet"},
+		{"server-side sdp under simnet", func(e *Experiment) { e.Method.Name, e.Runtime.Simnet = core.MethodFedSDPSrv, true }, "round servers do not"},
 		{"unknown aggregation", func(e *Experiment) { e.Aggregation.Rule = "mode" }, "unknown aggregation.rule"},
 		{"unknown scenario", func(e *Experiment) { e.Data.Scenario = "zipf" }, "data.scenario"},
 		{"bad fault plan", func(e *Experiment) { e.Faults.Plan = "meteor=1" }, "faults.plan"},
@@ -380,7 +373,6 @@ method:
   name: fedcdp
   sigma: 0.06
 runtime:
-  name: streaming
   quorum: 1
 faults:
   plan: drop=0.2,crash=2,restart=1

@@ -1,7 +1,7 @@
 // Package config is the declarative experiment layer: one versioned,
-// schema-validated file fully determines a run — seed, model engine and
-// precision, dataset and heterogeneity scenario, privacy method and noise
-// engine, runtime with deadline/quorum, fault and adversary plan,
+// schema-validated file fully determines a run — seed, model precision,
+// dataset and heterogeneity scenario, privacy method, deployment with
+// deadline/quorum, fault and adversary plan,
 // aggregation rule/topology/sampler, wire codec, and training horizon.
 //
 // The format is a strict YAML subset (see Parse): unindented section

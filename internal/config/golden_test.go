@@ -96,7 +96,6 @@ func TestGoldenFaultAcceptanceConfig(t *testing.T) {
 		Seed:        42,
 		ValExamples: 60,
 		EvalEvery:   1,
-		Runtime:     fl.RuntimeStreaming,
 		Scenario:    dataset.Scenario{Name: "dirichlet", Alpha: 0.1},
 		Faults:      "drop=0.2,crash=2,restart=1",
 		MinQuorum:   1,

@@ -31,7 +31,6 @@ func schema() []field {
 		fInt("", "version", "", func(e *Experiment) *int { return &e.Version }),
 		fI64("", "seed", "seed", func(e *Experiment) *int64 { return &e.Seed }),
 
-		fStr("model", "engine", "engine", func(e *Experiment) *string { return &e.Model.Engine }),
 		fStr("model", "precision", "precision", func(e *Experiment) *string { return &e.Model.Precision }),
 
 		fStr("data", "dataset", "dataset", func(e *Experiment) *string { return &e.Data.Dataset }),
@@ -49,9 +48,7 @@ func schema() []field {
 		fF64("method", "decay-to", "decay-to", func(e *Experiment) *float64 { return &e.Method.DecayTo }),
 		fF64("method", "share", "share", func(e *Experiment) *float64 { return &e.Method.ShareFraction }),
 		fF64("method", "compress", "compress", func(e *Experiment) *float64 { return &e.Method.Compress }),
-		fStr("method", "noise-engine", "noise-engine", func(e *Experiment) *string { return &e.Method.NoiseEngine }),
 
-		fStr("runtime", "name", "runtime", func(e *Experiment) *string { return &e.Runtime.Name }),
 		fBool("runtime", "simnet", "simnet", func(e *Experiment) *bool { return &e.Runtime.Simnet }),
 		fDur("runtime", "deadline", "deadline", func(e *Experiment) *time.Duration { return &e.Runtime.Deadline }),
 		fInt("runtime", "quorum", "quorum", func(e *Experiment) *int { return &e.Runtime.Quorum }),

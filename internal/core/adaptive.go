@@ -74,33 +74,22 @@ func (f FedCDPMedian) ClientUpdate(env *fl.ClientEnv) ([]*tensor.Tensor, fl.Clie
 			}
 			bounds[li] = c
 		}
-		// Second pass: sanitize at the median and average. On the counter
-		// noise engine every example's clip+noise is keyed independently,
-		// so the already-materialized gradients fan out over goroutines
-		// through the fused batch pipeline; the reference engine consumes
-		// env.RNG sequentially as before.
+		// Second pass: sanitize at the median and average. Every example's
+		// clip+noise is keyed independently, so the already-materialized
+		// gradients fan out over goroutines through the fused batch
+		// pipeline.
 		batch := tensor.ZerosLike(env.Model.Grads())
-		if noise := env.Noise; noise != nil {
-			iter := l
-			dp.SanitizeBatch(dp.BatchSanitizeJob{
-				N:       len(xs),
-				Recover: func(int, []*tensor.Tensor) {}, // already materialized
-				Sanitize: func(j int, g []*tensor.Tensor) {
-					dp.SanitizeCounterLayers(g, bounds, f.Sigma, exampleNoise(*noise, iter, j))
-				},
-				Bufs:   perExample,
-				Accum:  batch,
-				Weight: 1 / float64(len(xs)),
-			})
-		} else {
-			for _, g := range perExample {
-				for li, gt := range g {
-					gt.ClipL2(bounds[li])
-					env.RNG.AddNormal(gt, f.Sigma*bounds[li])
-				}
-				tensor.AddAllScaled(batch, 1/float64(len(xs)), g)
-			}
-		}
+		iter := l
+		dp.SanitizeBatch(dp.BatchSanitizeJob{
+			N:       len(xs),
+			Recover: func(int, []*tensor.Tensor) {}, // already materialized
+			Sanitize: func(j int, g []*tensor.Tensor) {
+				dp.SanitizeCounterLayers(g, bounds, f.Sigma, exampleNoise(*env.Noise, iter, j))
+			},
+			Bufs:   perExample,
+			Accum:  batch,
+			Weight: 1 / float64(len(xs)),
+		})
 		env.Model.SGDStep(env.Cfg.LR, batch)
 	}
 

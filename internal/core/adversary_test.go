@@ -26,7 +26,6 @@ func attackAcceptanceConfig() Config {
 		Seed:        42,
 		ValExamples: 60,
 		EvalEvery:   1,
-		Runtime:     fl.RuntimeStreaming,
 		Scenario:    dataset.Scenario{Name: "dirichlet", Alpha: 0.1},
 		Faults:      "byzantine=2:signflip",
 		Aggregation: fl.AggMedian,

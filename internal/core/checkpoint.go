@@ -109,8 +109,6 @@ func (c *Checkpoint) Resume(rounds int) (*Result, error) {
 			BatchSize:    cfg.BatchSize,
 			LocalIters:   cfg.LocalIters,
 			LR:           cfg.LR,
-			Engine:       cfg.Engine,
-			NoiseEngine:  cfg.NoiseEngine,
 			ConfigDigest: cfg.ConfigDigest,
 		},
 		Strategy:        strat,
@@ -122,7 +120,6 @@ func (c *Checkpoint) Resume(rounds int) (*Result, error) {
 		InitialParams:   fl.TensorsFromWire(c.Params),
 		StartRound:      c.NextRound,
 		ScheduleHorizon: horizon,
-		Runtime:         cfg.Runtime,
 		DropoutRate:     cfg.DropoutRate,
 		RoundDeadline:   cfg.RoundDeadline,
 		MinQuorum:       cfg.MinQuorum,

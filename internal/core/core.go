@@ -65,24 +65,6 @@ type Config struct {
 	EvalEvery   int
 	Parallelism int
 
-	// Engine selects the local-training execution engine: fl.EngineBatched
-	// (the default) or fl.EngineReference, the original per-example path
-	// kept for parity checking (see DESIGN.md).
-	Engine string
-
-	// NoiseEngine selects the DP noise source: fl.NoiseCounter (the
-	// default) keys every Gaussian draw to (round, client, iteration,
-	// example, layer, offset) so sanitization parallelizes with
-	// bit-identical results at any GOMAXPROCS; fl.NoiseReference is the
-	// original sequential math/rand stream kept as the parity oracle
-	// (see DESIGN.md, "Noise engine").
-	NoiseEngine string
-
-	// Runtime selects the round orchestration: fl.RuntimeStreaming (the
-	// default) or fl.RuntimeBarrier, the lockstep path kept for parity
-	// checking (see DESIGN.md, "Streaming runtime").
-	Runtime string
-
 	// Codec selects the wire encoding: fl.CodecGob (the default, and the
 	// parity oracle) or fl.CodecBinary, the framed binary codec. Run only
 	// touches the wire on server restarts; RunSimnet deploys the codec on
@@ -105,8 +87,8 @@ type Config struct {
 	// fails to report (device churn); see fl.Config.DropoutRate.
 	DropoutRate float64
 
-	// RoundDeadline is the streaming runtime's per-round straggler
-	// cutoff; zero waits for the full cohort.
+	// RoundDeadline is the per-round straggler cutoff; zero waits for the
+	// full cohort.
 	RoundDeadline time.Duration
 
 	// MinQuorum is the minimum folded updates required to commit a round;
@@ -295,8 +277,6 @@ func Run(cfg Config) (*Result, error) {
 			BatchSize:    cfg.BatchSize,
 			LocalIters:   cfg.LocalIters,
 			LR:           cfg.LR,
-			Engine:       cfg.Engine,
-			NoiseEngine:  cfg.NoiseEngine,
 			Precision:    cfg.Precision,
 			ConfigDigest: cfg.ConfigDigest,
 		},
@@ -311,7 +291,6 @@ func Run(cfg Config) (*Result, error) {
 		EvalEvery:       cfg.EvalEvery,
 		Parallelism:     cfg.Parallelism,
 		ScheduleHorizon: cfg.PlannedRounds,
-		Runtime:         cfg.Runtime,
 		DropoutRate:     cfg.DropoutRate,
 		RoundDeadline:   cfg.RoundDeadline,
 		MinQuorum:       cfg.MinQuorum,

@@ -20,6 +20,7 @@ func testEnv(t *testing.T, seed int64) *fl.ClientEnv {
 	}
 	ds := dataset.New(spec, seed)
 	m := nn.Build(spec.ModelSpec(), tensor.Split(seed, 1))
+	noise := fl.ClientNoise(seed, 0, 0)
 	return &fl.ClientEnv{
 		ClientID: 0,
 		Round:    0,
@@ -27,6 +28,7 @@ func testEnv(t *testing.T, seed int64) *fl.ClientEnv {
 		Data:     ds.Client(0),
 		RNG:      tensor.Split(seed, 4, 0, 0),
 		Cfg:      fl.RoundConfig{BatchSize: 4, LocalIters: 3, LR: 0.1, TotalRounds: 10},
+		Noise:    &noise,
 	}
 }
 

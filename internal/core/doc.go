@@ -15,23 +15,20 @@
 // Run ties a strategy to the fl substrate and the privacy accountant and is
 // the high-level entry point used by the CLIs, examples and benchmarks. Its
 // Config is the repository's experiment surface: benchmark and method
-// selection, population and round shape, privacy parameters, and the
-// orthogonal engine switches —
+// selection, population and round shape, privacy parameters, deadline and
+// quorum, and the orthogonal switches —
 //
-//   - Engine: batched GEMM/im2col local training (default) vs the
-//     per-example reference path;
-//   - NoiseEngine: parallel counter-keyed DP noise (default) vs the
-//     sequential reference stream;
-//   - Runtime: streaming folds with deadlines/quorum (default) vs the
-//     barrier parity reference;
 //   - Scenario: the data-heterogeneity partition (iid default, dirichlet,
 //     pathological, quantity, labelnoise — see internal/dataset);
 //   - Aggregation: FedSGD (default), FedAvg, or example-count-weighted
 //     FedAvg (fl.AggWeighted) for quantity-skewed populations.
 //
-// Every switch's default composes into a deterministic seeded run, and each
-// non-default position is pinned by parity tests against its reference, so
-// results are comparable across engine choices. After a run, core annotates
+// Local training always runs on the batched GEMM/im2col engine with
+// counter-keyed DP noise, and rounds fold as updates arrive in cohort
+// order; the per-example trainer (engine_test.go) and the lockstep round
+// (internal/fl/barrier_test.go) those replaced survive as test-file
+// oracles that pin them. Every configuration is a deterministic seeded
+// run. After a run, core annotates
 // the history with cumulative privacy spending via internal/accountant
 // (Fed-CDP composes L sampled-Gaussian steps per round at the instance
 // rate; Fed-SDP one per round at the client rate), and checkpoint.go

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
@@ -10,10 +11,62 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// runClientUpdate executes one client's local training for one round under
-// the given engine and returns its update ΔW. The environment (model init,
-// data shard, RNG stream) is reconstructed identically for every call.
-func runClientUpdate(t *testing.T, dsName string, strat fl.Strategy, engine string, iters int) ([]*tensor.Tensor, fl.ClientStats) {
+// localSGDReference is the original per-example implementation of localSGD,
+// retained verbatim as the semantic oracle for the batched engine: one
+// Forward/Backward per example, no GEMM batching, no arena, sanitization in
+// example order on the calling goroutine.
+func localSGDReference(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.ClientStats) {
+	start := time.Now()
+	global := tensor.CloneAll(env.Model.Params())
+	var normSum float64
+	var normN int
+
+	for l := 0; l < env.Cfg.LocalIters; l++ {
+		xs, ys := env.Data.Batch(l, env.Cfg.BatchSize)
+		if sanitize == nil && l > 0 {
+			// Batched fast path (non-private training): accumulate the batch
+			// gradient in the shared buffers without materializing
+			// per-example copies — the execution model a conventional
+			// framework uses, and the baseline Table III compares against.
+			env.Model.ZeroGrads()
+			for j, x := range xs {
+				logits := env.Model.Forward(x)
+				_, g := nn.SoftmaxCrossEntropy(logits, ys[j])
+				env.Model.BackwardFromLoss(g)
+			}
+			env.Model.SGDStep(env.Cfg.LR/float64(len(xs)), env.Model.Grads())
+			continue
+		}
+		// Per-example path: Fed-CDP sanitization needs each example's
+		// gradient; the first iteration also records gradient norms.
+		batch := tensor.ZerosLike(env.Model.Grads())
+		for j, x := range xs {
+			_, g := env.Model.ExampleGradient(x, ys[j])
+			if l == 0 {
+				normSum += tensor.GroupL2Norm(g)
+				normN++
+			}
+			if sanitize != nil {
+				sanitize(l, j, g)
+			}
+			tensor.AddAllScaled(batch, 1/float64(len(xs)), g)
+		}
+		env.Model.SGDStep(env.Cfg.LR, batch)
+	}
+
+	stats := fl.ClientStats{Iters: env.Cfg.LocalIters, Duration: time.Since(start)}
+	if normN > 0 {
+		stats.MeanGradNorm = normSum / float64(normN)
+	}
+	return fl.Delta(env.Model.Params(), global), stats
+}
+
+// runClientUpdate executes one client's local training for one round and
+// returns its update ΔW — through the strategy (the production batched path)
+// or, with reference set, through localSGDReference with the same per-example
+// sanitizer. The environment (model init, data shard, noise key) is
+// reconstructed identically for every call, exactly as the runtimes build it.
+func runClientUpdate(t *testing.T, dsName string, strat fl.Strategy, reference bool, iters int) ([]*tensor.Tensor, fl.ClientStats) {
 	t.Helper()
 	spec, err := dataset.Get(dsName)
 	if err != nil {
@@ -23,6 +76,7 @@ func runClientUpdate(t *testing.T, dsName string, strat fl.Strategy, engine stri
 	model := nn.Build(spec.ModelSpec(), tensor.Split(7, 1))
 	arena := tensor.NewArena()
 	model.UseArena(arena)
+	noise := fl.ClientNoise(7, 0, 3)
 	env := &fl.ClientEnv{
 		ClientID: 3,
 		Round:    0,
@@ -31,21 +85,30 @@ func runClientUpdate(t *testing.T, dsName string, strat fl.Strategy, engine stri
 		RNG:      tensor.Split(7, 4, 0, 3),
 		Cfg: fl.RoundConfig{
 			BatchSize: spec.BatchSize, LocalIters: iters, LR: spec.LR,
-			TotalRounds: 5, Engine: engine,
+			TotalRounds: 5,
 		},
 		Arena: arena,
+		Noise: &noise,
 	}
-	delta, stats := strat.ClientUpdate(env)
-	return delta, stats
+	if !reference {
+		return strat.ClientUpdate(env)
+	}
+	var sanitize sanitizer
+	if f, ok := strat.(FedCDP); ok {
+		sanitize = f.sanitizer(env)
+	}
+	return localSGDReference(env, sanitize)
 }
 
 // checkEngineParity pins the batched engine to the per-example reference on
 // one full client update: the resulting ΔW must agree to 1e-9 and the
-// first-iteration gradient-norm statistics must match.
+// first-iteration gradient-norm statistics must match. Every noise value is
+// keyed by (iteration, example, layer, offset) rather than drawn from a
+// stream, so the two paths need no ordering discipline between them.
 func checkEngineParity(t *testing.T, dsName string, strat fl.Strategy, iters int) {
 	t.Helper()
-	ref, refStats := runClientUpdate(t, dsName, strat, fl.EngineReference, iters)
-	got, gotStats := runClientUpdate(t, dsName, strat, fl.EngineBatched, iters)
+	ref, refStats := runClientUpdate(t, dsName, strat, true, iters)
+	got, gotStats := runClientUpdate(t, dsName, strat, false, iters)
 	if len(ref) != len(got) {
 		t.Fatalf("update tensor counts differ: %d vs %d", len(ref), len(got))
 	}
@@ -70,27 +133,13 @@ func TestEngineParityNonPrivateCNN(t *testing.T) {
 }
 
 func TestEngineParityFedCDP(t *testing.T) {
-	// Per-example sanitization consumes the client RNG stream example by
-	// example; parity therefore also proves the engines draw identical
-	// noise in identical order.
+	// Parity under sanitization also proves both paths hand every example
+	// the same (iteration, example) noise key.
 	checkEngineParity(t, "mnist", NewFedCDP(4, 0.01), 3)
 }
 
 func TestEngineParityFedCDPDecay(t *testing.T) {
 	checkEngineParity(t, "cancer", NewFedCDPDecay(6, 2, 0.01), 3)
-}
-
-func TestEngineConfigValidation(t *testing.T) {
-	spec, _ := dataset.Get("cancer")
-	_, err := fl.Run(fl.Config{
-		Data: dataset.New(spec, 1), Model: spec.ModelSpec(),
-		K: 2, Kt: 1, Rounds: 1,
-		Round:    fl.RoundConfig{BatchSize: 2, LocalIters: 1, LR: 0.1, Engine: "vectorized"},
-		Strategy: NonPrivate{},
-	})
-	if err == nil {
-		t.Fatal("fl.Run must reject an unknown engine name")
-	}
 }
 
 // TestPrecisionEndToEnd runs the same seeded experiment under the fp64

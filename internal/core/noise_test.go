@@ -8,16 +8,11 @@ import (
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/dp"
 	"fedcdp/internal/fl"
-	"fedcdp/internal/nn"
 	"fedcdp/internal/tensor"
 )
 
-// Tests for the counter-based noise engine (fl.NoiseCounter): seeded goldens
-// pinning its output, execution-engine parity under counter noise, and
-// scheduling invariance. The reference noise engine's behaviour is pinned
-// separately by engine_test.go (whose envs carry no Noise and therefore
-// exercise the sequential math/rand path bit-for-bit as before this engine
-// existed).
+// Tests for the counter-based DP noise: seeded goldens pinning its output,
+// execution-engine parity, and scheduling invariance.
 
 // digestTensors folds every element's bit pattern through FNV-1a: any
 // single-bit change in any element changes the digest, making it a compact
@@ -40,41 +35,10 @@ func digestTensors(ts []*tensor.Tensor) uint64 {
 	return h
 }
 
-// runClientUpdateNoise is engine_test.go's runClientUpdate with the counter
-// noise stream attached, reconstructing exactly the environment the
-// simulator builds when the round config selects fl.NoiseCounter.
-func runClientUpdateNoise(t *testing.T, dsName string, strat fl.Strategy, engine string, iters int) ([]*tensor.Tensor, fl.ClientStats) {
-	t.Helper()
-	spec, err := dataset.Get(dsName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := dataset.New(spec, 7)
-	model := nn.Build(spec.ModelSpec(), tensor.Split(7, 1))
-	arena := tensor.NewArena()
-	model.UseArena(arena)
-	noise := fl.ClientNoise(7, 0, 3)
-	env := &fl.ClientEnv{
-		ClientID: 3,
-		Round:    0,
-		Model:    model,
-		Data:     ds.Client(3),
-		RNG:      tensor.Split(7, 4, 0, 3),
-		Cfg: fl.RoundConfig{
-			BatchSize: spec.BatchSize, LocalIters: iters, LR: spec.LR,
-			TotalRounds: 5, Engine: engine, NoiseEngine: fl.NoiseCounter,
-		},
-		Arena: arena,
-		Noise: &noise,
-	}
-	return strat.ClientUpdate(env)
-}
-
-// TestNoiseEngineExecutionParity pins the two execution engines to each
-// other under counter noise: because every noise value is keyed by
-// (iteration, example, layer, offset) rather than drawn from a stream, the
-// per-example reference path and the parallel batched pipeline must produce
-// the same update without any ordering discipline between them.
+// TestNoiseEngineExecutionParity extends engine_test.go's parity to every
+// Fed-CDP sanitizer variant, flat clipping included: the per-example
+// reference path and the parallel batched pipeline must produce the same
+// update.
 func TestNoiseEngineExecutionParity(t *testing.T) {
 	for _, tc := range []struct {
 		ds    string
@@ -84,21 +48,7 @@ func TestNoiseEngineExecutionParity(t *testing.T) {
 		{"cancer", NewFedCDPDecay(6, 2, 0.01)},
 		{"cancer", FedCDP{Clip: dp.FixedClip{C: 4}, Sigma: 0.01, FlatClip: true}},
 	} {
-		ref, refStats := runClientUpdateNoise(t, tc.ds, tc.strat, fl.EngineReference, 3)
-		got, gotStats := runClientUpdateNoise(t, tc.ds, tc.strat, fl.EngineBatched, 3)
-		if len(ref) != len(got) {
-			t.Fatalf("%s: update tensor counts differ", tc.ds)
-		}
-		for i := range ref {
-			for j, v := range ref[i].Data() {
-				if d := math.Abs(v - got[i].Data()[j]); d > 1e-9 {
-					t.Fatalf("%s tensor %d element %d: engines differ by %v", tc.ds, i, j, d)
-				}
-			}
-		}
-		if d := math.Abs(refStats.MeanGradNorm - gotStats.MeanGradNorm); d > 1e-9 {
-			t.Fatalf("%s: MeanGradNorm differs by %v", tc.ds, d)
-		}
+		checkEngineParity(t, tc.ds, tc.strat, 3)
 	}
 }
 
@@ -130,42 +80,9 @@ func TestNoiseEngineGOMAXPROCSInvariance(t *testing.T) {
 	}
 }
 
-// TestNoiseEngineSelection pins the routing: a counter-engine run and a
-// reference-engine run at the same seed must differ (they draw different
-// noise), while explicitly selecting fl.NoiseCounter must match the default.
-func TestNoiseEngineSelection(t *testing.T) {
-	run := func(noiseEngine string) uint64 {
-		res, err := Run(Config{
-			Dataset: "cancer", Method: MethodFedCDP,
-			K: 6, Kt: 3, Rounds: 2, LocalIters: 3,
-			Sigma: 0.05, Seed: 13, ValExamples: 20, EvalEvery: 100,
-			NoiseEngine: noiseEngine,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return digestTensors(res.Final.Params())
-	}
-	def, counter, ref := run(""), run(fl.NoiseCounter), run(fl.NoiseReference)
-	if def != counter {
-		t.Fatal("default noise engine must be the counter engine")
-	}
-	if def == ref {
-		t.Fatal("counter and reference engines must draw different noise")
-	}
-	if again := run(fl.NoiseReference); again != ref {
-		t.Fatal("reference engine must be deterministic across runs")
-	}
-	if again := run(fl.NoiseCounter); again != counter {
-		t.Fatal("counter engine must be deterministic across runs")
-	}
-}
-
-// TestNoiseEngineGolden pins seeded counter-engine runs to hardcoded
-// digests, one per strategy family routed through the new pipeline. These
-// fail if the key schedule, the ziggurat tables, the fused kernels or the
-// fold order change in any way — the counter-engine analogue of the
-// reference parity oracles.
+// TestNoiseEngineGolden pins seeded runs to hardcoded digests, one per
+// strategy family. These fail if the key schedule, the ziggurat tables, the
+// fused kernels or the fold order change in any way.
 func TestNoiseEngineGolden(t *testing.T) {
 	golden := map[string]uint64{
 		MethodFedCDP:      0xb43b0f1a3a2caca8,
@@ -212,19 +129,5 @@ func TestNoiseEngineMedianStrategy(t *testing.T) {
 	}
 	if run(1) != run(8) {
 		t.Fatal("FedCDPMedian counter run must be GOMAXPROCS-invariant")
-	}
-}
-
-// TestNoiseEngineValidation rejects unknown noise engine names.
-func TestNoiseEngineValidation(t *testing.T) {
-	spec, _ := dataset.Get("cancer")
-	_, err := fl.Run(fl.Config{
-		Data: dataset.New(spec, 1), Model: spec.ModelSpec(),
-		K: 2, Kt: 1, Rounds: 1,
-		Round:    fl.RoundConfig{BatchSize: 2, LocalIters: 1, LR: 0.1, NoiseEngine: "quantum"},
-		Strategy: NonPrivate{},
-	})
-	if err == nil {
-		t.Fatal("fl.Run must reject an unknown noise engine name")
 	}
 }

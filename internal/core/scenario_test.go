@@ -116,10 +116,7 @@ func TestCheckpointResumePreservesScenario(t *testing.T) {
 func TestWeightedAggregationUnderQuantitySkew(t *testing.T) {
 	cfg := tinyScenarioCfg(MethodNonPrivate, dataset.Scenario{Name: dataset.ScenarioQuantity})
 	cfg.Aggregation = fl.AggWeighted
-	for _, runtime := range []string{fl.RuntimeStreaming, fl.RuntimeBarrier} {
-		cfg.Runtime = runtime
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("weighted aggregation on %s runtime: %v", runtime, err)
-		}
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("weighted aggregation under quantity skew: %v", err)
 	}
 }

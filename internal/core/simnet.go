@@ -47,7 +47,7 @@ type clientOutcome struct {
 // parameters are subject to float summation order across runs; the folded
 // SET, per-round counts, commits and ε are deterministic per seed. For
 // bit-exact faulted runs use Run with Config.Faults (in-process
-// injection), which both runtimes execute deterministically.
+// injection), which folds in cohort order.
 func RunSimnet(cfg Config) (*Result, error) {
 	spec, err := dataset.Get(cfg.Dataset)
 	if err != nil {
@@ -80,6 +80,9 @@ func RunSimnet(cfg Config) (*Result, error) {
 	}
 	if cfg.Quant != 0 {
 		return nil, fmt.Errorf("core: update quantization (quant=%d) is not plumbed into the simnet clients, which would send dense updates; use quant=0", cfg.Quant)
+	}
+	if cfg.Method == MethodFedSDPSrv {
+		return nil, fmt.Errorf("core: method %s sanitizes at the server, which the simnet round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", MethodFedSDPSrv, MethodFedSDP)
 	}
 	if !fl.ValidAggregation(cfg.Aggregation) {
 		return nil, fmt.Errorf("core: unknown aggregation %q", cfg.Aggregation)
@@ -140,8 +143,6 @@ func RunSimnet(cfg Config) (*Result, error) {
 		LR:           cfg.LR,
 		TotalRounds:  cfg.Rounds,
 		Scenario:     cfg.Scenario,
-		Engine:       cfg.Engine,
-		NoiseEngine:  cfg.NoiseEngine,
 		Precision:    cfg.Precision,
 		ConfigDigest: cfg.ConfigDigest,
 	}

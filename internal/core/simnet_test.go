@@ -14,8 +14,7 @@ import (
 // GOMAXPROCS/parallelism settings — plus the simnet RPC deployment
 // harness's deterministic fault realization.
 
-// acceptanceConfig is the issue's pinned scenario: streaming runtime,
-// dirichlet(0.1) label skew, Fed-CDP, 20% update drop + 2 mid-round
+// acceptanceConfig is the issue's pinned scenario: dirichlet(0.1) label skew, Fed-CDP, 20% update drop + 2 mid-round
 // crashes + 1 server restart.
 func acceptanceConfig() Config {
 	return Config{
@@ -27,7 +26,6 @@ func acceptanceConfig() Config {
 		Seed:        42,
 		ValExamples: 60,
 		EvalEvery:   1,
-		Runtime:     fl.RuntimeStreaming,
 		Scenario:    dataset.Scenario{Name: "dirichlet", Alpha: 0.1},
 		Faults:      "drop=0.2,crash=2,restart=1",
 		MinQuorum:   1,
@@ -287,6 +285,30 @@ func TestRunSimnetBinaryCodec(t *testing.T) {
 		if gob[i].Clients != bin[i].Clients || gob[i].Committed != bin[i].Committed || gob[i].Epsilon != bin[i].Epsilon {
 			t.Fatalf("round %d diverged across codecs: gob %+v vs binary %+v", i, gob[i], bin[i])
 		}
+	}
+}
+
+// TestRunSimnetClientSideSDPSanitizes pins that the Fed-SDP placement the
+// deployment accepts really perturbs what is folded: at the same seed its
+// committed model differs from the non-private run's, and it charges ε.
+// (Server-side placement, which RunSimnet would fold raw, is refused — see
+// TestSimnetTreeConfigRejected.)
+func TestRunSimnetClientSideSDPSanitizes(t *testing.T) {
+	run := func(method string) *Result {
+		cfg := simnetBaseConfig()
+		cfg.Method = method
+		res, err := RunSimnet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sdp, raw := run(MethodFedSDP), run(MethodNonPrivate)
+	if digestTensors(sdp.Final.Params()) == digestTensors(raw.Final.Params()) {
+		t.Fatal("simnet fedsdp committed the non-private model: the update left the client without clip or noise")
+	}
+	if sdp.FinalEpsilon() <= 0 || raw.FinalEpsilon() != 0 {
+		t.Fatalf("ε: fedsdp %v (want > 0), non-private %v (want 0)", sdp.FinalEpsilon(), raw.FinalEpsilon())
 	}
 }
 

@@ -131,8 +131,6 @@ func runSimnetTree(cfg Config, spec dataset.Spec, strat fl.Strategy, ds *dataset
 		LR:           cfg.LR,
 		TotalRounds:  cfg.Rounds,
 		Scenario:     cfg.Scenario,
-		Engine:       cfg.Engine,
-		NoiseEngine:  cfg.NoiseEngine,
 		Precision:    cfg.Precision,
 		ConfigDigest: cfg.ConfigDigest,
 	}

@@ -5,48 +5,33 @@ import (
 
 	"fedcdp/internal/dp"
 	"fedcdp/internal/fl"
-	"fedcdp/internal/nn"
 	"fedcdp/internal/tensor"
 )
 
-// sanitizer is the per-example sanitization hook passed to localSGD: fn is
+// sanitizer is the per-example sanitization hook passed to localSGD: it is
 // invoked with the local iteration and example index of the gradient group
-// it must clip+noise in place. parallel declares fn a pure function of
-// (iter, example, g) — true for counter-engine sanitizers, whose noise is
-// keyed rather than drawn from a mutable stream — which lets the batched
-// engine fan the whole mini-batch's sanitization out over goroutines.
-type sanitizer struct {
-	fn       func(iter, example int, g []*tensor.Tensor)
-	parallel bool
-}
+// it must clip+noise in place. It must be a pure function of (iter, example,
+// g) — noise keyed, never drawn from a mutable stream — because localSGD
+// fans a mini-batch's sanitization out over goroutines.
+type sanitizer func(iter, example int, g []*tensor.Tensor)
 
 // localSGD runs the shared local-training loop: L iterations of batch SGD
 // where each example's gradient is passed through sanitize (nil for
 // non-private training) before batch averaging. It returns ΔW and stats.
 //
-// Training executes on the batched GEMM engine unless the round config
-// selects fl.EngineReference or the model has custom layers; the reference
-// per-example path is kept verbatim and pinned to the batched path by
-// parity tests (see DESIGN.md, "Execution engine").
-func localSGD(env *fl.ClientEnv, sanitize *sanitizer) ([]*tensor.Tensor, fl.ClientStats) {
-	if env.Cfg.Engine != fl.EngineReference && env.Model.Batched() {
-		return localSGDBatched(env, sanitize)
-	}
-	return localSGDReference(env, sanitize)
-}
-
-// localSGDBatched is localSGD on the batched execution engine: one
-// forward/backward pass per mini-batch (Dense as one GEMM, Conv2D as
-// im2col+GEMM), with per-example gradients recovered from the batch buffers
-// only when sanitization or norm statistics need them. All scratch comes
-// from the worker's arena, so steady-state iterations allocate no data
-// buffers.
+// Training executes on the batched GEMM engine: one forward/backward pass
+// per mini-batch (Dense as one GEMM, Conv2D as im2col+GEMM), with
+// per-example gradients recovered from the batch buffers only when
+// sanitization or norm statistics need them. All scratch comes from the
+// worker's arena, so steady-state iterations allocate no data buffers. The
+// model must be built from an nn.Spec (every layer an nn.BatchLayer). The
+// per-example oracle this path is pinned to lives in engine_test.go.
 //
-// With a parallel sanitizer (counter noise engine) the per-example stage
-// runs through dp.SanitizeBatch: each example is recovered into its own
-// buffer and clip+noised concurrently, then folded in example order — the
-// fused pipeline whose output is bit-identical at any GOMAXPROCS.
-func localSGDBatched(env *fl.ClientEnv, sanitize *sanitizer) ([]*tensor.Tensor, fl.ClientStats) {
+// With a sanitizer the per-example stage runs through dp.SanitizeBatch:
+// each example is recovered into its own buffer and clip+noised
+// concurrently, then folded in example order — the fused pipeline whose
+// output is bit-identical at any GOMAXPROCS.
+func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.ClientStats) {
 	start := time.Now()
 	model, arena := env.Model, env.Arena
 	model.UseArena(arena)
@@ -57,13 +42,14 @@ func localSGDBatched(env *fl.ClientEnv, sanitize *sanitizer) ([]*tensor.Tensor, 
 	batch := arenaLike(arena, model.Grads())
 	defer arena.Put(batch...)
 
-	// Streaming scratch for the sequential per-example path, or per-example
-	// buffers for the parallel sanitize pipeline — drawn from the arena once
-	// (batches are always full-size) and reused across iterations.
+	// Per-example buffers for the sanitize pipeline, or one streaming scratch
+	// for the non-private first iteration's norm statistics — drawn from the
+	// arena once (batches are always full-size) and reused across
+	// iterations.
 	var scratch []*tensor.Tensor
 	var bufs [][]*tensor.Tensor
 	var preNorms []float64
-	if sanitize != nil && sanitize.parallel {
+	if sanitize != nil {
 		bufs = make([][]*tensor.Tensor, env.Cfg.BatchSize)
 		for i := range bufs {
 			bufs[i] = arenaLike(arena, model.Grads())
@@ -97,14 +83,14 @@ func localSGDBatched(env *fl.ClientEnv, sanitize *sanitizer) ([]*tensor.Tensor, 
 		}
 		first := l == 0
 		inv := 1 / float64(len(xs))
-		if sanitize != nil && sanitize.parallel {
+		if sanitize != nil {
 			iter := l
 			model.BatchPass(xs, ys)
 			job := dp.BatchSanitizeJob{
 				N:       len(xs),
 				Recover: model.ExampleGrads,
 				Sanitize: func(i int, g []*tensor.Tensor) {
-					sanitize.fn(iter, i, g)
+					sanitize(iter, i, g)
 				},
 				Bufs:   bufs,
 				Accum:  batch,
@@ -122,13 +108,8 @@ func localSGDBatched(env *fl.ClientEnv, sanitize *sanitizer) ([]*tensor.Tensor, 
 			}
 		} else {
 			model.BatchGradients(xs, ys, scratch, func(i int, g []*tensor.Tensor) {
-				if first {
-					normSum += tensor.GroupL2Norm(g)
-					normN++
-				}
-				if sanitize != nil {
-					sanitize.fn(l, i, g)
-				}
+				normSum += tensor.GroupL2Norm(g)
+				normN++
 				tensor.AddAllScaled(batch, inv, g)
 			})
 		}
@@ -150,55 +131,6 @@ func arenaLike(a *tensor.Arena, ts []*tensor.Tensor) []*tensor.Tensor {
 		out[i] = a.Get(t.Shape()...)
 	}
 	return out
-}
-
-// localSGDReference is the original per-example implementation, retained as
-// the semantic reference for the batched engine (selected by
-// fl.EngineReference and used as the oracle in parity tests).
-func localSGDReference(env *fl.ClientEnv, sanitize *sanitizer) ([]*tensor.Tensor, fl.ClientStats) {
-	start := time.Now()
-	global := tensor.CloneAll(env.Model.Params())
-	var normSum float64
-	var normN int
-
-	for l := 0; l < env.Cfg.LocalIters; l++ {
-		xs, ys := env.Data.Batch(l, env.Cfg.BatchSize)
-		if sanitize == nil && l > 0 {
-			// Batched fast path (non-private training): accumulate the batch
-			// gradient in the shared buffers without materializing
-			// per-example copies — the execution model a conventional
-			// framework uses, and the baseline Table III compares against.
-			env.Model.ZeroGrads()
-			for j, x := range xs {
-				logits := env.Model.Forward(x)
-				_, g := nn.SoftmaxCrossEntropy(logits, ys[j])
-				env.Model.BackwardFromLoss(g)
-			}
-			env.Model.SGDStep(env.Cfg.LR/float64(len(xs)), env.Model.Grads())
-			continue
-		}
-		// Per-example path: Fed-CDP sanitization needs each example's
-		// gradient; the first iteration also records gradient norms.
-		batch := tensor.ZerosLike(env.Model.Grads())
-		for j, x := range xs {
-			_, g := env.Model.ExampleGradient(x, ys[j])
-			if l == 0 {
-				normSum += tensor.GroupL2Norm(g)
-				normN++
-			}
-			if sanitize != nil {
-				sanitize.fn(l, j, g)
-			}
-			tensor.AddAllScaled(batch, 1/float64(len(xs)), g)
-		}
-		env.Model.SGDStep(env.Cfg.LR, batch)
-	}
-
-	stats := fl.ClientStats{Iters: env.Cfg.LocalIters, Duration: time.Since(start)}
-	if normN > 0 {
-		stats.MeanGradNorm = normSum / float64(normN)
-	}
-	return fl.Delta(env.Model.Params(), global), stats
 }
 
 // NonPrivate is standard FedSGD local training with no privacy mechanism.
@@ -266,32 +198,25 @@ func (f FedCDP) Name() string {
 	return "fed-cdp(decay)"
 }
 
-// ClientUpdate runs local SGD with per-example sanitization. On the counter
-// noise engine each example's clip+noise is a pure function of (round,
-// client, iteration, example), so the batched engine sanitizes the whole
-// mini-batch in parallel; the reference engine consumes env.RNG example by
-// example exactly as the original implementation did.
+// ClientUpdate runs local SGD with per-example sanitization. Each example's
+// clip+noise is a pure function of (round, client, iteration, example), so
+// the whole mini-batch is sanitized in parallel.
 func (f FedCDP) ClientUpdate(env *fl.ClientEnv) ([]*tensor.Tensor, fl.ClientStats) {
+	return localSGD(env, f.sanitizer(env))
+}
+
+// sanitizer returns this client round's per-example clip+noise.
+func (f FedCDP) sanitizer(env *fl.ClientEnv) sanitizer {
 	c := f.Clip.Bound(env.Round, env.Cfg.TotalRounds)
-	if noise := env.Noise; noise != nil {
-		if f.FlatClip {
-			return localSGD(env, &sanitizer{parallel: true, fn: func(l, j int, g []*tensor.Tensor) {
-				dp.SanitizeCounterFlat(g, c, f.Sigma, exampleNoise(*noise, l, j))
-			}})
-		}
-		return localSGD(env, &sanitizer{parallel: true, fn: func(l, j int, g []*tensor.Tensor) {
-			dp.SanitizeCounter(g, c, f.Sigma, exampleNoise(*noise, l, j))
-		}})
-	}
+	noise := *env.Noise
 	if f.FlatClip {
-		return localSGD(env, &sanitizer{fn: func(l, j int, g []*tensor.Tensor) {
-			dp.ClipFlat(g, c)
-			dp.AddGaussian(g, f.Sigma, c, env.RNG)
-		}})
+		return func(l, j int, g []*tensor.Tensor) {
+			dp.SanitizeCounterFlat(g, c, f.Sigma, exampleNoise(noise, l, j))
+		}
 	}
-	return localSGD(env, &sanitizer{fn: func(l, j int, g []*tensor.Tensor) {
-		dp.Sanitize(g, c, f.Sigma, env.RNG)
-	}})
+	return func(l, j int, g []*tensor.Tensor) {
+		dp.SanitizeCounter(g, c, f.Sigma, exampleNoise(noise, l, j))
+	}
 }
 
 // ServerSanitize is a no-op: all sanitization happens per example on the
@@ -321,22 +246,20 @@ func (f FedSDP) Name() string {
 }
 
 // ClientUpdate runs non-private local SGD; with client-side placement the
-// update is sanitized before leaving the client — sharded across cores on
-// the counter noise engine (the update spans the whole model).
+// update is sanitized before leaving the client, sharded across cores (the
+// update spans the whole model).
 func (f FedSDP) ClientUpdate(env *fl.ClientEnv) ([]*tensor.Tensor, fl.ClientStats) {
 	delta, stats := localSGD(env, nil)
 	if !f.AtServer {
-		if env.Noise != nil {
-			dp.SanitizeCounterPar(delta, f.C, f.Sigma, env.Noise.Derive(noiseUpdate), 0)
-		} else {
-			dp.Sanitize(delta, f.C, f.Sigma, env.RNG)
-		}
+		dp.SanitizeCounterPar(delta, f.C, f.Sigma, env.Noise.Derive(noiseUpdate), 0)
 	}
 	return delta, stats
 }
 
 // ServerSanitize clips and noises each collected per-client update when
-// AtServer is set (reference noise engine: sequential serverRNG stream).
+// AtServer is set, drawing sequentially from rng. The runtimes prefer
+// ServerSanitizeCounter; this satisfies fl.Strategy for callers that hold
+// only a stream.
 func (f FedSDP) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {
 	if !f.AtServer {
 		return
@@ -348,9 +271,9 @@ func (f FedSDP) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tenso
 
 var _ fl.CounterSanitizer = FedSDP{}
 
-// ServerSanitizeCounter is the counter-engine server-side sanitization:
+// ServerSanitizeCounter is the server-side sanitization the runtimes use:
 // update idx draws from its own stream keyed by cohort position, so the
-// streaming runtime may sanitize in any arrival order deterministically.
+// result does not depend on the order updates are sanitized in.
 func (f FedSDP) ServerSanitizeCounter(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG) {
 	if !f.AtServer {
 		return

@@ -6,56 +6,6 @@ import (
 	"fedcdp/internal/fl"
 )
 
-// TestStreamingRuntimeParity is the acceptance anchor of the streaming
-// refactor at the whole-system level: for each paper method, the
-// deterministic-fold streaming runtime must reproduce the barrier
-// runtime's seeded History exactly — logged accuracy and ε per round
-// identical, final parameters bit-equal — because client RNG derives from
-// (seed, round, client) and folds commit in cohort order.
-func TestStreamingRuntimeParity(t *testing.T) {
-	methods := []string{MethodNonPrivate, MethodFedCDP, MethodDSSGD, MethodFedSDPSrv}
-	for _, method := range methods {
-		method := method
-		t.Run(method, func(t *testing.T) {
-			run := func(runtime string) *Result {
-				res, err := Run(Config{
-					Dataset: "cancer",
-					Method:  method,
-					K:       10, Kt: 4, Rounds: 3,
-					LocalIters:  3,
-					Sigma:       0.06,
-					Seed:        42,
-					ValExamples: 60,
-					EvalEvery:   1,
-					Parallelism: 4,
-					DropoutRate: 0.25, // parity must hold under churn too
-					Runtime:     runtime,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			rs, rb := run(fl.RuntimeStreaming), run(fl.RuntimeBarrier)
-			if len(rs.Rounds) != len(rb.Rounds) {
-				t.Fatalf("round counts differ: %d vs %d", len(rs.Rounds), len(rb.Rounds))
-			}
-			for i := range rs.Rounds {
-				s, b := rs.Rounds[i], rb.Rounds[i]
-				if s.Clients != b.Clients || s.Accuracy != b.Accuracy || s.Epsilon != b.Epsilon {
-					t.Fatalf("round %d diverges: streaming %+v vs barrier %+v", i, s, b)
-				}
-			}
-			ps, pb := rs.Final.Params(), rb.Final.Params()
-			for i := range ps {
-				if !ps[i].Equal(pb[i], 0) {
-					t.Fatalf("%s: streaming and barrier params diverge at tensor %d", method, i)
-				}
-			}
-		})
-	}
-}
-
 // TestStreamingQuorumThroughCore exercises the deadline-free quorum path
 // through core.Run's config surface: full dropout with a positive quorum
 // must freeze the model on every round.

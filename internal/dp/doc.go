@@ -7,8 +7,8 @@
 //
 // # The two noise paths
 //
-// Sanitize draws from a sequential *tensor.RNG — the original reference
-// path, kept as the parity oracle. The counter path
+// Sanitize draws from a sequential *tensor.RNG — the original path, still
+// what the attack drivers and leakage probes call. The counter path
 // (SanitizeCounter/SanitizeCounterFlat/SanitizeCounterLayers and the
 // parallel SanitizeCounterPar/SanitizeBatch) draws from tensor.CounterRNG
 // streams keyed by (round, client, iteration, example, layer), so noise for
@@ -27,6 +27,6 @@
 // breaking ties in scan order, so compression is also schedule-independent.
 //
 // Callers sit one layer up: internal/core's strategies route per-example
-// (Fed-CDP) and per-update (Fed-SDP) sanitization here, under the engine
-// selection in fl.RoundConfig.NoiseEngine.
+// (Fed-CDP) and per-update (Fed-SDP) sanitization through the counter
+// path.
 package dp

@@ -1,10 +1,10 @@
 // Counter-based sanitization engine: the parallel, fused clip+noise pipeline
-// behind fl.NoiseCounter. Where Sanitize draws from one sequential math/rand
-// stream (kept as the parity reference, fl.NoiseReference), the functions in
-// this file key every noise value to (stream labels, element offset) via
-// tensor.CounterRNG, so per-example sanitization of a whole mini-batch — and
-// the noising of a single large update — fan out over goroutines with
-// bit-identical results at any GOMAXPROCS. See DESIGN.md ("Noise engine").
+// federated training runs on. Where Sanitize draws from one sequential
+// math/rand stream, the functions in this file key every noise value to
+// (stream labels, element offset) via tensor.CounterRNG, so per-example
+// sanitization of a whole mini-batch — and the noising of a single large
+// update — fan out over goroutines with bit-identical results at any
+// GOMAXPROCS. See DESIGN.md ("Noise engine").
 package dp
 
 import (

@@ -15,10 +15,10 @@ import (
 // so the attacker fraction per round is exactly the plan's, and the
 // invariants faults_test.go asserts — honest-accuracy floors with zero
 // attackers, robust folds bounded near the honest baseline while the plain
-// mean breaks under scaled attacks, ε accounting blind to the adversary,
-// streaming ↔ barrier bit-parity per cell — are the adversarial-robustness
-// claims of the defense literature made executable. cmd/tables renders the
-// sweep as the attack×defense table ("byzantine").
+// mean breaks under scaled attacks, ε accounting blind to the adversary —
+// are the adversarial-robustness claims of the defense literature made
+// executable. cmd/tables renders the sweep as the attack×defense table
+// ("byzantine").
 
 // attackClients is the cell population: K = Kt = 6, full participation,
 // so "byzantine=2:…" means exactly 2 of 6 in every round — below the n/2
@@ -63,11 +63,9 @@ func attackCellConfig(o Options, cell AttackCell) core.Config {
 		ValExamples: o.n(60, 40),
 		EvalEvery:   1,
 		MinQuorum:   1,
-		Runtime:     o.Runtime,
 		Scenario:    cell.Scenario,
 		Faults:      cell.Behavior,
 		Aggregation: cell.Defense,
-		NoiseEngine: o.NoiseEngine,
 		Precision:   o.Precision,
 		Codec:       o.Codec,
 	}

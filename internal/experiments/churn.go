@@ -5,17 +5,15 @@ import (
 
 	"fedcdp/internal/core"
 	"fedcdp/internal/dataset"
-	"fedcdp/internal/fl"
 )
 
-// The churn matrix: {runtime × scenario × method × population plan} swept
-// through core.Run's open-world population engine. Every cell is a
-// deterministic run against a seeded arrival/departure/churn schedule; the
-// invariants the sweep must uphold (cohorts drawn only from the active
-// set, per-user ε ledgers charging realized participation, static-plan
-// collapse to the global accountant, streaming ↔ barrier parity under
-// every plan) are asserted by churn_test.go. cmd/tables renders it as the
-// "churn" experiment.
+// The churn matrix: {scenario × method × population plan} swept through
+// core.Run's open-world population engine. Every cell is a deterministic
+// run against a seeded arrival/departure/churn schedule; the invariants the
+// sweep must uphold (cohorts drawn only from the active set, per-user ε
+// ledgers charging realized participation, static-plan collapse to the
+// global accountant) are asserted by churn_test.go. cmd/tables renders it
+// as the "churn" experiment.
 
 // churnMatrixQuorum mirrors the fault matrix's commit threshold: small
 // enough that a thinned active set still commits, large enough that a
@@ -25,7 +23,6 @@ const churnMatrixQuorum = 2
 // ChurnCell is one cell of the churn matrix: its coordinates and the
 // completed run.
 type ChurnCell struct {
-	Runtime  string
 	Scenario dataset.Scenario
 	Method   string
 	Plan     string // population-plan grammar; "" = closed world
@@ -35,8 +32,7 @@ type ChurnCell struct {
 // churnMatrixAxes returns the swept axes. Plans escalate from the closed
 // world through one-shot joins/leaves to memoryless churn; the incremental
 // scenario exercises the time-varying partitioner under the same schedules.
-func churnMatrixAxes() (runtimes []string, scenarios []dataset.Scenario, methods, plans []string) {
-	runtimes = []string{fl.RuntimeStreaming, fl.RuntimeBarrier}
+func churnMatrixAxes() (scenarios []dataset.Scenario, methods, plans []string) {
 	scenarios = []dataset.Scenario{{}, {Name: dataset.ScenarioIncremental, Period: 2}}
 	methods = []string{core.MethodNonPrivate, core.MethodFedCDP}
 	plans = []string{"", "join=4@2", "leave=3@4", "join=3@2,leave=3@4", "churn=0.25"}
@@ -59,10 +55,8 @@ func churnCellConfig(o Options, cell ChurnCell) core.Config {
 		ValExamples: o.n(60, 40),
 		EvalEvery:   1,
 		MinQuorum:   churnMatrixQuorum,
-		Runtime:     cell.Runtime,
 		Scenario:    cell.Scenario,
 		Population:  cell.Plan,
-		NoiseEngine: o.NoiseEngine,
 		Precision:   o.Precision,
 		Codec:       o.Codec,
 	}
@@ -73,20 +67,18 @@ func churnCellConfig(o Options, cell ChurnCell) core.Config {
 // ChurnMatrix renders the same cells as a Report).
 func RunChurnMatrix(o Options) ([]ChurnCell, error) {
 	o = o.withDefaults()
-	runtimes, scenarios, methods, plans := churnMatrixAxes()
+	scenarios, methods, plans := churnMatrixAxes()
 	var cells []ChurnCell
-	for _, rt := range runtimes {
-		for _, sc := range scenarios {
-			for _, m := range methods {
-				for _, plan := range plans {
-					cell := ChurnCell{Runtime: rt, Scenario: sc, Method: m, Plan: plan}
-					res, err := core.Run(churnCellConfig(o, cell))
-					if err != nil {
-						return nil, fmt.Errorf("churn %s/%s/%s/%q: %w", rt, sc, m, plan, err)
-					}
-					cell.Result = res
-					cells = append(cells, cell)
+	for _, sc := range scenarios {
+		for _, m := range methods {
+			for _, plan := range plans {
+				cell := ChurnCell{Scenario: sc, Method: m, Plan: plan}
+				res, err := core.Run(churnCellConfig(o, cell))
+				if err != nil {
+					return nil, fmt.Errorf("churn %s/%s/%q: %w", sc, m, plan, err)
 				}
+				cell.Result = res
+				cells = append(cells, cell)
 			}
 		}
 	}
@@ -96,7 +88,7 @@ func RunChurnMatrix(o Options) ([]ChurnCell, error) {
 // ChurnMatrix is the "churn" experiment driver: what an open-world
 // population does to participation, accuracy and the per-user privacy
 // spread — the worst-exposed user's ε against the least-exposed user's,
-// per runtime, scenario, method and population plan.
+// per scenario, method and population plan.
 func ChurnMatrix(o Options) (*Report, error) {
 	cells, err := RunChurnMatrix(o)
 	if err != nil {
@@ -104,8 +96,8 @@ func ChurnMatrix(o Options) (*Report, error) {
 	}
 	r := &Report{
 		Name:   "churn",
-		Title:  "Open-world population: {runtime × scenario × method × population plan} (cancer benchmark)",
-		Header: []string{"plan", "runtime", "scenario", "method", "active", "folded", "acc", "eps", "eps-min", "users"},
+		Title:  "Open-world population: {scenario × method × population plan} (cancer benchmark)",
+		Header: []string{"plan", "scenario", "method", "active", "folded", "acc", "eps", "eps-min", "users"},
 		Notes: []string{
 			"population grammar: join=n@r arrivals, leave=n@r departures, churn=p memoryless per-round absence (deterministic per seed)",
 			"active sums the per-round active population; cohorts are drawn only from it",
@@ -135,7 +127,6 @@ func ChurnMatrix(o Options) (*Report, error) {
 		}
 		r.Rows = append(r.Rows, []string{
 			plan,
-			c.Runtime,
 			scenario,
 			c.Method,
 			fmt.Sprint(active),

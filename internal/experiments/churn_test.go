@@ -9,10 +9,9 @@ import (
 )
 
 // The churn matrix's standing invariants: every cell of
-// {runtime × scenario × method × plan} draws cohorts only from the round's
-// active set, charges per-user ledgers for realized participation only,
-// collapses closed worlds to the global accountant, and keeps the two
-// in-process runtimes bit-identical under every plan.
+// {scenario × method × plan} draws cohorts only from the round's active set,
+// charges per-user ledgers for realized participation only, and collapses
+// closed worlds to the global accountant.
 func TestChurnMatrixInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training sweep")
@@ -21,14 +20,10 @@ func TestChurnMatrixInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtimes, scenarios, methods, plans := churnMatrixAxes()
-	if want := len(runtimes) * len(scenarios) * len(methods) * len(plans); len(cells) != want {
+	scenarios, methods, plans := churnMatrixAxes()
+	if want := len(scenarios) * len(methods) * len(plans); len(cells) != want {
 		t.Fatalf("matrix has %d cells, want %d", len(cells), want)
 	}
-	type coord struct {
-		scenario, method, plan string
-	}
-	digests := map[coord]map[string]uint64{}
 	for _, c := range cells {
 		res := c.Result
 		cfg := res.Cfg
@@ -51,54 +46,40 @@ func TestChurnMatrixInvariants(t *testing.T) {
 		// Ledgers exist exactly for private methods on open-world plans.
 		wantLedger := dynamic && c.Method != core.MethodNonPrivate
 		if (res.Ledger != nil) != wantLedger {
-			t.Fatalf("%s/%s/%q: ledger %v, want %v", c.Runtime, c.Method, c.Plan, res.Ledger != nil, wantLedger)
+			t.Fatalf("%s/%q: ledger %v, want %v", c.Method, c.Plan, res.Ledger != nil, wantLedger)
 		}
 		prevEps := 0.0
 		for _, rd := range res.Rounds {
 			if rd.Active != pop.ActiveCount(rd.Round) {
-				t.Fatalf("%s/%s/%q round %d: reported %d active, registry says %d",
-					c.Runtime, c.Method, c.Plan, rd.Round, rd.Active, pop.ActiveCount(rd.Round))
+				t.Fatalf("%s/%q round %d: reported %d active, registry says %d",
+					c.Method, c.Plan, rd.Round, rd.Active, pop.ActiveCount(rd.Round))
 			}
 			if rd.Clients > rd.Active {
-				t.Fatalf("%s/%s/%q round %d: folded %d updates from %d active clients",
-					c.Runtime, c.Method, c.Plan, rd.Round, rd.Clients, rd.Active)
+				t.Fatalf("%s/%q round %d: folded %d updates from %d active clients",
+					c.Method, c.Plan, rd.Round, rd.Clients, rd.Active)
 			}
 			// ε discipline: committed rounds of a private method spend,
 			// uncommitted rounds are exactly flat.
 			if c.Method == core.MethodNonPrivate {
 				if rd.Epsilon != 0 {
-					t.Fatalf("%s/%q: non-private round %d spent ε %v", c.Runtime, c.Plan, rd.Round, rd.Epsilon)
+					t.Fatalf("%q: non-private round %d spent ε %v", c.Plan, rd.Round, rd.Epsilon)
 				}
 			} else if rd.Committed {
 				if rd.Epsilon <= prevEps {
 					t.Fatalf("%s/%q round %d: committed round did not grow ε (%v → %v)",
-						c.Runtime, c.Plan, rd.Round, prevEps, rd.Epsilon)
+						c.Method, c.Plan, rd.Round, prevEps, rd.Epsilon)
 				}
 			} else if rd.Epsilon != prevEps {
 				t.Fatalf("%s/%q round %d: uncommitted round moved ε %v → %v",
-					c.Runtime, c.Plan, rd.Round, prevEps, rd.Epsilon)
+					c.Method, c.Plan, rd.Round, prevEps, rd.Epsilon)
 			}
 			prevEps = rd.Epsilon
 		}
 		if res.Ledger != nil {
 			maxEps, _, _ := res.Ledger.MaxEpsilon()
 			if maxEps != res.FinalEpsilon() {
-				t.Fatalf("%s/%q: published ε %v is not the ledger max %v", c.Runtime, c.Plan, res.FinalEpsilon(), maxEps)
+				t.Fatalf("%s/%q: published ε %v is not the ledger max %v", c.Method, c.Plan, res.FinalEpsilon(), maxEps)
 			}
-		}
-		key := coord{c.Scenario.String(), c.Method, c.Plan}
-		if digests[key] == nil {
-			digests[key] = map[string]uint64{}
-		}
-		digests[key][c.Runtime] = digestParams(res.Final.Params())
-	}
-	// Streaming and barrier fold the same committed model in every cell.
-	for key, byRuntime := range digests {
-		if len(byRuntime) != len(runtimes) {
-			t.Fatalf("cell %+v ran on %d runtimes, want %d", key, len(byRuntime), len(runtimes))
-		}
-		if byRuntime[fl.RuntimeStreaming] != byRuntime[fl.RuntimeBarrier] {
-			t.Fatalf("cell %+v: streaming and barrier disagree under an open-world plan", key)
 		}
 	}
 }
@@ -111,8 +92,8 @@ func TestChurnMatrixReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtimes, scenarios, methods, plans := churnMatrixAxes()
-	if want := len(runtimes) * len(scenarios) * len(methods) * len(plans); len(rep.Rows) != want {
+	scenarios, methods, plans := churnMatrixAxes()
+	if want := len(scenarios) * len(methods) * len(plans); len(rep.Rows) != want {
 		t.Fatalf("report has %d rows, want %d", len(rep.Rows), want)
 	}
 	for _, row := range rep.Rows {
@@ -122,12 +103,12 @@ func TestChurnMatrixReport(t *testing.T) {
 		// Open-world private cells report the ledger columns; everything else
 		// renders the closed-world dash.
 		openWorld := row[0] != "closed"
-		private := row[3] != core.MethodNonPrivate
+		private := row[2] != core.MethodNonPrivate
 		if openWorld && private {
-			if row[8] == "-" || row[9] == "-" {
+			if row[7] == "-" || row[8] == "-" {
 				t.Fatalf("open-world private row %v missing ledger columns", row)
 			}
-		} else if row[8] != "-" || row[9] != "-" {
+		} else if row[7] != "-" || row[8] != "-" {
 			t.Fatalf("closed-world or non-private row %v reports ledger columns", row)
 		}
 	}

@@ -8,13 +8,10 @@
 // Options is the shared experiment surface. Scale trades fidelity for time
 // (1 is the CPU-friendly default; larger approaches the paper's GPU-scale
 // parameters; Table VI is a pure computation and ignores it). Seed roots
-// every run. The engine switches mirror core.Config: Runtime (streaming vs
-// barrier), NoiseEngine (counter vs reference), Scenario (the data-
-// heterogeneity partition every training and attack driver applies), and
-// Aggregation (FedSGD / FedAvg / weighted). Because deterministic folding
-// makes the runtimes and noise engines bit-compatible on seeded runs,
-// running the whole suite under a non-default switch is a whole-system
-// parity check; running it under a non-default Scenario is the
+// every run. The switches mirror core.Config: Precision, Codec, Scenario
+// (the data-heterogeneity partition every training and attack driver
+// applies), Aggregation (FedSGD / FedAvg / weighted) and the fold
+// topology. Running the suite under a non-default Scenario is the
 // heterogeneity sweep the scenario engine exists for, and Run stamps each
 // report with the scenario plus the realized per-client dataset statistics.
 //

@@ -5,17 +5,15 @@ import (
 
 	"fedcdp/internal/core"
 	"fedcdp/internal/dataset"
-	"fedcdp/internal/fl"
 )
 
-// The fault-sensitivity matrix: {runtime × scenario × method × fault plan}
-// swept through core.Run's in-process fault injection. Every cell is a
+// The fault-sensitivity matrix: {scenario × method × fault plan} swept
+// through core.Run's in-process fault injection. Every cell is a
 // deterministic faulted federated run; the invariants the sweep must
-// uphold (quorum honored, ε accounting monotone, streaming ↔ barrier
-// parity under every plan, fold/drop conservation) are asserted by
-// faults_test.go, which CI runs under the race detector — the scenario
-// matrix is the simnet layer's standing integration test, and cmd/tables
-// renders it as the fault-sensitivity table.
+// uphold (quorum honored, ε accounting monotone, fold/drop conservation)
+// are asserted by faults_test.go, which CI runs under the race detector —
+// the scenario matrix is the simnet layer's standing integration test, and
+// cmd/tables renders it as the fault-sensitivity table.
 
 // faultMatrixQuorum is the minimum folded updates per committed round in
 // every cell — low enough that moderate plans still commit, high enough
@@ -25,7 +23,6 @@ const faultMatrixQuorum = 2
 // FaultCell is one cell of the fault matrix: its coordinates and the
 // completed run.
 type FaultCell struct {
-	Runtime  string
 	Scenario dataset.Scenario
 	Method   string
 	Plan     string // fault-plan grammar; "" = clean
@@ -34,8 +31,7 @@ type FaultCell struct {
 
 // faultMatrixAxes returns the swept axes. Plans escalate from clean
 // through churn to an aggressive mix of drops, crashes and restarts.
-func faultMatrixAxes() (runtimes []string, scenarios []dataset.Scenario, methods, plans []string) {
-	runtimes = []string{fl.RuntimeStreaming, fl.RuntimeBarrier}
+func faultMatrixAxes() (scenarios []dataset.Scenario, methods, plans []string) {
 	scenarios = []dataset.Scenario{{}, {Name: "dirichlet", Alpha: 0.1}}
 	methods = []string{core.MethodNonPrivate, core.MethodFedCDP, core.MethodFedSDPSrv}
 	plans = []string{"", "drop=0.2", "drop=0.2,crash=2,restart=1", "drop=0.5,crash=4,restart=2"}
@@ -44,7 +40,7 @@ func faultMatrixAxes() (runtimes []string, scenarios []dataset.Scenario, methods
 
 // faultCellConfig is the small-but-real configuration every cell runs:
 // large enough that quorum, drops and restarts all have teeth, small
-// enough that the full 48-cell sweep stays test-suite fast.
+// enough that the full 24-cell sweep stays test-suite fast.
 func faultCellConfig(o Options, cell FaultCell) core.Config {
 	return core.Config{
 		Dataset: "cancer",
@@ -57,10 +53,8 @@ func faultCellConfig(o Options, cell FaultCell) core.Config {
 		ValExamples: o.n(60, 40),
 		EvalEvery:   1,
 		MinQuorum:   faultMatrixQuorum,
-		Runtime:     cell.Runtime,
 		Scenario:    cell.Scenario,
 		Faults:      cell.Plan,
-		NoiseEngine: o.NoiseEngine,
 		Precision:   o.Precision,
 		Codec:       o.Codec,
 	}
@@ -71,20 +65,18 @@ func faultCellConfig(o Options, cell FaultCell) core.Config {
 // over; FaultMatrix renders the same cells as a Report).
 func RunFaultMatrix(o Options) ([]FaultCell, error) {
 	o = o.withDefaults()
-	runtimes, scenarios, methods, plans := faultMatrixAxes()
+	scenarios, methods, plans := faultMatrixAxes()
 	var cells []FaultCell
-	for _, rt := range runtimes {
-		for _, sc := range scenarios {
-			for _, m := range methods {
-				for _, plan := range plans {
-					cell := FaultCell{Runtime: rt, Scenario: sc, Method: m, Plan: plan}
-					res, err := core.Run(faultCellConfig(o, cell))
-					if err != nil {
-						return nil, fmt.Errorf("faults %s/%s/%s/%q: %w", rt, sc, m, plan, err)
-					}
-					cell.Result = res
-					cells = append(cells, cell)
+	for _, sc := range scenarios {
+		for _, m := range methods {
+			for _, plan := range plans {
+				cell := FaultCell{Scenario: sc, Method: m, Plan: plan}
+				res, err := core.Run(faultCellConfig(o, cell))
+				if err != nil {
+					return nil, fmt.Errorf("faults %s/%s/%q: %w", sc, m, plan, err)
 				}
+				cell.Result = res
+				cells = append(cells, cell)
 			}
 		}
 	}
@@ -94,7 +86,7 @@ func RunFaultMatrix(o Options) ([]FaultCell, error) {
 // FaultMatrix is the "faults" experiment driver: the fault-sensitivity
 // table of the federation runtime — how many updates each plan costs, how
 // often rounds miss quorum, and what that does to accuracy and ε, per
-// runtime, scenario and method.
+// scenario and method.
 func FaultMatrix(o Options) (*Report, error) {
 	cells, err := RunFaultMatrix(o)
 	if err != nil {
@@ -102,12 +94,11 @@ func FaultMatrix(o Options) (*Report, error) {
 	}
 	r := &Report{
 		Name:   "faults",
-		Title:  "Fault sensitivity: {runtime × scenario × method × fault plan} (cancer benchmark)",
-		Header: []string{"plan", "runtime", "scenario", "method", "folded", "dropped", "uncommitted", "acc", "eps"},
+		Title:  "Fault sensitivity: {scenario × method × fault plan} (cancer benchmark)",
+		Header: []string{"plan", "scenario", "method", "folded", "dropped", "uncommitted", "acc", "eps"},
 		Notes: []string{
 			fmt.Sprintf("every round needs ≥ %d folded updates to commit; uncommitted rounds leave the model unchanged", faultMatrixQuorum),
 			"plans are deterministic per seed (simnet grammar: drop=p update loss, crash=n mid-round crashes, restart=n server restarts)",
-			"streaming and barrier rows are bit-identical by construction — divergence is a runtime bug (asserted in faults_test.go)",
 		},
 	}
 	for _, c := range cells {
@@ -129,7 +120,6 @@ func FaultMatrix(o Options) (*Report, error) {
 		}
 		r.Rows = append(r.Rows, []string{
 			plan,
-			c.Runtime,
 			scenario,
 			c.Method,
 			fmt.Sprint(folded),

@@ -17,16 +17,6 @@ import (
 type Options struct {
 	Scale float64
 	Seed  int64
-	// Runtime selects fl's round orchestration for every training-based
-	// experiment: "" / fl.RuntimeStreaming (default) or fl.RuntimeBarrier.
-	// Deterministic folding makes the two produce identical reports on
-	// seeded runs — running the suite under both is a whole-system parity
-	// check of the streaming runtime.
-	Runtime string
-	// NoiseEngine selects the DP noise source for every training-based
-	// experiment: "" / fl.NoiseCounter (default, parallel) or
-	// fl.NoiseReference, the sequential stream kept as the parity oracle.
-	NoiseEngine string
 	// Precision selects the client GEMM arithmetic width for every
 	// training-based experiment: "" / tensor.PrecisionFP64 (default, the
 	// reference oracle) or tensor.PrecisionFP32, the bulk float32 path.

@@ -34,8 +34,6 @@ func runCfg(o Options, ds, method string) core.Config {
 		ValExamples: o.n(300, 100),
 		EvalEvery:   100, // evaluate final round only
 		Seed:        o.Seed,
-		Runtime:     o.Runtime,
-		NoiseEngine: o.NoiseEngine,
 		Precision:   o.Precision,
 		Codec:       o.Codec,
 		Scenario:    o.Scenario,

@@ -53,12 +53,11 @@ func TestAdversaryStreamingBarrierParity(t *testing.T) {
 		{"poison=2:1", AggMedian},
 		{"byzantine=2:signflip,drop=0.2", AggFedSGD},
 	} {
-		run := func(runtime string) *History {
-			cfg := adversaryConfig(t, tc.plan, tc.agg)
-			cfg.Runtime = runtime
-			return runAdversary(t, cfg)
+		hs := runAdversary(t, adversaryConfig(t, tc.plan, tc.agg))
+		hb, err := RunBarrier(adversaryConfig(t, tc.plan, tc.agg))
+		if err != nil {
+			t.Fatal(err)
 		}
-		hs, hb := run(RuntimeStreaming), run(RuntimeBarrier)
 		for i := range hs.Rounds {
 			s, b := hs.Rounds[i], hb.Rounds[i]
 			if s.Clients != b.Clients || s.Dropped != b.Dropped || s.Accuracy != b.Accuracy {

@@ -224,8 +224,8 @@ func (a *WeightedFedAvgAggregator) Commit(params []*tensor.Tensor) {
 }
 
 // foldInto routes one update into agg with its weight when the aggregator
-// is weight-aware — the single dispatch rule shared by the barrier,
-// streaming and RPC runtimes.
+// is weight-aware — the single dispatch rule shared by the in-process and
+// RPC runtimes.
 func foldInto(agg Aggregator, update []*tensor.Tensor, weight float64) {
 	if wf, ok := agg.(WeightedFolder); ok {
 		wf.FoldWeighted(update, weight)

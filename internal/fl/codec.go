@@ -61,7 +61,9 @@ func ValidCodec(c string) bool {
 var binaryMagic = [4]byte{0x00, 'F', 'C', 'W'}
 
 const (
-	binaryVersion  = 1
+	// binaryVersion 2 dropped two strings from the param payload; a
+	// version-1 peer is refused by readFrame rather than misparsed.
+	binaryVersion  = 2
 	frameHeaderLen = 12
 	// maxFramePayload bounds one frame (512 MiB) — the same ceiling a
 	// hostile gob length prefix already enjoys; real frames are far
@@ -501,8 +503,6 @@ func appendParamPayload(b []byte, m *ParamMsg) []byte {
 	b = appendF64(b, m.Cfg.Scenario.Alpha)
 	b = appendI64(b, int64(m.Cfg.Scenario.Shards))
 	b = appendI64(b, int64(m.Cfg.Scenario.Period))
-	b = appendStr(b, m.Cfg.Engine)
-	b = appendStr(b, m.Cfg.NoiseEngine)
 	b = appendStr(b, m.Cfg.Precision)
 	b = appendStr(b, m.Cfg.ConfigDigest)
 	return appendDenseSection(b, m.Params)
@@ -525,8 +525,6 @@ func parseParamPayload(b []byte, m *ParamMsg) error {
 				Shards: int(r.i64()),
 				Period: int(r.i64()),
 			},
-			Engine:       r.str(),
-			NoiseEngine:  r.str(),
 			Precision:    r.str(),
 			ConfigDigest: r.str(),
 		},

@@ -32,10 +32,8 @@ func testParamMsg() *ParamMsg {
 		}),
 		Cfg: RoundConfig{
 			BatchSize: 8, LocalIters: 5, LR: 0.05, TotalRounds: 9,
-			Scenario:    dataset.Scenario{Name: "dirichlet", Alpha: 0.3},
-			Engine:      EngineBatched,
-			NoiseEngine: NoiseCounter,
-			Precision:   tensor.PrecisionFP32,
+			Scenario:  dataset.Scenario{Name: "dirichlet", Alpha: 0.3},
+			Precision: tensor.PrecisionFP32,
 		},
 	}
 }
@@ -396,6 +394,18 @@ func TestBinaryHostileFrames(t *testing.T) {
 	}
 }
 
+// TestBinaryVersion1ParamRefused pins the version bump that came with
+// dropping two strings from the param payload: a stale version-1 peer's
+// announcement is refused at the frame header, never misparsed.
+func TestBinaryVersion1ParamRefused(t *testing.T) {
+	raw := frameBytes(1, kindParam, appendParamPayload(nil, testParamMsg()))
+	var pm ParamMsg
+	err := (&binarySession{r: bytes.NewReader(raw)}).ReadParam(&pm)
+	if err == nil || !strings.Contains(err.Error(), "unsupported binary codec version 1") {
+		t.Fatalf("version-1 param frame: got %v, want the unsupported-version error", err)
+	}
+}
+
 // TestBinaryHostileTensorSections feeds structurally hostile tensor
 // sections through the update decode path: bad counts, bad geometry,
 // impossible sparse populations, unknown encodings.
@@ -497,8 +507,6 @@ func TestBinaryHostileTensorSections(t *testing.T) {
 	qp = appendF64(qp, 0)   // Scenario.Alpha
 	qp = appendI64(qp, 0)   // Scenario.Shards
 	qp = appendI64(qp, 0)   // Scenario.Period
-	qp = appendStr(qp, "")  // Engine
-	qp = appendStr(qp, "")  // NoiseEngine
 	qp = appendStr(qp, "")  // Precision
 	qp = appendStr(qp, "")  // ConfigDigest
 	qp = appendUpdateSection(qp, &UpdateMsg{Quant: QuantizeUpdate([]*tensor.Tensor{tensor.FromSlice([]float64{1}, 1)}, QuantInt8, nil)})

@@ -13,28 +13,21 @@
 // partitioner, so populations of 10,000 clients cost only the Kt shards
 // actually sampled each round, under any heterogeneity scenario.
 //
-// # Runtimes and fold-order rules
+// # The round and its fold order
 //
-// Two round runtimes share one aggregation arithmetic. The barrier runtime
-// (RuntimeBarrier) trains the whole cohort, materializes every update, and
-// folds them in cohort order — the original lockstep semantics, kept as the
-// parity reference. The streaming runtime (RuntimeStreaming, default) folds
-// each update into the round's Aggregator the moment it arrives. Its fold
-// order is configurable:
-//
-//   - FoldCohort (default) parks out-of-order arrivals in a reorder buffer
-//     and commits in cohort order, which makes seeded streaming runs
-//     bit-identical to the barrier runtime — including the serverRNG stream
-//     consumed by reference-engine server-side sanitization and the
-//     weighted folds of AggWeighted.
-//   - FoldArrival commits in completion order with no reorder buffer:
-//     strictly O(model) memory, at the cost of run-to-run floating-point
-//     reproducibility (the folded *set* is unchanged; only float summation
-//     order varies).
+// Run folds each update into the round's Aggregator the moment it arrives,
+// parking out-of-order arrivals in a reorder buffer so commits happen in
+// cohort order: a seeded run is a pure function of its configuration —
+// including the serverRNG stream a strategy without a CounterSanitizer
+// consumes and the weighted folds of AggWeighted — whatever the
+// scheduling. The original lockstep round (train the whole cohort,
+// materialize every update, fold in cohort order) lives on as the parity
+// oracle in barrier_test.go, which pins the two bit-identical under every
+// plan family.
 //
 // Weight-aware aggregators (WeightedFolder) receive each client's local
 // example count with the update — carried on UpdateMsg.Weight over the
-// wire — so weighted FedAvg follows the same fold-order rules.
+// wire — so weighted FedAvg follows the same fold order.
 //
 // # Exact and hierarchical aggregation
 //
@@ -50,15 +43,13 @@
 // storage is sized from them. See exact.go and DESIGN.md, "Hierarchical
 // aggregation".
 //
-// # Noise engines and the key schedule
+// # DP noise and the key schedule
 //
-// RoundConfig.NoiseEngine selects the DP noise source. The counter engine
-// (NoiseCounter, default) keys every Gaussian draw to (seed, round, client,
-// iteration, example, layer, offset) via tensor.CounterRNG — noise is a
-// pure function of those labels, so sanitization parallelizes with
-// bit-identical results at any GOMAXPROCS and any arrival order (server
-// streams are keyed by cohort position, not arrival). NoiseReference is the
-// original sequential math/rand stream kept as the parity oracle.
+// Every Gaussian draw is keyed to (seed, round, client, iteration, example,
+// layer, offset) via tensor.CounterRNG (ClientEnv.Noise, ServerNoise) —
+// noise is a pure function of those labels, so sanitization parallelizes
+// with bit-identical results at any GOMAXPROCS and any arrival order
+// (server streams are keyed by cohort position, not arrival).
 //
 // Reserved Split/CounterRNG label spaces under the root seed: 1 model init,
 // 2 server RNG, 3 cohort sampling, 4 client RNG streams, 5 dropout coins,
@@ -84,20 +75,19 @@
 //
 // Config.Faults accepts a FaultPlan — deterministic update loss, mid-round
 // client crashes and between-round server restarts, implemented by
-// internal/simnet.Plan. Both runtimes consult the plan at the same
-// decision points (a crashed client's slot resolves without training, a
-// dropped update trains and is then lost, a restart rebuilds every
-// in-memory server structure from checkpointable state), so a faulted
-// seeded run is exactly as reproducible as a clean one and streaming ↔
-// barrier parity holds under any plan.
+// internal/simnet.Plan. The plan is consulted at fixed decision points (a
+// crashed client's slot resolves without training, a dropped update trains
+// and is then lost, a restart rebuilds every in-memory server structure
+// from checkpointable state), so a faulted seeded run is exactly as
+// reproducible as a clean one.
 //
 // # Adversarial clients and robust aggregation
 //
 // A plan may also declare hostile clients (the structural AdversaryPlan
 // interface, implemented by simnet.Plan): Byzantine members corrupt their
-// update immediately after ClientUpdate — the identical point in the
-// barrier and streaming runtimes, the RPC client (ClientOptions.Adversary)
-// and the virtual-client mux (ClientMux.Adversary) — and poisoned members
+// update immediately after ClientUpdate — the identical point in Run, the
+// RPC client (ClientOptions.Adversary) and the virtual-client mux
+// (ClientMux.Adversary) — and poisoned members
 // train on a flipped-label shard view installed by AdversaryShard, which
 // survives scenario Repartition. The matching defenses are the robust
 // aggregation rules (robust.go): AggMedian, AggTrimmed ("trimmed:β") and

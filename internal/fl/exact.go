@@ -696,7 +696,7 @@ type PartialFolder interface {
 
 // foldClientInto routes one update into agg with its client identity when
 // the aggregator is identity-aware — the dispatch rule shared by the
-// streaming, barrier and RPC runtimes (mirroring foldInto).
+// in-process and RPC runtimes (mirroring foldInto).
 func foldClientInto(agg Aggregator, clientID int, update []*tensor.Tensor, weight float64) {
 	if cf, ok := agg.(ClientFolder); ok {
 		cf.FoldClient(clientID, update, weight)

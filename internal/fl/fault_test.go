@@ -42,20 +42,18 @@ func TestFaultPlanLosesContributions(t *testing.T) {
 
 func TestFaultPlanStreamingBarrierParity(t *testing.T) {
 	// The acceptance anchor for in-process injection: under a plan mixing
-	// drops, crashes and a restart, the deterministic-fold streaming
-	// runtime and the barrier runtime commit identical rounds and
-	// bit-identical final parameters.
-	run := func(runtime string) *History {
+	// drops, crashes and a restart, the streaming round and the barrier
+	// oracle commit identical rounds and bit-identical final parameters.
+	history := func(run func(Config) (*History, error)) *History {
 		cfg := faultedConfig(t, "drop=0.3,crash=2,restart=1")
-		cfg.Runtime = runtime
 		cfg.MinQuorum = 2
-		h, err := Run(cfg)
+		h, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
-	hs, hb := run(RuntimeStreaming), run(RuntimeBarrier)
+	hs, hb := history(Run), history(RunBarrier)
 	for i := range hs.Rounds {
 		s, b := hs.Rounds[i], hb.Rounds[i]
 		if s.Clients != b.Clients || s.Dropped != b.Dropped || s.Committed != b.Committed || s.Accuracy != b.Accuracy {
@@ -144,13 +142,13 @@ func TestServerRestartKeepsTraining(t *testing.T) {
 	}
 }
 
-// TestWeightedFoldArrivalOrderParity pins the weighted-fold invariant the
+// TestWeightedFoldOrderParity pins the weighted-fold invariant the
 // fault matrix relies on: the weighted FedAvg fold commits the same
 // aggregate as the sequential oracle Σ wₖ(W+ΔWₖ)/Σ wₖ under ANY arrival
 // order. With dyadic-rational updates and a power-of-two weight total the
 // float arithmetic is exact, so the parity is bit-for-bit; with generic
 // floats it holds to summation tolerance.
-func TestWeightedFoldArrivalOrderParity(t *testing.T) {
+func TestWeightedFoldOrderParity(t *testing.T) {
 	const dim = 6
 	newParams := func(vals ...float64) []*tensor.Tensor {
 		data := make([]float64, dim)

@@ -5,43 +5,11 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/nn"
 	"fedcdp/internal/tensor"
-)
-
-// Execution engines selectable via RoundConfig.Engine. The batched engine
-// (default) runs local training through the GEMM/im2col batched path of
-// internal/nn; the reference engine is the original per-example
-// implementation, kept for parity testing (see DESIGN.md).
-const (
-	EngineBatched   = "batched"
-	EngineReference = "reference"
-)
-
-// Round runtimes selectable via Config.Runtime. The streaming runtime
-// (default) folds each client update into an Aggregator the moment it
-// arrives — O(model) server memory, per-round deadlines, straggler
-// cutoff and quorum semantics; the barrier runtime is the original
-// lockstep path that materializes the whole cohort before aggregating,
-// kept as the parity reference (see DESIGN.md, "Streaming runtime").
-const (
-	RuntimeStreaming = "streaming"
-	RuntimeBarrier   = "barrier"
-)
-
-// Noise engines selectable via RoundConfig.NoiseEngine. The counter engine
-// (default) keys every Gaussian draw to (seed, round, client, iteration,
-// example, layer, offset) via tensor.CounterRNG, so sanitization of a whole
-// mini-batch fans out over goroutines with bit-identical results at any
-// GOMAXPROCS; the reference engine is the original sequential math/rand
-// stream, kept as the parity oracle (see DESIGN.md, "Noise engine").
-const (
-	NoiseCounter   = "counter"
-	NoiseReference = "reference"
 )
 
 // Reserved Split/CounterRNG label spaces under the root seed. Labels 1–5
@@ -73,17 +41,6 @@ func ServerNoise(seed int64, round int) tensor.CounterRNG {
 	return tensor.NewCounterRNG(seed, noiseLabelServer, int64(round))
 }
 
-// Fold orders selectable via Config.FoldOrder (streaming runtime only).
-// FoldCohort (default) commits updates in cohort order regardless of
-// arrival, which makes seeded runs bit-identical to the barrier runtime;
-// FoldArrival commits in completion order with no reorder buffer —
-// strictly O(model) memory, at the cost of run-to-run floating-point
-// reproducibility.
-const (
-	FoldCohort  = "cohort"
-	FoldArrival = "arrival"
-)
-
 // Cohort samplers selectable via Config.Sampler.
 const (
 	SamplerLegacy = "legacy"
@@ -103,13 +60,6 @@ type RoundConfig struct {
 	// per-client configuration. The zero value means the client's own
 	// partition (iid by default) stands.
 	Scenario dataset.Scenario
-	// Engine selects the local-training execution engine: EngineBatched
-	// ("" defaults to it) or EngineReference.
-	Engine string
-	// NoiseEngine selects the DP noise source: NoiseCounter ("" defaults to
-	// it) or NoiseReference, the sequential math/rand stream kept as the
-	// parity oracle.
-	NoiseEngine string
 	// Precision selects the arithmetic width of client GEMM kernels:
 	// tensor.PrecisionFP64 ("" defaults to it, the pinned reference
 	// oracle) or tensor.PrecisionFP32, the bulk float32 path. Published
@@ -137,9 +87,9 @@ type ClientEnv struct {
 	// Arena is the worker's scratch-buffer recycler, reused across rounds;
 	// nil (e.g. remote clients) simply allocates.
 	Arena *tensor.Arena
-	// Noise is the counter noise generator for this client's round, set
-	// when the round config selects the counter engine; nil means the
-	// strategy must draw sequentially from RNG (reference engine).
+	// Noise is the counter noise generator for this client's round: the
+	// root of every DP draw the strategy makes (see ClientNoise). Every
+	// runtime sets it.
 	Noise *tensor.CounterRNG
 }
 
@@ -185,24 +135,12 @@ type CounterSanitizer interface {
 	ServerSanitizeCounter(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG)
 }
 
-// counterSanitizer returns the strategy's counter-engine server sanitizer
-// when the config selects the counter noise engine and the strategy
-// supports it — the single engine-dispatch rule shared by the barrier and
-// streaming runtimes.
-func counterSanitizer(cfg Config) (CounterSanitizer, bool) {
-	if cfg.Round.NoiseEngine == NoiseReference {
-		return nil, false
-	}
-	cs, ok := cfg.Strategy.(CounterSanitizer)
-	return cs, ok
-}
-
 // serverSanitize routes one update through the strategy's server-side
-// sanitization on the configured noise engine. idx is the update's cohort
-// position; the sequential fallback consumes serverRNG exactly as the
-// pre-counter runtime did.
+// sanitization. idx is the update's cohort position, which keys a
+// CounterSanitizer's noise stream; strategies without one get the plain
+// ServerSanitize call on serverRNG.
 func serverSanitize(cfg Config, round, idx int, update []*tensor.Tensor, serverRNG *tensor.RNG) {
-	if cs, ok := counterSanitizer(cfg); ok {
+	if cs, ok := cfg.Strategy.(CounterSanitizer); ok {
 		cs.ServerSanitizeCounter(round, idx, update, ServerNoise(cfg.Seed, round))
 		return
 	}
@@ -277,16 +215,10 @@ type Config struct {
 	// here so schedules are anchored consistently across segments.
 	ScheduleHorizon int
 
-	// Runtime selects the round orchestration: RuntimeStreaming (""
-	// defaults to it) or RuntimeBarrier, the original lockstep path kept
-	// as the parity reference.
-	Runtime string
-
-	// RoundDeadline is the streaming runtime's straggler cutoff, measured
-	// from the round opening: clients that have not delivered by then are
-	// dropped — deadline-based dropout, generalizing DropoutRate's coin
-	// flip to the failure mode real deployments see. Zero waits for the
-	// full cohort.
+	// RoundDeadline is the round's straggler cutoff, measured from the
+	// round opening: clients that have not delivered by then are dropped —
+	// deadline-based dropout, generalizing DropoutRate's coin flip to the
+	// failure mode real deployments see. Zero waits for the full cohort.
 	RoundDeadline time.Duration
 
 	// MinQuorum is the minimum number of folded updates required to
@@ -295,10 +227,6 @@ type Config struct {
 	// whatever arrived.
 	MinQuorum int
 
-	// FoldOrder selects the streaming fold order: FoldCohort ("" defaults
-	// to it, deterministic) or FoldArrival (no reorder buffer).
-	FoldOrder string
-
 	// Codec selects the wire encoding the deployment would use: CodecGob
 	// ("" defaults to it) or CodecBinary. The in-process simulator only
 	// touches the wire on server restarts (parameters round-trip through
@@ -306,16 +234,14 @@ type Config struct {
 	// the same choice into the transport-level harness.
 	Codec string
 
-	// Clock drives the streaming runtime's deadline timers; nil uses the
-	// system clock. Tests inject fakes to exercise deadline and quorum
-	// paths deterministically.
+	// Clock drives the round deadline timers; nil uses the system clock.
+	// Tests inject fakes to exercise deadline and quorum paths
+	// deterministically.
 	Clock Clock
 
 	// Faults injects deterministic failures into the round loop: update
 	// loss, mid-round client crashes, server restarts between rounds.
-	// simnet.Plan implements it; nil runs fault-free. Both runtimes consult
-	// the same plan at the same decision points, so seeded runs stay
-	// bit-identical between streaming and barrier under any plan.
+	// simnet.Plan implements it; nil runs fault-free.
 	Faults FaultPlan
 
 	// foldHook, when set (tests only), observes every committed fold as
@@ -419,15 +345,6 @@ type FaultPlan interface {
 	RestartServer(round int) bool
 }
 
-// faultLost reports whether a cohort member's contribution is lost to the
-// fault plan this round — the single decision rule shared by the barrier
-// and streaming runtimes (which is what keeps them in lockstep under any
-// plan).
-func faultLost(cfg Config, round, client int) bool {
-	f := cfg.Faults
-	return f != nil && (f.CrashClient(round, client) || f.DropUpdate(round, client))
-}
-
 // AdversaryPlan extends a fault plan with adversarial CLIENT BEHAVIOR:
 // instead of removing contributions (crash/drop), an adversary submits
 // corrupted ones. Like FaultPlan, every method must be a pure function of
@@ -449,7 +366,7 @@ type AdversaryPlan interface {
 }
 
 // adversary returns the config's fault plan as an AdversaryPlan when it is
-// one — the probe shared by the barrier and streaming runtimes.
+// one.
 func adversary(cfg Config) (AdversaryPlan, bool) {
 	adv, ok := cfg.Faults.(AdversaryPlan)
 	return adv, ok
@@ -471,8 +388,7 @@ func AdversaryShard(adv AdversaryPlan, id int, data *dataset.ClientData) *datase
 
 // clientShard returns a cohort member's training data view for a round —
 // the round-keyed view under time-varying partition scenarios, the
-// poisoned view when the fault plan targets it — the single data rule
-// shared by the barrier and streaming runtimes.
+// poisoned view when the fault plan targets it.
 func clientShard(cfg Config, round, id int) *dataset.ClientData {
 	data := cfg.Data.ClientAt(id, round)
 	if adv, ok := adversary(cfg); ok {
@@ -482,8 +398,8 @@ func clientShard(cfg Config, round, id int) *dataset.ClientData {
 }
 
 // corruptUpdate applies any Byzantine corruption the plan mandates for this
-// (round, client) — called by both runtimes at the same point, after
-// ClientUpdate and before the update reaches the server.
+// (round, client): after ClientUpdate, before the update reaches the
+// server.
 func corruptUpdate(cfg Config, round, id int, update []*tensor.Tensor) {
 	if adv, ok := adversary(cfg); ok {
 		adv.CorruptUpdate(round, id, update)
@@ -512,18 +428,10 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: dropout rate %v outside [0,1]", c.DropoutRate)
 	case c.StartRound < 0:
 		return fmt.Errorf("fl: negative start round %d", c.StartRound)
-	case c.Round.Engine != "" && c.Round.Engine != EngineBatched && c.Round.Engine != EngineReference:
-		return fmt.Errorf("fl: unknown execution engine %q", c.Round.Engine)
-	case c.Round.NoiseEngine != "" && c.Round.NoiseEngine != NoiseCounter && c.Round.NoiseEngine != NoiseReference:
-		return fmt.Errorf("fl: unknown noise engine %q", c.Round.NoiseEngine)
 	case c.Round.Precision != "" && c.Round.Precision != tensor.PrecisionFP64 && c.Round.Precision != tensor.PrecisionFP32:
 		return fmt.Errorf("fl: unknown precision %q", c.Round.Precision)
 	case !ValidCodec(c.Codec):
 		return fmt.Errorf("fl: unknown wire codec %q", c.Codec)
-	case c.Runtime != "" && c.Runtime != RuntimeStreaming && c.Runtime != RuntimeBarrier:
-		return fmt.Errorf("fl: unknown runtime %q", c.Runtime)
-	case c.FoldOrder != "" && c.FoldOrder != FoldCohort && c.FoldOrder != FoldArrival:
-		return fmt.Errorf("fl: unknown fold order %q", c.FoldOrder)
 	case c.MinQuorum < 0 || c.MinQuorum > c.Kt:
 		return fmt.Errorf("fl: quorum %d outside [0, Kt=%d]", c.MinQuorum, c.Kt)
 	case c.RoundDeadline < 0:
@@ -544,7 +452,15 @@ func (c *Config) validate() error {
 }
 
 // Run executes the full federated simulation and returns its history.
-func Run(cfg Config) (*History, error) {
+func Run(cfg Config) (*History, error) { return run(cfg, runStreamingRound) }
+
+// roundFunc executes one round over an already-drawn cohort and returns its
+// stats (Round and Active are filled by run).
+type roundFunc func(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool, serverRNG *tensor.RNG, agg Aggregator, clock Clock) RoundStats
+
+// run is Run parameterized by the round implementation, so the lockstep
+// parity oracle in barrier_test.go drives the identical outer loop.
+func run(cfg Config, runRound roundFunc) (*History, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -591,10 +507,10 @@ func Run(cfg Config) (*History, error) {
 			// rebuilt, and the only surviving state is what a checkpoint
 			// would carry — the global parameters (round-tripped through
 			// the wire encoding to make the restart observable) and the
-			// round counter. The reference-engine server noise stream is
-			// re-derived from (seed, round), the deterministic rule a
-			// restarted server resumes by; the counter noise engine is
-			// stateless and unaffected.
+			// round counter. serverRNG (read only by strategies without a
+			// CounterSanitizer) is re-derived from (seed, round), the
+			// deterministic rule a restarted server resumes by; counter
+			// noise is stateless and unaffected.
 			restored := roundTripParams(cfg.Codec, global.Params())
 			global = nn.Build(cfg.Model, tensor.Split(cfg.Seed, 1))
 			global.SetParams(restored)
@@ -604,12 +520,7 @@ func Run(cfg Config) (*History, error) {
 		}
 		cohort, active := ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, cfg.SampleWithReplacement)
 		cohort = dropClients(cfg, round, cohort, dropCoin)
-		var rs RoundStats
-		if cfg.Runtime == RuntimeBarrier {
-			rs = runBarrierRound(cfg, global, cohort, round, workers, serverRNG, agg)
-		} else {
-			rs = runStreamingRound(cfg, global, cohort, round, workers, serverRNG, agg, clock)
-		}
+		rs := runRound(cfg, global, cohort, round, workers, serverRNG, agg, clock)
 		rs.Round = round
 		rs.Active = active
 		if round%evalEvery == 0 || r == cfg.Rounds-1 {
@@ -620,72 +531,6 @@ func Run(cfg Config) (*History, error) {
 	}
 	hist.Final = global
 	return hist, nil
-}
-
-// runBarrierRound is the original lockstep round: train the whole cohort,
-// materialize every update, sanitize them as one batch, then aggregate.
-// Kept as the semantic/parity reference for the streaming runtime (the
-// aggregation arithmetic itself is shared — both fold through the same
-// Aggregator).
-func runBarrierRound(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool, serverRNG *tensor.RNG, agg Aggregator) RoundStats {
-	updates, stats, weights := trainCohort(cfg, global, cohort, round, workers)
-	// Fault injection: contributions lost to the plan (crashes never
-	// trained — trainCohort skipped them; drops trained but never arrive)
-	// are removed before sanitization and folding, so the barrier round
-	// commits exactly the survivors, in exactly the cohort order, the
-	// streaming runtime commits.
-	live := make([]int, 0, len(cohort))
-	for i, id := range cohort {
-		if updates[i] != nil && !faultLost(cfg, round, id) {
-			live = append(live, i)
-		}
-	}
-	if cs, ok := counterSanitizer(cfg); ok {
-		noise := ServerNoise(cfg.Seed, round)
-		for _, i := range live {
-			// Keyed by original cohort position, matching the streaming
-			// runtime's per-update streams under any survivor set.
-			cs.ServerSanitizeCounter(round, i, updates[i], noise)
-		}
-	} else {
-		// Reference engine: the original one-shot batch call, kept so
-		// arbitrary strategies see the exact pre-streaming contract (with
-		// no faults the batch is the whole cohort, verbatim).
-		batch := make([][]*tensor.Tensor, 0, len(live))
-		for _, i := range live {
-			batch = append(batch, updates[i])
-		}
-		cfg.Strategy.ServerSanitize(round, batch, serverRNG)
-	}
-	params := global.Params()
-	agg.Begin(params)
-	for _, i := range live {
-		foldClientInto(agg, cohort[i], updates[i], weights[i])
-	}
-	rs := RoundStats{Clients: len(live), Dropped: len(cohort) - len(live)}
-	for _, i := range live {
-		rs.MeanGradNorm += stats[i].MeanGradNorm
-		rs.MsPerIter += stats[i].MsPerIter()
-	}
-	if n := float64(len(live)); n > 0 {
-		rs.MeanGradNorm /= n
-		rs.MsPerIter /= n
-	}
-	rs.Committed = len(live) >= cfg.MinQuorum
-	if rs.Committed {
-		agg.Commit(params)
-	}
-	return rs
-}
-
-// clientNoiseFor derives a client's counter noise generator, or nil when the
-// round config selects the reference noise engine.
-func clientNoiseFor(rc RoundConfig, seed int64, round, clientID int) *tensor.CounterRNG {
-	if rc.NoiseEngine == NoiseReference {
-		return nil
-	}
-	n := ClientNoise(seed, round, clientID)
-	return &n
 }
 
 // SampleCohort returns the participating client ids fl.Run would draw for
@@ -746,6 +591,7 @@ type worker struct {
 // it allocates nothing.
 func (w *worker) envFor(cfg Config, round, id int, data *dataset.ClientData) *ClientEnv {
 	w.rng.Reseed(cfg.Seed, 4, int64(round), int64(id))
+	w.noise = ClientNoise(cfg.Seed, round, id)
 	w.env = ClientEnv{
 		ClientID: id,
 		Round:    round,
@@ -754,10 +600,7 @@ func (w *worker) envFor(cfg Config, round, id int, data *dataset.ClientData) *Cl
 		RNG:      w.rng,
 		Cfg:      cfg.Round,
 		Arena:    w.arena,
-	}
-	if cfg.Round.NoiseEngine != NoiseReference {
-		w.noise = ClientNoise(cfg.Seed, round, id)
-		w.env.Noise = &w.noise
+		Noise:    &w.noise,
 	}
 	return &w.env
 }
@@ -787,42 +630,6 @@ func (p *workerPool) acquire() *worker {
 }
 
 func (p *workerPool) release(w *worker) { p.slots <- w }
-
-// trainCohort runs local training for every cohort member on the worker
-// pool and returns updates, stats and aggregation weights (the client's
-// local example count) aligned with the cohort order.
-func trainCohort(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool) ([][]*tensor.Tensor, []ClientStats, []float64) {
-	updates := make([][]*tensor.Tensor, len(cohort))
-	stats := make([]ClientStats, len(cohort))
-	weights := make([]float64, len(cohort))
-	globalParams := tensor.CloneAll(global.Params())
-
-	var wg sync.WaitGroup
-	for i, id := range cohort {
-		wg.Add(1)
-		w := workers.acquire()
-		go func(i, id int, w *worker) {
-			defer wg.Done()
-			defer workers.release(w)
-			if cfg.Faults != nil && cfg.Faults.CrashClient(round, id) {
-				// Mid-round crash: the update never materializes (the nil
-				// slot marks the loss for the caller).
-				return
-			}
-			w.model.SetParams(globalParams)
-			w.model.SetPrecision(cfg.Round.Precision)
-			data := clientShard(cfg, round, id)
-			weights[i] = float64(data.Len())
-			updates[i], stats[i] = cfg.Strategy.ClientUpdate(w.envFor(cfg, round, id, data))
-			// Byzantine corruption happens client-side, after training and
-			// before the update "leaves" — the same point the streaming
-			// runtime and the transport harness apply it.
-			corruptUpdate(cfg, round, id, updates[i])
-		}(i, id, w)
-	}
-	wg.Wait()
-	return updates, stats, weights
-}
 
 // evalChunk bounds the batch width of Evaluate so validation of large sets
 // stays cache-resident rather than materializing one huge activation batch.

@@ -259,6 +259,7 @@ func (m *ClientMux) runSession(ws *ClientWorkspace, vc *VirtualClient, addr stri
 	ws.model.SetParams(TensorsFromWire(pm.Params))
 	ws.model.SetPrecision(pm.Cfg.Precision)
 	ws.rng.Reseed(m.Seed, 4, int64(pm.Round), int64(vc.ID))
+	ws.noise = ClientNoise(m.Seed, pm.Round, vc.ID)
 	ws.env = ClientEnv{
 		ClientID: vc.ID,
 		Round:    pm.Round,
@@ -267,10 +268,7 @@ func (m *ClientMux) runSession(ws *ClientWorkspace, vc *VirtualClient, addr stri
 		RNG:      ws.rng,
 		Cfg:      pm.Cfg,
 		Arena:    ws.arena,
-	}
-	if pm.Cfg.NoiseEngine != NoiseReference {
-		ws.noise = ClientNoise(m.Seed, pm.Round, vc.ID)
-		ws.env.Noise = &ws.noise
+		Noise:    &ws.noise,
 	}
 	delta, _ := m.Strat.ClientUpdate(&ws.env)
 	if m.Adversary != nil {

@@ -3,8 +3,8 @@ package fl
 // Open-world client population. Production federations never see a fixed K
 // clients: devices arrive mid-horizon, depart, and return. The Population
 // type is the round-indexed registry every runtime consults — cohort
-// sampling draws only from the round's active set, so the barrier,
-// streaming, RPC-deployment and mux runtimes all agree on who exists in a
+// sampling draws only from the round's active set, so the in-process,
+// RPC-deployment and mux runtimes all agree on who exists in a
 // round without sharing any state beyond the seed. Activity is a pure
 // function of (seed, clientID, round), provided by the fault plan's
 // join/leave/churn clauses (see simnet.ParsePlan), so open-world runs

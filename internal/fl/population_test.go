@@ -144,3 +144,29 @@ func TestAwayBetween(t *testing.T) {
 		t.Fatal("clamped window reported an absence before departure")
 	}
 }
+
+// TestPopulationStreamingBarrierParity: under joins, departures and
+// background churn the streaming round and the barrier oracle agree on every
+// round's active count, participation and commit bit, and on the committed
+// model bit-for-bit — so the per-user ε ledger, a pure function of
+// (History, Population), agrees too.
+func TestPopulationStreamingBarrierParity(t *testing.T) {
+	history := func(run func(Config) (*History, error)) *History {
+		cfg := smallConfig(t, sgdStrategy{})
+		cfg.Rounds, cfg.MinQuorum = 6, 1
+		cfg.Faults = simnet.MustParsePlan("join=2@2,leave=2@4,churn=0.15").MustBind(cfg.Seed, cfg.Rounds, cfg.K)
+		h, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	hs, hb := history(Run), history(RunBarrier)
+	for i := range hs.Rounds {
+		s, b := hs.Rounds[i], hb.Rounds[i]
+		if s.Active != b.Active || s.Clients != b.Clients || s.Dropped != b.Dropped || s.Committed != b.Committed {
+			t.Fatalf("round %d diverges under churn: streaming %+v vs barrier %+v", i, s, b)
+		}
+	}
+	paramsEqual(t, hs, hb, "churn")
+}

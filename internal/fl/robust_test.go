@@ -104,11 +104,11 @@ func TestTrimmedMeanZeroBetaMatchesExactMean(t *testing.T) {
 	}
 }
 
-// TestRobustFoldArrivalOrderInvariance is the multiset-purity contract: for
+// TestRobustFoldOrderInvariance is the multiset-purity contract: for
 // every robust rule, folding the same updates in any order commits
 // bit-identical parameters — the property that makes even the simnet
 // fabric's arrival-order folds reproducible under a robust rule.
-func TestRobustFoldArrivalOrderInvariance(t *testing.T) {
+func TestRobustFoldOrderInvariance(t *testing.T) {
 	const dim, n = 16, 6
 	rng := tensor.Split(23, 2)
 	updates := make([][]*tensor.Tensor, n)

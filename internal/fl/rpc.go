@@ -740,6 +740,7 @@ func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *datas
 	model.SetPrecision(pm.Cfg.Precision)
 	arena := tensor.NewArena()
 	model.UseArena(arena)
+	noise := ClientNoise(seed, pm.Round, clientID)
 	env := &ClientEnv{
 		ClientID: clientID,
 		Round:    pm.Round,
@@ -748,7 +749,7 @@ func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *datas
 		RNG:      tensor.Split(seed, 4, int64(pm.Round), int64(clientID)),
 		Cfg:      pm.Cfg,
 		Arena:    arena,
-		Noise:    clientNoiseFor(pm.Cfg, seed, pm.Round, clientID),
+		Noise:    &noise,
 	}
 	delta, _ := strat.ClientUpdate(env)
 	if opt.Adversary != nil {

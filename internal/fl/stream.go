@@ -18,8 +18,8 @@ import (
 
 // clientResult carries one finished client's contribution back to the
 // round scheduler. idx is the client's position in the cohort, which the
-// deterministic fold mode uses to commit in cohort order; weight is the
-// client's local example count, consumed by weight-aware aggregators.
+// scheduler uses to commit in cohort order; weight is the client's local
+// example count, consumed by weight-aware aggregators.
 // lost marks a contribution the fault plan destroyed (mid-round crash,
 // update dropped in transit): the scheduler must still account for the
 // cohort slot, but nothing is folded.
@@ -67,7 +67,7 @@ func dispatchCohort(cfg Config, cohort []int, round int, workers *workerPool, gl
 			upd, st := cfg.Strategy.ClientUpdate(w.envFor(cfg, round, id, data))
 			// Client-side Byzantine corruption: applied after training,
 			// before the transit-loss coin — a corrupted update can still be
-			// dropped, exactly as in the barrier runtime.
+			// dropped.
 			corruptUpdate(cfg, round, id, upd)
 			if cfg.Faults != nil && cfg.Faults.DropUpdate(round, id) {
 				// The update was computed but lost in transit.
@@ -79,8 +79,8 @@ func dispatchCohort(cfg Config, cohort []int, round int, workers *workerPool, gl
 	}
 }
 
-// runStreamingRound executes one round on the streaming runtime and
-// returns its stats (Round is filled by the caller).
+// runStreamingRound executes one round and returns its stats (Round is
+// filled by the caller).
 func runStreamingRound(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool, serverRNG *tensor.RNG, agg Aggregator, clock Clock) RoundStats {
 	params := global.Params()
 	agg.Begin(params)
@@ -88,13 +88,11 @@ func runStreamingRound(cfg Config, global *nn.Model, cohort []int, round int, wo
 	rs := RoundStats{}
 	folded := 0
 
-	// commit sanitizes and folds exactly one update; in cohort-order mode
-	// it runs in cohort order, which makes the whole round — including the
-	// serverRNG stream consumed by reference-engine server-side
-	// sanitization — bit-identical to the barrier runtime on seeded runs.
-	// Under the counter noise engine the sanitize stream is keyed by the
-	// update's cohort position instead, so even arrival-order folds draw
-	// identical noise per update.
+	// commit sanitizes and folds exactly one update. It runs in cohort
+	// order, which makes the whole round — including the serverRNG stream a
+	// strategy without a CounterSanitizer consumes — a pure function of the
+	// seed and the survivor set (barrier_test.go pins it bit-identical to
+	// the lockstep oracle).
 	commit := func(res clientResult) {
 		serverSanitize(cfg, round, res.idx, res.update, serverRNG)
 		foldClientInto(agg, cohort[res.idx], res.update, res.weight)
@@ -106,21 +104,13 @@ func runStreamingRound(cfg Config, global *nn.Model, cohort []int, round int, wo
 		}
 	}
 
-	arrival := cfg.FoldOrder == FoldArrival
 	pending := make(map[int]clientResult)
 	next := 0
-	// handle either commits immediately (arrival order, strictly O(model)
-	// memory) or parks out-of-order results until their cohort
-	// predecessors have folded (deterministic order; the reorder buffer is
-	// bounded by the scheduler's out-of-orderness — in practice
-	// Parallelism, in the worst case the cohort).
+	// handle parks out-of-order results until their cohort predecessors
+	// have folded (the reorder buffer is bounded by the scheduler's
+	// out-of-orderness — in practice Parallelism, in the worst case the
+	// cohort).
 	handle := func(res clientResult) {
-		if arrival {
-			if !res.lost {
-				commit(res)
-			}
-			return
-		}
 		pending[res.idx] = res
 		for {
 			r, ok := pending[next]

@@ -46,22 +46,21 @@ func (stallStrategy) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *
 
 // TestStreamingMatchesBarrierExactly is the parity anchor of the
 // streaming refactor: because client RNG derives from (seed, round,
-// client) and deterministic folding commits in cohort order, the
-// streaming runtime must reproduce the barrier runtime's history
-// bit-for-bit on seeded runs — under parallelism and dropout.
+// client) and folding commits in cohort order, the streaming round must
+// reproduce the barrier oracle's history bit-for-bit on seeded runs —
+// under parallelism and dropout.
 func TestStreamingMatchesBarrierExactly(t *testing.T) {
-	run := func(runtime string) *History {
+	history := func(run func(Config) (*History, error)) *History {
 		cfg := smallConfig(t, sgdStrategy{})
-		cfg.Runtime = runtime
 		cfg.Parallelism = 8
 		cfg.DropoutRate = 0.25
-		h, err := Run(cfg)
+		h, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
-	hs, hb := run(RuntimeStreaming), run(RuntimeBarrier)
+	hs, hb := history(Run), history(RunBarrier)
 	if len(hs.Rounds) != len(hb.Rounds) {
 		t.Fatalf("round counts differ: %d vs %d", len(hs.Rounds), len(hb.Rounds))
 	}
@@ -84,24 +83,6 @@ func TestStreamingMatchesBarrierExactly(t *testing.T) {
 	for i := range ps {
 		if !ps[i].Equal(pb[i], 0) {
 			t.Fatalf("streaming and barrier params diverge at tensor %d", i)
-		}
-	}
-}
-
-// TestStreamingArrivalOrderRuns exercises the strictly-O(model) arrival
-// fold: no reorder buffer, so results are not bit-reproducible, but every
-// cohort member must still fold.
-func TestStreamingArrivalOrderRuns(t *testing.T) {
-	cfg := smallConfig(t, sgdStrategy{})
-	cfg.FoldOrder = FoldArrival
-	cfg.Parallelism = 8
-	hist, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range hist.Rounds {
-		if r.Clients != cfg.Kt || r.Dropped != 0 || !r.Committed {
-			t.Fatalf("round %+v: want %d folds, 0 dropped, committed", r, cfg.Kt)
 		}
 	}
 }
@@ -199,16 +180,15 @@ func TestQuorumMissLeavesModelUnchanged(t *testing.T) {
 }
 
 // TestQuorumAppliesToBarrierRuntime pins the shared quorum semantics on
-// the legacy path: with every client dropping, a positive quorum keeps
-// the model frozen in both runtimes, no clock needed.
+// the oracle: with every client dropping, a positive quorum keeps the
+// model frozen in both rounds, no clock needed.
 func TestQuorumAppliesToBarrierRuntime(t *testing.T) {
-	for _, runtime := range []string{RuntimeStreaming, RuntimeBarrier} {
+	for runtime, run := range map[string]func(Config) (*History, error){"streaming": Run, "barrier": RunBarrier} {
 		cfg := smallConfig(t, echoStrategy{value: 9})
-		cfg.Runtime = runtime
 		cfg.DropoutRate = 1
 		cfg.MinQuorum = 2
 		initial := nn.Build(cfg.Model, tensor.Split(cfg.Seed, 1)).Params()
-		hist, err := Run(cfg)
+		hist, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,8 +210,6 @@ func TestStreamingConfigValidation(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"bad runtime", func(c *Config) { c.Runtime = "bulk-synchronous" }},
-		{"bad fold order", func(c *Config) { c.FoldOrder = "random" }},
 		{"negative quorum", func(c *Config) { c.MinQuorum = -1 }},
 		{"quorum above Kt", func(c *Config) { c.MinQuorum = c.Kt + 1 }},
 		{"negative deadline", func(c *Config) { c.RoundDeadline = -time.Second }},

@@ -131,7 +131,7 @@ func TestWeightedFoldClampsBadWeights(t *testing.T) {
 // weightedConfig is a small run over a quantity-skewed partition — the
 // scenario weighted FedAvg exists for — with the id strategy, so the
 // committed model is a pure function of (cohort, weights).
-func weightedConfig(t *testing.T, runtime string) Config {
+func weightedConfig(t *testing.T) Config {
 	t.Helper()
 	spec, err := dataset.Get("cancer")
 	if err != nil {
@@ -146,14 +146,13 @@ func weightedConfig(t *testing.T, runtime string) Config {
 		Round:       RoundConfig{BatchSize: 4, LocalIters: 2, LR: 0.1},
 		Strategy:    idStrategy{},
 		Aggregation: AggWeighted,
-		Runtime:     runtime,
 		Seed:        42,
 		ValExamples: 20,
 	}
 }
 
 func TestWeightedRunMatchesSequentialOracle(t *testing.T) {
-	cfg := weightedConfig(t, RuntimeStreaming)
+	cfg := weightedConfig(t)
 	cfg.Rounds = 1
 	hist, err := Run(cfg)
 	if err != nil {
@@ -187,24 +186,24 @@ func TestWeightedRunMatchesSequentialOracle(t *testing.T) {
 }
 
 func TestWeightedStreamingMatchesBarrier(t *testing.T) {
-	hs, err := Run(weightedConfig(t, RuntimeStreaming))
+	hs, err := Run(weightedConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb, err := Run(weightedConfig(t, RuntimeBarrier))
+	hb, err := RunBarrier(weightedConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps, pb := hs.Final.Params(), hb.Final.Params()
 	for i := range ps {
 		if !ps[i].Equal(pb[i], 0) {
-			t.Fatal("weighted streaming fold must be bit-identical to the barrier runtime in cohort order")
+			t.Fatal("weighted streaming fold must be bit-identical to the barrier oracle")
 		}
 	}
 }
 
 func TestWeightedAggregationValidates(t *testing.T) {
-	cfg := weightedConfig(t, RuntimeStreaming)
+	cfg := weightedConfig(t)
 	cfg.Aggregation = "harmonic"
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected validation error for unknown aggregation")
@@ -212,7 +211,7 @@ func TestWeightedAggregationValidates(t *testing.T) {
 }
 
 func TestScenarioConfigValidates(t *testing.T) {
-	cfg := weightedConfig(t, RuntimeStreaming)
+	cfg := weightedConfig(t)
 	cfg.Round.Scenario = dataset.Scenario{Name: "zipf"}
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("expected validation error for unknown published scenario")

@@ -28,6 +28,7 @@
 // batch buffers and may be consumed from concurrent goroutines, which is
 // what lets the DP pipeline fan per-example clip+noise over a pool. Given
 // identical parameters and inputs, both engines are deterministic at any
-// GOMAXPROCS; only engine choice changes results (by float rounding), which
-// is why runs record it (fl.RoundConfig.Engine).
+// GOMAXPROCS; they differ from each other only by float rounding. Federated
+// training (internal/core) always runs the batched engine; the per-example
+// path serves attacks, leakage probes and the parity oracle.
 package nn
