@@ -427,7 +427,7 @@ func BenchmarkNoiseEngine(b *testing.B) {
 
 // BenchmarkSimnetScale measures hierarchical simnet deployments along the
 // population axis — the scaling story of DESIGN.md's "Hierarchical
-// aggregation": K=8 flat legacy (the SimnetRounds baseline shape), K=1,000
+// aggregation": K=8 flat float fold (the SimnetRounds baseline shape), K=1,000
 // under an 8-shard edge tree, and a K=100,000 / Kt=1,000 / 32-shard
 // deployment (the acceptance scenario, 2 rounds at L=1). Every variant
 // reports rounds/sec, wire bytes per round (from the fabric's write
@@ -654,7 +654,7 @@ func BenchmarkGobTransportRound(b *testing.B) {
 
 // BenchmarkSimnetRounds measures full-deployment federated rounds over the
 // in-memory simnet fabric — RoundServer on a fabric listener, every cohort
-// member a real RPC client goroutine, virtual time — the substrate the
+// member a real wire session played by the client mux, virtual time — the substrate the
 // fault matrix and every future chaos/scale test stands on, under both
 // wire codecs. The null/gob row is the BENCH_simnet.json baseline
 // (rounds/sec of pure fabric + protocol overhead); the faulted plans add

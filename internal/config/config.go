@@ -206,6 +206,9 @@ func (e *Experiment) Validate() error {
 	if e.Runtime.Simnet && e.Method.Name == core.MethodFedSDPSrv {
 		return fmt.Errorf("config: method.name %s sanitizes at the server, which runtime.simnet's round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", core.MethodFedSDPSrv, core.MethodFedSDP)
 	}
+	if e.Runtime.Simnet && e.Runtime.Deadline != 0 {
+		return fmt.Errorf("config: runtime.deadline %v cannot run under runtime.simnet, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the faults.plan crash, drop and latency clauses", e.Runtime.Deadline)
+	}
 	if !fl.ValidAggregation(e.Aggregation.Rule) {
 		return fmt.Errorf("config: unknown aggregation.rule %q", e.Aggregation.Rule)
 	}

@@ -333,6 +333,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad quant", func(e *Experiment) { e.Codec.Quant = 4 }, "codec.quant"},
 		{"quant under simnet", func(e *Experiment) { e.Codec.Quant, e.Runtime.Simnet = 8, true }, "not plumbed into runtime.simnet"},
 		{"server-side sdp under simnet", func(e *Experiment) { e.Method.Name, e.Runtime.Simnet = core.MethodFedSDPSrv, true }, "round servers do not"},
+		{"deadline under simnet", func(e *Experiment) { e.Runtime.Deadline, e.Runtime.Simnet = time.Second, true }, "whose clock is virtual"},
 		{"unknown aggregation", func(e *Experiment) { e.Aggregation.Rule = "mode" }, "unknown aggregation.rule"},
 		{"unknown scenario", func(e *Experiment) { e.Data.Scenario = "zipf" }, "data.scenario"},
 		{"bad fault plan", func(e *Experiment) { e.Faults.Plan = "meteor=1" }, "faults.plan"},

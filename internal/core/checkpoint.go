@@ -73,67 +73,27 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 // and returns the combined result. Privacy accounting covers the full
 // history (checkpointed rounds plus the new ones).
 func (c *Checkpoint) Resume(rounds int) (*Result, error) {
+	if rounds <= 0 {
+		return nil, fmt.Errorf("core: resume needs a positive round count, got %d", rounds)
+	}
+	// The resumed segment is resolved exactly as core.Run resolves the
+	// checkpointed Config — same partition, precision, sampler, fold and
+	// plan — continued from the checkpoint's round and parameters.
 	cfg := c.Cfg
-	spec, err := dataset.Get(cfg.Dataset)
+	cfg.Rounds = rounds
+	r, err := cfg.resolve(c.NextRound, cfg.PlannedRounds, fl.TensorsFromWire(c.Params))
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(spec)
-	strat, err := cfg.Strategy()
-	if err != nil {
-		return nil, err
-	}
-	horizon := c.NextRound + rounds
-	if cfg.PlannedRounds > horizon {
-		horizon = cfg.PlannedRounds
-	}
-	// Rebuild the data and runtime exactly as core.Run would from the
-	// checkpointed Config: the resumed segment must train on the same
-	// partition, engines and aggregation rule as the segment it continues.
-	part, err := cfg.Scenario.Partitioner()
-	if err != nil {
-		return nil, err
-	}
-	ds := dataset.NewPartitioned(spec, cfg.Seed, part)
-	// The fault plan binds over the whole horizon, so a resumed run meets
-	// exactly the failures the uninterrupted run would have met.
-	faults, err := cfg.faultPlan(horizon)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := fl.Run(fl.Config{
-		Data:  ds,
-		Model: spec.ModelSpec(),
-		K:     cfg.K, Kt: cfg.Kt, Rounds: rounds,
-		Round: fl.RoundConfig{
-			BatchSize:    cfg.BatchSize,
-			LocalIters:   cfg.LocalIters,
-			LR:           cfg.LR,
-			ConfigDigest: cfg.ConfigDigest,
-		},
-		Strategy:        strat,
-		Aggregation:     cfg.Aggregation,
-		Seed:            cfg.Seed,
-		ValExamples:     cfg.ValExamples,
-		EvalEvery:       cfg.EvalEvery,
-		Parallelism:     cfg.Parallelism,
-		InitialParams:   fl.TensorsFromWire(c.Params),
-		StartRound:      c.NextRound,
-		ScheduleHorizon: horizon,
-		DropoutRate:     cfg.DropoutRate,
-		RoundDeadline:   cfg.RoundDeadline,
-		MinQuorum:       cfg.MinQuorum,
-		Faults:          faults,
-	})
+	hist, err := fl.Run(r.flCfg)
 	if err != nil {
 		return nil, err
 	}
 	// Account for the full composition: checkpointed + resumed rounds.
-	full := cfg
+	full := r.cfg
 	full.Rounds = c.NextRound + rounds
-	annotateEpsilonOffset(full, spec, hist, c.NextRound, fl.PopulationOf(cfg.K, faults))
-	res := &Result{History: hist, Spec: spec, Cfg: full}
-	return res, nil
+	annotateEpsilonOffset(full, r.spec, hist, c.NextRound, fl.PopulationOf(full.K, r.plan))
+	return &Result{History: hist, Spec: r.spec, Cfg: full}, nil
 }
 
 // annotateEpsilonOffset is annotateEpsilon for a resumed run: it first

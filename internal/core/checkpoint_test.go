@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"path/filepath"
 	"testing"
+
+	"fedcdp/internal/fl"
+	"fedcdp/internal/tensor"
 )
 
 func checkpointBaseConfig() Config {
@@ -17,40 +20,49 @@ func checkpointBaseConfig() Config {
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	// A 6-round run must equal a 3-round run checkpointed and resumed for 3
 	// more rounds, bit-for-bit — including for the decay schedule, which
-	// depends on the absolute round index.
-	full, err := Run(checkpointBaseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	half := checkpointBaseConfig()
-	half.Rounds = 3
-	half.PlannedRounds = 6 // declare the full horizon for the decay schedule
-	first, err := Run(half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt := CheckpointFrom(first)
-	// Restore the intended total horizon for the decay schedule: the
-	// checkpointed config recorded Rounds=3; Resume extends it.
-	resumed, err := ckpt.Resume(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pf, pr := full.Final.Params(), resumed.Final.Params()
-	for i := range pf {
-		if !pf[i].Equal(pr[i], 1e-12) {
-			t.Fatalf("resumed model diverges from uninterrupted run at tensor %d", i)
-		}
-	}
-	// Privacy accounting covers the full composition.
-	if full.FinalEpsilon() != resumed.FinalEpsilon() {
-		t.Fatalf("resumed ε %v != full-run ε %v", resumed.FinalEpsilon(), full.FinalEpsilon())
-	}
-	// Round indices continue.
-	if got := resumed.Rounds[0].Round; got != 3 {
-		t.Fatalf("resumed first round = %d, want 3", got)
+	// depends on the absolute round index, and under every setting that
+	// shapes the cohort draw, the client arithmetic or the fold: Resume
+	// resolves the checkpointed Config exactly as Run does.
+	for _, v := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"defaults", func(*Config) {}},
+		{"sampler=floyd", func(c *Config) { c.Sampler = fl.SamplerFloyd }},
+		{"precision=fp32", func(c *Config) { c.Precision = tensor.PrecisionFP32 }},
+		{"shards=1", func(c *Config) { c.Shards = 1 }},
+		{"shards=4/fanout=2", func(c *Config) { c.Shards, c.TreeFanout = 4, 2 }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			base := checkpointBaseConfig()
+			v.mutate(&base)
+			full, err := Run(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := base
+			half.Rounds = 3
+			half.PlannedRounds = 6 // declare the full horizon for the decay schedule
+			first, err := Run(half)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := CheckpointFrom(first).Resume(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := digestTensors(resumed.Final.Params()), digestTensors(full.Final.Params()); got != want {
+				t.Fatalf("resumed model digest %x, uninterrupted run %x", got, want)
+			}
+			// Privacy accounting covers the full composition.
+			if full.FinalEpsilon() != resumed.FinalEpsilon() {
+				t.Fatalf("resumed ε %v != full-run ε %v", resumed.FinalEpsilon(), full.FinalEpsilon())
+			}
+			// Round indices continue.
+			if got := resumed.Rounds[0].Round; got != 3 {
+				t.Fatalf("resumed first round = %d, want 3", got)
+			}
+		})
 	}
 }
 

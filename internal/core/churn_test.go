@@ -160,6 +160,34 @@ func TestChurnReplaySimnet(t *testing.T) {
 	if inproc != r1 || inproc != rt1 {
 		t.Fatalf("runtimes disagree on participation accounting:\nin-process %s\nflat       %s\ntree       %s", inproc, r1, rt1)
 	}
+	// The dropout coin is the round engine's, so a deployment thins its
+	// cohorts exactly as the in-process run does.
+	dropout := func(run func(Config) (*Result, error), shards int) (string, int) {
+		cfg := churnBaseConfig()
+		cfg.DropoutRate, cfg.Shards = 0.3, shards
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cohort := 0
+		for _, r := range res.Rounds {
+			cohort += r.Clients + r.Dropped
+		}
+		return roundFingerprint(res), cohort
+	}
+	di, ni := dropout(Run, 0)
+	df, _ := dropout(RunSimnet, 0)
+	dt, _ := dropout(RunSimnet, 2)
+	if di != df || di != dt {
+		t.Fatalf("runtimes disagree under dropout=0.3:\nin-process %s\nflat       %s\ntree       %s", di, df, dt)
+	}
+	full := 0
+	for _, r := range res.Rounds {
+		full += r.Clients + r.Dropped
+	}
+	if ni >= full {
+		t.Fatalf("dropout=0.3 removed nobody: %d cohort slots with the coin, %d without", ni, full)
+	}
 }
 
 // TestChurnStaticPopulationParity: population clauses that bind to a

@@ -8,6 +8,7 @@ import (
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
 	"fedcdp/internal/simnet"
+	"fedcdp/internal/tensor"
 )
 
 // Method names accepted by Config.Method.
@@ -73,8 +74,8 @@ type Config struct {
 
 	// Quant is the update quantization a deployment's clients apply on the
 	// binary codec (codec.quant: 0, 8 or 16 bits). Run has no update wire,
-	// so it has nothing to quantize; RunSimnet's clients are not plumbed
-	// for it and refuse a non-zero value rather than run dense unannounced.
+	// so it has nothing to quantize; RunSimnet does not hand it to its mux
+	// and refuses a non-zero value rather than run dense unannounced.
 	Quant int
 
 	// Precision selects the client GEMM arithmetic width:
@@ -84,11 +85,12 @@ type Config struct {
 	Precision string
 
 	// DropoutRate is the per-round probability that a selected client
-	// fails to report (device churn); see fl.Config.DropoutRate.
+	// fails to report (device churn); see fl.Config.DropoutRate. The round
+	// engine flips the coin, so Run and RunSimnet thin cohorts identically.
 	DropoutRate float64
 
 	// RoundDeadline is the per-round straggler cutoff; zero waits for the
-	// full cohort.
+	// full cohort. RunSimnet refuses it: the fabric clock is virtual.
 	RoundDeadline time.Duration
 
 	// MinQuorum is the minimum folded updates required to commit a round;
@@ -128,10 +130,10 @@ type Config struct {
 	// populations where allocating K slots per round dominates.
 	Sampler string
 
-	// MuxWorkers bounds concurrent multiplexed client sessions in
-	// RunSimnet's hierarchical path (0 = GOMAXPROCS). Population size is
-	// unconstrained by it: K=100,000 virtual clients run over this many
-	// goroutines and model workspaces.
+	// MuxWorkers bounds concurrent multiplexed client sessions in RunSimnet,
+	// flat or tree (0 = GOMAXPROCS). Population size is unconstrained by
+	// it: K=100,000 virtual clients run over this many goroutines and
+	// worker models.
 	MuxWorkers int
 
 	// Faults is a deterministic fault-injection plan in the simnet grammar
@@ -246,61 +248,92 @@ type Result struct {
 // constructs the strategy, runs the federated simulation, and fills in the
 // per-round privacy spending via the moments accountant.
 func Run(cfg Config) (*Result, error) {
-	spec, err := dataset.Get(cfg.Dataset)
+	r, err := cfg.resolve(0, cfg.PlannedRounds, nil)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(spec)
-	strat, err := cfg.Strategy()
+	hist, err := fl.Run(r.flCfg)
 	if err != nil {
 		return nil, err
 	}
-	part, err := cfg.Scenario.Partitioner()
-	if err != nil {
-		return nil, err
-	}
-	ds := dataset.NewPartitioned(spec, cfg.Seed, part)
-	horizon := cfg.Rounds
-	if cfg.PlannedRounds > horizon {
-		horizon = cfg.PlannedRounds
-	}
-	faults, err := cfg.faultPlan(horizon)
-	if err != nil {
-		return nil, err
-	}
+	return r.result(hist), nil
+}
 
-	hist, err := fl.Run(fl.Config{
-		Data:  ds,
-		Model: spec.ModelSpec(),
-		K:     cfg.K, Kt: cfg.Kt, Rounds: cfg.Rounds,
-		Round: fl.RoundConfig{
-			BatchSize:    cfg.BatchSize,
-			LocalIters:   cfg.LocalIters,
-			LR:           cfg.LR,
-			Precision:    cfg.Precision,
-			ConfigDigest: cfg.ConfigDigest,
-		},
-		Codec:           cfg.Codec,
-		Strategy:        strat,
-		Aggregation:     cfg.Aggregation,
-		Shards:          cfg.Shards,
-		TreeFanout:      cfg.TreeFanout,
-		Sampler:         cfg.Sampler,
-		Seed:            cfg.Seed,
-		ValExamples:     cfg.ValExamples,
-		EvalEvery:       cfg.EvalEvery,
-		Parallelism:     cfg.Parallelism,
-		ScheduleHorizon: cfg.PlannedRounds,
-		DropoutRate:     cfg.DropoutRate,
-		RoundDeadline:   cfg.RoundDeadline,
-		MinQuorum:       cfg.MinQuorum,
-		Faults:          faults,
-	})
+// resolved is a Config bound to its benchmark: defaults applied, the plan
+// bound over the horizon, and the fl.Config every runtime hands the round
+// engine.
+type resolved struct {
+	cfg   Config
+	spec  dataset.Spec
+	plan  *simnet.Plan // the bound fault + population plan; clause-free on a clean run
+	flCfg fl.Config
+}
+
+// resolve is the one Config → fl.Config mapping, shared by Run, Resume and
+// RunSimnet. start and params continue a checkpointed run (0, nil starts
+// fresh) for c.Rounds rounds; planned is the declared full horizon when it
+// is longer than that.
+func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*resolved, error) {
+	spec, err := dataset.Get(c.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	ledger := annotateEpsilon(cfg, spec, hist, fl.PopulationOf(cfg.K, faults))
-	return &Result{History: hist, Spec: spec, Cfg: cfg, Ledger: ledger}, nil
+	c = c.withDefaults(spec)
+	strat, err := c.Strategy()
+	if err != nil {
+		return nil, err
+	}
+	part, err := c.Scenario.Partitioner()
+	if err != nil {
+		return nil, err
+	}
+	// The plan and the decay schedules span the whole planned horizon, so a
+	// checkpointed prefix and its resumed remainder meet exactly the
+	// failures, and the clipping bounds, of the uninterrupted run.
+	horizon := max(start+c.Rounds, planned)
+	clauses := c.planSpec()
+	plan, err := simnet.ParsePlan(clauses)
+	if err != nil {
+		return nil, err
+	}
+	if plan, err = plan.Bind(c.Seed, horizon, c.K); err != nil {
+		return nil, err
+	}
+	r := &resolved{cfg: c, spec: spec, plan: plan, flCfg: fl.Config{
+		Data:  dataset.NewPartitioned(spec, c.Seed, part),
+		Model: spec.ModelSpec(),
+		K:     c.K, Kt: c.Kt, Rounds: c.Rounds,
+		Round: fl.RoundConfig{
+			BatchSize:    c.BatchSize,
+			LocalIters:   c.LocalIters,
+			LR:           c.LR,
+			Scenario:     c.Scenario,
+			Precision:    c.Precision,
+			ConfigDigest: c.ConfigDigest,
+		},
+		Codec:           c.Codec,
+		Strategy:        strat,
+		Aggregation:     c.Aggregation,
+		Shards:          c.Shards,
+		TreeFanout:      c.TreeFanout,
+		Sampler:         c.Sampler,
+		Seed:            c.Seed,
+		ValExamples:     c.ValExamples,
+		EvalEvery:       c.EvalEvery,
+		Parallelism:     c.Parallelism,
+		InitialParams:   params,
+		StartRound:      start,
+		ScheduleHorizon: horizon,
+		DropoutRate:     c.DropoutRate,
+		RoundDeadline:   c.RoundDeadline,
+		MinQuorum:       c.MinQuorum,
+	}}
+	if clauses != "" {
+		// A clean run carries no plan at all: the in-process hot path skips
+		// every per-client plan query.
+		r.flCfg.Faults = plan
+	}
+	return r, nil
 }
 
 // planSpec joins the fault and population clauses into the single simnet
@@ -317,20 +350,10 @@ func (c Config) planSpec() string {
 	return c.Faults + "," + c.Population
 }
 
-// faultPlan parses and binds the configured fault plan over a round
-// horizon; a nil fl.FaultPlan (clean run) comes back for the empty string.
-// The horizon matters for resumed runs: binding over the full plan keeps a
-// checkpoint-resumed run failing exactly like the uninterrupted one.
-func (c Config) faultPlan(horizon int) (fl.FaultPlan, error) {
-	spec := c.planSpec()
-	if spec == "" {
-		return nil, nil
-	}
-	plan, err := simnet.ParsePlan(spec)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Bind(c.Seed, horizon, c.K)
+// result annotates a finished history with its privacy spending.
+func (r *resolved) result(hist *fl.History) *Result {
+	ledger := annotateEpsilon(r.cfg, r.spec, hist, fl.PopulationOf(r.cfg.K, r.plan))
+	return &Result{History: hist, Spec: r.spec, Cfg: r.cfg, Ledger: ledger}
 }
 
 // roundSamplingRate returns the method's per-step sampling rate for a round

@@ -13,7 +13,11 @@
 //     entries (Figure 5).
 //
 // Run ties a strategy to the fl substrate and the privacy accountant and is
-// the high-level entry point used by the CLIs, examples and benchmarks. Its
+// the high-level entry point used by the CLIs, examples and benchmarks;
+// RunSimnet deploys the same Config over the in-memory simnet fabric and
+// Checkpoint.Resume continues it. All three resolve the Config through one
+// mapping (Config.resolve) and run fl's one round engine — in process for
+// Run and Resume, through the fabric runner (simnet.go) for RunSimnet. The
 // Config is the repository's experiment surface: benchmark and method
 // selection, population and round shape, privacy parameters, deadline and
 // quorum, and the orthogonal switches —

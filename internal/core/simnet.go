@@ -4,237 +4,282 @@ import (
 	"fmt"
 	"time"
 
-	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
 	"fedcdp/internal/nn"
 	"fedcdp/internal/simnet"
-	"fedcdp/internal/tensor"
 )
 
-// simnetServerAddr is the server's address on the fabric; clients are
-// hosts "c<id>", the names the plan's partition clauses target.
+// Fabric host names: the root server, the edge aggregators of a tree, and
+// the clients — the names the plan's partition clauses target.
 const simnetServerAddr = "server"
 
 func simnetClientHost(id int) string { return fmt.Sprintf("c%d", id) }
-
-// simnetCohort picks a round's participating clients honoring the
-// configured sampler and the open-world population — the same draw fl.Run
-// would make (fl.ActiveCohort's static branch is the pre-population draw
-// verbatim) — and reports the size of the active set it drew from.
-func simnetCohort(cfg Config, pop fl.Population, round int) (cohort []int, active int) {
-	return fl.ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, false)
-}
-
-// clientOutcome is one simnet client goroutine's terminal state. planned
-// marks clients the fault plan destroyed on purpose — their session errors
-// are the injected fault, not a harness bug.
-type clientOutcome struct {
-	id      int
-	planned bool
-	err     error
-}
+func simnetEdgeAddr(s int) string    { return fmt.Sprintf("edge%d", s) }
 
 // RunSimnet executes the configured experiment as a full deployment over
-// the in-memory simnet fabric: a RoundServer on a fabric listener, every
-// cohort member a real RPC client goroutine dialing through the fault
-// plan, and the plan realized at the transport level — crashed and
-// drop-fated clients abandon their session mid-protocol (the server
-// observes a failed session, exactly as over TCP), partitioned clients
-// cannot dial at all, restarts tear the server down and rebind the
-// address, and link latency/jitter/duplication run on virtual time.
+// the in-memory simnet fabric: the round engine (fl.RunWith) drives a
+// fabric runner, which stands up RoundServers on fabric listeners and plays
+// the cohort through an fl.ClientMux dialing through the fault plan. The
+// plan is realized at the transport level — crashed and drop-fated clients
+// abandon their session mid-protocol (the server observes a failed session,
+// exactly as over TCP), partitioned clients cannot dial at all, restarts
+// tear the server tier down and rebind its addresses, and link
+// latency/jitter/duplication run on virtual time.
 //
-// The fold is arrival-order (the wire has no reorder buffer), so final
-// parameters are subject to float summation order across runs; the folded
-// SET, per-round counts, commits and ε are deterministic per seed. For
-// bit-exact faulted runs use Run with Config.Faults (in-process
-// injection), which folds in cohort order.
+// Config.Shards picks the topology. 0 and 1 are flat — clients dial the
+// root, which folds their updates with the float rule (0) or the exact one
+// (1). At 2 or more the population splits into that many contiguous ranges,
+// each behind an edge aggregator host ("edge<s>") that folds its clients
+// into an exact partial and forwards ONE weight-carrying partial to the
+// root; because the sums are exact (fl.ExactVec) the committed parameters
+// are bit-identical to the flat exact fold at any shard count. Partition
+// clauses match the hosts that actually talk: in a tree a clause naming
+// "server" isolates EDGES from the root, and client links end at "edge<s>".
+//
+// The float fold is arrival-order (the wire has no reorder buffer), so at
+// Shards 0 final parameters are subject to float summation order across
+// runs; the folded SET, per-round counts, commits and ε are deterministic
+// per seed. For bit-exact faulted runs use Shards ≥ 1, or Run with
+// Config.Faults (in-process injection), which folds in cohort order.
 func RunSimnet(cfg Config) (*Result, error) {
-	spec, err := dataset.Get(cfg.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults(spec)
-	strat, err := cfg.Strategy()
-	if err != nil {
-		return nil, err
-	}
-	part, err := cfg.Scenario.Partitioner()
-	if err != nil {
-		return nil, err
-	}
-	ds := dataset.NewPartitioned(spec, cfg.Seed, part)
-	plan, err := simnet.ParsePlan(cfg.planSpec())
-	if err != nil {
-		return nil, err
-	}
-	plan, err = plan.Bind(cfg.Seed, cfg.Rounds, cfg.K)
-	if err != nil {
-		return nil, err
-	}
-	pop := fl.PopulationOf(cfg.K, plan)
-	if cfg.MinQuorum < 0 || cfg.MinQuorum > cfg.Kt {
-		return nil, fmt.Errorf("core: quorum %d outside [0, Kt=%d]", cfg.MinQuorum, cfg.Kt)
-	}
-	if !fl.ValidCodec(cfg.Codec) {
-		return nil, fmt.Errorf("core: unknown wire codec %q", cfg.Codec)
-	}
-	if cfg.Quant != 0 {
+	switch {
+	case cfg.Quant != 0:
 		return nil, fmt.Errorf("core: update quantization (quant=%d) is not plumbed into the simnet clients, which would send dense updates; use quant=0", cfg.Quant)
-	}
-	if cfg.Method == MethodFedSDPSrv {
+	case cfg.Method == MethodFedSDPSrv:
 		return nil, fmt.Errorf("core: method %s sanitizes at the server, which the simnet round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", MethodFedSDPSrv, MethodFedSDP)
+	case cfg.RoundDeadline != 0:
+		return nil, fmt.Errorf("core: round deadline %v cannot run on the simnet fabric, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the plan's crash, drop and latency clauses", cfg.RoundDeadline)
 	}
-	if !fl.ValidAggregation(cfg.Aggregation) {
-		return nil, fmt.Errorf("core: unknown aggregation %q", cfg.Aggregation)
-	}
-	if cfg.Shards > 0 && fl.RobustAggregation(cfg.Aggregation) {
-		// Robust folds are order statistics over raw updates — they are not
-		// grouping-invariant, so a sharded edge tree would commit silently
-		// wrong parameters. Refuse up front.
-		return nil, fmt.Errorf("core: robust aggregation %q cannot run on the sharded tree topology (shards=%d); use shards=0", cfg.Aggregation, cfg.Shards)
-	}
-	switch cfg.Sampler {
-	case "", fl.SamplerLegacy, fl.SamplerFloyd:
-	default:
-		return nil, fmt.Errorf("core: unknown sampler %q", cfg.Sampler)
-	}
-	if cfg.Shards < 0 || cfg.Shards > cfg.K {
-		return nil, fmt.Errorf("core: shards %d outside [0, K=%d]", cfg.Shards, cfg.K)
-	}
-	if cfg.Shards > 0 {
-		return runSimnetTree(cfg, spec, strat, ds, plan)
-	}
-
-	n := simnet.New(cfg.Seed, plan)
-	global := nn.Build(spec.ModelSpec(), tensor.Split(cfg.Seed, 1))
-	valN := cfg.ValExamples
-	if valN <= 0 {
-		valN = 500
-	}
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
-	valX, valY := ds.Validation(valN)
-
-	newServer := func() (*fl.RoundServer, error) {
-		ln, lerr := n.Listen(simnetServerAddr)
-		if lerr != nil {
-			return nil, lerr
-		}
-		srv := fl.NewRoundServerOn(ln)
-		srv.Clock = n.Clock()
-		srv.Codec = cfg.Codec
-		return srv, nil
-	}
-	srv, err := newServer()
+	// A deployment is not resumable (checkpoints are Run's), so its horizon
+	// is the run itself.
+	r, err := cfg.resolve(0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { srv.Close() }()
-	agg, err := fl.NewAggregator(cfg.Aggregation)
+	hist, err := fl.RunWith(r.flCfg, func(fc fl.Config) (fl.RoundRunner, error) {
+		return newFabric(fc, r.plan, r.cfg.MuxWorkers)
+	})
 	if err != nil {
 		return nil, err
 	}
+	return r.result(hist), nil
+}
 
-	rcfg := fl.RoundConfig{
-		BatchSize:    cfg.BatchSize,
-		LocalIters:   cfg.LocalIters,
-		LR:           cfg.LR,
-		TotalRounds:  cfg.Rounds,
-		Scenario:     cfg.Scenario,
-		Precision:    cfg.Precision,
-		ConfigDigest: cfg.ConfigDigest,
+// fabric is the simnet deployment of the round engine's runner seam: the
+// server tier (root plus any edges) on fabric listeners and one ClientMux
+// for the whole run, so virtual-client cursors and worker models persist
+// across rounds.
+type fabric struct {
+	cfg   fl.Config
+	plan  *simnet.Plan
+	net   *simnet.Net
+	mux   *fl.ClientMux
+	edges int // size of the edge tier; 0 = clients dial the root
+
+	root     *fl.RoundServer
+	rootAgg  fl.Aggregator
+	edgeSrvs []*fl.RoundServer
+	edgeAggs []*fl.ExactAggregator
+}
+
+func newFabric(cfg fl.Config, plan *simnet.Plan, muxWorkers int) (*fabric, error) {
+	f := &fabric{cfg: cfg, plan: plan, net: simnet.New(cfg.Seed, plan)}
+	if cfg.Shards > 1 {
+		f.edges = cfg.Shards
 	}
-	// Under link-level chaos (message cuts, duplicate delivery) ANY
-	// session may legitimately die mid-protocol — those deaths are the
-	// injected fault, not a harness bug, so client errors are tolerated
-	// and show up in the round accounting as failed sessions instead.
-	linkChaos := plan.MsgDropRate > 0 || plan.DupRate > 0
+	f.mux = &fl.ClientMux{
+		Spec:       cfg.Model,
+		Data:       cfg.Data,
+		Strat:      cfg.Strategy,
+		Seed:       cfg.Seed,
+		Opt:        fl.ClientOptions{Codec: cfg.Codec},
+		Adversary:  plan,
+		Workers:    muxWorkers,
+		Population: fl.PopulationOf(cfg.K, plan),
+	}
+	if err := f.deploy(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
 
-	hist := &fl.History{Strategy: strat.Name()}
-	for round := 0; round < cfg.Rounds; round++ {
-		n.SetRound(round)
-		if plan.RestartServer(round) {
-			// Between-round restart, for real: the listener closes, every
-			// parked session is refused, and a fresh server rebinds the
-			// address — the surface cmd/fedclient's reconnect loop rides.
-			srv.Close()
-			if srv, err = newServer(); err != nil {
-				return nil, fmt.Errorf("core: simnet restart before round %d: %w", round, err)
-			}
-			if agg, err = fl.NewAggregator(cfg.Aggregation); err != nil {
-				return nil, err
+func (f *fabric) serve(addr string) (*fl.RoundServer, error) {
+	ln, err := f.net.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := fl.NewRoundServerOn(ln)
+	srv.Clock = f.net.Clock()
+	srv.Codec = f.cfg.Codec
+	return srv, nil
+}
+
+// deploy stands up the server tier. On error the caller closes whatever
+// came up.
+func (f *fabric) deploy() (err error) {
+	if f.root, err = f.serve(simnetServerAddr); err != nil {
+		return err
+	}
+	// The root is the flat fold of its inputs — client updates or edge
+	// partials: the float rule at Shards 0, the exact one otherwise.
+	if f.rootAgg, err = fl.NewAggregatorFor(f.cfg.Aggregation, min(f.cfg.Shards, 1), 0, f.cfg.K); err != nil {
+		return err
+	}
+	for s := 0; s < f.edges; s++ {
+		srv, err := f.serve(simnetEdgeAddr(s))
+		if err != nil {
+			return err
+		}
+		f.edgeSrvs = append(f.edgeSrvs, srv)
+		agg, err := fl.NewExact(f.cfg.Aggregation)
+		if err != nil {
+			return err
+		}
+		f.edgeAggs = append(f.edgeAggs, agg)
+	}
+	return nil
+}
+
+// Restart implements fl.RoundRunner, for real: every listener closes, every
+// parked session is refused, and a fresh server tier rebinds the addresses —
+// the surface cmd/fedclient's reconnect loop rides.
+func (f *fabric) Restart(int) error {
+	f.Close()
+	f.root, f.edgeSrvs, f.edgeAggs = nil, nil, nil
+	return f.deploy()
+}
+
+// Close implements fl.RoundRunner.
+func (f *fabric) Close() {
+	if f.root != nil {
+		f.root.Close()
+	}
+	for _, es := range f.edgeSrvs {
+		es.Close()
+	}
+}
+
+// unreachableDeadline arms the "session failures are counted, not fatal"
+// contract of fl.RoundOptions.Deadline without ever cutting a round: it is
+// virtual, every session resolves, and nothing advances the fabric clock an
+// hour within one round.
+const unreachableDeadline = time.Hour
+
+// Round implements fl.RoundRunner: one round of the deployment.
+func (f *fabric) Round(round int, cohort []int, global *nn.Model) (fl.RoundStats, error) {
+	f.net.SetRound(round)
+	plan := f.plan
+	rs := fl.RoundStats{Committed: 0 >= f.cfg.MinQuorum, Dropped: len(cohort)}
+	wireBefore := f.net.BytesWritten()
+
+	// Route each cohort member to the server it dials, excluding clients
+	// that cannot reach it and, in a tree, shards whose edge cannot reach
+	// the root — the orchestrator, unlike any server, is allowed to know
+	// who is unreachable, and unreachable members are left out of the
+	// admission quotas. members counts each shard's sessions; flat
+	// topologies are the single "shard" at the root.
+	topo := fl.Topology{K: f.cfg.K, Shards: f.cfg.Shards}
+	members := make([]int, max(f.edges, 1))
+	rootSessions := 0
+	var tasks []fl.MuxTask
+	for _, id := range cohort {
+		s, addr, host := 0, simnetServerAddr, simnetClientHost(id)
+		if f.edges > 0 {
+			s = topo.ShardOf(id)
+			addr = simnetEdgeAddr(s)
+			if plan.Partitioned(round, addr, simnetServerAddr) {
+				continue
 			}
 		}
-
-		cohort, activeN := simnetCohort(cfg, pop, round)
-		// Partitioned members cannot even open a session; they are excluded
-		// from the round's admission quota (the harness, unlike the server,
-		// is allowed to know who is unreachable).
-		reachable := make([]int, 0, len(cohort))
-		for _, id := range cohort {
-			if !plan.Partitioned(round, simnetClientHost(id), simnetServerAddr) {
-				reachable = append(reachable, id)
-			}
+		if plan.Partitioned(round, host, addr) {
+			continue
 		}
+		// The root serves every client of a flat topology and, in a tree,
+		// one session per edge that has members this round.
+		if members[s]++; f.edges == 0 || members[s] == 1 {
+			rootSessions++
+		}
+		tasks = append(tasks, fl.MuxTask{
+			ClientID: id,
+			Addr:     addr,
+			Dial:     f.net.Dialer(host),
+			// The fault plan destroys this contribution: the client opens
+			// its session, receives the round, and vanishes.
+			Abandon: plan.CrashClient(round, id) || plan.DropUpdate(round, id),
+		})
+	}
+	if rootSessions == 0 {
+		return rs, nil
+	}
 
-		rs := fl.RoundStats{Round: round, Active: activeN, Committed: 0 >= cfg.MinQuorum, Dropped: len(cohort)}
-		wireBefore := n.BytesWritten()
-		if len(reachable) > 0 {
-			outcomes := make(chan clientOutcome, len(reachable))
-			for _, id := range reachable {
-				go func(id int) {
-					dial := n.Dialer(simnetClientHost(id))
-					if plan.CrashClient(round, id) || plan.DropUpdate(round, id) {
-						// The fault plan destroys this contribution: the
-						// client opens its session, receives the round, and
-						// vanishes — the server counts a failed session.
-						_, aerr := fl.AbandonSession(simnetServerAddr, fl.ClientOptions{Dial: dial, Codec: cfg.Codec})
-						outcomes <- clientOutcome{id: id, planned: true, err: aerr}
-						return
-					}
-					// Adversarial realization: a poisoned client trains on its
-					// flipped-label shard view, a Byzantine one corrupts its
-					// update before submission — both pure functions of the
-					// plan seed, so the deployment attacks exactly as the
-					// in-process runtimes do.
-					data := fl.AdversaryShard(plan, id, ds.Client(id))
-					cerr := fl.RunRemoteClientOpts(simnetServerAddr, id, strat, data, spec.ModelSpec(), cfg.Seed,
-						fl.ClientOptions{Dial: dial, Codec: cfg.Codec, Adversary: plan})
-					outcomes <- clientOutcome{id: id, err: cerr}
-				}(id)
-			}
-			// The deadline is virtual and unreachable (every session
-			// resolves, nothing advances the clock an hour): it exists so
-			// session failures are counted instead of aborting the round —
-			// the deployment contract.
-			res, rerr := srv.StreamRound(round, global.Params(), rcfg, agg, fl.RoundOptions{
-				Clients:   len(reachable),
-				Deadline:  time.Hour,
-				MinQuorum: cfg.MinQuorum,
+	type rootOutcome struct {
+		res fl.RoundResult
+		err error
+	}
+	rootCh := make(chan rootOutcome, 1)
+	go func() {
+		// Quorum counts CLIENTS in either topology: the root aggregator's
+		// Count sums what its edges carried.
+		res, err := f.root.StreamRound(round, global.Params(), f.cfg.Round, f.rootAgg, fl.RoundOptions{
+			Clients:     rootSessions,
+			Deadline:    unreachableDeadline,
+			MinQuorum:   f.cfg.MinQuorum,
+			QuorumCount: f.rootAgg.Count,
+		})
+		rootCh <- rootOutcome{res, err}
+	}()
+	edgeCh := make(chan error, f.edges)
+	edgesUp := 0
+	for s := 0; s < f.edges; s++ {
+		if members[s] == 0 {
+			continue
+		}
+		edgesUp++
+		go func(s int) {
+			// MinQuorum 0: the edge never commits (EdgeFold's Commit is a
+			// no-op); its round exists to fold. Even when that round fails
+			// the partial is still sent — an empty one resolves the root's
+			// session slot instead of hanging the round on a dead edge.
+			agg := f.edgeAggs[s]
+			_, err := f.edgeSrvs[s].StreamRound(round, global.Params(), f.cfg.Round, fl.EdgeFold(agg), fl.RoundOptions{
+				Clients:  members[s],
+				Deadline: unreachableDeadline,
 			})
-			if rerr != nil {
-				return nil, fmt.Errorf("core: simnet round %d: %w", round, rerr)
+			serr := fl.SendPartial(simnetServerAddr, s, round, agg.TakePartial(),
+				fl.ClientOptions{Dial: f.net.Dialer(simnetEdgeAddr(s)), Codec: f.cfg.Codec})
+			if err == nil {
+				err = serr
 			}
-			for range reachable {
-				o := <-outcomes
-				if o.err != nil && !o.planned && !linkChaos {
-					return nil, fmt.Errorf("core: simnet round %d client %d: %w", round, o.id, o.err)
-				}
+			if err != nil {
+				err = fmt.Errorf("core: simnet round %d shard %d: %w", round, s, err)
 			}
-			rs.Clients = res.Folded
-			rs.Dropped = len(cohort) - res.Folded
-			rs.Committed = res.Committed
-		}
-		rs.WireBytes = n.BytesWritten() - wireBefore
-		if round%evalEvery == 0 || round == cfg.Rounds-1 {
-			rs.Accuracy = fl.Evaluate(global, valX, valY)
-			rs.Evaluated = true
-		}
-		hist.Rounds = append(hist.Rounds, rs)
+			edgeCh <- err // buffered: an early return below never strands it
+		}(s)
 	}
-	hist.Final = global
-	ledger := annotateEpsilon(cfg, spec, hist, pop)
-	return &Result{History: hist, Spec: spec, Cfg: cfg, Ledger: ledger}, nil
+
+	// Under link-level chaos (message cuts, duplicate delivery) ANY session
+	// may legitimately die mid-protocol — those deaths are the injected
+	// fault, not a harness bug, so they are tolerated and show up in the
+	// round accounting as failed sessions instead.
+	linkChaos := plan.MsgDropRate > 0 || plan.DupRate > 0
+	for i, r := range f.mux.RunRound(tasks) {
+		if r.Err != nil && !tasks[i].Abandon && !linkChaos {
+			return rs, fmt.Errorf("core: simnet round %d client %d: %w", round, r.ClientID, r.Err)
+		}
+	}
+	for ; edgesUp > 0; edgesUp-- {
+		if err := <-edgeCh; err != nil && !linkChaos {
+			return rs, err
+		}
+	}
+	ro := <-rootCh
+	if ro.err != nil {
+		return rs, fmt.Errorf("core: simnet round %d: %w", round, ro.err)
+	}
+	rs.Clients = f.rootAgg.Count()
+	rs.Dropped = len(cohort) - rs.Clients
+	rs.Committed = ro.res.Committed
+	rs.WireBytes = f.net.BytesWritten() - wireBefore
+	return rs, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"fedcdp/internal/fl"
 )
@@ -128,10 +129,12 @@ func TestSimnetTreeFloydSampler(t *testing.T) {
 	}
 }
 
-// Invalid topology and sampler configurations — and the two settings the
+// Invalid topology and sampler configurations — and the three settings the
 // deployment would silently not honor: update quantization (the clients send
-// dense) and server-side Fed-SDP (the round servers fold without clip or
-// noise while ε is still charged), flat and tree — must be rejected up front.
+// dense), server-side Fed-SDP (the round servers fold without clip or noise
+// while ε is still charged) and a round deadline (the fabric clock is
+// virtual, nothing would ever be cut), flat and tree — must be rejected up
+// front.
 func TestSimnetTreeConfigRejected(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Shards = -1 },
@@ -140,6 +143,8 @@ func TestSimnetTreeConfigRejected(t *testing.T) {
 		func(c *Config) { c.Quant = 8 },
 		func(c *Config) { c.Method = MethodFedSDPSrv },
 		func(c *Config) { c.Method, c.Shards = MethodFedSDPSrv, 4 },
+		func(c *Config) { c.RoundDeadline = time.Second },
+		func(c *Config) { c.RoundDeadline, c.Shards = time.Second, 4 },
 	} {
 		cfg := simnetBaseConfig()
 		mutate(&cfg)

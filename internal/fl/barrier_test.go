@@ -11,11 +11,21 @@ import (
 // it was the production round before the streaming scheduler replaced it and
 // lives on here, in test code only, so every plan family (faults, adversaries,
 // weighted folds, populations, deadlines off) can pin the streaming round
-// bit-identical to it. RunBarrier drives it through the same outer loop as
+// bit-identical to it. RunBarrier drives it through the same round engine as
 // Run; the external tests in parity_test.go reach it by the same name.
 
 // RunBarrier is Run with every round executed by the lockstep oracle.
-func RunBarrier(cfg Config) (*History, error) { return run(cfg, runBarrierRound) }
+func RunBarrier(cfg Config) (*History, error) {
+	return RunWith(cfg, func(cfg Config) (RoundRunner, error) { return barrierRunner{newLocalRunner(cfg)}, nil })
+}
+
+// barrierRunner is the in-process runner with its round swapped for the
+// oracle's.
+type barrierRunner struct{ *localRunner }
+
+func (b barrierRunner) Round(round int, cohort []int, global *nn.Model) (RoundStats, error) {
+	return runBarrierRound(b.cfg, global, cohort, round, b.workers, b.serverRNG, b.agg, b.clock), nil
+}
 
 // faultLost reports whether a cohort member's contribution is lost to the
 // fault plan this round.
@@ -105,11 +115,13 @@ func trainCohort(cfg Config, global *nn.Model, cohort []int, round int, workers 
 			w.model.SetPrecision(cfg.Round.Precision)
 			data := clientShard(cfg, round, id)
 			weights[i] = float64(data.Len())
-			updates[i], stats[i] = cfg.Strategy.ClientUpdate(w.envFor(cfg, round, id, data))
+			updates[i], stats[i] = cfg.Strategy.ClientUpdate(w.envFor(cfg.Seed, cfg.Round, round, id, data))
 			// Byzantine corruption happens client-side, after training and
 			// before the update "leaves" — the same point the streaming
 			// runtime and the transport harness apply it.
-			corruptUpdate(cfg, round, id, updates[i])
+			if adv := adversary(cfg); adv != nil {
+				adv.CorruptUpdate(round, id, updates[i])
+			}
 		}(i, id, w)
 	}
 	wg.Wait()

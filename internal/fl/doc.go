@@ -13,7 +13,21 @@
 // partitioner, so populations of 10,000 clients cost only the Kt shards
 // actually sampled each round, under any heterogeneity scenario.
 //
-// # The round and its fold order
+// # The round engine
+//
+// The round protocol exists once. RunWith is the outer loop — validation,
+// the schedule horizon, the global model, restarts, the cohort draw from
+// the active set, the dropout coin, the evaluation schedule, the history —
+// and a RoundRunner is what it hands each cohort to: the in-process
+// streaming round (Run), the simnet fabric deployment (core.RunSimnet) or
+// the lockstep oracle (barrier_test.go). worker.step is the one client
+// step (parameters, precision, the per-(seed, round, client) RNG and noise
+// streams, Strategy.ClientUpdate, Byzantine corruption), run by the
+// in-process pool, the one-shot remote client and the ClientMux alike;
+// openSession is the one client-side session preamble. See DESIGN.md,
+// "Round engine".
+//
+// # The in-process round and its fold order
 //
 // Run folds each update into the round's Aggregator the moment it arrives,
 // parking out-of-order arrivals in a reorder buffer so commits happen in
@@ -85,9 +99,8 @@
 //
 // A plan may also declare hostile clients (the structural AdversaryPlan
 // interface, implemented by simnet.Plan): Byzantine members corrupt their
-// update immediately after ClientUpdate — the identical point in Run, the
-// RPC client (ClientOptions.Adversary) and the virtual-client mux
-// (ClientMux.Adversary) — and poisoned members
+// update immediately after ClientUpdate, inside the shared client step,
+// and poisoned members
 // train on a flipped-label shard view installed by AdversaryShard, which
 // survives scenario Repartition. The matching defenses are the robust
 // aggregation rules (robust.go): AggMedian, AggTrimmed ("trimmed:β") and

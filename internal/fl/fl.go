@@ -365,11 +365,11 @@ type AdversaryPlan interface {
 	PoisonLabel(client, index, label, classes int) int
 }
 
-// adversary returns the config's fault plan as an AdversaryPlan when it is
-// one.
-func adversary(cfg Config) (AdversaryPlan, bool) {
-	adv, ok := cfg.Faults.(AdversaryPlan)
-	return adv, ok
+// adversary returns the config's fault plan as an AdversaryPlan, nil when
+// it is not one.
+func adversary(cfg Config) AdversaryPlan {
+	adv, _ := cfg.Faults.(AdversaryPlan)
+	return adv
 }
 
 // AdversaryShard returns the client's data view under the plan's poisoning
@@ -390,20 +390,7 @@ func AdversaryShard(adv AdversaryPlan, id int, data *dataset.ClientData) *datase
 // the round-keyed view under time-varying partition scenarios, the
 // poisoned view when the fault plan targets it.
 func clientShard(cfg Config, round, id int) *dataset.ClientData {
-	data := cfg.Data.ClientAt(id, round)
-	if adv, ok := adversary(cfg); ok {
-		data = AdversaryShard(adv, id, data)
-	}
-	return data
-}
-
-// corruptUpdate applies any Byzantine corruption the plan mandates for this
-// (round, client): after ClientUpdate, before the update reaches the
-// server.
-func corruptUpdate(cfg Config, round, id int, update []*tensor.Tensor) {
-	if adv, ok := adversary(cfg); ok {
-		adv.CorruptUpdate(round, id, update)
-	}
+	return AdversaryShard(adversary(cfg), id, cfg.Data.ClientAt(id, round))
 }
 
 func (c *Config) validate() error {
@@ -451,16 +438,37 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// Run executes the full federated simulation and returns its history.
-func Run(cfg Config) (*History, error) { return run(cfg, runStreamingRound) }
+// Run executes the full federated simulation in process and returns its
+// history.
+func Run(cfg Config) (*History, error) {
+	return RunWith(cfg, func(cfg Config) (RoundRunner, error) { return newLocalRunner(cfg), nil })
+}
 
-// roundFunc executes one round over an already-drawn cohort and returns its
-// stats (Round and Active are filled by run).
-type roundFunc func(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool, serverRNG *tensor.RNG, agg Aggregator, clock Clock) RoundStats
+// RoundRunner is the deployment half of the round engine. RunWith owns the
+// protocol's frame — validation, the schedule horizon, the global model, the
+// cohort draw, the dropout coin, restarts, evaluation, the history — and
+// hands each drawn cohort to a runner, which trains it and folds what
+// arrives. Three runners exist: the in-process streaming round (Run), the
+// simnet fabric deployment (core.RunSimnet) and the lockstep parity oracle
+// (barrier_test.go).
+type RoundRunner interface {
+	// Restart rebuilds the server-side state that a server restart before
+	// round loses. The global parameters are the checkpointable state:
+	// RunWith restores them itself.
+	Restart(round int) error
+	// Round trains cohort against global's parameters, folds the updates
+	// that arrive and, on quorum, commits the aggregate into global in
+	// place. It reports Clients, Dropped, Committed and whatever else it
+	// measured; RunWith fills Round, Active and the evaluation.
+	Round(round int, cohort []int, global *nn.Model) (RoundStats, error)
+	// Close releases what the runner holds (listeners, parked sessions).
+	Close()
+}
 
-// run is Run parameterized by the round implementation, so the lockstep
-// parity oracle in barrier_test.go drives the identical outer loop.
-func run(cfg Config, runRound roundFunc) (*History, error) {
+// RunWith is the round engine: the one outer loop every deployment of the
+// protocol runs. open builds the runner from the validated config with the
+// schedule horizon resolved into cfg.Round.TotalRounds.
+func RunWith(cfg Config, open func(Config) (RoundRunner, error)) (*History, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -469,10 +477,6 @@ func run(cfg Config, runRound roundFunc) (*History, error) {
 	cfg.Round.TotalRounds = cfg.StartRound + cfg.Rounds
 	if cfg.ScheduleHorizon > 0 {
 		cfg.Round.TotalRounds = cfg.ScheduleHorizon
-	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
 	}
 	evalEvery := cfg.EvalEvery
 	if evalEvery <= 0 {
@@ -490,37 +494,34 @@ func run(cfg Config, runRound roundFunc) (*History, error) {
 	valX, valY := cfg.Data.Validation(valN)
 	hist := &History{Strategy: cfg.Strategy.Name(), Config: cfg}
 
-	serverRNG := tensor.Split(cfg.Seed, 2)
-	pop := population(cfg)
-	workers := newWorkerPool(par, cfg.Model)
-	// Rule and shard count validated above; Shards=0 is the legacy fold.
-	agg, _ := NewAggregatorFor(cfg.Aggregation, cfg.Shards, cfg.TreeFanout, cfg.K)
-	dropCoin := tensor.NewRNG(0)
-	clock := cfg.Clock
-	if clock == nil {
-		clock = SystemClock
+	runner, err := open(cfg)
+	if err != nil {
+		return nil, err
 	}
+	defer runner.Close()
+	pop := population(cfg)
+	dropCoin := tensor.NewRNG(0)
 	for r := 0; r < cfg.Rounds; r++ {
 		round := cfg.StartRound + r
 		if cfg.Faults != nil && cfg.Faults.RestartServer(round) {
-			// Server restart between rounds: every in-memory structure is
-			// rebuilt, and the only surviving state is what a checkpoint
-			// would carry — the global parameters (round-tripped through
-			// the wire encoding to make the restart observable) and the
-			// round counter. serverRNG (read only by strategies without a
-			// CounterSanitizer) is re-derived from (seed, round), the
-			// deterministic rule a restarted server resumes by; counter
-			// noise is stateless and unaffected.
+			// Server restart between rounds: the only surviving state is
+			// what a checkpoint would carry — the global parameters
+			// (round-tripped through the wire encoding to make the restart
+			// observable) and the round counter. Everything else the runner
+			// rebuilds.
 			restored := roundTripParams(cfg.Codec, global.Params())
 			global = nn.Build(cfg.Model, tensor.Split(cfg.Seed, 1))
 			global.SetParams(restored)
-			workers = newWorkerPool(par, cfg.Model)
-			agg, _ = NewAggregatorFor(cfg.Aggregation, cfg.Shards, cfg.TreeFanout, cfg.K)
-			serverRNG = tensor.Split(cfg.Seed, 2, int64(round))
+			if err := runner.Restart(round); err != nil {
+				return nil, fmt.Errorf("fl: restart before round %d: %w", round, err)
+			}
 		}
 		cohort, active := ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, cfg.SampleWithReplacement)
 		cohort = dropClients(cfg, round, cohort, dropCoin)
-		rs := runRound(cfg, global, cohort, round, workers, serverRNG, agg, clock)
+		rs, err := runner.Round(round, cohort, global)
+		if err != nil {
+			return nil, err
+		}
 		rs.Round = round
 		rs.Active = active
 		if round%evalEvery == 0 || r == cfg.Rounds-1 {
@@ -532,6 +533,50 @@ func run(cfg Config, runRound roundFunc) (*History, error) {
 	hist.Final = global
 	return hist, nil
 }
+
+// localRunner is the in-process deployment: a worker pool trains the cohort
+// and the streaming round (stream.go) folds it in cohort order.
+type localRunner struct {
+	cfg       Config
+	workers   *workerPool
+	serverRNG *tensor.RNG
+	agg       Aggregator
+	clock     Clock
+}
+
+func newLocalRunner(cfg Config) *localRunner {
+	l := &localRunner{cfg: cfg, serverRNG: tensor.Split(cfg.Seed, 2), clock: cfg.Clock}
+	if l.clock == nil {
+		l.clock = SystemClock
+	}
+	l.rebuild()
+	return l
+}
+
+// rebuild constructs the in-memory structures a restart loses.
+func (l *localRunner) rebuild() {
+	par := l.cfg.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	l.workers = newWorkerPool(par, l.cfg.Model)
+	// Rule and shard count were validated by RunWith; Shards=0 is the
+	// legacy fold.
+	l.agg, _ = NewAggregatorFor(l.cfg.Aggregation, l.cfg.Shards, l.cfg.TreeFanout, l.cfg.K)
+}
+
+// Restart implements RoundRunner. serverRNG (read only by strategies
+// without a CounterSanitizer) is re-derived from (seed, round), the
+// deterministic rule a restarted server resumes by; counter noise is
+// stateless and unaffected.
+func (l *localRunner) Restart(round int) error {
+	l.rebuild()
+	l.serverRNG = tensor.Split(l.cfg.Seed, 2, int64(round))
+	return nil
+}
+
+// Close implements RoundRunner.
+func (l *localRunner) Close() {}
 
 // SampleCohort returns the participating client ids fl.Run would draw for
 // a round — exposed so out-of-process drivers (the simnet deployment
@@ -572,11 +617,12 @@ func dropClients(cfg Config, round int, cohort []int, coin *tensor.RNG) []int {
 	return kept
 }
 
-// worker is one reusable local-training slot: a private model copy, a
-// scratch arena, a reseedable client RNG, a counter-noise slot and the
-// ClientEnv itself — all reused across clients and rounds so steady-state
-// training stops allocating (the model's batched buffers, the arena's free
-// lists and the RNG's source persist between rounds).
+// worker is one reusable client: a private model copy, a scratch arena, a
+// reseedable client RNG, a counter-noise slot and the ClientEnv itself — all
+// reused across clients and rounds so steady-state training stops allocating
+// (the model's batched buffers, the arena's free lists and the RNG's source
+// persist between rounds). The in-process pool, the mux workers and the
+// one-shot remote client all train on one.
 type worker struct {
 	model *nn.Model
 	arena *tensor.Arena
@@ -585,24 +631,46 @@ type worker struct {
 	env   ClientEnv
 }
 
+func newWorker(spec nn.Spec) *worker {
+	w := &worker{model: nn.Build(spec, tensor.NewRNG(0)), arena: tensor.NewArena(), rng: tensor.NewRNG(0)}
+	w.model.UseArena(w.arena)
+	return w
+}
+
 // envFor populates the worker's reusable ClientEnv for one client round.
 // The RNG is reseeded in place to the stream Split(seed, 4, round, id)
 // would return; the counter noise generator is a value slot, so deriving
 // it allocates nothing.
-func (w *worker) envFor(cfg Config, round, id int, data *dataset.ClientData) *ClientEnv {
-	w.rng.Reseed(cfg.Seed, 4, int64(round), int64(id))
-	w.noise = ClientNoise(cfg.Seed, round, id)
+func (w *worker) envFor(seed int64, rc RoundConfig, round, id int, data *dataset.ClientData) *ClientEnv {
+	w.rng.Reseed(seed, 4, int64(round), int64(id))
+	w.noise = ClientNoise(seed, round, id)
 	w.env = ClientEnv{
 		ClientID: id,
 		Round:    round,
 		Model:    w.model,
 		Data:     data,
 		RNG:      w.rng,
-		Cfg:      cfg.Round,
+		Cfg:      rc,
 		Arena:    w.arena,
 		Noise:    &w.noise,
 	}
 	return &w.env
+}
+
+// step is the client half of the round protocol, the one place a client's
+// inputs are wired on every runtime: load the published parameters at the
+// published precision, derive the (seed, round, id) streams, run the
+// strategy's local training on the shard view, and apply any Byzantine
+// corruption the plan mandates — after training, before the update leaves
+// the client (a corrupted update can still be lost in transit).
+func (w *worker) step(strat Strategy, seed int64, round, id int, params []*tensor.Tensor, rc RoundConfig, data *dataset.ClientData, adv AdversaryPlan) ([]*tensor.Tensor, ClientStats) {
+	w.model.SetParams(params)
+	w.model.SetPrecision(rc.Precision)
+	upd, st := strat.ClientUpdate(w.envFor(seed, rc, round, id, data))
+	if adv != nil {
+		adv.CorruptUpdate(round, id, upd)
+	}
+	return upd, st
 }
 
 // workerPool is a fixed set of workers handed out over a channel; at most
@@ -623,8 +691,7 @@ func newWorkerPool(par int, spec nn.Spec) *workerPool {
 func (p *workerPool) acquire() *worker {
 	w := <-p.slots
 	if w == nil {
-		w = &worker{model: nn.Build(p.spec, tensor.NewRNG(0)), arena: tensor.NewArena(), rng: tensor.NewRNG(0)}
-		w.model.UseArena(w.arena)
+		w = newWorker(p.spec)
 	}
 	return w
 }

@@ -1,8 +1,6 @@
 package fl
 
 import (
-	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -10,20 +8,18 @@ import (
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/nn"
-	"fedcdp/internal/tensor"
 )
 
-// Multiplexed virtual clients. The goroutine-per-client deployment pattern
-// (one RunRemoteClientRound goroutine per cohort member, each building its
-// own model and arena) caps simulated populations at a few hundred: at
-// K=100,000 the goroutines, models and scratch buffers are O(K). Here a
-// virtual client is DATA — a few words of cursor state in a lazily
-// populated map — and only a fixed worker pool is EXECUTION: each worker
-// owns one reusable ClientWorkspace (model, arena, RNG) and drains a round
-// task list, so K clients cost O(workers) goroutines and buffers plus
-// O(touched clients) cursor words. Training stays a pure function of
-// (seed, round, clientID), so multiplexing changes scheduling, never
-// results.
+// Multiplexed virtual clients: how one process plays a whole client
+// population. A virtual client is DATA — a few words of cursor state in a
+// lazily populated map — and only a fixed worker pool is EXECUTION: each
+// pool goroutine owns one reusable worker (model, arena, RNG — the same
+// type the in-process runtime trains on) and drains a round task list, so K
+// clients cost O(workers) goroutines and buffers plus O(touched clients)
+// cursor words. A session is openSession + the shared client step, exactly
+// what cmd/fedclient's RunRemoteClientRound runs, and training stays a pure
+// function of (seed, round, clientID), so multiplexing changes scheduling,
+// never results.
 
 // VirtualClient is one simulated client's persistent cursor: everything
 // that must survive between its rounds. It is deliberately tiny — the
@@ -70,28 +66,6 @@ type MuxResult struct {
 	Err      error
 }
 
-// ClientWorkspace is one worker's reusable training state: the model, the
-// arena, the reseedable RNG and the ClientEnv are built once and serve
-// every client the worker impersonates.
-type ClientWorkspace struct {
-	model *nn.Model
-	arena *tensor.Arena
-	rng   *tensor.RNG
-	noise tensor.CounterRNG
-	env   ClientEnv
-}
-
-// NewClientWorkspace builds a workspace for a model spec.
-func NewClientWorkspace(spec nn.Spec) *ClientWorkspace {
-	ws := &ClientWorkspace{
-		model: nn.Build(spec, tensor.NewRNG(0)),
-		arena: tensor.NewArena(),
-		rng:   tensor.NewRNG(0),
-	}
-	ws.model.UseArena(ws.arena)
-	return ws
-}
-
 // ClientMux drives a population of virtual clients over a fixed worker
 // pool. Configure once, then call RunRound with the round's task list;
 // virtual-client cursors persist across calls.
@@ -105,8 +79,8 @@ type ClientMux struct {
 	Opt ClientOptions
 	// Adversary, when set, makes the plan's seeded attackers hostile:
 	// poisoned virtual clients train on flipped-label shard views and
-	// Byzantine ones corrupt their updates before submission — identical
-	// behavior to the goroutine-per-client path (ClientOptions.Adversary).
+	// Byzantine ones corrupt their updates before submission, at the point
+	// the in-process runtime does (the shared client step).
 	Adversary AdversaryPlan
 	// Workers bounds concurrent sessions (0 = GOMAXPROCS).
 	Workers int
@@ -119,10 +93,10 @@ type ClientMux struct {
 
 	mu  sync.Mutex
 	vcs map[int]*VirtualClient
-	// wsPool recycles worker workspaces across rounds so steady-state
-	// training reuses models, arenas and RNG state instead of rebuilding
-	// them every RunRound.
-	wsPool sync.Pool
+	// pool recycles workers across rounds so steady-state training reuses
+	// models, arenas and RNG state instead of rebuilding them every
+	// RunRound.
+	pool sync.Pool
 }
 
 // client returns (lazily creating) a virtual client's cursor.
@@ -167,21 +141,21 @@ func (m *ClientMux) RunRound(tasks []MuxTask) []MuxResult {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for n := 0; n < workers; n++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws, _ := m.wsPool.Get().(*ClientWorkspace)
-			if ws == nil {
-				ws = NewClientWorkspace(m.Spec)
+			w, _ := m.pool.Get().(*worker)
+			if w == nil {
+				w = newWorker(m.Spec)
 			}
-			defer m.wsPool.Put(ws)
+			defer m.pool.Put(w)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
 					return
 				}
-				results[i] = m.runTask(ws, tasks[i])
+				results[i] = m.runTask(w, tasks[i])
 			}
 		}()
 	}
@@ -189,9 +163,9 @@ func (m *ClientMux) RunRound(tasks []MuxTask) []MuxResult {
 	return results
 }
 
-// runTask executes one session on a workspace and updates the client's
+// runTask executes one session on a worker and updates the client's
 // cursor.
-func (m *ClientMux) runTask(ws *ClientWorkspace, task MuxTask) MuxResult {
+func (m *ClientMux) runTask(w *worker, task MuxTask) MuxResult {
 	res := MuxResult{ClientID: task.ClientID}
 	vc := m.client(task.ClientID)
 	opt := m.Opt
@@ -202,7 +176,7 @@ func (m *ClientMux) runTask(ws *ClientWorkspace, task MuxTask) MuxResult {
 		res.Round, res.Err = AbandonSession(task.Addr, opt)
 		return res
 	}
-	res.Round, res.Err = m.runSession(ws, vc, task.Addr, opt)
+	res.Round, res.Err = m.runSession(w, vc, task.Addr, opt)
 	if res.Err != nil {
 		vc.Backoff++
 		return res
@@ -215,71 +189,21 @@ func (m *ClientMux) runTask(ws *ClientWorkspace, task MuxTask) MuxResult {
 	return res
 }
 
-// runSession is RunRemoteClientRound on a reusable workspace: same
-// protocol, same per-round streams, no per-session model/arena/RNG
-// construction. The update bytes are bit-identical to the goroutine-per-
-// client path because every input to training — parameters, data shard,
-// RNG stream, noise keys — is derived exactly the same way.
-func (m *ClientMux) runSession(ws *ClientWorkspace, vc *VirtualClient, addr string, opt ClientOptions) (int, error) {
-	conn, err := opt.dial(addr)
-	if err != nil {
-		return 0, fmt.Errorf("fl: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	var rw io.ReadWriter = conn
-	if opt.Secure {
-		sc, err := Handshake(conn)
-		if err != nil {
-			return 0, err
-		}
-		rw = sc
-	}
-	sess, err := newClientSession(rw, opt.Codec)
+// runSession is RunRemoteClientRound on a reusable worker, with the
+// quantization residuals kept per virtual client.
+func (m *ClientMux) runSession(w *worker, vc *VirtualClient, addr string, opt ClientOptions) (int, error) {
+	s, err := openSession(addr, opt)
 	if err != nil {
 		return 0, err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return 0, fmt.Errorf("fl: reading params: %w", err)
-	}
-	if pm.Denied {
-		return 0, fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
-	}
-	if err := pm.Validate(); err != nil {
-		return 0, fmt.Errorf("fl: invalid round announcement: %w", err)
-	}
-	data := AdversaryShard(m.Adversary, vc.ID, m.Data.Client(vc.ID))
-	if pm.Cfg.Scenario.Name != "" {
-		p, err := pm.Cfg.Scenario.Partitioner()
-		if err != nil {
-			return 0, err
-		}
-		data = data.RepartitionAt(p, pm.Round)
-	}
-	ws.model.SetParams(TensorsFromWire(pm.Params))
-	ws.model.SetPrecision(pm.Cfg.Precision)
-	ws.rng.Reseed(m.Seed, 4, int64(pm.Round), int64(vc.ID))
-	ws.noise = ClientNoise(m.Seed, pm.Round, vc.ID)
-	ws.env = ClientEnv{
-		ClientID: vc.ID,
-		Round:    pm.Round,
-		Model:    ws.model,
-		Data:     data,
-		RNG:      ws.rng,
-		Cfg:      pm.Cfg,
-		Arena:    ws.arena,
-		Noise:    &ws.noise,
-	}
-	delta, _ := m.Strat.ClientUpdate(&ws.env)
-	if m.Adversary != nil {
-		m.Adversary.CorruptUpdate(pm.Round, vc.ID, delta)
-	}
+	defer s.conn.Close()
+	round := s.pm.Round
 	var qs *QuantState
-	if opt.Quant != QuantNone && pm.Round >= vc.NextRound {
+	if opt.Quant != QuantNone && round >= vc.NextRound {
 		// Error-feedback residuals bank each round exactly once; a
 		// re-served round re-submits the identical update without touching
 		// them (the MinRound contract, tracked per virtual client).
-		if vc.LastRound >= 0 && m.Population.AwayBetween(vc.LastRound+1, pm.Round, vc.ID) {
+		if vc.LastRound >= 0 && m.Population.AwayBetween(vc.LastRound+1, round, vc.ID) {
 			// The client departed and returned since it last trained: its
 			// banked rounding debt describes a model state the federation
 			// moved past without it. Replaying it would inject a stale
@@ -291,15 +215,6 @@ func (m *ClientMux) runSession(ws *ClientWorkspace, vc *VirtualClient, addr stri
 		}
 		qs = vc.Quant
 	}
-	if err := sess.WriteUpdateTensors(vc.ID, pm.Round, float64(data.Len()), delta, opt.Quant, qs); err != nil {
-		return pm.Round, fmt.Errorf("fl: sending update: %w", err)
-	}
-	var ack AckMsg
-	if err := sess.ReadAck(&ack); err != nil {
-		return pm.Round, fmt.Errorf("fl: reading update receipt: %w", err)
-	}
-	if !ack.Accepted {
-		return pm.Round, fmt.Errorf("fl: update not folded: %s", ack.Reason)
-	}
-	return pm.Round, nil
+	data := AdversaryShard(m.Adversary, vc.ID, m.Data.Client(vc.ID))
+	return round, s.submit(w, m.Strat, m.Seed, vc.ID, data, m.Adversary, opt.Quant, qs)
 }

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -11,9 +12,12 @@ import (
 
 // The multiplexed scheduler must be a pure scheduling change: the same
 // cohort served through ClientMux, at any worker count, must leave the
-// server's model bit-identical to the goroutine-per-client path. The fold
-// uses the exact aggregator so arrival order — the one thing scheduling
-// legitimately changes — cannot leak into the comparison.
+// server's model bit-identical to one RunRemoteClient goroutine per client —
+// cmd/fedclient's path. The two share the session opener and the client
+// step, so this compares what is left: a recycled worker against a fresh
+// one, over real wire bytes. The fold uses the exact aggregator so arrival
+// order — the one thing scheduling legitimately changes — cannot leak into
+// the comparison.
 func TestClientMuxMatchesPerClientGoroutines(t *testing.T) {
 	spec, err := dataset.Get("cancer")
 	if err != nil {
@@ -137,6 +141,42 @@ func TestClientMuxCursorsAndAbandon(t *testing.T) {
 	}
 	if got := mux.client(7).NextRound; got != 0 {
 		t.Fatalf("abandoning client NextRound = %d, want 0", got)
+	}
+}
+
+// A mux launched from one experiment config must refuse a server running
+// another, exactly as cmd/fedclient's session does: the digest check lives
+// in the shared session opener. Nothing is folded and the cursor stays put.
+func TestClientMuxRefusesMismatchedDigest(t *testing.T) {
+	spec, err := dataset.Get("cancer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
+	srv, err := NewRoundServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	mux := &ClientMux{Spec: spec.ModelSpec(), Data: dataset.New(spec, 42), Strat: sgdStrategy{}, Seed: 42,
+		Opt: ClientOptions{ExpectDigest: "feedfacefeedface"}}
+	done := make(chan []MuxResult, 1)
+	go func() { done <- mux.RunRound([]MuxTask{{ClientID: 0, Addr: srv.Addr()}}) }()
+	cfg := RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1, TotalRounds: 1, ConfigDigest: "0123456789abcdef"}
+	res, err := srv.StreamRound(0, model.Params(), cfg, NewFedSGD(), RoundOptions{Clients: 1, Deadline: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Folded != 0 || res.Failed != 1 {
+		t.Fatalf("round result %+v, want nothing folded and one failed session", res)
+	}
+	r := (<-done)[0]
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "server is running experiment 0123456789abcdef") {
+		t.Fatalf("mux session error %v, want the experiment-digest refusal", r.Err)
+	}
+	if got := mux.client(0).NextRound; got != 0 {
+		t.Fatalf("refusing client NextRound = %d, want 0", got)
 	}
 }
 

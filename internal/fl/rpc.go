@@ -625,13 +625,6 @@ type ClientOptions struct {
 	// rounds; share one per client process so rounding error is repaid
 	// instead of compounding. Nil quantizes without feedback.
 	QuantState *QuantState
-	// Adversary, when set, applies the plan's Byzantine corruption to the
-	// update after local training and before it is sent — how a deployment
-	// harness (core.RunSimnet) makes a simulated client hostile. Data
-	// poisoning is NOT applied here: the harness hands the client a
-	// poisoned shard view up front (fl.AdversaryShard), so the client
-	// trains on corrupted data exactly as the in-process runtimes do.
-	Adversary AdversaryPlan
 	// MinRound marks rounds below it as already completed by this client
 	// process. The server can re-serve a round the client finished (it
 	// cannot advance until every cohort slot resolves, and the protocol
@@ -692,37 +685,78 @@ func RunRemoteClientOpts(addr string, clientID int, strat Strategy, data *datase
 // and counting it would both exit the loop early and starve later rounds
 // of this client (see ClientOptions.MinRound and cmd/fedclient).
 func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64, opt ClientOptions) (int, error) {
+	s, err := openSession(addr, opt)
+	if err != nil {
+		return 0, err
+	}
+	defer s.conn.Close()
+	qs := opt.QuantState
+	if s.pm.Round < opt.MinRound {
+		// Re-serving a round this client already completed: submit the
+		// (deterministically identical) update so the session resolves
+		// honestly — the server acknowledges it as a duplicate — but do
+		// not bank its quantization error a second time.
+		qs = nil
+	}
+	return s.pm.Round, s.submit(newWorker(spec), strat, seed, clientID, data, nil, opt.Quant, qs)
+}
+
+// clientConn is one client-side session opened up to the round
+// announcement.
+type clientConn struct {
+	wireSession
+	conn net.Conn
+	pm   ParamMsg
+}
+
+// openSession is the client half of the protocol up to and including the
+// round announcement — dial, the optional encryption handshake, codec
+// negotiation, the ParamMsg, the server's refusal, structural validation
+// and the experiment-digest check — shared by every kind of session: the
+// training client, the mux worker, the abandoning client and the edge
+// forwarding a partial. The caller closes conn.
+func openSession(addr string, opt ClientOptions) (s *clientConn, err error) {
 	conn, err := opt.dial(addr)
 	if err != nil {
-		return 0, fmt.Errorf("fl: dialing %s: %w", addr, err)
+		return nil, fmt.Errorf("fl: dialing %s: %w", addr, err)
 	}
-	defer conn.Close()
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
 	var rw io.ReadWriter = conn
 	if opt.Secure {
 		sc, err := Handshake(conn)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		rw = sc
 	}
-
 	sess, err := newClientSession(rw, opt.Codec)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return 0, fmt.Errorf("fl: reading params: %w", err)
+	s = &clientConn{wireSession: sess, conn: conn}
+	if err := s.ReadParam(&s.pm); err != nil {
+		return nil, fmt.Errorf("fl: reading params: %w", err)
 	}
-	if pm.Denied {
-		return 0, fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
+	if s.pm.Denied {
+		return nil, fmt.Errorf("%w: %s", ErrRoundClosed, s.pm.Reason)
 	}
-	if err := pm.Validate(); err != nil {
-		return 0, fmt.Errorf("fl: invalid round announcement: %w", err)
+	if err := s.pm.Validate(); err != nil {
+		return nil, fmt.Errorf("fl: invalid round announcement: %w", err)
 	}
-	if opt.ExpectDigest != "" && pm.Cfg.ConfigDigest != "" && pm.Cfg.ConfigDigest != opt.ExpectDigest {
-		return 0, fmt.Errorf("fl: server is running experiment %s, this client was configured for %s", pm.Cfg.ConfigDigest, opt.ExpectDigest)
+	if d := s.pm.Cfg.ConfigDigest; opt.ExpectDigest != "" && d != "" && d != opt.ExpectDigest {
+		return nil, fmt.Errorf("fl: server is running experiment %s, this client was configured for %s", d, opt.ExpectDigest)
 	}
+	return s, nil
+}
+
+// submit trains the announced round as client id on the worker and sends
+// the update; a nil return means the server acknowledged folding it.
+func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data *dataset.ClientData, adv AdversaryPlan, quant int, qs *QuantState) error {
+	pm := &s.pm
 	if pm.Cfg.Scenario.Name != "" {
 		// The server published a heterogeneity scenario with the round
 		// config: repartition the local dataset view so this client's shard
@@ -731,85 +765,44 @@ func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *datas
 		// decaying label noise) resolve to the same shard on every runtime.
 		p, err := pm.Cfg.Scenario.Partitioner()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		data = data.RepartitionAt(p, pm.Round)
 	}
-	model := nn.Build(spec, tensor.NewRNG(0))
-	model.SetParams(TensorsFromWire(pm.Params))
-	model.SetPrecision(pm.Cfg.Precision)
-	arena := tensor.NewArena()
-	model.UseArena(arena)
-	noise := ClientNoise(seed, pm.Round, clientID)
-	env := &ClientEnv{
-		ClientID: clientID,
-		Round:    pm.Round,
-		Model:    model,
-		Data:     data,
-		RNG:      tensor.Split(seed, 4, int64(pm.Round), int64(clientID)),
-		Cfg:      pm.Cfg,
-		Arena:    arena,
-		Noise:    &noise,
+	delta, _ := w.step(strat, seed, pm.Round, id, TensorsFromWire(pm.Params), pm.Cfg, data, adv)
+	if err := s.WriteUpdateTensors(id, pm.Round, float64(data.Len()), delta, quant, qs); err != nil {
+		return fmt.Errorf("fl: sending update: %w", err)
 	}
-	delta, _ := strat.ClientUpdate(env)
-	if opt.Adversary != nil {
-		opt.Adversary.CorruptUpdate(pm.Round, clientID, delta)
-	}
-	qs := opt.QuantState
-	if pm.Round < opt.MinRound {
-		// Re-serving a round this client already completed: submit the
-		// (deterministically identical) update so the session resolves
-		// honestly — the server acknowledges it as a duplicate — but do
-		// not bank its quantization error a second time.
-		qs = nil
-	}
-	if err := sess.WriteUpdateTensors(clientID, pm.Round, float64(data.Len()), delta, opt.Quant, qs); err != nil {
-		return pm.Round, fmt.Errorf("fl: sending update: %w", err)
-	}
+	return s.receipt("update")
+}
+
+// receipt reads the server's ack for what the session just sent.
+func (s *clientConn) receipt(what string) error {
 	var ack AckMsg
-	if err := sess.ReadAck(&ack); err != nil {
-		return pm.Round, fmt.Errorf("fl: reading update receipt: %w", err)
+	if err := s.ReadAck(&ack); err != nil {
+		return fmt.Errorf("fl: reading %s receipt: %w", what, err)
 	}
 	if !ack.Accepted {
-		return pm.Round, fmt.Errorf("fl: update not folded: %s", ack.Reason)
+		return fmt.Errorf("fl: %s not folded: %s", what, ack.Reason)
 	}
-	return pm.Round, nil
+	return nil
 }
 
 // AbandonSession connects to a round server, receives the round
 // announcement, and disconnects without submitting an update — the wire
 // footprint of a client that crashes mid-round (or whose update is lost in
 // transit). The server observes the session error and counts the client as
-// failed; fault-injection harnesses (core.RunSimnet) use this to realize a
-// plan's crash and drop events at the transport level. Returns the
+// failed; fault-injection harnesses (ClientMux's Abandon tasks) use this to
+// realize a plan's crash and drop events at the transport level. Returns the
 // announced round, or an error if no announcement arrived (e.g. the
 // session was denied).
 func AbandonSession(addr string, opt ClientOptions) (int, error) {
-	conn, err := opt.dial(addr)
-	if err != nil {
-		return 0, fmt.Errorf("fl: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	var rw io.ReadWriter = conn
-	if opt.Secure {
-		sc, err := Handshake(conn)
-		if err != nil {
-			return 0, err
-		}
-		rw = sc
-	}
-	sess, err := newClientSession(rw, opt.Codec)
+	s, err := openSession(addr, opt)
 	if err != nil {
 		return 0, err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return 0, fmt.Errorf("fl: reading params: %w", err)
-	}
-	if pm.Denied {
-		return 0, fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
-	}
-	return pm.Round, nil
+	s.conn.Close()
+	return s.pm.Round, nil
 }
 
 // SendPartial forwards an edge aggregator's partial fold to the root for a
@@ -819,42 +812,16 @@ func AbandonSession(addr string, opt ClientOptions) (int, error) {
 // must match round, or the session resolves as an error. A nil return
 // means the root acknowledged folding the partial.
 func SendPartial(addr string, shard, round int, p *Partial, opt ClientOptions) error {
-	conn, err := opt.dial(addr)
-	if err != nil {
-		return fmt.Errorf("fl: dialing %s: %w", addr, err)
-	}
-	defer conn.Close()
-	var rw io.ReadWriter = conn
-	if opt.Secure {
-		sc, err := Handshake(conn)
-		if err != nil {
-			return err
-		}
-		rw = sc
-	}
-	sess, err := newClientSession(rw, opt.Codec)
+	s, err := openSession(addr, opt)
 	if err != nil {
 		return err
 	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		return fmt.Errorf("fl: reading params: %w", err)
+	defer s.conn.Close()
+	if s.pm.Round != round {
+		return fmt.Errorf("fl: root is serving round %d, partial is for %d", s.pm.Round, round)
 	}
-	if pm.Denied {
-		return fmt.Errorf("%w: %s", ErrRoundClosed, pm.Reason)
-	}
-	if pm.Round != round {
-		return fmt.Errorf("fl: root is serving round %d, partial is for %d", pm.Round, round)
-	}
-	if err := sess.WriteUpdate(&UpdateMsg{ClientID: shard, Round: round, Partial: p.Wire()}); err != nil {
+	if err := s.WriteUpdate(&UpdateMsg{ClientID: shard, Round: round, Partial: p.Wire()}); err != nil {
 		return fmt.Errorf("fl: sending partial: %w", err)
 	}
-	var ack AckMsg
-	if err := sess.ReadAck(&ack); err != nil {
-		return fmt.Errorf("fl: reading partial receipt: %w", err)
-	}
-	if !ack.Accepted {
-		return fmt.Errorf("fl: partial not folded: %s", ack.Reason)
-	}
-	return nil
+	return s.receipt("partial")
 }

@@ -61,14 +61,8 @@ func dispatchCohort(cfg Config, cohort []int, round int, workers *workerPool, gl
 				results <- clientResult{idx: i, lost: true}
 				return
 			}
-			w.model.SetParams(globalParams)
-			w.model.SetPrecision(cfg.Round.Precision)
 			data := clientShard(cfg, round, id)
-			upd, st := cfg.Strategy.ClientUpdate(w.envFor(cfg, round, id, data))
-			// Client-side Byzantine corruption: applied after training,
-			// before the transit-loss coin — a corrupted update can still be
-			// dropped.
-			corruptUpdate(cfg, round, id, upd)
+			upd, st := w.step(cfg.Strategy, cfg.Seed, round, id, globalParams, cfg.Round, data, adversary(cfg))
 			if cfg.Faults != nil && cfg.Faults.DropUpdate(round, id) {
 				// The update was computed but lost in transit.
 				results <- clientResult{idx: i, lost: true}
@@ -79,9 +73,9 @@ func dispatchCohort(cfg Config, cohort []int, round int, workers *workerPool, gl
 	}
 }
 
-// runStreamingRound executes one round and returns its stats (Round is
-// filled by the caller).
-func runStreamingRound(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool, serverRNG *tensor.RNG, agg Aggregator, clock Clock) RoundStats {
+// Round implements RoundRunner: the streaming round.
+func (l *localRunner) Round(round int, cohort []int, global *nn.Model) (RoundStats, error) {
+	cfg, agg := l.cfg, l.agg
 	params := global.Params()
 	agg.Begin(params)
 
@@ -94,7 +88,7 @@ func runStreamingRound(cfg Config, global *nn.Model, cohort []int, round int, wo
 	// seed and the survivor set (barrier_test.go pins it bit-identical to
 	// the lockstep oracle).
 	commit := func(res clientResult) {
-		serverSanitize(cfg, round, res.idx, res.update, serverRNG)
+		serverSanitize(cfg, round, res.idx, res.update, l.serverRNG)
 		foldClientInto(agg, cohort[res.idx], res.update, res.weight)
 		folded++
 		rs.MeanGradNorm += res.stats.MeanGradNorm
@@ -146,11 +140,11 @@ func runStreamingRound(cfg Config, global *nn.Model, cohort []int, round int, wo
 		results := make(chan clientResult, len(cohort))
 		cancel := make(chan struct{})
 		defer close(cancel)
-		go dispatchCohort(cfg, cohort, round, workers, tensor.CloneAll(params), results, cancel)
+		go dispatchCohort(cfg, cohort, round, l.workers, tensor.CloneAll(params), results, cancel)
 
 		var deadlineC <-chan time.Time
 		if cfg.RoundDeadline > 0 {
-			deadlineC = clock.After(cfg.RoundDeadline)
+			deadlineC = l.clock.After(cfg.RoundDeadline)
 		}
 		received := 0
 	collect:
@@ -188,5 +182,5 @@ func runStreamingRound(cfg Config, global *nn.Model, cohort []int, round int, wo
 	if rs.Committed {
 		agg.Commit(params)
 	}
-	return rs
+	return rs, nil
 }
