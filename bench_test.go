@@ -6,6 +6,11 @@ package fedcdp
 // design decisions called out in DESIGN.md, and micro-benchmarks for the
 // performance-critical primitives.
 //
+// These are developer instruments: CI runs each once to prove it still
+// compiles and executes, and nothing compares their numbers. The repo's one
+// perf gate is BENCHMARK.json + benchmark/ (`bash benchmark/run.sh`, and
+// `-compare base.json head.json` between two result sets).
+//
 // Experiment benchmarks print their report once (first iteration) so that
 // bench output doubles as a record of the regenerated rows.
 
@@ -656,8 +661,8 @@ func BenchmarkGobTransportRound(b *testing.B) {
 // in-memory simnet fabric — RoundServer on a fabric listener, every cohort
 // member a real wire session played by the client mux, virtual time — the substrate the
 // fault matrix and every future chaos/scale test stands on, under both
-// wire codecs. The null/gob row is the BENCH_simnet.json baseline
-// (rounds/sec of pure fabric + protocol overhead); the faulted plans add
+// wire codecs. The null/gob row is rounds/sec of pure fabric + protocol
+// overhead; the faulted plans add
 // the acceptance scenario's chaos, whose latency costs zero wall time by
 // construction; the binary rows measure what the framed codec (see
 // DESIGN.md, "Wire codec") buys once gob's per-session reflection and
@@ -693,9 +698,8 @@ func BenchmarkSimnetRounds(b *testing.B) {
 // no population clauses (static fast path — global accountant, legacy
 // cohort draws), with one-shot arrivals/departures, and under memoryless
 // churn (both on the dynamic path: per-round active sets, active-set
-// cohort draws, per-user ε ledgers). Baselines in BENCH_churn.json; the
-// tables -exp bench gate keeps the open-world machinery from taxing
-// closed-world runs.
+// cohort draws, per-user ε ledgers). The closed row is what the open-world
+// machinery must not tax (gated end to end by benchmark/'s churn-2k).
 func BenchmarkChurn(b *testing.B) {
 	for _, tc := range []struct{ name, plan string }{
 		{"closed", ""},
@@ -725,8 +729,7 @@ func BenchmarkChurn(b *testing.B) {
 // streaming FedSGD mean along the cohort-size axis: the robust rules
 // buffer raw updates (O(Kt·model) memory) and compute order statistics at
 // Commit — median and trimmed mean sort per coordinate (trimmed also sums
-// survivors exactly), Krum scores O(Kt²) pairwise distances. Baselines in
-// BENCH_robust.json.
+// survivors exactly), Krum scores O(Kt²) pairwise distances.
 func BenchmarkRobustAgg(b *testing.B) {
 	const dim = 4096
 	for _, kt := range []int{8, 32} {

@@ -1,27 +1,27 @@
 // Command fedclient joins a fedserve task as one client: each round it
-// downloads the global model, trains locally with the chosen privacy
+// downloads the global model, trains locally with the experiment's privacy
 // method, and uploads its (possibly sanitized, possibly sparse-encoded)
 // update. Transient failures — the server restarting, a missed round, a
 // dropped connection — are retried with exponential backoff instead of
-// killing the client; it exits cleanly when the server answers that no
-// further rounds remain.
+// killing the client; it exits cleanly after training.rounds updates, or
+// when the server answers that no further rounds remain.
 //
-//	fedclient -addr 127.0.0.1:7070 -dataset cancer -id 0 -method fedcdp -rounds 5
 //	fedclient -config configs/fault-acceptance.yaml -addr 127.0.0.1:7070 -id 3
 //
-// -config loads a declarative experiment file (see internal/config): the
-// client takes its dataset, method and seed from the file (flags given
-// alongside override it) and verifies the server's published config digest
-// against its own — a config-driven fleet cannot silently train against a
-// server running a different experiment.
+// The experiment (-config, -set; see internal/config) must be the server's:
+// the client takes dataset, seed, method and its parameters, codec and
+// quantization from it, and refuses a server publishing any other config
+// digest — a fleet cannot silently train against a different experiment.
+// What is not experiment identity stays a flag: -addr, -id, -secure and
+// the reconnect policy (-backoff, -max-backoff, -give-up).
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"fedcdp/internal/config"
@@ -31,71 +31,54 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "server address")
-	dsName := flag.String("dataset", "cancer", "benchmark dataset (must match server)")
-	id := flag.Int("id", 0, "client id (selects the local shard)")
-	method := flag.String("method", core.MethodFedCDP, "privacy method: "+strings.Join(core.Methods(), ", "))
-	rounds := flag.Int("rounds", 3, "rounds to participate in")
-	clip := flag.Float64("clip", 4, "clipping bound C")
-	sigma := flag.Float64("sigma", 0.06, "noise scale")
-	secure := flag.Bool("secure", false, "encrypted channel (must match server)")
-	codec := flag.String("codec", "", "preferred wire codec: gob (default) or binary (falls back to gob against a gob server)")
-	quant := flag.Int("quant", 0, "update quantization width on the binary codec: 0 (exact), 8 or 16 bits")
-	seed := flag.Int64("seed", 42, "root seed (must match server for data)")
-	minBackoff := flag.Duration("backoff", 100*time.Millisecond, "initial reconnect backoff")
-	maxBackoff := flag.Duration("max-backoff", 10*time.Second, "reconnect backoff cap")
-	giveUp := flag.Duration("give-up", 2*time.Minute, "exit after this long without a successful round (0 = retry forever)")
-	cfgPath := flag.String("config", "", "declarative experiment config file; flags given alongside override it (see DESIGN.md, \"Experiment configs\")")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "fedclient:", err)
+		os.Exit(1)
+	}
+}
 
-	digest := ""
-	if *cfgPath != "" {
-		exp, err := config.Load(*cfgPath)
-		if err != nil {
-			fatal(err)
-		}
-		flagSrc := config.FromCore(core.Config{
-			Dataset: *dsName, Method: *method, Clip: *clip, Sigma: *sigma,
-			Codec: *codec, Seed: *seed,
-		}, false)
-		flagSrc.Codec.Quant = *quant
-		config.ApplyFlagOverrides(flag.CommandLine, exp, flagSrc)
-		if err := exp.Validate(); err != nil {
-			fatal(err)
-		}
-		*dsName, *method = exp.Data.Dataset, exp.Method.Name
-		*clip, *sigma = exp.Method.Clip, exp.Method.Sigma
-		*codec, *quant, *seed = exp.Codec.Wire, exp.Codec.Quant, exp.Seed
-		digest = exp.Digest()
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("fedclient", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cf config.Flags
+	cf.Register(fs)
+	addr := fs.String("addr", "127.0.0.1:7070", "server address")
+	id := fs.Int("id", 0, "client id (selects the local shard)")
+	secure := fs.Bool("secure", false, "encrypted channel (must match server)")
+	minBackoff := fs.Duration("backoff", 100*time.Millisecond, "initial reconnect backoff")
+	maxBackoff := fs.Duration("max-backoff", 10*time.Second, "reconnect backoff cap")
+	giveUp := fs.Duration("give-up", 2*time.Minute, "exit after this long without a successful round (0 = retry forever)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-
-	spec, err := dataset.Get(*dsName)
+	exp, err := cf.Load()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	ds := dataset.New(spec, *seed)
-	strat, err := core.Config{Method: *method, Clip: *clip, Sigma: *sigma}.Strategy()
+	if exp.Method.Name == core.MethodFedSDPSrv {
+		return core.ServerSanitizeRefusal("fedserve's")
+	}
+	spec, err := dataset.Get(exp.Data.Dataset)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if !fl.ValidCodec(*codec) {
-		fatal(fmt.Errorf("unknown wire codec %q", *codec))
-	}
-	if !fl.ValidQuant(*quant) {
-		fatal(fmt.Errorf("quantization width %d not in {0, 8, 16}", *quant))
+	cfg := exp.CoreConfig().WithDefaults(spec)
+	ds := dataset.New(spec, cfg.Seed)
+	strat, err := cfg.Strategy()
+	if err != nil {
+		return err
 	}
 	// One options value for the whole run: the quantization error-feedback
 	// state must survive reconnects and server restarts so rounding error
 	// banked in round r is repaid in round r+1. ExpectDigest makes the
 	// client refuse a server publishing a different experiment digest.
-	opt := fl.ClientOptions{Secure: *secure, Codec: *codec, Quant: *quant, QuantState: &fl.QuantState{}, ExpectDigest: digest}
+	opt := fl.ClientOptions{Secure: *secure, Codec: cfg.Codec, Quant: cfg.Quant, QuantState: &fl.QuantState{}, ExpectDigest: cfg.ConfigDigest}
 
-	fmt.Printf("fedclient %d: joining %s as %s\n", *id, *addr, strat.Name())
+	fmt.Fprintf(stdout, "fedclient %d: joining %s as %s, experiment %s\n", *id, *addr, strat.Name(), cfg.ConfigDigest)
 	backoff := *minBackoff
 	lastSuccess := time.Now()
-	for done := 0; done < *rounds; {
-		round, rerr := fl.RunRemoteClientRound(*addr, *id, strat, ds.Client(*id), spec.ModelSpec(), *seed, opt)
-		err = rerr
+	for done := 0; done < cfg.Rounds; {
+		round, err := fl.RunRemoteClientRound(*addr, *id, strat, ds.Client(*id), spec.ModelSpec(), cfg.Seed, opt)
 		switch {
 		case err == nil && round < opt.MinRound:
 			// The server re-served a round this client already completed
@@ -111,12 +94,12 @@ func main() {
 			opt.MinRound = round + 1
 			backoff = *minBackoff
 			lastSuccess = time.Now()
-			fmt.Printf("fedclient %d: update %d/%d sent (round %d)\n", *id, done, *rounds, round)
+			fmt.Fprintf(stdout, "fedclient %d: update %d/%d sent (round %d)\n", *id, done, cfg.Rounds, round)
 		case errors.Is(err, fl.ErrRoundClosed):
 			// The server answered explicitly that no round remains — a
 			// clean end of task, not a failure.
-			fmt.Printf("fedclient %d: server finished after %d updates\n", *id, done)
-			return
+			fmt.Fprintf(stdout, "fedclient %d: server finished after %d updates\n", *id, done)
+			return nil
 		default:
 			// Dial errors, EOFs and resets from a restarting server,
 			// missed rounds: survive them all and retry with exponential
@@ -124,19 +107,15 @@ func main() {
 			// it already accepted, so -give-up bounds how long a client
 			// keeps probing a peer that went away for good.
 			if *giveUp > 0 && time.Since(lastSuccess) > *giveUp {
-				fatal(fmt.Errorf("giving up after %v without a successful round: %w", *giveUp, err))
+				return fmt.Errorf("giving up after %v without a successful round: %w", *giveUp, err)
 			}
-			fmt.Printf("fedclient %d: %v — retrying in %v\n", *id, err, backoff)
+			fmt.Fprintf(stdout, "fedclient %d: %v — retrying in %v\n", *id, err, backoff)
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > *maxBackoff {
 				backoff = *maxBackoff
 			}
 		}
 	}
-	fmt.Printf("fedclient %d: done\n", *id)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fedclient:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "fedclient %d: done\n", *id)
+	return nil
 }

@@ -1,46 +1,33 @@
 // Command tables regenerates the paper's tables and figures from the
 // reproduction library.
 //
-// Usage:
-//
-//	tables -exp table6            # one experiment
-//	tables -exp all -scale 0.5    # everything, at half the default effort
+//	tables -set experiment.name=table6                   # one experiment
+//	tables -set experiment.scale=0.5                     # everything, at half the default effort
 //	tables -config configs/attack-matrix.yaml
-//	tables -exp bench             # replay the BENCH_*.json perf baselines
+//	tables -set experiment.name=table2 -set data.scenario=dirichlet -set data.alpha=0.1 -format csv
 //
-// Scale trades fidelity for time: 1 is the CPU-friendly default, larger
-// values approach the paper's GPU-scale parameters. Table VI always runs at
-// the paper's exact parameters (it is a pure computation).
-//
-// Beyond the paper's tables, "-exp faults" renders the fault-sensitivity
-// matrix: {scenario × method × fault plan} under deterministic
-// fault injection (see DESIGN.md, "Simnet").
-//
-// "-exp bench" is the perf regression gate: it re-runs the six recorded
-// BENCH_*.json baselines (partition, sanitize, simnet, wire, scale,
-// robust), compares the median ns/op of each benchmark against the
-// recorded number, and exits non-zero with a per-benchmark diff when a
-// median regresses past -bench-threshold. -bench-update rewrites the
-// recorded numbers instead (see DESIGN.md, "Experiment configs").
-//
-// -config loads a declarative experiment file (internal/config): the
-// file's experiment block selects the driver, flags given alongside
-// override the file, every report is stamped with the config's canonical
-// digest, and a sweep block fans the suite out over seeds in parallel.
+// experiment.name selects the driver (table1..table7, fig1, fig3, fig4,
+// fig5, faults, byzantine, churn); unset, every driver runs.
+// experiment.scale trades fidelity for time: 1 is the CPU-friendly default,
+// larger values approach the paper's GPU-scale parameters (Table VI always
+// runs at the paper's exact parameters — it is a pure computation). The
+// drivers take seed, precision, codec, scenario and the aggregation block
+// from the experiment (-config, -set; see internal/config), every report is
+// stamped with its canonical digest, and a sweep block fans the suite out
+// over seeds, -sweep-workers at a time.
 package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"fedcdp/internal/config"
-	"fedcdp/internal/dataset"
 	"fedcdp/internal/experiments"
 )
 
@@ -61,116 +48,57 @@ func writeCSV(out io.Writer, rep *experiments.Report) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1..table7, fig1, fig3, fig4, fig5, faults, byzantine, churn), 'all', or 'bench' (perf regression gate)")
-	scale := flag.Float64("scale", 1, "effort multiplier (1 = default scaled-down run)")
-	seed := flag.Int64("seed", 42, "root random seed")
-	format := flag.String("format", "text", "output format: text or csv")
-	scenario := flag.String("scenario", "", "data-heterogeneity scenario: "+strings.Join(dataset.ScenarioNames(), ", ")+" (default iid)")
-	alpha := flag.Float64("alpha", 0, "dirichlet concentration (0 = default 0.5)")
-	shards := flag.Int("shards", 0, "pathological label shards per client (0 = default 2)")
-	aggRule := flag.String("agg", "", "aggregation rule: fedsgd (default), fedavg, weighted (pair with -scenario quantity), or robust — median, trimmed[:beta], krum[:f]")
-	precision := flag.String("precision", "", "client GEMM precision: fp64 (default, parity oracle) or fp32 (see DESIGN.md)")
-	codec := flag.String("codec", "", "wire codec: gob (default, parity oracle) or binary (see DESIGN.md)")
-	cfgPath := flag.String("config", "", "declarative experiment config file; flags given alongside override it (see DESIGN.md, \"Experiment configs\")")
-	sweepWorkers := flag.Int("sweep-workers", 0, "parallel runs for a config sweep block (0 = GOMAXPROCS)")
-	benchThreshold := flag.Float64("bench-threshold", 0, "bench gate: allowed fractional median slowdown (0 = default, see DESIGN.md)")
-	benchUpdate := flag.Bool("bench-update", false, "bench gate: rewrite the BENCH_*.json baselines with the new medians")
-	benchCount := flag.Int("bench-count", 3, "bench gate: runs per benchmark (median taken)")
-	benchTime := flag.String("bench-time", "1x", "bench gate: -benchtime per run")
-	benchOnly := flag.String("bench-only", "", "bench gate: only baselines whose file name contains this substring")
-	flag.Parse()
-
-	if *exp == "bench" {
-		ok, err := experiments.RunBench(experiments.BenchOptions{
-			Threshold: *benchThreshold,
-			Count:     *benchCount,
-			Benchtime: *benchTime,
-			Update:    *benchUpdate,
-			Only:      *benchOnly,
-			Out:       os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables: bench:", err)
-			os.Exit(1)
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "tables: bench: perf regression past threshold (see diff above; -bench-update re-records)")
-			os.Exit(1)
-		}
-		return
-	}
-
-	name := *exp
-	var opts experiments.Options
-	var runs []*config.Experiment
-	if *cfgPath != "" {
-		ec, err := config.Load(*cfgPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		config.ApplyFlagOverrides(flag.CommandLine, ec, flagExperiment(*seed, *exp, *scale, *scenario, *alpha, *shards, *aggRule, *precision, *codec))
-		if err := ec.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		runs = ec.Expand()
-		if ec.Experiment.Name != "" {
-			name = ec.Experiment.Name
-		}
-	} else {
-		opts = experiments.Options{
-			Scale: *scale, Seed: *seed,
-			Scenario:    dataset.Scenario{Name: *scenario, Alpha: *alpha, Shards: *shards},
-			Aggregation: *aggRule,
-			Precision:   *precision,
-			Codec:       *codec,
-		}
-	}
-
-	if len(runs) > 1 {
-		// A sweep block fans the suite out over seeds, in parallel across
-		// cores; reports are buffered and printed in sweep order.
-		out := make([]string, len(runs))
-		var mu sync.Mutex
-		err := config.RunSweep(runs, *sweepWorkers, func(i int, e *config.Experiment) error {
-			var b strings.Builder
-			if rerr := runExperiments(name, experiments.FromExperiment(e), *format, &b); rerr != nil {
-				return fmt.Errorf("seed %d: %w", e.Seed, rerr)
-			}
-			mu.Lock()
-			out[i] = fmt.Sprintf("--- sweep seed=%d digest=%s ---\n%s", e.Seed, e.Digest(), b.String())
-			mu.Unlock()
-			return nil
-		})
-		for _, s := range out {
-			fmt.Print(s)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tables:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(runs) == 1 {
-		opts = experiments.FromExperiment(runs[0])
-	}
-	if err := runExperiments(name, opts, *format, os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "tables:", err)
 		os.Exit(1)
 	}
 }
 
-// runExperiments executes one experiment id (or "all") and renders every
-// report to w; per-experiment timing still goes to stderr.
-func runExperiments(name string, opts experiments.Options, format string, w io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cf config.Flags
+	cf.Register(fs)
+	format := fs.String("format", "text", "output format: text or csv")
+	sweepWorkers := fs.Int("sweep-workers", 0, "parallel runs for a config sweep block (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	exp, err := cf.Load()
+	if err != nil {
+		return err
+	}
+	runs := exp.Expand()
+	if len(runs) == 1 {
+		return runExperiments(runs[0], *format, stdout, stderr)
+	}
+	// A sweep block fans the suite out over seeds, in parallel across
+	// cores; reports are buffered and printed in sweep order.
+	out := make([]strings.Builder, len(runs))
+	err = config.RunSweep(runs, *sweepWorkers, func(i int, e *config.Experiment) error {
+		fmt.Fprintf(&out[i], "--- sweep seed=%d digest=%s ---\n", e.Seed, e.Digest())
+		if rerr := runExperiments(e, *format, &out[i], stderr); rerr != nil {
+			return fmt.Errorf("seed %d: %w", e.Seed, rerr)
+		}
+		return nil
+	})
+	for i := range out {
+		fmt.Fprint(stdout, out[i].String())
+	}
+	return err
+}
+
+// runExperiments executes the experiment's driver (every driver when
+// experiment.name is unset) and renders each report to w; per-experiment
+// timing goes to stderr.
+func runExperiments(e *config.Experiment, format string, w, stderr io.Writer) error {
 	names := experiments.Names()
-	if name != "all" {
-		names = []string{name}
+	if e.Experiment.Name != "" {
+		names = []string{e.Experiment.Name}
 	}
 	for _, n := range names {
 		start := time.Now()
-		rep, err := experiments.Run(n, opts)
+		rep, err := experiments.Run(n, experiments.FromExperiment(e))
 		if err != nil {
 			return fmt.Errorf("%s: %w", n, err)
 		}
@@ -179,21 +107,7 @@ func runExperiments(name string, opts experiments.Options, format string, w io.W
 		} else {
 			rep.Fprint(w)
 		}
-		fmt.Fprintf(os.Stderr, "(%s completed in %s)\n", n, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "(%s completed in %s)\n", n, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-func flagExperiment(seed int64, exp string, scale float64, scenario string, alpha float64, shards int, aggRule, precision, codec string) *config.Experiment {
-	e := config.Default()
-	e.Seed = seed
-	e.Experiment.Name = exp
-	e.Experiment.Scale = scale
-	e.Data.Scenario = scenario
-	e.Data.Alpha = alpha
-	e.Data.Shards = shards
-	e.Aggregation.Rule = aggRule
-	e.Model.Precision = precision
-	e.Codec.Wire = codec
-	return e
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // The cross-silo scenario as one config document; the method sweep below
-// overrides method.name per run the way `fedtrain -config ... -method m`
+// sets method.name per run the way `fedtrain -config ... -set method.name=m`
 // does, each override re-stamping the experiment's identity.
 const scenario = `
 version: 1
@@ -52,9 +52,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		override := config.Default()
-		override.Method.Name = method
-		config.Override(exp, "method", override)
+		if err := config.Set(exp, "method.name", method); err != nil {
+			log.Fatal(err)
+		}
 		if err := exp.Validate(); err != nil {
 			log.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 //
 // The run is declared as a config document — the same format the binaries
 // load with -config (see DESIGN.md, "Experiment configs"): omitted keys
-// mean the flag defaults, and the document's canonical digest identifies
+// mean config.Default, and the document's canonical digest identifies
 // the experiment in every artifact it produces.
 //
 //	go run ./examples/quickstart

@@ -7,8 +7,21 @@ package fedcdp
 // downstream user would.
 
 import (
+	"bufio"
+	"bytes"
+	"context"
 	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"fedcdp/internal/attack"
 	"fedcdp/internal/config"
@@ -62,7 +75,7 @@ func TestEndToEndPrivacyStory(t *testing.T) {
 }
 
 // TestEndToEndConfigDrivenRun is the declarative path end to end: a config
-// document determines a run, flags override it the way the binaries do, and
+// document determines a run, -set overrides it the way the binaries do, and
 // the digest stamped through core.Config identifies exactly the experiment
 // that produced the result.
 func TestEndToEndConfigDrivenRun(t *testing.T) {
@@ -107,21 +120,21 @@ training:
 		t.Fatalf("config-driven Fed-CDP run accuracy %v (ok=%v)", acc, ok)
 	}
 
-	// The override path the binaries use: -method on the command line wins
-	// over the file, and the re-stamped experiment digests differently.
+	// The override path the binaries use: -set on the command line wins over
+	// the file, through the same setter and validator, and the overridden
+	// experiment digests differently.
+	path := filepath.Join(t.TempDir(), "exp.yaml")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	fs := flag.NewFlagSet("fedtrain", flag.ContinueOnError)
-	method := fs.String("method", core.MethodFedCDP, "")
-	if err := fs.Parse([]string{"-method", core.MethodNonPrivate}); err != nil {
+	var cf config.Flags
+	cf.Register(fs)
+	if err := fs.Parse([]string{"-config", path, "-set", "method.name=" + core.MethodNonPrivate}); err != nil {
 		t.Fatal(err)
 	}
-	overridden, err := config.Parse(doc)
+	overridden, err := cf.Load()
 	if err != nil {
-		t.Fatal(err)
-	}
-	src := config.Default()
-	src.Method.Name = *method
-	config.ApplyFlagOverrides(fs, overridden, src)
-	if err := overridden.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if overridden.Method.Name != core.MethodNonPrivate {
@@ -206,6 +219,144 @@ func TestEndToEndCheckpointedDeployment(t *testing.T) {
 	for i, x := range xs {
 		if p := resumed.Final.Predict(x); p < 0 || p >= spec.Classes {
 			t.Fatalf("prediction %d out of range for example %d (label %d)", p, i, ys[i])
+		}
+	}
+}
+
+// binaries builds the five commands once per test process; the tests below
+// drive them as a user would, from configs/*.yaml.
+var binaries struct {
+	once sync.Once
+	dir  string
+	err  error
+}
+
+func binary(t *testing.T, name string) string {
+	t.Helper()
+	binaries.once.Do(func() {
+		if binaries.dir, binaries.err = os.MkdirTemp("", "fedcdp-bin"); binaries.err != nil {
+			return
+		}
+		if out, err := exec.Command("go", "build", "-o", binaries.dir+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
+			binaries.err = fmt.Errorf("go build ./cmd/...: %v\n%s", err, out)
+		}
+	})
+	if binaries.err != nil {
+		t.Fatal(binaries.err)
+	}
+	return filepath.Join(binaries.dir, name)
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binaries.dir != "" {
+		os.RemoveAll(binaries.dir)
+	}
+	os.Exit(code)
+}
+
+// TestBinariesFlagSurface pins the whole command-line surface: -config and
+// -set name the experiment, and the only other flags are the ones that are
+// not experiment identity. A flag that respells a schema key fails here.
+func TestBinariesFlagSurface(t *testing.T) {
+	want := map[string][]string{
+		"fedtrain":  {"checkpoint-in", "checkpoint-out", "config", "set", "sweep-workers"},
+		"fedserve":  {"addr", "config", "secure", "set"},
+		"fedclient": {"addr", "backoff", "config", "give-up", "id", "max-backoff", "secure", "set"},
+		"fedattack": {"batch", "client", "config", "mask", "max-iters", "optimizer", "out", "set", "type"},
+		"tables":    {"config", "format", "set", "sweep-workers"},
+	}
+	flagLine := regexp.MustCompile(`(?m)^  -([a-z-]+)`)
+	total := 0
+	for name, flags := range want {
+		usage, _ := exec.Command(binary(t, name), "-h").CombinedOutput()
+		var got []string
+		for _, m := range flagLine.FindAllSubmatch(usage, -1) {
+			got = append(got, string(m[1]))
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, flags) {
+			t.Errorf("%s defines flags %v, want %v", name, got, flags)
+		}
+		total += len(got)
+	}
+	if total > 32 {
+		t.Errorf("the five binaries define %d flags, want at most 32", total)
+	}
+}
+
+// TestEndToEndTCPDeployment launches the fleet the README describes:
+// fedserve and kt fedclients given the same config file and nothing but
+// transport flags. Both sides must name the same experiment digest and
+// finish all training.rounds rounds — fedclient once took its horizon from
+// a private -rounds flag that also collided with training.rounds and moved
+// its digest off the server's.
+func TestEndToEndTCPDeployment(t *testing.T) {
+	const cfgPath = "configs/fault-acceptance.yaml"
+	exp, err := config.Load(cfgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A lost process would leave the others waiting on it: bound them all.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	srv := exec.CommandContext(ctx, binary(t, "fedserve"), "-config", cfgPath, "-addr", "127.0.0.1:0")
+	srvOut, err := srv.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srvErr bytes.Buffer
+	srv.Stderr = &srvErr
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bufio.NewScanner(srvOut)
+	if !lines.Scan() {
+		t.Fatalf("fedserve printed nothing: %s", srvErr.String())
+	}
+	banner := lines.Text()
+	m := regexp.MustCompile(`experiment ([0-9a-f]{16}): cancer on (127\.0\.0\.1:\d+) `).FindStringSubmatch(banner)
+	if m == nil {
+		t.Fatalf("unexpected fedserve banner %q", banner)
+	}
+	if m[1] != exp.Digest() {
+		t.Fatalf("fedserve runs experiment %s, the file digests to %s", m[1], exp.Digest())
+	}
+
+	clientOut := make([]bytes.Buffer, exp.Training.Kt)
+	clients := make([]*exec.Cmd, exp.Training.Kt)
+	for i := range clients {
+		clients[i] = exec.CommandContext(ctx, binary(t, "fedclient"), "-config", cfgPath, "-addr", m[2], "-id", fmt.Sprint(i), "-give-up", "20s")
+		clients[i].Stdout = &clientOut[i]
+		clients[i].Stderr = &clientOut[i]
+		if err := clients[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var served []string
+	for lines.Scan() {
+		served = append(served, lines.Text())
+	}
+	if err := srv.Wait(); err != nil {
+		t.Fatalf("fedserve: %v\n%s\n%s", err, strings.Join(served, "\n"), srvErr.String())
+	}
+	for r := 0; r < exp.Training.Rounds; r++ {
+		// Fast clients re-submit a round still collecting; those count as duplicates.
+		want := regexp.MustCompile(fmt.Sprintf(`^round %d: %d/%d updates folded \(0 failed(, \d+ duplicate)?\), committed`, r, exp.Training.Kt, exp.Training.Kt))
+		if r >= len(served) || !want.MatchString(served[r]) {
+			t.Fatalf("round %d: want %s, server log:\n%s", r, want, strings.Join(served, "\n"))
+		}
+	}
+	for i, c := range clients {
+		if err := c.Wait(); err != nil {
+			t.Fatalf("fedclient %d: %v\n%s", i, err, clientOut[i].String())
+		}
+		out := clientOut[i].String()
+		if !strings.Contains(out, "experiment "+exp.Digest()) {
+			t.Errorf("fedclient %d does not name the server's experiment %s:\n%s", i, exp.Digest(), out)
+		}
+		if last := fmt.Sprintf("update %d/%d sent (round %d)", exp.Training.Rounds, exp.Training.Rounds, exp.Training.Rounds-1); !strings.Contains(out, last) {
+			t.Errorf("fedclient %d did not contribute all %d rounds:\n%s", i, exp.Training.Rounds, out)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package config
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,11 +21,10 @@ import (
 // on a future config instead of silently dropping fields.
 const Version = 1
 
-// Experiment is one fully-determined experiment: every axis the five
-// binaries expose as flags, as a declarative document. The zero value of a
-// field (or an omitted section) means today's flag default, so an empty
-// config file IS the default `fedtrain` invocation; Default() spells those
-// defaults out explicitly.
+// Experiment is one fully-determined experiment: every axis of a run, as
+// a declarative document. An omitted key or section means its value in
+// Default(), so an empty config file IS the run every binary makes when
+// given no -config.
 //
 // The canonical serialized form (Canonical) resolves defaults, fixes key
 // order and normalizes values, so Digest is a stable identity for the
@@ -133,8 +134,8 @@ type SweepBlock struct {
 	Seeds []int64
 }
 
-// Default returns the experiment an empty document means: the fedtrain
-// flag defaults.
+// Default returns the experiment an empty document means, and the one
+// every binary runs without -config.
 func Default() *Experiment {
 	return &Experiment{
 		Version: Version,
@@ -173,6 +174,51 @@ func Load(path string) (*Experiment, error) {
 	return e, nil
 }
 
+// Flags is how every binary names its experiment on the command line:
+// -config <file> (absent means Default) and a repeatable -set
+// section.key=value (top level: -set seed=7), applied in order over the
+// file. Register it on the binary's FlagSet, parse, then Load.
+type Flags struct {
+	Path string   // -config
+	Sets []string // -set assignments, in command-line order
+}
+
+// Register declares -config and -set on fs.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.Path, "config", "", "experiment config `file` (absent = the default experiment; see DESIGN.md, \"Experiment configs\")")
+	fs.Func("set", "override one config key, as `section.key=value` (top level: seed=7); repeatable, later wins", func(s string) error {
+		if !strings.Contains(s, "=") {
+			return fmt.Errorf("want section.key=value")
+		}
+		f.Sets = append(f.Sets, s)
+		return nil
+	})
+}
+
+// Load resolves the flags into the validated experiment: the file (or
+// Default), then each -set through Set. An override is therefore type
+// checked, refused by name, and reflected in the digest exactly as if the
+// line had been edited in the file.
+func (f *Flags) Load() (*Experiment, error) {
+	e := Default()
+	if f.Path != "" {
+		var err error
+		if e, err = Load(f.Path); err != nil {
+			return nil, err
+		}
+	}
+	for _, s := range f.Sets {
+		key, value, _ := strings.Cut(s, "=")
+		if err := Set(e, key, value); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
 // Validate checks every enum and range against the packages that consume
 // the value, so a config error surfaces before any training starts.
 func (e *Experiment) Validate() error {
@@ -204,7 +250,7 @@ func (e *Experiment) Validate() error {
 		return fmt.Errorf("config: codec.quant %d is not plumbed into runtime.simnet clients, which would send dense updates; set codec.quant to 0", e.Codec.Quant)
 	}
 	if e.Runtime.Simnet && e.Method.Name == core.MethodFedSDPSrv {
-		return fmt.Errorf("config: method.name %s sanitizes at the server, which runtime.simnet's round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", core.MethodFedSDPSrv, core.MethodFedSDP)
+		return fmt.Errorf("config: method.name: %w", core.ServerSanitizeRefusal("runtime.simnet's"))
 	}
 	if e.Runtime.Simnet && e.Runtime.Deadline != 0 {
 		return fmt.Errorf("config: runtime.deadline %v cannot run under runtime.simnet, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the faults.plan crash, drop and latency clauses", e.Runtime.Deadline)
@@ -344,64 +390,6 @@ func (e *Experiment) CoreConfig() core.Config {
 		Faults:          e.Faults.Plan,
 		Population:      e.Faults.Population,
 		ConfigDigest:    e.Digest(),
-	}
-}
-
-// FromCore rebuilds the declarative form of an effective core.Config —
-// the inverse of CoreConfig, used to re-stamp flag overrides into the
-// effective experiment. The derived ConfigDigest field is ignored: the
-// digest is always recomputed from the canonical form.
-func FromCore(cfg core.Config, simnetRun bool) *Experiment {
-	return &Experiment{
-		Version: Version,
-		Seed:    cfg.Seed,
-		Model:   ModelBlock{Precision: cfg.Precision},
-		Data: DataBlock{
-			Dataset:  cfg.Dataset,
-			Scenario: cfg.Scenario.Name,
-			Alpha:    cfg.Scenario.Alpha,
-			Shards:   cfg.Scenario.Shards,
-			Period:   cfg.Scenario.Period,
-		},
-		Method: MethodBlock{
-			Name:            cfg.Method,
-			Clip:            cfg.Clip,
-			Sigma:           cfg.Sigma,
-			AccountantSigma: cfg.AccountantSigma,
-			Delta:           cfg.Delta,
-			DecayFrom:       cfg.DecayFrom,
-			DecayTo:         cfg.DecayTo,
-			ShareFraction:   cfg.ShareFraction,
-			Compress:        cfg.CompressRatio,
-		},
-		Runtime: RuntimeBlock{
-			Simnet:   simnetRun,
-			Deadline: cfg.RoundDeadline,
-			Quorum:   cfg.MinQuorum,
-			Dropout:  cfg.DropoutRate,
-		},
-		Faults: FaultsBlock{Plan: cfg.Faults, Population: cfg.Population},
-		Aggregation: AggregationBlock{
-			Rule:       cfg.Aggregation,
-			Shards:     cfg.Shards,
-			TreeFanout: cfg.TreeFanout,
-			Sampler:    cfg.Sampler,
-			MuxWorkers: cfg.MuxWorkers,
-		},
-		Codec: CodecBlock{Wire: cfg.Codec, Quant: cfg.Quant},
-		Training: TrainingBlock{
-			K:             cfg.K,
-			Kt:            cfg.Kt,
-			Rounds:        cfg.Rounds,
-			PlannedRounds: cfg.PlannedRounds,
-			BatchSize:     cfg.BatchSize,
-			LocalIters:    cfg.LocalIters,
-			LR:            cfg.LR,
-			ValExamples:   cfg.ValExamples,
-			EvalEvery:     cfg.EvalEvery,
-			Parallelism:   cfg.Parallelism,
-		},
-		Experiment: ExperimentBlock{Scale: 1},
 	}
 }
 

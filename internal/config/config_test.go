@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -14,7 +17,7 @@ import (
 	"fedcdp/internal/fl"
 )
 
-// The empty document is the default fedtrain invocation: Parse of nothing
+// The empty document is the default experiment: Parse of nothing
 // must equal Default() field-for-field, and both must validate.
 func TestEmptyDocumentIsDefault(t *testing.T) {
 	for _, doc := range []string{"", "\n", "# just a comment\n\n", "version: 1\n"} {
@@ -361,92 +364,195 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// CoreConfig and FromCore are inverses over the fields core.Config carries:
-// resolving a config to a run and lifting it back must preserve the digest,
-// so flag-built and file-built descriptions of the same run are one identity.
-func TestCoreConfigFromCoreRoundTrip(t *testing.T) {
-	e, err := Parse([]byte(`seed: 11
-data:
-  dataset: cancer
-  scenario: dirichlet
-  alpha: 0.1
-method:
-  name: fedcdp
-  sigma: 0.06
-runtime:
-  quorum: 1
-faults:
-  plan: drop=0.2,crash=2,restart=1
-aggregation:
-  rule: median
-codec:
-  wire: binary
-training:
-  k: 12
-  kt: 6
-  rounds: 4
-  iters: 3
-`))
-	if err != nil {
-		t.Fatal(err)
+// offDefault is a well-typed, non-default value for every schema key. The
+// per-key tests below range over the schema and fail on a key missing
+// here, so a new key cannot land without joining them.
+var offDefault = map[string]string{
+	"version": "2", "seed": "7",
+	"model.precision": "fp32",
+	"data.dataset":    "cancer", "data.scenario": "dirichlet", "data.alpha": "0.1", "data.shards": "3", "data.period": "4",
+	"method.name": "dssgd", "method.clip": "2.5", "method.sigma": "0.5", "method.accountant-sigma": "6",
+	"method.delta": "1e-06", "method.decay-from": "8", "method.decay-to": "1", "method.share": "0.25", "method.compress": "0.3",
+	"runtime.simnet": "true", "runtime.deadline": "150ms", "runtime.quorum": "2", "runtime.dropout": "0.25",
+	"faults.plan": "drop=0.2,crash=2,restart=1", "faults.population": "join=4@3,churn=0.1",
+	"aggregation.rule": "trimmed:0.34", "aggregation.shards": "4", "aggregation.tree-fanout": "2",
+	"aggregation.sampler": "floyd", "aggregation.mux-workers": "3",
+	"codec.wire": "binary", "codec.quant": "8",
+	"training.k": "12", "training.kt": "6", "training.rounds": "4", "training.planned-rounds": "9", "training.batch": "5",
+	"training.iters": "3", "training.lr": "0.15", "training.val-examples": "60", "training.eval-every": "2", "training.parallelism": "2",
+	"experiment.name": "table6", "experiment.scale": "0.5",
+	"sweep.seeds": "[1, 2, 3]",
+}
+
+// keyLine renders one key as the document that sets only it.
+func keyLine(f field, v string) string {
+	if f.section == "" {
+		return f.key + ": " + v + "\n"
 	}
-	cfg := e.CoreConfig()
-	if cfg.ConfigDigest != e.Digest() {
-		t.Fatalf("CoreConfig digest %q, want %q", cfg.ConfigDigest, e.Digest())
-	}
-	back := FromCore(cfg, false)
-	if back.Digest() != e.Digest() {
-		t.Fatalf("FromCore(CoreConfig(e)) digest %s, want %s\nlifted:\n%s\noriginal:\n%s",
-			back.Digest(), e.Digest(), back.Canonical(), e.Canonical())
+	return f.section + ":\n  " + f.key + ": " + v + "\n"
+}
+
+// Set is the file edited in place: for every schema key, Set(e, key, v)
+// and the document carrying that one line canonicalize to the same bytes,
+// starting from the default and from a document that already sets the key.
+func TestSetMatchesParse(t *testing.T) {
+	for _, f := range index.fields {
+		id := keyID(f.section, f.key)
+		v, ok := offDefault[id]
+		if !ok {
+			t.Errorf("%s: no offDefault value; add one", id)
+			continue
+		}
+		if f.key == "version" {
+			continue // a document declaring another version does not parse
+		}
+		fromDoc, err := Parse([]byte(keyLine(f, v)))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		fromSet := Default()
+		if err := Set(fromSet, id, v); err != nil {
+			t.Fatalf("Set(%s, %q): %v", id, v, err)
+		}
+		if !bytes.Equal(fromSet.Canonical(), fromDoc.Canonical()) {
+			t.Errorf("Set(%s, %q) differs from the document line:\n%s\nvs\n%s", id, v, fromSet.Canonical(), fromDoc.Canonical())
+		}
+		if bytes.Equal(fromSet.Canonical(), Default().Canonical()) {
+			t.Errorf("Set(%s, %q) left the default unchanged", id, v)
+		}
+		// Later wins: overriding the edited document back lands on the default.
+		if err := Set(fromDoc, id, f.get(Default())); err != nil {
+			t.Fatalf("Set(%s) back to default: %v", id, err)
+		}
+		if !bytes.Equal(fromDoc.Canonical(), Default().Canonical()) {
+			t.Errorf("a later Set(%s) did not win over the document's line", id)
+		}
 	}
 }
 
-func TestOverride(t *testing.T) {
-	dst, src := Default(), Default()
-	src.Method.Sigma = 0.5
-	src.Data.Dataset = "cancer"
-	if !Override(dst, "sigma", src) {
-		t.Fatal("sigma is a config-mapped flag")
+// Set refuses what Parse refuses, and the message names the key.
+func TestSetErrors(t *testing.T) {
+	cases := []struct{ key, value, want string }{
+		{"method.strength", "11", `unknown key "strength" in section method (have name, clip, sigma`},
+		{"bogus.key", "1", `unknown section "bogus" (have model, data`},
+		{"speed", "9", `unknown key "speed" in top level (have version, seed)`},
+		{"method.sigma.x", "1", `unknown key "sigma.x" in section method`},
+		{"method.sigma", "much", `method.sigma: not a number: "much"`},
+		{"training.k", "twelve", `training.k: not an integer: "twelve"`},
+		{"runtime.simnet", "yes", `runtime.simnet: not a boolean`},
+		{"runtime.deadline", "soon", `runtime.deadline: not a duration`},
+		{"sweep.seeds", "1,2", `sweep.seeds: not a list`},
+		{"seed", "x", `seed: not an integer: "x"`},
+		{"data.dataset", "", `data.dataset: missing value`},
+		{"data.dataset", "\"open", `data.dataset: bad quoted string`},
 	}
-	if dst.Method.Sigma != 0.5 {
-		t.Fatalf("sigma not copied: %v", dst.Method.Sigma)
-	}
-	if dst.Data.Dataset != "mnist" {
-		t.Fatal("Override copied a flag that was not named")
-	}
-	if Override(dst, "addr", src) {
-		t.Fatal("-addr has no config meaning and must be left to the binary")
+	for _, tc := range cases {
+		e := Default()
+		err := Set(e, tc.key, tc.value)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Set(%q, %q) = %v, want error containing %q", tc.key, tc.value, err, tc.want)
+		}
+		if !reflect.DeepEqual(e, Default()) {
+			t.Errorf("refused Set(%q, %q) still changed the experiment", tc.key, tc.value)
+		}
 	}
 }
 
-// ApplyFlagOverrides re-stamps exactly the flags the user passed — set
-// flags win over the file, untouched flags do not.
-func TestApplyFlagOverrides(t *testing.T) {
-	fileDoc := "data:\n  dataset: cancer\nmethod:\n  sigma: 0.9\ntraining:\n  k: 12\n"
-	dst, err := Parse([]byte(fileDoc))
-	if err != nil {
+// Every key that describes the run must survive into core.Config: a key
+// that parses, digests and is then dropped on the way to the engine is the
+// silent-misbehaviour class Checkpoint.Resume once had. Exempt are the keys
+// core never sees by design: the schema version, the deployment switch
+// (fedtrain picks Run or RunSimnet from it), and the tables / sweep blocks.
+func TestEveryKeyReachesCore(t *testing.T) {
+	base := Default().CoreConfig()
+	base.ConfigDigest = ""
+	for _, f := range index.fields {
+		id := keyID(f.section, f.key)
+		if id == "version" || id == "runtime.simnet" || f.section == "experiment" || f.section == "sweep" {
+			continue
+		}
+		e := Default()
+		if err := Set(e, id, offDefault[id]); err != nil {
+			t.Fatalf("Set(%s): %v", id, err)
+		}
+		cfg := e.CoreConfig()
+		cfg.ConfigDigest = ""
+		if reflect.DeepEqual(cfg, base) {
+			t.Errorf("%s = %s changes the digest but not core.Config: the key is dropped before the engine", id, offDefault[id])
+		}
+	}
+}
+
+// writeConfig drops a config document in a temp file.
+func writeConfig(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "exp.yaml")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+// loadArgs runs the loader the way a binary does: register, parse, Load.
+func loadArgs(args ...string) (*Experiment, error) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	sigma := fs.Float64("sigma", 0.06, "")
-	fs.Int("k", 16, "")
+	fs.SetOutput(io.Discard)
 	fs.String("addr", "", "")
-	if err := fs.Parse([]string{"-sigma", "0.01", "-addr", "x:1"}); err != nil {
+	var cf Flags
+	cf.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return cf.Load()
+}
+
+// The loader every binary shares: no -config is Default, -set lines apply
+// in order over the file, and the result equals the edited file — same
+// canonical bytes, same digest.
+func TestFlagsLoad(t *testing.T) {
+	e, err := loadArgs("-addr", "x:1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	src := Default()
-	src.Method.Sigma = *sigma
+	if !reflect.DeepEqual(e, Default()) {
+		t.Fatalf("no -config loaded %+v, want Default()", e)
+	}
 
-	applied := ApplyFlagOverrides(fs, dst, src)
-	if !reflect.DeepEqual(applied, []string{"sigma"}) {
-		t.Fatalf("applied %v, want [sigma]", applied)
+	file := writeConfig(t, "data:\n  dataset: cancer\nmethod:\n  sigma: 0.9\ntraining:\n  k: 12\n")
+	edited := writeConfig(t, "seed: 7\ndata:\n  dataset: cancer\nmethod:\n  sigma: 0.01\ntraining:\n  k: 12\n")
+	got, err := loadArgs("-config", file, "-set", "method.sigma=0.5", "-set", "seed=7", "-set", "method.sigma=0.01")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dst.Method.Sigma != 0.01 {
-		t.Fatalf("passed flag must win over the file: sigma %v", dst.Method.Sigma)
+	want, err := Load(edited)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dst.Training.K != 12 || dst.Data.Dataset != "cancer" {
-		t.Fatal("unpassed flags must not clobber file values")
+	if !bytes.Equal(got.Canonical(), want.Canonical()) || got.Digest() != want.Digest() {
+		t.Fatalf("-config + -set differs from the edited file:\n%s\nvs\n%s", got.Canonical(), want.Canonical())
+	}
+	if got.Training.K != 12 || got.Data.Dataset != "cancer" {
+		t.Fatal("keys no -set named must keep the file's values")
+	}
+	// A value containing '=' splits at the first one only.
+	if e, err = loadArgs("-set", "faults.plan=drop=0.2,crash=2"); err != nil || e.Faults.Plan != "drop=0.2,crash=2" {
+		t.Fatalf("faults.plan = %q, %v", e.Faults.Plan, err)
+	}
+
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-set", "method.strength=1"}, `unknown key "strength" in section method`},
+		{[]string{"-set", "method.sigma=lots"}, `method.sigma: not a number`},
+		{[]string{"-set", "method.sigma"}, `invalid value "method.sigma" for flag -set: want section.key=value`},
+		{[]string{"-set", "training.kt=99"}, "training.kt 99 exceeds training.k"},
+		{[]string{"-config", filepath.Join(t.TempDir(), "absent.yaml")}, "absent.yaml"},
+		{[]string{"-config", writeConfig(t, "method:\n  sigma: 1\n  sigma: 2\n")}, "line 3: duplicate key method.sigma"},
+	} {
+		if _, err := loadArgs(tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
 	}
 }
 
@@ -516,15 +622,14 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
-// Schema sanity: sections are declared, flags are unique, and every
+// Schema sanity: sections are declared, keys are unique, and every
 // getter/setter pair is an exact round trip at the default value — the
-// property Override relies on to never fail.
+// property Canonical relies on to re-parse.
 func TestSchemaInvariants(t *testing.T) {
 	secs := map[string]bool{}
 	for _, s := range sectionOrder {
 		secs[s] = true
 	}
-	flags := map[string]string{}
 	keys := map[string]bool{}
 	e := Default()
 	for _, f := range index.fields {
@@ -536,12 +641,6 @@ func TestSchemaInvariants(t *testing.T) {
 			t.Errorf("%s: duplicate schema entry", id)
 		}
 		keys[id] = true
-		if f.flag != "" {
-			if prev, dup := flags[f.flag]; dup {
-				t.Errorf("flag -%s mapped by both %s and %s", f.flag, prev, id)
-			}
-			flags[f.flag] = id
-		}
 		v := f.get(e)
 		if err := f.set(e, v); err != nil {
 			t.Errorf("%s: set(get()) = %v", id, err)

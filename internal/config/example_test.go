@@ -9,7 +9,7 @@ import (
 
 // A config document fully determines a run: parse it, validate it, resolve
 // it to the core configuration, and stamp its digest everywhere the run's
-// identity matters. Omitted keys mean today's flag defaults, so a document
+// identity matters. Omitted keys mean Default, so a document
 // only says what it changes.
 func Example() {
 	doc := []byte(`version: 1

@@ -23,11 +23,23 @@ import (
 // headers, indented keys outside a section, tabs in indentation, and
 // documents declaring any schema version this build does not read.
 //
-// Omitted keys and sections mean today's flag defaults (Default), so the
-// empty document is the default fedtrain run.
+// Omitted keys and sections mean Default, so the empty document is the
+// default run of every binary.
 func Parse(b []byte) (*Experiment, error) {
 	e := Default()
 	seen := map[string]bool{}
+	// set is setKey under a document's extra rule: a key appears once.
+	set := func(section, key, value string, lineNo int) error {
+		id := keyID(section, key)
+		if seen[id] {
+			return fmt.Errorf("line %d: duplicate key %s", lineNo, id)
+		}
+		seen[id] = true
+		if err := setKey(e, section, key, value); err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		return nil
+	}
 	section := ""
 	for i, raw := range strings.Split(string(b), "\n") {
 		line := stripComment(strings.TrimSuffix(raw, "\r"))
@@ -53,8 +65,8 @@ func Parse(b []byte) (*Experiment, error) {
 		if !indented {
 			if value == "" {
 				// Section header.
-				if key != "" && !index.sections[key] {
-					return nil, fmt.Errorf("line %d: unknown section %q (have %s)", lineNo, key, strings.Join(sectionNames(), ", "))
+				if !index.sections[key] {
+					return nil, fmt.Errorf("line %d: %w", lineNo, errUnknownSection(key))
 				}
 				if seen["§"+key] {
 					return nil, fmt.Errorf("line %d: duplicate section %q", lineNo, key)
@@ -68,7 +80,7 @@ func Parse(b []byte) (*Experiment, error) {
 			}
 			// Top-level scalar (version, seed).
 			section = ""
-			if err := setKey(e, seen, "", key, value, lineNo); err != nil {
+			if err := set("", key, value, lineNo); err != nil {
 				return nil, err
 			}
 			continue
@@ -77,10 +89,7 @@ func Parse(b []byte) (*Experiment, error) {
 		if section == "" {
 			return nil, fmt.Errorf("line %d: indented key %q outside a section", lineNo, key)
 		}
-		if value == "" {
-			return nil, fmt.Errorf("line %d: %s.%s: missing value (use %q for an explicit empty string)", lineNo, section, key, `""`)
-		}
-		if err := setKey(e, seen, section, key, value, lineNo); err != nil {
+		if err := set(section, key, value, lineNo); err != nil {
 			return nil, err
 		}
 	}
@@ -88,26 +97,6 @@ func Parse(b []byte) (*Experiment, error) {
 		return nil, fmt.Errorf("unsupported config version %d (this build reads version %d)", e.Version, Version)
 	}
 	return e, nil
-}
-
-func setKey(e *Experiment, seen map[string]bool, section, key, value string, lineNo int) error {
-	f, ok := index.bySec[section][key]
-	if !ok {
-		where := "top level"
-		if section != "" {
-			where = "section " + section
-		}
-		return fmt.Errorf("line %d: unknown key %q in %s (have %s)", lineNo, key, where, strings.Join(index.secKeys[section], ", "))
-	}
-	id := section + "." + key
-	if seen[id] {
-		return fmt.Errorf("line %d: duplicate key %s", lineNo, strings.TrimPrefix(id, "."))
-	}
-	seen[id] = true
-	if err := f.set(e, value); err != nil {
-		return fmt.Errorf("line %d: %s: %w", lineNo, strings.TrimPrefix(section+".", "."), err)
-	}
-	return nil
 }
 
 // stripComment removes a trailing comment: a '#' outside a quoted string,

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -9,15 +8,13 @@ import (
 )
 
 // field is one schema entry: where the value lives in the document
-// (section, key), which command-line flag overrides it ("" = config-only),
-// and how to set/render it as a string. One ordered table drives Parse,
-// Canonical and the flag-override path, so the three can never disagree
-// about what a key means.
+// (section, key) and how to set/render it as a string. One ordered table
+// drives Parse, Set and Canonical, so a file line and a -set override can
+// never disagree about what a key means.
 type field struct {
 	section string // "" for top-level keys
 	key     string
-	flag    string // cmd flag name that overrides this field, if any
-	set     func(e *Experiment, v string) error
+	set     func(e *Experiment, v string) error // errors say what v is not; setKey names the key
 	get     func(e *Experiment) string
 }
 
@@ -28,68 +25,68 @@ var sectionOrder = []string{"", "model", "data", "method", "runtime", "faults", 
 // schema returns the full field table in canonical order.
 func schema() []field {
 	return []field{
-		fInt("", "version", "", func(e *Experiment) *int { return &e.Version }),
-		fI64("", "seed", "seed", func(e *Experiment) *int64 { return &e.Seed }),
+		fInt("", "version", func(e *Experiment) *int { return &e.Version }),
+		fI64("", "seed", func(e *Experiment) *int64 { return &e.Seed }),
 
-		fStr("model", "precision", "precision", func(e *Experiment) *string { return &e.Model.Precision }),
+		fStr("model", "precision", func(e *Experiment) *string { return &e.Model.Precision }),
 
-		fStr("data", "dataset", "dataset", func(e *Experiment) *string { return &e.Data.Dataset }),
-		fStr("data", "scenario", "scenario", func(e *Experiment) *string { return &e.Data.Scenario }),
-		fF64("data", "alpha", "alpha", func(e *Experiment) *float64 { return &e.Data.Alpha }),
-		fInt("data", "shards", "shards", func(e *Experiment) *int { return &e.Data.Shards }),
-		fInt("data", "period", "period", func(e *Experiment) *int { return &e.Data.Period }),
+		fStr("data", "dataset", func(e *Experiment) *string { return &e.Data.Dataset }),
+		fStr("data", "scenario", func(e *Experiment) *string { return &e.Data.Scenario }),
+		fF64("data", "alpha", func(e *Experiment) *float64 { return &e.Data.Alpha }),
+		fInt("data", "shards", func(e *Experiment) *int { return &e.Data.Shards }),
+		fInt("data", "period", func(e *Experiment) *int { return &e.Data.Period }),
 
-		fStr("method", "name", "method", func(e *Experiment) *string { return &e.Method.Name }),
-		fF64("method", "clip", "clip", func(e *Experiment) *float64 { return &e.Method.Clip }),
-		fF64("method", "sigma", "sigma", func(e *Experiment) *float64 { return &e.Method.Sigma }),
-		fF64("method", "accountant-sigma", "", func(e *Experiment) *float64 { return &e.Method.AccountantSigma }),
-		fF64("method", "delta", "", func(e *Experiment) *float64 { return &e.Method.Delta }),
-		fF64("method", "decay-from", "decay-from", func(e *Experiment) *float64 { return &e.Method.DecayFrom }),
-		fF64("method", "decay-to", "decay-to", func(e *Experiment) *float64 { return &e.Method.DecayTo }),
-		fF64("method", "share", "share", func(e *Experiment) *float64 { return &e.Method.ShareFraction }),
-		fF64("method", "compress", "compress", func(e *Experiment) *float64 { return &e.Method.Compress }),
+		fStr("method", "name", func(e *Experiment) *string { return &e.Method.Name }),
+		fF64("method", "clip", func(e *Experiment) *float64 { return &e.Method.Clip }),
+		fF64("method", "sigma", func(e *Experiment) *float64 { return &e.Method.Sigma }),
+		fF64("method", "accountant-sigma", func(e *Experiment) *float64 { return &e.Method.AccountantSigma }),
+		fF64("method", "delta", func(e *Experiment) *float64 { return &e.Method.Delta }),
+		fF64("method", "decay-from", func(e *Experiment) *float64 { return &e.Method.DecayFrom }),
+		fF64("method", "decay-to", func(e *Experiment) *float64 { return &e.Method.DecayTo }),
+		fF64("method", "share", func(e *Experiment) *float64 { return &e.Method.ShareFraction }),
+		fF64("method", "compress", func(e *Experiment) *float64 { return &e.Method.Compress }),
 
-		fBool("runtime", "simnet", "simnet", func(e *Experiment) *bool { return &e.Runtime.Simnet }),
-		fDur("runtime", "deadline", "deadline", func(e *Experiment) *time.Duration { return &e.Runtime.Deadline }),
-		fInt("runtime", "quorum", "quorum", func(e *Experiment) *int { return &e.Runtime.Quorum }),
-		fF64("runtime", "dropout", "dropout", func(e *Experiment) *float64 { return &e.Runtime.Dropout }),
+		fBool("runtime", "simnet", func(e *Experiment) *bool { return &e.Runtime.Simnet }),
+		fDur("runtime", "deadline", func(e *Experiment) *time.Duration { return &e.Runtime.Deadline }),
+		fInt("runtime", "quorum", func(e *Experiment) *int { return &e.Runtime.Quorum }),
+		fF64("runtime", "dropout", func(e *Experiment) *float64 { return &e.Runtime.Dropout }),
 
-		fStr("faults", "plan", "faults", func(e *Experiment) *string { return &e.Faults.Plan }),
-		fStr("faults", "population", "population", func(e *Experiment) *string { return &e.Faults.Population }),
+		fStr("faults", "plan", func(e *Experiment) *string { return &e.Faults.Plan }),
+		fStr("faults", "population", func(e *Experiment) *string { return &e.Faults.Population }),
 
-		fStr("aggregation", "rule", "agg", func(e *Experiment) *string { return &e.Aggregation.Rule }),
-		fInt("aggregation", "shards", "agg-shards", func(e *Experiment) *int { return &e.Aggregation.Shards }),
-		fInt("aggregation", "tree-fanout", "tree", func(e *Experiment) *int { return &e.Aggregation.TreeFanout }),
-		fStr("aggregation", "sampler", "sampler", func(e *Experiment) *string { return &e.Aggregation.Sampler }),
-		fInt("aggregation", "mux-workers", "mux-workers", func(e *Experiment) *int { return &e.Aggregation.MuxWorkers }),
+		fStr("aggregation", "rule", func(e *Experiment) *string { return &e.Aggregation.Rule }),
+		fInt("aggregation", "shards", func(e *Experiment) *int { return &e.Aggregation.Shards }),
+		fInt("aggregation", "tree-fanout", func(e *Experiment) *int { return &e.Aggregation.TreeFanout }),
+		fStr("aggregation", "sampler", func(e *Experiment) *string { return &e.Aggregation.Sampler }),
+		fInt("aggregation", "mux-workers", func(e *Experiment) *int { return &e.Aggregation.MuxWorkers }),
 
-		fStr("codec", "wire", "codec", func(e *Experiment) *string { return &e.Codec.Wire }),
-		fInt("codec", "quant", "quant", func(e *Experiment) *int { return &e.Codec.Quant }),
+		fStr("codec", "wire", func(e *Experiment) *string { return &e.Codec.Wire }),
+		fInt("codec", "quant", func(e *Experiment) *int { return &e.Codec.Quant }),
 
-		fInt("training", "k", "k", func(e *Experiment) *int { return &e.Training.K }),
-		fInt("training", "kt", "kt", func(e *Experiment) *int { return &e.Training.Kt }),
-		fInt("training", "rounds", "rounds", func(e *Experiment) *int { return &e.Training.Rounds }),
-		fInt("training", "planned-rounds", "", func(e *Experiment) *int { return &e.Training.PlannedRounds }),
-		fInt("training", "batch", "batch", func(e *Experiment) *int { return &e.Training.BatchSize }),
-		fInt("training", "iters", "iters", func(e *Experiment) *int { return &e.Training.LocalIters }),
-		fF64("training", "lr", "lr", func(e *Experiment) *float64 { return &e.Training.LR }),
-		fInt("training", "val-examples", "val", func(e *Experiment) *int { return &e.Training.ValExamples }),
-		fInt("training", "eval-every", "eval-every", func(e *Experiment) *int { return &e.Training.EvalEvery }),
-		fInt("training", "parallelism", "", func(e *Experiment) *int { return &e.Training.Parallelism }),
+		fInt("training", "k", func(e *Experiment) *int { return &e.Training.K }),
+		fInt("training", "kt", func(e *Experiment) *int { return &e.Training.Kt }),
+		fInt("training", "rounds", func(e *Experiment) *int { return &e.Training.Rounds }),
+		fInt("training", "planned-rounds", func(e *Experiment) *int { return &e.Training.PlannedRounds }),
+		fInt("training", "batch", func(e *Experiment) *int { return &e.Training.BatchSize }),
+		fInt("training", "iters", func(e *Experiment) *int { return &e.Training.LocalIters }),
+		fF64("training", "lr", func(e *Experiment) *float64 { return &e.Training.LR }),
+		fInt("training", "val-examples", func(e *Experiment) *int { return &e.Training.ValExamples }),
+		fInt("training", "eval-every", func(e *Experiment) *int { return &e.Training.EvalEvery }),
+		fInt("training", "parallelism", func(e *Experiment) *int { return &e.Training.Parallelism }),
 
-		fStr("experiment", "name", "exp", func(e *Experiment) *string { return &e.Experiment.Name }),
-		fF64("experiment", "scale", "scale", func(e *Experiment) *float64 { return &e.Experiment.Scale }),
+		fStr("experiment", "name", func(e *Experiment) *string { return &e.Experiment.Name }),
+		fF64("experiment", "scale", func(e *Experiment) *float64 { return &e.Experiment.Scale }),
 
-		fSeeds("sweep", "seeds", "", func(e *Experiment) *[]int64 { return &e.Sweep.Seeds }),
+		fSeeds("sweep", "seeds", func(e *Experiment) *[]int64 { return &e.Sweep.Seeds }),
 	}
 }
 
-func fInt(sec, key, fl string, p func(*Experiment) *int) field {
-	return field{sec, key, fl,
+func fInt(sec, key string, p func(*Experiment) *int) field {
+	return field{sec, key,
 		func(e *Experiment, v string) error {
 			n, err := strconv.Atoi(v)
 			if err != nil {
-				return fmt.Errorf("%s: not an integer: %q", key, v)
+				return fmt.Errorf("not an integer: %q", v)
 			}
 			*p(e) = n
 			return nil
@@ -98,12 +95,12 @@ func fInt(sec, key, fl string, p func(*Experiment) *int) field {
 	}
 }
 
-func fI64(sec, key, fl string, p func(*Experiment) *int64) field {
-	return field{sec, key, fl,
+func fI64(sec, key string, p func(*Experiment) *int64) field {
+	return field{sec, key,
 		func(e *Experiment, v string) error {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return fmt.Errorf("%s: not an integer: %q", key, v)
+				return fmt.Errorf("not an integer: %q", v)
 			}
 			*p(e) = n
 			return nil
@@ -112,12 +109,12 @@ func fI64(sec, key, fl string, p func(*Experiment) *int64) field {
 	}
 }
 
-func fF64(sec, key, fl string, p func(*Experiment) *float64) field {
-	return field{sec, key, fl,
+func fF64(sec, key string, p func(*Experiment) *float64) field {
+	return field{sec, key,
 		func(e *Experiment, v string) error {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
-				return fmt.Errorf("%s: not a number: %q", key, v)
+				return fmt.Errorf("not a number: %q", v)
 			}
 			*p(e) = f
 			return nil
@@ -128,12 +125,12 @@ func fF64(sec, key, fl string, p func(*Experiment) *float64) field {
 	}
 }
 
-func fStr(sec, key, fl string, p func(*Experiment) *string) field {
-	return field{sec, key, fl,
+func fStr(sec, key string, p func(*Experiment) *string) field {
+	return field{sec, key,
 		func(e *Experiment, v string) error {
 			s, err := unquote(v)
 			if err != nil {
-				return fmt.Errorf("%s: %w", key, err)
+				return err
 			}
 			*p(e) = s
 			return nil
@@ -142,8 +139,8 @@ func fStr(sec, key, fl string, p func(*Experiment) *string) field {
 	}
 }
 
-func fBool(sec, key, fl string, p func(*Experiment) *bool) field {
-	return field{sec, key, fl,
+func fBool(sec, key string, p func(*Experiment) *bool) field {
+	return field{sec, key,
 		func(e *Experiment, v string) error {
 			switch v {
 			case "true":
@@ -151,7 +148,7 @@ func fBool(sec, key, fl string, p func(*Experiment) *bool) field {
 			case "false":
 				*p(e) = false
 			default:
-				return fmt.Errorf("%s: not a boolean (true/false): %q", key, v)
+				return fmt.Errorf("not a boolean (true/false): %q", v)
 			}
 			return nil
 		},
@@ -159,12 +156,12 @@ func fBool(sec, key, fl string, p func(*Experiment) *bool) field {
 	}
 }
 
-func fDur(sec, key, fl string, p func(*Experiment) *time.Duration) field {
-	return field{sec, key, fl,
+func fDur(sec, key string, p func(*Experiment) *time.Duration) field {
+	return field{sec, key,
 		func(e *Experiment, v string) error {
 			d, err := time.ParseDuration(v)
 			if err != nil {
-				return fmt.Errorf("%s: not a duration: %q", key, v)
+				return fmt.Errorf("not a duration: %q", v)
 			}
 			*p(e) = d
 			return nil
@@ -173,11 +170,11 @@ func fDur(sec, key, fl string, p func(*Experiment) *time.Duration) field {
 	}
 }
 
-func fSeeds(sec, key, fl string, p func(*Experiment) *[]int64) field {
-	return field{sec, key, fl,
+func fSeeds(sec, key string, p func(*Experiment) *[]int64) field {
+	return field{sec, key,
 		func(e *Experiment, v string) error {
 			if !strings.HasPrefix(v, "[") || !strings.HasSuffix(v, "]") {
-				return fmt.Errorf("%s: not a list (want [1, 2, ...]): %q", key, v)
+				return fmt.Errorf("not a list (want [1, 2, ...]): %q", v)
 			}
 			inner := strings.TrimSpace(v[1 : len(v)-1])
 			if inner == "" {
@@ -189,7 +186,7 @@ func fSeeds(sec, key, fl string, p func(*Experiment) *[]int64) field {
 			for i, part := range parts {
 				n, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 				if err != nil {
-					return fmt.Errorf("%s: element %d not an integer: %q", key, i, strings.TrimSpace(part))
+					return fmt.Errorf("element %d not an integer: %q", i, strings.TrimSpace(part))
 				}
 				out[i] = n
 			}
@@ -229,13 +226,12 @@ func quoteIfNeeded(v string) string {
 	return v
 }
 
-// schemaIndex holds the lookup structures the parser and override path
-// share, built once from the table.
+// schemaIndex holds the lookup structures Parse and Set share, built once
+// from the table.
 type schemaIndex struct {
 	fields   []field
 	bySec    map[string]map[string]field
 	secKeys  map[string][]string
-	byFlag   map[string]field
 	sections map[string]bool
 }
 
@@ -244,7 +240,6 @@ func buildIndex() *schemaIndex {
 		fields:   schema(),
 		bySec:    map[string]map[string]field{},
 		secKeys:  map[string][]string{},
-		byFlag:   map[string]field{},
 		sections: map[string]bool{},
 	}
 	for _, f := range idx.fields {
@@ -254,41 +249,60 @@ func buildIndex() *schemaIndex {
 		idx.bySec[f.section][f.key] = f
 		idx.secKeys[f.section] = append(idx.secKeys[f.section], f.key)
 		idx.sections[f.section] = true
-		if f.flag != "" {
-			idx.byFlag[f.flag] = f
-		}
 	}
 	return idx
 }
 
 var index = buildIndex()
 
-// Override copies the field the named command-line flag maps to from src
-// onto dst, reporting whether the flag is config-mapped at all. Flags with
-// no config meaning (-addr, -format, -checkpoint-in, ...) return false and
-// are left to the binary.
-func Override(dst *Experiment, flagName string, src *Experiment) bool {
-	f, ok := index.byFlag[flagName]
+// setKey is the one write path into an Experiment: Parse calls it per
+// document line and Set per override, so both refuse the same unknown
+// keys and mistyped values, naming the key.
+func setKey(e *Experiment, section, key, value string) error {
+	if !index.sections[section] {
+		return errUnknownSection(section)
+	}
+	f, ok := index.bySec[section][key]
 	if !ok {
-		return false
+		where := "top level"
+		if section != "" {
+			where = "section " + section
+		}
+		return fmt.Errorf("unknown key %q in %s (have %s)", key, where, strings.Join(index.secKeys[section], ", "))
 	}
-	// get/set round-trip exactly by construction, so this cannot fail.
-	if err := f.set(dst, f.get(src)); err != nil {
-		panic(fmt.Sprintf("config: override %s: %v", flagName, err))
+	if value == "" {
+		return fmt.Errorf("%s: missing value (use %q for an explicit empty string)", keyID(section, key), `""`)
 	}
-	return true
+	if err := f.set(e, value); err != nil {
+		return fmt.Errorf("%s: %w", keyID(section, key), err)
+	}
+	return nil
 }
 
-// ApplyFlagOverrides re-stamps every explicitly-set command-line flag onto
-// the config-loaded experiment: src is the experiment the flag values
-// describe, and each flag the user actually passed (per fs.Visit) wins
-// over the file. Returns the config-mapped flag names that were applied.
-func ApplyFlagOverrides(fs *flag.FlagSet, dst, src *Experiment) []string {
-	var applied []string
-	fs.Visit(func(fl *flag.Flag) {
-		if Override(dst, fl.Name, src) {
-			applied = append(applied, fl.Name)
-		}
-	})
-	return applied
+// keyID is a key's full name as -set and error messages spell it.
+func keyID(section, key string) string {
+	if section == "" {
+		return key
+	}
+	return section + "." + key
+}
+
+func errUnknownSection(name string) error {
+	return fmt.Errorf("unknown section %q (have %s)", name, strings.Join(sectionNames(), ", "))
+}
+
+// Set assigns one schema key — "section.key", or a bare top-level key such
+// as "seed" — exactly as the document line "key: value" would: same type
+// check, same refusal of unknown keys by name with the valid ones listed,
+// and therefore the same Canonical bytes and Digest as the edited file.
+// Unlike a document, which refuses a repeated key, a later Set wins.
+func Set(e *Experiment, key, value string) error {
+	section, name, ok := strings.Cut(key, ".")
+	if !ok || section == "" {
+		section, name = "", key
+	}
+	if err := setKey(e, section, name, strings.TrimSpace(value)); err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	return nil
 }

@@ -159,12 +159,13 @@ type Config struct {
 	// metadata — it never influences training — but it is stamped into the
 	// wire RoundConfig and rides in checkpoints so resumed and remote runs
 	// can verify they are executing the same experiment. Empty for runs
-	// assembled directly from flags or struct literals.
+	// assembled directly from struct literals.
 	ConfigDigest string
 }
 
-// withDefaults resolves zero fields against the benchmark spec.
-func (c Config) withDefaults(spec dataset.Spec) Config {
+// WithDefaults resolves zero fields against the benchmark spec — the one
+// meaning of an unset value, shared by Run, RunSimnet and the TCP binaries.
+func (c Config) WithDefaults(spec dataset.Spec) Config {
 	if c.K == 0 {
 		c.K = 100
 	}
@@ -278,7 +279,7 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*resolved,
 	if err != nil {
 		return nil, err
 	}
-	c = c.withDefaults(spec)
+	c = c.WithDefaults(spec)
 	strat, err := c.Strategy()
 	if err != nil {
 		return nil, err

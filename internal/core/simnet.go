@@ -46,7 +46,7 @@ func RunSimnet(cfg Config) (*Result, error) {
 	case cfg.Quant != 0:
 		return nil, fmt.Errorf("core: update quantization (quant=%d) is not plumbed into the simnet clients, which would send dense updates; use quant=0", cfg.Quant)
 	case cfg.Method == MethodFedSDPSrv:
-		return nil, fmt.Errorf("core: method %s sanitizes at the server, which the simnet round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", MethodFedSDPSrv, MethodFedSDP)
+		return nil, fmt.Errorf("core: %w", ServerSanitizeRefusal("the simnet"))
 	case cfg.RoundDeadline != 0:
 		return nil, fmt.Errorf("core: round deadline %v cannot run on the simnet fabric, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the plan's crash, drop and latency clauses", cfg.RoundDeadline)
 	}
@@ -63,6 +63,14 @@ func RunSimnet(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return r.result(hist), nil
+}
+
+// ServerSanitizeRefusal is the error that refuses MethodFedSDPSrv on a wire
+// deployment — whose names the round servers, e.g. "the simnet" or "fedserve's". Only the
+// in-process runtime calls Strategy.ServerSanitize; a wire round server
+// folds what arrives.
+func ServerSanitizeRefusal(whose string) error {
+	return fmt.Errorf("method %s sanitizes at the server, which %s round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", MethodFedSDPSrv, whose, MethodFedSDP)
 }
 
 // fabric is the simnet deployment of the round engine's runner seam: the

@@ -83,8 +83,8 @@ func ExampleLabelNoiseSkew() {
 	// client 1: 0/100 labels flipped vs iid
 }
 
-// Scenarios resolve partitioners by name — the registry the -scenario
-// flags and core.Config.Scenario go through.
+// Scenarios resolve partitioners by name — the registry the data.scenario
+// config key and core.Config.Scenario go through.
 func ExampleScenario() {
 	sc := dataset.Scenario{Name: dataset.ScenarioDirichlet, Alpha: 0.1}
 	p, _ := sc.Partitioner()

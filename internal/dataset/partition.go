@@ -52,7 +52,7 @@ func ScenarioNames() []string {
 }
 
 // Scenario selects a partitioner by name plus its parameters. It is a plain
-// value (flag- and gob-friendly) so it can travel through core.Config,
+// value (config- and gob-friendly) so it can travel through core.Config,
 // experiments.Options and the fl.RoundConfig a server publishes to remote
 // clients.
 type Scenario struct {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestGoldenAttackMatrixConfig pins configs/attack-matrix.yaml to the PR 8
-// attack×defense sweep: the config file must derive exactly the Options the
-// flag path (`tables -exp byzantine -seed 42`) builds, and running both
+// attack×defense sweep: the config file must derive exactly the Options
+// literal the sweep was first pinned with, and running both
 // must produce cell-for-cell identical reports — the config digest rides
 // the report as pure metadata.
 func TestGoldenAttackMatrixConfig(t *testing.T) {

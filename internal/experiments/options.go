@@ -50,7 +50,7 @@ type Options struct {
 	Sampler string
 	// ConfigDigest is the canonical digest of the declarative experiment
 	// config these options were derived from (see internal/config); Run
-	// stamps it into the report. Empty for flag-assembled options.
+	// stamps it into the report. Empty for options assembled as a literal.
 	ConfigDigest string
 }
 

@@ -14,7 +14,7 @@ type Report struct {
 	Title    string
 	Scenario string
 	// ConfigDigest names the declarative experiment config the report was
-	// produced from (see internal/config); "" for flag-assembled runs.
+	// produced from (see internal/config); "" for options assembled as a literal.
 	ConfigDigest string
 	Header       []string
 	Rows         [][]string

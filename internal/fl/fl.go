@@ -71,7 +71,7 @@ type RoundConfig struct {
 	// it never influences training — but clients that were launched from a
 	// config can verify it against their own digest
 	// (ClientOptions.ExpectDigest) and refuse a server running a different
-	// experiment. Empty when the server was assembled from flags.
+	// experiment. Empty when the server was assembled from a struct literal.
 	ConfigDigest string
 }
 
@@ -313,7 +313,7 @@ func NewAggregator(rule string) (Aggregator, error) {
 
 // ValidAggregation reports whether rule (with any colon parameter) names a
 // constructible server fold — the single validation rule shared by
-// fl.Config, core and the cmd flag surfaces.
+// fl.Config, core and internal/config.
 func ValidAggregation(rule string) bool {
 	_, err := NewAggregator(rule)
 	return err == nil

@@ -641,7 +641,7 @@ type ClientOptions struct {
 	// was launched from (see internal/config): the client refuses a round
 	// announcement whose RoundConfig carries a different non-empty digest,
 	// so a config-driven fleet cannot silently train against a server
-	// running another experiment. A server with no digest (flag-assembled)
+	// running another experiment. A server with no digest (literal-assembled)
 	// is accepted — the stamp is an integrity check, not a capability.
 	ExpectDigest string
 }
