@@ -642,13 +642,15 @@ func BenchmarkGobTransportRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
+	agg := fl.NewFedSGD()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		done := make(chan error, 1)
 		go func() {
-			done <- fl.RunRemoteClient(srv.Addr(), 0, core.NonPrivate{}, ds.Client(0), spec.ModelSpec(), 1)
+			_, err := fl.RunRemoteClientRound(srv.Addr(), 0, core.NonPrivate{}, ds.Client(0), spec.ModelSpec(), 1, fl.ClientOptions{})
+			done <- err
 		}()
-		if _, err := srv.RunRound(i, model.Params(), cfg, 1); err != nil {
+		if _, err := srv.StreamRound(i, model.Params(), cfg, agg, fl.RoundOptions{Clients: 1}); err != nil {
 			b.Fatal(err)
 		}
 		if err := <-done; err != nil {

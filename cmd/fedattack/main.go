@@ -34,7 +34,6 @@ import (
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/dp"
 	"fedcdp/internal/fl"
-	"fedcdp/internal/simnet"
 	"fedcdp/internal/tensor"
 )
 
@@ -64,33 +63,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	spec, err := dataset.Get(exp.Data.Dataset)
+	// The experiment as core resolves it, so which clients the plan corrupts
+	// is the same here and in the runtime.simnet evaluation.
+	r, err := exp.CoreConfig().Resolve()
 	if err != nil {
 		return err
 	}
-	cfg := exp.CoreConfig().WithDefaults(spec)
+	cfg, spec, plan := r.Cfg, r.Spec, r.Plan
 	fmt.Fprintf(stdout, "experiment %s\n", cfg.ConfigDigest)
-
-	// The plan is bound over the experiment's federation, as core resolves
-	// it, so which clients it corrupts is the same here and in the
-	// runtime.simnet evaluation.
-	plan, err := simnet.ParsePlan(cfg.Faults)
-	if err != nil {
-		return err
-	}
-	if plan, err = plan.Bind(cfg.Seed, cfg.Rounds, cfg.K); err != nil {
-		return err
-	}
-	part, err := cfg.Scenario.Partitioner()
-	if err != nil {
-		return err
-	}
-	ds := dataset.NewPartitioned(spec, cfg.Seed, part)
-	cd := ds.Client(*clientID)
 	// A poisoned victim trains — and therefore leaks — its flipped-label
 	// shard view; the reconstruction target is what the attacker would
 	// actually observe under the plan.
-	cd = fl.AdversaryShard(plan, *clientID, cd)
+	cd := fl.AdversaryShard(plan, *clientID, r.FL.Data.Client(*clientID))
 	m := attack.NewMLP([]int{spec.Features, 32, spec.Classes}, attack.ActSigmoid, tensor.NewRNG(cfg.Seed))
 	noise := tensor.Split(cfg.Seed, 7)
 

@@ -6,14 +6,15 @@
 // killing the client; it exits cleanly after training.rounds updates, or
 // when the server answers that no further rounds remain.
 //
-//	fedclient -config configs/fault-acceptance.yaml -addr 127.0.0.1:7070 -id 3
+//	fedclient -config configs/fault-acceptance.yaml -set faults.plan= -addr 127.0.0.1:7070 -id 3
 //
 // The experiment (-config, -set; see internal/config) must be the server's:
 // the client takes dataset, seed, method and its parameters, codec and
 // quantization from it, and refuses a server publishing any other config
 // digest — a fleet cannot silently train against a different experiment.
 // What is not experiment identity stays a flag: -addr, -id, -secure and
-// the reconnect policy (-backoff, -max-backoff, -give-up).
+// the reconnect policy (-backoff, -max-backoff, -give-up). The keys fedserve
+// refuses (faults.*, runtime.simnet) are refused here the same way.
 package main
 
 import (
@@ -25,8 +26,6 @@ import (
 	"time"
 
 	"fedcdp/internal/config"
-	"fedcdp/internal/core"
-	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
 )
 
@@ -55,19 +54,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if exp.Method.Name == core.MethodFedSDPSrv {
-		return core.ServerSanitizeRefusal("fedserve's")
-	}
-	spec, err := dataset.Get(exp.Data.Dataset)
+	r, err := exp.DialIn()
 	if err != nil {
 		return err
 	}
-	cfg := exp.CoreConfig().WithDefaults(spec)
-	ds := dataset.New(spec, cfg.Seed)
-	strat, err := cfg.Strategy()
-	if err != nil {
-		return err
-	}
+	cfg, strat, data := r.Cfg, r.FL.Strategy, r.FL.Data.Client(*id)
 	// One options value for the whole run: the quantization error-feedback
 	// state must survive reconnects and server restarts so rounding error
 	// banked in round r is repaid in round r+1. ExpectDigest makes the
@@ -78,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	backoff := *minBackoff
 	lastSuccess := time.Now()
 	for done := 0; done < cfg.Rounds; {
-		round, err := fl.RunRemoteClientRound(*addr, *id, strat, ds.Client(*id), spec.ModelSpec(), cfg.Seed, opt)
+		round, err := fl.RunRemoteClientRound(*addr, *id, strat, data, r.FL.Model, cfg.Seed, opt)
 		switch {
 		case err == nil && round < opt.MinRound:
 			// The server re-served a round this client already completed

@@ -4,78 +4,71 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 
 	"fedcdp/internal/config"
-	"fedcdp/internal/dataset"
-	"fedcdp/internal/fl"
-	"fedcdp/internal/nn"
-	"fedcdp/internal/tensor"
+	"fedcdp/internal/core"
 )
 
 const faultAcceptance = "../../configs/fault-acceptance.yaml"
 
-// serve runs a library round server for the experiment; rounds reports how
-// many it committed at full cohort once it stops (a round error stops it).
-func serve(t *testing.T, exp *config.Experiment) (addr string, rounds <-chan int) {
+// serve runs the library's dial-in server (core.Serve) for the experiment on
+// a free port; result delivers its outcome once it stops.
+func serve(t *testing.T, exp *config.Experiment) (addr string, result <-chan *core.Result) {
 	t.Helper()
-	spec, _ := dataset.Get(exp.Data.Dataset)
-	cfg := exp.CoreConfig().WithDefaults(spec)
-	srv, err := fl.NewRoundServer("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := nn.Build(spec.ModelSpec(), tensor.Split(cfg.Seed, 1))
-	agg, err := fl.NewAggregatorFor(cfg.Aggregation, cfg.Shards, cfg.TreeFanout, cfg.K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	committed := make(chan int, 1)
+	t.Cleanup(func() { ln.Close() })
+	done := make(chan *core.Result, 1)
 	go func() {
-		n := 0
-		for r := 0; r < cfg.Rounds; r++ {
-			res, err := srv.StreamRound(r, model.Params(), fl.RoundConfig{
-				BatchSize: cfg.BatchSize, LocalIters: cfg.LocalIters, LR: cfg.LR,
-				TotalRounds: cfg.Rounds, Scenario: cfg.Scenario, ConfigDigest: cfg.ConfigDigest,
-			}, agg, fl.RoundOptions{Clients: cfg.Kt})
-			if err != nil {
-				break
-			}
-			if res.Committed && res.Folded == cfg.Kt {
-				n++
-			}
-		}
-		committed <- n
+		res, _ := core.Serve(exp.CoreConfig(), ln, false, io.Discard)
+		done <- res // nil when the test closed the server under its clients
 	}()
-	return srv.Addr(), committed
+	return ln.Addr().String(), done
+}
+
+// load reads the fault-acceptance experiment as the fleet below runs it:
+// without its plan, which a dial-in deployment refuses (TestRefusals).
+func load(t *testing.T) *config.Experiment {
+	t.Helper()
+	exp, err := (&config.Flags{Path: faultAcceptance, Sets: []string{"faults.plan="}}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp
 }
 
 // Given only the file and transport flags, kt clients see every one of the
 // file's training.rounds rounds through — the horizon is the experiment's,
 // not a private flag default.
 func TestParticipatesForTrainingRounds(t *testing.T) {
-	exp, err := config.Load(faultAcceptance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, rounds := serve(t, exp)
+	exp := load(t)
+	addr, result := serve(t, exp)
 	var wg sync.WaitGroup
 	outs := make([]bytes.Buffer, exp.Training.Kt)
 	for id := range outs {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := run([]string{"-config", faultAcceptance, "-addr", addr, "-id", fmt.Sprint(id), "-give-up", "20s"}, &outs[id], io.Discard); err != nil {
+			if err := run([]string{"-config", faultAcceptance, "-set", "faults.plan=", "-addr", addr, "-id", fmt.Sprint(id), "-give-up", "20s"}, &outs[id], io.Discard); err != nil {
 				t.Errorf("client %d: %v", id, err)
 			}
 		}(id)
 	}
 	wg.Wait()
-	if got := <-rounds; got != exp.Training.Rounds {
-		t.Fatalf("server committed %d full rounds, want %d", got, exp.Training.Rounds)
+	res := <-result
+	if res == nil || len(res.Rounds) != exp.Training.Rounds {
+		t.Fatalf("server did not finish its %d rounds: %+v", exp.Training.Rounds, res)
+	}
+	for _, rs := range res.Rounds {
+		if !rs.Committed || rs.Clients != exp.Training.Kt {
+			t.Errorf("round %d folded %d of %d updates, committed=%v", rs.Round, rs.Clients, exp.Training.Kt, rs.Committed)
+		}
 	}
 	for id := range outs {
 		if out := outs[id].String(); !strings.Contains(out, "experiment "+exp.Digest()) || !strings.Contains(out, "update 4/4 sent (round 3)") {
@@ -86,14 +79,11 @@ func TestParticipatesForTrainingRounds(t *testing.T) {
 
 // A client configured for another experiment refuses the server by digest.
 func TestRefusesAnotherExperiment(t *testing.T) {
-	exp, err := config.Load(faultAcceptance)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := load(t)
 	addr, _ := serve(t, exp)
 	// -give-up 1ns: fail on the first refusal instead of retrying.
 	var out bytes.Buffer
-	err = run([]string{"-config", faultAcceptance, "-set", "seed=7", "-addr", addr, "-give-up", "1ns"}, &out, io.Discard)
+	err := run([]string{"-config", faultAcceptance, "-set", "faults.plan=", "-set", "seed=7", "-addr", addr, "-give-up", "1ns"}, &out, io.Discard)
 	want := "server is running experiment " + exp.Digest() + ", this client was configured for "
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %v, want one containing %q", err, want)
@@ -105,7 +95,12 @@ func TestRefusals(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-set", "method.name=fedsdp-server"}, "method fedsdp-server sanitizes at the server, which fedserve's round servers do not do (updates would fold without clip or noise while ε is still charged); use fedsdp"},
+		{[]string{"-set", "method.name=fedsdp-server"}, "method.name: method fedsdp-server sanitizes at the server, which fedserve's round servers do not do (updates would fold without clip or noise while ε is still charged); use fedsdp"},
+		{[]string{"-set", "faults.plan=drop=0.2"}, `faults.plan "drop=0.2" is realized on the simnet fabric (fedtrain -set runtime.simnet=true)`},
+		{[]string{"-set", "faults.plan=restart=1"}, `faults.plan "restart=1" is realized on the simnet fabric (fedtrain -set runtime.simnet=true)`},
+		{[]string{"-set", "faults.population=churn=0.05"}, `faults.population "churn=0.05" is realized on the simnet fabric (fedtrain -set runtime.simnet=true)`},
+		{[]string{"-set", "runtime.simnet=true"}, "runtime.simnet deploys the whole federation in one process over the in-memory fabric, which is fedtrain's to run (fedtrain -set runtime.simnet=true)"},
+		{[]string{"-config", faultAcceptance}, `faults.plan "drop=0.2,crash=2,restart=1" is realized on the simnet fabric`},
 		{[]string{"-set", "method.sigma=x"}, `method.sigma: not a number: "x"`},
 		{[]string{"-rounds", "4"}, "flag provided but not defined: -rounds"},
 	} {

@@ -1,19 +1,21 @@
-// Command fedserve runs a real federated-learning server over TCP: it
-// publishes the global model to concurrently handled client sessions each
-// round, folds their updates as they arrive (O(model) server memory
-// regardless of cohort size), evaluates, and prints progress. Pair it with
-// cmd/fedclient processes (optionally on other machines) given the same
-// experiment.
+// Command fedserve runs a real federated-learning server over TCP: the round
+// engine every runtime shares (core.Serve) publishes the global model to
+// concurrently handled client sessions each round, folds their updates as
+// they arrive (O(model) server memory regardless of cohort size), and ends
+// with the report fedtrain prints — accuracy on the scheduled rounds and the
+// ε of the rounds that committed. Pair it with cmd/fedclient processes
+// (optionally on other machines) given the same experiment.
 //
-//	fedserve -config configs/fault-acceptance.yaml -addr :7070
-//	fedserve -config configs/fault-acceptance.yaml -set runtime.deadline=30s -set runtime.quorum=2 -secure
+//	fedserve -config configs/fault-acceptance.yaml -set faults.plan= -addr :7070
+//	fedserve -set runtime.deadline=30s -set runtime.quorum=2 -secure
 //
 // The experiment (-config, -set; see internal/config) determines the task:
-// dataset, cohort size training.kt, training.rounds, deadline and quorum,
-// aggregation rule and topology, codec, precision, scenario. Its canonical
-// digest is published with every round announcement, and fedclient refuses
-// a server whose digest is not its own. Only -addr and -secure are not
-// part of that identity.
+// dataset, cohort size training.kt (thinned by runtime.dropout), rounds,
+// evaluation schedule, deadline and quorum, aggregation rule and topology,
+// codec, precision, scenario. Its canonical digest is published with every
+// round announcement, and fedclient refuses a server whose digest is not its
+// own. Only -addr and -secure are not part of that identity. Keys a server
+// of real processes cannot honor (faults.*, runtime.simnet) are refused.
 package main
 
 import (
@@ -21,15 +23,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
-	"time"
 
 	"fedcdp/internal/config"
 	"fedcdp/internal/core"
-	"fedcdp/internal/dataset"
-	"fedcdp/internal/fl"
-	"fedcdp/internal/nn"
-	"fedcdp/internal/tensor"
 )
 
 func main() {
@@ -53,58 +51,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if exp.Method.Name == core.MethodFedSDPSrv {
-		return core.ServerSanitizeRefusal("fedserve's")
-	}
-	spec, err := dataset.Get(exp.Data.Dataset)
+	r, err := exp.DialIn()
 	if err != nil {
 		return err
 	}
-	cfg := exp.CoreConfig().WithDefaults(spec)
-	round := fl.RoundConfig{
-		BatchSize: cfg.BatchSize, LocalIters: cfg.LocalIters, LR: cfg.LR,
-		TotalRounds: cfg.Rounds, Scenario: cfg.Scenario, Precision: cfg.Precision, ConfigDigest: cfg.ConfigDigest,
-	}
-	ds := dataset.New(spec, cfg.Seed)
-	model := nn.Build(spec.ModelSpec(), tensor.Split(cfg.Seed, 1))
-	valX, valY := ds.Validation(cfg.ValExamples)
-
-	srv, err := fl.NewRoundServer(*addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	srv.Secure = *secure
-	srv.Codec = cfg.Codec
-	defer srv.Close()
+	cfg := r.Cfg
 	fmt.Fprintf(stdout, "fedserve: experiment %s: %s on %s (secure=%v), %d rounds, %d clients/round, deadline=%v, quorum=%d, scenario=%s\n",
-		cfg.ConfigDigest, cfg.Dataset, srv.Addr(), *secure, cfg.Rounds, cfg.Kt, cfg.RoundDeadline, cfg.MinQuorum, cfg.Scenario)
-
-	agg, err := fl.NewAggregatorFor(cfg.Aggregation, cfg.Shards, cfg.TreeFanout, cfg.K)
+		cfg.ConfigDigest, cfg.Dataset, ln.Addr(), *secure, cfg.Rounds, cfg.Kt, cfg.RoundDeadline, cfg.MinQuorum, cfg.Scenario)
+	res, err := core.Serve(cfg, ln, *secure, stdout)
 	if err != nil {
 		return err
 	}
-	for r := 0; r < cfg.Rounds; r++ {
-		start := time.Now()
-		res, err := srv.StreamRound(r, model.Params(), round, agg, fl.RoundOptions{
-			Clients:   cfg.Kt,
-			Deadline:  cfg.RoundDeadline,
-			MinQuorum: cfg.MinQuorum,
-		})
-		if err != nil {
-			return fmt.Errorf("round %d: %w", r, err)
-		}
-		acc := fl.Evaluate(model, valX, valY)
-		status := "committed"
-		if !res.Committed {
-			status = "below quorum — model unchanged"
-		}
-		dups := ""
-		if res.Duplicates > 0 {
-			dups = fmt.Sprintf(", %d duplicate", res.Duplicates)
-		}
-		fmt.Fprintf(stdout, "round %d: %d/%d updates folded (%d failed%s), %s, accuracy %.4f, %.1fs\n",
-			r, res.Folded, cfg.Kt, res.Failed, dups, status, acc, time.Since(start).Seconds())
-	}
-	fmt.Fprintln(stdout, "fedserve: done")
+	res.Print(stdout)
 	return nil
 }

@@ -33,7 +33,6 @@ import (
 
 	"fedcdp/internal/config"
 	"fedcdp/internal/core"
-	"fedcdp/internal/dataset"
 )
 
 func main() {
@@ -100,34 +99,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "checkpoint written to %s\n", *ckptOut)
 	}
-	cfg := res.Cfg
-	fmt.Fprintf(stdout, "dataset=%s method=%s K=%d Kt=%d T=%d L=%d\n",
-		cfg.Dataset, res.Strategy, cfg.K, cfg.Kt, cfg.Rounds, cfg.LocalIters)
-	if cfg.Scenario.Name != "" {
-		if p, perr := cfg.Scenario.Partitioner(); perr == nil {
-			ds := dataset.NewPartitioned(res.Spec, cfg.Seed, p)
-			fmt.Fprintf(stdout, "scenario=%s %s\n", cfg.Scenario, ds.Stats(cfg.K))
-		}
-	}
-	fmt.Fprintln(stdout, "round  accuracy  grad-norm  ms/iter  epsilon")
-	for _, r := range res.Rounds {
-		acc := "      -"
-		if r.Evaluated {
-			acc = fmt.Sprintf("%7.4f", r.Accuracy)
-		}
-		fmt.Fprintf(stdout, "%5d  %s  %9.4f  %7.2f  %7.4f\n", r.Round, acc, r.MeanGradNorm, r.MsPerIter, r.Epsilon)
-	}
-	finalAcc, _ := res.FinalAccuracy()
-	bestAcc, _ := res.BestAccuracy()
-	meanMs, _ := res.MeanMsPerIter()
-	fmt.Fprintf(stdout, "final: accuracy=%.4f best=%.4f epsilon=%.4f mean-ms/iter=%.2f\n",
-		finalAcc, bestAcc, res.FinalEpsilon(), meanMs)
-	if res.Ledger != nil {
-		maxEps, _, worst := res.Ledger.MaxEpsilon()
-		minEps, least := res.Ledger.MinEpsilon()
-		fmt.Fprintf(stdout, "ledger: users=%d eps-max=%.4f (user %d) eps-min=%.4f (user %d)\n",
-			len(res.Ledger.Users()), maxEps, worst, minEps, least)
-	}
+	res.Print(stdout)
 	return nil
 }
 

@@ -286,21 +286,24 @@ func TestBinariesFlagSurface(t *testing.T) {
 }
 
 // TestEndToEndTCPDeployment launches the fleet the README describes:
-// fedserve and kt fedclients given the same config file and nothing but
-// transport flags. Both sides must name the same experiment digest and
-// finish all training.rounds rounds — fedclient once took its horizon from
-// a private -rounds flag that also collided with training.rounds and moved
-// its digest off the server's.
+// fedserve and kt fedclients given the same config file, the same override
+// clearing its fault plan (a fleet of real processes replays none), and
+// nothing else but transport flags. Both sides must name the same
+// experiment digest and finish all training.rounds rounds — fedclient once
+// took its horizon from a private -rounds flag that also collided with
+// training.rounds and moved its digest off the server's — and fedserve must
+// close with the ε fedtrain prints for that experiment: it is the same
+// round engine under the same accountant.
 func TestEndToEndTCPDeployment(t *testing.T) {
-	const cfgPath = "configs/fault-acceptance.yaml"
-	exp, err := config.Load(cfgPath)
+	experiment := []string{"-config", "configs/fault-acceptance.yaml", "-set", "faults.plan="}
+	exp, err := (&config.Flags{Path: experiment[1], Sets: experiment[3:]}).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A lost process would leave the others waiting on it: bound them all.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	srv := exec.CommandContext(ctx, binary(t, "fedserve"), "-config", cfgPath, "-addr", "127.0.0.1:0")
+	srv := exec.CommandContext(ctx, binary(t, "fedserve"), append(experiment, "-addr", "127.0.0.1:0")...)
 	srvOut, err := srv.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +329,7 @@ func TestEndToEndTCPDeployment(t *testing.T) {
 	clientOut := make([]bytes.Buffer, exp.Training.Kt)
 	clients := make([]*exec.Cmd, exp.Training.Kt)
 	for i := range clients {
-		clients[i] = exec.CommandContext(ctx, binary(t, "fedclient"), "-config", cfgPath, "-addr", m[2], "-id", fmt.Sprint(i), "-give-up", "20s")
+		clients[i] = exec.CommandContext(ctx, binary(t, "fedclient"), append(experiment, "-addr", m[2], "-id", fmt.Sprint(i), "-give-up", "20s")...)
 		clients[i].Stdout = &clientOut[i]
 		clients[i].Stderr = &clientOut[i]
 		if err := clients[i].Start(); err != nil {
@@ -346,6 +349,21 @@ func TestEndToEndTCPDeployment(t *testing.T) {
 		if r >= len(served) || !want.MatchString(served[r]) {
 			t.Fatalf("round %d: want %s, server log:\n%s", r, want, strings.Join(served, "\n"))
 		}
+	}
+	trained, err := exec.CommandContext(ctx, binary(t, "fedtrain"), experiment...).Output()
+	if err != nil {
+		t.Fatalf("fedtrain: %v", err)
+	}
+	// The ε column of the per-round table, then the final: line's.
+	epsilons := func(out string) (col []string) {
+		for _, m := range regexp.MustCompile(`(?m)^ +\d+  .* (\d+\.\d{4})$|^final: .* epsilon=(\d+\.\d{4}) `).FindAllStringSubmatch(out, -1) {
+			col = append(col, m[1]+m[2])
+		}
+		return col
+	}
+	want, got := epsilons(string(trained)), epsilons(strings.Join(served, "\n"))
+	if len(want) != exp.Training.Rounds+1 || !reflect.DeepEqual(got, want) || want[len(want)-1] == "0.0000" {
+		t.Errorf("fedserve reports ε %v, fedtrain on the same experiment %v; server log:\n%s", got, want, strings.Join(served, "\n"))
 	}
 	for i, c := range clients {
 		if err := c.Wait(); err != nil {

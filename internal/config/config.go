@@ -393,6 +393,28 @@ func (e *Experiment) CoreConfig() core.Config {
 	}
 }
 
+// DialIn resolves the experiment for the TCP deployment — cmd/fedserve and
+// the cmd/fedclient processes that dial it — and is the one place that
+// deployment refuses, by key, what it cannot honor rather than ignore it:
+// its clients are real processes on real links with their own fates, so no
+// plan can be replayed on them (a planned restart would even answer parked
+// clients "no further rounds", which they take as a clean finish), and its
+// round server folds what arrives.
+func (e *Experiment) DialIn() (*core.Resolved, error) {
+	const onFabric = "is realized on the simnet fabric (fedtrain -set runtime.simnet=true); fedserve and fedclient are real processes on real links, which fail on their own and replay no plan"
+	switch {
+	case e.Method.Name == core.MethodFedSDPSrv:
+		return nil, fmt.Errorf("config: method.name: %w", core.ServerSanitizeRefusal("fedserve's"))
+	case e.Faults.Plan != "":
+		return nil, fmt.Errorf("config: faults.plan %q %s — clear it with -set faults.plan=", e.Faults.Plan, onFabric)
+	case e.Faults.Population != "":
+		return nil, fmt.Errorf("config: faults.population %q %s — clear it with -set faults.population=", e.Faults.Population, onFabric)
+	case e.Runtime.Simnet:
+		return nil, fmt.Errorf("config: runtime.simnet deploys the whole federation in one process over the in-memory fabric, which is fedtrain's to run (fedtrain -set runtime.simnet=true); fedserve and fedclient speak TCP")
+	}
+	return e.CoreConfig().Resolve()
+}
+
 // Expand resolves the sweep block into the list of single runs it
 // describes: one experiment per sweep seed, each with the sweep cleared
 // and its own digest. A config without a sweep expands to itself.

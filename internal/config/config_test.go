@@ -443,7 +443,7 @@ func TestSetErrors(t *testing.T) {
 		{"runtime.deadline", "soon", `runtime.deadline: not a duration`},
 		{"sweep.seeds", "1,2", `sweep.seeds: not a list`},
 		{"seed", "x", `seed: not an integer: "x"`},
-		{"data.dataset", "", `data.dataset: missing value`},
+		{"training.k", "", `training.k: not an integer: ""`},
 		{"data.dataset", "\"open", `data.dataset: bad quoted string`},
 	}
 	for _, tc := range cases {
@@ -533,6 +533,20 @@ func TestFlagsLoad(t *testing.T) {
 	}
 	if got.Training.K != 12 || got.Data.Dataset != "cancer" {
 		t.Fatal("keys no -set named must keep the file's values")
+	}
+	// An empty value clears a string key: the override digests as the file
+	// with the line deleted does, which is how a dial-in fleet runs a
+	// config that carries a fault plan.
+	planned := writeConfig(t, "data:\n  dataset: cancer\nfaults:\n  plan: drop=0.2,crash=2\n")
+	clean := writeConfig(t, "data:\n  dataset: cancer\n")
+	if got, err = loadArgs("-config", planned, "-set", "faults.plan="); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = Load(clean); err != nil {
+		t.Fatal(err)
+	}
+	if got.Faults.Plan != "" || !bytes.Equal(got.Canonical(), want.Canonical()) || got.Digest() != want.Digest() {
+		t.Fatalf("-set faults.plan= differs from the file without a plan:\n%s\nvs\n%s", got.Canonical(), want.Canonical())
 	}
 	// A value containing '=' splits at the first one only.
 	if e, err = loadArgs("-set", "faults.plan=drop=0.2,crash=2"); err != nil || e.Faults.Plan != "drop=0.2,crash=2" {

@@ -35,6 +35,9 @@ func Parse(b []byte) (*Experiment, error) {
 			return fmt.Errorf("line %d: duplicate key %s", lineNo, id)
 		}
 		seen[id] = true
+		if value == "" {
+			return fmt.Errorf("line %d: %s: missing value (use %q for an explicit empty string)", lineNo, id, `""`)
+		}
 		if err := setKey(e, section, key, value); err != nil {
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}

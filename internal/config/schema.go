@@ -270,9 +270,6 @@ func setKey(e *Experiment, section, key, value string) error {
 		}
 		return fmt.Errorf("unknown key %q in %s (have %s)", key, where, strings.Join(index.secKeys[section], ", "))
 	}
-	if value == "" {
-		return fmt.Errorf("%s: missing value (use %q for an explicit empty string)", keyID(section, key), `""`)
-	}
 	if err := f.set(e, value); err != nil {
 		return fmt.Errorf("%s: %w", keyID(section, key), err)
 	}
@@ -295,7 +292,9 @@ func errUnknownSection(name string) error {
 // as "seed" — exactly as the document line "key: value" would: same type
 // check, same refusal of unknown keys by name with the valid ones listed,
 // and therefore the same Canonical bytes and Digest as the edited file.
-// Unlike a document, which refuses a repeated key, a later Set wins.
+// Unlike a document, which refuses a repeated key, a later Set wins; and an
+// empty value is the empty string (-set faults.plan= clears the file's
+// plan), where a document must write "" to tell it from a section header.
 func Set(e *Experiment, key, value string) error {
 	section, name, ok := strings.Cut(key, ".")
 	if !ok || section == "" {

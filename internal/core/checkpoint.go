@@ -85,15 +85,15 @@ func (c *Checkpoint) Resume(rounds int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hist, err := fl.Run(r.flCfg)
+	hist, err := fl.Run(r.FL)
 	if err != nil {
 		return nil, err
 	}
 	// Account for the full composition: checkpointed + resumed rounds.
-	full := r.cfg
+	full := r.Cfg
 	full.Rounds = c.NextRound + rounds
-	annotateEpsilonOffset(full, r.spec, hist, c.NextRound, fl.PopulationOf(full.K, r.plan))
-	return &Result{History: hist, Spec: r.spec, Cfg: full}, nil
+	annotateEpsilonOffset(full, r.Spec, hist, c.NextRound, fl.PopulationOf(full.K, r.Plan))
+	return &Result{History: hist, Spec: r.Spec, Cfg: full}, nil
 }
 
 // annotateEpsilonOffset is annotateEpsilon for a resumed run: it first

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"fedcdp/internal/accountant"
@@ -163,9 +164,9 @@ type Config struct {
 	ConfigDigest string
 }
 
-// WithDefaults resolves zero fields against the benchmark spec — the one
-// meaning of an unset value, shared by Run, RunSimnet and the TCP binaries.
-func (c Config) WithDefaults(spec dataset.Spec) Config {
+// withDefaults resolves zero fields against the benchmark spec — the one
+// meaning of an unset value, read from outside as Resolved.Cfg.
+func (c Config) withDefaults(spec dataset.Spec) Config {
 	if c.K == 0 {
 		c.K = 100
 	}
@@ -245,41 +246,75 @@ type Result struct {
 	Ledger *accountant.Ledger
 }
 
+// Print writes the run's report, the one fedtrain and fedserve share: shape,
+// realized partition, per-round table, closing accuracy / ε / ledger lines.
+func (r *Result) Print(w io.Writer) {
+	cfg := r.Cfg
+	fmt.Fprintf(w, "dataset=%s method=%s K=%d Kt=%d T=%d L=%d\n",
+		cfg.Dataset, r.Strategy, cfg.K, cfg.Kt, cfg.Rounds, cfg.LocalIters)
+	if cfg.Scenario.Name != "" {
+		fmt.Fprintf(w, "scenario=%s %s\n", cfg.Scenario, r.Config.Data.Stats(cfg.K))
+	}
+	fmt.Fprintln(w, "round  accuracy  grad-norm  ms/iter  epsilon")
+	for _, rs := range r.Rounds {
+		acc := "      -"
+		if rs.Evaluated {
+			acc = fmt.Sprintf("%7.4f", rs.Accuracy)
+		}
+		fmt.Fprintf(w, "%5d  %s  %9.4f  %7.2f  %7.4f\n", rs.Round, acc, rs.MeanGradNorm, rs.MsPerIter, rs.Epsilon)
+	}
+	finalAcc, _ := r.FinalAccuracy()
+	bestAcc, _ := r.BestAccuracy()
+	meanMs, _ := r.MeanMsPerIter()
+	fmt.Fprintf(w, "final: accuracy=%.4f best=%.4f epsilon=%.4f mean-ms/iter=%.2f\n",
+		finalAcc, bestAcc, r.FinalEpsilon(), meanMs)
+	if r.Ledger != nil {
+		maxEps, _, worst := r.Ledger.MaxEpsilon()
+		minEps, least := r.Ledger.MinEpsilon()
+		fmt.Fprintf(w, "ledger: users=%d eps-max=%.4f (user %d) eps-min=%.4f (user %d)\n",
+			len(r.Ledger.Users()), maxEps, worst, minEps, least)
+	}
+}
+
 // Run executes the configured experiment: it resolves the benchmark,
 // constructs the strategy, runs the federated simulation, and fills in the
 // per-round privacy spending via the moments accountant.
 func Run(cfg Config) (*Result, error) {
-	r, err := cfg.resolve(0, cfg.PlannedRounds, nil)
+	r, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	hist, err := fl.Run(r.flCfg)
+	hist, err := fl.Run(r.FL)
 	if err != nil {
 		return nil, err
 	}
 	return r.result(hist), nil
 }
 
-// resolved is a Config bound to its benchmark: defaults applied, the plan
+// Resolved is a Config bound to its benchmark: defaults applied, the plan
 // bound over the horizon, and the fl.Config every runtime hands the round
-// engine.
-type resolved struct {
-	cfg   Config
-	spec  dataset.Spec
-	plan  *simnet.Plan // the bound fault + population plan; clause-free on a clean run
-	flCfg fl.Config
+// engine — also what a binary reads (Resolve) for a piece of the experiment
+// outside a run: fedclient's shard, fedattack's victim.
+type Resolved struct {
+	Cfg  Config // with defaults applied
+	Spec dataset.Spec
+	Plan *simnet.Plan // the bound fault + population plan; clause-free on a clean run
+	FL   fl.Config    // Data partitioned by Cfg.Scenario, Strategy, Model, …
 }
 
-// resolve is the one Config → fl.Config mapping, shared by Run, Resume and
-// RunSimnet. start and params continue a checkpointed run (0, nil starts
-// fresh) for c.Rounds rounds; planned is the declared full horizon when it
-// is longer than that.
-func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*resolved, error) {
+// Resolve binds the Config as Run does.
+func (c Config) Resolve() (*Resolved, error) { return c.resolve(0, c.PlannedRounds, nil) }
+
+// resolve is the one Config → fl.Config mapping, shared by Run, Resume,
+// RunSimnet and Serve. start and params continue a checkpointed run (0, nil
+// starts fresh) for c.Rounds rounds; planned is the declared full horizon
+// when it is longer than that.
+func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*Resolved, error) {
 	spec, err := dataset.Get(c.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	c = c.WithDefaults(spec)
+	c = c.withDefaults(spec)
 	strat, err := c.Strategy()
 	if err != nil {
 		return nil, err
@@ -300,7 +335,7 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*resolved,
 	if plan, err = plan.Bind(c.Seed, horizon, c.K); err != nil {
 		return nil, err
 	}
-	r := &resolved{cfg: c, spec: spec, plan: plan, flCfg: fl.Config{
+	r := &Resolved{Cfg: c, Spec: spec, Plan: plan, FL: fl.Config{
 		Data:  dataset.NewPartitioned(spec, c.Seed, part),
 		Model: spec.ModelSpec(),
 		K:     c.K, Kt: c.Kt, Rounds: c.Rounds,
@@ -332,7 +367,7 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*resolved,
 	if clauses != "" {
 		// A clean run carries no plan at all: the in-process hot path skips
 		// every per-client plan query.
-		r.flCfg.Faults = plan
+		r.FL.Faults = plan
 	}
 	return r, nil
 }
@@ -352,9 +387,9 @@ func (c Config) planSpec() string {
 }
 
 // result annotates a finished history with its privacy spending.
-func (r *resolved) result(hist *fl.History) *Result {
-	ledger := annotateEpsilon(r.cfg, r.spec, hist, fl.PopulationOf(r.cfg.K, r.plan))
-	return &Result{History: hist, Spec: r.spec, Cfg: r.cfg, Ledger: ledger}
+func (r *Resolved) result(hist *fl.History) *Result {
+	ledger := annotateEpsilon(r.Cfg, r.Spec, hist, fl.PopulationOf(r.Cfg.K, r.Plan))
+	return &Result{History: hist, Spec: r.Spec, Cfg: r.Cfg, Ledger: ledger}
 }
 
 // roundSamplingRate returns the method's per-step sampling rate for a round

@@ -307,7 +307,7 @@ func TestRunFedCDPEpsilonGrowsWithL(t *testing.T) {
 
 func TestWithDefaults(t *testing.T) {
 	spec, _ := dataset.Get("mnist")
-	c := Config{Dataset: "mnist"}.WithDefaults(spec)
+	c := Config{Dataset: "mnist"}.withDefaults(spec)
 	if c.K != 100 || c.Kt != 10 {
 		t.Fatalf("defaults K=%d Kt=%d", c.K, c.Kt)
 	}

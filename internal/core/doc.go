@@ -14,10 +14,12 @@
 //
 // Run ties a strategy to the fl substrate and the privacy accountant and is
 // the high-level entry point used by the CLIs, examples and benchmarks;
-// RunSimnet deploys the same Config over the in-memory simnet fabric and
-// Checkpoint.Resume continues it. All three resolve the Config through one
-// mapping (Config.resolve) and run fl's one round engine — in process for
-// Run and Resume, through the fabric runner (simnet.go) for RunSimnet. The
+// RunSimnet deploys the same Config over the in-memory simnet fabric, Serve
+// as a TCP server other processes dial into, and Checkpoint.Resume continues
+// a Run. All four resolve the Config through one mapping (Config.resolve)
+// and run fl's one round engine — in process for Run and Resume, through the
+// fabric runner (simnet.go) for RunSimnet, the dial-in runner (serve.go) for
+// Serve — so every Result has the same History, ε accounting and report. The
 // Config is the repository's experiment surface: benchmark and method
 // selection, population and round shape, privacy parameters, deadline and
 // quorum, and the orthogonal switches —

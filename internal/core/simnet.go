@@ -50,15 +50,19 @@ func RunSimnet(cfg Config) (*Result, error) {
 	case cfg.RoundDeadline != 0:
 		return nil, fmt.Errorf("core: round deadline %v cannot run on the simnet fabric, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the plan's crash, drop and latency clauses", cfg.RoundDeadline)
 	}
-	// A deployment is not resumable (checkpoints are Run's), so its horizon
-	// is the run itself.
+	return cfg.deploy(func(r *Resolved, fc fl.Config) (fl.RoundRunner, error) {
+		return newFabric(fc, r.Plan, r.Cfg.MuxWorkers)
+	})
+}
+
+// deploy runs cfg on a wire deployment's runner. A deployment is not
+// resumable (checkpoints are Run's), so its horizon is the run itself.
+func (cfg Config) deploy(open func(*Resolved, fl.Config) (fl.RoundRunner, error)) (*Result, error) {
 	r, err := cfg.resolve(0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	hist, err := fl.RunWith(r.flCfg, func(fc fl.Config) (fl.RoundRunner, error) {
-		return newFabric(fc, r.plan, r.cfg.MuxWorkers)
-	})
+	hist, err := fl.RunWith(r.FL, func(fc fl.Config) (fl.RoundRunner, error) { return open(r, fc) })
 	if err != nil {
 		return nil, err
 	}

@@ -234,48 +234,6 @@ func foldInto(agg Aggregator, update []*tensor.Tensor, weight float64) {
 	agg.Fold(update)
 }
 
-// CollectAggregator retains every folded update — the O(Kt) barrier-era
-// behaviour — for callers that need the raw updates back (RunRound
-// compatibility, inspection, tests). It retains references, not copies.
-type CollectAggregator struct {
-	mu      sync.Mutex
-	updates [][]*tensor.Tensor
-}
-
-// NewCollect returns an empty collecting aggregator.
-func NewCollect() *CollectAggregator { return &CollectAggregator{} }
-
-// Begin implements Aggregator.
-func (a *CollectAggregator) Begin(params []*tensor.Tensor) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.updates = a.updates[:0]
-}
-
-// Fold implements Aggregator.
-func (a *CollectAggregator) Fold(update []*tensor.Tensor) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.updates = append(a.updates, update)
-}
-
-// Count implements Aggregator.
-func (a *CollectAggregator) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.updates)
-}
-
-// Commit implements Aggregator: collection never modifies the model.
-func (a *CollectAggregator) Commit(params []*tensor.Tensor) {}
-
-// Updates returns the collected updates in fold order.
-func (a *CollectAggregator) Updates() [][]*tensor.Tensor {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.updates
-}
-
 // geometryMatches reports whether buf can hold params' values tensor for
 // tensor.
 func geometryMatches(buf, params []*tensor.Tensor) bool {
@@ -305,8 +263,7 @@ func resetLike(buf, params []*tensor.Tensor) []*tensor.Tensor {
 // AggregateFedSGD applies FedSGD in place: params ← params + mean(ΔW) over
 // the collected updates (Section IV-A), implemented as a fold over a
 // FedSGDAggregator so batch and streaming callers share one arithmetic
-// (sum first, scale once at commit). It is shared by the in-process
-// simulator and the TCP server (cmd/fedserve). Empty update sets leave the
+// (sum first, scale once at commit). Empty update sets leave the
 // parameters unchanged.
 func AggregateFedSGD(params []*tensor.Tensor, updates [][]*tensor.Tensor) {
 	agg := NewFedSGD()

@@ -86,7 +86,7 @@ func TestFedAvgAggregatorMatchesFedSGD(t *testing.T) {
 
 func TestCollectAggregatorRetainsUpdates(t *testing.T) {
 	params := []*tensor.Tensor{tensor.New(2)}
-	agg := NewCollect()
+	agg := newCollect()
 	agg.Begin(params)
 	agg.Fold(onesUpdate([]int{2}, 1))
 	agg.Fold(onesUpdate([]int{2}, 2))

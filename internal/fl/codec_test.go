@@ -761,7 +761,7 @@ func TestBinaryCodecParityOverFabric(t *testing.T) {
 		cfg := RoundConfig{BatchSize: 4, LocalIters: 2, LR: 0.1, TotalRounds: 1}
 		done := make(chan error, 1)
 		go func() {
-			done <- RunRemoteClientOpts("server", 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42,
+			done <- runClient("server", 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42,
 				ClientOptions{Dial: n.Dialer("c0"), Codec: codec})
 		}()
 		if _, err := srv.StreamRound(0, params, cfg, NewFedSGD(), RoundOptions{Clients: 1}); err != nil {

@@ -19,8 +19,9 @@
 // the schedule horizon, the global model, restarts, the cohort draw from
 // the active set, the dropout coin, the evaluation schedule, the history —
 // and a RoundRunner is what it hands each cohort to: the in-process
-// streaming round (Run), the simnet fabric deployment (core.RunSimnet) or
-// the lockstep oracle (barrier_test.go). worker.step is the one client
+// streaming round (Run), the simnet fabric deployment (core.RunSimnet), the
+// TCP server other processes dial into (core.Serve) or the lockstep oracle
+// (barrier_test.go). worker.step is the one client
 // step (parameters, precision, the per-(seed, round, client) RNG and noise
 // streams, Strategy.ClientUpdate, Byzantine corruption), run by the
 // in-process pool, the one-shot remote client and the ClientMux alike;

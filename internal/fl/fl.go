@@ -271,7 +271,7 @@ func splitAggRule(rule string) (name, param string, hasParam bool) {
 
 // NewAggregator constructs the server fold for an aggregation rule (""
 // defaults to FedSGD) — the single rule↔fold mapping shared by the
-// in-process runtimes, cmd/fedserve and the simnet harness.
+// in-process runtime and core's wire deployments.
 func NewAggregator(rule string) (Aggregator, error) {
 	name, param, hasParam := splitAggRule(rule)
 	if hasParam && name != AggTrimmed && name != AggKrum {
@@ -448,9 +448,9 @@ func Run(cfg Config) (*History, error) {
 // protocol's frame — validation, the schedule horizon, the global model, the
 // cohort draw, the dropout coin, restarts, evaluation, the history — and
 // hands each drawn cohort to a runner, which trains it and folds what
-// arrives. Three runners exist: the in-process streaming round (Run), the
-// simnet fabric deployment (core.RunSimnet) and the lockstep parity oracle
-// (barrier_test.go).
+// arrives. Four runners exist: the in-process streaming round (Run), the
+// simnet fabric deployment (core.RunSimnet), the TCP server of a dial-in
+// deployment (core.Serve) and the lockstep parity oracle (barrier_test.go).
 type RoundRunner interface {
 	// Restart rebuilds the server-side state that a server restart before
 	// round loses. The global parameters are the checkpointable state:

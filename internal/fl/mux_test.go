@@ -41,7 +41,7 @@ func TestClientMuxMatchesPerClientGoroutines(t *testing.T) {
 			go func() {
 				for id := 0; id < kt; id++ {
 					go func(id int) {
-						if err := RunRemoteClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42); err != nil {
+						if err := runClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42, ClientOptions{}); err != nil {
 							t.Error(err)
 						}
 					}(id)

@@ -206,7 +206,7 @@ func TestRemoteClientOverSimnetFabric(t *testing.T) {
 	clientErr := make(chan error, 2)
 	for id := 0; id < 2; id++ {
 		go func(id int) {
-			clientErr <- RunRemoteClientOpts("server", id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42,
+			clientErr <- runClient("server", id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42,
 				ClientOptions{Dial: n.Dialer("c" + string(rune('0'+id)))})
 		}(id)
 	}

@@ -17,11 +17,11 @@ import (
 // server that pushes global parameters to connecting clients over TCP and
 // folds their updates into an Aggregator as they arrive, with a negotiated
 // wire encoding — gob by default, the framed binary codec (codec.go) when
-// both sides opt in — dense, sparse or quantized per update. The
-// in-process simulator (Run) is the tool
-// for experiments; the RPC path exists so the library can be deployed
-// across processes/machines and is exercised by tests, cmd/fedserve and
-// cmd/fedclient. The paper assumes the channel itself is encrypted; set
+// both sides opt in — dense, sparse or quantized per update. A RoundServer
+// serves one round per StreamRound call and owns no loop: the round engine
+// (RunWith) drives it through core's runners — the simnet fabric in one
+// process, core.Serve (cmd/fedserve, with cmd/fedclient on the other end)
+// across processes. The paper assumes the channel itself is encrypted; set
 // Secure for the X25519/AES-GCM handshake — the protocol above it is
 // unchanged.
 //
@@ -250,16 +250,6 @@ func NewRoundServerOn(ln net.Listener) *RoundServer {
 	s := &RoundServer{ln: ln, closedCh: make(chan struct{})}
 	s.cond = sync.NewCond(&s.mu)
 	return s
-}
-
-// NewSecureRoundServer listens on addr with encryption enabled.
-func NewSecureRoundServer(addr string) (*RoundServer, error) {
-	s, err := NewRoundServer(addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Secure = true
-	return s, nil
 }
 
 // Addr returns the server's listen address.
@@ -585,20 +575,6 @@ drain:
 	return res, nil
 }
 
-// RunRound serves one federated round in the barrier-era style: it admits
-// exactly kt client sessions, waits for every update, and returns the
-// materialized deltas in arrival order (any session error aborts the
-// round). Implemented as a StreamRound into a CollectAggregator — callers
-// that can fold incrementally should use StreamRound directly and keep
-// server memory O(model).
-func (s *RoundServer) RunRound(round int, params []*tensor.Tensor, cfg RoundConfig, kt int) ([][]*tensor.Tensor, error) {
-	agg := NewCollect()
-	if _, err := s.StreamRound(round, params, cfg, agg, RoundOptions{Clients: kt}); err != nil {
-		return nil, err
-	}
-	return agg.Updates(), nil
-}
-
 // DialFunc opens a client connection to a server address. The default is
 // TCP; internal/simnet provides in-memory fabric dialers so whole
 // deployments run inside one process.
@@ -607,7 +583,7 @@ type DialFunc func(addr string) (net.Conn, error)
 // ClientOptions configures how a remote client reaches its server.
 type ClientOptions struct {
 	// Secure runs the X25519/AES-GCM handshake before the protocol (the
-	// server must have been created with NewSecureRoundServer).
+	// server's Secure must be set too).
 	Secure bool
 	// Dial opens the connection; nil dials TCP.
 	Dial DialFunc
@@ -653,37 +629,16 @@ func (o ClientOptions) dial(addr string) (net.Conn, error) {
 	return net.Dial("tcp", addr)
 }
 
-// RunRemoteClient connects to a round server, performs one round of local
-// training with the given strategy, and sends back the update (sparse
-// encoding when the update is mostly zeros). A nil return means the
-// server acknowledged folding the update into its round; an update that
-// missed a straggler cutoff returns an error. The error wraps
-// ErrRoundClosed when the server refuses the session because no further
-// round is available.
-func RunRemoteClient(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64) error {
-	return RunRemoteClientOpts(addr, clientID, strat, data, spec, seed, ClientOptions{})
-}
-
-// RunSecureRemoteClient is RunRemoteClient over the encrypted channel; the
-// server must have been created with NewSecureRoundServer.
-func RunSecureRemoteClient(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64) error {
-	return RunRemoteClientOpts(addr, clientID, strat, data, spec, seed, ClientOptions{Secure: true})
-}
-
-// RunRemoteClientOpts is RunRemoteClient with explicit transport options
-// (custom dialer, encryption).
-func RunRemoteClientOpts(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64, opt ClientOptions) error {
-	_, err := RunRemoteClientRound(addr, clientID, strat, data, spec, seed, opt)
-	return err
-}
-
-// RunRemoteClientRound is RunRemoteClientOpts reporting which round the
-// server actually served. A client looping until it has contributed N
-// rounds must count DISTINCT rounds, not sessions: when this client is
-// faster than the rest of the cohort the server re-serves the round it is
-// still collecting, the session resolves as an acknowledged duplicate,
-// and counting it would both exit the loop early and starve later rounds
-// of this client (see ClientOptions.MinRound and cmd/fedclient).
+// RunRemoteClientRound connects to a round server, performs one round of
+// local training with the given strategy, and sends back the update (sparse
+// encoding when the update is mostly zeros). It returns the round the
+// server served; a nil error means the server acknowledged folding the
+// update into it (an update that missed a straggler cutoff is an error),
+// and the error wraps ErrRoundClosed when the server has no further round.
+// A client looping until it has contributed N rounds must count DISTINCT
+// rounds, not sessions: a server still collecting a round re-serves it to a
+// fast client, whose session then resolves as an acknowledged duplicate
+// (see ClientOptions.MinRound and cmd/fedclient).
 func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64, opt ClientOptions) (int, error) {
 	s, err := openSession(addr, opt)
 	if err != nil {

@@ -50,11 +50,11 @@ func TestRPCRoundOverLoopback(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			clientErrs[id] = RunRemoteClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42)
+			clientErrs[id] = runClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42, ClientOptions{})
 		}(i)
 	}
 
-	deltas, err := srv.RunRound(0, model.Params(), cfg, kt)
+	deltas, err := runRound(srv, 0, model.Params(), cfg, kt)
 	wg.Wait()
 	if err != nil {
 		t.Fatalf("RunRound: %v", err)
@@ -114,9 +114,9 @@ func TestRPCRemoteMatchesLocal(t *testing.T) {
 	defer srv.Close()
 	done := make(chan error, 1)
 	go func() {
-		done <- RunRemoteClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42)
+		done <- runClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42, ClientOptions{})
 	}()
-	deltas, err := srv.RunRound(0, model.Params(), cfg, 1)
+	deltas, err := runRound(srv, 0, model.Params(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRoundServerBadAddr(t *testing.T) {
 func TestRemoteClientBadAddr(t *testing.T) {
 	spec, _ := dataset.Get("cancer")
 	ds := dataset.New(spec, 1)
-	err := RunRemoteClient("127.0.0.1:1", 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 1)
+	err := runClient("127.0.0.1:1", 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 1, ClientOptions{})
 	if err == nil {
 		t.Fatal("expected error dialing closed port")
 	}

@@ -143,17 +143,18 @@ func TestSecureRPCRound(t *testing.T) {
 	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
 	cfg := RoundConfig{BatchSize: 4, LocalIters: 2, LR: 0.1, TotalRounds: 1}
 
-	srv, err := NewSecureRoundServer("127.0.0.1:0")
+	srv, err := NewRoundServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Secure = true
 	defer srv.Close()
 
 	done := make(chan error, 1)
 	go func() {
-		done <- RunSecureRemoteClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42)
+		done <- runClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42, ClientOptions{Secure: true})
 	}()
-	deltas, err := srv.RunRound(0, model.Params(), cfg, 1)
+	deltas, err := runRound(srv, 0, model.Params(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +176,10 @@ func TestSecureClientAgainstPlainServerFails(t *testing.T) {
 	defer srv.Close()
 	done := make(chan error, 1)
 	go func() {
-		done <- RunSecureRemoteClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 1)
+		done <- runClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 1, ClientOptions{Secure: true})
 	}()
 	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(8))
-	_, rerr := srv.RunRound(0, model.Params(), RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1}, 1)
+	_, rerr := runRound(srv, 0, model.Params(), RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1}, 1)
 	cerr := <-done
 	if rerr == nil && cerr == nil {
 		t.Fatal("mismatched security modes must fail")

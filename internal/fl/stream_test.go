@@ -259,7 +259,7 @@ func TestStreamRoundFoldsOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := RunRemoteClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42); err != nil {
+			if err := runClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42, ClientOptions{}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -311,7 +311,7 @@ func TestStreamRoundDeadlineOverTCP(t *testing.T) {
 		})
 		done <- outcome{res, err}
 	}()
-	if err := RunRemoteClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42); err != nil {
+	if err := runClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42, ClientOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	<-folded // the lone update is in the aggregator
@@ -352,7 +352,7 @@ func TestStreamRoundQuorumMissOverTCP(t *testing.T) {
 		})
 		done <- outcome{res, err}
 	}()
-	if err := RunRemoteClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42); err != nil {
+	if err := runClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 42, ClientOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	<-folded
@@ -385,16 +385,16 @@ func TestWaitingSessionDeniedOnClose(t *testing.T) {
 	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(3))
 	cfg := RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1}
 	go func() {
-		_ = RunRemoteClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 1)
+		_ = runClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 1, ClientOptions{})
 	}()
-	if _, err := srv.RunRound(0, model.Params(), cfg, 1); err != nil {
+	if _, err := runRound(srv, 0, model.Params(), cfg, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// A late client connects after the final round: it parks.
 	errCh := make(chan error, 1)
 	go func() {
-		errCh <- RunRemoteClient(srv.Addr(), 1, sgdStrategy{}, ds.Client(1), spec.ModelSpec(), 1)
+		errCh <- runClient(srv.Addr(), 1, sgdStrategy{}, ds.Client(1), spec.ModelSpec(), 1, ClientOptions{})
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.waitingSessions() == 0 {
@@ -425,7 +425,7 @@ func TestExtraSessionsWaitForNextRound(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func(id int) {
-			errs <- RunRemoteClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 5)
+			errs <- runClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 5, ClientOptions{})
 		}(i)
 	}
 	for round := 0; round < 2; round++ {
@@ -476,9 +476,9 @@ func TestSparseUpdateOverTCP(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- RunRemoteClient(srv.Addr(), 0, sparseEchoStrategy{value: 3}, ds.Client(0), spec.ModelSpec(), 9)
+		done <- runClient(srv.Addr(), 0, sparseEchoStrategy{value: 3}, ds.Client(0), spec.ModelSpec(), 9, ClientOptions{})
 	}()
-	deltas, err := srv.RunRound(0, model.Params(), cfg, 1)
+	deltas, err := runRound(srv, 0, model.Params(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

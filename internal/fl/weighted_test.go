@@ -263,11 +263,11 @@ func TestPublishedScenarioRepartitionsRemoteClient(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := RunRemoteClient(srv.Addr(), 0, lenStrategy{}, iid.Client(0), spec.ModelSpec(), 42); err != nil {
+		if err := runClient(srv.Addr(), 0, lenStrategy{}, iid.Client(0), spec.ModelSpec(), 42, ClientOptions{}); err != nil {
 			t.Error(err)
 		}
 	}()
-	agg := NewCollect()
+	agg := newCollect()
 	_, err = srv.StreamRound(0, model.Params(), cfg, agg, RoundOptions{Clients: 1})
 	wg.Wait()
 	if err != nil {
@@ -313,7 +313,7 @@ func TestWeightOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			if err := RunRemoteClient(srv.Addr(), id, idStrategy{}, ds.Client(id), spec.ModelSpec(), 42); err != nil {
+			if err := runClient(srv.Addr(), id, idStrategy{}, ds.Client(id), spec.ModelSpec(), 42, ClientOptions{}); err != nil {
 				t.Error(err)
 			}
 		}(i)
