@@ -25,6 +25,7 @@ import (
 
 	"fedcdp/internal/accountant"
 	"fedcdp/internal/attack"
+	"fedcdp/internal/config"
 	"fedcdp/internal/core"
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/dp"
@@ -38,8 +39,10 @@ var printOnce sync.Map
 
 func runExperiment(b *testing.B, name string, scale float64) {
 	b.Helper()
+	e := config.Default()
+	e.Experiment = config.ExperimentBlock{Name: name, Scale: scale}
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Run(name, experiments.Options{Scale: scale, Seed: 42})
+		rep, err := experiments.Run(name, e)
 		if err != nil {
 			b.Fatal(err)
 		}

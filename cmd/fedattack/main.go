@@ -16,7 +16,11 @@
 // runtime.simnet the defended federation is first run over the simnet
 // fabric and its outcome stamped into the report. The attack's own
 // parameters are the flags: -type -batch -client -max-iters -optimizer
-// -mask, and -out.
+// -mask, and -out. -type is the paper's threat type, and what each one reads
+// under the experiment's defense is core.Config.Leak's to say: 2 the
+// per-example gradient during local training, 1 the batch's round update as
+// the client sent it, 0 that update after any server-side step — so
+// method.name=fedsdp-server leaks raw to -type 1 and sanitized to -type 0.
 package main
 
 import (
@@ -32,7 +36,6 @@ import (
 	"fedcdp/internal/config"
 	"fedcdp/internal/core"
 	"fedcdp/internal/dataset"
-	"fedcdp/internal/dp"
 	"fedcdp/internal/fl"
 	"fedcdp/internal/tensor"
 )
@@ -49,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var cf config.Flags
 	cf.Register(fs)
-	atkType := fs.Int("type", 2, "leakage type: 0/1 (batched round update) or 2 (per-example)")
+	atkType := fs.Int("type", 2, "leakage type: 0 (round update at the server), 1 (round update as the client sent it) or 2 (per-example)")
 	batch := fs.Int("batch", 3, "batch size for type-0/1 attacks")
 	clientID := fs.Int("client", 0, "victim client id")
 	maxIters := fs.Int("max-iters", 300, "attack iteration budget T")
@@ -58,6 +61,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	out := fs.String("out", "", "directory for PGM dumps of truth/reconstruction (image datasets)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *atkType < 0 || *atkType > 2 {
+		return fmt.Errorf("-type %d: the leakage type is 0, 1 or 2", *atkType)
 	}
 	exp, err := cf.Load()
 	if err != nil {
@@ -78,19 +84,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	m := attack.NewMLP([]int{spec.Features, 32, spec.Classes}, attack.ActSigmoid, tensor.NewRNG(cfg.Seed))
 	noise := tensor.Split(cfg.Seed, 7)
 
-	var truth []*tensor.Tensor
-	var labels []int
-	var gw, gb []*tensor.Tensor
+	n := *batch
 	if *atkType == 2 {
-		x, y := cd.Get(0)
-		truth = []*tensor.Tensor{x}
-		_, gw, gb = m.Gradients(x, y)
-		sanitizePerExample(gw, gb, cfg, noise)
+		n = 1
+	}
+	truth, labels := cd.Batch(0, n) // the victim's first local batch
+	g, err := cfg.Leak(*atkType, 0, m.ExampleGradients(truth, labels), noise)
+	if err != nil {
+		return err
+	}
+	gw, gb := g[:m.Layers()], g[m.Layers():]
+	if *atkType == 2 {
 		labels = []int{attack.InferLabel(gb[m.Layers()-1])}
-	} else {
-		truth = make([]*tensor.Tensor, *batch)
-		labels = make([]int, *batch)
-		gw, gb = batchGradients(m, cd, truth, labels, cfg, noise)
 	}
 
 	res := attack.Reconstruct(m, gw, gb, labels, truth, attack.Config{
@@ -133,46 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "wrote %d truth/reconstruction pairs to %s\n", len(truth), *out)
 	}
 	return nil
-}
-
-// sanitizePerExample applies the defense's type-2 semantics in place:
-// only Fed-CDP touches a per-example gradient, at its first-round bound.
-func sanitizePerExample(gw, gb []*tensor.Tensor, cfg core.Config, rng *tensor.RNG) {
-	switch cfg.Method {
-	case core.MethodFedCDP:
-		dp.Sanitize(dp.JoinGrads(gw, gb), cfg.Clip, cfg.Sigma, rng)
-	case core.MethodFedCDPDecay:
-		dp.Sanitize(dp.JoinGrads(gw, gb), cfg.DecayFrom, cfg.Sigma, rng)
-	}
-}
-
-// batchGradients computes the leaked batched update for type-0/1 attacks.
-func batchGradients(m *attack.MLP, cd *dataset.ClientData, truth []*tensor.Tensor, labels []int, cfg core.Config, rng *tensor.RNG) (gw, gb []*tensor.Tensor) {
-	L := m.Layers()
-	gw = make([]*tensor.Tensor, L)
-	gb = make([]*tensor.Tensor, L)
-	for l := 0; l < L; l++ {
-		gw[l] = tensor.New(m.Sizes[l+1], m.Sizes[l])
-		gb[l] = tensor.New(m.Sizes[l+1])
-	}
-	inv := 1 / float64(len(truth))
-	for j := range truth {
-		x, y := cd.Get(j)
-		truth[j], labels[j] = x, y
-		_, w, b := m.Gradients(x, y)
-		sanitizePerExample(w, b, cfg, rng)
-		for l := 0; l < L; l++ {
-			gw[l].AddScaled(inv, w[l])
-			gb[l].AddScaled(inv, b[l])
-		}
-	}
-	switch cfg.Method {
-	case core.MethodFedSDP, core.MethodFedSDPSrv:
-		dp.Sanitize(dp.JoinGrads(gw, gb), cfg.Clip, cfg.Sigma, rng)
-	case core.MethodDSSGD:
-		dp.Compress(dp.JoinGrads(gw, gb), 1-cfg.ShareFraction)
-	}
-	return gw, gb
 }
 
 // writePGM renders the first channel of an image tensor as an 8-bit PGM.

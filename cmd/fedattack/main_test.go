@@ -38,6 +38,26 @@ func TestAttackFollowsTheExperiment(t *testing.T) {
 	if strings.Fields(open)[1] == strings.Fields(defended)[1] {
 		t.Fatal("the override did not move the experiment digest")
 	}
+
+	// Server-side Fed-SDP is where threat types 0 and 1 part (Fig. 4): the
+	// server's view is sanitized, the update as the client sent it is raw —
+	// exactly the non-private one.
+	distance := func(args ...string) string {
+		out, err := fedattack(t, append(args, "-max-iters", "20")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, d, _ := strings.Cut(out, "reconstruction-distance=")
+		return strings.Fields(d)[0]
+	}
+	srv0 := distance("-set", "method.name=fedsdp-server", "-type", "0")
+	srv1 := distance("-set", "method.name=fedsdp-server", "-type", "1")
+	if srv0 == srv1 || srv1 != distance("-set", "method.name=nonprivate", "-type", "1") {
+		t.Fatalf("fedsdp-server: type-0 distance %s, type-1 %s — want them apart, and type-1 the raw update's", srv0, srv1)
+	}
+	if srv0 != distance("-set", "method.name=fedsdp", "-type", "0") {
+		t.Fatalf("type 0 reads the same sanitized update wherever Fed-SDP's noise is added, got %s", srv0)
+	}
 }
 
 // Batched leakage under a staged plan and the runtime.simnet evaluation,
@@ -71,6 +91,8 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-set", "method.name=fed-cdp"}, `unknown method.name "fed-cdp" (have [nonprivate fedsdp`},
 		{[]string{"-set", "faults.plan=meteor=1"}, "faults.plan"},
 		{[]string{"-method", "dssgd"}, "flag provided but not defined: -method"},
+		{[]string{"-type", "7"}, "-type 7: the leakage type is 0, 1 or 2"},
+		{[]string{"-type", "-1"}, "-type -1: the leakage type is 0, 1 or 2"},
 	} {
 		if _, err := fedattack(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)

@@ -10,11 +10,14 @@
 // fig5, faults, byzantine, churn); unset, every driver runs.
 // experiment.scale trades fidelity for time: 1 is the CPU-friendly default,
 // larger values approach the paper's GPU-scale parameters (Table VI always
-// runs at the paper's exact parameters — it is a pure computation). The
-// drivers take seed, precision, codec, scenario and the aggregation block
-// from the experiment (-config, -set; see internal/config), every report is
-// stamped with its canonical digest, and a sweep block fans the suite out
-// over seeds, -sweep-workers at a time.
+// runs at the paper's exact parameters — it is a pure computation). A
+// driver's runs are the experiment (-config, -set; see internal/config) plus
+// the keys that define each of its cells: every key it leaves alone —
+// training.lr, method.clip, data.scenario, runtime.*, aggregation.*, … —
+// reaches the run, and one it sets itself is refused if the experiment moved
+// it too ("table2 sets training.k itself …; clear it"). Every report is
+// stamped with the experiment's canonical digest, and a sweep block fans the
+// suite out over seeds, -sweep-workers at a time.
 package main
 
 import (
@@ -98,7 +101,7 @@ func runExperiments(e *config.Experiment, format string, w, stderr io.Writer) er
 	}
 	for _, n := range names {
 		start := time.Now()
-		rep, err := experiments.Run(n, experiments.FromExperiment(e))
+		rep, err := experiments.Run(n, e)
 		if err != nil {
 			return fmt.Errorf("%s: %w", n, err)
 		}

@@ -57,6 +57,9 @@ func TestRefusals(t *testing.T) {
 		{[]string{"-set", "experiment.name=table99"}, `unknown experiment "table99"`},
 		{[]string{"-set", "experiment.scale=big"}, `experiment.scale: not a number: "big"`},
 		{[]string{"-exp", "bench"}, "flag provided but not defined: -exp"},
+		// A key the driver sets itself is refused, not silently overridden.
+		{[]string{"-set", "experiment.name=table2", "-set", "training.k=50"}, "table2 sets training.k itself (training.k=40 in one of its runs); clear it"},
+		{[]string{"-set", "experiment.name=byzantine", "-set", "aggregation.rule=median"}, "byzantine sets aggregation.rule itself (aggregation.rule=fedsgd in one of its runs); clear it"},
 	} {
 		if _, err := tables(t, tc.args...); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)

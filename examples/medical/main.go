@@ -10,11 +10,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"fedcdp/internal/config"
 	"fedcdp/internal/core"
-	"fedcdp/internal/dataset"
-	"fedcdp/internal/fl"
 	"fedcdp/internal/nn"
 	"fedcdp/internal/tensor"
 )
@@ -42,23 +41,31 @@ training:
   eval-every: 100
 `
 
+// experiment is the scenario with the given overrides, validated.
+func experiment(sets ...string) *config.Experiment {
+	exp, err := config.Parse([]byte(scenario))
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, s := range sets {
+		key, value, _ := strings.Cut(s, "=")
+		if err := config.Set(exp, key, value); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := exp.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	return exp
+}
+
 func main() {
 	fmt.Println("cross-silo FL: 8 hospitals, breast-cancer data, 3 rounds (paper Table I)")
 	fmt.Println("method          accuracy  epsilon")
 	for _, method := range []string{
 		core.MethodNonPrivate, core.MethodFedSDP, core.MethodFedCDP, core.MethodFedCDPDecay,
 	} {
-		exp, err := config.Parse([]byte(scenario))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := config.Set(exp, "method.name", method); err != nil {
-			log.Fatal(err)
-		}
-		if err := exp.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		res, err := core.Run(exp.CoreConfig())
+		res, err := core.Run(experiment("method.name=" + method).CoreConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,36 +77,31 @@ func main() {
 		fmt.Printf("%-14s  %8.4f  %s\n", res.Strategy, acc, eps)
 	}
 
-	// What does the server actually see from one hospital?
-	spec, _ := dataset.Get("cancer")
-	ds := dataset.New(spec, 5)
-	env := &fl.ClientEnv{
-		ClientID: 0, Round: 0,
-		Model: buildModel(spec), Data: ds.Client(0),
-		RNG: tensor.Split(5, 4, 0, 0),
-		Cfg: fl.RoundConfig{BatchSize: 4, LocalIters: 10, LR: 0.1, TotalRounds: 3},
-	}
-	raw, err := core.LeakRoundUpdate(env, core.Config{Method: core.MethodNonPrivate}, true, tensor.NewRNG(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	noise := fl.ClientNoise(5, 0, 0)
-	env2 := &fl.ClientEnv{
-		ClientID: 0, Round: 0,
-		Model: buildModel(spec), Data: ds.Client(0),
-		RNG:   tensor.Split(5, 4, 0, 0),
-		Cfg:   fl.RoundConfig{BatchSize: 4, LocalIters: 10, LR: 0.1, TotalRounds: 3},
-		Noise: &noise,
-	}
-	safe, err := core.LeakRoundUpdate(env2, core.Config{Method: core.MethodFedCDP, Clip: 4, Sigma: 6}, true, tensor.NewRNG(1))
-	if err != nil {
-		log.Fatal(err)
-	}
+	// What does the server actually see from one hospital? The same
+	// experiment, read by the threat-model oracle: the type-0 view of the
+	// first local batch's update, Fed-CDP at the paper's verbatim σ = 6.
 	fmt.Printf("\nserver-side view of one hospital's update (L2 norm):\n")
-	fmt.Printf("  non-private: %.4f (structured — reconstructable)\n", tensor.GroupL2Norm(raw))
-	fmt.Printf("  fed-cdp:     %.4f (noise-dominated)\n", tensor.GroupL2Norm(safe))
+	fmt.Printf("  non-private: %.4f (structured — reconstructable)\n", serverView("method.name="+core.MethodNonPrivate))
+	fmt.Printf("  fed-cdp:     %.4f (noise-dominated)\n", serverView("method.name="+core.MethodFedCDP, "method.sigma=6"))
 }
 
-func buildModel(spec dataset.Spec) *nn.Model {
-	return nn.Build(spec.ModelSpec(), tensor.NewRNG(5))
+// serverView is the L2 norm of hospital 0's first-batch update as a curious
+// aggregation server reads it under the experiment's defense.
+func serverView(sets ...string) float64 {
+	exp := experiment(sets...)
+	r, err := exp.CoreConfig().Resolve()
+	if err != nil {
+		log.Fatal(err)
+	}
+	model := nn.Build(r.FL.Model, tensor.NewRNG(exp.Seed))
+	xs, ys := r.FL.Data.Client(0).Batch(0, r.Cfg.BatchSize)
+	examples := make([][]*tensor.Tensor, len(xs))
+	for i, x := range xs {
+		_, examples[i] = model.ExampleGradient(x, ys[i])
+	}
+	update, err := r.Cfg.Leak(0, 0, examples, tensor.NewRNG(1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	return tensor.GroupL2Norm(update)
 }

@@ -143,6 +143,18 @@ func (m *MLP) Gradients(x *tensor.Tensor, label int) (loss float64, gw, gb []*te
 	return -ln(pl), gw, gb
 }
 
+// ExampleGradients returns each example's raw gradient as one list, the
+// Layers() weight gradients then the Layers() bias gradients — the form the
+// leak oracle (core.Config.Leak) consumes and returns.
+func (m *MLP) ExampleGradients(xs []*tensor.Tensor, labels []int) [][]*tensor.Tensor {
+	out := make([][]*tensor.Tensor, len(xs))
+	for j, x := range xs {
+		_, gw, gb := m.forwardBackward(x, labels[j])
+		out[j] = append(gw, gb...)
+	}
+	return out
+}
+
 // Predict returns the argmax class of the logits.
 func (m *MLP) Predict(x *tensor.Tensor) int {
 	L := m.Layers()

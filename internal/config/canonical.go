@@ -66,6 +66,21 @@ func (e *Experiment) Canonical() []byte {
 	return b.Bytes()
 }
 
+// Moved lists, as -set spells them and in schema order, the keys whose
+// canonical value differs from Default()'s — what the user chose, as opposed
+// to inherited. cmd/tables' drivers use it to refuse a key they set
+// themselves rather than silently override it.
+func (e *Experiment) Moved() []string {
+	c, d := e.normalized(), Default().normalized()
+	var out []string
+	for _, f := range index.fields {
+		if f.get(c) != f.get(d) {
+			out = append(out, keyID(f.section, f.key))
+		}
+	}
+	return out
+}
+
 // Digest is the experiment's identity: the FNV-1a 64 hash of its canonical
 // form, rendered as 16 hex digits. It is stamped into reports, checkpoints
 // and the wire RoundConfig so resumed and remote runs can verify they are

@@ -258,8 +258,7 @@ func (e *Experiment) Validate() error {
 	if !fl.ValidAggregation(e.Aggregation.Rule) {
 		return fmt.Errorf("config: unknown aggregation.rule %q", e.Aggregation.Rule)
 	}
-	sc := dataset.Scenario{Name: e.Data.Scenario, Alpha: e.Data.Alpha, Shards: e.Data.Shards, Period: e.Data.Period}
-	if _, err := sc.Partitioner(); err != nil {
+	if _, err := e.scenario().Partitioner(); err != nil {
 		return fmt.Errorf("config: data.scenario: %w", err)
 	}
 	if _, err := simnet.ParsePlan(e.Faults.Plan); err != nil {
@@ -349,6 +348,12 @@ func oneOf(name, v string, allowed ...string) error {
 	return fmt.Errorf("config: unknown %s %q (have %v)", name, v, allowed)
 }
 
+// scenario is the data block's heterogeneity scenario, as Validate checks it
+// and CoreConfig passes it on.
+func (e *Experiment) scenario() dataset.Scenario {
+	return dataset.Scenario{Name: e.Data.Scenario, Alpha: e.Data.Alpha, Shards: e.Data.Shards, Period: e.Data.Period}
+}
+
 // CoreConfig resolves the experiment into a core.Config, stamped with the
 // config's digest so every report, checkpoint and wire round announcement
 // derived from the run carries the experiment identity.
@@ -381,7 +386,7 @@ func (e *Experiment) CoreConfig() core.Config {
 		DropoutRate:     e.Runtime.Dropout,
 		RoundDeadline:   e.Runtime.Deadline,
 		MinQuorum:       e.Runtime.Quorum,
-		Scenario:        dataset.Scenario{Name: e.Data.Scenario, Alpha: e.Data.Alpha, Shards: e.Data.Shards, Period: e.Data.Period},
+		Scenario:        e.scenario(),
 		Aggregation:     e.Aggregation.Rule,
 		Shards:          e.Aggregation.Shards,
 		TreeFanout:      e.Aggregation.TreeFanout,

@@ -483,6 +483,21 @@ func TestEveryKeyReachesCore(t *testing.T) {
 	}
 }
 
+// Moved names exactly the keys a document moved off the default, spelled as
+// -set spells them; a default written out in full moves nothing.
+func TestMoved(t *testing.T) {
+	if got := Default().Moved(); len(got) != 0 {
+		t.Fatalf("the default experiment moved %v", got)
+	}
+	e, err := Parse([]byte("seed: 7\ncodec:\n  wire: gob\ntraining:\n  k: 50\nexperiment:\n  name: table2\n  scale: 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.Moved(), []string{"seed", "training.k", "experiment.name"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Moved() = %v, want %v", got, want)
+	}
+}
+
 // writeConfig drops a config document in a temp file.
 func writeConfig(t *testing.T, doc string) string {
 	t.Helper()

@@ -322,104 +322,108 @@ func TestWithDefaults(t *testing.T) {
 	}
 }
 
-func TestLeakPerExampleRawForNonCDP(t *testing.T) {
-	env := testEnv(t, 10)
-	x, y := env.Data.Get(0)
-	raw, err := LeakPerExample(env.Model, x, y, Config{Method: MethodNonPrivate}, 0, 10, tensor.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
+// leakGrads returns n raw per-example gradients of the test client's model.
+func leakGrads(t *testing.T, seed int64, n int) [][]*tensor.Tensor {
+	t.Helper()
+	env := testEnv(t, seed)
+	out := make([][]*tensor.Tensor, n)
+	for i := range out {
+		x, y := env.Data.Get(i)
+		_, out[i] = env.Model.ExampleGradient(x, y)
 	}
-	_, want := env.Model.ExampleGradient(x, y)
-	for i := range raw {
-		if !raw[i].Equal(want[i], 0) {
-			t.Fatal("type-2 leak under non-private must be the raw gradient")
+	return out
+}
+
+func sameGrads(a, b []*tensor.Tensor, tol float64) bool {
+	for i := range a {
+		if !a[i].Equal(b[i], tol) {
+			return false
 		}
 	}
+	return true
+}
+
+func TestLeakPerExampleRawForNonCDP(t *testing.T) {
+	want := leakGrads(t, 10, 1)[0]
 	// Fed-SDP also leaks raw per-example gradients (the paper's key point).
-	sdp, err := LeakPerExample(env.Model, x, y, Config{Method: MethodFedSDP, Clip: 4, Sigma: 6}, 0, 10, tensor.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sdp {
-		if !sdp[i].Equal(want[i], 0) {
-			t.Fatal("type-2 leak under Fed-SDP must be the raw per-example gradient")
+	for _, cfg := range []Config{{Method: MethodNonPrivate}, {Method: MethodFedSDP, Clip: 4, Sigma: 6}, {Method: MethodFedSDPSrv}, {Method: MethodDSSGD}} {
+		g, err := cfg.Leak(2, 0, leakGrads(t, 10, 1), tensor.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameGrads(g, want, 0) {
+			t.Fatalf("type-2 leak under %s must be the raw per-example gradient", cfg.Method)
 		}
 	}
 }
 
 func TestLeakPerExampleSanitizedForCDP(t *testing.T) {
-	env := testEnv(t, 11)
-	x, y := env.Data.Get(0)
-	_, raw := env.Model.ExampleGradient(x, y)
-	got, err := LeakPerExample(env.Model, x, y, Config{Method: MethodFedCDP, Clip: 4, Sigma: 6}, 0, 10, tensor.NewRNG(1))
+	raw := leakGrads(t, 11, 1)[0]
+	got, err := Config{Method: MethodFedCDP, Clip: 4, Sigma: 6}.Leak(2, 0, leakGrads(t, 11, 1), tensor.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := true
-	for i := range got {
-		if !got[i].Equal(raw[i], 1e-9) {
-			same = false
-		}
-	}
-	if same {
+	if sameGrads(got, raw, 1e-9) {
 		t.Fatal("type-2 leak under Fed-CDP must be sanitized")
 	}
-	// Decay variant also sanitizes.
-	got2, err := LeakPerExample(env.Model, x, y, Config{Method: MethodFedCDPDecay}, 5, 10, tensor.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	same = true
-	for i := range got2 {
-		if !got2[i].Equal(raw[i], 1e-9) {
-			same = false
+	// Decay variant also sanitizes, at the round's bound: zero noise leaves
+	// exactly the clipped gradient, so the schedule position is observable.
+	norm := func(round int) float64 {
+		raw := leakGrads(t, 11, 1)
+		tensor.ScaleAll(raw[0], 1e6) // every layer far above any bound
+		g, err := Config{Method: MethodFedCDPDecay, Sigma: 1e-300, Rounds: 11}.Leak(2, round, raw, tensor.NewRNG(2))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return g[0].L2Norm()
 	}
-	if same {
-		t.Fatal("type-2 leak under Fed-CDP(decay) must be sanitized")
+	if first, mid := norm(0), norm(5); math.Abs(first-6) > 1e-6 || math.Abs(mid-4) > 1e-6 {
+		t.Fatalf("Fed-CDP(decay) clips to %v at round 0 and %v at round 5 of 11, want 6 and 4", first, mid)
 	}
 }
 
 func TestLeakPerExampleUnknownMethod(t *testing.T) {
-	env := testEnv(t, 12)
-	x, y := env.Data.Get(0)
-	if _, err := LeakPerExample(env.Model, x, y, Config{Method: "bogus"}, 0, 1, tensor.NewRNG(1)); err == nil {
+	if _, err := (Config{Method: "bogus"}).Leak(2, 0, leakGrads(t, 12, 1), tensor.NewRNG(1)); err == nil {
 		t.Fatal("expected error for unknown method")
 	}
 }
 
 func TestLeakRoundUpdateViews(t *testing.T) {
 	// Type-1 (client view) of server-side Fed-SDP is raw; type-0 (server
-	// view) is sanitized.
-	cfgSrv := Config{Method: MethodFedSDPSrv, Clip: 4, Sigma: 6}
-	type1, err := LeakRoundUpdate(testEnv(t, 13), cfgSrv, false, tensor.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := NonPrivate{}.ClientUpdate(testEnv(t, 13))
-	for i := range type1 {
-		if !type1[i].Equal(raw[i], 0) {
-			t.Fatal("type-1 view of server-side Fed-SDP must be raw")
+	// view) is sanitized. Client-side Fed-SDP is sanitized in both.
+	view := func(method string, threat int) []*tensor.Tensor {
+		u, err := Config{Method: method, Clip: 4, Sigma: 6}.Leak(threat, 0, leakGrads(t, 13, 3), tensor.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return u
 	}
-	type0, err := LeakRoundUpdate(testEnv(t, 13), cfgSrv, true, tensor.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
+	raw := view(MethodNonPrivate, 1)
+	if !sameGrads(view(MethodFedSDPSrv, 1), raw, 0) {
+		t.Fatal("type-1 view of server-side Fed-SDP must be raw")
 	}
-	same := true
-	for i := range type0 {
-		if !type0[i].Equal(raw[i], 1e-9) {
-			same = false
-		}
-	}
-	if same {
+	if sameGrads(view(MethodFedSDPSrv, 0), raw, 1e-9) {
 		t.Fatal("type-0 view of server-side Fed-SDP must be sanitized")
+	}
+	if sameGrads(view(MethodFedSDP, 1), raw, 1e-9) || !sameGrads(view(MethodFedSDP, 0), view(MethodFedSDP, 1), 0) {
+		t.Fatal("client-side Fed-SDP must be sanitized the same in both views")
+	}
+	// The raw update is the batch mean of the per-example gradients.
+	mean := tensor.ZerosLike(raw)
+	for _, g := range leakGrads(t, 13, 3) {
+		tensor.AddAllScaled(mean, 1.0/3, g)
+	}
+	if !sameGrads(raw, mean, 0) {
+		t.Fatal("the non-private update must be the batch mean")
 	}
 }
 
 func TestLeakRoundUpdateUnknownMethod(t *testing.T) {
-	if _, err := LeakRoundUpdate(testEnv(t, 14), Config{Method: "bogus"}, false, tensor.NewRNG(1)); err == nil {
+	if _, err := (Config{Method: "bogus"}).Leak(1, 0, leakGrads(t, 14, 1), tensor.NewRNG(1)); err == nil {
 		t.Fatal("expected error for unknown method")
+	}
+	if _, err := (Config{Method: MethodFedSDP}).Leak(3, 0, leakGrads(t, 14, 1), tensor.NewRNG(1)); err == nil {
+		t.Fatal("expected error for threat type 3")
 	}
 }
 
@@ -441,9 +445,18 @@ func TestGradNormDecaysOverTraining(t *testing.T) {
 	}
 }
 
+// An unset clip means the paper's C = 4 to the leak oracle, a set one itself.
 func TestOrDefault(t *testing.T) {
-	if orDefault(0, 4) != 4 || orDefault(2, 4) != 2 {
-		t.Fatal("orDefault broken")
+	for clip, want := range map[float64]float64{0: 4, 2: 2} {
+		raw := leakGrads(t, 16, 1)
+		tensor.ScaleAll(raw[0], 1e6)
+		g, err := Config{Method: MethodFedCDP, Clip: clip, Sigma: 1e-300}.Leak(2, 0, raw, tensor.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g[0].L2Norm(); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("Clip %v: the oracle clipped to %v, want %v", clip, got, want)
+		}
 	}
 }
 

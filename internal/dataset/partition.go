@@ -52,9 +52,8 @@ func ScenarioNames() []string {
 }
 
 // Scenario selects a partitioner by name plus its parameters. It is a plain
-// value (config- and gob-friendly) so it can travel through core.Config,
-// experiments.Options and the fl.RoundConfig a server publishes to remote
-// clients.
+// value (config- and gob-friendly) so it can travel through core.Config
+// and the fl.RoundConfig a server publishes to remote clients.
 type Scenario struct {
 	// Name is one of ScenarioNames(); "" means ScenarioIID.
 	Name string

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"fedcdp/internal/config"
 	"fedcdp/internal/core"
-	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
 )
 
@@ -26,95 +26,41 @@ import (
 // survive.
 const attackClients = 6
 
-// AttackCell is one cell of the attack×defense matrix: its coordinates
-// and the completed run.
-type AttackCell struct {
-	Behavior string // adversary plan clauses; "" = all-honest
-	Defense  string // aggregation rule the server folds under
-	Method   string
-	Scenario dataset.Scenario
-	Result   *core.Result
-}
-
-// attackMatrixAxes returns the swept axes. Behaviors escalate from honest
-// through sign-flipping and scaled Byzantine updates to total label
-// poisoning; defenses range from the undefended mean to the three robust
-// folds, each parameterized to tolerate the 2-of-6 attackers.
-func attackMatrixAxes() (behaviors, defenses, methods []string, scenarios []dataset.Scenario) {
-	behaviors = []string{"", "byzantine=2:signflip", "byzantine=2:scale:25", "poison=2:1"}
-	defenses = []string{fl.AggFedSGD, fl.AggMedian, "trimmed:0.34", "krum:2"}
-	methods = []string{core.MethodNonPrivate, core.MethodFedCDP}
-	scenarios = []dataset.Scenario{{}, {Name: "dirichlet", Alpha: 0.1}}
-	return
-}
-
-// attackCellConfig is the configuration every cell runs: full
-// participation so the attacker fraction is exact, and the same
-// small-but-real cancer benchmark the fault matrix uses.
-func attackCellConfig(o Options, cell AttackCell) core.Config {
-	return core.Config{
-		Dataset: "cancer",
-		Method:  cell.Method,
-		K:       attackClients, Kt: attackClients,
-		Rounds:      o.n(3, 3),
-		LocalIters:  2,
-		Sigma:       0.06,
-		Seed:        o.Seed,
-		ValExamples: o.n(60, 40),
-		EvalEvery:   1,
-		MinQuorum:   1,
-		Scenario:    cell.Scenario,
-		Faults:      cell.Behavior,
-		Aggregation: cell.Defense,
-		Precision:   o.Precision,
-		Codec:       o.Codec,
+// attackMatrixAxes returns the swept axes, outermost first: scenario,
+// method, defense, behavior. Behaviors escalate from honest through
+// sign-flipping and scaled Byzantine updates to total label poisoning;
+// defenses range from the undefended mean to the three robust folds, each
+// parameterized to tolerate the 2-of-6 attackers.
+func attackMatrixAxes() []axis {
+	return []axis{
+		skewAxis,
+		each("method.name", core.MethodNonPrivate, core.MethodFedCDP),
+		each("aggregation.rule", fl.AggFedSGD, fl.AggMedian, "trimmed:0.34", "krum:2"),
+		append(axis{{}}, each("faults.plan", "byzantine=2:signflip", "byzantine=2:scale:25", "poison=2:1")...),
 	}
 }
 
-// RunAttackMatrix executes the full sweep and returns every cell with its
-// run attached (the structured form faults_test.go asserts invariants
-// over; AttackMatrix renders the same cells as a Report).
-func RunAttackMatrix(o Options) ([]AttackCell, error) {
-	o = o.withDefaults()
-	behaviors, defenses, methods, scenarios := attackMatrixAxes()
-	var cells []AttackCell
-	for _, sc := range scenarios {
-		for _, m := range methods {
-			for _, def := range defenses {
-				for _, beh := range behaviors {
-					cell := AttackCell{Behavior: beh, Defense: def, Method: m, Scenario: sc}
-					res, err := core.Run(attackCellConfig(o, cell))
-					if err != nil {
-						return nil, fmt.Errorf("byzantine %q/%s/%s/%s: %w", beh, def, m, sc, err)
-					}
-					cell.Result = res
-					cells = append(cells, cell)
-				}
-			}
-		}
-	}
-	return cells, nil
+// honestKey names a cell's (scenario, method, defense) plane, whose
+// behavior-free cell is its honest baseline.
+func honestKey(cfg core.Config) string {
+	return cfg.Scenario.String() + "|" + cfg.Method + "|" + cfg.Aggregation
 }
 
 // AttackMatrix is the "byzantine" experiment driver: the attack×defense
 // table — what each client behavior does to accuracy under each
 // aggregation rule, per DP method and heterogeneity scenario, with the
-// honest baseline row inline for every defense.
-func AttackMatrix(o Options) (*Report, error) {
-	cells, err := RunAttackMatrix(o)
+// honest baseline row inline for every defense. It is the fault matrix's
+// federation at full participation, so the attacker fraction is exact.
+func AttackMatrix(e *config.Experiment) (*Report, error) {
+	p := plan{"byzantine", e}
+	cells, err := p.matrix(p.smallFederation(attackClients, attackClients, 3, 1), attackMatrixAxes()...)
 	if err != nil {
 		return nil, err
 	}
-	// Honest baseline per (scenario, method, defense): the behavior="" cell.
 	honest := map[string]float64{}
-	key := func(c AttackCell) string {
-		return c.Scenario.String() + "|" + c.Method + "|" + c.Defense
-	}
 	for _, c := range cells {
-		if c.Behavior == "" {
-			if acc, ok := c.Result.FinalAccuracy(); ok {
-				honest[key(c)] = acc
-			}
+		if acc, ok := c.FinalAccuracy(); ok && c.Cfg.Faults == "" {
+			honest[honestKey(c.Cfg)] = acc
 		}
 	}
 	r := &Report{
@@ -129,25 +75,17 @@ func AttackMatrix(o Options) (*Report, error) {
 		},
 	}
 	for _, c := range cells {
-		behavior := c.Behavior
-		if behavior == "" {
-			behavior = "none"
-		}
-		scenario := c.Scenario.String()
-		if c.Scenario.Name == "" {
-			scenario = "iid"
-		}
-		acc, accOK := c.Result.FinalAccuracy()
-		base, baseOK := honest[key(c)]
+		acc, accOK := c.FinalAccuracy()
+		base, baseOK := honest[honestKey(c.Cfg)]
 		r.Rows = append(r.Rows, []string{
-			behavior,
-			c.Defense,
-			scenario,
-			c.Method,
+			orNone(c.Cfg.Faults, "none"),
+			c.Cfg.Aggregation,
+			scenarioLabel(c.Cfg),
+			c.Cfg.Method,
 			f3ok(acc, accOK),
 			f3ok(base, baseOK),
 			f3ok(acc-base, accOK && baseOK),
-			f4(c.Result.FinalEpsilon()),
+			f4(c.FinalEpsilon()),
 		})
 	}
 	return r, nil

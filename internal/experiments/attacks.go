@@ -4,23 +4,19 @@ import (
 	"fmt"
 
 	"fedcdp/internal/attack"
+	"fedcdp/internal/config"
 	"fedcdp/internal/core"
 	"fedcdp/internal/dataset"
-	"fedcdp/internal/dp"
 	"fedcdp/internal/tensor"
 )
 
 // Attack experiment machinery. A victim client runs the paper's first local
 // iteration (where gradients leak the most, Section VII-C); the adversary
-// observes the gradients each threat type exposes under each defense and
-// runs the gradient-matching reconstruction attack.
+// observes the gradients each threat type exposes under each defense — what
+// core.Config.Leak says it does — and runs the gradient-matching
+// reconstruction attack.
 
-const (
-	attackHidden = 32
-	attackSigma  = 6
-	attackClip   = 4
-	decayClip0   = 6 // decay schedule bound at round 0
-)
+const attackHidden = 32
 
 // attackModel returns the victim MLP for a benchmark (see DESIGN.md for the
 // CNN→MLP substitution note).
@@ -28,51 +24,26 @@ func attackModel(spec dataset.Spec, seed int64) *attack.MLP {
 	return attack.NewMLP([]int{spec.Features, attackHidden, spec.Classes}, attack.ActSigmoid, tensor.NewRNG(seed))
 }
 
-// leakType2 returns the per-example gradient a type-2 adversary observes
-// under the given method.
-func leakType2(m *attack.MLP, x *tensor.Tensor, label int, method string, rng *tensor.RNG) (gw, gb []*tensor.Tensor) {
-	_, gw, gb = m.Gradients(x, label)
-	switch method {
-	case "fed-cdp":
-		dp.Sanitize(dp.JoinGrads(gw, gb), attackClip, attackSigma, rng)
-	case "fed-cdp(decay)":
-		dp.Sanitize(dp.JoinGrads(gw, gb), decayClip0, attackSigma, rng)
+// victim resolves an attack cell: the experiment whose defense the leak
+// oracle reads, bound to its benchmark — at the paper's verbatim σ = 6, not
+// the σ·simNoiseFactor the accuracy rows train at.
+func (p plan) victim(sets ...string) (*core.Resolved, error) {
+	c, err := p.cell(append(sets[:len(sets):len(sets)], "method.sigma=6")...)
+	if err != nil {
+		return nil, err
 	}
-	// non-private, fed-sdp, dssgd: per-example gradients leak raw.
-	return gw, gb
+	return c.CoreConfig().Resolve()
 }
 
-// leakType01 returns the batched round update a type-0/1 adversary observes:
-// the mean gradient of one local batch, post any per-client mechanism.
-func leakType01(m *attack.MLP, xs []*tensor.Tensor, labels []int, method string, rng *tensor.RNG) (gw, gb []*tensor.Tensor) {
-	L := m.Layers()
-	gw = make([]*tensor.Tensor, L)
-	gb = make([]*tensor.Tensor, L)
-	for l := 0; l < L; l++ {
-		gw[l] = tensor.New(m.Sizes[l+1], m.Sizes[l])
-		gb[l] = tensor.New(m.Sizes[l+1])
+// leak returns what an adversary of the threat type reads off victim m
+// training on its first local batch (xs, ys), in its first round, under
+// cfg's defense.
+func leak(m *attack.MLP, cfg core.Config, threat int, xs []*tensor.Tensor, ys []int, rng *tensor.RNG) (gw, gb []*tensor.Tensor, err error) {
+	g, err := cfg.Leak(threat, 0, m.ExampleGradients(xs, ys), rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	inv := 1 / float64(len(xs))
-	for j, x := range xs {
-		_, w, b := m.Gradients(x, labels[j])
-		if method == "fed-cdp" {
-			dp.Sanitize(dp.JoinGrads(w, b), attackClip, attackSigma, rng)
-		}
-		if method == "fed-cdp(decay)" {
-			dp.Sanitize(dp.JoinGrads(w, b), decayClip0, attackSigma, rng)
-		}
-		for l := 0; l < L; l++ {
-			gw[l].AddScaled(inv, w[l])
-			gb[l].AddScaled(inv, b[l])
-		}
-	}
-	switch method {
-	case "fed-sdp": // client-side sanitization of the shared update
-		dp.Sanitize(dp.JoinGrads(gw, gb), attackClip, attackSigma, rng)
-	case "dssgd":
-		dp.Compress(dp.JoinGrads(gw, gb), 0.9) // share top 10%
-	}
-	return gw, gb
+	return g[:m.Layers()], g[m.Layers():], nil
 }
 
 // attackStats aggregates reconstruction attempts.
@@ -99,11 +70,10 @@ func (s attackStats) row() (success string, dist, iters string) {
 
 // Table7 reproduces Table VII: attack effectiveness on MNIST and LFW across
 // defenses, averaged over clients, with the 300-iteration attack budget.
-func Table7(o Options) (*Report, error) {
-	o = o.withDefaults()
-	nClients := o.n(5, 2)
-	maxIters := o.n(300, 60)
-	methods := []string{"non-private", "fed-sdp", "fed-cdp", "fed-cdp(decay)"}
+func Table7(e *config.Experiment) (*Report, error) {
+	p := plan{"table7", e}
+	nClients := p.n(5, 2)
+	maxIters := p.n(300, 60)
 
 	r := &Report{
 		Name:   "table7",
@@ -116,48 +86,36 @@ func Table7(o Options) (*Report, error) {
 	}
 
 	for _, dsName := range []string{"mnist", "lfw"} {
-		spec, err := dataset.Get(dsName)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := o.newDataset(spec)
-		if err != nil {
-			return nil, err
-		}
 		for _, typ := range []string{"type01", "type2"} {
-			for _, method := range methods {
+			threat, batch := 1, 3
+			if typ == "type2" {
+				threat, batch = 2, 1
+			}
+			for _, method := range accuracyMethods {
+				v, err := p.victim("data.dataset="+dsName, "method.name="+method)
+				if err != nil {
+					return nil, err
+				}
 				var st attackStats
 				for c := 0; c < nClients; c++ {
-					m := attackModel(spec, o.Seed+int64(c))
-					cd := ds.Client(c)
-					noise := tensor.Split(o.Seed, 7, int64(c))
-					cfg := attack.Config{MaxIters: maxIters, Seed: o.Seed + int64(100+c)}
-					var res attack.Result
-					if typ == "type2" {
-						x, y := cd.Get(0)
-						gw, gb := leakType2(m, x, y, method, noise)
-						label := attack.InferLabel(gb[m.Layers()-1])
-						res = attack.Reconstruct(m, gw, gb, []int{label}, []*tensor.Tensor{x}, cfg)
-					} else {
-						const B = 3
-						xs := make([]*tensor.Tensor, B)
-						ys := make([]int, B)
-						for j := 0; j < B; j++ {
-							xs[j], ys[j] = cd.Get(j)
-						}
-						gw, gb := leakType01(m, xs, ys, method, noise)
-						res = attack.Reconstruct(m, gw, gb, ys, xs, cfg)
+					m := attackModel(v.Spec, e.Seed+int64(c))
+					xs, ys := v.FL.Data.Client(c).Batch(0, batch)
+					gw, gb, err := leak(m, v.Cfg, threat, xs, ys, tensor.Split(e.Seed, 7, int64(c)))
+					if err != nil {
+						return nil, err
 					}
-					st.add(res)
+					if threat == 2 {
+						ys = []int{attack.InferLabel(gb[m.Layers()-1])}
+					}
+					st.add(reconstruct(m, gw, gb, ys, xs, attack.Config{MaxIters: maxIters, Seed: e.Seed + int64(100+c)}))
 				}
 				succ, dist, iters := st.row()
-				key := dsName + "-" + map[string]string{"type01": "type01", "type2": "type2"}[typ]
-				p := paperTable7[key][method]
+				paper := paperTable7[dsName+"-"+typ][methodLabel(method)]
 				r.Rows = append(r.Rows, []string{
-					dsName, typ, method,
-					succ, yn(p.Succeed),
-					dist, f4(p.Distance),
-					iters, fmt.Sprint(p.Iters),
+					dsName, typ, methodLabel(method),
+					succ, yn(paper.Succeed),
+					dist, f4(paper.Distance),
+					iters, fmt.Sprint(paper.Iters),
 				})
 			}
 		}
@@ -168,9 +126,8 @@ func Table7(o Options) (*Report, error) {
 // Fig1 reproduces Figure 1b: gradient leakage succeeds on non-private FL for
 // all three image benchmarks, via both batched (type-0&1) and per-example
 // (type-2) leakage.
-func Fig1(o Options) (*Report, error) {
-	o = o.withDefaults()
-	maxIters := o.n(300, 60)
+func Fig1(e *config.Experiment) (*Report, error) {
+	p := plan{"fig1", e}
 	r := &Report{
 		Name:   "fig1",
 		Title:  "Gradient leakage attacks on non-private FL (reconstruction demo)",
@@ -181,55 +138,38 @@ func Fig1(o Options) (*Report, error) {
 		},
 	}
 	for _, dsName := range []string{"mnist", "lfw", "cifar10"} {
-		spec, err := dataset.Get(dsName)
+		v, err := p.victim("data.dataset="+dsName, "method.name="+core.MethodNonPrivate)
 		if err != nil {
 			return nil, err
 		}
-		ds, err := o.newDataset(spec)
-		if err != nil {
-			return nil, err
-		}
-		m := attackModel(spec, o.Seed)
-		cd := ds.Client(0)
-		noise := tensor.Split(o.Seed, 8)
-		cfg := attack.Config{MaxIters: maxIters, Seed: o.Seed}
+		m := attackModel(v.Spec, e.Seed)
+		noise := tensor.Split(e.Seed, 8)
+		acfg := attack.Config{MaxIters: p.n(300, 60), Seed: e.Seed}
 
 		// Type-0&1 on a batch of 3.
-		xs := make([]*tensor.Tensor, 3)
-		ys := make([]int, 3)
-		for j := range xs {
-			xs[j], ys[j] = cd.Get(j)
+		xs, ys := v.FL.Data.Client(0).Batch(0, 3)
+		gw, gb, err := leak(m, v.Cfg, 1, xs, ys, noise)
+		if err != nil {
+			return nil, err
 		}
-		gw, gb := leakType01(m, xs, ys, "non-private", noise)
-		res := attack.Reconstruct(m, gw, gb, ys, xs, cfg)
+		res := reconstruct(m, gw, gb, ys, xs, acfg)
 		r.Rows = append(r.Rows, []string{dsName, "type-0&1 (B=3)", yn(res.Revealed), f4(res.Distance), fmt.Sprint(res.Iterations)})
 
 		// Type-2 on one example.
-		x, y := cd.Get(0)
-		gw2, gb2 := leakType2(m, x, y, "non-private", noise)
-		res2 := attack.Reconstruct(m, gw2, gb2, []int{attack.InferLabel(gb2[m.Layers()-1])}, []*tensor.Tensor{x}, cfg)
-		r.Rows = append(r.Rows, []string{dsName, "type-2", yn(res2.Revealed), f4(res2.Distance), fmt.Sprint(res2.Iterations)})
+		gw, gb, err = leak(m, v.Cfg, 2, xs[:1], ys[:1], noise)
+		if err != nil {
+			return nil, err
+		}
+		res = reconstruct(m, gw, gb, []int{attack.InferLabel(gb[m.Layers()-1])}, xs[:1], acfg)
+		r.Rows = append(r.Rows, []string{dsName, "type-2", yn(res.Revealed), f4(res.Distance), fmt.Sprint(res.Iterations)})
 	}
 	return r, nil
 }
 
 // Fig4 reproduces Figure 4: visual resilience of each FL privacy module
 // against the three leakage types on LFW, including the DSSGD baseline.
-func Fig4(o Options) (*Report, error) {
-	o = o.withDefaults()
-	maxIters := o.n(300, 60)
-	spec, err := dataset.Get("lfw")
-	if err != nil {
-		return nil, err
-	}
-	ds, err := o.newDataset(spec)
-	if err != nil {
-		return nil, err
-	}
-	m := attackModel(spec, o.Seed)
-	cd := ds.Client(0)
-	cfg := attack.Config{MaxIters: maxIters, Seed: o.Seed}
-
+func Fig4(e *config.Experiment) (*Report, error) {
+	p := plan{"fig4", e}
 	r := &Report{
 		Name:   "fig4",
 		Title:  "Reconstruction distance by defense and leakage type (LFW)",
@@ -239,69 +179,47 @@ func Fig4(o Options) (*Report, error) {
 			"fed-sdp(client) blocks type-0&1 only; fed-sdp(server) blocks type-0 only; fed-cdp(+decay) block all",
 		},
 	}
-
-	const B = 3
-	xs := make([]*tensor.Tensor, B)
-	ys := make([]int, B)
-	for j := 0; j < B; j++ {
-		xs[j], ys[j] = cd.Get(j)
-	}
-	x0, y0 := cd.Get(0)
-
-	type module struct {
-		name          string
-		method01      string // method semantics for the shared update
-		serverOnly    bool   // sanitization happens only at the server (type-1 raw)
-		type2Sanitize string
-		mask          bool
-	}
-	modules := []module{
-		{"non-private", "non-private", false, "non-private", false},
-		{"dssgd", "dssgd", false, "non-private", true},
-		{"fed-sdp(client)", "fed-sdp", false, "fed-sdp", false},
-		{"fed-sdp(server)", "fed-sdp", true, "fed-sdp", false},
-		{"fed-cdp", "fed-cdp", false, "fed-cdp", false},
-		{"fed-cdp(decay)", "fed-cdp(decay)", false, "fed-cdp(decay)", false},
-	}
-	for _, mod := range modules {
-		noise := tensor.Split(o.Seed, 9)
-		acfg := cfg
-		acfg.MaskNonzero = mod.mask
-
-		// Type-0: server view (always post-sanitization).
-		gw, gb := leakType01(m, xs, ys, mod.method01, noise)
-		type0 := attack.Reconstruct(m, gw, gb, ys, xs, acfg)
-
-		// Type-1: client view; server-only sanitization leaks raw updates.
-		method1 := mod.method01
-		if mod.serverOnly {
-			method1 = "non-private"
+	for _, method := range []string{core.MethodNonPrivate, core.MethodDSSGD, core.MethodFedSDP, core.MethodFedSDPSrv, core.MethodFedCDP, core.MethodFedCDPDecay} {
+		v, err := p.victim("data.dataset=lfw", "method.name="+method)
+		if err != nil {
+			return nil, err
 		}
-		gw1, gb1 := leakType01(m, xs, ys, method1, tensor.Split(o.Seed, 10))
-		type1 := attack.Reconstruct(m, gw1, gb1, ys, xs, acfg)
-
-		// Type-2: per-example view during training.
-		gw2, gb2 := leakType2(m, x0, y0, mod.type2Sanitize, tensor.Split(o.Seed, 11))
-		t2cfg := cfg // per-example gradients are dense; no mask
-		type2 := attack.Reconstruct(m, gw2, gb2, []int{y0}, []*tensor.Tensor{x0}, t2cfg)
-
-		r.Rows = append(r.Rows, []string{
-			mod.name, f4(type0.Distance), f4(type1.Distance), f4(type2.Distance),
-		})
+		m := attackModel(v.Spec, e.Seed)
+		xs, ys := v.FL.Data.Client(0).Batch(0, 3)
+		acfg := attack.Config{MaxIters: p.n(300, 60), Seed: e.Seed}
+		row := []string{methodLabel(method)}
+		if method == core.MethodFedSDP {
+			row[0] = "fed-sdp(client)"
+		}
+		// Type-0 is the server's view, type-1 the client's (server-only
+		// sanitization leaks it raw), type-2 the per-example view during
+		// training — dense, so only the shared updates are mask-matched.
+		for threat := 0; threat <= 2; threat++ {
+			tcfg, n := acfg, 3
+			if threat == 2 {
+				n = 1
+			} else {
+				tcfg.MaskNonzero = method == core.MethodDSSGD
+			}
+			gw, gb, err := leak(m, v.Cfg, threat, xs[:n], ys[:n], tensor.Split(e.Seed, int64(9+threat)))
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, f4(reconstruct(m, gw, gb, ys[:n], xs[:n], tcfg).Distance))
+		}
+		r.Rows = append(r.Rows, row)
 	}
 	return r, nil
 }
 
 // Fig5 reproduces Figure 5: accuracy and type-2 resilience under
 // communication-efficient federated learning (gradient pruning).
-func Fig5(o Options) (*Report, error) {
-	o = o.withDefaults()
+func Fig5(e *config.Experiment) (*Report, error) {
+	p := plan{"fig5", e}
 	ratios := []float64{0, 0.1, 0.2, 0.3, 0.5, 0.7}
-	if o.Scale < 1 { // quick mode: endpoints and the paper's 30% point
+	if p.scale() < 1 { // quick mode: endpoints and the paper's 30% point
 		ratios = []float64{0, 0.3, 0.7}
 	}
-	methods := []string{core.MethodNonPrivate, core.MethodFedSDP, core.MethodFedCDP, core.MethodFedCDPDecay}
-	maxIters := o.n(300, 60)
 
 	r := &Report{
 		Name:   "fig5",
@@ -310,42 +228,38 @@ func Fig5(o Options) (*Report, error) {
 		Notes: []string{
 			"paper: compressed non-private/Fed-SDP gradients still leak up to ~30% compression;",
 			"Fed-CDP is resilient at all ratios and Fed-CDP(decay) the most resilient",
+			fmt.Sprintf("accuracy rows are trained at σ=%g, t2-attack-dist rows attack gradients sanitized at σ=6", e.Method.Sigma),
+			sigmaNote,
 		},
 	}
 	for _, ratio := range ratios {
 		r.Header = append(r.Header, fmt.Sprintf("prune=%.0f%%", ratio*100))
 	}
 
-	spec, err := dataset.Get("mnist")
-	if err != nil {
-		return nil, err
-	}
-	ds, err := o.newDataset(spec)
-	if err != nil {
-		return nil, err
-	}
-	m := attackModel(spec, o.Seed)
-	x0, y0 := ds.Client(0).Get(0)
-
-	for _, method := range methods {
+	for _, method := range accuracyMethods {
 		accRow := []string{methodLabel(method), "accuracy"}
 		distRow := []string{methodLabel(method), "t2-attack-dist"}
 		for _, ratio := range ratios {
-			cfg := runCfg(o, "mnist", method)
-			cfg.K, cfg.Kt = o.n(20, 8), o.n(8, 4)
-			cfg.CompressRatio = ratio
-			res, err := core.Run(cfg)
+			sets := p.scaled("data.dataset=mnist", "method.name="+method,
+				kv("training.k", p.n(20, 8)), kv("training.kt", p.n(8, 4)), kv("method.compress", ratio))
+			res, err := p.run(sets...)
 			if err != nil {
-				return nil, fmt.Errorf("fig5 %s ratio %.1f: %w", method, ratio, err)
+				return nil, err
 			}
 			accRow = append(accRow, f3ok(res.FinalAccuracy()))
 
 			// Type-2 attack on the compressed per-example gradient.
-			noise := tensor.Split(o.Seed, 12, int64(ratio*100))
-			gw, gb := leakType2(m, x0, y0, methodLabel(method), noise)
-			dp.Compress(dp.JoinGrads(gw, gb), ratio)
-			ares := attack.Reconstruct(m, gw, gb, []int{y0}, []*tensor.Tensor{x0},
-				attack.Config{MaxIters: maxIters, Seed: o.Seed, MaskNonzero: ratio > 0})
+			v, err := p.victim(sets...)
+			if err != nil {
+				return nil, err
+			}
+			m := attackModel(v.Spec, e.Seed)
+			xs, ys := v.FL.Data.Client(0).Batch(0, 1)
+			gw, gb, err := leak(m, v.Cfg, 2, xs, ys, tensor.Split(e.Seed, 12, int64(ratio*100)))
+			if err != nil {
+				return nil, err
+			}
+			ares := reconstruct(m, gw, gb, ys, xs, attack.Config{MaxIters: p.n(300, 60), Seed: e.Seed, MaskNonzero: ratio > 0})
 			distRow = append(distRow, f4(ares.Distance))
 		}
 		r.Rows = append(r.Rows, accRow, distRow)

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"fedcdp/internal/config"
 	"fedcdp/internal/core"
-	"fedcdp/internal/dataset"
 )
 
 // The churn matrix: {scenario × method × population plan} swept through
@@ -20,77 +20,27 @@ import (
 // heavily-departed population can miss quorum.
 const churnMatrixQuorum = 2
 
-// ChurnCell is one cell of the churn matrix: its coordinates and the
-// completed run.
-type ChurnCell struct {
-	Scenario dataset.Scenario
-	Method   string
-	Plan     string // population-plan grammar; "" = closed world
-	Result   *core.Result
-}
-
-// churnMatrixAxes returns the swept axes. Plans escalate from the closed
-// world through one-shot joins/leaves to memoryless churn; the incremental
-// scenario exercises the time-varying partitioner under the same schedules.
-func churnMatrixAxes() (scenarios []dataset.Scenario, methods, plans []string) {
-	scenarios = []dataset.Scenario{{}, {Name: dataset.ScenarioIncremental, Period: 2}}
-	methods = []string{core.MethodNonPrivate, core.MethodFedCDP}
-	plans = []string{"", "join=4@2", "leave=3@4", "join=3@2,leave=3@4", "churn=0.25"}
-	return
-}
-
-// churnCellConfig is the configuration every cell runs: the same
-// small-but-real federation as the fault matrix, stretched to six rounds so
-// arrivals at round 2 and departures at round 4 both have a before and an
-// after.
-func churnCellConfig(o Options, cell ChurnCell) core.Config {
-	return core.Config{
-		Dataset: "cancer",
-		Method:  cell.Method,
-		K:       10, Kt: 4,
-		Rounds:      o.n(6, 6),
-		LocalIters:  2,
-		Sigma:       0.06,
-		Seed:        o.Seed,
-		ValExamples: o.n(60, 40),
-		EvalEvery:   1,
-		MinQuorum:   churnMatrixQuorum,
-		Scenario:    cell.Scenario,
-		Population:  cell.Plan,
-		Precision:   o.Precision,
-		Codec:       o.Codec,
+// churnMatrixAxes returns the swept axes, outermost first: scenario, method,
+// population plan. Plans escalate from the closed world through one-shot
+// joins/leaves to memoryless churn; the incremental scenario exercises the
+// time-varying partitioner under the same schedules.
+func churnMatrixAxes() []axis {
+	return []axis{
+		{{}, {"data.scenario=incremental", "data.period=2"}},
+		each("method.name", core.MethodNonPrivate, core.MethodFedCDP),
+		append(axis{{}}, each("faults.population", "join=4@2", "leave=3@4", "join=3@2,leave=3@4", "churn=0.25")...),
 	}
-}
-
-// RunChurnMatrix executes the full sweep and returns every cell with its
-// run attached (the structured form churn_test.go asserts invariants over;
-// ChurnMatrix renders the same cells as a Report).
-func RunChurnMatrix(o Options) ([]ChurnCell, error) {
-	o = o.withDefaults()
-	scenarios, methods, plans := churnMatrixAxes()
-	var cells []ChurnCell
-	for _, sc := range scenarios {
-		for _, m := range methods {
-			for _, plan := range plans {
-				cell := ChurnCell{Scenario: sc, Method: m, Plan: plan}
-				res, err := core.Run(churnCellConfig(o, cell))
-				if err != nil {
-					return nil, fmt.Errorf("churn %s/%s/%q: %w", sc, m, plan, err)
-				}
-				cell.Result = res
-				cells = append(cells, cell)
-			}
-		}
-	}
-	return cells, nil
 }
 
 // ChurnMatrix is the "churn" experiment driver: what an open-world
 // population does to participation, accuracy and the per-user privacy
 // spread — the worst-exposed user's ε against the least-exposed user's,
-// per scenario, method and population plan.
-func ChurnMatrix(o Options) (*Report, error) {
-	cells, err := RunChurnMatrix(o)
+// per scenario, method and population plan. It is the fault matrix's
+// federation stretched to six rounds, so arrivals at round 2 and departures
+// at round 4 both have a before and an after.
+func ChurnMatrix(e *config.Experiment) (*Report, error) {
+	p := plan{"churn", e}
+	cells, err := p.matrix(p.smallFederation(10, 4, 6, churnMatrixQuorum), churnMatrixAxes()...)
 	if err != nil {
 		return nil, err
 	}
@@ -107,32 +57,24 @@ func ChurnMatrix(o Options) (*Report, error) {
 	}
 	for _, c := range cells {
 		active, folded := 0, 0
-		for _, rd := range c.Result.Rounds {
+		for _, rd := range c.Rounds {
 			active += rd.Active
 			folded += rd.Clients
 		}
-		plan := c.Plan
-		if plan == "" {
-			plan = "closed"
-		}
-		scenario := c.Scenario.String()
-		if c.Scenario.Name == "" {
-			scenario = "iid"
-		}
 		epsMin, users := "-", "-"
-		if c.Result.Ledger != nil {
-			m, _ := c.Result.Ledger.MinEpsilon()
+		if c.Ledger != nil {
+			m, _ := c.Ledger.MinEpsilon()
 			epsMin = f4(m)
-			users = fmt.Sprint(len(c.Result.Ledger.Users()))
+			users = fmt.Sprint(len(c.Ledger.Users()))
 		}
 		r.Rows = append(r.Rows, []string{
-			plan,
-			scenario,
-			c.Method,
+			orNone(c.Cfg.Population, "closed"),
+			scenarioLabel(c.Cfg),
+			c.Cfg.Method,
 			fmt.Sprint(active),
 			fmt.Sprint(folded),
-			f3ok(c.Result.FinalAccuracy()),
-			f4(c.Result.FinalEpsilon()),
+			f3ok(c.FinalAccuracy()),
+			f4(c.FinalEpsilon()),
 			epsMin,
 			users,
 		})

@@ -16,23 +16,18 @@ func TestChurnMatrixInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training sweep")
 	}
-	cells, err := RunChurnMatrix(Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios, methods, plans := churnMatrixAxes()
-	if want := len(scenarios) * len(methods) * len(plans); len(cells) != want {
+	_, cells := trained(t, "churn")
+	if want := cellCount(churnMatrixAxes()); len(cells) != want {
 		t.Fatalf("matrix has %d cells, want %d", len(cells), want)
 	}
-	for _, c := range cells {
-		res := c.Result
+	for _, res := range cells {
 		cfg := res.Cfg
 		// Reconstruct the cell's population registry.
 		var pop fl.Population
-		if c.Plan == "" {
+		if cfg.Population == "" {
 			pop = fl.PopulationOf(cfg.K, nil)
 		} else {
-			plan, err := simnet.ParsePlan(c.Plan)
+			plan, err := simnet.ParsePlan(cfg.Population)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,41 +39,41 @@ func TestChurnMatrixInvariants(t *testing.T) {
 		}
 		dynamic := pop.Dynamic()
 		// Ledgers exist exactly for private methods on open-world plans.
-		wantLedger := dynamic && c.Method != core.MethodNonPrivate
+		wantLedger := dynamic && cfg.Method != core.MethodNonPrivate
 		if (res.Ledger != nil) != wantLedger {
-			t.Fatalf("%s/%q: ledger %v, want %v", c.Method, c.Plan, res.Ledger != nil, wantLedger)
+			t.Fatalf("%s/%q: ledger %v, want %v", cfg.Method, cfg.Population, res.Ledger != nil, wantLedger)
 		}
 		prevEps := 0.0
 		for _, rd := range res.Rounds {
 			if rd.Active != pop.ActiveCount(rd.Round) {
 				t.Fatalf("%s/%q round %d: reported %d active, registry says %d",
-					c.Method, c.Plan, rd.Round, rd.Active, pop.ActiveCount(rd.Round))
+					cfg.Method, cfg.Population, rd.Round, rd.Active, pop.ActiveCount(rd.Round))
 			}
 			if rd.Clients > rd.Active {
 				t.Fatalf("%s/%q round %d: folded %d updates from %d active clients",
-					c.Method, c.Plan, rd.Round, rd.Clients, rd.Active)
+					cfg.Method, cfg.Population, rd.Round, rd.Clients, rd.Active)
 			}
 			// ε discipline: committed rounds of a private method spend,
 			// uncommitted rounds are exactly flat.
-			if c.Method == core.MethodNonPrivate {
+			if cfg.Method == core.MethodNonPrivate {
 				if rd.Epsilon != 0 {
-					t.Fatalf("%q: non-private round %d spent ε %v", c.Plan, rd.Round, rd.Epsilon)
+					t.Fatalf("%q: non-private round %d spent ε %v", cfg.Population, rd.Round, rd.Epsilon)
 				}
 			} else if rd.Committed {
 				if rd.Epsilon <= prevEps {
 					t.Fatalf("%s/%q round %d: committed round did not grow ε (%v → %v)",
-						c.Method, c.Plan, rd.Round, prevEps, rd.Epsilon)
+						cfg.Method, cfg.Population, rd.Round, prevEps, rd.Epsilon)
 				}
 			} else if rd.Epsilon != prevEps {
 				t.Fatalf("%s/%q round %d: uncommitted round moved ε %v → %v",
-					c.Method, c.Plan, rd.Round, prevEps, rd.Epsilon)
+					cfg.Method, cfg.Population, rd.Round, prevEps, rd.Epsilon)
 			}
 			prevEps = rd.Epsilon
 		}
 		if res.Ledger != nil {
 			maxEps, _, _ := res.Ledger.MaxEpsilon()
 			if maxEps != res.FinalEpsilon() {
-				t.Fatalf("%s/%q: published ε %v is not the ledger max %v", c.Method, c.Plan, res.FinalEpsilon(), maxEps)
+				t.Fatalf("%s/%q: published ε %v is not the ledger max %v", cfg.Method, cfg.Population, res.FinalEpsilon(), maxEps)
 			}
 		}
 	}
@@ -88,12 +83,8 @@ func TestChurnMatrixReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training sweep")
 	}
-	rep, err := Run("churn", Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios, methods, plans := churnMatrixAxes()
-	if want := len(scenarios) * len(methods) * len(plans); len(rep.Rows) != want {
+	rep, _ := trained(t, "churn")
+	if want := cellCount(churnMatrixAxes()); len(rep.Rows) != want {
 		t.Fatalf("report has %d rows, want %d", len(rep.Rows), want)
 	}
 	for _, row := range rep.Rows {

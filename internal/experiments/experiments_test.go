@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"fedcdp/internal/core"
 )
 
 func TestReportFormatting(t *testing.T) {
@@ -34,17 +36,17 @@ func TestFormatHelpers(t *testing.T) {
 }
 
 func TestOptionsScaling(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Scale != 1 || o.Seed == 0 {
-		t.Fatalf("defaults: %+v", o)
+	at := func(scale string) plan { return plan{"test", exp(t, "experiment.scale="+scale)} }
+	if p := at("0"); p.scale() != 1 || p.n(100, 10) != 100 {
+		t.Fatalf("an unset scale is 1, got %v", p.scale())
 	}
-	if (Options{Scale: 0.5}).n(100, 10) != 50 {
+	if at("0.5").n(100, 10) != 50 {
 		t.Fatal("n scaling broken")
 	}
-	if (Options{Scale: 0.01}.withDefaults()).n(100, 10) != 10 {
+	if at("0.01").n(100, 10) != 10 {
 		t.Fatal("n floor broken")
 	}
-	if (Options{Scale: 2}).n(100, 10) != 200 {
+	if at("2").n(100, 10) != 200 {
 		t.Fatal("n upscale broken")
 	}
 }
@@ -63,13 +65,13 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("table99", Options{}); err == nil {
+	if _, err := Run("table99", exp(t)); err == nil {
 		t.Fatal("expected error for unknown experiment")
 	}
 }
 
 func TestTable6MatchesPaperShape(t *testing.T) {
-	rep, err := Table6(Options{})
+	rep, err := Table6(exp(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +93,11 @@ func TestTable6MatchesPaperShape(t *testing.T) {
 }
 
 func TestTable6Determinism(t *testing.T) {
-	a, err := Table6(Options{})
+	a, err := Table6(exp(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Table6(Options{})
+	b, err := Table6(exp(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,49 +106,52 @@ func TestTable6Determinism(t *testing.T) {
 	}
 }
 
-func TestLeakType2Semantics(t *testing.T) {
-	spec, err := datasetGet("mnist")
+// leakUnder is what a threat-type adversary reads off the MNIST victim's first
+// n examples under the method, through the drivers' own path: a victim cell
+// and the leak oracle.
+func leakUnder(t *testing.T, method string, threat, n int) (gw, gb []*tensorT) {
+	t.Helper()
+	v, err := plan{"test", exp(t)}.victim("method.name=" + method)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := attackModel(spec, 1)
-	ds := datasetNew(spec, 1)
-	x, y := ds.Client(0).Get(0)
+	xs, ys := v.FL.Data.Client(0).Batch(0, n)
+	gw, gb, err = leak(attackModel(v.Spec, 1), v.Cfg, threat, xs, ys, rngSplit(1, int64(threat)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gw, gb
+}
 
-	_, rawW, _ := m.Gradients(x, y)
-	gwNP, _ := leakType2(m, x, y, "non-private", rngSplit(1, 1))
-	if !rawW[0].Equal(gwNP[0], 0) {
-		t.Fatal("non-private type-2 leak must be raw")
+func TestLeakType2Semantics(t *testing.T) {
+	rawW, _ := leakUnder(t, core.MethodNonPrivate, 2, 1)
+	for _, m := range []string{core.MethodFedSDP, core.MethodFedSDPSrv, core.MethodDSSGD} {
+		if gw, _ := leakUnder(t, m, 2, 1); !rawW[0].Equal(gw[0], 0) {
+			t.Fatalf("%s type-2 leak must be raw (the paper's core point)", m)
+		}
 	}
-	gwSDP, _ := leakType2(m, x, y, "fed-sdp", rngSplit(1, 2))
-	if !rawW[0].Equal(gwSDP[0], 0) {
-		t.Fatal("fed-sdp type-2 leak must be raw (the paper's core point)")
-	}
-	gwCDP, _ := leakType2(m, x, y, "fed-cdp", rngSplit(1, 3))
-	if rawW[0].Equal(gwCDP[0], 1e-9) {
-		t.Fatal("fed-cdp type-2 leak must be sanitized")
+	for _, m := range []string{core.MethodFedCDP, core.MethodFedCDPDecay} {
+		if gw, _ := leakUnder(t, m, 2, 1); rawW[0].Equal(gw[0], 1e-9) {
+			t.Fatalf("%s type-2 leak must be sanitized", m)
+		}
 	}
 }
 
 func TestLeakType01Semantics(t *testing.T) {
-	spec, err := datasetGet("mnist")
-	if err != nil {
-		t.Fatal(err)
+	rawW, _ := leakUnder(t, core.MethodNonPrivate, 1, 3)
+	for threat := 0; threat <= 1; threat++ {
+		if gw, _ := leakUnder(t, core.MethodFedSDP, threat, 3); rawW[0].Equal(gw[0], 1e-9) {
+			t.Fatalf("fed-sdp type-%d round update must be sanitized", threat)
+		}
 	}
-	m := attackModel(spec, 2)
-	ds := datasetNew(spec, 2)
-	cd := ds.Client(0)
-	xs := make([]*tensorT, 3)
-	ys := make([]int, 3)
-	for j := range xs {
-		xs[j], ys[j] = cd.Get(j)
+	// Server-side Fed-SDP is where types 0 and 1 part (Fig. 4).
+	if gw, _ := leakUnder(t, core.MethodFedSDPSrv, 1, 3); !rawW[0].Equal(gw[0], 0) {
+		t.Fatal("fed-sdp(server) type-1 round update must be raw")
 	}
-	gwNP, gbNP := leakType01(m, xs, ys, "non-private", rngSplit(2, 1))
-	gwSDP, _ := leakType01(m, xs, ys, "fed-sdp", rngSplit(2, 2))
-	if gwNP[0].Equal(gwSDP[0], 1e-9) {
-		t.Fatal("fed-sdp round update must be sanitized")
+	if gw, _ := leakUnder(t, core.MethodFedSDPSrv, 0, 3); rawW[0].Equal(gw[0], 1e-9) {
+		t.Fatal("fed-sdp(server) type-0 round update must be sanitized")
 	}
-	gwD, gbD := leakType01(m, xs, ys, "dssgd", rngSplit(2, 3))
+	gwD, gbD := leakUnder(t, core.MethodDSSGD, 1, 3)
 	nz, total := 0, 0
 	for _, g := range append(gwD, gbD...) {
 		for _, v := range g.Data() {
@@ -159,7 +164,6 @@ func TestLeakType01Semantics(t *testing.T) {
 	if frac := float64(nz) / float64(total); frac > 0.12 {
 		t.Fatalf("dssgd leak shares %.3f of entries, want ~0.1", frac)
 	}
-	_ = gbNP
 }
 
 func TestAttackStatsAggregation(t *testing.T) {
@@ -186,10 +190,7 @@ func TestFig3QuickDecay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
-	rep, err := Fig3(Options{Scale: 1, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := trained(t, "fig3")
 	if len(rep.Rows) < 8 {
 		t.Fatalf("fig3 has %d rounds", len(rep.Rows))
 	}
@@ -208,7 +209,7 @@ func TestTable3Ratios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training experiment")
 	}
-	rep, err := Table3(Options{Scale: 1, Seed: 42})
+	rep, err := Table3(exp(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestFig1AttacksSucceedOnNonPrivate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("attack experiment")
 	}
-	rep, err := Fig1(Options{Scale: 0.5, Seed: 42})
+	rep, err := Fig1(exp(t, "experiment.scale=0.5"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,16 @@ func TestFaultMatrixInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 federated runs")
 	}
-	cells, err := RunFaultMatrix(Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scenarios, methods, plans := faultMatrixAxes()
-	if want := len(scenarios) * len(methods) * len(plans); len(cells) != want {
+	_, cells := trained(t, "faults")
+	if want := cellCount(faultMatrixAxes()); len(cells) != want {
 		t.Fatalf("matrix has %d cells, want %d", len(cells), want)
 	}
 
 	sawUncommitted, sawDropped := false, false
 	for _, c := range cells {
-		label := fmt.Sprintf("%s/%s/%q", c.Scenario, c.Method, c.Plan)
+		label := fmt.Sprintf("%s/%s/%q", c.Cfg.Scenario, c.Cfg.Method, c.Cfg.Faults)
 		prevEps := 0.0
-		for i, r := range c.Result.Rounds {
+		for i, r := range c.Rounds {
 			// Invariant: quorum honored — committed iff enough folds.
 			if r.Committed != (r.Clients >= faultMatrixQuorum) {
 				t.Fatalf("%s round %d: committed=%v with %d folds under quorum %d", label, i, r.Committed, r.Clients, faultMatrixQuorum)
@@ -42,7 +38,7 @@ func TestFaultMatrixInvariants(t *testing.T) {
 			// ones (a round below quorum publishes nothing, so composing
 			// its mechanism would overstate the spend; the old unconditional
 			// charge reported the clean run's ε for a faulted run).
-			switch c.Method {
+			switch c.Cfg.Method {
 			case core.MethodFedCDP, core.MethodFedSDPSrv:
 				if r.Committed && r.Epsilon <= prevEps {
 					t.Fatalf("%s round %d: ε %v did not grow past %v on a committed round", label, i, r.Epsilon, prevEps)
@@ -78,10 +74,7 @@ func TestFaultMatrixReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 federated runs")
 	}
-	rep, err := Run("faults", Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := trained(t, "faults")
 	if rep.Name != "faults" || len(rep.Rows) != 24 {
 		t.Fatalf("report %s with %d rows, want faults/24", rep.Name, len(rep.Rows))
 	}
@@ -104,59 +97,55 @@ func TestAttackMatrixInvariants(t *testing.T) {
 	}
 	const honestFloor, breakCeiling, robustSlack = 0.9, 0.6, 0.2
 
-	cells, err := RunAttackMatrix(Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	behaviors, defenses, methods, scenarios := attackMatrixAxes()
-	if want := len(behaviors) * len(defenses) * len(methods) * len(scenarios); len(cells) != want {
+	_, cells := trained(t, "byzantine")
+	if want := cellCount(attackMatrixAxes()); len(cells) != want {
 		t.Fatalf("matrix has %d cells, want %d", len(cells), want)
 	}
 
 	honest := map[string]float64{} // scenario|method|defense → honest accuracy
 	eps := map[string]float64{}    // scenario|method → ε (must not vary by adversary)
 	for _, c := range cells {
-		k := c.Scenario.String() + "|" + c.Method
-		if c.Behavior == "" {
-			if acc, ok := c.Result.FinalAccuracy(); ok {
-				honest[k+"|"+c.Defense] = acc
+		k := c.Cfg.Scenario.String() + "|" + c.Cfg.Method
+		if c.Cfg.Faults == "" {
+			if acc, ok := c.FinalAccuracy(); ok {
+				honest[honestKey(c.Cfg)] = acc
 			}
 		}
 		// Invariant: ε accounting never sees the adversary — identical in
 		// every cell of a (scenario, method) plane.
 		if prev, ok := eps[k]; ok {
-			if c.Result.FinalEpsilon() != prev {
-				t.Fatalf("%s: ε %v differs from plane's %v under %q/%s", k, c.Result.FinalEpsilon(), prev, c.Behavior, c.Defense)
+			if c.FinalEpsilon() != prev {
+				t.Fatalf("%s: ε %v differs from plane's %v under %q/%s", k, c.FinalEpsilon(), prev, c.Cfg.Faults, c.Cfg.Aggregation)
 			}
 		} else {
-			eps[k] = c.Result.FinalEpsilon()
+			eps[k] = c.FinalEpsilon()
 		}
-		if c.Method == core.MethodNonPrivate && c.Result.FinalEpsilon() != 0 {
-			t.Fatalf("non-private cell %q/%s reported ε %v", c.Behavior, c.Defense, c.Result.FinalEpsilon())
+		if c.Cfg.Method == core.MethodNonPrivate && c.FinalEpsilon() != 0 {
+			t.Fatalf("non-private cell %q/%s reported ε %v", c.Cfg.Faults, c.Cfg.Aggregation, c.FinalEpsilon())
 		}
 	}
 
 	for _, c := range cells {
-		if c.Scenario.Name != "" {
+		if c.Cfg.Scenario.Name != "" {
 			continue // attack bounds are pinned on the iid plane
 		}
-		acc, _ := c.Result.FinalAccuracy()
-		base := honest[c.Scenario.String()+"|"+c.Method+"|"+c.Defense]
-		label := fmt.Sprintf("iid/%s %q/%s", c.Method, c.Behavior, c.Defense)
+		behavior, defense := c.Cfg.Faults, c.Cfg.Aggregation
+		acc, _ := c.FinalAccuracy()
+		base := honest[honestKey(c.Cfg)]
+		label := fmt.Sprintf("iid/%s %q/%s", c.Cfg.Method, behavior, defense)
 		switch {
-		case c.Behavior == "":
+		case behavior == "":
 			// Invariant: with zero attackers every defense trains normally.
 			if acc < honestFloor {
 				t.Fatalf("%s: honest accuracy %.3f below floor %.2f", label, acc, honestFloor)
 			}
-		case c.Defense == "fedsgd" && c.Behavior == "byzantine=2:scale:25":
+		case defense == "fedsgd" && behavior == "byzantine=2:scale:25":
 			// Invariant: the scaled attack demonstrably breaks the
 			// undefended mean — this is the row that justifies the axis.
 			if acc > breakCeiling {
 				t.Fatalf("%s: undefended mean survived at %.3f (≤ %.2f expected)", label, acc, breakCeiling)
 			}
-		case c.Defense != "fedsgd":
+		case defense != "fedsgd":
 			// Invariant: every robust fold degrades boundedly under every
 			// attack behavior.
 			if acc < base-robustSlack {
@@ -170,10 +159,7 @@ func TestAttackMatrixReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64 federated runs")
 	}
-	rep, err := Run("byzantine", Options{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := trained(t, "byzantine")
 	if rep.Name != "byzantine" || len(rep.Rows) != 64 {
 		t.Fatalf("report %s with %d rows, want byzantine/64", rep.Name, len(rep.Rows))
 	}

@@ -1,87 +1,5 @@
 package experiments
 
-import (
-	"math"
-
-	"fedcdp/internal/dataset"
-)
-
-// Options controls the effort level of every experiment driver.
-//
-// Scale = 1 is the harness default: parameters are reduced from the paper's
-// GPU-scale setup (K up to 10,000 clients, T·L = 10,000 SGD steps per
-// dataset) to CPU-friendly sizes while preserving every comparison the
-// paper makes. Larger scales move toward the paper's setup; Scale has no
-// effect on Table VI, which is a pure computation run at exact paper
-// parameters.
-type Options struct {
-	Scale float64
-	Seed  int64
-	// Precision selects the client GEMM arithmetic width for every
-	// training-based experiment: "" / tensor.PrecisionFP64 (default, the
-	// reference oracle) or tensor.PrecisionFP32, the bulk float32 path.
-	// Running the suite under both is a whole-system tolerance check of
-	// the fp32 engine (see DESIGN.md, "Precision").
-	Precision string
-	// Codec selects fl's wire encoding for every training-based
-	// experiment: "" / fl.CodecGob (default, the parity oracle) or
-	// fl.CodecBinary, the framed binary codec (see DESIGN.md, "Wire
-	// codec").
-	Codec string
-	// Scenario selects the data-heterogeneity scenario every training and
-	// attack driver partitions its benchmark with (see dataset.Scenario).
-	// The zero value is the paper's Table I partition, under which every
-	// report reproduces its pre-scenario-engine output bit-for-bit.
-	Scenario dataset.Scenario
-	// Aggregation selects fl's server rule for training drivers: "" /
-	// fl.AggFedSGD, fl.AggFedAvg, or fl.AggWeighted (example-count-weighted
-	// FedAvg, the rule matched to quantity-skewed scenarios).
-	Aggregation string
-	// Shards selects the aggregation topology for training drivers: 0
-	// (default) keeps the legacy flat float fold, 1 the flat exact fold,
-	// ≥2 the in-process aggregation tree — exact, so any shard count
-	// reports identically to Shards=1 (see DESIGN.md, "Hierarchical
-	// aggregation").
-	Shards int
-	// TreeFanout bounds the tree's partial compose fan-in (0 = all).
-	TreeFanout int
-	// Sampler selects cohort sampling for training drivers: "" /
-	// fl.SamplerLegacy (default, golden-pinned) or fl.SamplerFloyd.
-	Sampler string
-	// ConfigDigest is the canonical digest of the declarative experiment
-	// config these options were derived from (see internal/config); Run
-	// stamps it into the report. Empty for options assembled as a literal.
-	ConfigDigest string
-}
-
-// newDataset builds the benchmark partitioned by the options' scenario.
-func (o Options) newDataset(spec dataset.Spec) (*dataset.Dataset, error) {
-	p, err := o.Scenario.Partitioner()
-	if err != nil {
-		return nil, err
-	}
-	return dataset.NewPartitioned(spec, o.Seed, p), nil
-}
-
-func (o Options) withDefaults() Options {
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	return o
-}
-
-// n scales a base count by Scale with a floor.
-func (o Options) n(base, min int) int {
-	v := int(math.Round(float64(base) * o.Scale))
-	if v < min {
-		return min
-	}
-	return v
-}
-
 // Paper-reported values used for side-by-side comparison in reports.
 var (
 	// Table I: non-private accuracy and ms/iteration.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fedcdp/internal/accountant"
+	"fedcdp/internal/config"
 	"fedcdp/internal/dataset"
 )
 
@@ -12,8 +13,7 @@ import (
 // paper's exact parameters (no scaling): global sampling rate q = 0.01 for
 // Fed-CDP, client rate q₂ = Kt/K = 0.1 for Fed-SDP, σ = 6, δ = 1e-5, and
 // T = {100, 100, 60, 10, 3} rounds with L ∈ {1, 100} local iterations.
-func Table6(o Options) (*Report, error) {
-	o = o.withDefaults()
+func Table6(*config.Experiment) (*Report, error) {
 	r := &Report{
 		Name:  "table6",
 		Title: "Privacy composition ε (δ=1e-5, σ=6, q_cdp=0.01, q_sdp=0.1)",

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"sort"
 
+	"fedcdp/internal/config"
 	"fedcdp/internal/dataset"
 )
 
-// Driver runs one experiment at the given options.
-type Driver func(Options) (*Report, error)
+// Driver runs one experiment of the paper's evaluation on the user's
+// experiment (see plan).
+type Driver func(*config.Experiment) (*Report, error)
 
 // Registry maps experiment ids (table/figure numbers) to their drivers.
 func Registry() map[string]Driver {
@@ -41,41 +43,39 @@ func Names() []string {
 	return names
 }
 
-// Run executes the named experiment. When a non-default heterogeneity
-// scenario is set, the report is stamped with it and with the realized
-// per-client dataset statistics (shard sizes, classes per client, label
-// entropy) of every benchmark the experiment touched.
-func Run(name string, o Options) (*Report, error) {
+// Run executes the named experiment and stamps the report with the digest of
+// the experiment it ran on. When a non-default heterogeneity scenario is set,
+// the report also carries it and the realized per-client dataset statistics
+// (shard sizes, classes per client, label entropy) of every benchmark the
+// experiment touched, measured over the experiment's K clients.
+func Run(name string, e *config.Experiment) (*Report, error) {
 	d, ok := Registry()[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	r, err := d(o)
+	r, err := d(e)
 	if err != nil {
 		return nil, err
 	}
-	r.ConfigDigest = o.ConfigDigest
-	if o.Scenario.Name != "" {
-		o = o.withDefaults()
-		r.Scenario = o.Scenario.String()
+	r.ConfigDigest = e.Digest()
+	if e.Data.Scenario != "" {
+		cfg := e.CoreConfig()
+		part, err := cfg.Scenario.Partitioner()
+		if err != nil {
+			return nil, err
+		}
+		r.Scenario = cfg.Scenario.String()
 		for _, dsName := range reportDatasets(r) {
 			spec, serr := dataset.Get(dsName)
 			if serr != nil {
 				continue
 			}
-			ds, serr := o.newDataset(spec)
-			if serr != nil {
-				return nil, serr
-			}
-			r.Notes = append(r.Notes, fmt.Sprintf("%s partition: %s", dsName, ds.Stats(statsClients)))
+			ds := dataset.NewPartitioned(spec, e.Seed, part)
+			r.Notes = append(r.Notes, fmt.Sprintf("%s partition: %s", dsName, ds.Stats(e.Training.K)))
 		}
 	}
 	return r, nil
 }
-
-// statsClients is the population slice the scenario stats note measures —
-// the K the scaled training drivers use.
-const statsClients = 16
 
 // reportDatasets lists the benchmarks an experiment report touched, in
 // column order, by scanning its rows' first cells for benchmark names.

@@ -13,8 +13,8 @@ type Report struct {
 	Name     string // experiment id, e.g. "table2"
 	Title    string
 	Scenario string
-	// ConfigDigest names the declarative experiment config the report was
-	// produced from (see internal/config); "" for options assembled as a literal.
+	// ConfigDigest names the experiment the report was produced from (see
+	// internal/config); Run stamps it.
 	ConfigDigest string
 	Header       []string
 	Rows         [][]string

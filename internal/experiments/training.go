@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"fedcdp/internal/config"
 	"fedcdp/internal/core"
 	"fedcdp/internal/dataset"
 )
@@ -18,35 +19,30 @@ import (
 // always uses the paper's true parameters and is unaffected.
 const simNoiseFactor = 1.0 / 100
 
-// runCfg is the scaled base configuration used by the training-based
-// experiments. Rounds and local iterations are floored at the learning
-// threshold of the synthetic CNN benchmarks (T·L ≈ 400 SGD steps); Scale > 1
-// grows them toward the paper's budget.
-func runCfg(o Options, ds, method string) core.Config {
-	return core.Config{
-		Dataset:     ds,
-		Method:      method,
-		K:           16,
-		Kt:          8,
-		Rounds:      o.n(20, 20),
-		LocalIters:  o.n(20, 20),
-		Sigma:       6 * simNoiseFactor,
-		ValExamples: o.n(300, 100),
-		EvalEvery:   100, // evaluate final round only
-		Seed:        o.Seed,
-		Precision:   o.Precision,
-		Codec:       o.Codec,
-		Scenario:    o.Scenario,
-		Aggregation: o.Aggregation,
-		Shards:      o.Shards,
-		TreeFanout:  o.TreeFanout,
-		Sampler:     o.Sampler,
-	}
+// sigmaNote is how every report that trained under simNoiseFactor says so
+// where it says σ.
+var sigmaNote = fmt.Sprintf("accuracy is trained at the paper's σ × simNoiseFactor (σ=6 → %g, the default method.sigma; DESIGN.md, noise scaling); attack and timing rows use σ=6 verbatim", 6*simNoiseFactor)
+
+// scaled is what the accuracy drivers set on top of the user's experiment:
+// the horizon at experiment.scale — rounds and local iterations floored at
+// the learning threshold of the synthetic CNN benchmarks (T·L ≈ 400 SGD
+// steps), growing toward the paper's budget above scale 1 — and one
+// evaluation, of the final round. K = 16, Kt = 8 and σ = 0.06 are
+// config.Default()'s and, like every other key, the user's to move.
+func (p plan) scaled(sets ...string) []string {
+	return append([]string{
+		kv("training.rounds", p.n(20, 20)),
+		kv("training.iters", p.n(20, 20)),
+		kv("training.val-examples", p.n(300, 100)),
+		"training.eval-every=100",
+	}, sets...)
 }
 
+var accuracyMethods = []string{core.MethodNonPrivate, core.MethodFedSDP, core.MethodFedCDP, core.MethodFedCDPDecay}
+
 // Table1 reproduces Table I: benchmark setup and non-private accuracy/cost.
-func Table1(o Options) (*Report, error) {
-	o = o.withDefaults()
+func Table1(e *config.Experiment) (*Report, error) {
+	p := plan{"table1", e}
 	r := &Report{
 		Name:   "table1",
 		Title:  "Benchmark datasets and parameters (non-private federated learning)",
@@ -56,18 +52,14 @@ func Table1(o Options) (*Report, error) {
 			"absolute ms/iter differs from the paper's GPU numbers; Table 3 compares the method ratios",
 		},
 	}
-	for _, name := range dataset.Names() {
-		spec, err := dataset.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		cfg := runCfg(o, name, core.MethodNonPrivate)
-		res, err := core.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", name, err)
-		}
+	runs, err := p.matrix(p.scaled("method.name="+core.MethodNonPrivate), each("data.dataset", dataset.Names()...))
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range runs {
+		spec := res.Spec
 		r.Rows = append(r.Rows, []string{
-			name,
+			spec.Name,
 			fmt.Sprint(spec.Features),
 			fmt.Sprint(spec.Classes),
 			fmt.Sprint(spec.PerClient),
@@ -75,9 +67,9 @@ func Table1(o Options) (*Report, error) {
 			fmt.Sprint(spec.LocalIters),
 			fmt.Sprint(spec.Rounds),
 			f3ok(res.FinalAccuracy()),
-			f3(paperNonPrivateAcc[name]),
+			f3(paperNonPrivateAcc[spec.Name]),
 			f1ok(res.MeanMsPerIter()),
-			f1(paperNonPrivateCost[name]),
+			f1(paperNonPrivateCost[spec.Name]),
 		})
 	}
 	return r, nil
@@ -86,51 +78,46 @@ func Table1(o Options) (*Report, error) {
 // Table2 reproduces Table II: MNIST accuracy across population sizes,
 // participation rates and methods. The paper's K ∈ {100, 1000, 10000} maps
 // to scaled populations with the same participation fractions.
-func Table2(o Options) (*Report, error) {
-	o = o.withDefaults()
+func Table2(e *config.Experiment) (*Report, error) {
+	p := plan{"table2", e}
 	ks := []int{40, 80, 160} // stand-ins for the paper's K = 100 / 1k / 10k
 	kLabel := []string{"K~100", "K~1000", "K~10000"}
 	fracs := []float64{0.05, 0.10, 0.20, 0.50}
-	switch { // gate grid breadth by effort level
-	case o.Scale < 1: // quick mode: smallest population only
-		ks, kLabel = ks[:1], kLabel[:1]
-	case o.Scale < 2: // default: two populations
-		ks, kLabel = ks[:2], kLabel[:2]
+	switch scale := p.scale(); { // gate grid breadth by effort level
+	case scale < 1: // quick mode: smallest population only
+		ks = ks[:1]
+	case scale < 2: // default: two populations
+		ks = ks[:2]
 	}
-	methods := []string{core.MethodNonPrivate, core.MethodFedSDP, core.MethodFedCDP, core.MethodFedCDPDecay}
 
 	r := &Report{
 		Name:   "table2",
-		Title:  "Accuracy by #total clients and Kt/K on MNIST (C=4, σ=6)",
+		Title:  fmt.Sprintf("Accuracy by #total clients and Kt/K on MNIST (C=%g, trained at σ=%g)", e.Method.Clip, e.Method.Sigma),
 		Header: []string{"method"},
 		Notes: []string{
 			"expected shape: accuracy grows with K and Kt/K; Fed-CDP > Fed-SDP; Fed-CDP(decay) >= Fed-CDP",
 			"paper values for K=100 row span: non-private 0.924..0.965, Fed-SDP 0.803..0.872, Fed-CDP 0.815..0.903, decay 0.833..0.909",
+			sigmaNote,
 		},
 	}
-	for ki := range ks {
+	var cohorts axis
+	for ki, k := range ks {
 		for _, f := range fracs {
 			r.Header = append(r.Header, fmt.Sprintf("%s/%d%%", kLabel[ki], int(f*100)))
+			// Cohorts below 4 clients hit a non-IID trap (2 classes per
+			// client) that the paper's smallest cohort (Kt=5) avoids.
+			kt := max(int(float64(k)*f), 4)
+			cohorts = append(cohorts, []string{kv("training.k", k), kv("training.kt", kt)})
 		}
 	}
-	for _, m := range methods {
+	runs, err := p.matrix(p.scaled("data.dataset=mnist"), each("method.name", accuracyMethods...), cohorts)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range accuracyMethods {
 		row := []string{methodLabel(m)}
-		for _, k := range ks {
-			for _, f := range fracs {
-				// Cohorts below 4 clients hit a non-IID trap (2 classes per
-				// client) that the paper's smallest cohort (Kt=5) avoids.
-				kt := int(float64(k) * f)
-				if kt < 4 {
-					kt = 4
-				}
-				cfg := runCfg(o, "mnist", m)
-				cfg.K, cfg.Kt = k, kt
-				res, err := core.Run(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("table2 %s K=%d Kt=%d: %w", m, k, kt, err)
-				}
-				row = append(row, f3ok(res.FinalAccuracy()))
-			}
+		for _, res := range runs[i*len(cohorts) : (i+1)*len(cohorts)] {
+			row = append(row, f3ok(res.FinalAccuracy()))
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -138,9 +125,8 @@ func Table2(o Options) (*Report, error) {
 }
 
 // Table3 reproduces Table III: per-iteration local training cost by method.
-func Table3(o Options) (*Report, error) {
-	o = o.withDefaults()
-	methods := []string{core.MethodNonPrivate, core.MethodFedSDP, core.MethodFedCDP, core.MethodFedCDPDecay}
+func Table3(e *config.Experiment) (*Report, error) {
+	p := plan{"table3", e}
 	r := &Report{
 		Name:   "table3",
 		Title:  "Time cost per local iteration per client (ms)",
@@ -149,34 +135,28 @@ func Table3(o Options) (*Report, error) {
 			"expected shape: Fed-CDP ≈ 3-4x non-private (per-example clip+noise); decay ≈ Fed-CDP; Fed-SDP ≈ non-private",
 		},
 	}
-	base := map[string]float64{}
-	for _, m := range methods {
+	names := dataset.Names()
+	runs, err := p.matrix([]string{
+		"training.k=4", "training.kt=2", "training.rounds=1", kv("training.iters", p.n(10, 5)),
+		"training.val-examples=10", "training.eval-every=100",
+		"method.sigma=6",         // timing uses the paper's real noise scale
+		"training.parallelism=1", // stable timing
+	}, each("method.name", accuracyMethods...), each("data.dataset", names...))
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range accuracyMethods {
 		row := []string{methodLabel(m)}
 		var ratioSum float64
-		for _, name := range dataset.Names() {
-			cfg := runCfg(o, name, m)
-			cfg.K, cfg.Kt = 4, 2
-			cfg.Rounds = 1
-			cfg.LocalIters = o.n(10, 5)
-			cfg.Sigma = 6 // timing uses the paper's real noise scale
-			cfg.ValExamples = 10
-			cfg.Parallelism = 1 // stable timing
-			res, err := core.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("table3 %s %s: %w", m, name, err)
-			}
-			ms, _ := res.MeanMsPerIter()
+		for j := range names {
+			ms, _ := runs[i*len(names)+j].MeanMsPerIter()
 			row = append(row, f1(ms))
-			if m == core.MethodNonPrivate {
-				base[name] = ms
-			}
-			if b := base[name]; b > 0 {
-				ratioSum += ms / b
+			// accuracyMethods[0] is the non-private baseline.
+			if base, _ := runs[j].MeanMsPerIter(); base > 0 {
+				ratioSum += ms / base
 			}
 		}
-		ratio := ratioSum / float64(len(dataset.Names()))
-		paperRatio := paperRatioOverNP(methodLabel(m))
-		row = append(row, fmt.Sprintf("%.2f", ratio), paperRatio)
+		row = append(row, fmt.Sprintf("%.2f", ratioSum/float64(len(names))), paperRatioOverNP(methodLabel(m)))
 		r.Rows = append(r.Rows, row)
 	}
 	return r, nil
@@ -196,48 +176,48 @@ func paperRatioOverNP(label string) string {
 }
 
 // Table4 reproduces Table IV: Fed-CDP accuracy across clipping bounds.
-func Table4(o Options) (*Report, error) {
-	return sweepTable(o, "table4",
-		"Fed-CDP accuracy by clipping bound C (σ=6)",
-		[]float64{0.5, 1, 2, 4, 6, 8},
-		func(cfg *core.Config, v float64) { cfg.Clip = v },
+func Table4(e *config.Experiment) (*Report, error) {
+	return sweepTable(plan{"table4", e},
+		fmt.Sprintf("Fed-CDP accuracy by clipping bound C (trained at σ=%g)", e.Method.Sigma),
+		func(v float64) string { return kv("method.clip", v) },
 		paperTable4,
 		"expected shape: interior optimum (too-small C prunes signal, too-large C inflates noise variance)",
 	)
 }
 
 // Table5 reproduces Table V: Fed-CDP accuracy across noise scales.
-func Table5(o Options) (*Report, error) {
-	return sweepTable(o, "table5",
-		"Fed-CDP accuracy by noise scale σ (C=4)",
-		[]float64{0.5, 1, 2, 4, 6, 8},
-		func(cfg *core.Config, v float64) { cfg.Sigma = v * simNoiseFactor },
+func Table5(e *config.Experiment) (*Report, error) {
+	return sweepTable(plan{"table5", e},
+		fmt.Sprintf("Fed-CDP accuracy by the paper's noise scale σ, each trained at σ·%g (C=%g)", simNoiseFactor, e.Method.Clip),
+		func(v float64) string { return kv("method.sigma", v*simNoiseFactor) },
 		paperTable5,
 		"expected shape: accuracy decreases monotonically (mildly) with σ",
 	)
 }
 
-func sweepTable(o Options, name, title string, values []float64, apply func(*core.Config, float64), paper map[string]map[float64]float64, note string) (*Report, error) {
-	o = o.withDefaults()
-	r := &Report{Name: name, Title: title, Notes: []string{note}}
+// sweepTable trains Fed-CDP on every benchmark at each value of one swept
+// key, beside the paper's accuracy for that value.
+func sweepTable(p plan, title string, set func(v float64) string, paper map[string]map[float64]float64, note string) (*Report, error) {
+	values := []float64{0.5, 1, 2, 4, 6, 8}
+	r := &Report{Name: p.name, Title: title, Notes: []string{note, sigmaNote}}
 	r.Header = []string{"dataset"}
-	for _, v := range values {
+	sweep := make(axis, len(values))
+	for i, v := range values {
 		r.Header = append(r.Header, fmt.Sprintf("%g", v), fmt.Sprintf("%g(paper)", v))
+		sweep[i] = []string{set(v)}
 	}
 	names := dataset.Names()
-	if o.Scale < 1 { // quick mode: one image + one tabular benchmark
+	if p.scale() < 1 { // quick mode: one image + one tabular benchmark
 		names = []string{"mnist", "adult"}
 	}
-	for _, ds := range names {
+	runs, err := p.matrix(p.scaled("method.name="+core.MethodFedCDP), each("data.dataset", names...), sweep)
+	if err != nil {
+		return nil, err
+	}
+	for i, ds := range names {
 		row := []string{ds}
-		for _, v := range values {
-			cfg := runCfg(o, ds, core.MethodFedCDP)
-			apply(&cfg, v)
-			res, err := core.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s %g: %w", name, ds, v, err)
-			}
-			row = append(row, f3ok(res.FinalAccuracy()), f3(paper[ds][v]))
+		for j, v := range values {
+			row = append(row, f3ok(runs[i*len(values)+j].FinalAccuracy()), f3(paper[ds][v]))
 		}
 		r.Rows = append(r.Rows, row)
 	}
@@ -246,16 +226,13 @@ func sweepTable(o Options, name, title string, values []float64, apply func(*cor
 
 // Fig3 reproduces Figure 3: the decaying L2 norm of per-example gradients
 // over federated training (mean across MNIST clients).
-func Fig3(o Options) (*Report, error) {
-	o = o.withDefaults()
-	cfg := runCfg(o, "mnist", core.MethodNonPrivate)
+func Fig3(e *config.Experiment) (*Report, error) {
+	p := plan{"fig3", e}
 	// A fixed full-participation cohort gives a smooth norm series (the
 	// paper averages a fixed set of 100 clients).
-	cfg.K = o.n(20, 8)
-	cfg.Kt = cfg.K
-	cfg.Rounds = o.n(25, 8)
-	cfg.EvalEvery = 1000
-	res, err := core.Run(cfg)
+	k := p.n(20, 8)
+	res, err := p.run(p.scaled("data.dataset=mnist", "method.name="+core.MethodNonPrivate,
+		kv("training.k", k), kv("training.kt", k), kv("training.rounds", p.n(25, 8)), "training.eval-every=1000")...)
 	if err != nil {
 		return nil, err
 	}
@@ -293,11 +270,4 @@ func methodLabel(m string) string {
 		return "dssgd"
 	}
 	return m
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
