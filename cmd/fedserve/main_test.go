@@ -10,6 +10,7 @@ import (
 
 	"fedcdp/internal/config"
 	"fedcdp/internal/fl"
+	"fedcdp/internal/fltest"
 )
 
 const faultAcceptance = "../../configs/fault-acceptance.yaml"
@@ -18,8 +19,9 @@ const faultAcceptance = "../../configs/fault-acceptance.yaml"
 // plan, which a dial-in deployment refuses (TestRefusals), and with sets
 // applied — and plays its whole fleet: kt library clients expecting that
 // experiment's digest, each dialing until the server is gone. It returns
-// everything fedserve printed after its banner.
-func serveFleet(t *testing.T, bannerWant string, sets ...string) []string {
+// everything fedserve printed after its banner. A stray, if any, runs to
+// completion first, so it has its session before the fleet dials.
+func serveFleet(t *testing.T, stray func(addr string) error, bannerWant string, sets ...string) []string {
 	t.Helper()
 	cf := config.Flags{Path: faultAcceptance, Sets: append([]string{"faults.plan="}, sets...)}
 	args := []string{"-config", cf.Path, "-addr", "127.0.0.1:0"}
@@ -52,23 +54,30 @@ func serveFleet(t *testing.T, bannerWant string, sets ...string) []string {
 	}
 
 	var wg sync.WaitGroup
-	for id := 0; id < r.Cfg.Kt; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			opt := fl.ClientOptions{ExpectDigest: exp.Digest()}
-			for {
-				// Any error ends the client: the refusal or dead socket of a
-				// finished server, or a failure the server then reports itself
-				// (without a deadline a failed session aborts its round).
-				round, err := fl.RunRemoteClientRound(m[2], id, r.FL.Strategy, r.FL.Data.Client(id), r.FL.Model, r.Cfg.Seed, opt)
-				if err != nil {
-					return
-				}
-				opt.MinRound = max(opt.MinRound, round+1)
+	client := func(id int) {
+		defer wg.Done()
+		opt := fl.ClientOptions{ExpectDigest: exp.Digest()}
+		for {
+			// Any error ends the client: the refusal or dead socket of a
+			// finished server, or a session the server counted as failed.
+			round, err := fl.RunRemoteClientRound(m[2], id, r.FL.Strategy, r.FL.Data.Client(id), r.FL.Model, r.Cfg.Seed, opt)
+			if err != nil {
+				return
 			}
-		}(id)
+			opt.MinRound = max(opt.MinRound, round+1)
+		}
 	}
+	wg.Add(r.Cfg.Kt)
+	go func() {
+		if stray != nil {
+			if err := stray(m[2]); err != nil {
+				t.Error(err)
+			}
+		}
+		for id := 0; id < r.Cfg.Kt; id++ {
+			go client(id)
+		}
+	}()
 	var served []string
 	for lines.Scan() {
 		served = append(served, lines.Text())
@@ -85,7 +94,7 @@ func serveFleet(t *testing.T, bannerWant string, sets ...string) []string {
 // round, and after training.rounds rounds the server prints fedtrain's
 // report.
 func TestServesTheConfiguredExperiment(t *testing.T) {
-	served := serveFleet(t, "4 rounds, 6 clients/round, deadline=0s, quorum=1, scenario=dirichlet")
+	served := serveFleet(t, nil, "4 rounds, 6 clients/round, deadline=0s, quorum=1, scenario=dirichlet")
 	if len(served) < 4 {
 		t.Fatalf("want 4 round lines, got:\n%s", strings.Join(served, "\n"))
 	}
@@ -109,12 +118,26 @@ func TestServesTheConfiguredExperiment(t *testing.T) {
 	}
 }
 
+// A peer that fails its session costs fedserve that slot, not the run: with no
+// deadline configured it still serves all four rounds — one of them a client
+// short — and closes with the report.
+func TestSurvivesHostilePeers(t *testing.T) {
+	for name, peer := range fltest.HostilePeers {
+		served := strings.Join(serveFleet(t, peer, "4 rounds, 6 clients/round, deadline=0s"), "\n")
+		short := strings.Count(served, "5/6 updates folded (1 failed")
+		full := strings.Count(served, "6/6 updates folded (0 failed")
+		if short != 1 || full != 3 || !strings.Contains(served, "\nfinal: accuracy=") {
+			t.Errorf("a peer that %s: want one round a client short, three full ones and the final: line, got:\n%s", name, served)
+		}
+	}
+}
+
 // The engine's schedule and dropout coin are fedserve's too: it evaluates
 // rounds r%n == 0 and the last, not every round whatever the file says, and
 // a dropout rate thins the number of updates a round waits for.
 func TestHonorsEvalEveryAndDropout(t *testing.T) {
 	// Seed 42 at dropout 0.5 keeps 2, 2, 2 and 3 of each round's 6.
-	served := serveFleet(t, "4 rounds", "training.eval-every=2", "runtime.dropout=0.5")
+	served := serveFleet(t, nil, "4 rounds", "training.eval-every=2", "runtime.dropout=0.5")
 	row := regexp.MustCompile(`^ +(\d) +(-|0\.\d{4})  `)
 	fold := regexp.MustCompile(`^round \d: (\d)/(\d) updates folded`)
 	var evaluated []string

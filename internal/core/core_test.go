@@ -117,6 +117,16 @@ func TestFedCDPDecayUsesSchedule(t *testing.T) {
 	}
 }
 
+func TestFedCDPFlatClipBehaviour(t *testing.T) {
+	// Flat clipping with a tiny bound shrinks the whole-gradient norm; the
+	// per-layer variant clips each layer independently.
+	flat, _ := FedCDP{Clip: dp.FixedClip{C: 1e-6}, Sigma: 0, FlatClip: true}.ClientUpdate(testEnv(t, 25))
+	layer, _ := FedCDP{Clip: dp.FixedClip{C: 1e-6}, Sigma: 0}.ClientUpdate(testEnv(t, 25))
+	if tensor.GroupL2Norm(flat) > 1e-3 || tensor.GroupL2Norm(layer) > 1e-3 {
+		t.Fatal("both clip variants must bound the update")
+	}
+}
+
 func TestFedSDPClientSanitizesUpdate(t *testing.T) {
 	// With σ=0 and a tiny C, the shared update must be clipped per layer.
 	s := FedSDP{C: 0.001, Sigma: 0}
@@ -139,11 +149,11 @@ func TestFedSDPServerLeavesClientUpdateRaw(t *testing.T) {
 		}
 	}
 	// But ServerSanitize perturbs.
-	updates := [][]*tensor.Tensor{tensor.CloneAll(d1)}
-	sServer.ServerSanitize(0, updates, tensor.NewRNG(1))
+	update := tensor.CloneAll(d1)
+	sServer.ServerSanitize(0, 0, update, fl.ServerNoise(1, 0))
 	changed := false
 	for i := range d1 {
-		if !updates[0][i].Equal(d1[i], 1e-12) {
+		if !update[i].Equal(d1[i], 1e-12) {
 			changed = true
 		}
 	}
@@ -154,10 +164,28 @@ func TestFedSDPServerLeavesClientUpdateRaw(t *testing.T) {
 
 func TestFedSDPClientServerSanitizeNoop(t *testing.T) {
 	s := FedSDP{C: 4, Sigma: 6} // client-side
-	u := [][]*tensor.Tensor{{tensor.FromSlice([]float64{1, 2}, 2)}}
-	s.ServerSanitize(0, u, tensor.NewRNG(1))
-	if u[0][0].At(0) != 1 {
+	u := []*tensor.Tensor{tensor.FromSlice([]float64{1, 2}, 2)}
+	s.ServerSanitize(0, 0, u, fl.ServerNoise(1, 0))
+	if u[0].At(0) != 1 {
 		t.Fatal("client-side Fed-SDP must not sanitize at the server")
+	}
+}
+
+// fedsdp-server with method.compress is a reachable config: the wrapper
+// must not hide the server-side clip and noise from the round's probe.
+func TestCompressedFedSDPServerStillSanitizes(t *testing.T) {
+	strat, err := Config{Method: MethodFedSDPSrv, Clip: 0.5, Sigma: 1, CompressRatio: 0.5}.Strategy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	san, ok := strat.(fl.ServerSanitizer)
+	if !ok {
+		t.Fatalf("%s does not sanitize at the server", strat.Name())
+	}
+	u := []*tensor.Tensor{tensor.FromSlice([]float64{3, 4}, 2)}
+	san.ServerSanitize(0, 0, u, fl.ServerNoise(1, 0))
+	if u[0].At(0) == 3 && u[0].At(1) == 4 {
+		t.Fatal("the wrapped strategy's server-side sanitization did not run")
 	}
 }
 

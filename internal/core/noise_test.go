@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"fedcdp/internal/dataset"
 	"fedcdp/internal/dp"
 	"fedcdp/internal/fl"
 	"fedcdp/internal/tensor"
@@ -102,32 +101,5 @@ func TestNoiseEngineGolden(t *testing.T) {
 		if got := digestTensors(res.Final.Params()); got != want {
 			t.Errorf("%s: counter-engine golden digest = %#x, want %#x", method, got, want)
 		}
-	}
-}
-
-// TestNoiseEngineMedianStrategy routes FedCDPMedian through the counter
-// pipeline and checks scheduling invariance of its median-bound sanitize
-// (its second pass fans out through dp.SanitizeBatch).
-func TestNoiseEngineMedianStrategy(t *testing.T) {
-	run := func(procs int) uint64 {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		spec, _ := dataset.Get("cancer")
-		hist, err := fl.Run(fl.Config{
-			Data: dataset.New(spec, 5), Model: spec.ModelSpec(),
-			K: 4, Kt: 2, Rounds: 2,
-			Round:       fl.RoundConfig{BatchSize: 4, LocalIters: 2, LR: spec.LR},
-			Strategy:    FedCDPMedian{Sigma: 0.05, MaxC: 8},
-			Seed:        5,
-			ValExamples: 20,
-			EvalEvery:   100,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return digestTensors(hist.Final.Params())
-	}
-	if run(1) != run(8) {
-		t.Fatal("FedCDPMedian counter run must be GOMAXPROCS-invariant")
 	}
 }

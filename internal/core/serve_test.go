@@ -10,11 +10,14 @@ import (
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
+	"fedcdp/internal/fltest"
 )
 
 // serveFleet runs cfg as a dial-in deployment on a loopback port: core.Serve
-// plus cfg.Kt library clients, each dialing until the server is gone.
-func serveFleet(t *testing.T, cfg Config) (*Result, error) {
+// plus cfg.Kt library clients, each dialing until the server is gone. A
+// stray, if any, runs to completion first, so it has its session before the
+// fleet dials.
+func serveFleet(t *testing.T, cfg Config, stray func(addr string) error) (*Result, error) {
 	t.Helper()
 	r, err := cfg.Resolve()
 	if err != nil {
@@ -25,26 +28,67 @@ func serveFleet(t *testing.T, cfg Config) (*Result, error) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	for id := 0; id < r.Cfg.Kt; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			var opt fl.ClientOptions
-			for {
-				// Any error ends the client: the refusal or dead socket of a
-				// finished server, or a failure the server then reports itself
-				// (without a deadline a failed session aborts its round).
-				round, err := fl.RunRemoteClientRound(ln.Addr().String(), id, r.FL.Strategy, r.FL.Data.Client(id), r.FL.Model, r.Cfg.Seed, opt)
-				if err != nil {
-					return
-				}
-				opt.MinRound = max(opt.MinRound, round+1)
+	client := func(id int) {
+		defer wg.Done()
+		var opt fl.ClientOptions
+		for {
+			// Any error ends the client: the refusal or dead socket of a
+			// finished server, or a session the server counted as failed.
+			round, err := fl.RunRemoteClientRound(ln.Addr().String(), id, r.FL.Strategy, r.FL.Data.Client(id), r.FL.Model, r.Cfg.Seed, opt)
+			if err != nil {
+				return
 			}
-		}(id)
+			opt.MinRound = max(opt.MinRound, round+1)
+		}
 	}
+	wg.Add(r.Cfg.Kt)
+	go func() {
+		if stray != nil {
+			if err := stray(ln.Addr().String()); err != nil {
+				t.Error(err)
+			}
+		}
+		for id := 0; id < r.Cfg.Kt; id++ {
+			go client(id)
+		}
+	}()
 	res, err := Serve(cfg, ln, false, io.Discard)
 	wg.Wait()
 	return res, err
+}
+
+// Clients are unstable (Section IV-A) and a listening port meets strangers: a
+// peer that fails its session costs the round that slot, not the run. With no
+// deadline configured the server still finishes every round and charges the
+// ε of the clean run. (What fedserve prints meanwhile: cmd/fedserve's twin.)
+func TestServeSurvivesHostilePeers(t *testing.T) {
+	cfg := acceptanceConfig()
+	cfg.Faults = ""
+	clean, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, peer := range fltest.HostilePeers {
+		res, err := serveFleet(t, cfg, peer)
+		if err != nil {
+			t.Errorf("a peer that %s ended the run: %v", name, err)
+			continue
+		}
+		folded, dropped := 0, 0
+		for _, rs := range res.Rounds {
+			folded, dropped = folded+rs.Clients, dropped+rs.Dropped
+			if !rs.Committed {
+				t.Errorf("%s: round %d did not commit", name, rs.Round)
+			}
+		}
+		if want := cfg.Rounds*cfg.Kt - 1; len(res.Rounds) != cfg.Rounds || dropped != 1 || folded != want {
+			t.Errorf("%s: %d rounds folded %d and dropped %d, want %d rounds, %d folded, the peer's slot dropped",
+				name, len(res.Rounds), folded, dropped, cfg.Rounds, want)
+		}
+		if res.FinalEpsilon() != clean.FinalEpsilon() {
+			t.Errorf("%s: ε %v, clean run %v", name, res.FinalEpsilon(), clean.FinalEpsilon())
+		}
+	}
 }
 
 // The TCP deployment is the same round engine as Run and RunSimnet, so for
@@ -82,7 +126,7 @@ func TestServeEpsilonParity(t *testing.T) {
 		if got := vector(RunSimnet(cfg)); !reflect.DeepEqual(got, inproc) {
 			t.Errorf("%s: RunSimnet %+v, Run %+v", name, got, inproc)
 		}
-		if got := vector(serveFleet(t, cfg)); !reflect.DeepEqual(got, inproc) {
+		if got := vector(serveFleet(t, cfg, nil)); !reflect.DeepEqual(got, inproc) {
 			t.Errorf("%s: Serve %+v, Run %+v", name, got, inproc)
 		}
 		if last := inproc[len(inproc)-1]; last.Epsilon == 0 {
@@ -101,7 +145,7 @@ func TestServeEpsilonParity(t *testing.T) {
 func TestServeFailsOnPlannedRestart(t *testing.T) {
 	cfg := acceptanceConfig()
 	cfg.Faults = "restart@1"
-	if _, err := serveFleet(t, cfg); err == nil || !strings.Contains(err.Error(), "cannot replay a planned restart (round 1)") {
+	if _, err := serveFleet(t, cfg, nil); err == nil || !strings.Contains(err.Error(), "cannot replay a planned restart (round 1)") {
 		t.Fatalf("Serve replayed a planned restart: %v", err)
 	}
 }

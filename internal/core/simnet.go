@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"fedcdp/internal/fl"
 	"fedcdp/internal/nn"
@@ -71,8 +70,8 @@ func (cfg Config) deploy(open func(*Resolved, fl.Config) (fl.RoundRunner, error)
 
 // ServerSanitizeRefusal is the error that refuses MethodFedSDPSrv on a wire
 // deployment — whose names the round servers, e.g. "the simnet" or "fedserve's". Only the
-// in-process runtime calls Strategy.ServerSanitize; a wire round server
-// folds what arrives.
+// in-process round probes its strategy for fl.ServerSanitizer; a wire round
+// server folds what arrives.
 func ServerSanitizeRefusal(whose string) error {
 	return fmt.Errorf("method %s sanitizes at the server, which %s round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", MethodFedSDPSrv, whose, MethodFedSDP)
 }
@@ -172,12 +171,6 @@ func (f *fabric) Close() {
 	}
 }
 
-// unreachableDeadline arms the "session failures are counted, not fatal"
-// contract of fl.RoundOptions.Deadline without ever cutting a round: it is
-// virtual, every session resolves, and nothing advances the fabric clock an
-// hour within one round.
-const unreachableDeadline = time.Hour
-
 // Round implements fl.RoundRunner: one round of the deployment.
 func (f *fabric) Round(round int, cohort []int, global *nn.Model) (fl.RoundStats, error) {
 	f.net.SetRound(round)
@@ -231,13 +224,10 @@ func (f *fabric) Round(round int, cohort []int, global *nn.Model) (fl.RoundStats
 	}
 	rootCh := make(chan rootOutcome, 1)
 	go func() {
-		// Quorum counts CLIENTS in either topology: the root aggregator's
-		// Count sums what its edges carried.
+		// No deadline: the fabric clock is virtual and every session resolves.
 		res, err := f.root.StreamRound(round, global.Params(), f.cfg.Round, f.rootAgg, fl.RoundOptions{
-			Clients:     rootSessions,
-			Deadline:    unreachableDeadline,
-			MinQuorum:   f.cfg.MinQuorum,
-			QuorumCount: f.rootAgg.Count,
+			Clients:   rootSessions,
+			MinQuorum: f.cfg.MinQuorum,
 		})
 		rootCh <- rootOutcome{res, err}
 	}()
@@ -254,10 +244,7 @@ func (f *fabric) Round(round int, cohort []int, global *nn.Model) (fl.RoundStats
 			// the partial is still sent — an empty one resolves the root's
 			// session slot instead of hanging the round on a dead edge.
 			agg := f.edgeAggs[s]
-			_, err := f.edgeSrvs[s].StreamRound(round, global.Params(), f.cfg.Round, fl.EdgeFold(agg), fl.RoundOptions{
-				Clients:  members[s],
-				Deadline: unreachableDeadline,
-			})
+			_, err := f.edgeSrvs[s].StreamRound(round, global.Params(), f.cfg.Round, fl.EdgeFold(agg), fl.RoundOptions{Clients: members[s]})
 			serr := fl.SendPartial(simnetServerAddr, s, round, agg.TakePartial(),
 				fl.ClientOptions{Dial: f.net.Dialer(simnetEdgeAddr(s)), Codec: f.cfg.Codec})
 			if err == nil {

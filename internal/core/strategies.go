@@ -24,7 +24,6 @@ type sanitizer func(iter, example int, g []*tensor.Tensor)
 // per-example gradients recovered from the batch buffers only when
 // sanitization or norm statistics need them. All scratch comes from the
 // worker's arena, so steady-state iterations allocate no data buffers. The
-// model must be built from an nn.Spec (every layer an nn.BatchLayer). The
 // per-example oracle this path is pinned to lives in engine_test.go.
 //
 // With a sanitizer the per-example stage runs through dp.SanitizeBatch:
@@ -161,9 +160,6 @@ func exampleNoise(noise tensor.CounterRNG, iter, example int) tensor.CounterRNG 
 	return noise.Derive(noisePerExample, int64(iter), int64(example))
 }
 
-// ServerSanitize is a no-op.
-func (NonPrivate) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
-
 // FedCDP is Algorithm 2: per-example client differential privacy. Each
 // example's gradient is clipped layer-wise to Clip.Bound(round) and
 // perturbed with Gaussian noise of scale Sigma·C before batch averaging,
@@ -219,10 +215,6 @@ func (f FedCDP) sanitizer(env *fl.ClientEnv) sanitizer {
 	}
 }
 
-// ServerSanitize is a no-op: all sanitization happens per example on the
-// client.
-func (f FedCDP) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
-
 // FedSDP is Algorithm 1: per-client differential privacy. Local training is
 // non-private; the round update ΔW is clipped per layer to C and perturbed
 // once with Gaussian noise. AtServer selects where the sanitization runs:
@@ -256,25 +248,12 @@ func (f FedSDP) ClientUpdate(env *fl.ClientEnv) ([]*tensor.Tensor, fl.ClientStat
 	return delta, stats
 }
 
-// ServerSanitize clips and noises each collected per-client update when
-// AtServer is set, drawing sequentially from rng. The runtimes prefer
-// ServerSanitizeCounter; this satisfies fl.Strategy for callers that hold
-// only a stream.
-func (f FedSDP) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {
-	if !f.AtServer {
-		return
-	}
-	for _, u := range updates {
-		dp.Sanitize(u, f.C, f.Sigma, rng)
-	}
-}
+var _ fl.ServerSanitizer = FedSDP{}
 
-var _ fl.CounterSanitizer = FedSDP{}
-
-// ServerSanitizeCounter is the server-side sanitization the runtimes use:
-// update idx draws from its own stream keyed by cohort position, so the
-// result does not depend on the order updates are sanitized in.
-func (f FedSDP) ServerSanitizeCounter(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG) {
+// ServerSanitize implements fl.ServerSanitizer: with server-side placement
+// update idx is clipped and noised from its own stream keyed by cohort
+// position, so the result does not depend on the order updates arrive in.
+func (f FedSDP) ServerSanitize(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG) {
 	if !f.AtServer {
 		return
 	}
@@ -302,9 +281,6 @@ func (d DSSGD) ClientUpdate(env *fl.ClientEnv) ([]*tensor.Tensor, fl.ClientStats
 	return delta, stats
 }
 
-// ServerSanitize is a no-op.
-func (DSSGD) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
-
 // SparseUpdates implements fl.SparseCapable: sharing a small fraction of
 // the update means most coordinates on the wire are zero, so remote
 // clients ship the sparse encoding (indices + values).
@@ -330,23 +306,13 @@ func (c Compressed) ClientUpdate(env *fl.ClientEnv) ([]*tensor.Tensor, fl.Client
 	return delta, stats
 }
 
-// ServerSanitize delegates to the inner strategy.
-func (c Compressed) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {
-	c.Inner.ServerSanitize(round, updates, rng)
-}
-
-var _ fl.CounterSanitizer = Compressed{}
-
-// ServerSanitizeCounter delegates counter-engine server sanitization to the
-// inner strategy. Inner strategies without counter support get their plain
-// ServerSanitize with a nil RNG — every such strategy in this package
-// ignores the stream entirely (their server step is a no-op).
-func (c Compressed) ServerSanitizeCounter(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG) {
-	if cs, ok := c.Inner.(fl.CounterSanitizer); ok {
-		cs.ServerSanitizeCounter(round, idx, update, noise)
-		return
+// ServerSanitize implements fl.ServerSanitizer for whatever it wraps:
+// fedsdp-server with method.compress is a reachable config, and its pruned
+// updates must still meet the server's clip and noise.
+func (c Compressed) ServerSanitize(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG) {
+	if san, ok := c.Inner.(fl.ServerSanitizer); ok {
+		san.ServerSanitize(round, idx, update, noise)
 	}
-	c.Inner.ServerSanitize(round, [][]*tensor.Tensor{update}, nil)
 }
 
 // SparseUpdates implements fl.SparseCapable: pruning more than half the

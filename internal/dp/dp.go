@@ -3,7 +3,6 @@ package dp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"fedcdp/internal/tensor"
@@ -102,21 +101,6 @@ func ClipLayers(grads []*tensor.Tensor, c float64) []float64 {
 	return norms
 }
 
-// ClipFlat clips the whole gradient group to L2 norm c as one concatenated
-// vector (the DP-SGD convention of Abadi et al.), in contrast to the
-// paper's per-layer clipping. Returns the pre-clip group norm.
-func ClipFlat(grads []*tensor.Tensor, c float64) float64 {
-	n := tensor.GroupL2Norm(grads)
-	if c <= 0 || n <= c {
-		return n
-	}
-	scale := c / n
-	for _, g := range grads {
-		g.Scale(scale)
-	}
-	return n
-}
-
 // AddGaussian adds i.i.d. N(0, (sigma·sensitivity)²) noise to every tensor,
 // the Gaussian mechanism of Definition 2 with S set from the clipping bound.
 func AddGaussian(grads []*tensor.Tensor, sigma, sensitivity float64, rng *tensor.RNG) {
@@ -132,21 +116,6 @@ func AddGaussian(grads []*tensor.Tensor, sigma, sensitivity float64, rng *tensor
 func Sanitize(grads []*tensor.Tensor, c, sigma float64, rng *tensor.RNG) {
 	ClipLayers(grads, c)
 	AddGaussian(grads, sigma, c, rng)
-}
-
-// MedianNorm returns the median of a set of gradient L2 norms. The paper
-// suggests it as an adaptive clipping bound choice (Section IV-C).
-func MedianNorm(norms []float64) float64 {
-	if len(norms) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), norms...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // compressScratch recycles the |g| working buffer across Compress calls.

@@ -174,18 +174,6 @@ func TestSanitizeAddsNoise(t *testing.T) {
 	}
 }
 
-func TestMedianNorm(t *testing.T) {
-	if got := MedianNorm([]float64{3, 1, 2}); got != 2 {
-		t.Fatalf("odd median = %v, want 2", got)
-	}
-	if got := MedianNorm([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Fatalf("even median = %v, want 2.5", got)
-	}
-	if got := MedianNorm(nil); got != 0 {
-		t.Fatalf("empty median = %v, want 0", got)
-	}
-}
-
 func TestCompressPrunesSmallest(t *testing.T) {
 	g := tensor.FromSlice([]float64{0.1, -5, 0.2, 3, -0.05, 1}, 6)
 	kept := Compress([]*tensor.Tensor{g}, 0.5)

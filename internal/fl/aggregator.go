@@ -72,64 +72,6 @@ func (a *FedSGDAggregator) Commit(params []*tensor.Tensor) {
 	tensor.AddAllScaled(params, 1/float64(a.n), a.sum)
 }
 
-// FedAvgAggregator folds client models W + ΔW_k and commits their mean,
-// W ← (1/n)·Σ(W + ΔW_k) — algebraically the same map as FedSGD, the
-// equivalence the paper invokes to treat the two interchangeably.
-type FedAvgAggregator struct {
-	mu   sync.Mutex
-	sum  []*tensor.Tensor
-	base []*tensor.Tensor // W at Begin, added back per fold
-	n    int
-}
-
-// NewFedAvg returns an empty FedAveraging fold.
-func NewFedAvg() *FedAvgAggregator { return &FedAvgAggregator{} }
-
-// Begin implements Aggregator.
-func (a *FedAvgAggregator) Begin(params []*tensor.Tensor) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sum = resetLike(a.sum, params)
-	if geometryMatches(a.base, params) {
-		for i, p := range params {
-			a.base[i].CopyFrom(p)
-		}
-	} else {
-		a.base = tensor.CloneAll(params)
-	}
-	a.n = 0
-}
-
-// Fold implements Aggregator.
-func (a *FedAvgAggregator) Fold(update []*tensor.Tensor) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	tensor.AddAllScaled(a.sum, 1, a.base)
-	tensor.AddAllScaled(a.sum, 1, update)
-	a.n++
-}
-
-// Count implements Aggregator.
-func (a *FedAvgAggregator) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.n
-}
-
-// Commit implements Aggregator.
-func (a *FedAvgAggregator) Commit(params []*tensor.Tensor) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.n == 0 {
-		return
-	}
-	inv := 1 / float64(a.n)
-	for i, p := range params {
-		p.Zero()
-		p.AddScaled(inv, a.sum[i])
-	}
-}
-
 // WeightedFolder is implemented by aggregators that weight each folded
 // update — example-count-weighted FedAvg under quantity-skewed partitions.
 // The runtimes probe for it and pass the client's local example count; a
@@ -147,6 +89,7 @@ type WeightedFolder interface {
 // on arrival order, up to floating-point commutativity (the runtimes'
 // cohort-order fold pins even that — see DESIGN.md, "Scenario engine").
 type WeightedFedAvgAggregator struct {
+	unit bool // every fold weighs 1 (NewFedAvg)
 	mu   sync.Mutex
 	sum  []*tensor.Tensor
 	base []*tensor.Tensor // W at Begin, added back per fold
@@ -156,6 +99,11 @@ type WeightedFedAvgAggregator struct {
 
 // NewWeightedFedAvg returns an empty weighted-FedAvg fold.
 func NewWeightedFedAvg() *WeightedFedAvgAggregator { return &WeightedFedAvgAggregator{} }
+
+// NewFedAvg returns an empty FedAveraging fold: the weighted fold with every
+// weight ignored, W ← (1/n)·Σ(W + ΔW_k) — algebraically the same map as
+// FedSGD, the equivalence the paper invokes to treat the two interchangeably.
+func NewFedAvg() *WeightedFedAvgAggregator { return &WeightedFedAvgAggregator{unit: true} }
 
 // Begin implements Aggregator.
 func (a *WeightedFedAvgAggregator) Begin(params []*tensor.Tensor) {
@@ -189,7 +137,7 @@ const maxFoldWeight = 1e6
 // poison every parameter at Commit) are clamped to 1; finite weights are
 // capped at maxFoldWeight.
 func (a *WeightedFedAvgAggregator) FoldWeighted(update []*tensor.Tensor, weight float64) {
-	if !(weight > 0) || math.IsInf(weight, 1) {
+	if a.unit || !(weight > 0) || math.IsInf(weight, 1) {
 		weight = 1
 	} else if weight > maxFoldWeight {
 		weight = maxFoldWeight

@@ -24,7 +24,7 @@ func RunBarrier(cfg Config) (*History, error) {
 type barrierRunner struct{ *localRunner }
 
 func (b barrierRunner) Round(round int, cohort []int, global *nn.Model) (RoundStats, error) {
-	return runBarrierRound(b.cfg, global, cohort, round, b.workers, b.serverRNG, b.agg, b.clock), nil
+	return runBarrierRound(b.cfg, global, cohort, round, b.workers, b.agg, b.clock), nil
 }
 
 // faultLost reports whether a cohort member's contribution is lost to the
@@ -39,7 +39,7 @@ func faultLost(cfg Config, round, client int) bool {
 // Kept as the semantic/parity reference for the streaming round (the
 // aggregation arithmetic itself is shared — both fold through the same
 // Aggregator). It has no deadline, so the clock is unused.
-func runBarrierRound(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool, serverRNG *tensor.RNG, agg Aggregator, _ Clock) RoundStats {
+func runBarrierRound(cfg Config, global *nn.Model, cohort []int, round int, workers *workerPool, agg Aggregator, _ Clock) RoundStats {
 	updates, stats, weights := trainCohort(cfg, global, cohort, round, workers)
 	// Fault injection: contributions lost to the plan (crashes never
 	// trained — trainCohort skipped them; drops trained but never arrive)
@@ -52,22 +52,13 @@ func runBarrierRound(cfg Config, global *nn.Model, cohort []int, round int, work
 			live = append(live, i)
 		}
 	}
-	if cs, ok := cfg.Strategy.(CounterSanitizer); ok {
+	if san, ok := cfg.Strategy.(ServerSanitizer); ok {
 		noise := ServerNoise(cfg.Seed, round)
 		for _, i := range live {
 			// Keyed by original cohort position, matching the streaming
 			// runtime's per-update streams under any survivor set.
-			cs.ServerSanitizeCounter(round, i, updates[i], noise)
+			san.ServerSanitize(round, i, updates[i], noise)
 		}
-	} else {
-		// Strategies without a CounterSanitizer: the original one-shot
-		// batch call, the exact pre-streaming contract (with no faults the
-		// batch is the whole cohort, verbatim).
-		batch := make([][]*tensor.Tensor, 0, len(live))
-		for _, i := range live {
-			batch = append(batch, updates[i])
-		}
-		cfg.Strategy.ServerSanitize(round, batch, serverRNG)
 	}
 	params := global.Params()
 	agg.Begin(params)

@@ -55,8 +55,8 @@ func (a *collectAggregator) Updates() [][]*tensor.Tensor {
 }
 
 // runRound serves one round in the barrier-era style: it admits exactly kt
-// client sessions, waits for every update, and returns the materialized
-// deltas in arrival order (any session error aborts the round).
+// client sessions, waits for every one to resolve, and returns the
+// materialized deltas in arrival order (a failed session leaves none).
 func runRound(s *RoundServer, round int, params []*tensor.Tensor, cfg RoundConfig, kt int) ([][]*tensor.Tensor, error) {
 	agg := newCollect()
 	if _, err := s.StreamRound(round, params, cfg, agg, RoundOptions{Clients: kt}); err != nil {

@@ -22,8 +22,8 @@
 // streaming round (Run), the simnet fabric deployment (core.RunSimnet), the
 // TCP server other processes dial into (core.Serve) or the lockstep oracle
 // (barrier_test.go). worker.step is the one client
-// step (parameters, precision, the per-(seed, round, client) RNG and noise
-// streams, Strategy.ClientUpdate, Byzantine corruption), run by the
+// step (parameters, precision, the per-(seed, round, client) noise key,
+// Strategy.ClientUpdate, Byzantine corruption), run by the
 // in-process pool, the one-shot remote client and the ClientMux alike;
 // openSession is the one client-side session preamble. See DESIGN.md,
 // "Round engine".
@@ -33,9 +33,9 @@
 // Run folds each update into the round's Aggregator the moment it arrives,
 // parking out-of-order arrivals in a reorder buffer so commits happen in
 // cohort order: a seeded run is a pure function of its configuration —
-// including the serverRNG stream a strategy without a CounterSanitizer
-// consumes and the weighted folds of AggWeighted — whatever the
-// scheduling. The original lockstep round (train the whole cohort,
+// including the weighted folds of AggWeighted — whatever the scheduling. A
+// strategy that sanitizes at the server (ServerSanitizer) sees each update
+// there, just before its fold. The original lockstep round (train the whole cohort,
 // materialize every update, fold in cohort order) lives on as the parity
 // oracle in barrier_test.go, which pins the two bit-identical under every
 // plan family.
@@ -67,8 +67,9 @@
 // (server streams are keyed by cohort position, not arrival).
 //
 // Reserved Split/CounterRNG label spaces under the root seed: 1 model init,
-// 2 server RNG, 3 cohort sampling, 4 client RNG streams, 5 dropout coins,
-// 6 client-side counter noise, 7 server-side counter noise; labels 8–11
+// 2 retired (a sequential server RNG), 3 cohort sampling, 4 retired (a
+// per-client math/rand stream; retired labels are never reused), 5 dropout
+// coins, 6 client-side counter noise, 7 server-side counter noise; labels 8–11
 // belong to internal/simnet's benign fault coins, 13–16 to its adversarial
 // draws (attacker identities, gauss corruption, poison coins), and 17–19
 // to its population draws (joiner identities, leaver identities, churn
@@ -128,7 +129,8 @@
 // interoperate and a reconnecting client re-negotiates after a server
 // restart. Updates ship dense or sparse per update density, with optional
 // X25519/AES-GCM channel encryption, concurrent client sessions, explicit
-// round-over refusals and update receipts. The server publishes its
+// round-over refusals and update receipts; a session that fails costs its
+// round one slot (RoundResult.Failed), never the round. The server publishes its
 // RoundConfig — including the heterogeneity Scenario, which remote clients
 // apply to their local dataset view, and the GEMM Precision — so a
 // federation agrees on one configuration without per-client flags. The

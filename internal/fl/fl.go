@@ -12,14 +12,15 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// Reserved Split/CounterRNG label spaces under the root seed. Labels 1–5
-// are claimed by model init, the server RNG, cohort sampling, client RNG
-// streams and dropout coins (see the Split call sites); the counter noise
-// engine claims 6 (client-side streams) and 7 (server-side streams);
-// internal/simnet claims 8–11 for transport fault coins; the Floyd cohort
-// sampler claims 12 (sampleLabelFloyd) — a separate label from the legacy
-// sampler's 3, because the two consume their streams differently and must
-// never be confused for one another.
+// Reserved Split/CounterRNG label spaces under the root seed. Labels 1, 3
+// and 5 are claimed by model init, cohort sampling and dropout coins (see the
+// Split call sites); 2 (a sequential server RNG) and 4 (a per-client
+// math/rand stream) are retired — nothing draws from them, and they are never
+// to be reused; the counter noise engine claims 6 (client-side streams) and 7
+// (server-side streams); internal/simnet claims 8–11 for transport fault
+// coins; the Floyd cohort sampler claims 12 (sampleLabelFloyd) — a separate
+// label from the legacy sampler's 3, because the two consume their streams
+// differently and must never be confused for one another.
 const (
 	noiseLabelClient = 6
 	noiseLabelServer = 7
@@ -82,7 +83,7 @@ type ClientEnv struct {
 	Round    int
 	Model    *nn.Model // private copy initialized with the global weights
 	Data     *dataset.ClientData
-	RNG      *tensor.RNG // derived from (seed, round, client): schedule-independent
+	RNG      *tensor.RNG // dead: no runtime sets it, nothing reads it; bound by benchmark/probes.go until ROADMAP 2(a)
 	Cfg      RoundConfig
 	// Arena is the worker's scratch-buffer recycler, reused across rounds;
 	// nil (e.g. remote clients) simply allocates.
@@ -113,38 +114,21 @@ func (s ClientStats) MsPerIter() float64 {
 	return s.Duration.Seconds() * 1000 / float64(s.Iters)
 }
 
-// Strategy defines how a client computes its shared update and how the
-// server treats collected updates before aggregation.
+// Strategy defines how a client computes its shared update.
 type Strategy interface {
 	// Name identifies the strategy in histories and experiment output.
 	Name() string
 	// ClientUpdate runs local training and returns ΔW = W_local − W_global.
 	ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats)
-	// ServerSanitize may modify the collected updates in place before
-	// FedSGD aggregation (e.g. Fed-SDP server-side noise). round is the
-	// current 0-based round.
-	ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG)
 }
 
-// CounterSanitizer is implemented by strategies whose server-side
-// sanitization can run on the counter noise engine: update idx (the
-// client's cohort position) is sanitized from its own derived stream, so
-// the runtime may sanitize updates in any arrival order — or in parallel —
-// and still commit a deterministic round.
-type CounterSanitizer interface {
-	ServerSanitizeCounter(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG)
-}
-
-// serverSanitize routes one update through the strategy's server-side
-// sanitization. idx is the update's cohort position, which keys a
-// CounterSanitizer's noise stream; strategies without one get the plain
-// ServerSanitize call on serverRNG.
-func serverSanitize(cfg Config, round, idx int, update []*tensor.Tensor, serverRNG *tensor.RNG) {
-	if cs, ok := cfg.Strategy.(CounterSanitizer); ok {
-		cs.ServerSanitizeCounter(round, idx, update, ServerNoise(cfg.Seed, round))
-		return
-	}
-	cfg.Strategy.ServerSanitize(round, [][]*tensor.Tensor{update}, serverRNG)
+// ServerSanitizer is implemented by strategies that sanitize at the server
+// (Fed-SDP's server-side placement, Algorithm 1): the in-process round passes
+// every update through it before the fold. Update idx (the client's cohort
+// position) is sanitized from its own stream derived from noise — the
+// round's ServerNoise — so the result is the same in any arrival order.
+type ServerSanitizer interface {
+	ServerSanitize(round, idx int, update []*tensor.Tensor, noise tensor.CounterRNG)
 }
 
 // Config describes one simulation run.
@@ -204,7 +188,7 @@ type Config struct {
 
 	// InitialParams, when non-nil, warm-starts the global model (checkpoint
 	// resume); StartRound offsets the round counter so cohort sampling,
-	// client RNG streams and clipping-decay schedules continue where the
+	// client noise keys and clipping-decay schedules continue where the
 	// checkpointed run left off.
 	InitialParams []*tensor.Tensor
 	StartRound    int
@@ -537,15 +521,14 @@ func RunWith(cfg Config, open func(Config) (RoundRunner, error)) (*History, erro
 // localRunner is the in-process deployment: a worker pool trains the cohort
 // and the streaming round (stream.go) folds it in cohort order.
 type localRunner struct {
-	cfg       Config
-	workers   *workerPool
-	serverRNG *tensor.RNG
-	agg       Aggregator
-	clock     Clock
+	cfg     Config
+	workers *workerPool
+	agg     Aggregator
+	clock   Clock
 }
 
 func newLocalRunner(cfg Config) *localRunner {
-	l := &localRunner{cfg: cfg, serverRNG: tensor.Split(cfg.Seed, 2), clock: cfg.Clock}
+	l := &localRunner{cfg: cfg, clock: cfg.Clock}
 	if l.clock == nil {
 		l.clock = SystemClock
 	}
@@ -565,13 +548,10 @@ func (l *localRunner) rebuild() {
 	l.agg, _ = NewAggregatorFor(l.cfg.Aggregation, l.cfg.Shards, l.cfg.TreeFanout, l.cfg.K)
 }
 
-// Restart implements RoundRunner. serverRNG (read only by strategies
-// without a CounterSanitizer) is re-derived from (seed, round), the
-// deterministic rule a restarted server resumes by; counter noise is
-// stateless and unaffected.
-func (l *localRunner) Restart(round int) error {
+// Restart implements RoundRunner. Every draw the round makes is keyed by
+// (seed, round, …), so a restarted server has no stream to resume.
+func (l *localRunner) Restart(int) error {
 	l.rebuild()
-	l.serverRNG = tensor.Split(l.cfg.Seed, 2, int64(round))
 	return nil
 }
 
@@ -618,38 +598,33 @@ func dropClients(cfg Config, round int, cohort []int, coin *tensor.RNG) []int {
 }
 
 // worker is one reusable client: a private model copy, a scratch arena, a
-// reseedable client RNG, a counter-noise slot and the ClientEnv itself — all
-// reused across clients and rounds so steady-state training stops allocating
-// (the model's batched buffers, the arena's free lists and the RNG's source
-// persist between rounds). The in-process pool, the mux workers and the
-// one-shot remote client all train on one.
+// counter-noise slot and the ClientEnv itself — all reused across clients and
+// rounds so steady-state training stops allocating (the model's batched
+// buffers and the arena's free lists persist between rounds). The in-process
+// pool, the mux workers and the one-shot remote client all train on one.
 type worker struct {
 	model *nn.Model
 	arena *tensor.Arena
-	rng   *tensor.RNG
 	noise tensor.CounterRNG
 	env   ClientEnv
 }
 
 func newWorker(spec nn.Spec) *worker {
-	w := &worker{model: nn.Build(spec, tensor.NewRNG(0)), arena: tensor.NewArena(), rng: tensor.NewRNG(0)}
+	w := &worker{model: nn.Build(spec, tensor.NewRNG(0)), arena: tensor.NewArena()}
 	w.model.UseArena(w.arena)
 	return w
 }
 
 // envFor populates the worker's reusable ClientEnv for one client round.
-// The RNG is reseeded in place to the stream Split(seed, 4, round, id)
-// would return; the counter noise generator is a value slot, so deriving
-// it allocates nothing.
+// The counter noise generator is a value slot, so deriving it allocates
+// nothing.
 func (w *worker) envFor(seed int64, rc RoundConfig, round, id int, data *dataset.ClientData) *ClientEnv {
-	w.rng.Reseed(seed, 4, int64(round), int64(id))
 	w.noise = ClientNoise(seed, round, id)
 	w.env = ClientEnv{
 		ClientID: id,
 		Round:    round,
 		Model:    w.model,
 		Data:     data,
-		RNG:      w.rng,
 		Cfg:      rc,
 		Arena:    w.arena,
 		Noise:    &w.noise,
@@ -703,11 +678,10 @@ func (p *workerPool) release(w *worker) { p.slots <- w }
 const evalChunk = 64
 
 // Evaluate returns validation accuracy of the model on a labelled set,
-// classifying in batched-engine chunks; per-example prediction is the
-// fallback for custom layers. Dense-only models predict bit-identically to
-// the per-example path; conv logits agree to rounding error (see
-// tensor/matmul.go), so an argmax could in principle differ on an exact
-// near-tie between classes.
+// classifying in batched-engine chunks. Dense-only models predict
+// bit-identically to the per-example path; conv logits agree to rounding
+// error (see tensor/matmul.go), so an argmax could in principle differ on an
+// exact near-tie between classes.
 func Evaluate(m *nn.Model, xs []*tensor.Tensor, ys []int) float64 {
 	if len(xs) == 0 {
 		return 0

@@ -24,8 +24,6 @@ func (e echoStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStat
 	return delta, ClientStats{Iters: env.Cfg.LocalIters, Duration: time.Millisecond}
 }
 
-func (echoStrategy) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
-
 // sgdStrategy is a minimal real local trainer used in integration tests.
 type sgdStrategy struct{}
 
@@ -55,8 +53,6 @@ func (sgdStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats) 
 	}
 	return Delta(env.Model.Params(), global), st
 }
-
-func (sgdStrategy) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
 
 func smallConfig(t *testing.T, strat Strategy) Config {
 	t.Helper()

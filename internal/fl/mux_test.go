@@ -118,7 +118,7 @@ func TestClientMuxCursorsAndAbandon(t *testing.T) {
 		})
 	}()
 	res, err := srv.StreamRound(3, model.Params(), cfg, NewFedSGD(), RoundOptions{
-		Clients: 2, Deadline: time.Hour, MinQuorum: 1,
+		Clients: 2, MinQuorum: 1,
 	})
 	results := <-done
 	if err != nil {
@@ -144,6 +144,48 @@ func TestClientMuxCursorsAndAbandon(t *testing.T) {
 	}
 }
 
+// RoundOptions.Deadline is a straggler cutoff and nothing else: a session
+// that fails is a counted failure whether or not one is set, so the same
+// sessions close the same round either way.
+func TestStreamRoundCountsFailuresWithOrWithoutDeadline(t *testing.T) {
+	spec, err := dataset.Get("cancer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1, TotalRounds: 1}
+	for _, tc := range []struct {
+		name    string
+		abandon bool
+		want    RoundResult
+	}{
+		{"clean", false, RoundResult{Folded: 3, Committed: true}},
+		{"one failed session", true, RoundResult{Folded: 2, Failed: 1}},
+	} {
+		for _, deadline := range []time.Duration{0, time.Hour} {
+			srv, err := NewRoundServer("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mux := &ClientMux{Spec: spec.ModelSpec(), Data: dataset.New(spec, 42), Strat: sgdStrategy{}, Seed: 42}
+			done := make(chan []MuxResult, 1)
+			go func() {
+				done <- mux.RunRound([]MuxTask{
+					{ClientID: 0, Addr: srv.Addr()},
+					{ClientID: 1, Addr: srv.Addr()},
+					{ClientID: 2, Addr: srv.Addr(), Abandon: tc.abandon},
+				})
+			}()
+			model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
+			got, err := srv.StreamRound(0, model.Params(), cfg, NewFedSGD(), RoundOptions{Clients: 3, Deadline: deadline, MinQuorum: 3})
+			<-done
+			srv.Close()
+			if err != nil || got != tc.want {
+				t.Errorf("%s, deadline %v: round = %+v, %v; want %+v", tc.name, deadline, got, err, tc.want)
+			}
+		}
+	}
+}
+
 // A mux launched from one experiment config must refuse a server running
 // another, exactly as cmd/fedclient's session does: the digest check lives
 // in the shared session opener. Nothing is folded and the cursor stays put.
@@ -164,7 +206,7 @@ func TestClientMuxRefusesMismatchedDigest(t *testing.T) {
 	done := make(chan []MuxResult, 1)
 	go func() { done <- mux.RunRound([]MuxTask{{ClientID: 0, Addr: srv.Addr()}}) }()
 	cfg := RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1, TotalRounds: 1, ConfigDigest: "0123456789abcdef"}
-	res, err := srv.StreamRound(0, model.Params(), cfg, NewFedSGD(), RoundOptions{Clients: 1, Deadline: time.Hour})
+	res, err := srv.StreamRound(0, model.Params(), cfg, NewFedSGD(), RoundOptions{Clients: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +264,7 @@ func TestClientMuxQuantResetOnReturn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.StreamRound(round, model.Params(), cfg, agg, RoundOptions{Clients: 1, Deadline: time.Hour, MinQuorum: 1}); err != nil {
+		if _, err := srv.StreamRound(round, model.Params(), cfg, agg, RoundOptions{Clients: 1, MinQuorum: 1}); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range <-done {

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"testing"
-	"time"
 
 	"fedcdp/internal/tensor"
 )
@@ -49,7 +48,7 @@ func TestSendPartialDuplicateDeduped(t *testing.T) {
 	done := make(chan outcome, 1)
 	go func() {
 		res, rerr := srv.StreamRound(0, rootParams, cfg, root, RoundOptions{
-			Clients: 2, Deadline: time.Hour, MinQuorum: 1, QuorumCount: root.Count,
+			Clients: 2, MinQuorum: 1,
 		})
 		done <- outcome{res, rerr}
 	}()

@@ -146,9 +146,7 @@ func TestHostileUpdateRejected(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		// A virtual deadline (that never fires — every session resolves)
-		// makes session errors non-fatal, the deployment contract.
-		res, err := srv.StreamRound(0, params, cfg, NewFedSGD(), RoundOptions{Clients: 3, Deadline: time.Hour, MinQuorum: 1})
+		res, err := srv.StreamRound(0, params, cfg, NewFedSGD(), RoundOptions{Clients: 3, MinQuorum: 1})
 		done <- outcome{res, err}
 	}()
 
@@ -199,7 +197,7 @@ func TestRemoteClientOverSimnetFabric(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := srv.StreamRound(0, model, cfg, agg, RoundOptions{Clients: 3, Deadline: time.Hour, MinQuorum: 1})
+		res, err := srv.StreamRound(0, model, cfg, agg, RoundOptions{Clients: 3, MinQuorum: 1})
 		done <- outcome{res, err}
 	}()
 

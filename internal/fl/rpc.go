@@ -426,20 +426,17 @@ func (s *RoundServer) handle(conn net.Conn) {
 type RoundOptions struct {
 	// Clients is the number of client sessions admitted to the round (Kt).
 	Clients int
-	// Deadline is the straggler cutoff measured from the round opening.
-	// Zero waits until every admitted session resolves — and any session
-	// error then aborts the round, the strict barrier-era contract; with
-	// a deadline set, session errors merely count as failures.
+	// Deadline is the straggler cutoff measured from the round opening;
+	// zero waits until every admitted session resolves. Either way a
+	// session that fails — a peer that disconnects, sends garbage or
+	// answers the wrong round — costs its slot (RoundResult.Failed), never
+	// the round.
 	Deadline time.Duration
-	// MinQuorum is the minimum folded updates required to commit; below
-	// it the round closes without applying the aggregate.
+	// MinQuorum is the minimum number of folded clients — the aggregator's
+	// Count, which at a hierarchical root sums what its edges carried, so
+	// quorum is population-level in either topology — required to commit;
+	// below it the round closes without applying the aggregate.
 	MinQuorum int
-	// QuorumCount, when set, replaces the folded-session count in the
-	// MinQuorum comparison. A hierarchical root folds one session per EDGE
-	// but commits on the number of CLIENTS those edges carried; passing the
-	// root aggregator's Count (which sums Partial.Clients) keeps quorum
-	// semantics population-level in either topology.
-	QuorumCount func() int
 }
 
 // RoundResult reports what a streaming round collected.
@@ -535,10 +532,6 @@ collect:
 	for res.Folded+res.Failed < opt.Clients {
 		select {
 		case r := <-st.results:
-			if r.err != nil && opt.Deadline == 0 {
-				closeRound()
-				return res, r.err
-			}
 			fold(r)
 		case <-deadlineC:
 			// Straggler cutoff: close the round, then fold whatever was
@@ -564,11 +557,7 @@ drain:
 	st.mu.Lock()
 	res.Duplicates = st.dups
 	st.mu.Unlock()
-	quorum := res.Folded
-	if opt.QuorumCount != nil {
-		quorum = opt.QuorumCount()
-	}
-	res.Committed = quorum >= opt.MinQuorum
+	res.Committed = agg.Count() >= opt.MinQuorum
 	if res.Committed {
 		agg.Commit(params)
 	}

@@ -179,9 +179,12 @@ func TestSecureClientAgainstPlainServerFails(t *testing.T) {
 		done <- runClient(srv.Addr(), 0, sgdStrategy{}, ds.Client(0), spec.ModelSpec(), 1, ClientOptions{Secure: true})
 	}()
 	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(8))
-	_, rerr := runRound(srv, 0, model.Params(), RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1}, 1)
-	cerr := <-done
-	if rerr == nil && cerr == nil {
-		t.Fatal("mismatched security modes must fail")
+	res, rerr := srv.StreamRound(0, model.Params(), RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1}, NewFedSGD(), RoundOptions{Clients: 1})
+	if cerr := <-done; cerr == nil {
+		t.Fatal("a secure client must not get a receipt from a plain server")
+	}
+	// The mismatched peer costs its slot, not the round.
+	if rerr != nil || res.Folded != 0 || res.Failed != 1 {
+		t.Fatalf("round = %+v, %v; want the session counted as failed", res, rerr)
 	}
 }

@@ -83,12 +83,14 @@ func (l *localRunner) Round(round int, cohort []int, global *nn.Model) (RoundSta
 	folded := 0
 
 	// commit sanitizes and folds exactly one update. It runs in cohort
-	// order, which makes the whole round — including the serverRNG stream a
-	// strategy without a CounterSanitizer consumes — a pure function of the
-	// seed and the survivor set (barrier_test.go pins it bit-identical to
-	// the lockstep oracle).
+	// order, which makes the float fold — and so the whole round — a pure
+	// function of the seed and the survivor set (barrier_test.go pins it
+	// bit-identical to the lockstep oracle).
+	san, _ := cfg.Strategy.(ServerSanitizer)
 	commit := func(res clientResult) {
-		serverSanitize(cfg, round, res.idx, res.update, l.serverRNG)
+		if san != nil {
+			san.ServerSanitize(round, res.idx, res.update, ServerNoise(cfg.Seed, round))
+		}
 		foldClientInto(agg, cohort[res.idx], res.update, res.weight)
 		folded++
 		rs.MeanGradNorm += res.stats.MeanGradNorm

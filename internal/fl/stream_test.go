@@ -42,8 +42,6 @@ func (s stallStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientSta
 	return delta, ClientStats{Iters: 1, Duration: time.Millisecond}
 }
 
-func (stallStrategy) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
-
 // TestStreamingMatchesBarrierExactly is the parity anchor of the
 // streaming refactor: because client RNG derives from (seed, round,
 // client) and folding commits in cohort order, the streaming round must
@@ -458,8 +456,6 @@ func (s sparseEchoStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, Clie
 	}
 	return delta, ClientStats{Iters: 1}
 }
-
-func (sparseEchoStrategy) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
 
 func (sparseEchoStrategy) SparseUpdates() bool { return true }
 

@@ -25,8 +25,6 @@ func (idStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats) {
 	return delta, ClientStats{Iters: 1, Duration: time.Millisecond}
 }
 
-func (idStrategy) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
-
 func TestWeightedFedAvgMatchesOracle(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	params := []*tensor.Tensor{tensor.New(4, 3), tensor.New(5)}
@@ -86,9 +84,11 @@ func TestWeightedFedAvgUnitWeightsMatchFedAvgExactly(t *testing.T) {
 	w.Begin(pw)
 	a := NewFedAvg()
 	a.Begin(pa)
-	for _, u := range updates {
+	for k, u := range updates {
 		w.Fold(u) // weight 1
-		a.Fold(u)
+		// FedAvg is the same fold with weights ignored: the runtimes hand it
+		// each client's example count and it must not listen.
+		foldInto(a, u, float64(10+k))
 	}
 	w.Commit(pw)
 	a.Commit(pa)
@@ -231,8 +231,6 @@ func (lenStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats) 
 	}
 	return delta, ClientStats{Iters: 1}
 }
-
-func (lenStrategy) ServerSanitize(round int, updates [][]*tensor.Tensor, rng *tensor.RNG) {}
 
 // TestPublishedScenarioRepartitionsRemoteClient pins the pub-sub contract:
 // the server announces the heterogeneity scenario in its RoundConfig and a

@@ -7,13 +7,13 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// This file is the batched execution engine. Layers that implement
-// BatchLayer process a whole mini-batch per call — Dense as one GEMM,
-// Conv2D as im2col + GEMM — instead of one example at a time, while still
-// exposing every example's parameter gradient, which Fed-CDP's per-example
-// clipping and noising requires. The per-example Forward/Backward path is
-// kept as the reference implementation; parity tests in batch_test.go pin
-// the two to each other. See DESIGN.md ("Execution engine").
+// This file is the batched execution engine. Every Layer processes a whole
+// mini-batch per call — Dense as one GEMM, Conv2D as im2col + GEMM — instead
+// of one example at a time, while still exposing every example's parameter
+// gradient, which Fed-CDP's per-example clipping and noising requires. The
+// per-example Forward/Backward path is kept as the reference implementation;
+// parity tests in batch_test.go pin the two to each other. See DESIGN.md
+// ("Execution engine").
 //
 // Batches are row-major (B × featureLen) tensors: row i is example i's
 // flattened input. The contract per iteration is
@@ -24,27 +24,6 @@ import (
 // non-private path pays for one batch-summed GEMM (AccumGrads) and the
 // Fed-CDP path pays only for the per-example recovery it needs
 // (ExampleGrads), never both.
-
-// BatchLayer is a Layer that additionally supports batched execution.
-type BatchLayer interface {
-	Layer
-	// ForwardBatch computes outputs for a (B × inLen) batch, returning a
-	// (B × outLen) tensor owned by the layer (valid until the next call).
-	ForwardBatch(x *tensor.Tensor) *tensor.Tensor
-	// BackwardBatch computes the (B × inLen) input gradient from a
-	// (B × outLen) output gradient, caching what per-example or batch
-	// gradient recovery needs. It does not modify Grads.
-	BackwardBatch(grad *tensor.Tensor) *tensor.Tensor
-	// AccumGrads adds the batch-summed parameter gradients of the most
-	// recent BackwardBatch into the layer's Grads buffers.
-	AccumGrads()
-	// ExampleGrads writes example i's parameter gradients from the most
-	// recent BackwardBatch into dst (aligned with Grads, overwritten).
-	// Recovery only reads the batch caches, so concurrent calls with
-	// distinct i and distinct dst are safe — the contract the parallel
-	// sanitization pipeline (dp.SanitizeBatch) relies on.
-	ExampleGrads(i int, dst []*tensor.Tensor)
-}
 
 // arenaLayer is implemented by batched layers that can draw their scratch
 // buffers from a caller-owned arena.
@@ -58,8 +37,8 @@ type precisionLayer interface{ setPrecision(string) }
 // SetPrecision selects the arithmetic width of the batched engine's GEMM
 // kernels: "" or tensor.PrecisionFP64 (the default and reference oracle)
 // runs float64 throughout; tensor.PrecisionFP32 routes every layer GEMM
-// through the f32 bulk path. Layers without a precision hook (custom
-// layers, the per-example reference path) always compute at float64.
+// through the f32 bulk path. Layers without a precision hook and the
+// per-example reference path always compute at float64.
 func (m *Model) SetPrecision(p string) {
 	m.prec = p
 	for _, l := range m.Layers {
@@ -105,18 +84,6 @@ func ensureBuf(a *tensor.Arena, t *tensor.Tensor, shape ...int) *tensor.Tensor {
 	return a.Get(shape...)
 }
 
-// Batched reports whether every layer of the model supports the batched
-// engine. Models built from Spec always do; it exists so generic code can
-// fall back to the per-example reference path for custom layers.
-func (m *Model) Batched() bool {
-	for _, l := range m.Layers {
-		if _, ok := l.(BatchLayer); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // UseArena routes the model's batched scratch buffers (and those of its
 // layers) through a — one arena per goroutine, reusable across rounds.
 func (m *Model) UseArena(a *tensor.Arena) {
@@ -129,10 +96,10 @@ func (m *Model) UseArena(a *tensor.Arena) {
 }
 
 // ForwardBatch runs a (B × features) batch through all layers and returns
-// the (B × classes) logits. All layers must implement BatchLayer.
+// the (B × classes) logits.
 func (m *Model) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	for _, l := range m.Layers {
-		x = l.(BatchLayer).ForwardBatch(x)
+		x = l.ForwardBatch(x)
 	}
 	return x
 }
@@ -142,7 +109,7 @@ func (m *Model) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 // buffers are not modified; use AccumBatchGrads or ExampleGrads.
 func (m *Model) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		grad = m.Layers[i].(BatchLayer).BackwardBatch(grad)
+		grad = m.Layers[i].BackwardBatch(grad)
 	}
 	return grad
 }
@@ -151,7 +118,7 @@ func (m *Model) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
 // recent BackwardBatch into the model's Grads buffers.
 func (m *Model) AccumBatchGrads() {
 	for _, l := range m.Layers {
-		l.(BatchLayer).AccumGrads()
+		l.AccumGrads()
 	}
 }
 
@@ -162,7 +129,7 @@ func (m *Model) ExampleGrads(i int, dst []*tensor.Tensor) {
 	off := 0
 	for _, l := range m.Layers {
 		n := len(l.Grads())
-		l.(BatchLayer).ExampleGrads(i, dst[off:off+n])
+		l.ExampleGrads(i, dst[off:off+n])
 		off += n
 	}
 }
@@ -257,7 +224,7 @@ func ArgmaxRows(t *tensor.Tensor, out []int) []int {
 // through the model-owned scratch buffers and returns the mean loss. After
 // it returns, layer caches hold what AccumBatchGrads/ExampleGrads need;
 // ExampleGrads may then be called concurrently for distinct examples (see
-// BatchLayer), which is how the parallel sanitization pipeline recovers a
+// Layer), which is how the parallel sanitization pipeline recovers a
 // whole mini-batch's gradients across goroutines.
 func (m *Model) BatchPass(xs []*tensor.Tensor, ys []int) float64 {
 	b := len(xs)
@@ -302,17 +269,10 @@ func (m *Model) BatchAccumulate(xs []*tensor.Tensor, ys []int) float64 {
 	return loss
 }
 
-// PredictBatch classifies a slice of examples with the batched engine,
-// falling back to per-example Predict for models with custom layers.
+// PredictBatch classifies a slice of examples with the batched engine.
 func (m *Model) PredictBatch(xs []*tensor.Tensor) []int {
 	out := make([]int, len(xs))
 	if len(xs) == 0 {
-		return out
-	}
-	if !m.Batched() {
-		for i, x := range xs {
-			out[i] = m.Predict(x)
-		}
 		return out
 	}
 	m.xBatch = Stack(m.arena, m.xBatch, xs)

@@ -229,27 +229,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestBatchedReportsCustomLayers(t *testing.T) {
-	m := Build(TabularMLP(4, 3, 2), tensor.NewRNG(1))
-	if !m.Batched() {
-		t.Fatal("spec-built model must support the batched engine")
-	}
-	m.Layers = append(m.Layers, nonBatchLayer{})
-	if m.Batched() {
-		t.Fatal("model with a custom non-batch layer must report Batched()==false")
-	}
-}
-
-// nonBatchLayer is a minimal Layer that does not implement BatchLayer.
-type nonBatchLayer struct{}
-
-func (nonBatchLayer) Forward(x *tensor.Tensor) *tensor.Tensor  { return x }
-func (nonBatchLayer) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
-func (nonBatchLayer) Params() []*tensor.Tensor                 { return nil }
-func (nonBatchLayer) Grads() []*tensor.Tensor                  { return nil }
-func (nonBatchLayer) ZeroGrads()                               {}
-func (nonBatchLayer) Name() string                             { return "custom" }
-
 func TestStackValidatesLengths(t *testing.T) {
 	defer func() {
 		if recover() == nil {

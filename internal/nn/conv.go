@@ -145,8 +145,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-var _ BatchLayer = (*Conv2D)(nil)
-
 func (c *Conv2D) setArena(a *tensor.Arena) { c.arena = a }
 
 var _ precisionLayer = (*Conv2D)(nil)

@@ -59,8 +59,6 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return tensor.MatVecT(d.W, grad)
 }
 
-var _ BatchLayer = (*Dense)(nil)
-
 func (d *Dense) setArena(a *tensor.Arena) { d.arena = a }
 
 var _ precisionLayer = (*Dense)(nil)

@@ -12,7 +12,7 @@
 // accumulates parameter gradients into the layer's gradient buffers — after
 // one example's backward pass the buffers *are* that example's gradient,
 // the execution model per-example differential privacy (Fed-CDP) is defined
-// against. The batched engine (BatchLayer: ForwardBatch/BackwardBatch, see
+// against. The batched engine (ForwardBatch/BackwardBatch on every Layer, see
 // batch.go) processes whole mini-batches through GEMM and im2col+GEMM while
 // still recovering every example's parameter gradient from the batch
 // buffers (ExampleGrads); parity tests pin it to the reference path at

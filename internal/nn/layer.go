@@ -6,15 +6,34 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// Layer is a differentiable module. Forward consumes one example and returns
-// its activation; Backward consumes dLoss/dOutput and returns dLoss/dInput,
-// accumulating parameter gradients (if any) into the layer's Grads buffers.
+// Layer is a differentiable module with two execution paths over the same
+// parameters. Per example (the reference path): Forward consumes one example
+// and returns its activation; Backward consumes dLoss/dOutput and returns
+// dLoss/dInput, accumulating parameter gradients (if any) into the layer's
+// Grads buffers. Per mini-batch (the engine training runs on, see batch.go):
+// ForwardBatch → BackwardBatch → AccumGrads | ExampleGrads.
 type Layer interface {
 	// Forward computes the layer output for a single example.
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	// Backward computes the input gradient for the most recent Forward call
 	// and accumulates parameter gradients.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
+	// ForwardBatch computes outputs for a (B × inLen) batch, returning a
+	// (B × outLen) tensor owned by the layer (valid until the next call).
+	ForwardBatch(x *tensor.Tensor) *tensor.Tensor
+	// BackwardBatch computes the (B × inLen) input gradient from a
+	// (B × outLen) output gradient, caching what per-example or batch
+	// gradient recovery needs. It does not modify Grads.
+	BackwardBatch(grad *tensor.Tensor) *tensor.Tensor
+	// AccumGrads adds the batch-summed parameter gradients of the most
+	// recent BackwardBatch into the layer's Grads buffers.
+	AccumGrads()
+	// ExampleGrads writes example i's parameter gradients from the most
+	// recent BackwardBatch into dst (aligned with Grads, overwritten).
+	// Recovery only reads the batch caches, so concurrent calls with
+	// distinct i and distinct dst are safe — the contract the parallel
+	// sanitization pipeline (dp.SanitizeBatch) relies on.
+	ExampleGrads(i int, dst []*tensor.Tensor)
 	// Params returns the layer's trainable tensors (possibly empty).
 	Params() []*tensor.Tensor
 	// Grads returns gradient buffers aligned with Params.
@@ -114,8 +133,6 @@ func (a *Activation) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	applyKindGrad(a.Kind, out.Data(), a.in.Data(), a.out.Data())
 	return out
 }
-
-var _ BatchLayer = (*Activation)(nil)
 
 func (a *Activation) setArena(ar *tensor.Arena) { a.arena = ar }
 

@@ -77,8 +77,6 @@ func (p *MaxPool2) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-var _ BatchLayer = (*MaxPool2)(nil)
-
 func (p *MaxPool2) setArena(a *tensor.Arena) { p.arena = a }
 
 // poolOne pools one example (xd → yd), recording flat argmax indices
@@ -177,8 +175,6 @@ func (Flatten) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward passes the gradient through unchanged.
 func (Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad }
-
-var _ BatchLayer = Flatten{}
 
 // ForwardBatch is the identity: batches are already stored row-flat.
 func (Flatten) ForwardBatch(x *tensor.Tensor) *tensor.Tensor { return x }

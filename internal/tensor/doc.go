@@ -34,8 +34,8 @@
 //     honor the same indexing, so bulk ≡ pointwise exactly.
 //
 // Reserved Split/CounterRNG label spaces are documented at their owners:
-// labels 1–7 under the root seed belong to internal/fl (model init, server
-// RNG, cohort sampling, client streams, dropout, counter noise), and the
+// labels 1–7 under the root seed belong to internal/fl (model init, cohort
+// sampling, dropout, counter noise; 2 and 4 are retired there), and the
 // 1000/2000/3xxx/4xxx spaces under the dataset seed belong to
 // internal/dataset (prototypes, samples, partitioners, label flips).
 //
