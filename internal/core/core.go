@@ -120,9 +120,11 @@ type Config struct {
 	// aggregation").
 	Shards int
 
-	// TreeFanout bounds how many partials the in-process tree composes per
-	// merge step (0 = all at once). Exactness makes the fanout
-	// result-invisible; it exists to shape merge concurrency.
+	// TreeFanout groups the in-process tree's serial partial merge into
+	// steps of that many partials (0 = all at once). Exactness makes it
+	// bit-irrelevant, and TreeAggregator.Commit merges serially, so it
+	// shapes no concurrency either; it goes with ROADMAP 2(a), since
+	// benchmark/probes.go binds it.
 	TreeFanout int
 
 	// Sampler selects cohort sampling: "" / fl.SamplerLegacy (the default
@@ -367,10 +369,14 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*Resolved,
 	if clauses != "" {
 		// A clean run carries no plan at all: the in-process hot path skips
 		// every per-client plan query.
-		r.FL.Faults = plan
+		r.FL.Plan = plan
 	}
 	return r, nil
 }
+
+// *simnet.Plan is the fl.Plan every runtime reads: a method whose signature
+// drifts from the interface fails here, not as clauses that never fire.
+var _ fl.Plan = (*simnet.Plan)(nil)
 
 // planSpec joins the fault and population clauses into the single simnet
 // plan the run binds — they share the grammar and the (Seed, Rounds, K)

@@ -99,14 +99,13 @@ func newFabric(cfg fl.Config, plan *simnet.Plan, muxWorkers int) (*fabric, error
 		f.edges = cfg.Shards
 	}
 	f.mux = &fl.ClientMux{
-		Spec:       cfg.Model,
-		Data:       cfg.Data,
-		Strat:      cfg.Strategy,
-		Seed:       cfg.Seed,
-		Opt:        fl.ClientOptions{Codec: cfg.Codec},
-		Adversary:  plan,
-		Workers:    muxWorkers,
-		Population: fl.PopulationOf(cfg.K, plan),
+		Spec:    cfg.Model,
+		Data:    cfg.Data,
+		Strat:   cfg.Strategy,
+		Seed:    cfg.Seed,
+		Opt:     fl.ClientOptions{Codec: cfg.Codec},
+		Plan:    cfg.Plan,
+		Workers: muxWorkers,
 	}
 	if err := f.deploy(); err != nil {
 		f.Close()

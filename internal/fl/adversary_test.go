@@ -18,7 +18,7 @@ func adversaryConfig(t *testing.T, plan, agg string) Config {
 	cfg.Kt = 6
 	cfg.Aggregation = agg
 	if plan != "" {
-		cfg.Faults = simnet.MustParsePlan(plan).MustBind(cfg.Seed, cfg.Rounds, cfg.K)
+		cfg.Plan = simnet.MustParsePlan(plan).MustBind(cfg.Seed, cfg.Rounds, cfg.K)
 	}
 	return cfg
 }

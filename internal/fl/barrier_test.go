@@ -30,7 +30,7 @@ func (b barrierRunner) Round(round int, cohort []int, global *nn.Model) (RoundSt
 // faultLost reports whether a cohort member's contribution is lost to the
 // fault plan this round.
 func faultLost(cfg Config, round, client int) bool {
-	f := cfg.Faults
+	f := cfg.Plan
 	return f != nil && (f.CrashClient(round, client) || f.DropUpdate(round, client))
 }
 
@@ -97,7 +97,7 @@ func trainCohort(cfg Config, global *nn.Model, cohort []int, round int, workers 
 		go func(i, id int, w *worker) {
 			defer wg.Done()
 			defer workers.release(w)
-			if cfg.Faults != nil && cfg.Faults.CrashClient(round, id) {
+			if cfg.Plan != nil && cfg.Plan.CrashClient(round, id) {
 				// Mid-round crash: the update never materializes (the nil
 				// slot marks the loss for the caller).
 				return
@@ -110,8 +110,8 @@ func trainCohort(cfg Config, global *nn.Model, cohort []int, round int, workers 
 			// Byzantine corruption happens client-side, after training and
 			// before the update "leaves" — the same point the streaming
 			// runtime and the transport harness apply it.
-			if adv := adversary(cfg); adv != nil {
-				adv.CorruptUpdate(round, id, updates[i])
+			if cfg.Plan != nil {
+				cfg.Plan.CorruptUpdate(round, id, updates[i])
 			}
 		}(i, id, w)
 	}

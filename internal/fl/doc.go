@@ -77,36 +77,35 @@
 //
 // # Open-world populations
 //
-// Config.Faults may additionally carry a PopulationPlan (join=n@r,
-// leave=n@r, churn=rate clauses — also simnet.Plan): the Population
-// registry built from it decides, per round, which clients exist.
-// ActiveCohort draws cohorts only from the round's active set (static
-// populations reproduce the legacy SampleCohort/SampleCohortFloyd draws
-// verbatim), and a ClientMux with a dynamic Population resets a returning
-// client's quantization residuals (Population.AwayBetween) so rounding
-// debt banked before a departure is never replayed against a model that
-// moved on. See DESIGN.md, "Open-world population".
+// Config.Plan's join=n@r, leave=n@r and churn=rate clauses (see Plan) make
+// the population open: the Population registry built from it decides, per
+// round, which clients exist. ActiveCohort draws cohorts only from the
+// round's active set (static populations reproduce the legacy
+// SampleCohort/SampleCohortFloyd draws verbatim), and a ClientMux under a
+// dynamic Plan resets a returning client's quantization residuals
+// (Population.AwayBetween) so rounding debt banked before a departure is
+// never replayed against a model that moved on. See DESIGN.md, "Open-world
+// population".
 //
 // # Fault injection
 //
-// Config.Faults accepts a FaultPlan — deterministic update loss, mid-round
-// client crashes and between-round server restarts, implemented by
-// internal/simnet.Plan. The plan is consulted at fixed decision points (a
-// crashed client's slot resolves without training, a dropped update trains
-// and is then lost, a restart rebuilds every in-memory server structure
-// from checkpointable state), so a faulted seeded run is exactly as
-// reproducible as a clean one.
+// Config.Plan, the one Plan interface internal/simnet.Plan implements,
+// carries deterministic update loss, mid-round client crashes and
+// between-round server restarts; nil is the clean run. The plan is
+// consulted at fixed decision points (a crashed client's slot resolves
+// without training, a dropped update trains and is then lost, a restart
+// rebuilds every in-memory server structure from checkpointable state), so
+// a faulted seeded run is exactly as reproducible as a clean one.
 //
 // # Adversarial clients and robust aggregation
 //
-// A plan may also declare hostile clients (the structural AdversaryPlan
-// interface, implemented by simnet.Plan): Byzantine members corrupt their
-// update immediately after ClientUpdate, inside the shared client step,
-// and poisoned members
-// train on a flipped-label shard view installed by AdversaryShard, which
-// survives scenario Repartition. The matching defenses are the robust
-// aggregation rules (robust.go): AggMedian, AggTrimmed ("trimmed:β") and
-// AggKrum ("krum:f") buffer raw updates (O(Kt·model) per round, the
+// The same Plan may also declare hostile clients: Byzantine members
+// corrupt their update immediately after ClientUpdate, inside the shared
+// client step, and poisoned members train on a flipped-label shard view
+// installed by AdversaryShard, which survives scenario Repartition. The
+// matching defenses are the robust aggregation rules (robust.go):
+// AggMedian, AggTrimmed ("trimmed:β") and AggKrum ("krum:f") buffer raw
+// updates (O(Kt·model) per round, the
 // documented price of robustness) and commit order statistics that are
 // pure functions of the update multiset — bit-identical in any arrival
 // order, at any GOMAXPROCS, with TrimmedMean(β=0) equal to the exact mean

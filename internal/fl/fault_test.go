@@ -7,7 +7,7 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// Tests for in-process fault injection (Config.Faults): both runtimes must
+// Tests for in-process fault injection (Config.Plan): both runtimes must
 // lose exactly the planned contributions, stay bit-reproducible, and stay
 // in lockstep with each other under any plan.
 
@@ -18,7 +18,7 @@ func faultedConfig(t *testing.T, plan string) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Faults = p.MustBind(cfg.Seed, cfg.Rounds, cfg.K)
+	cfg.Plan = p.MustBind(cfg.Seed, cfg.Rounds, cfg.K)
 	return cfg
 }
 

@@ -149,17 +149,12 @@ type Config struct {
 	EvalEvery   int // evaluate every n rounds (0 = every round)
 	Parallelism int // concurrent client trainers (0 = GOMAXPROCS)
 
-	// SampleWithReplacement selects the per-round cohort with replacement
-	// (the paper's accounting model); the default samples Kt distinct
-	// clients, the standard FL deployment behaviour.
-	SampleWithReplacement bool
-
 	// Sampler selects the distinct-cohort draw: SamplerLegacy ("" defaults
 	// to it) is the original O(K) permutation draw, kept as the default so
 	// every pre-existing seeded run stays byte-identical; SamplerFloyd is
 	// the O(Kt) Floyd draw for large populations (label 12). The two
 	// consume different Split streams and produce different (equally
-	// uniform) cohorts. Ignored when SampleWithReplacement is set.
+	// uniform) cohorts.
 	Sampler string
 
 	// Shards selects the server aggregation fold: 0 (default) is the
@@ -168,9 +163,11 @@ type Config struct {
 	// exact.go for the exactness contract.
 	Shards int
 
-	// TreeFanout bounds how many partials one tree compose step merges
-	// (≤1 = all at once). Bit-irrelevant — exact merges are associative —
-	// but it shapes the deployment's edge→root traffic pattern.
+	// TreeFanout groups the in-process tree's serial partial merge into
+	// steps of that many partials (≤1 = all at once). It is bit-irrelevant
+	// — exact merges are associative — and shapes no traffic: a deployment's
+	// edges send their partials straight to the root. It goes with ROADMAP
+	// 2(a), since benchmark/probes.go binds it.
 	TreeFanout int
 
 	// Aggregation selects the server rule: AggFedSGD (default) applies
@@ -223,10 +220,9 @@ type Config struct {
 	// deterministically.
 	Clock Clock
 
-	// Faults injects deterministic failures into the round loop: update
-	// loss, mid-round client crashes, server restarts between rounds.
-	// simnet.Plan implements it; nil runs fault-free.
-	Faults FaultPlan
+	// Plan injects the run's deterministic failures, hostile clients and
+	// open-world population (see Plan); nil is the clean, closed-world run.
+	Plan Plan
 
 	// foldHook, when set (tests only), observes every committed fold as
 	// (round, folds so far this round).
@@ -310,13 +306,15 @@ func RobustAggregation(rule string) bool {
 	return name == AggMedian || name == AggTrimmed || name == AggKrum
 }
 
-// FaultPlan injects deterministic failures into a federated run. Every
-// method must be a pure function of its arguments (plus the plan's own
-// seed) — never of wall time or goroutine scheduling — so a faulted run is
-// exactly as reproducible as a clean one. internal/simnet's Plan is the
-// canonical implementation; the interface lives here (structurally) so fl
-// depends on no fault machinery.
-type FaultPlan interface {
+// Plan is the run's seeded schedule of everything that is not a healthy
+// client in a closed world: update loss, mid-round crashes and server
+// restarts; Byzantine and poisoned clients; joins, departures and churn.
+// Every method must be a pure function of its arguments plus the plan's
+// own seed — never of wall time or goroutine scheduling — so a faulted,
+// attacked or churning run replays exactly like a clean one.
+// internal/simnet's Plan is the implementation (core asserts it); the
+// interface lives here so fl depends on no fault machinery.
+type Plan interface {
 	// CrashClient reports whether the client crashes mid-round: its update
 	// (and its stats) never reach the server.
 	CrashClient(round, client int) bool
@@ -327,16 +325,6 @@ type FaultPlan interface {
 	// round, losing all in-memory state except the checkpointable state
 	// (global parameters and the round counter).
 	RestartServer(round int) bool
-}
-
-// AdversaryPlan extends a fault plan with adversarial CLIENT BEHAVIOR:
-// instead of removing contributions (crash/drop), an adversary submits
-// corrupted ones. Like FaultPlan, every method must be a pure function of
-// its arguments plus the plan's seed, so an attacked run replays
-// bit-identically at any GOMAXPROCS. simnet.Plan implements it
-// (byzantine=n:mode and poison=n:rate clauses); the runtimes probe
-// Config.Faults for it exactly as they probe aggregators for WeightedFolder.
-type AdversaryPlan interface {
 	// CorruptUpdate rewrites a Byzantine client's finished update in place
 	// (sign-flip, scaling, seeded noise), reporting whether it did; honest
 	// clients pass through untouched. Called at the same point by every
@@ -347,13 +335,13 @@ type AdversaryPlan interface {
 	// PoisonLabel maps one example's label under the poisoning attack
 	// (identity for honest clients and below-rate coins).
 	PoisonLabel(client, index, label, classes int) int
-}
-
-// adversary returns the config's fault plan as an AdversaryPlan, nil when
-// it is not one.
-func adversary(cfg Config) AdversaryPlan {
-	adv, _ := cfg.Faults.(AdversaryPlan)
-	return adv
+	// PopulationDynamic reports whether the active set can ever differ from
+	// the full registry; false means every client is active every round and
+	// the runtimes keep their static fast paths.
+	PopulationDynamic() bool
+	// ClientActive reports whether the client is part of the active
+	// population in the round: arrived, not departed, and not churned away.
+	ClientActive(round, client int) bool
 }
 
 // AdversaryShard returns the client's data view under the plan's poisoning
@@ -361,12 +349,12 @@ func adversary(cfg Config) AdversaryPlan {
 // flipper, honest clients (and nil plans) see it untouched. Exposed so
 // deployment harnesses (core.RunSimnet, ClientMux) hand each simulated
 // client exactly the shard the in-process runtimes train on.
-func AdversaryShard(adv AdversaryPlan, id int, data *dataset.ClientData) *dataset.ClientData {
-	if adv == nil || !adv.PoisonedClient(id) {
+func AdversaryShard(plan Plan, id int, data *dataset.ClientData) *dataset.ClientData {
+	if plan == nil || !plan.PoisonedClient(id) {
 		return data
 	}
 	return data.WithLabelFlipper(func(index, label, classes int) int {
-		return adv.PoisonLabel(id, index, label, classes)
+		return plan.PoisonLabel(id, index, label, classes)
 	})
 }
 
@@ -374,7 +362,7 @@ func AdversaryShard(adv AdversaryPlan, id int, data *dataset.ClientData) *datase
 // the round-keyed view under time-varying partition scenarios, the
 // poisoned view when the fault plan targets it.
 func clientShard(cfg Config, round, id int) *dataset.ClientData {
-	return AdversaryShard(adversary(cfg), id, cfg.Data.ClientAt(id, round))
+	return AdversaryShard(cfg.Plan, id, cfg.Data.ClientAt(id, round))
 }
 
 func (c *Config) validate() error {
@@ -483,11 +471,11 @@ func RunWith(cfg Config, open func(Config) (RoundRunner, error)) (*History, erro
 		return nil, err
 	}
 	defer runner.Close()
-	pop := population(cfg)
+	pop := PopulationOf(cfg.K, cfg.Plan)
 	dropCoin := tensor.NewRNG(0)
 	for r := 0; r < cfg.Rounds; r++ {
 		round := cfg.StartRound + r
-		if cfg.Faults != nil && cfg.Faults.RestartServer(round) {
+		if cfg.Plan != nil && cfg.Plan.RestartServer(round) {
 			// Server restart between rounds: the only surviving state is
 			// what a checkpoint would carry — the global parameters
 			// (round-tripped through the wire encoding to make the restart
@@ -500,7 +488,7 @@ func RunWith(cfg Config, open func(Config) (RoundRunner, error)) (*History, erro
 				return nil, fmt.Errorf("fl: restart before round %d: %w", round, err)
 			}
 		}
-		cohort, active := ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, cfg.SampleWithReplacement)
+		cohort, active := ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, false)
 		cohort = dropClients(cfg, round, cohort, dropCoin)
 		rs, err := runner.Round(round, cohort, global)
 		if err != nil {
@@ -638,12 +626,12 @@ func (w *worker) envFor(seed int64, rc RoundConfig, round, id int, data *dataset
 // strategy's local training on the shard view, and apply any Byzantine
 // corruption the plan mandates — after training, before the update leaves
 // the client (a corrupted update can still be lost in transit).
-func (w *worker) step(strat Strategy, seed int64, round, id int, params []*tensor.Tensor, rc RoundConfig, data *dataset.ClientData, adv AdversaryPlan) ([]*tensor.Tensor, ClientStats) {
+func (w *worker) step(strat Strategy, seed int64, round, id int, params []*tensor.Tensor, rc RoundConfig, data *dataset.ClientData, plan Plan) ([]*tensor.Tensor, ClientStats) {
 	w.model.SetParams(params)
 	w.model.SetPrecision(rc.Precision)
 	upd, st := strat.ClientUpdate(w.envFor(seed, rc, round, id, data))
-	if adv != nil {
-		adv.CorruptUpdate(round, id, upd)
+	if plan != nil {
+		plan.CorruptUpdate(round, id, upd)
 	}
 	return upd, st
 }

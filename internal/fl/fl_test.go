@@ -219,10 +219,7 @@ func TestSampleCohortVariesByRound(t *testing.T) {
 }
 
 func TestSampleCohortWithReplacement(t *testing.T) {
-	cfg := smallConfig(t, echoStrategy{})
-	cfg.SampleWithReplacement = true
-	cfg.K, cfg.Kt = 3, 10 // forces duplicates
-	cohort := sampleCohort(cfg, 0)
+	cohort := SampleCohort(42, 0, 3, 10, true) // K=3, Kt=10 forces duplicates
 	if len(cohort) != 10 {
 		t.Fatalf("cohort size %d, want 10", len(cohort))
 	}
@@ -319,5 +316,5 @@ func TestClientStatsMsPerIter(t *testing.T) {
 
 // sampleCohort is the round's cohort draw as Run makes it.
 func sampleCohort(cfg Config, round int) []int {
-	return ActiveCohort(cfg.Seed, round, population(cfg), cfg.Kt, cfg.Sampler, cfg.SampleWithReplacement)
+	return ActiveCohort(cfg.Seed, round, PopulationOf(cfg.K, cfg.Plan), cfg.Kt, cfg.Sampler, false)
 }

@@ -77,19 +77,17 @@ type ClientMux struct {
 	// Opt is the transport configuration shared by every session (dialer,
 	// codec, encryption, quantization width).
 	Opt ClientOptions
-	// Adversary, when set, makes the plan's seeded attackers hostile:
-	// poisoned virtual clients train on flipped-label shard views and
-	// Byzantine ones corrupt their updates before submission, at the point
-	// the in-process runtime does (the shared client step).
-	Adversary AdversaryPlan
+	// Plan, when set, is the run's plan (see Plan): its seeded attackers
+	// are hostile — poisoned virtual clients train on flipped-label shard
+	// views and Byzantine ones corrupt their updates before submission, at
+	// the point the in-process runtime does (the shared client step) — and
+	// under its dynamic population a virtual client that departed and
+	// returned has its quantization residuals reset before its next
+	// session, since the rounding debt it banked describes updates against
+	// a model state that moved on without it. Nil is an honest closed world.
+	Plan Plan
 	// Workers bounds concurrent sessions (0 = GOMAXPROCS).
 	Workers int
-	// Population is the open-world registry (see PopulationOf). The zero
-	// value is the closed world; with a dynamic plan, a virtual client that
-	// departed and returned has its quantization residuals reset before its
-	// next session — the rounding debt it banked describes updates against a
-	// model state that moved on without it.
-	Population Population
 
 	mu  sync.Mutex
 	vcs map[int]*VirtualClient
@@ -203,7 +201,7 @@ func (m *ClientMux) runSession(w *worker, vc *VirtualClient, addr string, opt Cl
 		// Error-feedback residuals bank each round exactly once; a
 		// re-served round re-submits the identical update without touching
 		// them (the MinRound contract, tracked per virtual client).
-		if vc.LastRound >= 0 && m.Population.AwayBetween(vc.LastRound+1, round, vc.ID) {
+		if vc.LastRound >= 0 && (Population{plan: m.Plan}).AwayBetween(vc.LastRound+1, round, vc.ID) {
 			// The client departed and returned since it last trained: its
 			// banked rounding debt describes a model state the federation
 			// moved past without it. Replaying it would inject a stale
@@ -215,6 +213,6 @@ func (m *ClientMux) runSession(w *worker, vc *VirtualClient, addr string, opt Cl
 		}
 		qs = vc.Quant
 	}
-	data := AdversaryShard(m.Adversary, vc.ID, m.Data.Client(vc.ID))
-	return round, s.submit(w, m.Strat, m.Seed, vc.ID, data, m.Adversary, opt.Quant, qs)
+	data := AdversaryShard(m.Plan, vc.ID, m.Data.Client(vc.ID))
+	return round, s.submit(w, m.Strat, m.Seed, vc.ID, data, m.Plan, opt.Quant, qs)
 }

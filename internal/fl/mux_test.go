@@ -7,6 +7,7 @@ import (
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/nn"
+	"fedcdp/internal/simnet"
 	"fedcdp/internal/tensor"
 )
 
@@ -222,9 +223,12 @@ func TestClientMuxRefusesMismatchedDigest(t *testing.T) {
 	}
 }
 
-// awayAt is a PopulationPlan stub: client `id` is away exactly at `round`,
-// everyone else is always active.
-type awayAt struct{ round, id int }
+// awayAt is a Plan stub: client `id` is away exactly at `round`, everyone
+// else is always active; the nil *simnet.Plan answers every other method.
+type awayAt struct {
+	*simnet.Plan
+	round, id int
+}
 
 func (a awayAt) PopulationDynamic() bool { return true }
 func (a awayAt) ClientActive(round, client int) bool {
@@ -274,24 +278,24 @@ func TestClientMuxQuantResetOnReturn(t *testing.T) {
 		}
 		return model.Params()
 	}
-	newMux := func(pop Population) *ClientMux {
+	newMux := func(plan Plan) *ClientMux {
 		return &ClientMux{
 			Spec: spec.ModelSpec(), Data: ds, Strat: sgdStrategy{}, Seed: 42,
 			Opt: ClientOptions{Codec: CodecBinary, Quant: QuantInt8}, Workers: 1,
-			Population: pop,
+			Plan: plan,
 		}
 	}
 
 	// Steady client: trains round 0, banks residuals, repays them at round 2.
-	steady := newMux(Population{})
+	steady := newMux(nil)
 	serve(t, steady, 0)
 	steadyP := serve(t, steady, 2)
 	// Returning client: same history, but away at round 1 — residuals reset.
-	returning := newMux(PopulationOf(10, awayAt{round: 1, id: 0}))
+	returning := newMux(awayAt{round: 1, id: 0})
 	serve(t, returning, 0)
 	returningP := serve(t, returning, 2)
 	// Fresh client: no history at all — the returning client's reference.
-	fresh := newMux(Population{})
+	fresh := newMux(nil)
 	freshP := serve(t, fresh, 2)
 
 	for i := range freshP {

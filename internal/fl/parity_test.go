@@ -50,7 +50,7 @@ func TestStreamingRuntimeParity(t *testing.T) {
 					if faulted {
 						cfg.Data = dataset.NewPartitioned(spec, 42, dataset.Dirichlet{Alpha: 0.1})
 						cfg.DropoutRate, cfg.MinQuorum = 0, 2
-						cfg.Faults = simnet.MustParsePlan("drop=0.2,crash=2,restart=1").MustBind(cfg.Seed, cfg.Rounds, cfg.K)
+						cfg.Plan = simnet.MustParsePlan("drop=0.2,crash=2,restart=1").MustBind(cfg.Seed, cfg.Rounds, cfg.K)
 					}
 					h, err := run(cfg)
 					if err != nil {

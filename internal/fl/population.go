@@ -6,24 +6,9 @@ package fl
 // sampling draws only from the round's active set, so the in-process,
 // RPC-deployment and mux runtimes all agree on who exists in a
 // round without sharing any state beyond the seed. Activity is a pure
-// function of (seed, clientID, round), provided by the fault plan's
+// function of (seed, clientID, round), provided by the Plan's
 // join/leave/churn clauses (see simnet.ParsePlan), so open-world runs
 // replay bit-identically at any GOMAXPROCS.
-
-// PopulationPlan describes an open-world client population: which clients
-// are active in which rounds. Every method must be a pure function of its
-// arguments plus the plan's seed. simnet.Plan implements it (join=n@r,
-// leave=n@r and churn=rate clauses); the runtimes probe Config.Faults for
-// it exactly as they probe for AdversaryPlan.
-type PopulationPlan interface {
-	// PopulationDynamic reports whether the active set can ever differ from
-	// the full registry; false means every client is active every round and
-	// the runtimes keep their static fast paths.
-	PopulationDynamic() bool
-	// ClientActive reports whether the client is part of the active
-	// population in the round: arrived, not departed, and not churned away.
-	ClientActive(round, client int) bool
-}
 
 // Population is the round-indexed client registry: K registered client ids
 // and, when the plan is dynamic, the per-round active subset. The zero
@@ -31,21 +16,14 @@ type PopulationPlan interface {
 // pre-existing run assumed — all K clients active in every round.
 type Population struct {
 	K    int
-	plan PopulationPlan
+	plan Plan
 }
 
 // PopulationOf builds the registry for a K-client run governed by plan
-// (typically Config.Faults), probing it structurally for PopulationPlan;
-// plans without population clauses — and nil — yield the static registry.
-func PopulationOf(k int, plan any) Population {
-	p, _ := plan.(PopulationPlan)
-	return Population{K: k, plan: p}
-}
-
-// population returns the run's registry — the single probe shared by the
-// in-process runtimes.
-func population(cfg Config) Population {
-	return PopulationOf(cfg.K, cfg.Faults)
+// (typically Config.Plan); plans without population clauses — and nil —
+// yield the static registry.
+func PopulationOf(k int, plan Plan) Population {
+	return Population{K: k, plan: plan}
 }
 
 // Dynamic reports whether the active set can differ from the registry.

@@ -13,7 +13,7 @@ import (
 // seeded streams.
 
 func TestPopulationStatic(t *testing.T) {
-	for _, plan := range []any{nil, simnet.MustParsePlan("drop=0.2").MustBind(42, 3, 10)} {
+	for _, plan := range []Plan{nil, simnet.MustParsePlan("drop=0.2").MustBind(42, 3, 10)} {
 		pop := PopulationOf(10, plan)
 		if pop.Dynamic() {
 			t.Fatalf("PopulationOf(10, %T) is dynamic", plan)
@@ -154,7 +154,7 @@ func TestPopulationStreamingBarrierParity(t *testing.T) {
 	history := func(run func(Config) (*History, error)) *History {
 		cfg := smallConfig(t, sgdStrategy{})
 		cfg.Rounds, cfg.MinQuorum = 6, 1
-		cfg.Faults = simnet.MustParsePlan("join=2@2,leave=2@4,churn=0.15").MustBind(cfg.Seed, cfg.Rounds, cfg.K)
+		cfg.Plan = simnet.MustParsePlan("join=2@2,leave=2@4,churn=0.15").MustBind(cfg.Seed, cfg.Rounds, cfg.K)
 		h, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -699,7 +699,7 @@ func openSession(addr string, opt ClientOptions) (s *clientConn, err error) {
 
 // submit trains the announced round as client id on the worker and sends
 // the update; a nil return means the server acknowledged folding it.
-func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data *dataset.ClientData, adv AdversaryPlan, quant int, qs *QuantState) error {
+func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data *dataset.ClientData, plan Plan, quant int, qs *QuantState) error {
 	pm := &s.pm
 	if pm.Cfg.Scenario.Name != "" {
 		// The server published a heterogeneity scenario with the round
@@ -713,7 +713,7 @@ func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data 
 		}
 		data = data.RepartitionAt(p, pm.Round)
 	}
-	delta, _ := w.step(strat, seed, pm.Round, id, TensorsFromWire(pm.Params), pm.Cfg, data, adv)
+	delta, _ := w.step(strat, seed, pm.Round, id, TensorsFromWire(pm.Params), pm.Cfg, data, plan)
 	if err := s.WriteUpdateTensors(id, pm.Round, float64(data.Len()), delta, quant, qs); err != nil {
 		return fmt.Errorf("fl: sending update: %w", err)
 	}

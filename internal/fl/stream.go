@@ -54,7 +54,7 @@ func dispatchCohort(cfg Config, cohort []int, round int, workers *workerPool, gl
 		}
 		go func(i, id int, w *worker) {
 			defer workers.release(w)
-			if cfg.Faults != nil && cfg.Faults.CrashClient(round, id) {
+			if cfg.Plan != nil && cfg.Plan.CrashClient(round, id) {
 				// Mid-round crash: the client dies before its update (or
 				// even its stats) exist. The slot still resolves so the
 				// round's accounting closes.
@@ -62,8 +62,8 @@ func dispatchCohort(cfg Config, cohort []int, round int, workers *workerPool, gl
 				return
 			}
 			data := clientShard(cfg, round, id)
-			upd, st := w.step(cfg.Strategy, cfg.Seed, round, id, globalParams, cfg.Round, data, adversary(cfg))
-			if cfg.Faults != nil && cfg.Faults.DropUpdate(round, id) {
+			upd, st := w.step(cfg.Strategy, cfg.Seed, round, id, globalParams, cfg.Round, data, cfg.Plan)
+			if cfg.Plan != nil && cfg.Plan.DropUpdate(round, id) {
 				// The update was computed but lost in transit.
 				results <- clientResult{idx: i, lost: true}
 				return

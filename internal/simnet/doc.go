@@ -54,8 +54,9 @@
 // # Layering
 //
 // simnet depends only on internal/tensor (for the splittable RNG). The fl
-// runtime consumes a Plan through its structural fl.FaultPlan interface
-// (in-process injection) and the fabric through its DialFunc/net.Listener
+// runtime consumes a Plan through the fl.Plan interface (in-process
+// injection, the mux's hostile and churning clients) and the fabric
+// through its DialFunc/net.Listener
 // seams (RPC injection); core.RunSimnet drives a whole federated
 // deployment — server, clients, restarts — over one fabric. See DESIGN.md,
 // "Simnet".

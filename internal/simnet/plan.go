@@ -598,7 +598,7 @@ func (p *Plan) ByzantineClient(client int) bool {
 }
 
 // PoisonedClient reports whether client's local shard is targeted by the
-// plan's label-flipping poisoners. Part of fl.AdversaryPlan (structurally).
+// plan's label-flipping poisoners.
 func (p *Plan) PoisonedClient(client int) bool {
 	if p == nil || p.PoisonCount == 0 {
 		return false
@@ -611,7 +611,7 @@ func (p *Plan) PoisonedClient(client int) bool {
 // plan's mode, reporting whether it did; honest clients pass through
 // untouched. The gauss draw is keyed by (seed, round, client), so the
 // corruption — like every other plan decision — is a pure function of the
-// plan, never of scheduling. Part of fl.AdversaryPlan (structurally).
+// plan, never of scheduling.
 func (p *Plan) CorruptUpdate(round, client int, update []*tensor.Tensor) bool {
 	if !p.ByzantineClient(client) {
 		return false
@@ -644,7 +644,6 @@ func (p *Plan) CorruptUpdate(round, client int, update []*tensor.Tensor) bool {
 // example: a per-(client, example) seeded coin at PoisonRate maps
 // y → (y+1) mod classes — the attacker consistently mislabels, it does not
 // randomize. Honest clients (and below-rate coins) return label unchanged.
-// Part of fl.AdversaryPlan (structurally).
 func (p *Plan) PoisonLabel(client, index, label, classes int) int {
 	if classes < 2 || !p.PoisonedClient(client) {
 		return label
@@ -657,8 +656,7 @@ func (p *Plan) PoisonLabel(client, index, label, classes int) int {
 
 // PopulationDynamic reports whether the plan carries any open-world
 // population clauses (join, leave, churn) — i.e. whether the active client
-// set can differ from the full registry in some round. Part of
-// fl.PopulationPlan (structurally).
+// set can differ from the full registry in some round.
 func (p *Plan) PopulationDynamic() bool {
 	if p == nil {
 		return false
@@ -671,8 +669,7 @@ func (p *Plan) PopulationDynamic() bool {
 // not departed (its seeded leave round, if any, is still ahead), and its
 // per-(round, client) churn coin says present. A pure function of
 // (seed, round, client), so the population replays bit-identically. Static
-// plans keep every client active in every round. Part of fl.PopulationPlan
-// (structurally).
+// plans keep every client active in every round.
 func (p *Plan) ClientActive(round, client int) bool {
 	if !p.PopulationDynamic() {
 		return true
