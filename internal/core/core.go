@@ -67,10 +67,10 @@ type Config struct {
 	EvalEvery   int
 	Parallelism int
 
-	// Codec selects the wire encoding: fl.CodecGob (the default, and the
-	// parity oracle) or fl.CodecBinary, the framed binary codec. Run only
-	// touches the wire on server restarts; RunSimnet deploys the codec on
-	// every transport session (see DESIGN.md, "Wire codec").
+	// Codec is the wire encoding every end of a deployment speaks:
+	// fl.CodecGob (the default, and the parity oracle) or fl.CodecBinary,
+	// the framed binary codec. RunSimnet and Serve deploy it on every
+	// transport session; Run has no wire (see DESIGN.md, "Wire codec").
 	Codec string
 
 	// Quant is the update quantization a deployment's clients apply on the
@@ -317,6 +317,9 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*Resolved,
 		return nil, err
 	}
 	c = c.withDefaults(spec)
+	if !fl.ValidCodec(c.Codec) {
+		return nil, fmt.Errorf("core: unknown wire codec %q", c.Codec)
+	}
 	strat, err := c.Strategy()
 	if err != nil {
 		return nil, err
@@ -349,7 +352,6 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*Resolved,
 			Precision:    c.Precision,
 			ConfigDigest: c.ConfigDigest,
 		},
-		Codec:           c.Codec,
 		Strategy:        strat,
 		Aggregation:     c.Aggregation,
 		Shards:          c.Shards,

@@ -19,13 +19,13 @@ import (
 // server can honor (plans, fedsdp-server) config's DialIn refuses beforehand.
 func Serve(cfg Config, ln net.Listener, secure bool, progress io.Writer) (*Result, error) {
 	defer ln.Close() // again after the runner's Close: a harmless error
-	return cfg.deploy(func(_ *Resolved, fc fl.Config) (fl.RoundRunner, error) {
+	return cfg.deploy(func(r *Resolved, fc fl.Config) (fl.RoundRunner, error) {
 		agg, err := fl.NewAggregatorFor(fc.Aggregation, fc.Shards, fc.TreeFanout, fc.K)
 		if err != nil {
 			return nil, err
 		}
 		srv := fl.NewRoundServerOn(ln)
-		srv.Secure, srv.Codec = secure, fc.Codec
+		srv.Secure, srv.Codec = secure, r.Cfg.Codec
 		return &dialIn{cfg: fc, srv: srv, agg: agg, progress: progress}, nil
 	})
 }

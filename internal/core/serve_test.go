@@ -30,7 +30,7 @@ func serveFleet(t *testing.T, cfg Config, stray func(addr string) error) (*Resul
 	var wg sync.WaitGroup
 	client := func(id int) {
 		defer wg.Done()
-		var opt fl.ClientOptions
+		opt := fl.ClientOptions{Codec: r.Cfg.Codec}
 		for {
 			// Any error ends the client: the refusal or dead socket of a
 			// finished server, or a session the server counted as failed.
@@ -60,7 +60,9 @@ func serveFleet(t *testing.T, cfg Config, stray func(addr string) error) (*Resul
 // Clients are unstable (Section IV-A) and a listening port meets strangers: a
 // peer that fails its session costs the round that slot, not the run. With no
 // deadline configured the server still finishes every round and charges the
-// ε of the clean run. (What fedserve prints meanwhile: cmd/fedserve's twin.)
+// ε of the clean run, on either wire codec: neither does I/O before a
+// session is admitted, so every failure is counted. (What fedserve prints
+// meanwhile: cmd/fedserve's twin.)
 func TestServeSurvivesHostilePeers(t *testing.T) {
 	cfg := acceptanceConfig()
 	cfg.Faults = ""
@@ -68,25 +70,28 @@ func TestServeSurvivesHostilePeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, peer := range fltest.HostilePeers {
-		res, err := serveFleet(t, cfg, peer)
-		if err != nil {
-			t.Errorf("a peer that %s ended the run: %v", name, err)
-			continue
-		}
-		folded, dropped := 0, 0
-		for _, rs := range res.Rounds {
-			folded, dropped = folded+rs.Clients, dropped+rs.Dropped
-			if !rs.Committed {
-				t.Errorf("%s: round %d did not commit", name, rs.Round)
+	for _, cfg.Codec = range []string{fl.CodecGob, fl.CodecBinary} {
+		for peerName, peer := range fltest.HostilePeers {
+			name := cfg.Codec + ": " + peerName
+			res, err := serveFleet(t, cfg, peer)
+			if err != nil {
+				t.Errorf("%s: the peer ended the run: %v", name, err)
+				continue
 			}
-		}
-		if want := cfg.Rounds*cfg.Kt - 1; len(res.Rounds) != cfg.Rounds || dropped != 1 || folded != want {
-			t.Errorf("%s: %d rounds folded %d and dropped %d, want %d rounds, %d folded, the peer's slot dropped",
-				name, len(res.Rounds), folded, dropped, cfg.Rounds, want)
-		}
-		if res.FinalEpsilon() != clean.FinalEpsilon() {
-			t.Errorf("%s: ε %v, clean run %v", name, res.FinalEpsilon(), clean.FinalEpsilon())
+			folded, dropped := 0, 0
+			for _, rs := range res.Rounds {
+				folded, dropped = folded+rs.Clients, dropped+rs.Dropped
+				if !rs.Committed {
+					t.Errorf("%s: round %d did not commit", name, rs.Round)
+				}
+			}
+			if want := cfg.Rounds*cfg.Kt - 1; len(res.Rounds) != cfg.Rounds || dropped != 1 || folded != want {
+				t.Errorf("%s: %d rounds folded %d and dropped %d, want %d rounds, %d folded, the peer's slot dropped",
+					name, len(res.Rounds), folded, dropped, cfg.Rounds, want)
+			}
+			if res.FinalEpsilon() != clean.FinalEpsilon() {
+				t.Errorf("%s: ε %v, clean run %v", name, res.FinalEpsilon(), clean.FinalEpsilon())
+			}
 		}
 	}
 }

@@ -50,7 +50,7 @@ func RunSimnet(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: round deadline %v cannot run on the simnet fabric, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the plan's crash, drop and latency clauses", cfg.RoundDeadline)
 	}
 	return cfg.deploy(func(r *Resolved, fc fl.Config) (fl.RoundRunner, error) {
-		return newFabric(fc, r.Plan, r.Cfg.MuxWorkers)
+		return newFabric(fc, r)
 	})
 }
 
@@ -93,8 +93,8 @@ type fabric struct {
 	edgeAggs []*fl.ExactAggregator
 }
 
-func newFabric(cfg fl.Config, plan *simnet.Plan, muxWorkers int) (*fabric, error) {
-	f := &fabric{cfg: cfg, plan: plan, net: simnet.New(cfg.Seed, plan)}
+func newFabric(cfg fl.Config, r *Resolved) (*fabric, error) {
+	f := &fabric{cfg: cfg, plan: r.Plan, net: simnet.New(cfg.Seed, r.Plan)}
 	if cfg.Shards > 1 {
 		f.edges = cfg.Shards
 	}
@@ -103,9 +103,9 @@ func newFabric(cfg fl.Config, plan *simnet.Plan, muxWorkers int) (*fabric, error
 		Data:    cfg.Data,
 		Strat:   cfg.Strategy,
 		Seed:    cfg.Seed,
-		Opt:     fl.ClientOptions{Codec: cfg.Codec},
+		Opt:     fl.ClientOptions{Codec: r.Cfg.Codec},
 		Plan:    cfg.Plan,
-		Workers: muxWorkers,
+		Workers: r.Cfg.MuxWorkers,
 	}
 	if err := f.deploy(); err != nil {
 		f.Close()
@@ -121,7 +121,7 @@ func (f *fabric) serve(addr string) (*fl.RoundServer, error) {
 	}
 	srv := fl.NewRoundServerOn(ln)
 	srv.Clock = f.net.Clock()
-	srv.Codec = f.cfg.Codec
+	srv.Codec = f.mux.Opt.Codec // every end of the fabric speaks its clients' codec
 	return srv, nil
 }
 
@@ -245,7 +245,7 @@ func (f *fabric) Round(round int, cohort []int, global *nn.Model) (fl.RoundStats
 			agg := f.edgeAggs[s]
 			_, err := f.edgeSrvs[s].StreamRound(round, global.Params(), f.cfg.Round, fl.EdgeFold(agg), fl.RoundOptions{Clients: members[s]})
 			serr := fl.SendPartial(simnetServerAddr, s, round, agg.TakePartial(),
-				fl.ClientOptions{Dial: f.net.Dialer(simnetEdgeAddr(s)), Codec: f.cfg.Codec})
+				fl.ClientOptions{Dial: f.net.Dialer(simnetEdgeAddr(s)), Codec: f.mux.Opt.Codec})
 			if err == nil {
 				err = serr
 			}

@@ -262,8 +262,9 @@ func TestRunSimnetQuorum(t *testing.T) {
 }
 
 // TestRunSimnetBinaryCodec deploys the whole federation over the fabric
-// with the binary wire codec — including a mid-run server restart, so
-// every client session re-negotiates the codec against the reborn server.
+// with the binary wire codec — including a mid-run server restart, after
+// which every client session opens against a reborn server tier that
+// speaks binary from its first byte, as the one before it did.
 // The codec changes the bytes, never the protocol outcome: per-round
 // folded counts, commits and ε must match the gob deployment exactly.
 func TestRunSimnetBinaryCodec(t *testing.T) {

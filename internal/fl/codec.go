@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -19,35 +18,29 @@ import (
 // float64 costs up to 9 bytes plus per-field overhead. This file adds a
 // versioned, length-prefixed binary framing with raw little-endian float
 // payloads — no reflection, no per-value varint packing, bulk
-// math.Float64bits loops — negotiated per connection so gob peers keep
-// working unchanged and remain the parity oracle (codec_test.go pins
-// bit-identical round-trips between the two).
+// math.Float64bits loops. gob remains the default and the parity oracle
+// (codec_test.go pins bit-identical round-trips between the two).
 //
 // Frame layout (all integers little-endian):
 //
 //	magic   4 bytes  {0x00,'F','C','W'}
 //	version u8       binaryVersion
-//	kind    u8       hello | helloAck | param | update | ack
+//	kind    u8       param | update | ack
 //	flags   u16      reserved, zero
 //	length  u32      payload byte count (≤ maxFramePayload)
 //	payload length bytes
 //
-// The magic begins with 0x00, which can never open a gob stream (gob
-// prefixes every message with a nonzero uvarint byte count), so a client
-// can sniff the first four bytes and fall back to gob transparently.
-//
-// Negotiation: a binary-configured server opens every session with a hello
-// frame naming its offered codec; the client answers helloAck with its
-// choice (its own configured codec), and both sides continue in the chosen
-// encoding. A gob-configured server sends no hello and runs the legacy
-// protocol byte-identically; a binary-preferring client that sees no magic
-// falls back to gob. Negotiation is per connection, so a client
-// reconnecting after a server restart re-negotiates from scratch.
+// Nothing is negotiated: the codec is part of the experiment both ends were
+// given, and each end speaks its own from the first byte. The magic begins
+// with 0x00, which can never open a gob stream (gob prefixes every message
+// with a nonzero uvarint byte count), so an end whose peer speaks the other
+// codec knows it from the first byte it reads, and fails the session with
+// an error naming both (codecMismatch).
 
-// Wire codecs selectable via RoundServer.Codec, ClientOptions.Codec,
-// Config.Codec and core.Config.Codec. CodecGob ("" defaults to it) is the
-// legacy self-describing encoding, kept as the parity oracle; CodecBinary
-// opts into the framed binary encoding above.
+// Wire codecs selectable via RoundServer.Codec, ClientOptions.Codec and
+// core.Config.Codec. CodecGob ("" defaults to it) is the legacy
+// self-describing encoding, kept as the parity oracle; CodecBinary is the
+// framed binary encoding above.
 const (
 	CodecGob    = "gob"
 	CodecBinary = "binary"
@@ -61,9 +54,10 @@ func ValidCodec(c string) bool {
 var binaryMagic = [4]byte{0x00, 'F', 'C', 'W'}
 
 const (
-	// binaryVersion 2 dropped two strings from the param payload; a
-	// version-1 peer is refused by readFrame rather than misparsed.
-	binaryVersion  = 2
+	// binaryVersion 2 dropped two strings from the param payload, and 3 the
+	// hello/helloAck frames (renumbering the kinds); an older peer is
+	// refused by readFrame rather than misparsed.
+	binaryVersion  = 3
 	frameHeaderLen = 12
 	// maxFramePayload bounds one frame (512 MiB) — the same ceiling a
 	// hostile gob length prefix already enjoys; real frames are far
@@ -76,9 +70,7 @@ const (
 
 // Frame kinds.
 const (
-	kindHello byte = iota + 1
-	kindHelloAck
-	kindParam
+	kindParam byte = iota + 1
 	kindUpdate
 	kindAck
 )
@@ -89,12 +81,6 @@ const (
 	encSparse
 	encQuant8
 	encQuant16
-)
-
-// Codec identifiers carried in hello/helloAck payloads.
-const (
-	codecIDGob    byte = 0
-	codecIDBinary byte = 1
 )
 
 // frameBufPool recycles frame encode/decode buffers across sessions and
@@ -697,11 +683,9 @@ func parseAckPayload(b []byte, m *AckMsg) error {
 
 // --- Sessions --------------------------------------------------------------
 
-// wireSession is one negotiated client/server session's codec seam: the
+// wireSession is one end of a client/server session, the codec seam: the
 // protocol logic in rpc.go speaks messages, the session speaks bytes.
 type wireSession interface {
-	// Codec names the encoding this session settled on.
-	Codec() string
 	WriteParam(*ParamMsg) error
 	ReadParam(*ParamMsg) error
 	// WriteUpdate encodes a prebuilt update message (tests, benchmarks,
@@ -717,6 +701,27 @@ type wireSession interface {
 	ReadAck(*AckMsg) error
 }
 
+// newSession opens one end of a session in the codec this end is configured
+// with. Nothing is announced or negotiated, so opening does no I/O: both
+// ends speak their codec from the first byte, and an end whose peer speaks
+// the other one fails at the first frame it reads (codecMismatch).
+func newSession(rw io.ReadWriter, codec string) (wireSession, error) {
+	switch codec {
+	case "", CodecGob:
+		return newGobSession(rw, rw), nil
+	case CodecBinary:
+		return &binarySession{r: rw, w: rw}, nil
+	}
+	return nil, fmt.Errorf("fl: unknown wire codec %q", codec)
+}
+
+// codecMismatch is the error of an end that reads the other codec's first
+// byte: 0x00, the binary magic's, on a gob session, or anything else on a
+// binary one.
+func codecMismatch(this, peer string) error {
+	return fmt.Errorf("fl: wire codec mismatch: this end speaks %s, its peer %s (told apart by the binary frame magic's leading 0x00); both ends must be configured with the same codec", this, peer)
+}
+
 // gobSession is the legacy self-describing encoding: one encoder/decoder
 // pair per session (gob decoders read ahead, so a second decoder on the
 // same stream would lose bytes). Its byte stream is identical to the
@@ -727,10 +732,27 @@ type gobSession struct {
 }
 
 func newGobSession(r io.Reader, w io.Writer) *gobSession {
-	return &gobSession{enc: gob.NewEncoder(w), dec: gob.NewDecoder(r)}
+	return &gobSession{enc: gob.NewEncoder(w), dec: gob.NewDecoder(&gobReader{r: r})}
 }
 
-func (s *gobSession) Codec() string                  { return CodecGob }
+// gobReader is a gob decoder's source that refuses a binary peer at the
+// stream's first byte.
+type gobReader struct {
+	r       io.Reader
+	started bool
+}
+
+func (g *gobReader) Read(p []byte) (int, error) {
+	n, err := g.r.Read(p)
+	if n > 0 && !g.started {
+		g.started = true
+		if p[0] == binaryMagic[0] {
+			return 0, codecMismatch(CodecGob, CodecBinary)
+		}
+	}
+	return n, err
+}
+
 func (s *gobSession) WriteParam(m *ParamMsg) error   { return s.enc.Encode(m) }
 func (s *gobSession) ReadParam(m *ParamMsg) error    { return s.dec.Decode(m) }
 func (s *gobSession) WriteUpdate(m *UpdateMsg) error { return s.enc.Encode(m) }
@@ -751,8 +773,6 @@ type binarySession struct {
 	r io.Reader
 	w io.Writer
 }
-
-func (s *binarySession) Codec() string { return CodecBinary }
 
 // beginFrame draws a pooled buffer pre-filled with the 12-byte header
 // template (magic, version, kind; flags and length zero until endFrame).
@@ -782,19 +802,24 @@ func (s *binarySession) endFrame(bp *[]byte) error {
 }
 
 // readFrame reads one frame of the wanted kind into a pooled buffer,
-// returning the payload and a release function to call once parsed.
+// returning the payload and a release function to call once parsed. The
+// buffer grows with the payload bytes that arrive, never ahead of them to
+// the length the header claims: a peer that declares maxFramePayload and
+// hangs up costs what it sent, and a failed read returns nothing to the
+// pool.
 func (s *binarySession) readFrame(wantKind byte) ([]byte, func(), error) {
 	var h [frameHeaderLen]byte
 	if _, err := io.ReadFull(s.r, h[:]); err != nil {
 		return nil, nil, fmt.Errorf("fl: reading binary frame header: %w", err)
 	}
-	if !bytes.Equal(h[:4], binaryMagic[:]) {
+	switch {
+	case h[0] != binaryMagic[0]:
+		return nil, nil, codecMismatch(CodecBinary, CodecGob)
+	case !bytes.Equal(h[:4], binaryMagic[:]):
 		return nil, nil, fmt.Errorf("fl: bad binary frame magic % x", h[:4])
-	}
-	if h[4] != binaryVersion {
+	case h[4] != binaryVersion:
 		return nil, nil, fmt.Errorf("fl: unsupported binary codec version %d", h[4])
-	}
-	if h[5] != wantKind {
+	case h[5] != wantKind:
 		return nil, nil, fmt.Errorf("fl: unexpected binary frame kind %d, want %d", h[5], wantKind)
 	}
 	n := binary.LittleEndian.Uint32(h[8:12])
@@ -802,17 +827,18 @@ func (s *binarySession) readFrame(wantKind byte) ([]byte, func(), error) {
 		return nil, nil, fmt.Errorf("fl: binary frame payload %d exceeds %d", n, maxFramePayload)
 	}
 	bp := frameBufPool.Get().(*[]byte)
-	b := *bp
-	if cap(b) < int(n) {
-		b = make([]byte, n)
-	} else {
-		b = b[:n]
+	b := (*bp)[:0]
+	for len(b) < int(n) {
+		if len(b) == cap(b) {
+			b = append(make([]byte, 0, min(int(n), max(2*cap(b), 4096))), b...)
+		}
+		end := min(int(n), cap(b))
+		if _, err := io.ReadFull(s.r, b[len(b):end]); err != nil {
+			return nil, nil, fmt.Errorf("fl: reading binary frame payload: %w", err)
+		}
+		b = b[:end]
 	}
 	*bp = b
-	if _, err := io.ReadFull(s.r, b); err != nil {
-		frameBufPool.Put(bp)
-		return nil, nil, fmt.Errorf("fl: reading binary frame payload: %w", err)
-	}
 	return b, func() { frameBufPool.Put(bp) }, nil
 }
 
@@ -869,108 +895,4 @@ func (s *binarySession) ReadAck(m *AckMsg) error {
 	}
 	defer release()
 	return parseAckPayload(b, m)
-}
-
-// --- Negotiation -----------------------------------------------------------
-
-// newServerSession opens the server side of one session. A gob-configured
-// server speaks the legacy protocol byte-identically (no hello); a
-// binary-configured server offers binary in a hello frame and settles on
-// whatever the client answers.
-func newServerSession(rw io.ReadWriter, codec string) (wireSession, error) {
-	switch codec {
-	case "", CodecGob:
-		return newGobSession(rw, rw), nil
-	case CodecBinary:
-	default:
-		return nil, fmt.Errorf("fl: unknown wire codec %q", codec)
-	}
-	bs := &binarySession{r: rw, w: rw}
-	bp := beginFrame(kindHello)
-	*bp = appendU8(*bp, codecIDBinary)
-	if err := bs.endFrame(bp); err != nil {
-		return nil, fmt.Errorf("fl: sending codec hello: %w", err)
-	}
-	payload, release, err := bs.readFrame(kindHelloAck)
-	if err != nil {
-		return nil, fmt.Errorf("fl: reading codec answer: %w", err)
-	}
-	r := wireReader{b: payload}
-	chosen := r.u8()
-	err = r.done()
-	release()
-	if err != nil {
-		return nil, err
-	}
-	switch chosen {
-	case codecIDGob:
-		return newGobSession(rw, rw), nil
-	case codecIDBinary:
-		return bs, nil
-	default:
-		return nil, fmt.Errorf("fl: client chose unknown codec %d", chosen)
-	}
-}
-
-// newClientSession opens the client side of one session, sniffing the first
-// four bytes for the binary magic. No magic means a legacy/gob server: the
-// session falls back to gob transparently regardless of preference. A hello
-// is answered with the client's preferred codec; negotiation is per
-// connection, so reconnecting after a server restart re-negotiates.
-func newClientSession(rw io.ReadWriter, pref string) (wireSession, error) {
-	if !ValidCodec(pref) {
-		return nil, fmt.Errorf("fl: unknown wire codec %q", pref)
-	}
-	br := bufio.NewReader(rw)
-	head, err := br.Peek(len(binaryMagic))
-	if err != nil || !bytes.Equal(head, binaryMagic[:]) {
-		// Not a binary hello (or the peek failed — the gob decode surfaces
-		// the transport error exactly as the legacy path did).
-		return newGobSession(br, rw), nil
-	}
-	bs := &binarySession{r: br, w: rw}
-	payload, release, err := bs.readFrame(kindHello)
-	if err != nil {
-		return nil, fmt.Errorf("fl: reading codec hello: %w", err)
-	}
-	r := wireReader{b: payload}
-	offered := r.u8()
-	err = r.done()
-	release()
-	if err != nil {
-		return nil, err
-	}
-	chosen := codecIDGob
-	if pref == CodecBinary && offered == codecIDBinary {
-		chosen = codecIDBinary
-	}
-	bp := beginFrame(kindHelloAck)
-	*bp = appendU8(*bp, chosen)
-	if err := bs.endFrame(bp); err != nil {
-		return nil, fmt.Errorf("fl: answering codec hello: %w", err)
-	}
-	if chosen == codecIDBinary {
-		return bs, nil
-	}
-	return newGobSession(br, rw), nil
-}
-
-// roundTripParams re-encodes parameters through the configured codec's wire
-// form and back — how the in-process simulator makes a restarted server's
-// recovery observable at the encoding actually deployed (Run's fault path).
-func roundTripParams(codec string, params []*tensor.Tensor) []*tensor.Tensor {
-	if codec != CodecBinary {
-		return TensorsFromWire(WireFromTensors(params))
-	}
-	bp := frameBufPool.Get().(*[]byte)
-	b := appendDenseSection((*bp)[:0], WireFromTensors(params))
-	r := wireReader{b: b}
-	dense, _, _, err := readTensors(&r)
-	*bp = b
-	frameBufPool.Put(bp)
-	if err != nil {
-		// Unreachable for in-memory parameters; fall back to the oracle.
-		return TensorsFromWire(WireFromTensors(params))
-	}
-	return TensorsFromWire(dense)
 }

@@ -3,12 +3,14 @@ package fl
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
+	"time"
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/simnet"
@@ -17,7 +19,7 @@ import (
 
 // Tests for the binary wire codec: cross-parity against the gob oracle
 // (both codecs must decode every message kind to bit-identical values),
-// the per-connection negotiation matrix, hostile-frame rejection, the
+// the codec-mismatch refusal, hostile-frame rejection, the
 // quantization error-feedback contract, and the zero-alloc steady state
 // of the pooled encode path.
 
@@ -256,91 +258,140 @@ func TestWriteUpdateTensorsParity(t *testing.T) {
 	}
 }
 
-// runNegotiation runs a full param→update→ack exchange between a server
-// session with the given codec and a client session with the given
-// preference, over a synchronous in-memory pipe, returning the codecs the
-// two sides settled on.
-func runNegotiation(t *testing.T, serverCodec, clientPref string) (serverChose, clientChose string) {
-	t.Helper()
-	sc, cc := net.Pipe()
-	defer sc.Close()
-	defer cc.Close()
-
-	pm := testParamMsg()
-	um := testUpdateMsgs()["dense"]
-	ack := &AckMsg{Accepted: true}
-
-	var (
-		wg      sync.WaitGroup
-		srvErr  error
-		srvSess wireSession
-	)
-	wg.Add(1)
+// codecTestRound opens round 0 of a two-parameter model on srv in the
+// background, one session, no deadline.
+func codecTestRound(t *testing.T, srv *RoundServer) <-chan RoundResult {
+	done := make(chan RoundResult, 1)
 	go func() {
-		defer wg.Done()
-		sess, err := newServerSession(sc, serverCodec)
+		params := []*tensor.Tensor{tensor.FromSlice([]float64{0, 0}, 2)}
+		cfg := RoundConfig{BatchSize: 1, LocalIters: 1, LR: 0.1, TotalRounds: 1}
+		res, err := srv.StreamRound(0, params, cfg, NewFedSGD(), RoundOptions{Clients: 1})
 		if err != nil {
-			srvErr = err
-			return
+			t.Error(err)
 		}
-		srvSess = sess
-		var gotUM UpdateMsg
-		if err := sess.WriteParam(pm); err != nil {
-			srvErr = err
-			return
-		}
-		if err := sess.ReadUpdate(&gotUM); err != nil {
-			srvErr = err
-			return
-		}
-		checkUpdateEqual(t, "negotiated update", um, &gotUM)
-		srvErr = sess.WriteAck(ack)
+		done <- res
 	}()
-
-	cliSess, err := newClientSession(cc, clientPref)
-	if err != nil {
-		t.Fatalf("client session: %v", err)
-	}
-	var gotPM ParamMsg
-	if err := cliSess.ReadParam(&gotPM); err != nil {
-		t.Fatalf("client ReadParam: %v", err)
-	}
-	checkParamEqual(t, "negotiated param", pm, &gotPM)
-	if err := cliSess.WriteUpdate(um); err != nil {
-		t.Fatalf("client WriteUpdate: %v", err)
-	}
-	var gotAck AckMsg
-	if err := cliSess.ReadAck(&gotAck); err != nil {
-		t.Fatalf("client ReadAck: %v", err)
-	}
-	if gotAck != *ack {
-		t.Fatalf("ack changed in transit: %+v", gotAck)
-	}
-	wg.Wait()
-	if srvErr != nil {
-		t.Fatalf("server session: %v", srvErr)
-	}
-	return srvSess.Codec(), cliSess.Codec()
+	return done
 }
 
-// TestCodecNegotiationMatrix pins the 2×2 server/client codec matrix:
-// binary runs only when BOTH sides opt in; every other combination falls
-// back to gob, and every combination completes the full message exchange
-// with bit-identical payloads.
-func TestCodecNegotiationMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		server, client, want string
-	}{
-		{CodecGob, CodecGob, CodecGob},
-		{CodecGob, CodecBinary, CodecGob},
-		{CodecBinary, CodecGob, CodecGob},
-		{CodecBinary, CodecBinary, CodecBinary},
+// TestCodecMismatchFailsTheSession pairs each codec's client with the other
+// codec's server. Nothing is negotiated, so there is no fallback: the
+// client fails at the round announcement with an error naming both codecs,
+// and the server's round counts the session failed.
+func TestCodecMismatchFailsTheSession(t *testing.T) {
+	for _, tc := range []struct{ server, client string }{
+		{CodecBinary, CodecGob},
+		{CodecGob, CodecBinary},
 	} {
-		name := tc.server + "+" + tc.client
-		srvChose, cliChose := runNegotiation(t, tc.server, tc.client)
-		if srvChose != tc.want || cliChose != tc.want {
-			t.Fatalf("%s: settled on server=%s client=%s, want %s", name, srvChose, cliChose, tc.want)
+		n := simnet.New(1, nil)
+		ln, err := n.Listen("server")
+		if err != nil {
+			t.Fatal(err)
 		}
+		srv := NewRoundServerOn(ln)
+		srv.Codec = tc.server
+		done := codecTestRound(t, srv)
+		_, err = AbandonSession("server", ClientOptions{Dial: n.Dialer("c0"), Codec: tc.client})
+		if want := fmt.Sprintf("this end speaks %s, its peer %s", tc.client, tc.server); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s client, %s server: got %v, want an error saying %q", tc.client, tc.server, err, want)
+		}
+		if res := <-done; res.Failed != 1 || res.Folded != 0 {
+			t.Errorf("%s client, %s server: round %+v, want the session counted failed", tc.client, tc.server, res)
+		}
+		srv.Close()
+	}
+}
+
+// TestStreamRoundRefusesUnknownCodec: with a codec no session can be opened
+// in, every session would end before admission and a deadline-free round
+// would wait forever, so the round is refused before it opens.
+func TestStreamRoundRefusesUnknownCodec(t *testing.T) {
+	n := simnet.New(1, nil)
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewRoundServerOn(ln)
+	srv.Codec = "msgpack"
+	defer srv.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := srv.StreamRound(0, []*tensor.Tensor{tensor.New(1)}, RoundConfig{BatchSize: 1, LocalIters: 1, LR: 0.1}, NewFedSGD(), RoundOptions{Clients: 1})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil || !strings.Contains(err.Error(), `unknown wire codec "msgpack"`) {
+			t.Fatalf("got %v, want the unknown-codec refusal", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a round with an unknown codec is still waiting for sessions")
+	}
+}
+
+// TestBinaryFrameMemoryTracksBytesReceived plays a peer that sends a frame
+// header claiming maxFramePayload (512 MiB) and hangs up, against the
+// server's update read and the client's announcement read: the reader's
+// memory must follow the bytes that arrived, not the length claimed.
+func TestBinaryFrameMemoryTracksBytesReceived(t *testing.T) {
+	allocated := func(run func()) uint64 {
+		// Two collections empty frameBufPool, so neither read can hide
+		// behind a buffer the other left there.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	claim := func(kind byte) []byte {
+		h := frameBytes(binaryVersion, kind, nil)
+		binary.LittleEndian.PutUint32(h[8:12], maxFramePayload)
+		return h
+	}
+
+	n := simnet.New(1, nil)
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewRoundServerOn(ln)
+	srv.Codec = CodecBinary
+	defer srv.Close()
+	if got := allocated(func() {
+		done := codecTestRound(t, srv)
+		conn, err := n.Dialer("c0")("server")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pm ParamMsg
+		if err := (&binarySession{r: conn}).ReadParam(&pm); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(claim(kindUpdate)); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if res := <-done; res.Failed != 1 {
+			t.Fatalf("round %+v, want the hung-up session counted failed", res)
+		}
+	}); got >= 1<<20 {
+		t.Errorf("server update read allocated %d bytes for a 12-byte frame", got)
+	}
+
+	if got := allocated(func() {
+		cc, sc := net.Pipe()
+		go func() {
+			sc.Write(claim(kindParam))
+			sc.Close()
+		}()
+		dial := func(string) (net.Conn, error) { return cc, nil }
+		if _, err := AbandonSession("server", ClientOptions{Dial: dial, Codec: CodecBinary}); err == nil {
+			t.Fatal("a truncated announcement was accepted")
+		}
+	}); got >= 1<<20 {
+		t.Errorf("client announcement read allocated %d bytes for a 12-byte frame", got)
 	}
 }
 
@@ -647,93 +698,6 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: binary encode allocates %.1f objects/op at steady state, want 0", name, allocs)
 		}
-	}
-}
-
-// binaryRawSession runs one hand-rolled client session over the fabric
-// with an explicit codec preference, returning the codec the session
-// settled on (the observable the re-negotiation test pins).
-func binaryRawSession(t *testing.T, n *simnet.Net, host string, pref string, clientID int, update []float64) (string, AckMsg) {
-	t.Helper()
-	conn, err := n.Dialer(host)("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	sess, err := newClientSession(conn, pref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pm ParamMsg
-	if err := sess.ReadParam(&pm); err != nil {
-		t.Fatalf("%s: reading params: %v", host, err)
-	}
-	if pm.Denied {
-		t.Fatalf("%s: session denied: %s", host, pm.Reason)
-	}
-	ts := []*tensor.Tensor{tensor.FromSlice(append([]float64(nil), update...), len(update))}
-	if err := sess.WriteUpdateTensors(clientID, pm.Round, 1, ts, QuantNone, nil); err != nil {
-		t.Fatalf("%s: sending update: %v", host, err)
-	}
-	var ack AckMsg
-	if err := sess.ReadAck(&ack); err != nil {
-		t.Fatalf("%s: reading ack: %v", host, err)
-	}
-	return sess.Codec(), ack
-}
-
-// TestCodecRenegotiationAcrossRestart restarts the server between rounds
-// with a DIFFERENT codec each time: because negotiation is per
-// connection, the reconnecting client must settle on binary against the
-// binary server, fall back to gob against its gob-configured replacement,
-// and return to binary after the next restart — with every round's update
-// folded correctly throughout.
-func TestCodecRenegotiationAcrossRestart(t *testing.T) {
-	n := simnet.New(3, nil)
-	params := []*tensor.Tensor{tensor.FromSlice([]float64{0, 0}, 2)}
-	cfg := RoundConfig{BatchSize: 1, LocalIters: 1, LR: 0.1, TotalRounds: 3}
-
-	runRound := func(round int, serverCodec, wantCodec string, update []float64) {
-		t.Helper()
-		ln, err := n.Listen("server")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewRoundServerOn(ln)
-		srv.Codec = serverCodec
-		type outcome struct {
-			res RoundResult
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := srv.StreamRound(round, params, cfg, NewFedSGD(), RoundOptions{Clients: 1})
-			done <- outcome{res, err}
-		}()
-		codec, ack := binaryRawSession(t, n, "c0", CodecBinary, 0, update)
-		if codec != wantCodec {
-			t.Fatalf("round %d: session settled on %s, want %s", round, codec, wantCodec)
-		}
-		if !ack.Accepted {
-			t.Fatalf("round %d: update rejected: %s", round, ack.Reason)
-		}
-		o := <-done
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if o.res.Folded != 1 {
-			t.Fatalf("round %d: %+v", round, o.res)
-		}
-		// Restart: the listener dies with the server; the next round
-		// rebinds the address under a different codec configuration.
-		srv.Close()
-	}
-
-	runRound(0, CodecBinary, CodecBinary, []float64{1, 1})
-	runRound(1, "", CodecGob, []float64{2, 2})
-	runRound(2, CodecBinary, CodecBinary, []float64{3, 3})
-	if got := params[0].Data(); got[0] != 6 || got[1] != 6 {
-		t.Fatalf("params %v after three rounds across codec-flipping restarts, want [6 6]", got)
 	}
 }
 

@@ -116,17 +116,16 @@
 //
 // # Remote deployment
 //
-// rpc.go carries the same rounds over TCP, with the wire format negotiated
-// per connection (codec.go): CodecGob (default) speaks encoding/gob,
+// rpc.go carries the same rounds over TCP, in the wire format both ends are
+// configured with (codec.go): CodecGob (default) speaks encoding/gob,
 // byte-identical to the original protocol and kept as the parity oracle;
 // CodecBinary is a versioned, length-prefixed binary codec — magic header,
 // tensor geometry sections, raw little-endian float payloads, sparse
 // sections, and optional int8/int16 update quantization (quant.go) with
 // per-tensor scale and client-side error-feedback residuals (QuantState).
-// A binary server announces itself with a hello frame; clients sniff the
-// first bytes and fall back to gob transparently, so mixed fleets
-// interoperate and a reconnecting client re-negotiates after a server
-// restart. Updates ship dense or sparse per update density, with optional
+// Nothing is negotiated: each end speaks its codec from the first byte, and
+// a pair configured with different codecs fails at the first frame with an
+// error naming both. Updates ship dense or sparse per update density, with optional
 // X25519/AES-GCM channel encryption, concurrent client sessions, explicit
 // round-over refusals and update receipts; a session that fails costs its
 // round one slot (RoundResult.Failed), never the round. The server publishes its

@@ -208,13 +208,6 @@ type Config struct {
 	// whatever arrived.
 	MinQuorum int
 
-	// Codec selects the wire encoding the deployment would use: CodecGob
-	// ("" defaults to it) or CodecBinary. The in-process simulator only
-	// touches the wire on server restarts (parameters round-trip through
-	// the encoding to make recovery observable); core.RunSimnet threads
-	// the same choice into the transport-level harness.
-	Codec string
-
 	// Clock drives the round deadline timers; nil uses the system clock.
 	// Tests inject fakes to exercise deadline and quorum paths
 	// deterministically.
@@ -389,8 +382,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: negative start round %d", c.StartRound)
 	case c.Round.Precision != "" && c.Round.Precision != tensor.PrecisionFP64 && c.Round.Precision != tensor.PrecisionFP32:
 		return fmt.Errorf("fl: unknown precision %q", c.Round.Precision)
-	case !ValidCodec(c.Codec):
-		return fmt.Errorf("fl: unknown wire codec %q", c.Codec)
 	case c.MinQuorum < 0 || c.MinQuorum > c.Kt:
 		return fmt.Errorf("fl: quorum %d outside [0, Kt=%d]", c.MinQuorum, c.Kt)
 	case c.RoundDeadline < 0:
@@ -477,13 +468,9 @@ func RunWith(cfg Config, open func(Config) (RoundRunner, error)) (*History, erro
 		round := cfg.StartRound + r
 		if cfg.Plan != nil && cfg.Plan.RestartServer(round) {
 			// Server restart between rounds: the only surviving state is
-			// what a checkpoint would carry — the global parameters
-			// (round-tripped through the wire encoding to make the restart
-			// observable) and the round counter. Everything else the runner
-			// rebuilds.
-			restored := roundTripParams(cfg.Codec, global.Params())
-			global = nn.Build(cfg.Model, tensor.Split(cfg.Seed, 1))
-			global.SetParams(restored)
+			// what a checkpoint would carry — the global parameters, which
+			// this loop holds, and the round counter. Everything else the
+			// runner rebuilds.
 			if err := runner.Restart(round); err != nil {
 				return nil, fmt.Errorf("fl: restart before round %d: %w", round, err)
 			}

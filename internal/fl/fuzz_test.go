@@ -174,7 +174,7 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add(appendParamPayload(nil, pm))
 	f.Add(appendAckPayload(nil, &AckMsg{Accepted: true, Reason: "ok"}))
 	f.Add(frameBytes(binaryVersion, kindUpdate, appendUpdatePayload(nil, um)))
-	f.Add([]byte{0x00, 'F', 'C', 'W', binaryVersion, 4, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x00, 'F', 'C', 'W', binaryVersion, kindUpdate, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

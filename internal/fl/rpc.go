@@ -15,9 +15,9 @@ import (
 
 // This file provides a real network deployment of federated rounds: a
 // server that pushes global parameters to connecting clients over TCP and
-// folds their updates into an Aggregator as they arrive, with a negotiated
-// wire encoding — gob by default, the framed binary codec (codec.go) when
-// both sides opt in — dense, sparse or quantized per update. A RoundServer
+// folds their updates into an Aggregator as they arrive, in the wire
+// encoding both ends are configured with — gob by default or the framed
+// binary codec (codec.go) — dense, sparse or quantized per update. A RoundServer
 // serves one round per StreamRound call and owns no loop: the round engine
 // (RunWith) drives it through core's runners — the simnet fabric in one
 // process, core.Serve (cmd/fedserve, with cmd/fedclient on the other end)
@@ -125,15 +125,16 @@ var ErrRoundClosed = errors.New("fl: round closed by server")
 // semantics of the original serial server, made explicit), and is sent a
 // ParamMsg refusal if the server shuts down first. With Secure set
 // (before the first round), every connection runs the X25519/AES-GCM
-// handshake before the gob protocol.
+// handshake before the protocol.
 type RoundServer struct {
 	ln     net.Listener
 	Secure bool
-	// Codec selects the wire encoding offered to clients: CodecGob (""
-	// defaults to it) runs the legacy self-describing protocol
-	// byte-identically; CodecBinary opens every session with a codec hello
-	// and speaks the framed binary encoding to clients that accept (gob
-	// clients keep working — see codec.go). Set before the first round.
+	// Codec is the wire encoding this server speaks: CodecGob ("" defaults
+	// to it), the legacy self-describing protocol byte for byte, or
+	// CodecBinary (codec.go). Its clients must speak the same; one that
+	// speaks the other fails its session at the first frame, and the round
+	// counts it failed. Set before the first round; StreamRound refuses an
+	// unknown codec.
 	Codec string
 	// Clock drives round deadlines; nil uses the system clock (tests
 	// inject fakes).
@@ -329,11 +330,10 @@ func (s *RoundServer) waitingSessions() int {
 	return s.waiting
 }
 
-// handle runs one client session end to end. The wire encoding is settled
-// by newServerSession before admission: a gob server speaks the legacy
-// byte stream; a binary server negotiates per connection (codec.go). One
-// session object serves the whole connection (gob decoders buffer ahead,
-// so a second decoder on the same stream would lose bytes).
+// handle runs one client session end to end, in the server's codec from
+// the first byte. One session object serves the whole connection (gob
+// decoders buffer ahead, so a second decoder on the same stream would lose
+// bytes).
 func (s *RoundServer) handle(conn net.Conn) {
 	defer conn.Close()
 	var rw io.ReadWriter = conn
@@ -344,9 +344,9 @@ func (s *RoundServer) handle(conn net.Conn) {
 		}
 		rw = sc
 	}
-	sess, err := newServerSession(rw, s.Codec)
+	sess, err := newSession(rw, s.Codec)
 	if err != nil {
-		return
+		return // StreamRound refuses an unknown codec before it accepts
 	}
 	st := s.admit()
 	if st == nil {
@@ -456,8 +456,13 @@ type RoundResult struct {
 // handled sessions and folds each update into agg the moment it arrives.
 // On commit (quorum met) the aggregate is applied to params in place.
 func (s *RoundServer) StreamRound(round int, params []*tensor.Tensor, cfg RoundConfig, agg Aggregator, opt RoundOptions) (RoundResult, error) {
-	if opt.Clients <= 0 {
+	switch {
+	case opt.Clients <= 0:
 		return RoundResult{}, fmt.Errorf("fl: streaming round needs a positive client count, got %d", opt.Clients)
+	case !ValidCodec(s.Codec):
+		// Every session would fail before admission, leaving the round
+		// waiting for sessions that never arrive.
+		return RoundResult{}, fmt.Errorf("fl: unknown wire codec %q", s.Codec)
 	}
 	s.accept.Do(func() { go s.acceptLoop() })
 
@@ -576,10 +581,10 @@ type ClientOptions struct {
 	Secure bool
 	// Dial opens the connection; nil dials TCP.
 	Dial DialFunc
-	// Codec is the preferred wire encoding: CodecGob ("" defaults to it)
-	// or CodecBinary. The session settles per connection — a legacy/gob
-	// server gets gob regardless, so reconnecting after a server restart
-	// re-negotiates transparently (see codec.go).
+	// Codec is the wire encoding this client speaks: CodecGob ("" defaults
+	// to it) or CodecBinary. It must be the server's (RoundServer.Codec);
+	// against the other one the session fails at the round announcement
+	// with an error naming both.
 	Codec string
 	// Quant opts the binary codec into lossy update compression at the
 	// given width (QuantInt8 or QuantInt16); QuantNone ships exact
@@ -654,8 +659,8 @@ type clientConn struct {
 }
 
 // openSession is the client half of the protocol up to and including the
-// round announcement — dial, the optional encryption handshake, codec
-// negotiation, the ParamMsg, the server's refusal, structural validation
+// round announcement — dial, the optional encryption handshake, the
+// ParamMsg in the client's codec, the server's refusal, structural validation
 // and the experiment-digest check — shared by every kind of session: the
 // training client, the mux worker, the abandoning client and the edge
 // forwarding a partial. The caller closes conn.
@@ -677,7 +682,7 @@ func openSession(addr string, opt ClientOptions) (s *clientConn, err error) {
 		}
 		rw = sc
 	}
-	sess, err := newClientSession(rw, opt.Codec)
+	sess, err := newSession(rw, opt.Codec)
 	if err != nil {
 		return nil, err
 	}
