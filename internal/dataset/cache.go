@@ -6,83 +6,37 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// Sample, flipLabel and the per-example class picks are pure functions of
-// (dataset seed, stream labels), but re-deriving one costs a full generator
-// reseed in tensor.Split — math/rand's 607-word lagged-Fibonacci init — for
-// a handful of draws, which profiles as ~30% of a simnet round at small
-// models. Training loops revisit the same (client, index) keys round after
-// round, so Dataset memoizes the drawn *values* — never the generators —
-// keyed by the same labels that seed the streams. A hit is bit-identical to
-// recomputation by construction: the cache changes timing, never streams,
-// and every seeded golden in the repo pins that. All views of a dataset
-// share one cache (WithPartitioner copies the pointer); the underlying
-// draws are partitioner-independent and keys carry their Split labels.
+// Sample is a pure function of (dataset seed, stream, index, class), but
+// regenerating one costs a draw per input element — 784 Gaussians for an
+// MNIST example. Training loops revisit the same (stream, index) keys round
+// after round, so Dataset keeps the sample tensors it generated in a
+// bounded cache keyed by the same labels that seed their streams. A hit is
+// bit-identical to regeneration by construction: the cache changes timing,
+// never streams, and every seeded golden in the repo pins that. All views
+// of a dataset share one cache (WithPartitioner copies the pointer); the
+// samples are partitioner-independent.
 //
-// Stream-faithfulness rule: every key must carry every Split input of the
-// draw it memoizes. Round-varying partitioners (incremental classes,
-// decaying label noise) key their draw streams by a round/stage component,
-// so each key type carries a round field too; round-static streams use the
-// degenerate round 0, which keeps every closed-world draw on the exact key
-// it always had. Before this field existed, a round-varying partitioner
-// would have silently served round-r draws for round-r′.
+// Scalar draws — class picks, label-flip coins, shard units — are not
+// cached: a short tensor.Split stream costs tens of nanoseconds, no more
+// than a map lookup under a lock.
 
 // sampleCacheFloats bounds the float64s held by cached sample tensors
 // (16 MiB); past it, samples are generated but not retained.
 const sampleCacheFloats = 1 << 21
 
-// drawCacheEntries bounds each scalar-draw map; past it, draws are computed
-// but not retained.
-const drawCacheEntries = 1 << 17
-
 type sampleKey struct {
 	stream, idx int64
 	class       int
-	round       int64 // 0: sample streams are round-static today
-}
-
-// flipDraw holds the full draw sequence of one label-flip stream: the
-// uniform that decides the flip and the class offset drawn after it. Both
-// are materialized on a miss — the generator is discarded immediately, so
-// drawing the offset even when the uniform says "keep" leaves every other
-// stream untouched — which lets one entry serve any flip rate (extraFlip's
-// per-client ρ varies by scenario).
-type flipDraw struct {
-	u     float64
-	other int
-}
-
-type flipKey struct {
-	label, stream, idx int64
-	round              int64 // Split round component; 0 on round-static streams
-}
-
-type pickKey struct {
-	label, id, i int64
-	n            int
-	round        int64 // Split round/stage component; 0 on round-static streams
-}
-
-type unitKey struct {
-	label, id, i int64
-	round        int64 // Split round component; 0 on round-static streams
 }
 
 type derivedCache struct {
 	mu      sync.Mutex
 	floats  int
 	samples map[sampleKey]*tensor.Tensor
-	flips   map[flipKey]flipDraw
-	picks   map[pickKey]int
-	units   map[unitKey]float64
 }
 
 func newDerivedCache() *derivedCache {
-	return &derivedCache{
-		samples: make(map[sampleKey]*tensor.Tensor),
-		flips:   make(map[flipKey]flipDraw),
-		picks:   make(map[pickKey]int),
-		units:   make(map[unitKey]float64),
-	}
+	return &derivedCache{samples: make(map[sampleKey]*tensor.Tensor)}
 }
 
 // getSample returns a private copy of the cached example, if present.
@@ -98,124 +52,14 @@ func (c *derivedCache) getSample(key sampleKey) (*tensor.Tensor, bool) {
 	return t.Clone(), true
 }
 
+// putSample retains a copy of t under key unless the key is already held
+// or the cap is reached; only a sample it keeps is cloned.
 func (c *derivedCache) putSample(key sampleKey, t *tensor.Tensor) {
-	clone := t.Clone()
 	c.mu.Lock()
-	if _, ok := c.samples[key]; !ok && c.floats+clone.Len() <= sampleCacheFloats {
-		c.samples[key] = clone
-		c.floats += clone.Len()
+	defer c.mu.Unlock()
+	if _, ok := c.samples[key]; ok || c.floats+t.Len() > sampleCacheFloats {
+		return
 	}
-	c.mu.Unlock()
-}
-
-func (c *derivedCache) getFlip(key flipKey) (flipDraw, bool) {
-	c.mu.Lock()
-	fd, ok := c.flips[key]
-	c.mu.Unlock()
-	return fd, ok
-}
-
-func (c *derivedCache) putFlip(key flipKey, fd flipDraw) {
-	c.mu.Lock()
-	if len(c.flips) < drawCacheEntries {
-		c.flips[key] = fd
-	}
-	c.mu.Unlock()
-}
-
-func (c *derivedCache) getPick(key pickKey) (int, bool) {
-	c.mu.Lock()
-	p, ok := c.picks[key]
-	c.mu.Unlock()
-	return p, ok
-}
-
-func (c *derivedCache) putPick(key pickKey, p int) {
-	c.mu.Lock()
-	if len(c.picks) < drawCacheEntries {
-		c.picks[key] = p
-	}
-	c.mu.Unlock()
-}
-
-func (c *derivedCache) getUnit(key unitKey) (float64, bool) {
-	c.mu.Lock()
-	u, ok := c.units[key]
-	c.mu.Unlock()
-	return u, ok
-}
-
-func (c *derivedCache) putUnit(key unitKey, u float64) {
-	c.mu.Lock()
-	if len(c.units) < drawCacheEntries {
-		c.units[key] = u
-	}
-	c.mu.Unlock()
-}
-
-// pickAt returns the uniform class pick of stream (seed, label, id, i) over
-// n choices, memoized. Round-static: the key's round component is 0.
-func (d *Dataset) pickAt(label, id, i int64, n int) int {
-	key := pickKey{label, id, i, n, 0}
-	if p, ok := d.cache.getPick(key); ok {
-		return p
-	}
-	p := tensor.Split(d.seed, label, id, i).Intn(n)
-	d.cache.putPick(key, p)
-	return p
-}
-
-// pickAtRound returns the uniform pick of the round-keyed stream
-// (seed, label, id, i, round) over n choices, memoized on the full key —
-// the draw rule of round-varying partitioners (incremental classes keys it
-// by stage, so rounds inside one stage share entries).
-func (d *Dataset) pickAtRound(label, id, i, round int64, n int) int {
-	key := pickKey{label, id, i, n, round}
-	if p, ok := d.cache.getPick(key); ok {
-		return p
-	}
-	p := tensor.Split(d.seed, label, id, i, round).Intn(n)
-	d.cache.putPick(key, p)
-	return p
-}
-
-// unitAt returns the uniform [0,1) draw of stream (seed, label, id, i),
-// memoized. Round-static: the key's round component is 0.
-func (d *Dataset) unitAt(label, id, i int64) float64 {
-	key := unitKey{label, id, i, 0}
-	if u, ok := d.cache.getUnit(key); ok {
-		return u
-	}
-	u := tensor.Split(d.seed, label, id, i).Float64()
-	d.cache.putUnit(key, u)
-	return u
-}
-
-// flipDrawAt returns the memoized draw pair of label-flip stream
-// (seed, label, stream, idx). Callers must have checked Classes >= 2.
-// Round-static: the key's round component is 0.
-func (d *Dataset) flipDrawAt(label, stream, idx int64) flipDraw {
-	key := flipKey{label, stream, idx, 0}
-	if fd, ok := d.cache.getFlip(key); ok {
-		return fd
-	}
-	rng := tensor.Split(d.seed, label, stream, idx)
-	fd := flipDraw{u: rng.Float64(), other: rng.Intn(d.Spec.Classes - 1)}
-	d.cache.putFlip(key, fd)
-	return fd
-}
-
-// flipDrawAtRound returns the memoized draw pair of the round-keyed
-// label-flip stream (seed, label, stream, idx, round) — fresh coins every
-// round, the draw rule of the decaying-label-noise scenario. Callers must
-// have checked Classes >= 2.
-func (d *Dataset) flipDrawAtRound(label, stream, idx, round int64) flipDraw {
-	key := flipKey{label, stream, idx, round}
-	if fd, ok := d.cache.getFlip(key); ok {
-		return fd
-	}
-	rng := tensor.Split(d.seed, label, stream, idx, round)
-	fd := flipDraw{u: rng.Float64(), other: rng.Intn(d.Spec.Classes - 1)}
-	d.cache.putFlip(key, fd)
-	return fd
+	c.samples[key] = t.Clone()
+	c.floats += t.Len()
 }

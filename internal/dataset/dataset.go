@@ -232,7 +232,7 @@ func (d *Dataset) Prototype(class int) *tensor.Tensor { return d.protos[class] }
 
 // Sample deterministically generates the idx-th example of the given class
 // on the given stream. The same (stream, idx, class) always yields the same
-// example; repeat draws are served from the derived cache (see cache.go),
+// example; repeat draws are served from the sample cache (see cache.go),
 // and the returned tensor is always the caller's to mutate.
 func (d *Dataset) Sample(stream, idx int64, class int) *tensor.Tensor {
 	key := sampleKey{stream: stream, idx: idx, class: class}
@@ -253,19 +253,7 @@ func (d *Dataset) Sample(stream, idx int64, class int) *tensor.Tensor {
 // the synthetic family reproduces the paper's per-dataset accuracy ceilings
 // (e.g. CIFAR-10 ≈ 0.67) with otherwise separable prototypes.
 func (d *Dataset) flipLabel(class int, stream, idx int64) int {
-	rho := d.Spec.LabelFlip
-	if rho <= 0 || d.Spec.Classes < 2 {
-		return class
-	}
-	fd := d.flipDrawAt(4000, stream, idx)
-	if fd.u >= rho {
-		return class
-	}
-	other := fd.other
-	if other >= class {
-		other++
-	}
-	return other
+	return d.flip(class, d.Spec.LabelFlip, 4000, stream, idx)
 }
 
 // extraFlip applies a per-client additional label flip at rate rho (the
@@ -273,18 +261,7 @@ func (d *Dataset) flipLabel(class int, stream, idx int64) int {
 // base flipLabel stream — and with it every iid-scenario golden — is
 // untouched.
 func (d *Dataset) extraFlip(class int, rho float64, stream, idx int64) int {
-	if rho <= 0 || d.Spec.Classes < 2 {
-		return class
-	}
-	fd := d.flipDrawAt(4100, stream, idx)
-	if fd.u >= rho {
-		return class
-	}
-	other := fd.other
-	if other >= class {
-		other++
-	}
-	return other
+	return d.flip(class, rho, 4100, stream, idx)
 }
 
 // extraFlipAtRound is extraFlip on a round-keyed coin stream: fresh
@@ -292,14 +269,21 @@ func (d *Dataset) extraFlip(class int, rho float64, stream, idx int64) int {
 // for the decaying-label-noise scenario), so an example's noise is a pure
 // function of (seed, clientID, round) rather than frozen at partition time.
 func (d *Dataset) extraFlipAtRound(class int, rho float64, label, stream, idx, round int64) int {
+	return d.flip(class, rho, label, stream, idx, round)
+}
+
+// flip draws label-flip stream (seed, labels...): its first draw is the
+// coin that flips class at rate rho, its second the uniformly random
+// different class it flips to.
+func (d *Dataset) flip(class int, rho float64, labels ...int64) int {
 	if rho <= 0 || d.Spec.Classes < 2 {
 		return class
 	}
-	fd := d.flipDrawAtRound(label, stream, idx, round)
-	if fd.u >= rho {
+	rng := tensor.Split(d.seed, labels...)
+	if rng.Float64() >= rho {
 		return class
 	}
-	other := fd.other
+	other := rng.Intn(d.Spec.Classes - 1)
 	if other >= class {
 		other++
 	}

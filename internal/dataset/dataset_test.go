@@ -325,10 +325,10 @@ func TestSyntheticTaskIsLearnable(t *testing.T) {
 }
 
 func TestDerivedCacheIsInvisible(t *testing.T) {
-	// The derived cache (cache.go) memoizes sample tensors, flip draws and
-	// class picks. A warmed dataset must return bit-identical examples to a
-	// fresh one — on every partitioner, including views that share a cache
-	// through WithPartitioner — or the cache is changing streams, not timing.
+	// The sample cache (cache.go) keeps generated sample tensors. A warmed
+	// dataset must return bit-identical examples to a fresh one — on every
+	// partitioner, including views that share a cache through
+	// WithPartitioner — or the cache is changing streams, not timing.
 	spec, _ := Get("adult") // LabelFlip > 0, so the flip streams are live
 	for _, part := range []Partitioner{IID{}, Dirichlet{Alpha: 0.3}, QuantitySkew{}, LabelNoiseSkew{}} {
 		warm := NewPartitioned(spec, 99, part)
@@ -364,5 +364,34 @@ func TestSampleCacheReturnsPrivateCopies(t *testing.T) {
 	c := New(spec, 5).Sample(0, 0, 0)
 	if !b.Equal(c, 0) {
 		t.Fatal("cached sample differs from a fresh dataset's sample")
+	}
+}
+
+// TestFullSampleCacheMissClonesNothing: once the sample cache is at its
+// cap, a miss must cost no more than generating the sample uncached — the
+// cache may not clone a sample it is about to throw away.
+func TestFullSampleCacheMissClonesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	spec, _ := Get("mnist")
+	d := New(spec, 5)
+	idx := int64(0)
+	for n := d.protos[0].Len(); d.cache.floats+n <= sampleCacheFloats; {
+		d.Sample(0, idx, 0)
+		idx++
+	}
+	miss := testing.AllocsPerRun(50, func() {
+		d.Sample(0, idx, 0)
+		idx++
+	})
+	uncached := testing.AllocsPerRun(50, func() {
+		rng := tensor.Split(d.seed, 2000, 0, idx, 0)
+		x := d.protos[0].Clone()
+		rng.AddNormal(x, d.Spec.Noise)
+		idx++
+	})
+	if miss > uncached {
+		t.Fatalf("a miss on a full cache allocates %.0f objects, an uncached sample %.0f", miss, uncached)
 	}
 }

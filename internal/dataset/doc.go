@@ -41,9 +41,9 @@
 // Datasets and ClientData views are safe for concurrent readers after
 // construction; WithPartitioner shares prototypes, so repartitioning an
 // existing dataset (e.g. applying a server-published scenario) is cheap.
-// Because every derivation is a pure function of the seed and its labels,
-// the dataset memoizes drawn values — sample tensors, flip draws, class
-// picks — in a bounded cache shared across views (cache.go): revisiting
-// an example skips the generator reseed entirely, and a cache hit is
-// bit-identical to recomputation by construction.
+// Scalar draws — class picks, flip coins — are short tensor.Split streams,
+// drawn afresh on every query. Sample tensors cost a draw per element, so
+// the dataset keeps those it generated in a bounded cache shared across
+// views (cache.go); a cache hit is bit-identical to regeneration by
+// construction.
 package dataset

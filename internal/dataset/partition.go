@@ -196,11 +196,10 @@ func specClasses(s Spec, id int) []int {
 // uniformClassAt is the original per-(client, index) class pick: uniform
 // over the shard's classes, drawn from Split label 3000. IID and
 // LabelNoiseSkew share it, which is what keeps the iid scenario bit-for-bit
-// compatible with the pre-partitioner Client(id). Picks are memoized in the
-// dataset's derived cache (see cache.go).
+// compatible with the pre-partitioner Client(id).
 func uniformClassAt(d *Dataset, id int, classes []int) func(int) int {
 	return func(i int) int {
-		return classes[d.pickAt(3000, int64(id), int64(i), len(classes))]
+		return classes[tensor.Split(d.seed, 3000, int64(id), int64(i)).Intn(len(classes))]
 	}
 }
 
@@ -263,7 +262,7 @@ func (p Dirichlet) Shard(d *Dataset, id int) Shard {
 		N:       s.PerClient,
 		Classes: classes,
 		ClassAt: func(i int) int {
-			u := d.unitAt(3150, int64(id), int64(i))
+			u := tensor.Split(d.seed, 3150, int64(id), int64(i)).Float64()
 			c := sort.SearchFloat64s(cdf, u)
 			if c >= len(cdf) {
 				c = len(cdf) - 1
@@ -368,7 +367,7 @@ func (QuantitySkew) Shard(d *Dataset, id int) Shard {
 		N:       n,
 		Classes: classes,
 		ClassAt: func(i int) int {
-			return classes[d.pickAt(3260, int64(id), int64(i), len(classes))]
+			return classes[tensor.Split(d.seed, 3260, int64(id), int64(i)).Intn(len(classes))]
 		},
 	}
 }
@@ -416,8 +415,8 @@ const incrementalStartClasses = 2
 // classes the horizon never reaches simply never appear. Every client
 // draws uniformly from the currently visible classes; the pick stream is
 // keyed by the stage (the visible-class count), so shards change exactly
-// at class-arrival boundaries and rounds within one stage share their
-// cached draws.
+// at class-arrival boundaries and rounds within one stage draw the same
+// picks.
 type IncrementalClasses struct {
 	// Period is the rounds between class arrivals; 0 defaults to 5.
 	Period int
@@ -443,7 +442,7 @@ func (p IncrementalClasses) ShardAt(d *Dataset, id, round int) Shard {
 		N:       d.Spec.PerClient,
 		Classes: classes,
 		ClassAt: func(i int) int {
-			return classes[d.pickAtRound(labelIncrementalPick, int64(id), int64(i), int64(v), v)]
+			return classes[tensor.Split(d.seed, labelIncrementalPick, int64(id), int64(i), int64(v)).Intn(v)]
 		},
 		Round: round,
 	}
@@ -455,7 +454,7 @@ func (p IncrementalClasses) ShardAt(d *Dataset, id, round int) Shard {
 // "users correct themselves". The flip coins are redrawn per round from
 // the round-keyed label-4200 stream, so which examples are mislabelled is
 // a pure function of (seed, clientID, round) — the scenario that exercises
-// the derived cache's round-keyed keys for real.
+// round-keyed draw streams for real.
 type DecayingLabelNoise struct {
 	// Period is the rate's halving time in rounds; 0 defaults to 5.
 	Period int

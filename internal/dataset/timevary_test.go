@@ -2,13 +2,14 @@ package dataset
 
 import (
 	"hash/fnv"
+	"slices"
 	"testing"
 )
 
 // Time-varying partitioners: shards are pure functions of
 // (seed, clientID, round), stages change exactly at their boundaries, and
-// the derived cache's round-keyed entries never serve one round's draws
-// for another — regardless of which round was queried first.
+// no round's draws depend on another round — regardless of which round
+// was queried first.
 
 // labelAt reads one example's final label without generating its sample:
 // the exact label path of ClientData.Get.
@@ -122,9 +123,10 @@ func TestDecayingLabelNoiseHalves(t *testing.T) {
 
 // TestTimeVaryingOrderInvariance: a shard is a pure function of
 // (seed, id, round) — the order rounds and clients are queried in, and
-// whether the derived cache is warm or cold, must not change a single
-// label. This is the regression for the round-blind cache keys: a warmed
-// cache used to serve round-r draws for round-r′.
+// whether the sample cache is warm or cold, must not change a single
+// label. This is the regression for the round-blind keys of the scalar-draw
+// memo the dataset once kept: a warmed memo served round-r draws for
+// round r′.
 func TestTimeVaryingOrderInvariance(t *testing.T) {
 	spec, err := Get("mnist")
 	if err != nil {
@@ -162,47 +164,42 @@ func TestTimeVaryingOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestDerivedCacheRoundKeys pins the cache-key fix at the draw level:
-// round-keyed streams memoize on their full key, and round-static streams
-// stay on the degenerate round-0 key they always had.
+// TestDerivedCacheRoundKeys pins the round component of the draw keys: a
+// round-keyed draw depends on its round and on nothing drawn before it.
+// (The scalar-draw memo whose round-blind keys once served round-r draws
+// for round r′ is gone; these draws are direct Split streams.)
 func TestDerivedCacheRoundKeys(t *testing.T) {
 	spec, err := Get("mnist")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference values from caches that only ever saw one round each.
-	ref0 := New(spec, 42).pickAtRound(labelIncrementalPick, 1, 2, 0, 4)
-	ref5 := New(spec, 42).pickAtRound(labelIncrementalPick, 1, 2, 5, 4)
+	inc := IncrementalClasses{Period: 2}
+	picks := func(d *Dataset, round int) []int {
+		sh := inc.ShardAt(d, 1, round)
+		out := make([]int, 64)
+		for i := range out {
+			out[i] = sh.ClassAt(i)
+		}
+		return out
+	}
+	// Reference picks from datasets that only ever saw one round each.
+	ref0, ref5 := picks(New(spec, 42), 0), picks(New(spec, 42), 5)
 	d := New(spec, 42)
-	if got := d.pickAtRound(labelIncrementalPick, 1, 2, 5, 4); got != ref5 {
-		t.Fatalf("round-5 pick = %d, want %d", got, ref5)
+	if got := picks(d, 5); !slices.Equal(got, ref5) {
+		t.Fatalf("round-5 picks = %v, want %v", got, ref5)
 	}
-	// The poisoned-cache probe: before round entered the key, this returned
-	// the round-5 value just cached above.
-	if got := d.pickAtRound(labelIncrementalPick, 1, 2, 0, 4); got != ref0 {
-		t.Fatalf("round-0 pick after round-5 warm-up = %d, want %d", got, ref0)
+	if got := picks(d, 0); !slices.Equal(got, ref0) {
+		t.Fatalf("round-0 picks after round-5 draws = %v, want %v", got, ref0)
 	}
-	// Distinct rounds are genuinely distinct streams, not one recycled draw:
-	// over many indices the two rounds must disagree somewhere.
-	differ := false
-	for i := int64(0); i < 64 && !differ; i++ {
-		differ = d.pickAtRound(labelIncrementalPick, 1, i, 0, 10) != d.pickAtRound(labelIncrementalPick, 1, i, 5, 10)
+	if slices.Equal(ref0, ref5) {
+		t.Fatal("round-keyed pick stream identical across stages")
 	}
-	if !differ {
-		t.Fatal("round-keyed pick stream identical across rounds")
-	}
-	// Same discipline for the flip-coin stream.
-	fd0 := New(spec, 42).flipDrawAtRound(labelDecayFlip, 1, 2, 0)
+	// Same discipline for the flip-coin stream; at rate 1 every coin flips,
+	// so the result is the stream's replacement class.
+	y0 := New(spec, 42).extraFlipAtRound(0, 1, labelDecayFlip, 1, 2, 0)
 	d2 := New(spec, 42)
-	d2.flipDrawAtRound(labelDecayFlip, 1, 2, 7)
-	if got := d2.flipDrawAtRound(labelDecayFlip, 1, 2, 0); got != fd0 {
-		t.Fatal("round-0 flip draw poisoned by a round-7 warm-up")
-	}
-	// Round-static streams are untouched by round-keyed traffic on the same
-	// (label, stream, idx): the degenerate round-0 key keeps them separate
-	// only because the labels differ — same-label traffic shares by design.
-	u := New(spec, 42).unitAt(3300, 1, 2)
-	if got := d2.unitAt(3300, 1, 2); got != u {
-		t.Fatal("round-static unit draw diverges on a warmed cache")
+	d2.extraFlipAtRound(0, 1, labelDecayFlip, 1, 2, 7)
+	if got := d2.extraFlipAtRound(0, 1, labelDecayFlip, 1, 2, 0); got != y0 {
+		t.Fatal("round-0 flip draw changed by a round-7 draw")
 	}
 }

@@ -19,11 +19,14 @@
 //
 // Two generator families cover every random draw in the repository:
 //
-//   - RNG wraps math/rand behind splittable seeds: Split(seed, labels...)
-//     derives a child stream that depends only on (seed, labels...), so any
-//     component can be handed a stable stream regardless of goroutine
-//     scheduling. A stream's draws are sequential — two consumers must not
-//     share one RNG.
+//   - RNG emits math/rand's Go 1 seeded stream bit for bit behind
+//     splittable seeds: Split(seed, labels...) derives a child stream that
+//     depends only on (seed, labels...), so any component can be handed a
+//     stable stream regardless of goroutine scheduling. Its source
+//     (source.go) seeds in O(1) instead of math/rand's 607-word init, so a
+//     keyed Split-and-draw costs one small allocation and Reseed none;
+//     TestSourceMatchesMathRand pins the stream against rand.NewSource. A
+//     stream's draws are sequential — two consumers must not share one RNG.
 //
 //   - CounterRNG (crng.go) is the counter-mode engine behind the parallel
 //     DP noise path: the k-th Gaussian of stream (seed, labels...) is a

@@ -7,16 +7,22 @@ import (
 )
 
 // RNG is a deterministic random source with convenience samplers used across
-// the library. It wraps math/rand with an explicit seed so every component
-// can be driven from a root seed via Split, making distributed experiments
-// reproducible regardless of goroutine scheduling.
+// the library. Its stream is math/rand's Go 1 seeded stream, bit for bit —
+// the draws of rand.New(rand.NewSource(seed)) — from a source that seeds in
+// O(1) (source.go), so every component can be driven from a root seed via
+// Split, making distributed experiments reproducible regardless of
+// goroutine scheduling, and a short keyed stream costs one allocation.
 type RNG struct {
-	r *rand.Rand
+	r   rand.Rand
+	src source
 }
 
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent child generator from this RNG's seed and a
@@ -42,11 +48,11 @@ func mixLabels(seed int64, labels []int64) uint64 {
 }
 
 // Reseed re-derives this generator in place to the stream Split(seed,
-// labels...) would return, without allocating a new source. Hot loops that
-// need a fresh child stream per item (per-client dropout coins, per-client
-// training RNGs) reseed one long-lived generator instead of allocating
-// Split garbage per item; the emitted stream is bit-identical to a fresh
-// Split child.
+// labels...) would return, allocating nothing: a register this generator
+// already filled is reused. Hot loops that need a fresh child stream per
+// item (per-client dropout coins, per-client training RNGs) reseed one
+// long-lived generator instead of allocating a Split child per item; the
+// emitted stream is bit-identical to a fresh Split child.
 func (g *RNG) Reseed(seed int64, labels ...int64) {
 	g.r.Seed(int64(mixLabels(seed, labels)))
 }
