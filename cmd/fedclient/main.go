@@ -9,9 +9,9 @@
 //	fedclient -config configs/fault-acceptance.yaml -set faults.plan= -addr 127.0.0.1:7070 -id 3
 //
 // The experiment (-config, -set; see internal/config) must be the server's:
-// the client takes dataset, seed, method and its parameters, codec and
-// quantization from it, and refuses a server publishing any other config
-// digest — a fleet cannot silently train against a different experiment.
+// the client takes dataset, seed, method and its parameters and codec from
+// it, and refuses a server publishing any other config digest — a fleet
+// cannot silently train against a different experiment.
 // What is not experiment identity stays a flag: -addr, -id, -secure and
 // the reconnect policy (-backoff, -max-backoff, -give-up). The keys fedserve
 // refuses (faults.*, runtime.simnet) are refused here the same way.
@@ -59,19 +59,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	cfg, strat, data := r.Cfg, r.FL.Strategy, r.FL.Data.Client(*id)
-	// One options value for the whole run: the quantization error-feedback
-	// state must survive reconnects and server restarts so rounding error
-	// banked in round r is repaid in round r+1. ExpectDigest makes the
-	// client refuse a server publishing a different experiment digest.
-	opt := fl.ClientOptions{Secure: *secure, Codec: cfg.Codec, Quant: cfg.Quant, QuantState: &fl.QuantState{}, ExpectDigest: cfg.ConfigDigest}
+	// ExpectDigest makes the client refuse a server publishing a different
+	// experiment digest.
+	opt := fl.ClientOptions{Secure: *secure, Codec: cfg.Codec, ExpectDigest: cfg.ConfigDigest}
 
 	fmt.Fprintf(stdout, "fedclient %d: joining %s as %s, experiment %s\n", *id, *addr, strat.Name(), cfg.ConfigDigest)
 	backoff := *minBackoff
 	lastSuccess := time.Now()
+	next := 0 // the lowest round this client has not completed
 	for done := 0; done < cfg.Rounds; {
 		round, err := fl.RunRemoteClientRound(*addr, *id, strat, data, r.FL.Model, cfg.Seed, opt)
 		switch {
-		case err == nil && round < opt.MinRound:
+		case err == nil && round < next:
 			// The server re-served a round this client already completed
 			// (it cannot advance until the rest of the cohort resolves);
 			// the re-submission was acknowledged as a duplicate, so it
@@ -82,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			time.Sleep(*minBackoff)
 		case err == nil:
 			done++
-			opt.MinRound = round + 1
+			next = round + 1
 			backoff = *minBackoff
 			lastSuccess = time.Now()
 			fmt.Fprintf(stdout, "fedclient %d: update %d/%d sent (round %d)\n", *id, done, cfg.Rounds, round)

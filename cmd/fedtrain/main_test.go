@@ -36,8 +36,8 @@ func TestConfigAndSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := digestOf(t, out); got != "439178c7701244ab" {
-		t.Fatalf("fault-acceptance.yaml digests to %s, want 439178c7701244ab", got)
+	if got := digestOf(t, out); got != "f1370add41d09e6a" {
+		t.Fatalf("fault-acceptance.yaml digests to %s, want f1370add41d09e6a", got)
 	}
 	if !strings.Contains(out, "dataset=cancer method=fed-cdp K=12 Kt=6 T=4 L=3") {
 		t.Fatalf("run does not follow the file:\n%s", out)

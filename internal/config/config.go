@@ -102,8 +102,7 @@ type AggregationBlock struct {
 
 // CodecBlock is the wire encoding.
 type CodecBlock struct {
-	Wire  string // "" (gob) or "binary"
-	Quant int    // 0, 8 or 16 (binary codec only)
+	Wire string // "" (gob) or "binary"
 }
 
 // TrainingBlock is the federation shape and horizon.
@@ -243,12 +242,6 @@ func (e *Experiment) Validate() error {
 	if !fl.ValidCodec(e.Codec.Wire) {
 		return fmt.Errorf("config: unknown codec.wire %q", e.Codec.Wire)
 	}
-	if !fl.ValidQuant(e.Codec.Quant) {
-		return fmt.Errorf("config: codec.quant %d not in {0, 8, 16}", e.Codec.Quant)
-	}
-	if e.Runtime.Simnet && e.Codec.Quant != 0 {
-		return fmt.Errorf("config: codec.quant %d is not plumbed into runtime.simnet clients, which would send dense updates; set codec.quant to 0", e.Codec.Quant)
-	}
 	if e.Runtime.Simnet && e.Method.Name == core.MethodFedSDPSrv {
 		return fmt.Errorf("config: method.name: %w", core.ServerSanitizeRefusal("runtime.simnet's"))
 	}
@@ -381,7 +374,6 @@ func (e *Experiment) CoreConfig() core.Config {
 		EvalEvery:       e.Training.EvalEvery,
 		Parallelism:     e.Training.Parallelism,
 		Codec:           e.Codec.Wire,
-		Quant:           e.Codec.Quant,
 		Precision:       e.Model.Precision,
 		DropoutRate:     e.Runtime.Dropout,
 		RoundDeadline:   e.Runtime.Deadline,

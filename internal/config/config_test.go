@@ -69,7 +69,6 @@ aggregation:
 
 codec:
   wire: binary
-  quant: 8
 
 training:
   k: 12
@@ -97,7 +96,7 @@ sweep:
 	want.Runtime = RuntimeBlock{Deadline: 150 * time.Millisecond, Quorum: 2, Dropout: 0.25}
 	want.Faults = FaultsBlock{Plan: "drop=0.2,crash=1"}
 	want.Aggregation = AggregationBlock{Rule: "trimmed:0.34", Shards: 4, Sampler: fl.SamplerFloyd}
-	want.Codec = CodecBlock{Wire: fl.CodecBinary, Quant: 8}
+	want.Codec = CodecBlock{Wire: fl.CodecBinary}
 	want.Training = TrainingBlock{K: 12, Kt: 6, Rounds: 3, LocalIters: 2, LR: 0.15, ValExamples: 60, EvalEvery: 1}
 	want.Sweep = SweepBlock{Seeds: []int64{1, 2, 3}}
 	if !reflect.DeepEqual(e, want) {
@@ -124,6 +123,7 @@ func TestParseErrors(t *testing.T) {
 		{"removed model.engine", "model:\n  engine: batched\n", `line 2: unknown key "engine" in section model`},
 		{"removed method.noise-engine", "method:\n  sigma: 1\n  noise-engine: counter\n", `line 3: unknown key "noise-engine" in section method`},
 		{"removed runtime.name", "runtime:\n  name: streaming\n", `line 2: unknown key "name" in section runtime`},
+		{"removed codec.quant", "codec:\n  quant: 8\n", `unknown key "quant" in section codec`},
 		{"duplicate key", "method:\n  sigma: 1\n  sigma: 2\n", "duplicate key method.sigma"},
 		{"duplicate top-level key", "seed: 1\nseed: 2\n", "duplicate key seed"},
 		{"duplicate section", "method:\n  sigma: 1\nmethod:\n  clip: 2\n", `duplicate section "method"`},
@@ -134,6 +134,8 @@ func TestParseErrors(t *testing.T) {
 		{"not a key-value line", "just some prose\n", "not a"},
 		{"bad integer", "training:\n  k: twelve\n", "not an integer"},
 		{"bad float", "method:\n  sigma: much\n", "not a number"},
+		{"nan float", "method:\n  sigma: NaN\n", "line 2: method.sigma: not a finite number"},
+		{"infinite float", "runtime:\n  dropout: +Inf\n", "line 2: runtime.dropout: not a finite number"},
 		{"bad bool", "runtime:\n  simnet: yes\n", "not a boolean"},
 		{"bad duration", "runtime:\n  deadline: 5 minutes\n", "not a duration"},
 		{"bad list", "sweep:\n  seeds: 1, 2\n", "not a list"},
@@ -303,8 +305,6 @@ func TestDigestDistinguishesEveryField(t *testing.T) {
 				v = fl.SamplerFloyd
 			case "wire":
 				v = fl.CodecBinary
-			case "quant":
-				v = "8"
 			default:
 				v = "73"
 			}
@@ -333,8 +333,6 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown precision", func(e *Experiment) { e.Model.Precision = "fp16" }, "unknown model.precision"},
 		{"unknown sampler", func(e *Experiment) { e.Aggregation.Sampler = "knuth" }, "unknown aggregation.sampler"},
 		{"unknown codec", func(e *Experiment) { e.Codec.Wire = "json" }, "unknown codec.wire"},
-		{"bad quant", func(e *Experiment) { e.Codec.Quant = 4 }, "codec.quant"},
-		{"quant under simnet", func(e *Experiment) { e.Codec.Quant, e.Runtime.Simnet = 8, true }, "not plumbed into runtime.simnet"},
 		{"server-side sdp under simnet", func(e *Experiment) { e.Method.Name, e.Runtime.Simnet = core.MethodFedSDPSrv, true }, "round servers do not"},
 		{"deadline under simnet", func(e *Experiment) { e.Runtime.Deadline, e.Runtime.Simnet = time.Second, true }, "whose clock is virtual"},
 		{"unknown aggregation", func(e *Experiment) { e.Aggregation.Rule = "mode" }, "unknown aggregation.rule"},
@@ -377,7 +375,7 @@ var offDefault = map[string]string{
 	"faults.plan": "drop=0.2,crash=2,restart=1", "faults.population": "join=4@3,churn=0.1",
 	"aggregation.rule": "trimmed:0.34", "aggregation.shards": "4", "aggregation.tree-fanout": "2",
 	"aggregation.sampler": "floyd", "aggregation.mux-workers": "3",
-	"codec.wire": "binary", "codec.quant": "8",
+	"codec.wire": "binary",
 	"training.k": "12", "training.kt": "6", "training.rounds": "4", "training.planned-rounds": "9", "training.batch": "5",
 	"training.iters": "3", "training.lr": "0.15", "training.val-examples": "60", "training.eval-every": "2", "training.parallelism": "2",
 	"experiment.name": "table6", "experiment.scale": "0.5",
@@ -445,6 +443,13 @@ func TestSetErrors(t *testing.T) {
 		{"seed", "x", `seed: not an integer: "x"`},
 		{"training.k", "", `training.k: not an integer: ""`},
 		{"data.dataset", "\"open", `data.dataset: bad quoted string`},
+		{"method.sigma", "NaN", `method.sigma: not a finite number: "NaN"`},
+		{"method.clip", "+Inf", `method.clip: not a finite number: "+Inf"`},
+		{"method.delta", "nan", `method.delta: not a finite number: "nan"`},
+		{"training.lr", "NaN", `training.lr: not a finite number: "NaN"`},
+		{"runtime.dropout", "NaN", `runtime.dropout: not a finite number: "NaN"`},
+		{"method.compress", "-Inf", `method.compress: not a finite number: "-Inf"`},
+		{"experiment.scale", "Inf", `experiment.scale: not a finite number: "Inf"`},
 	}
 	for _, tc := range cases {
 		e := Default()

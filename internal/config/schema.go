@@ -2,6 +2,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -61,7 +62,6 @@ func schema() []field {
 		fInt("aggregation", "mux-workers", func(e *Experiment) *int { return &e.Aggregation.MuxWorkers }),
 
 		fStr("codec", "wire", func(e *Experiment) *string { return &e.Codec.Wire }),
-		fInt("codec", "quant", func(e *Experiment) *int { return &e.Codec.Quant }),
 
 		fInt("training", "k", func(e *Experiment) *int { return &e.Training.K }),
 		fInt("training", "kt", func(e *Experiment) *int { return &e.Training.Kt }),
@@ -115,6 +115,11 @@ func fF64(sec, key string, p func(*Experiment) *float64) field {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
 				return fmt.Errorf("not a number: %q", v)
+			}
+			// NaN passes every range check below it (each comparison is
+			// false) and ±Inf has no meaning for any float key.
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("not a finite number: %q", v)
 			}
 			*p(e) = f
 			return nil

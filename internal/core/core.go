@@ -73,12 +73,6 @@ type Config struct {
 	// transport session; Run has no wire (see DESIGN.md, "Wire codec").
 	Codec string
 
-	// Quant is the update quantization a deployment's clients apply on the
-	// binary codec (codec.quant: 0, 8 or 16 bits). Run has no update wire,
-	// so it has nothing to quantize; RunSimnet does not hand it to its mux
-	// and refuses a non-zero value rather than run dense unannounced.
-	Quant int
-
 	// Precision selects the client GEMM arithmetic width:
 	// tensor.PrecisionFP64 (the default, pinned as the reference oracle)
 	// or tensor.PrecisionFP32, the bulk float32 path (see DESIGN.md,

@@ -34,11 +34,10 @@ func serveFleet(t *testing.T, cfg Config, stray func(addr string) error) (*Resul
 		for {
 			// Any error ends the client: the refusal or dead socket of a
 			// finished server, or a session the server counted as failed.
-			round, err := fl.RunRemoteClientRound(ln.Addr().String(), id, r.FL.Strategy, r.FL.Data.Client(id), r.FL.Model, r.Cfg.Seed, opt)
+			_, err := fl.RunRemoteClientRound(ln.Addr().String(), id, r.FL.Strategy, r.FL.Data.Client(id), r.FL.Model, r.Cfg.Seed, opt)
 			if err != nil {
 				return
 			}
-			opt.MinRound = max(opt.MinRound, round+1)
 		}
 	}
 	wg.Add(r.Cfg.Kt)

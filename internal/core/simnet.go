@@ -42,8 +42,6 @@ func simnetEdgeAddr(s int) string    { return fmt.Sprintf("edge%d", s) }
 // Config.Faults (in-process injection), which folds in cohort order.
 func RunSimnet(cfg Config) (*Result, error) {
 	switch {
-	case cfg.Quant != 0:
-		return nil, fmt.Errorf("core: update quantization (quant=%d) is not plumbed into the simnet clients, which would send dense updates; use quant=0", cfg.Quant)
 	case cfg.Method == MethodFedSDPSrv:
 		return nil, fmt.Errorf("core: %w", ServerSanitizeRefusal("the simnet"))
 	case cfg.RoundDeadline != 0:

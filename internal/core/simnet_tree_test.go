@@ -129,18 +129,16 @@ func TestSimnetTreeFloydSampler(t *testing.T) {
 	}
 }
 
-// Invalid topology and sampler configurations — and the three settings the
-// deployment would silently not honor: update quantization (the clients send
-// dense), server-side Fed-SDP (the round servers fold without clip or noise
-// while ε is still charged) and a round deadline (the fabric clock is
-// virtual, nothing would ever be cut), flat and tree — must be rejected up
-// front.
+// Invalid topology and sampler configurations — and the two settings the
+// deployment would silently not honor: server-side Fed-SDP (the round
+// servers fold without clip or noise while ε is still charged) and a round
+// deadline (the fabric clock is virtual, nothing would ever be cut), flat
+// and tree — must be rejected up front.
 func TestSimnetTreeConfigRejected(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.Shards = -1 },
 		func(c *Config) { c.Shards = c.K + 1 },
 		func(c *Config) { c.Sampler = "reservoir" },
-		func(c *Config) { c.Quant = 8 },
 		func(c *Config) { c.Method = MethodFedSDPSrv },
 		func(c *Config) { c.Method, c.Shards = MethodFedSDPSrv, 4 },
 		func(c *Config) { c.RoundDeadline = time.Second },

@@ -101,7 +101,7 @@ var offDefault = map[string]string{
 	"faults.plan": "drop=0.2", "faults.population": "churn=0.1",
 	"aggregation.rule": "trimmed:0.34", "aggregation.shards": "4", "aggregation.tree-fanout": "2",
 	"aggregation.sampler": "floyd", "aggregation.mux-workers": "3",
-	"codec.wire": "binary", "codec.quant": "8",
+	"codec.wire": "binary",
 	"training.k": "12", "training.kt": "6", "training.rounds": "4", "training.planned-rounds": "9", "training.batch": "5",
 	"training.iters": "3", "training.lr": "0.15", "training.val-examples": "60", "training.eval-every": "2", "training.parallelism": "2",
 }
@@ -157,8 +157,8 @@ func allowed(driver, key string) (reason string, ok bool) {
 // there that turns out to matter is an error too.
 func TestMetamorphicEveryKeyEveryDriver(t *testing.T) {
 	keys, defaults := schemaKeys()
-	if len(keys) != 43 {
-		t.Fatalf("schema has %d keys, want 43: %v", len(keys), keys)
+	if len(keys) != 42 {
+		t.Fatalf("schema has %d keys, want 42: %v", len(keys), keys)
 	}
 	for _, key := range keys {
 		_, perturbed := offDefault[key]

@@ -75,12 +75,13 @@ const (
 	kindAck
 )
 
-// Per-tensor payload encodings inside param/update frames.
+// Per-tensor payload encodings inside param/update frames; any other tag
+// is refused as an unknown encoding. Tags 2 and 3 are retired — older
+// builds sent int8/int16 quantized codes under them — so a new encoding
+// must not reuse them, or such a peer's frames would be misparsed.
 const (
 	encDense byte = iota
 	encSparse
-	encQuant8
-	encQuant16
 )
 
 // frameBufPool recycles frame encode/decode buffers across sessions and
@@ -279,9 +280,9 @@ func appendDenseSection(b []byte, ws []TensorWire) []byte {
 }
 
 // appendUpdateSection writes an update's tensor section from its wire forms
-// (whichever of dense/sparse/quantized the message carries).
+// (whichever of dense/sparse the message carries).
 func appendUpdateSection(b []byte, m *UpdateMsg) []byte {
-	b = appendI64(b, int64(len(m.Delta)+len(m.Sparse)+len(m.Quant)))
+	b = appendI64(b, int64(len(m.Delta)+len(m.Sparse)))
 	for _, w := range m.Delta {
 		b = appendTensorHeader(b, encDense, w.Shape)
 		b = appendF64s(b, w.Data)
@@ -292,47 +293,14 @@ func appendUpdateSection(b []byte, m *UpdateMsg) []byte {
 		b = appendI32s(b, w.Indices)
 		b = appendF64s(b, w.Values)
 	}
-	for _, w := range m.Quant {
-		b = appendQuantTensor(b, w)
-	}
-	return b
-}
-
-func appendQuantTensor(b []byte, w QuantTensorWire) []byte {
-	enc := encQuant8
-	if w.Bits == QuantInt16 {
-		enc = encQuant16
-	}
-	b = appendTensorHeader(b, enc, w.Shape)
-	b = appendF64(b, w.Scale)
-	if w.Bits == QuantInt16 {
-		off := len(b)
-		b = grown(b, 2*len(w.Q))
-		for _, q := range w.Q {
-			binary.LittleEndian.PutUint16(b[off:], uint16(q))
-			off += 2
-		}
-		return b
-	}
-	off := len(b)
-	b = grown(b, len(w.Q))
-	for _, q := range w.Q {
-		b[off] = byte(int8(q))
-		off++
-	}
 	return b
 }
 
 // appendDirectTensors writes an update section straight from dense in-memory
 // tensors with no intermediate wire structs: the dense-vs-sparse decision is
 // EncodeUpdate's (sparse below 50% density), the sparse entries are counted
-// and streamed in two passes over the raw data, and a requested quantization
-// width routes through QuantizeUpdate (the one transform that must
-// materialize, for its error-feedback residuals).
-func appendDirectTensors(b []byte, ts []*tensor.Tensor, quant int, st *QuantState) []byte {
-	if quant != QuantNone {
-		return appendUpdateSection(b, &UpdateMsg{Quant: QuantizeUpdate(ts, quant, st)})
-	}
+// and streamed in two passes over the raw data.
+func appendDirectTensors(b []byte, ts []*tensor.Tensor) []byte {
 	b = appendI64(b, int64(len(ts)))
 	if sparseWorthwhile(ts) {
 		for _, t := range ts {
@@ -373,43 +341,43 @@ func appendDirectTensors(b []byte, ts []*tensor.Tensor, quant int, st *QuantStat
 // bounds every count before allocating and proves the payload bytes are
 // present before converting them; semantic validation (finite values,
 // index ranges) stays with the message Validate gate.
-func readTensors(r *wireReader) (dense []TensorWire, sparse []SparseTensorWire, quant []QuantTensorWire, err error) {
+func readTensors(r *wireReader) (dense []TensorWire, sparse []SparseTensorWire, err error) {
 	return readTensorsCount(r, r.i64())
 }
 
-func readTensorsCount(r *wireReader, count int64) (dense []TensorWire, sparse []SparseTensorWire, quant []QuantTensorWire, err error) {
+func readTensorsCount(r *wireReader, count int64) (dense []TensorWire, sparse []SparseTensorWire, err error) {
 	if r.err != nil {
-		return nil, nil, nil, r.err
+		return nil, nil, r.err
 	}
 	if count < 0 || count > maxWireTensors {
-		return nil, nil, nil, fmt.Errorf("fl: binary frame declares %d tensors (cap %d)", count, maxWireTensors)
+		return nil, nil, fmt.Errorf("fl: binary frame declares %d tensors (cap %d)", count, maxWireTensors)
 	}
 	for i := int64(0); i < count; i++ {
 		enc := r.u8()
 		rank := int(r.u8())
 		if rank > maxWireDims {
-			return nil, nil, nil, fmt.Errorf("fl: binary wire tensor rank %d exceeds %d", rank, maxWireDims)
+			return nil, nil, fmt.Errorf("fl: binary wire tensor rank %d exceeds %d", rank, maxWireDims)
 		}
 		shape := make([]int, rank)
 		for j := range shape {
 			d := r.i64()
 			if d < 0 || d > maxWireElems {
-				return nil, nil, nil, fmt.Errorf("fl: binary wire dimension %d outside [0, %d]", d, maxWireElems)
+				return nil, nil, fmt.Errorf("fl: binary wire dimension %d outside [0, %d]", d, maxWireElems)
 			}
 			shape[j] = int(d)
 		}
 		if r.err != nil {
-			return nil, nil, nil, r.err
+			return nil, nil, r.err
 		}
 		n, err := validShapeLen(shape)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		switch enc {
 		case encDense:
 			raw := r.take(8 * n)
 			if r.err != nil {
-				return nil, nil, nil, r.err
+				return nil, nil, r.err
 			}
 			data := make([]float64, n)
 			for j := range data {
@@ -419,16 +387,16 @@ func readTensorsCount(r *wireReader, count int64) (dense []TensorWire, sparse []
 		case encSparse:
 			nnz64 := r.i64()
 			if r.err != nil {
-				return nil, nil, nil, r.err
+				return nil, nil, r.err
 			}
 			if nnz64 < 0 || nnz64 > int64(n) {
-				return nil, nil, nil, fmt.Errorf("fl: binary sparse tensor declares %d entries for %d elements", nnz64, n)
+				return nil, nil, fmt.Errorf("fl: binary sparse tensor declares %d entries for %d elements", nnz64, n)
 			}
 			nnz := int(nnz64)
 			rawIdx := r.take(4 * nnz)
 			rawVal := r.take(8 * nnz)
 			if r.err != nil {
-				return nil, nil, nil, r.err
+				return nil, nil, r.err
 			}
 			w := SparseTensorWire{
 				Shape:   shape,
@@ -440,35 +408,11 @@ func readTensorsCount(r *wireReader, count int64) (dense []TensorWire, sparse []
 				w.Values[j] = math.Float64frombits(binary.LittleEndian.Uint64(rawVal[8*j:]))
 			}
 			sparse = append(sparse, w)
-		case encQuant8, encQuant16:
-			scale := r.f64()
-			w := QuantTensorWire{Shape: shape, Bits: QuantInt8, Scale: scale}
-			if enc == encQuant16 {
-				w.Bits = QuantInt16
-				raw := r.take(2 * n)
-				if r.err != nil {
-					return nil, nil, nil, r.err
-				}
-				w.Q = make([]int16, n)
-				for j := range w.Q {
-					w.Q[j] = int16(binary.LittleEndian.Uint16(raw[2*j:]))
-				}
-			} else {
-				raw := r.take(n)
-				if r.err != nil {
-					return nil, nil, nil, r.err
-				}
-				w.Q = make([]int16, n)
-				for j := range w.Q {
-					w.Q[j] = int16(int8(raw[j]))
-				}
-			}
-			quant = append(quant, w)
 		default:
-			return nil, nil, nil, fmt.Errorf("fl: unknown binary tensor encoding %d", enc)
+			return nil, nil, fmt.Errorf("fl: unknown binary tensor encoding %d", enc)
 		}
 	}
-	return dense, sparse, quant, nil
+	return dense, sparse, nil
 }
 
 // --- Message payloads ------------------------------------------------------
@@ -515,11 +459,11 @@ func parseParamPayload(b []byte, m *ParamMsg) error {
 			ConfigDigest: r.str(),
 		},
 	}
-	dense, sparse, quant, err := readTensors(&r)
+	dense, sparse, err := readTensors(&r)
 	if err != nil {
 		return err
 	}
-	if len(sparse) > 0 || len(quant) > 0 {
+	if len(sparse) > 0 {
 		return fmt.Errorf("fl: round announcement parameters must be dense")
 	}
 	m.Params = dense
@@ -659,7 +603,7 @@ func parseUpdatePayload(b []byte, m *UpdateMsg) error {
 		return r.done()
 	}
 	var err error
-	m.Delta, m.Sparse, m.Quant, err = readTensorsCount(&r, count)
+	m.Delta, m.Sparse, err = readTensorsCount(&r, count)
 	if err != nil {
 		return err
 	}
@@ -692,10 +636,8 @@ type wireSession interface {
 	// trusted re-encoding). The client path uses WriteUpdateTensors.
 	WriteUpdate(*UpdateMsg) error
 	// WriteUpdateTensors encodes a client update straight from its dense
-	// in-memory tensors, applying the session codec's best encoding
-	// (dense/sparse by density, quantized when quant is a Quant* width and
-	// the codec supports it — gob, the exact oracle, ignores quantization).
-	WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor, quant int, st *QuantState) error
+	// in-memory tensors, dense or sparse by density.
+	WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error
 	ReadUpdate(*UpdateMsg) error
 	WriteAck(*AckMsg) error
 	ReadAck(*AckMsg) error
@@ -760,9 +702,7 @@ func (s *gobSession) ReadUpdate(m *UpdateMsg) error  { return s.dec.Decode(m) }
 func (s *gobSession) WriteAck(m *AckMsg) error       { return s.enc.Encode(m) }
 func (s *gobSession) ReadAck(m *AckMsg) error        { return s.dec.Decode(m) }
 
-func (s *gobSession) WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor, quant int, st *QuantState) error {
-	// Quantization is a binary-codec feature; the gob oracle ships the
-	// exact float64 payload in the smaller of its two encodings.
+func (s *gobSession) WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error {
 	msg := UpdateMsg{ClientID: clientID, Round: round, Weight: weight}
 	msg.Delta, msg.Sparse = EncodeUpdate(ts)
 	return s.enc.Encode(&msg)
@@ -863,13 +803,13 @@ func (s *binarySession) WriteUpdate(m *UpdateMsg) error {
 	return s.endFrame(bp)
 }
 
-func (s *binarySession) WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor, quant int, st *QuantState) error {
+func (s *binarySession) WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error {
 	bp := beginFrame(kindUpdate)
 	b := *bp
 	b = appendI64(b, int64(clientID))
 	b = appendI64(b, int64(round))
 	b = appendF64(b, weight)
-	*bp = appendDirectTensors(b, ts, quant, st)
+	*bp = appendDirectTensors(b, ts)
 	return s.endFrame(bp)
 }
 

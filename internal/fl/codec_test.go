@@ -20,8 +20,8 @@ import (
 // Tests for the binary wire codec: cross-parity against the gob oracle
 // (both codecs must decode every message kind to bit-identical values),
 // the codec-mismatch refusal, hostile-frame rejection, the
-// quantization error-feedback contract, and the zero-alloc steady state
-// of the pooled encode path.
+// quantization kernel's error-feedback contract, and the zero-alloc steady
+// state of the pooled encode path.
 
 // testParamMsg is a round announcement exercising every field the codec
 // must carry, including the full RoundConfig.
@@ -80,16 +80,16 @@ func checkParamEqual(t *testing.T, label string, a, b *ParamMsg) {
 	}
 }
 
-// checkUpdateEqual asserts b decodes bit-identically to a, across all
-// three payload encodings.
+// checkUpdateEqual asserts b decodes bit-identically to a, across both
+// tensor payload encodings.
 func checkUpdateEqual(t *testing.T, label string, a, b *UpdateMsg) {
 	t.Helper()
 	if a.ClientID != b.ClientID || a.Round != b.Round || math.Float64bits(a.Weight) != math.Float64bits(b.Weight) {
 		t.Fatalf("%s: header changed: %+v vs %+v", label, a, b)
 	}
-	if len(a.Delta) != len(b.Delta) || len(a.Sparse) != len(b.Sparse) || len(a.Quant) != len(b.Quant) {
-		t.Fatalf("%s: payload sections changed: %d/%d/%d vs %d/%d/%d", label,
-			len(a.Delta), len(a.Sparse), len(a.Quant), len(b.Delta), len(b.Sparse), len(b.Quant))
+	if len(a.Delta) != len(b.Delta) || len(a.Sparse) != len(b.Sparse) {
+		t.Fatalf("%s: payload sections changed: %d/%d vs %d/%d", label,
+			len(a.Delta), len(a.Sparse), len(b.Delta), len(b.Sparse))
 	}
 	for i := range a.Delta {
 		if !shapesEqual(a.Delta[i].Shape, b.Delta[i].Shape) || !bitsEqual(a.Delta[i].Data, b.Delta[i].Data) {
@@ -107,17 +107,6 @@ func checkUpdateEqual(t *testing.T, label string, a, b *UpdateMsg) {
 			}
 		}
 	}
-	for i := range a.Quant {
-		aw, bw := a.Quant[i], b.Quant[i]
-		if !shapesEqual(aw.Shape, bw.Shape) || aw.Bits != bw.Bits || math.Float64bits(aw.Scale) != math.Float64bits(bw.Scale) || len(aw.Q) != len(bw.Q) {
-			t.Fatalf("%s: quant tensor %d header changed", label, i)
-		}
-		for j := range aw.Q {
-			if aw.Q[j] != bw.Q[j] {
-				t.Fatalf("%s: quant tensor %d code %d changed", label, i, j)
-			}
-		}
-	}
 }
 
 // testUpdateMsgs returns one update per payload encoding, including a
@@ -132,11 +121,7 @@ func testUpdateMsgs() map[string]*UpdateMsg {
 	sparse.Sparse = SparseFromTensors([]*tensor.Tensor{
 		tensor.FromSlice([]float64{0, 0, 7.25, 0, 0, 0, -3, 0}, 8),
 	})
-	q8 := &UpdateMsg{ClientID: 5, Round: 3, Weight: 4}
-	q8.Quant = QuantizeUpdate([]*tensor.Tensor{tensor.FromSlice([]float64{0.5, -1, 0.25, 1}, 4)}, QuantInt8, nil)
-	q16 := &UpdateMsg{ClientID: 6, Round: 3, Weight: 4}
-	q16.Quant = QuantizeUpdate([]*tensor.Tensor{tensor.FromSlice([]float64{0.5, -1, 0.25, 1}, 2, 2)}, QuantInt16, nil)
-	return map[string]*UpdateMsg{"dense": dense, "sparse": sparse, "quant8": q8, "quant16": q16}
+	return map[string]*UpdateMsg{"dense": dense, "sparse": sparse}
 }
 
 // bufSession builds a session of the named codec reading and writing one
@@ -207,54 +192,28 @@ func TestCodecMessageParityMatrix(t *testing.T) {
 }
 
 // TestWriteUpdateTensorsParity pins the direct (zero-intermediate) encode
-// against the materializing one: for dense, sparse and quantized inputs,
+// against the materializing one: for dense and sparse inputs,
 // WriteUpdateTensors must put the same decoded values on the wire as
-// building the UpdateMsg first — on both codecs (gob ignores quantization
-// by contract and ships exact floats).
+// building the UpdateMsg first — on both codecs.
 func TestWriteUpdateTensorsParity(t *testing.T) {
-	denseTs := []*tensor.Tensor{tensor.FromSlice([]float64{1, -2, 3.5, 4, 5, -6}, 3, 2)}
-	sparseTs := []*tensor.Tensor{tensor.FromSlice([]float64{0, 0, 0, 0, 0, 0, 9.5, 0}, 8)}
-	for _, tc := range []struct {
-		name  string
-		ts    []*tensor.Tensor
-		quant int
-	}{
-		{"dense", denseTs, QuantNone},
-		{"sparse", sparseTs, QuantNone},
-		{"quant8", denseTs, QuantInt8},
-		{"quant16", denseTs, QuantInt16},
+	for name, ts := range map[string][]*tensor.Tensor{
+		"dense":  {tensor.FromSlice([]float64{1, -2, 3.5, 4, 5, -6}, 3, 2)},
+		"sparse": {tensor.FromSlice([]float64{0, 0, 0, 0, 0, 0, 9.5, 0}, 8)},
 	} {
-		var buf bytes.Buffer
-		s := bufSession(CodecBinary, &buf)
-		if err := s.WriteUpdateTensors(4, 2, 11, tc.ts, tc.quant, nil); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		var direct UpdateMsg
-		if err := s.ReadUpdate(&direct); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-
 		want := &UpdateMsg{ClientID: 4, Round: 2, Weight: 11}
-		if tc.quant != QuantNone {
-			want.Quant = QuantizeUpdate(tc.ts, tc.quant, nil)
-		} else {
-			want.Delta, want.Sparse = EncodeUpdate(tc.ts)
+		want.Delta, want.Sparse = EncodeUpdate(ts)
+		for _, codec := range []string{CodecBinary, CodecGob} {
+			var buf bytes.Buffer
+			s := bufSession(codec, &buf)
+			if err := s.WriteUpdateTensors(4, 2, 11, ts); err != nil {
+				t.Fatalf("%s/%s: %v", codec, name, err)
+			}
+			var direct UpdateMsg
+			if err := s.ReadUpdate(&direct); err != nil {
+				t.Fatalf("%s/%s: %v", codec, name, err)
+			}
+			checkUpdateEqual(t, codec+"/"+name, want, &direct)
 		}
-		checkUpdateEqual(t, "binary/"+tc.name, want, &direct)
-
-		// The gob oracle ships exact floats regardless of quant.
-		var gbuf bytes.Buffer
-		g := bufSession(CodecGob, &gbuf)
-		if err := g.WriteUpdateTensors(4, 2, 11, tc.ts, tc.quant, nil); err != nil {
-			t.Fatal(err)
-		}
-		var gotGob UpdateMsg
-		if err := g.ReadUpdate(&gotGob); err != nil {
-			t.Fatal(err)
-		}
-		exact := &UpdateMsg{ClientID: 4, Round: 2, Weight: 11}
-		exact.Delta, exact.Sparse = EncodeUpdate(tc.ts)
-		checkUpdateEqual(t, "gob/"+tc.name, exact, &gotGob)
 	}
 }
 
@@ -530,6 +489,21 @@ func TestBinaryHostileTensorSections(t *testing.T) {
 			b = appendU8(b, 0xEE)
 			return appendU8(b, 0)
 		}(), "unknown"},
+		// Tags 2 and 3 once carried int8/int16 quantized codes (a scale,
+		// then one code per element); updates cross the wire exact, so
+		// both are refused like any other unknown tag.
+		{"int8 quantized tag", func() []byte {
+			b := appendI64(head(), 1)
+			b = appendTensorHeader(b, 2, []int{2})
+			b = appendF64(b, 0.5)
+			return append(b, 1, 0xFF)
+		}(), "unknown binary tensor encoding"},
+		{"int16 quantized tag", func() []byte {
+			b := appendI64(head(), 1)
+			b = appendTensorHeader(b, 3, []int{1})
+			b = appendF64(b, 0.5)
+			return appendU16(b, 7)
+		}(), "unknown binary tensor encoding"},
 		{"trailing bytes", func() []byte {
 			b := appendI64(head(), 0)
 			return append(b, 0xAB)
@@ -546,7 +520,7 @@ func TestBinaryHostileTensorSections(t *testing.T) {
 		}
 	}
 
-	// Quantized parameters must be refused at the announcement gate.
+	// Sparse parameters must be refused at the announcement gate.
 	qp := appendI64(nil, 0) // Round
 	qp = appendU8(qp, 0)    // Denied
 	qp = appendStr(qp, "")  // Reason
@@ -560,16 +534,16 @@ func TestBinaryHostileTensorSections(t *testing.T) {
 	qp = appendI64(qp, 0)   // Scenario.Period
 	qp = appendStr(qp, "")  // Precision
 	qp = appendStr(qp, "")  // ConfigDigest
-	qp = appendUpdateSection(qp, &UpdateMsg{Quant: QuantizeUpdate([]*tensor.Tensor{tensor.FromSlice([]float64{1}, 1)}, QuantInt8, nil)})
+	qp = appendUpdateSection(qp, &UpdateMsg{Sparse: SparseFromTensors([]*tensor.Tensor{tensor.FromSlice([]float64{0, 1}, 2)})})
 	var pm ParamMsg
 	if err := parseParamPayload(qp, &pm); err == nil || !strings.Contains(err.Error(), "dense") {
-		t.Fatalf("quantized announcement params must be refused, got %v", err)
+		t.Fatalf("sparse announcement params must be refused, got %v", err)
 	}
 }
 
 // TestQuantizeRoundTrip pins the quantization error bound: without
-// residual state, every dequantized value is within Scale/2 of the
-// original, and the wire form validates and survives the codec.
+// residual state, every code is within ±qmax and every dequantized value is
+// within Scale/2 of the original.
 func TestQuantizeRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	src := tensor.New(257)
@@ -582,8 +556,10 @@ func TestQuantizeRoundTrip(t *testing.T) {
 			t.Fatalf("bits=%d: %d wire tensors", bits, len(ws))
 		}
 		w := ws[0]
-		if err := w.Validate(); err != nil {
-			t.Fatalf("bits=%d: %v", bits, err)
+		for i, q := range w.Q {
+			if math.Abs(float64(q)) > qmax(bits) {
+				t.Fatalf("bits=%d: code %d at offset %d outside ±%g", bits, q, i, qmax(bits))
+			}
 		}
 		back := w.Dequantize()
 		bound := w.Scale/2 + 1e-15
@@ -654,13 +630,13 @@ func TestQuantizeZeroTensor(t *testing.T) {
 	if ws[0].Scale != 0 {
 		t.Fatalf("zero tensor got scale %g", ws[0].Scale)
 	}
+	if len(ws[0].Q) != 5 {
+		t.Fatalf("zero tensor got %d codes, want 5", len(ws[0].Q))
+	}
 	for _, q := range ws[0].Q {
 		if q != 0 {
 			t.Fatal("zero tensor got nonzero codes")
 		}
-	}
-	if err := ws[0].Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -687,11 +663,11 @@ func TestBinaryEncodeZeroAlloc(t *testing.T) {
 	for name, ts := range map[string][]*tensor.Tensor{"dense": dense, "sparse": sparse} {
 		ts := ts
 		// Warm the pool so the buffer has steady-state capacity.
-		if err := s.WriteUpdateTensors(0, 0, 1, ts, QuantNone, nil); err != nil {
+		if err := s.WriteUpdateTensors(0, 0, 1, ts); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := s.WriteUpdateTensors(0, 0, 1, ts, QuantNone, nil); err != nil {
+			if err := s.WriteUpdateTensors(0, 0, 1, ts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -748,8 +724,8 @@ func TestBinaryCodecParityOverFabric(t *testing.T) {
 }
 
 // BenchmarkWire measures per-update encode and decode cost and wire bytes
-// for a CNN-scale dense update: the gob oracle vs the binary codec, exact
-// and quantized. The binary encode rows must stay allocation-free at
+// for a CNN-scale dense update: the gob oracle vs the binary codec. The
+// binary encode rows must stay allocation-free at
 // steady state (the pooled-scratch contract TestBinaryEncodeZeroAlloc
 // asserts); wire-B is the bytes-per-message acceptance metric.
 func BenchmarkWire(b *testing.B) {
@@ -761,43 +737,33 @@ func BenchmarkWire(b *testing.B) {
 	}
 	ts := []*tensor.Tensor{src}
 
-	encCases := []struct {
-		name  string
-		codec string
-		quant int
-	}{
-		{"gob", CodecGob, QuantNone},
-		{"binary", CodecBinary, QuantNone},
-		{"binary-quant16", CodecBinary, QuantInt16},
-		{"binary-quant8", CodecBinary, QuantInt8},
-	}
-	for _, tc := range encCases {
-		b.Run("encode/"+tc.name, func(b *testing.B) {
+	codecs := []string{CodecGob, CodecBinary}
+	for _, codec := range codecs {
+		b.Run("encode/"+codec, func(b *testing.B) {
 			var buf bytes.Buffer
-			st := &QuantState{}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				buf.Reset()
-				s := bufSession(tc.codec, &buf)
-				if err := s.WriteUpdateTensors(0, 0, 1, ts, tc.quant, st); err != nil {
+				s := bufSession(codec, &buf)
+				if err := s.WriteUpdateTensors(0, 0, 1, ts); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(buf.Len()), "wire-B")
 		})
 	}
-	for _, tc := range encCases {
+	for _, codec := range codecs {
 		var buf bytes.Buffer
-		if err := bufSession(tc.codec, &buf).WriteUpdateTensors(0, 0, 1, ts, tc.quant, nil); err != nil {
+		if err := bufSession(codec, &buf).WriteUpdateTensors(0, 0, 1, ts); err != nil {
 			b.Fatal(err)
 		}
 		raw := append([]byte(nil), buf.Bytes()...)
-		b.Run("decode/"+tc.name, func(b *testing.B) {
+		b.Run("decode/"+codec, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var m UpdateMsg
 				var s wireSession
-				if tc.codec == CodecBinary {
+				if codec == CodecBinary {
 					s = &binarySession{r: bytes.NewReader(raw)}
 				} else {
 					s = newGobSession(bytes.NewReader(raw), io.Discard)

@@ -81,11 +81,9 @@
 // the population open: the Population registry built from it decides, per
 // round, which clients exist. ActiveCohort draws cohorts only from the
 // round's active set (static populations reproduce the legacy
-// SampleCohort/SampleCohortFloyd draws verbatim), and a ClientMux under a
-// dynamic Plan resets a returning client's quantization residuals
-// (Population.AwayBetween) so rounding debt banked before a departure is
-// never replayed against a model that moved on. See DESIGN.md, "Open-world
-// population".
+// SampleCohort/SampleCohortFloyd draws verbatim). No client-side state
+// outlives a session, so a client that departs and returns owes nothing to
+// the rounds it missed. See DESIGN.md, "Open-world population".
 //
 // # Fault injection
 //
@@ -120,9 +118,8 @@
 // configured with (codec.go): CodecGob (default) speaks encoding/gob,
 // byte-identical to the original protocol and kept as the parity oracle;
 // CodecBinary is a versioned, length-prefixed binary codec — magic header,
-// tensor geometry sections, raw little-endian float payloads, sparse
-// sections, and optional int8/int16 update quantization (quant.go) with
-// per-tensor scale and client-side error-feedback residuals (QuantState).
+// tensor geometry sections, raw little-endian float payloads and sparse
+// sections. Updates cross the wire exact on both codecs.
 // Nothing is negotiated: each end speaks its codec from the first byte, and
 // a pair configured with different codecs fails at the first frame with an
 // error naming both. Updates ship dense or sparse per update density, with optional

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"testing"
 
 	"fedcdp/internal/tensor"
@@ -90,6 +91,10 @@ func TestDropoutValidation(t *testing.T) {
 	cfg.DropoutRate = -0.1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative dropout must be rejected")
+	}
+	cfg.DropoutRate = math.NaN()
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("NaN dropout must be rejected")
 	}
 }
 

@@ -370,13 +370,13 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: rounds must be positive, got %d", c.Rounds)
 	case c.Round.BatchSize <= 0 || c.Round.LocalIters <= 0:
 		return fmt.Errorf("fl: invalid round config %+v", c.Round)
-	case c.Round.LR <= 0:
+	case !(c.Round.LR > 0):
 		return fmt.Errorf("fl: learning rate must be positive, got %v", c.Round.LR)
 	case !ValidAggregation(c.Aggregation):
 		return fmt.Errorf("fl: unknown aggregation %q", c.Aggregation)
 	case c.Shards >= 1 && RobustAggregation(c.Aggregation):
 		return fmt.Errorf("fl: robust aggregation %q is not grouping-invariant and cannot run on the exact/tree topology (shards=%d); use shards=0", c.Aggregation, c.Shards)
-	case c.DropoutRate < 0 || c.DropoutRate > 1:
+	case !(c.DropoutRate >= 0 && c.DropoutRate <= 1):
 		return fmt.Errorf("fl: dropout rate %v outside [0,1]", c.DropoutRate)
 	case c.StartRound < 0:
 		return fmt.Errorf("fl: negative start round %d", c.StartRound)

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -89,6 +90,7 @@ func TestRunValidation(t *testing.T) {
 		{"zero rounds", func(c *Config) { c.Rounds = 0 }},
 		{"zero batch", func(c *Config) { c.Round.BatchSize = 0 }},
 		{"zero lr", func(c *Config) { c.Round.LR = 0 }},
+		{"nan lr", func(c *Config) { c.Round.LR = math.NaN() }},
 	}
 	for _, tc := range cases {
 		cfg := base

@@ -164,12 +164,19 @@ func FuzzBinaryDecode(f *testing.F) {
 	um.Delta = WireFromTensors([]*tensor.Tensor{tensor.FromSlice([]float64{1, -2, 3, 4}, 2, 2)})
 	sp := &UpdateMsg{ClientID: 0, Round: 0, Weight: 1}
 	sp.Sparse = SparseFromTensors([]*tensor.Tensor{tensor.FromSlice([]float64{0, 0, 7, 0}, 4)})
-	q := &UpdateMsg{ClientID: 1, Round: 2, Weight: 3}
-	q.Quant = QuantizeUpdate([]*tensor.Tensor{tensor.FromSlice([]float64{0.5, -1}, 2)}, QuantInt8, nil)
+	// A raw section under tag 2, the retired int8 encoding (scale, then one
+	// code per element): refused as an unknown encoding.
+	q := appendI64(nil, 1) // ClientID
+	q = appendI64(q, 2)    // Round
+	q = appendF64(q, 3)    // Weight
+	q = appendI64(q, 1)    // one tensor
+	q = appendTensorHeader(q, 2, []int{2})
+	q = appendF64(q, 0.5)
+	q = append(q, 1, 0xFF)
 	pm := testParamMsg()
 	f.Add(appendUpdatePayload(nil, um))
 	f.Add(appendUpdatePayload(nil, sp))
-	f.Add(appendUpdatePayload(nil, q))
+	f.Add(q)
 	f.Add(appendUpdatePayload(nil, fuzzPartialMsg()))
 	f.Add(appendParamPayload(nil, pm))
 	f.Add(appendAckPayload(nil, &AckMsg{Accepted: true, Reason: "ok"}))

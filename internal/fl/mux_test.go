@@ -7,7 +7,6 @@ import (
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/nn"
-	"fedcdp/internal/simnet"
 	"fedcdp/internal/tensor"
 )
 
@@ -93,9 +92,9 @@ func TestClientMuxMatchesPerClientGoroutines(t *testing.T) {
 	}
 }
 
-// Cursors: completed rounds advance NextRound, abandoned sessions do not,
-// and only touched clients materialize state.
-func TestClientMuxCursorsAndAbandon(t *testing.T) {
+// An Abandon task opens its session and disconnects after the
+// announcement: the server counts it failed while the trained task folds.
+func TestClientMuxAbandon(t *testing.T) {
 	spec, err := dataset.Get("cancer")
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +132,6 @@ func TestClientMuxCursorsAndAbandon(t *testing.T) {
 	}
 	if results[1].Err != nil || results[1].Round != 3 {
 		t.Fatalf("abandoning client result %+v, want announced round 3", results[1])
-	}
-	if n := mux.Clients(); n != 2 {
-		t.Fatalf("materialized %d virtual clients, want 2", n)
-	}
-	if got := mux.client(0).NextRound; got != 4 {
-		t.Fatalf("client 0 NextRound = %d, want 4", got)
-	}
-	if got := mux.client(7).NextRound; got != 0 {
-		t.Fatalf("abandoning client NextRound = %d, want 0", got)
 	}
 }
 
@@ -189,7 +179,7 @@ func TestStreamRoundCountsFailuresWithOrWithoutDeadline(t *testing.T) {
 
 // A mux launched from one experiment config must refuse a server running
 // another, exactly as cmd/fedclient's session does: the digest check lives
-// in the shared session opener. Nothing is folded and the cursor stays put.
+// in the shared session opener. Nothing is folded.
 func TestClientMuxRefusesMismatchedDigest(t *testing.T) {
 	spec, err := dataset.Get("cancer")
 	if err != nil {
@@ -217,102 +207,5 @@ func TestClientMuxRefusesMismatchedDigest(t *testing.T) {
 	r := (<-done)[0]
 	if r.Err == nil || !strings.Contains(r.Err.Error(), "server is running experiment 0123456789abcdef") {
 		t.Fatalf("mux session error %v, want the experiment-digest refusal", r.Err)
-	}
-	if got := mux.client(0).NextRound; got != 0 {
-		t.Fatalf("refusing client NextRound = %d, want 0", got)
-	}
-}
-
-// awayAt is a Plan stub: client `id` is away exactly at `round`, everyone
-// else is always active; the nil *simnet.Plan answers every other method.
-type awayAt struct {
-	*simnet.Plan
-	round, id int
-}
-
-func (a awayAt) PopulationDynamic() bool { return true }
-func (a awayAt) ClientActive(round, client int) bool {
-	return !(round == a.round && client == a.id)
-}
-
-// A client that departs and returns must not replay quantization
-// error-feedback residuals banked before its absence: the mux resets them,
-// so its first session back is bit-identical to a client with no history.
-// A client that stayed keeps its residuals — repaying rounding debt is the
-// whole point of error feedback.
-func TestClientMuxQuantResetOnReturn(t *testing.T) {
-	spec, err := dataset.Get("cancer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := dataset.New(spec, 42)
-	cfg := RoundConfig{BatchSize: 4, LocalIters: 2, LR: 0.1, TotalRounds: 3}
-
-	// serve runs one single-client round through the mux against a fresh,
-	// identically seeded model, returning the folded params. Quantized
-	// binary frames so error feedback is live.
-	serve := func(t *testing.T, mux *ClientMux, round int) []*tensor.Tensor {
-		t.Helper()
-		model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
-		srv, err := NewRoundServer("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		srv.Codec = CodecBinary
-		done := make(chan []MuxResult, 1)
-		go func() {
-			done <- mux.RunRound([]MuxTask{{ClientID: 0, Addr: srv.Addr()}})
-		}()
-		agg, err := NewExact(AggFedSGD)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := srv.StreamRound(round, model.Params(), cfg, agg, RoundOptions{Clients: 1, MinQuorum: 1}); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range <-done {
-			if r.Err != nil {
-				t.Fatalf("round %d: %v", round, r.Err)
-			}
-		}
-		return model.Params()
-	}
-	newMux := func(plan Plan) *ClientMux {
-		return &ClientMux{
-			Spec: spec.ModelSpec(), Data: ds, Strat: sgdStrategy{}, Seed: 42,
-			Opt: ClientOptions{Codec: CodecBinary, Quant: QuantInt8}, Workers: 1,
-			Plan: plan,
-		}
-	}
-
-	// Steady client: trains round 0, banks residuals, repays them at round 2.
-	steady := newMux(nil)
-	serve(t, steady, 0)
-	steadyP := serve(t, steady, 2)
-	// Returning client: same history, but away at round 1 — residuals reset.
-	returning := newMux(awayAt{round: 1, id: 0})
-	serve(t, returning, 0)
-	returningP := serve(t, returning, 2)
-	// Fresh client: no history at all — the returning client's reference.
-	fresh := newMux(nil)
-	freshP := serve(t, fresh, 2)
-
-	for i := range freshP {
-		if !returningP[i].Equal(freshP[i], 0) {
-			t.Fatalf("param %d: returning client differs from a debt-free fresh client — stale residuals replayed", i)
-		}
-	}
-	same := true
-	for i := range steadyP {
-		if !steadyP[i].Equal(returningP[i], 0) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("steady and returning clients folded identically — round-0 residuals never banked, test is vacuous")
-	}
-	if vc := returning.client(0); vc.LastRound != 2 || vc.NextRound != 3 {
-		t.Fatalf("returning cursor %+v, want LastRound 2 NextRound 3", vc)
 	}
 }

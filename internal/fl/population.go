@@ -62,27 +62,6 @@ func (p Population) ActiveCount(round int) int {
 	return n
 }
 
-// AwayBetween reports whether the client was inactive in any round of
-// [from, to) — the rejoin-detection rule: a client whose last participation
-// was at from-1 and who trains again at to has, if AwayBetween(from, to,
-// id), departed and returned in between, so any client-side state banked
-// against the old global model (quantization error-feedback residuals) must
-// be reset rather than folded into the new one.
-func (p Population) AwayBetween(from, to, id int) bool {
-	if !p.Dynamic() {
-		return false
-	}
-	if from < 0 {
-		from = 0
-	}
-	for r := from; r < to; r++ {
-		if !p.plan.ClientActive(r, id) {
-			return true
-		}
-	}
-	return false
-}
-
 // ActiveCohort returns the participating client ids fl.Run draws for a
 // round under an open-world population — exposed so out-of-process drivers
 // (the simnet deployment harness, the mux scheduler, ops tooling) agree

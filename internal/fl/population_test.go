@@ -21,9 +21,6 @@ func TestPopulationStatic(t *testing.T) {
 		if pop.ActiveCount(0) != 10 || len(pop.ActiveSet(0)) != 10 {
 			t.Fatal("static registry must keep all K active")
 		}
-		if pop.AwayBetween(0, 3, 4) {
-			t.Fatal("static registry reports an absence")
-		}
 	}
 }
 
@@ -112,36 +109,6 @@ func TestActiveCohortEmptyActiveSet(t *testing.T) {
 	}
 	if pop.ActiveCount(0) != 0 {
 		t.Fatalf("ActiveCount = %d under churn=1.0, want 0", pop.ActiveCount(0))
-	}
-}
-
-func TestAwayBetween(t *testing.T) {
-	const rounds, k = 6, 10
-	plan := simnet.MustParsePlan("leave=2@3").MustBind(42, rounds, k)
-	pop := PopulationOf(k, plan)
-	var leaver, steady int = -1, -1
-	for id := 0; id < k; id++ {
-		if !pop.Active(3, id) {
-			leaver = id
-		} else if steady < 0 {
-			steady = id
-		}
-	}
-	if leaver < 0 {
-		t.Fatal("no leaver materialized")
-	}
-	if pop.AwayBetween(0, 3, leaver) {
-		t.Fatal("leaver reported away before departure")
-	}
-	if !pop.AwayBetween(2, 4, leaver) {
-		t.Fatal("leaver not reported away across its departure round")
-	}
-	if pop.AwayBetween(0, rounds, steady) {
-		t.Fatal("steady client reported away")
-	}
-	// Negative from clamps to 0 rather than probing pre-horizon rounds.
-	if pop.AwayBetween(-5, 3, leaver) {
-		t.Fatal("clamped window reported an absence before departure")
 	}
 }
 

@@ -8,33 +8,22 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// Update quantization for the binary wire codec (DSSGD-style lossy
-// compression, Shokri & Shmatikov's selective-sharing lineage): each tensor
-// is scaled by maxAbs/qmax and rounded to int8 or int16, cutting dense wire
-// bytes 8× (int8) or 4× (int16) against raw float64. The rounding error is
-// not discarded — QuantState keeps a per-tensor residual that is added back
-// into the next round's update before quantizing (error feedback), so the
-// bias a single round introduces is repaid over the run instead of
-// compounding. Quantization is a binary-codec feature: a session that falls
-// back to gob ships the exact float64 payload.
+// Update quantization kernel: each tensor is scaled by maxAbs/qmax and
+// rounded to int8 or int16 codes, and QuantState keeps the per-tensor
+// rounding error to add back into the next update before quantizing (error
+// feedback). Updates cross the wire exact — no codec, session or client
+// option applies this — so the kernel has no runtime caller; it is bound by
+// benchmark/probes.go until ROADMAP 2(a).
 
-// Quantization widths selectable via ClientOptions.Quant. QuantNone ships
-// exact float64 payloads.
+// Quantization widths accepted by QuantizeUpdate.
 const (
-	QuantNone  = 0
 	QuantInt8  = 8
 	QuantInt16 = 16
 )
 
-// ValidQuant reports whether q is a recognized quantization width.
-func ValidQuant(q int) bool {
-	return q == QuantNone || q == QuantInt8 || q == QuantInt16
-}
-
-// QuantTensorWire is the quantized wire form of a tensor: per-tensor scale
-// plus rounded integer codes. Bits selects the code width (8 or 16); codes
-// are held in int16 in memory either way — the binary codec packs them to
-// 1 or 2 bytes on the wire. Decoding dequantizes to q·Scale.
+// QuantTensorWire is the quantized form of a tensor: per-tensor scale plus
+// rounded integer codes of width Bits (8 or 16), held in int16 either way.
+// Dequantize reconstructs q·Scale.
 type QuantTensorWire struct {
 	Shape []int
 	Bits  int
@@ -50,32 +39,6 @@ func qmax(bits int) float64 {
 	return 32767
 }
 
-// Validate reports whether the quantized wire tensor is structurally sound:
-// sane shape, matching code count, recognized width, finite non-negative
-// scale, codes within the width's range.
-func (w QuantTensorWire) Validate() error {
-	n, err := validShapeLen(w.Shape)
-	if err != nil {
-		return err
-	}
-	if w.Bits != QuantInt8 && w.Bits != QuantInt16 {
-		return fmt.Errorf("fl: quantized wire width %d bits not in {8, 16}", w.Bits)
-	}
-	if len(w.Q) != n {
-		return fmt.Errorf("fl: quantized payload length %d does not match shape %v (want %d)", len(w.Q), w.Shape, n)
-	}
-	if math.IsNaN(w.Scale) || math.IsInf(w.Scale, 0) || w.Scale < 0 {
-		return fmt.Errorf("fl: invalid quantization scale %v", w.Scale)
-	}
-	m := qmax(w.Bits)
-	for i, q := range w.Q {
-		if float64(q) > m || float64(q) < -m {
-			return fmt.Errorf("fl: quantized code %d at offset %d outside ±%g", q, i, m)
-		}
-	}
-	return nil
-}
-
 // Dequantize reconstructs the dense wire tensor q·Scale.
 func (w QuantTensorWire) Dequantize() TensorWire {
 	data := make([]float64, len(w.Q))
@@ -85,43 +48,20 @@ func (w QuantTensorWire) Dequantize() TensorWire {
 	return TensorWire{Shape: append([]int(nil), w.Shape...), Data: data}
 }
 
-// TensorsFromQuant dequantizes quantized wire tensors back to dense
-// *tensor.Tensor.
-func TensorsFromQuant(ws []QuantTensorWire) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ws))
-	for i, w := range ws {
-		d := w.Dequantize()
-		out[i] = tensor.FromSlice(d.Data, d.Shape...)
-	}
-	return out
-}
-
-// QuantState carries a client's error-feedback residuals across rounds: the
-// rounding error of round r's quantization is added to round r+1's update
-// before quantizing. Safe for concurrent use; the zero value is ready (nil
-// is also accepted everywhere and means no error feedback).
+// QuantState carries error-feedback residuals across rounds: the rounding
+// error of round r's quantization is added to round r+1's update before
+// quantizing. Safe for concurrent use; the zero value is ready (nil is also
+// accepted and means no error feedback). No runtime caller; bound by
+// benchmark/probes.go until ROADMAP 2(a).
 type QuantState struct {
 	mu       sync.Mutex
 	residual [][]float64
 }
 
-// Reset discards all banked residuals. Open-world sessions call it when a
-// client returns after an absence: the residual describes the rounding error
-// of the LAST update the client shipped, and replaying it against a model
-// that moved on for rounds the client never saw injects a stale correction
-// rather than repaying a real debt. A fresh arrival starts with no debt.
-func (st *QuantState) Reset() {
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	st.residual = nil
-	st.mu.Unlock()
-}
-
-// QuantizeUpdate converts a dense update to quantized wire form at the given
+// QuantizeUpdate converts a dense update to quantized form at the given
 // width, folding in (and refreshing) st's error-feedback residuals when st is
-// non-nil. The input tensors are not modified.
+// non-nil. The input tensors are not modified. No runtime caller; bound by
+// benchmark/probes.go until ROADMAP 2(a).
 func QuantizeUpdate(ts []*tensor.Tensor, bits int, st *QuantState) []QuantTensorWire {
 	if bits != QuantInt8 && bits != QuantInt16 {
 		panic(fmt.Sprintf("fl: quantization width %d bits not in {8, 16}", bits))

@@ -17,11 +17,11 @@ import (
 // server that pushes global parameters to connecting clients over TCP and
 // folds their updates into an Aggregator as they arrive, in the wire
 // encoding both ends are configured with — gob by default or the framed
-// binary codec (codec.go) — dense, sparse or quantized per update. A RoundServer
-// serves one round per StreamRound call and owns no loop: the round engine
-// (RunWith) drives it through core's runners — the simnet fabric in one
-// process, core.Serve (cmd/fedserve, with cmd/fedclient on the other end)
-// across processes. The paper assumes the channel itself is encrypted; set
+// binary codec (codec.go) — dense or sparse per update, exact either way.
+// A RoundServer serves one round per StreamRound call and owns no loop: the
+// round engine (RunWith) drives it through core's runners — the simnet
+// fabric in one process, core.Serve (cmd/fedserve, with cmd/fedclient on
+// the other end) across processes. The paper assumes the channel itself is encrypted; set
 // Secure for the X25519/AES-GCM handshake — the protocol above it is
 // unchanged.
 //
@@ -73,12 +73,10 @@ type ParamMsg struct {
 }
 
 // UpdateMsg is the client→server local update. Exactly one of Delta
-// (dense), Sparse (indices + values) or Quant (scaled integer codes)
-// carries the payload; sparse is chosen by the client when most
-// coordinates are zero (DSSGD, top-k compression — see EncodeUpdate) and
-// quantized when the client opted into lossy compression on the binary
-// codec (see quant.go). Weight is the client's local example count,
-// consumed by weight-aware aggregators (example-count-weighted FedAvg);
+// (dense) or Sparse (indices + values) carries the payload; sparse is
+// chosen by the client when most coordinates are zero (DSSGD, top-k
+// compression — see EncodeUpdate). Weight is the client's local example
+// count, consumed by weight-aware aggregators (example-count-weighted FedAvg);
 // 0 — e.g. from a client predating the field, which gob decodes as the
 // zero value — is treated as weight 1 at the fold.
 type UpdateMsg struct {
@@ -87,8 +85,7 @@ type UpdateMsg struct {
 	Weight   float64
 	Delta    []TensorWire
 	Sparse   []SparseTensorWire
-	Quant    []QuantTensorWire
-	// Partial is the fourth payload encoding: an edge aggregator's exact
+	// Partial is the third payload encoding: an edge aggregator's exact
 	// partial fold, forwarded upstream in a hierarchical deployment (see
 	// exact.go). ClientID then carries the edge's shard index — the
 	// duplicate-session dedup applies to shards exactly as to clients.
@@ -97,11 +94,8 @@ type UpdateMsg struct {
 
 // Tensors decodes the update payload, whichever encoding was used.
 func (m *UpdateMsg) Tensors() []*tensor.Tensor {
-	switch {
-	case len(m.Sparse) > 0:
+	if len(m.Sparse) > 0 {
 		return TensorsFromSparse(m.Sparse)
-	case len(m.Quant) > 0:
-		return TensorsFromQuant(m.Quant)
 	}
 	return TensorsFromWire(m.Delta)
 }
@@ -586,27 +580,6 @@ type ClientOptions struct {
 	// against the other one the session fails at the round announcement
 	// with an error naming both.
 	Codec string
-	// Quant opts the binary codec into lossy update compression at the
-	// given width (QuantInt8 or QuantInt16); QuantNone ships exact
-	// float64 payloads. Ignored on sessions that settle on gob — the
-	// oracle codec is always exact.
-	Quant int
-	// QuantState carries quantization error-feedback residuals across
-	// rounds; share one per client process so rounding error is repaid
-	// instead of compounding. Nil quantizes without feedback.
-	QuantState *QuantState
-	// MinRound marks rounds below it as already completed by this client
-	// process. The server can re-serve a round the client finished (it
-	// cannot advance until every cohort slot resolves, and the protocol
-	// has no polite decline — disconnecting after admission would count
-	// the client as failed), so the session participates honestly anyway:
-	// local training is a pure function of (seed, round, clientID), the
-	// re-submission is byte-equivalent, and the server acknowledges it as
-	// a duplicate without folding. A stale round leaves QuantState
-	// untouched so error-feedback residuals bank each round exactly once.
-	// Callers looping over rounds should use RunRemoteClientRound to
-	// learn the served round and keep MinRound at lastDone+1.
-	MinRound int
 	// ExpectDigest, when set, is the canonical config digest this client
 	// was launched from (see internal/config): the client refuses a round
 	// announcement whose RoundConfig carries a different non-empty digest,
@@ -631,23 +604,17 @@ func (o ClientOptions) dial(addr string) (net.Conn, error) {
 // and the error wraps ErrRoundClosed when the server has no further round.
 // A client looping until it has contributed N rounds must count DISTINCT
 // rounds, not sessions: a server still collecting a round re-serves it to a
-// fast client, whose session then resolves as an acknowledged duplicate
-// (see ClientOptions.MinRound and cmd/fedclient).
+// fast client (it cannot advance until every cohort slot resolves), whose
+// session then trains the byte-identical update — local training is a pure
+// function of (seed, round, clientID) — and resolves as an acknowledged
+// duplicate (see cmd/fedclient).
 func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64, opt ClientOptions) (int, error) {
 	s, err := openSession(addr, opt)
 	if err != nil {
 		return 0, err
 	}
 	defer s.conn.Close()
-	qs := opt.QuantState
-	if s.pm.Round < opt.MinRound {
-		// Re-serving a round this client already completed: submit the
-		// (deterministically identical) update so the session resolves
-		// honestly — the server acknowledges it as a duplicate — but do
-		// not bank its quantization error a second time.
-		qs = nil
-	}
-	return s.pm.Round, s.submit(newWorker(spec), strat, seed, clientID, data, nil, opt.Quant, qs)
+	return s.pm.Round, s.submit(newWorker(spec), strat, seed, clientID, data, nil)
 }
 
 // clientConn is one client-side session opened up to the round
@@ -704,7 +671,7 @@ func openSession(addr string, opt ClientOptions) (s *clientConn, err error) {
 
 // submit trains the announced round as client id on the worker and sends
 // the update; a nil return means the server acknowledged folding it.
-func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data *dataset.ClientData, plan Plan, quant int, qs *QuantState) error {
+func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data *dataset.ClientData, plan Plan) error {
 	pm := &s.pm
 	if pm.Cfg.Scenario.Name != "" {
 		// The server published a heterogeneity scenario with the round
@@ -719,7 +686,7 @@ func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data 
 		data = data.RepartitionAt(p, pm.Round)
 	}
 	delta, _ := w.step(strat, seed, pm.Round, id, TensorsFromWire(pm.Params), pm.Cfg, data, plan)
-	if err := s.WriteUpdateTensors(id, pm.Round, float64(data.Len()), delta, quant, qs); err != nil {
+	if err := s.WriteUpdateTensors(id, pm.Round, float64(data.Len()), delta); err != nil {
 		return fmt.Errorf("fl: sending update: %w", err)
 	}
 	return s.receipt("update")

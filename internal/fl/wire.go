@@ -105,13 +105,10 @@ func (m *UpdateMsg) Validate() error {
 		return fmt.Errorf("fl: invalid update weight %v", m.Weight)
 	}
 	encodings := 0
-	for _, n := range []int{len(m.Delta), len(m.Sparse), len(m.Quant)} {
-		if n > 0 {
+	for _, set := range []bool{len(m.Delta) > 0, len(m.Sparse) > 0, m.Partial != nil} {
+		if set {
 			encodings++
 		}
-	}
-	if m.Partial != nil {
-		encodings++
 	}
 	if encodings != 1 {
 		if encodings == 0 {
@@ -128,11 +125,6 @@ func (m *UpdateMsg) Validate() error {
 		}
 	}
 	for i, w := range m.Sparse {
-		if err := w.Validate(); err != nil {
-			return fmt.Errorf("fl: update tensor %d: %w", i, err)
-		}
-	}
-	for i, w := range m.Quant {
 		if err := w.Validate(); err != nil {
 			return fmt.Errorf("fl: update tensor %d: %w", i, err)
 		}

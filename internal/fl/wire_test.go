@@ -32,9 +32,6 @@ func TestWireValidation(t *testing.T) {
 		{"both payloads", func(m *UpdateMsg) {
 			m.Sparse = []SparseTensorWire{{Shape: []int{1}, Indices: []int32{0}, Values: []float64{1}}}
 		}, "mixes payload encodings"},
-		{"quant and dense payloads", func(m *UpdateMsg) {
-			m.Quant = []QuantTensorWire{{Shape: []int{1}, Bits: QuantInt8, Scale: 1, Q: []int16{1}}}
-		}, "mixes payload encodings"},
 		{"shape/data mismatch", func(m *UpdateMsg) { m.Delta[0].Shape = []int{3} }, "does not match shape"},
 		{"negative dim", func(m *UpdateMsg) { m.Delta[0].Shape = []int{-2, -1} }, "negative wire dimension"},
 		{"overflowing shape", func(m *UpdateMsg) { m.Delta[0].Shape = []int{1 << 20, 1 << 20, 1 << 20} }, "exceeds"},
