@@ -2,10 +2,14 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
+	"fedcdp/internal/nn"
+	"fedcdp/internal/simnet"
+	"fedcdp/internal/tensor"
 )
 
 // Tests for the simnet fault-injection layer at the whole-system level:
@@ -319,5 +323,72 @@ func TestRunSimnetUnknownCodecRejected(t *testing.T) {
 	cfg.Codec = "msgpack"
 	if _, err := RunSimnet(cfg); err == nil {
 		t.Fatal("unknown codec must be rejected")
+	}
+}
+
+// TestMuxRoundSteadyStateAllocations pins that the model crosses each
+// boundary of a wire round without a fresh copy once the round's buffers
+// exist: the broadcast and the update ride pooled fabric frames, decode into
+// reused messages, and the client's global snapshot and ΔW come from its
+// worker's arena. A second ClientMux round over simnet therefore allocates
+// less than one model's bytes per client session — the first paid for the
+// buffers. The collector is off while it runs, so no pool is emptied
+// between the rounds, and it runs on one P: a sync.Pool's per-P private
+// slot is invisible to other Ps, so on more than one a second-round miss
+// (a mux worker rebuilt with a cold arena) would be a scheduling accident.
+func TestMuxRoundSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec, err := dataset.Get("cancer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := dataset.New(spec, 42)
+	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
+	modelBytes := uint64(8 * model.NumParams())
+	cfg := fl.RoundConfig{BatchSize: 4, LocalIters: 2, LR: 0.1, TotalRounds: 2}
+	const sessions = 8
+
+	n := simnet.New(42, nil)
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := fl.NewRoundServerOn(ln)
+	srv.Codec = fl.CodecBinary
+	defer srv.Close()
+	mux := &fl.ClientMux{
+		Spec: spec.ModelSpec(), Data: ds, Strat: NewFedCDP(4, 0.06), Seed: 42, Workers: 2,
+		Opt: fl.ClientOptions{Dial: n.Dialer("clients"), Codec: fl.CodecBinary},
+	}
+	agg := fl.NewFedSGD()
+	tasks := make([]fl.MuxTask, sessions)
+	for i := range tasks {
+		tasks[i] = fl.MuxTask{ClientID: i, Addr: "server"}
+	}
+	round := func(r int) {
+		done := make(chan []fl.MuxResult, 1)
+		go func() { done <- mux.RunRound(tasks) }()
+		res, err := srv.StreamRound(r, model.Params(), cfg, agg, fl.RoundOptions{Clients: sessions})
+		for _, mr := range <-done {
+			if mr.Err != nil {
+				t.Fatalf("round %d client %d: %v", r, mr.ClientID, mr.Err)
+			}
+		}
+		if err != nil || res.Folded != sessions {
+			t.Fatalf("round %d: %+v, %v", r, res, err)
+		}
+	}
+
+	round(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	round(1)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, sessions*modelBytes; got >= limit {
+		t.Fatalf("second round allocated %d B over %d sessions; want < %d (one %d-byte model per session)", got, sessions, limit, modelBytes)
 	}
 }

@@ -23,8 +23,10 @@ type sanitizer func(iter, example int, g []*tensor.Tensor)
 // per mini-batch (Dense as one GEMM, Conv2D as im2col+GEMM), with
 // per-example gradients recovered from the batch buffers only when
 // sanitization or norm statistics need them. All scratch comes from the
-// worker's arena, so steady-state iterations allocate no data buffers. The
-// per-example oracle this path is pinned to lives in engine_test.go.
+// worker's arena, so steady-state iterations allocate no data buffers; so
+// do the global snapshot and the returned ΔW, which the caller owns and a
+// wire session hands back to the arena once it is sent. The per-example
+// oracle this path is pinned to lives in engine_test.go.
 //
 // With a sanitizer the per-example stage runs through dp.SanitizeBatch:
 // each example is recovered into its own buffer and clip+noised
@@ -34,7 +36,12 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 	start := time.Now()
 	model, arena := env.Model, env.Arena
 	model.UseArena(arena)
-	global := tensor.CloneAll(model.Params())
+	params := model.Params()
+	global := arenaLike(arena, params)
+	defer arena.Put(global...)
+	for i, g := range global {
+		g.CopyFrom(params[i])
+	}
 	var normSum float64
 	var normN int
 
@@ -119,7 +126,13 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 	if normN > 0 {
 		stats.MeanGradNorm = normSum / float64(normN)
 	}
-	return fl.Delta(model.Params(), global), stats
+	// ΔW = local − global, the arithmetic of fl.Delta.
+	delta := arenaLike(arena, params)
+	for i, d := range delta {
+		d.CopyFrom(params[i])
+		d.Sub(global[i])
+	}
+	return delta, stats
 }
 
 // arenaLike draws zeroed tensors shaped like ts from the arena (allocating

@@ -19,7 +19,9 @@ import (
 // Fold is safe for concurrent use (the TCP server folds from concurrent
 // client sessions); note that concurrent folding trades away bit-exact
 // run-to-run reproducibility, which is why the simulator's deterministic
-// mode serializes folds in cohort order (see DESIGN.md).
+// mode serializes folds in cohort order (see DESIGN.md). Fold must not
+// retain update past its return: a wire round's update aliases a decode
+// buffer that is reused once it is folded (robustBuffer clones for this).
 type Aggregator interface {
 	Begin(params []*tensor.Tensor)
 	Fold(update []*tensor.Tensor)

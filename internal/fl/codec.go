@@ -337,28 +337,39 @@ func appendDirectTensors(b []byte, ts []*tensor.Tensor) []byte {
 	return b
 }
 
-// readTensors parses one tensor section, sorting entries by encoding. It
-// bounds every count before allocating and proves the payload bytes are
-// present before converting them; semantic validation (finite values,
-// index ranges) stays with the message Validate gate.
-func readTensors(r *wireReader) (dense []TensorWire, sparse []SparseTensorWire, err error) {
-	return readTensorsCount(r, r.i64())
-}
-
-func readTensorsCount(r *wireReader, count int64) (dense []TensorWire, sparse []SparseTensorWire, err error) {
+// readTensorsInto parses one tensor section of count entries, sorting them
+// by encoding onto dense[:0] and sparse[:0]: entries, shapes and payload
+// slices already allocated there are reused wherever their capacity fits,
+// so a message decoded into again and again stops allocating once it has
+// seen the largest model. It bounds every count before allocating and
+// proves the payload bytes are present before converting them; semantic
+// validation (finite values, index ranges) stays with the message Validate
+// gate. An empty section decodes to nil slices, exactly as into a zero
+// message.
+func readTensorsInto(r *wireReader, count int64, dense []TensorWire, sparse []SparseTensorWire) ([]TensorWire, []SparseTensorWire, error) {
 	if r.err != nil {
 		return nil, nil, r.err
 	}
 	if count < 0 || count > maxWireTensors {
 		return nil, nil, fmt.Errorf("fl: binary frame declares %d tensors (cap %d)", count, maxWireTensors)
 	}
+	dense, sparse = dense[:0], sparse[:0]
 	for i := int64(0); i < count; i++ {
 		enc := r.u8()
 		rank := int(r.u8())
 		if rank > maxWireDims {
 			return nil, nil, fmt.Errorf("fl: binary wire tensor rank %d exceeds %d", rank, maxWireDims)
 		}
-		shape := make([]int, rank)
+		var shape []int
+		switch enc {
+		case encDense:
+			dense = extend(dense)
+			shape = dense[len(dense)-1].Shape
+		case encSparse:
+			sparse = extend(sparse)
+			shape = sparse[len(sparse)-1].Shape
+		}
+		shape = reuse(shape, rank)
 		for j := range shape {
 			d := r.i64()
 			if d < 0 || d > maxWireElems {
@@ -379,11 +390,11 @@ func readTensorsCount(r *wireReader, count int64) (dense []TensorWire, sparse []
 			if r.err != nil {
 				return nil, nil, r.err
 			}
-			data := make([]float64, n)
-			for j := range data {
-				data[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+			w := &dense[len(dense)-1]
+			w.Shape, w.Data = shape, reuse(w.Data, n)
+			for j := range w.Data {
+				w.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
 			}
-			dense = append(dense, TensorWire{Shape: shape, Data: data})
 		case encSparse:
 			nnz64 := r.i64()
 			if r.err != nil {
@@ -398,21 +409,43 @@ func readTensorsCount(r *wireReader, count int64) (dense []TensorWire, sparse []
 			if r.err != nil {
 				return nil, nil, r.err
 			}
-			w := SparseTensorWire{
-				Shape:   shape,
-				Indices: make([]int32, nnz),
-				Values:  make([]float64, nnz),
-			}
+			w := &sparse[len(sparse)-1]
+			w.Shape, w.Indices, w.Values = shape, reuse(w.Indices, nnz), reuse(w.Values, nnz)
 			for j := 0; j < nnz; j++ {
 				w.Indices[j] = int32(binary.LittleEndian.Uint32(rawIdx[4*j:]))
 				w.Values[j] = math.Float64frombits(binary.LittleEndian.Uint64(rawVal[8*j:]))
 			}
-			sparse = append(sparse, w)
 		default:
 			return nil, nil, fmt.Errorf("fl: unknown binary tensor encoding %d", enc)
 		}
 	}
+	if len(dense) == 0 {
+		dense = nil
+	}
+	if len(sparse) == 0 {
+		sparse = nil
+	}
 	return dense, sparse, nil
+}
+
+// extend grows s by one element, keeping what the slot past its length
+// held (to reuse its buffers) when its capacity allows.
+func extend[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
+	}
+	var zero T
+	return append(s, zero)
+}
+
+// reuse returns s resliced to n elements when its capacity fits (contents
+// unspecified), a fresh slice otherwise. It never returns nil, so a reused
+// empty shape or payload equals a freshly decoded one.
+func reuse[T any](s []T, n int) []T {
+	if s != nil && cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // --- Message payloads ------------------------------------------------------
@@ -438,8 +471,10 @@ func appendParamPayload(b []byte, m *ParamMsg) []byte {
 	return appendDenseSection(b, m.Params)
 }
 
+// parseParamPayload decodes into m, reusing its Params buffers.
 func parseParamPayload(b []byte, m *ParamMsg) error {
 	r := wireReader{b: b}
+	params := m.Params
 	*m = ParamMsg{
 		Round:  int(r.i64()),
 		Denied: r.u8() != 0,
@@ -459,7 +494,7 @@ func parseParamPayload(b []byte, m *ParamMsg) error {
 			ConfigDigest: r.str(),
 		},
 	}
-	dense, sparse, err := readTensors(&r)
+	dense, sparse, err := readTensorsInto(&r, r.i64(), params, nil)
 	if err != nil {
 		return err
 	}
@@ -586,8 +621,10 @@ func parsePartial(r *wireReader) (*PartialWire, error) {
 	return p, r.err
 }
 
+// parseUpdatePayload decodes into m, reusing its Delta and Sparse buffers.
 func parseUpdatePayload(b []byte, m *UpdateMsg) error {
 	r := wireReader{b: b}
+	dense, sparse := m.Delta, m.Sparse
 	*m = UpdateMsg{
 		ClientID: int(r.i64()),
 		Round:    int(r.i64()),
@@ -603,7 +640,7 @@ func parseUpdatePayload(b []byte, m *UpdateMsg) error {
 		return r.done()
 	}
 	var err error
-	m.Delta, m.Sparse, err = readTensorsCount(&r, count)
+	m.Delta, m.Sparse, err = readTensorsInto(&r, count, dense, sparse)
 	if err != nil {
 		return err
 	}
@@ -696,11 +733,27 @@ func (g *gobReader) Read(p []byte) (int, error) {
 }
 
 func (s *gobSession) WriteParam(m *ParamMsg) error   { return s.enc.Encode(m) }
-func (s *gobSession) ReadParam(m *ParamMsg) error    { return s.dec.Decode(m) }
 func (s *gobSession) WriteUpdate(m *UpdateMsg) error { return s.enc.Encode(m) }
-func (s *gobSession) ReadUpdate(m *UpdateMsg) error  { return s.dec.Decode(m) }
 func (s *gobSession) WriteAck(m *AckMsg) error       { return s.enc.Encode(m) }
-func (s *gobSession) ReadAck(m *AckMsg) error        { return s.dec.Decode(m) }
+
+// The Read methods zero their target first: gob leaves fields the stream
+// omits (zero values) untouched, so decoding into a reused message would
+// otherwise merge it with the previous one.
+
+func (s *gobSession) ReadParam(m *ParamMsg) error {
+	*m = ParamMsg{}
+	return s.dec.Decode(m)
+}
+
+func (s *gobSession) ReadUpdate(m *UpdateMsg) error {
+	*m = UpdateMsg{}
+	return s.dec.Decode(m)
+}
+
+func (s *gobSession) ReadAck(m *AckMsg) error {
+	*m = AckMsg{}
+	return s.dec.Decode(m)
+}
 
 func (s *gobSession) WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error {
 	msg := UpdateMsg{ClientID: clientID, Round: round, Weight: weight}

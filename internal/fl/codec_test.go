@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -186,6 +187,93 @@ func TestCodecMessageParityMatrix(t *testing.T) {
 			}
 			if got != *ack {
 				t.Fatalf("%s: ack %+v round-tripped to %+v", codec, *ack, got)
+			}
+		}
+	}
+}
+
+// TestDecodeIntoDirtyMessage pins buffer reuse on the read side: decoding
+// into a message that still holds a previous decode — larger tensors, a
+// denial, a sparse payload, a partial fold — gives exactly what decoding
+// into a zero message gives, in both codecs.
+func TestDecodeIntoDirtyMessage(t *testing.T) {
+	big := func(n int) []TensorWire {
+		ws := make([]TensorWire, n)
+		for i := range ws {
+			ws[i] = TensorWire{Shape: []int{4, 2, 3}, Data: make([]float64, 24)}
+			for j := range ws[i].Data {
+				ws[i].Data[j] = float64(100*i + j)
+			}
+		}
+		return ws
+	}
+	dirtyParams := map[string]func() *ParamMsg{
+		"larger": func() *ParamMsg { return &ParamMsg{Round: 9, Params: big(4)} },
+		"denied": func() *ParamMsg {
+			return &ParamMsg{Round: 1, Params: big(1), Denied: true, Reason: "stale", Cfg: RoundConfig{ConfigDigest: "d"}}
+		},
+	}
+	params := map[string]*ParamMsg{"announce": testParamMsg(), "denied": {Denied: true, Reason: "no further rounds"}}
+
+	edge, err := NewExact(AggWeighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge.Begin([]*tensor.Tensor{tensor.New(3)})
+	edge.FoldClient(0, []*tensor.Tensor{tensor.FromSlice([]float64{1, -2, 0.5}, 3)}, 2)
+	partial := &UpdateMsg{ClientID: 1, Round: 3, Partial: edge.TakePartial().Wire()}
+	updates := testUpdateMsgs()
+	updates["partial"] = partial
+	dirtyUpdates := map[string]func() *UpdateMsg{
+		"larger": func() *UpdateMsg { return &UpdateMsg{ClientID: 7, Round: 8, Weight: 3, Delta: big(5)} },
+		"sparse": func() *UpdateMsg {
+			return &UpdateMsg{Sparse: []SparseTensorWire{
+				{Shape: []int{64}, Indices: make([]int32, 40), Values: make([]float64, 40)},
+				{Shape: []int{9, 9}, Indices: []int32{3}, Values: []float64{1}},
+			}}
+		},
+		"partial": func() *UpdateMsg { return &UpdateMsg{Delta: big(2), Partial: partial.Partial} },
+	}
+
+	for _, codec := range []string{CodecGob, CodecBinary} {
+		var buf bytes.Buffer
+		s := bufSession(codec, &buf)
+		for name, pm := range params {
+			for dname, dirty := range dirtyParams {
+				label := codec + "/" + name + "/into-" + dname
+				var clean ParamMsg
+				got := dirty()
+				for _, m := range []*ParamMsg{&clean, got} {
+					if err := s.WriteParam(pm); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.ReadParam(m); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+				}
+				checkParamEqual(t, label, &clean, got)
+				if !reflect.DeepEqual(&clean, got) {
+					t.Fatalf("%s: dirty decode %+v, clean decode %+v", label, got, &clean)
+				}
+			}
+		}
+		for name, um := range updates {
+			for dname, dirty := range dirtyUpdates {
+				label := codec + "/" + name + "/into-" + dname
+				var clean UpdateMsg
+				got := dirty()
+				for _, m := range []*UpdateMsg{&clean, got} {
+					if err := s.WriteUpdate(um); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.ReadUpdate(m); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+				}
+				checkUpdateEqual(t, label, &clean, got)
+				if !reflect.DeepEqual(&clean, got) {
+					t.Fatalf("%s: dirty decode %+v, clean decode %+v", label, got, &clean)
+				}
 			}
 		}
 	}

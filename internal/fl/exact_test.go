@@ -230,7 +230,7 @@ func TestExactScalarWireRejectsHostileInput(t *testing.T) {
 		if !errors.Is(err, ErrExactEnvelope) {
 			t.Fatalf("%s: got %v, want an ErrExactEnvelope", name, err)
 		}
-		if allocs > 8 {
+		if !raceEnabled && allocs > 8 { // race instrumentation allocates
 			t.Fatalf("%s: rejection cost %v allocations", name, allocs)
 		}
 	}
@@ -318,7 +318,7 @@ func TestPartialWireValidate(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
-		if allocs > 8 {
+		if !raceEnabled && allocs > 8 { // race instrumentation allocates
 			t.Fatalf("%s: rejection cost %v allocations", name, allocs)
 		}
 	}

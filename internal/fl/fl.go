@@ -119,6 +119,8 @@ type Strategy interface {
 	// Name identifies the strategy in histories and experiment output.
 	Name() string
 	// ClientUpdate runs local training and returns ΔW = W_local − W_global.
+	// The returned tensors are the caller's: nothing else may hold them,
+	// and a wire session recycles them into env.Arena once they are sent.
 	ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats)
 }
 
@@ -576,12 +578,14 @@ func dropClients(cfg Config, round int, cohort []int, coin *tensor.RNG) []int {
 // counter-noise slot and the ClientEnv itself — all reused across clients and
 // rounds so steady-state training stops allocating (the model's batched
 // buffers and the arena's free lists persist between rounds). The in-process
-// pool, the mux workers and the one-shot remote client all train on one.
+// pool, the mux workers and the one-shot remote client all train on one; a
+// wire session also decodes its round announcement into pm.
 type worker struct {
 	model *nn.Model
 	arena *tensor.Arena
 	noise tensor.CounterRNG
 	env   ClientEnv
+	pm    ParamMsg
 }
 
 func newWorker(spec nn.Spec) *worker {

@@ -119,7 +119,7 @@ func (m *ClientMux) runTask(w *worker, task MuxTask) MuxResult {
 		res.Round, res.Err = AbandonSession(task.Addr, opt)
 		return res
 	}
-	s, err := openSession(task.Addr, opt)
+	s, err := openSession(task.Addr, opt, &w.pm)
 	if err != nil {
 		res.Err = err
 		return res

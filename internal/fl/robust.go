@@ -33,7 +33,8 @@ import (
 // topology (see the tree caveat in DESIGN.md).
 
 // robustBuffer is the shared Fold side of every robust aggregator: cloned
-// updates, collected under a lock, geometry-checked against Begin's params.
+// updates (Fold must not retain its argument; see Aggregator), collected
+// under a lock, geometry-checked against Begin's params.
 type robustBuffer struct {
 	mu      sync.Mutex
 	shape   []*tensor.Tensor // params at Begin, for geometry checks only

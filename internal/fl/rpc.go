@@ -167,9 +167,15 @@ type sessionResult struct {
 	client  int
 	update  []*tensor.Tensor
 	weight  float64
-	partial *Partial // set instead of update on edge→root sessions
+	partial *Partial   // set instead of update on edge→root sessions
+	msg     *UpdateMsg // what update was decoded from; the fold recycles it
 	err     error
 }
+
+// updateMsgPool recycles the messages sessions decode updates into. A dense
+// update's tensors alias its message's buffers, so a message goes back only
+// once its update has been folded.
+var updateMsgPool = sync.Pool{New: func() any { return new(UpdateMsg) }}
 
 // deliverStatus reports how the round loop received a session's outcome.
 type deliverStatus int
@@ -359,8 +365,13 @@ func (s *RoundServer) handle(conn net.Conn) {
 		st.deliver(sessionResult{err: fmt.Errorf("fl: sending params: %w", err)})
 		return
 	}
-	var upd UpdateMsg
-	if err := sess.ReadUpdate(&upd); err != nil {
+	upd := updateMsgPool.Get().(*UpdateMsg)
+	defer func() {
+		if upd != nil {
+			updateMsgPool.Put(upd)
+		}
+	}()
+	if err := sess.ReadUpdate(upd); err != nil {
 		st.deliver(sessionResult{err: fmt.Errorf("fl: reading update: %w", err)})
 		return
 	}
@@ -399,10 +410,13 @@ func (s *RoundServer) handle(conn net.Conn) {
 			_ = sess.WriteAck(&AckMsg{Reason: err.Error()})
 			return
 		}
-		res.update = update
+		res.update, res.msg = update, upd
 	}
 	switch st.deliver(res) {
 	case deliverTaken:
+		if res.msg != nil {
+			upd = nil // the round's fold owns it now
+		}
 		_ = sess.WriteAck(&AckMsg{Accepted: true})
 	case deliverDup:
 		// The client's data IS in the round (its first copy was folded), so
@@ -520,6 +534,7 @@ func (s *RoundServer) StreamRound(round int, params []*tensor.Tensor, cfg RoundC
 			return
 		}
 		foldClientInto(agg, r.client, r.update, r.weight)
+		updateMsgPool.Put(r.msg)
 		res.Folded++
 	}
 	// Duplicates are acknowledged out-of-band (roundState.deliver) and do
@@ -609,7 +624,7 @@ func (o ClientOptions) dial(addr string) (net.Conn, error) {
 // function of (seed, round, clientID) — and resolves as an acknowledged
 // duplicate (see cmd/fedclient).
 func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *dataset.ClientData, spec nn.Spec, seed int64, opt ClientOptions) (int, error) {
-	s, err := openSession(addr, opt)
+	s, err := openSession(addr, opt, new(ParamMsg))
 	if err != nil {
 		return 0, err
 	}
@@ -622,7 +637,7 @@ func RunRemoteClientRound(addr string, clientID int, strat Strategy, data *datas
 type clientConn struct {
 	wireSession
 	conn net.Conn
-	pm   ParamMsg
+	pm   *ParamMsg
 }
 
 // openSession is the client half of the protocol up to and including the
@@ -630,8 +645,9 @@ type clientConn struct {
 // ParamMsg in the client's codec, the server's refusal, structural validation
 // and the experiment-digest check — shared by every kind of session: the
 // training client, the mux worker, the abandoning client and the edge
-// forwarding a partial. The caller closes conn.
-func openSession(addr string, opt ClientOptions) (s *clientConn, err error) {
+// forwarding a partial. The announcement is decoded into pm, reusing its
+// buffers. The caller closes conn.
+func openSession(addr string, opt ClientOptions, pm *ParamMsg) (s *clientConn, err error) {
 	conn, err := opt.dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("fl: dialing %s: %w", addr, err)
@@ -653,8 +669,8 @@ func openSession(addr string, opt ClientOptions) (s *clientConn, err error) {
 	if err != nil {
 		return nil, err
 	}
-	s = &clientConn{wireSession: sess, conn: conn}
-	if err := s.ReadParam(&s.pm); err != nil {
+	s = &clientConn{wireSession: sess, conn: conn, pm: pm}
+	if err := s.ReadParam(pm); err != nil {
 		return nil, fmt.Errorf("fl: reading params: %w", err)
 	}
 	if s.pm.Denied {
@@ -670,9 +686,11 @@ func openSession(addr string, opt ClientOptions) (s *clientConn, err error) {
 }
 
 // submit trains the announced round as client id on the worker and sends
-// the update; a nil return means the server acknowledged folding it.
+// the update; a nil return means the server acknowledged folding it. The
+// update is the caller's (see Strategy), so once it is on the wire its
+// buffers go back to the worker's arena for the next client.
 func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data *dataset.ClientData, plan Plan) error {
-	pm := &s.pm
+	pm := s.pm
 	if pm.Cfg.Scenario.Name != "" {
 		// The server published a heterogeneity scenario with the round
 		// config: repartition the local dataset view so this client's shard
@@ -686,7 +704,9 @@ func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data 
 		data = data.RepartitionAt(p, pm.Round)
 	}
 	delta, _ := w.step(strat, seed, pm.Round, id, TensorsFromWire(pm.Params), pm.Cfg, data, plan)
-	if err := s.WriteUpdateTensors(id, pm.Round, float64(data.Len()), delta); err != nil {
+	err := s.WriteUpdateTensors(id, pm.Round, float64(data.Len()), delta)
+	w.arena.Put(delta...)
+	if err != nil {
 		return fmt.Errorf("fl: sending update: %w", err)
 	}
 	return s.receipt("update")
@@ -713,7 +733,7 @@ func (s *clientConn) receipt(what string) error {
 // announced round, or an error if no announcement arrived (e.g. the
 // session was denied).
 func AbandonSession(addr string, opt ClientOptions) (int, error) {
-	s, err := openSession(addr, opt)
+	s, err := openSession(addr, opt, new(ParamMsg))
 	if err != nil {
 		return 0, err
 	}
@@ -728,7 +748,7 @@ func AbandonSession(addr string, opt ClientOptions) (int, error) {
 // must match round, or the session resolves as an error. A nil return
 // means the root acknowledged folding the partial.
 func SendPartial(addr string, shard, round int, p *Partial, opt ClientOptions) error {
-	s, err := openSession(addr, opt)
+	s, err := openSession(addr, opt, new(ParamMsg))
 	if err != nil {
 		return err
 	}

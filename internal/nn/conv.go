@@ -18,6 +18,9 @@ type Conv2D struct {
 	GW, GB *tensor.Tensor
 	in     *tensor.Tensor
 
+	// params and grads are what Params and Grads return, built once.
+	params, grads []*tensor.Tensor
+
 	// Batched-engine state (see batch.go): per-example im2col patch
 	// matrices for the whole batch (row i = example i's (C·K·K × OH·OW)
 	// matrix, flattened), the cached output-gradient batch, owned
@@ -46,6 +49,8 @@ func NewConv2D(inC, inH, inW, outC, k, stride, pad int, rng *tensor.RNG) *Conv2D
 	fanIn := inC * k * k
 	fanOut := outC * k * k
 	rng.Xavier(c.W, fanIn, fanOut)
+	c.params = []*tensor.Tensor{c.W, c.B}
+	c.grads = []*tensor.Tensor{c.GW, c.GB}
 	return c
 }
 
@@ -262,11 +267,12 @@ func (c *Conv2D) ExampleGrads(i int, dst []*tensor.Tensor) {
 	biasRowSums(dst[1].Data(), gi.Data(), p, false)
 }
 
-// Params returns {W, b}.
-func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
+// Params returns {W, b}. The slice is the layer's own: callers must not
+// modify it.
+func (c *Conv2D) Params() []*tensor.Tensor { return c.params }
 
-// Grads returns {dW, db}.
-func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.GW, c.GB} }
+// Grads returns {dW, db}, the layer's own slice like Params.
+func (c *Conv2D) Grads() []*tensor.Tensor { return c.grads }
 
 // ZeroGrads clears the accumulated gradients.
 func (c *Conv2D) ZeroGrads() {

@@ -16,6 +16,9 @@ type Dense struct {
 	GW, GB  *tensor.Tensor
 	in      *tensor.Tensor
 
+	// params and grads are what Params and Grads return, built once.
+	params, grads []*tensor.Tensor
+
 	// Batched-engine state: cached input/output-gradient batches and owned
 	// output buffers (see batch.go for the execution contract); prec selects
 	// the GEMM kernel width (fp64 default, fp32 bulk path).
@@ -35,6 +38,8 @@ func NewDense(in, out int, rng *tensor.RNG) *Dense {
 		GB: tensor.New(out),
 	}
 	rng.Xavier(d.W, in, out)
+	d.params = []*tensor.Tensor{d.W, d.B}
+	d.grads = []*tensor.Tensor{d.GW, d.GB}
 	return d
 }
 
@@ -123,18 +128,35 @@ func (d *Dense) AccumGrads() {
 }
 
 // ExampleGrads recovers example i's gradient as the rank-1 outer product
-// dY_i ⊗ X_i from the cached batch buffers.
+// dY_i ⊗ X_i from the cached batch buffers — tensor.AddOuter's arithmetic
+// into a zeroed dW, on raw rows: examples are recovered concurrently, and a
+// view header per row would be an allocation per example.
 func (d *Dense) ExampleGrads(i int, dst []*tensor.Tensor) {
+	g := d.gB.Data()[i*d.Out : (i+1)*d.Out]
+	x := d.xB.Data()[i*d.In : (i+1)*d.In]
+	dw, db := dst[0].Data(), dst[1].Data()
+	if len(dw) != d.Out*d.In || len(db) != d.Out {
+		panic(fmt.Sprintf("nn: dense example gradient wants %d+%d elements, got %d+%d", d.Out*d.In, d.Out, len(dw), len(db)))
+	}
 	dst[0].Zero()
-	tensor.AddOuter(dst[0], 1, d.gB.Row(i), d.xB.Row(i))
-	dst[1].CopyFrom(d.gB.Row(i))
+	for r, gv := range g {
+		if gv == 0 {
+			continue
+		}
+		row := dw[r*d.In : (r+1)*d.In]
+		for c, xv := range x {
+			row[c] += gv * xv
+		}
+	}
+	copy(db, g)
 }
 
-// Params returns {W, b}.
-func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
+// Params returns {W, b}. The slice is the layer's own: callers must not
+// modify it.
+func (d *Dense) Params() []*tensor.Tensor { return d.params }
 
-// Grads returns {dW, db}.
-func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.GW, d.GB} }
+// Grads returns {dW, db}, the layer's own slice like Params.
+func (d *Dense) Grads() []*tensor.Tensor { return d.grads }
 
 // ZeroGrads clears the accumulated gradients.
 func (d *Dense) ZeroGrads() {

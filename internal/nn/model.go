@@ -11,6 +11,10 @@ type Model struct {
 	Layers []Layer
 	spec   Spec
 
+	// params and grads are what Params and Grads return, gathered once at
+	// Build.
+	params, grads []*tensor.Tensor
+
 	// Batched-engine scratch (see batch.go): input batch, loss gradient and
 	// per-example losses, reused across iterations; arena is the optional
 	// per-goroutine buffer recycler set by UseArena; prec is the GEMM
@@ -62,23 +66,14 @@ func (m *Model) Predict(x *tensor.Tensor) int {
 	return Argmax(m.Forward(x))
 }
 
-// Params returns all trainable tensors in layer order.
-func (m *Model) Params() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, l := range m.Layers {
-		out = append(out, l.Params()...)
-	}
-	return out
-}
+// Params returns all trainable tensors in layer order. The slice is the
+// model's own, built once: callers must not modify it (its capacity ends at
+// its length, so an append copies).
+func (m *Model) Params() []*tensor.Tensor { return m.params }
 
-// Grads returns all gradient buffers in layer order, aligned with Params.
-func (m *Model) Grads() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	for _, l := range m.Layers {
-		out = append(out, l.Grads()...)
-	}
-	return out
-}
+// Grads returns all gradient buffers in layer order, aligned with Params;
+// the model's own slice, like Params.
+func (m *Model) Grads() []*tensor.Tensor { return m.grads }
 
 // ZeroGrads clears every gradient buffer.
 func (m *Model) ZeroGrads() {

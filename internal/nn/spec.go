@@ -42,6 +42,12 @@ func Build(spec Spec, rng *tensor.RNG) *Model {
 			panic(fmt.Sprintf("nn: unknown layer kind %q", ls.Kind))
 		}
 	}
+	for _, l := range m.Layers {
+		m.params = append(m.params, l.Params()...)
+		m.grads = append(m.grads, l.Grads()...)
+	}
+	m.params = m.params[:len(m.params):len(m.params)]
+	m.grads = m.grads[:len(m.grads):len(m.grads)]
 	return m
 }
 

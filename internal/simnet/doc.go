@@ -13,6 +13,15 @@
 // and a test suite sweeping latency distributions runs as fast as its
 // compute.
 //
+// # Pooled frames
+//
+// A connection's Write copies its argument, as net.Conn requires, into a
+// buffer drawn from a pool; the reading end returns the buffer to the pool
+// once it has drained it. Duplicated messages are pooled copies too, and
+// messages that are never read (behind a cut, or in flight at a close)
+// are simply dropped. Steady-state fabric traffic therefore allocates no
+// per-message buffers.
+//
 // # Fault plan
 //
 // Plan is a pure function from (seed, round, client) — or, for transport

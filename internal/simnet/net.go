@@ -183,12 +183,25 @@ func linkID(from, to string, seq int64) uint64 {
 	return h.Sum64()
 }
 
+// framePool recycles message buffers: Write copies each payload into one,
+// and the reading queue returns it once the reader has drained it. A
+// message that is never read — queued behind a cut, or still in flight when
+// either end closes — is left to the collector.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// newFrame returns a pooled buffer holding a copy of p.
+func newFrame(p []byte) *[]byte {
+	f := framePool.Get().(*[]byte)
+	*f = append((*f)[:0], p...)
+	return f
+}
+
 // message is one Write's payload with its virtual delivery stamp; cut
 // marks the point where the link broke.
 type message struct {
-	data []byte
-	at   time.Time
-	cut  bool
+	frame *[]byte
+	at    time.Time
+	cut   bool
 }
 
 // queue is one direction of a connection: a FIFO of messages plus the
@@ -198,10 +211,11 @@ type queue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	msgs    []message
-	head    []byte // partially consumed front message
-	cut     bool   // link broke at the front of the stream
-	closed  bool   // writer closed: EOF after drain
-	rclosed bool   // reader closed: reads fail immediately
+	frame   *[]byte // front message's buffer, back to framePool once drained
+	head    []byte  // unread rest of *frame
+	cut     bool    // link broke at the front of the stream
+	closed  bool    // writer closed: EOF after drain
+	rclosed bool    // reader closed: reads fail immediately
 }
 
 func newQueue(clock *Clock) *queue {
@@ -210,10 +224,10 @@ func newQueue(clock *Clock) *queue {
 	return q
 }
 
-func (q *queue) push(data []byte, at time.Time, cut bool) {
+func (q *queue) push(frame *[]byte, at time.Time, cut bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.msgs = append(q.msgs, message{data: data, at: at, cut: cut})
+	q.msgs = append(q.msgs, message{frame: frame, at: at, cut: cut})
 	q.cond.Broadcast()
 }
 
@@ -247,6 +261,10 @@ func (q *queue) read(p []byte) (int, error) {
 		case len(q.head) > 0:
 			n := copy(p, q.head)
 			q.head = q.head[n:]
+			if len(q.head) == 0 {
+				framePool.Put(q.frame)
+				q.frame = nil
+			}
 			return n, nil
 		case len(q.msgs) > 0:
 			m := q.msgs[0]
@@ -256,7 +274,7 @@ func (q *queue) read(p []byte) (int, error) {
 				q.cut = true
 				return 0, errLinkCut
 			}
-			q.head = m.data
+			q.frame, q.head = m.frame, *m.frame
 		case q.closed:
 			return 0, io.EOF
 		default:
@@ -314,10 +332,10 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.out.push(nil, at, true)
 		return len(p), nil
 	}
-	data := append([]byte(nil), p...)
-	c.out.push(data, at, false)
+	// net.Conn must not retain p, so the fabric carries a copy.
+	c.out.push(newFrame(p), at, false)
 	if dup {
-		c.out.push(append([]byte(nil), data...), at, false)
+		c.out.push(newFrame(p), at, false)
 	}
 	return len(p), nil
 }

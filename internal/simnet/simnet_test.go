@@ -2,9 +2,14 @@ package simnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
+	"fmt"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -460,6 +465,118 @@ func TestFabricDuplicateDelivery(t *testing.T) {
 	}
 	if string(got) != "abab" {
 		t.Fatalf("read %q, want duplicated %q", got, "abab")
+	}
+}
+
+// testFrame appends message m of link c to b: a 12-byte header (link,
+// index, payload length) and a payload whose bytes and length both depend
+// on (c, m), so a byte from any other message cannot pass for it.
+func testFrame(b []byte, c, m int) []byte {
+	n := 1 + (c*31+m*577)%3000
+	b = binary.LittleEndian.AppendUint32(b, uint32(c))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m))
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	for i := 0; i < n; i++ {
+		b = append(b, byte(c*7+m*13+i))
+	}
+	return b
+}
+
+// chunkReader reads at most n bytes per call, so reads straddle messages.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
+}
+
+// TestFabricPooledFramesSurviveFaults runs many links at once through
+// duplication, cuts and early hang-ups, with message sizes that vary so
+// pooled frame buffers change hands between them: every message a reader
+// gets back is the one written, whole, in order — a duplicate right behind
+// its original — and the stream ends in EOF only once every message has
+// arrived. The writer overwrites its buffer after each Write, so the fabric
+// must carry a copy.
+func TestFabricPooledFramesSurviveFaults(t *testing.T) {
+	n := New(7, MustParsePlan("dup=0.3, msgdrop=0.03"))
+	ln, err := n.Listen("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const links, msgs = 24, 40
+	var wg sync.WaitGroup
+	var cuts, dups atomic.Int64
+	for c := 0; c < links; c++ {
+		c := c
+		cc, sc := dialPair(t, n, fmt.Sprintf("c%d", c), "server", ln)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			defer cc.Close()
+			var b []byte
+			for m := 0; m < msgs; m++ {
+				b = testFrame(b[:0], c, m)
+				if _, err := cc.Write(b); err != nil {
+					return // the link was cut
+				}
+				for i := range b {
+					b[i] = 0xEE
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			defer sc.Close()
+			r := chunkReader{r: sc, n: 1 + c%13}
+			stop := msgs
+			if c%4 == 3 {
+				stop = msgs / 2 // hang up with the rest still queued
+			}
+			last, repeated := -1, false
+			var want []byte
+			for read := 0; read < stop; read++ {
+				var h [12]byte
+				if _, err := io.ReadFull(r, h[:]); err != nil {
+					switch {
+					case errors.Is(err, errLinkCut):
+						cuts.Add(1)
+					case err != io.EOF:
+						t.Errorf("link %d: header read: %v", c, err)
+					case last != msgs-1:
+						t.Errorf("link %d: EOF after message %d of %d", c, last, msgs)
+					}
+					return
+				}
+				gc, m := int(binary.LittleEndian.Uint32(h[:4])), int(binary.LittleEndian.Uint32(h[4:8]))
+				switch {
+				case gc == c && m == last && !repeated:
+					repeated = true
+					dups.Add(1)
+				case gc == c && m == last+1:
+					last, repeated = m, false
+				default:
+					t.Errorf("link %d: got message %d of link %d after message %d", c, m, gc, last)
+					return
+				}
+				want = testFrame(want[:0], c, m)
+				got := make([]byte, len(want))
+				copy(got, h[:])
+				if _, err := io.ReadFull(r, got[len(h):]); err != nil {
+					t.Errorf("link %d: message %d cut short: %v", c, m, err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("link %d: message %d corrupted", c, m)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if cuts.Load() == 0 || dups.Load() == 0 {
+		t.Fatalf("plan exercised %d cuts and %d duplicates; want both", cuts.Load(), dups.Load())
 	}
 }
 
