@@ -94,8 +94,7 @@ type FaultsBlock struct {
 // AggregationBlock is the server fold rule and topology.
 type AggregationBlock struct {
 	Rule       string // "" (fedsgd), fedavg, weighted, median, trimmed[:β], krum[:f]
-	Shards     int    // 0 = flat float, 1 = flat exact, ≥2 = edge tree
-	TreeFanout int
+	Shards     int    // 0 = float fold, ≥1 = exact fold; ≥2 on the simnet fabric = edge tree
 	Sampler    string // "" (legacy) or "floyd"
 	MuxWorkers int
 }
@@ -275,7 +274,6 @@ func (e *Experiment) Validate() error {
 		{"training.parallelism", e.Training.Parallelism},
 		{"runtime.quorum", e.Runtime.Quorum},
 		{"aggregation.shards", e.Aggregation.Shards},
-		{"aggregation.tree-fanout", e.Aggregation.TreeFanout},
 		{"aggregation.mux-workers", e.Aggregation.MuxWorkers},
 		{"data.shards", e.Data.Shards},
 		{"data.period", e.Data.Period},
@@ -381,7 +379,6 @@ func (e *Experiment) CoreConfig() core.Config {
 		Scenario:        e.scenario(),
 		Aggregation:     e.Aggregation.Rule,
 		Shards:          e.Aggregation.Shards,
-		TreeFanout:      e.Aggregation.TreeFanout,
 		Sampler:         e.Aggregation.Sampler,
 		MuxWorkers:      e.Aggregation.MuxWorkers,
 		Faults:          e.Faults.Plan,

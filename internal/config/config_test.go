@@ -124,6 +124,7 @@ func TestParseErrors(t *testing.T) {
 		{"removed method.noise-engine", "method:\n  sigma: 1\n  noise-engine: counter\n", `line 3: unknown key "noise-engine" in section method`},
 		{"removed runtime.name", "runtime:\n  name: streaming\n", `line 2: unknown key "name" in section runtime`},
 		{"removed codec.quant", "codec:\n  quant: 8\n", `unknown key "quant" in section codec`},
+		{"removed aggregation.tree-fanout", "aggregation:\n  shards: 4\n  tree-fanout: 2\n", `line 3: unknown key "tree-fanout" in section aggregation`},
 		{"duplicate key", "method:\n  sigma: 1\n  sigma: 2\n", "duplicate key method.sigma"},
 		{"duplicate top-level key", "seed: 1\nseed: 2\n", "duplicate key seed"},
 		{"duplicate section", "method:\n  sigma: 1\nmethod:\n  clip: 2\n", `duplicate section "method"`},
@@ -373,7 +374,7 @@ var offDefault = map[string]string{
 	"method.delta": "1e-06", "method.decay-from": "8", "method.decay-to": "1", "method.share": "0.25", "method.compress": "0.3",
 	"runtime.simnet": "true", "runtime.deadline": "150ms", "runtime.quorum": "2", "runtime.dropout": "0.25",
 	"faults.plan": "drop=0.2,crash=2,restart=1", "faults.population": "join=4@3,churn=0.1",
-	"aggregation.rule": "trimmed:0.34", "aggregation.shards": "4", "aggregation.tree-fanout": "2",
+	"aggregation.rule": "trimmed:0.34", "aggregation.shards": "4",
 	"aggregation.sampler": "floyd", "aggregation.mux-workers": "3",
 	"codec.wire": "binary",
 	"training.k": "12", "training.kt": "6", "training.rounds": "4", "training.planned-rounds": "9", "training.batch": "5",

@@ -57,7 +57,6 @@ func schema() []field {
 
 		fStr("aggregation", "rule", func(e *Experiment) *string { return &e.Aggregation.Rule }),
 		fInt("aggregation", "shards", func(e *Experiment) *int { return &e.Aggregation.Shards }),
-		fInt("aggregation", "tree-fanout", func(e *Experiment) *int { return &e.Aggregation.TreeFanout }),
 		fStr("aggregation", "sampler", func(e *Experiment) *string { return &e.Aggregation.Sampler }),
 		fInt("aggregation", "mux-workers", func(e *Experiment) *int { return &e.Aggregation.MuxWorkers }),
 

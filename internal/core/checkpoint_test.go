@@ -31,7 +31,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		{"sampler=floyd", func(c *Config) { c.Sampler = fl.SamplerFloyd }},
 		{"precision=fp32", func(c *Config) { c.Precision = tensor.PrecisionFP32 }},
 		{"shards=1", func(c *Config) { c.Shards = 1 }},
-		{"shards=4/fanout=2", func(c *Config) { c.Shards, c.TreeFanout = 4, 2 }},
+		{"shards=4", func(c *Config) { c.Shards = 4 }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			base := checkpointBaseConfig()

@@ -103,22 +103,20 @@ type Config struct {
 	// rule that corrects for quantity-skewed partitions.
 	Aggregation string
 
-	// Shards selects the aggregation topology. 0 (the default) keeps the
-	// legacy float aggregators and flat fold — every pre-hierarchy run
-	// reproduces bit-for-bit. 1 switches to the flat exact-arithmetic
-	// aggregator, the parity oracle for the tree. 2 or more builds an
-	// edge-aggregator tree of that many shards: each edge folds its range
-	// of the client population and forwards one weight-carrying partial,
-	// and the root composes partials exactly — bit-identical to the flat
-	// exact fold at ANY shard count (see DESIGN.md, "Hierarchical
+	// Shards selects the aggregation fold. 0 (the default) keeps the
+	// legacy float aggregators — every pre-hierarchy run reproduces
+	// bit-for-bit. 1 or more switches to the exact-arithmetic fold; in
+	// process (Run, Serve) that is all it does. On the simnet fabric
+	// (RunSimnet), 2 or more also builds the edge tier: each edge folds its
+	// range of the client population and forwards one weight-carrying
+	// partial, and the root composes partials exactly — bit-identical to
+	// the flat exact fold at ANY shard count (see DESIGN.md, "Hierarchical
 	// aggregation").
 	Shards int
 
-	// TreeFanout groups the in-process tree's serial partial merge into
-	// steps of that many partials (0 = all at once). Exactness makes it
-	// bit-irrelevant, and TreeAggregator.Commit merges serially, so it
-	// shapes no concurrency either; it goes with ROADMAP 2(a), since
-	// benchmark/probes.go binds it.
+	// TreeFanout shaped the in-process aggregation tree, which is gone;
+	// resolve refuses a non-zero value by name. It stays while
+	// benchmark/probes.go binds it (ROADMAP 2(a)).
 	TreeFanout int
 
 	// Sampler selects cohort sampling: "" / fl.SamplerLegacy (the default
@@ -311,6 +309,9 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*Resolved,
 		return nil, err
 	}
 	c = c.withDefaults(spec)
+	if c.TreeFanout != 0 {
+		return nil, fmt.Errorf("core: TreeFanout %d shapes nothing: the only aggregation tree is the simnet fabric's edge tier, which Shards sizes; leave TreeFanout 0", c.TreeFanout)
+	}
 	if !fl.ValidCodec(c.Codec) {
 		return nil, fmt.Errorf("core: unknown wire codec %q", c.Codec)
 	}
@@ -349,7 +350,6 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*Resolved,
 		Strategy:        strat,
 		Aggregation:     c.Aggregation,
 		Shards:          c.Shards,
-		TreeFanout:      c.TreeFanout,
 		Sampler:         c.Sampler,
 		Seed:            c.Seed,
 		ValExamples:     c.ValExamples,

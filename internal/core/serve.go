@@ -20,7 +20,7 @@ import (
 func Serve(cfg Config, ln net.Listener, secure bool, progress io.Writer) (*Result, error) {
 	defer ln.Close() // again after the runner's Close: a harmless error
 	return cfg.deploy(func(r *Resolved, fc fl.Config) (fl.RoundRunner, error) {
-		agg, err := fl.NewAggregatorFor(fc.Aggregation, fc.Shards, fc.TreeFanout, fc.K)
+		agg, err := fl.NewAggregatorFor(fc.Aggregation, fc.Shards, 0, 0)
 		if err != nil {
 			return nil, err
 		}

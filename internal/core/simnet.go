@@ -76,8 +76,7 @@ func ServerSanitizeRefusal(whose string) error {
 
 // fabric is the simnet deployment of the round engine's runner seam: the
 // server tier (root plus any edges) on fabric listeners and one ClientMux
-// for the whole run, so virtual-client cursors and worker models persist
-// across rounds.
+// for the whole run, so its worker models and arenas persist across rounds.
 type fabric struct {
 	cfg   fl.Config
 	plan  *simnet.Plan
@@ -131,7 +130,7 @@ func (f *fabric) deploy() (err error) {
 	}
 	// The root is the flat fold of its inputs — client updates or edge
 	// partials: the float rule at Shards 0, the exact one otherwise.
-	if f.rootAgg, err = fl.NewAggregatorFor(f.cfg.Aggregation, min(f.cfg.Shards, 1), 0, f.cfg.K); err != nil {
+	if f.rootAgg, err = fl.NewAggregatorFor(f.cfg.Aggregation, f.cfg.Shards, 0, 0); err != nil {
 		return err
 	}
 	for s := 0; s < f.edges; s++ {
@@ -181,14 +180,13 @@ func (f *fabric) Round(round int, cohort []int, global *nn.Model) (fl.RoundStats
 	// who is unreachable, and unreachable members are left out of the
 	// admission quotas. members counts each shard's sessions; flat
 	// topologies are the single "shard" at the root.
-	topo := fl.Topology{K: f.cfg.K, Shards: f.cfg.Shards}
 	members := make([]int, max(f.edges, 1))
 	rootSessions := 0
 	var tasks []fl.MuxTask
 	for _, id := range cohort {
 		s, addr, host := 0, simnetServerAddr, simnetClientHost(id)
 		if f.edges > 0 {
-			s = topo.ShardOf(id)
+			s = shardOf(id, f.cfg.K, f.edges)
 			addr = simnetEdgeAddr(s)
 			if plan.Partitioned(round, addr, simnetServerAddr) {
 				continue
@@ -278,4 +276,15 @@ func (f *fabric) Round(round int, cohort []int, global *nn.Model) (fl.RoundStats
 	rs.Committed = ro.res.Committed
 	rs.WireBytes = f.net.BytesWritten() - wireBefore
 	return rs, nil
+}
+
+// shardOf assigns client id ∈ [0, k) to one of s ≤ k edge shards (fl.Config
+// validates Shards ≤ K): contiguous balanced ranges, the first k mod s
+// shards owning one extra client.
+func shardOf(id, k, s int) int {
+	q, r := k/s, k%s
+	if id < r*(q+1) {
+		return id / (q + 1)
+	}
+	return r + (id-r*(q+1))/q
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,6 +150,61 @@ func TestSimnetTreeConfigRejected(t *testing.T) {
 		if _, err := RunSimnet(cfg); err == nil {
 			t.Fatalf("expected config rejection, got success (%+v)", cfg)
 		}
+	}
+}
+
+// TestTopologyShardOfMatchesRanges pins the fabric's shard assignment:
+// every shard owns a non-empty contiguous range, ranges come in id order,
+// and their sizes are balanced — the first K mod S shards own one extra.
+func TestTopologyShardOfMatchesRanges(t *testing.T) {
+	for k := 1; k <= 40; k++ {
+		for s := 1; s <= k; s++ {
+			size := make([]int, s)
+			prev := 0
+			for id := 0; id < k; id++ {
+				sh := shardOf(id, k, s)
+				if sh != prev && sh != prev+1 || id == 0 && sh != 0 {
+					t.Fatalf("K=%d S=%d: id %d → shard %d after shard %d", k, s, id, sh, prev)
+				}
+				size[sh]++
+				prev = sh
+			}
+			for sh, n := range size {
+				want := k / s
+				if sh < k%s {
+					want++
+				}
+				if n != want {
+					t.Fatalf("K=%d S=%d: shard %d owns %d clients, want %d", k, s, sh, n, want)
+				}
+			}
+		}
+	}
+}
+
+// In process the shard count selects exact arithmetic and nothing else:
+// Run commits one model and one ε at every Shards ≥ 1, and a non-zero
+// TreeFanout — which would shape nothing — is refused by name.
+func TestRunShardsSelectExactFoldOnly(t *testing.T) {
+	take := func(shards int) (uint64, float64) {
+		cfg := checkpointBaseConfig()
+		cfg.Rounds, cfg.Shards = 3, shards
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digestTensors(res.Final.Params()), res.FinalEpsilon()
+	}
+	d1, e1 := take(1)
+	for _, shards := range []int{2, 4} {
+		if d, e := take(shards); d != d1 || e != e1 {
+			t.Fatalf("shards=%d: digest %x ε %v, shards=1 committed %x ε %v", shards, d, e, d1, e1)
+		}
+	}
+	cfg := checkpointBaseConfig()
+	cfg.Shards, cfg.TreeFanout = 4, 2
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "TreeFanout") {
+		t.Fatalf("Run with TreeFanout=2: %v, want a refusal naming TreeFanout", err)
 	}
 }
 

@@ -294,11 +294,6 @@ func (d DSSGD) ClientUpdate(env *fl.ClientEnv) ([]*tensor.Tensor, fl.ClientStats
 	return delta, stats
 }
 
-// SparseUpdates implements fl.SparseCapable: sharing a small fraction of
-// the update means most coordinates on the wire are zero, so remote
-// clients ship the sparse encoding (indices + values).
-func (d DSSGD) SparseUpdates() bool { return d.ShareFraction <= 0.5 }
-
 // Compressed wraps any strategy with communication-efficient gradient
 // pruning: after the inner strategy produces its update, the PruneRatio
 // fraction of smallest-magnitude entries is zeroed (Figure 5).
@@ -326,14 +321,4 @@ func (c Compressed) ServerSanitize(round, idx int, update []*tensor.Tensor, nois
 	if san, ok := c.Inner.(fl.ServerSanitizer); ok {
 		san.ServerSanitize(round, idx, update, noise)
 	}
-}
-
-// SparseUpdates implements fl.SparseCapable: pruning more than half the
-// coordinates makes the sparse wire encoding the smaller one.
-func (c Compressed) SparseUpdates() bool {
-	if c.PruneRatio > 0.5 {
-		return true
-	}
-	sc, ok := c.Inner.(fl.SparseCapable)
-	return ok && sc.SparseUpdates()
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"fedcdp/internal/fl"
-)
+import "testing"
 
 // TestStreamingQuorumThroughCore exercises the deadline-free quorum path
 // through core.Run's config surface: full dropout with a positive quorum
@@ -30,32 +26,5 @@ func TestStreamingQuorumThroughCore(t *testing.T) {
 		if r.Clients != 0 {
 			t.Fatalf("round %d folded %d clients under full dropout", r.Round, r.Clients)
 		}
-	}
-}
-
-// TestSparseHints pins which strategies advertise sparse wire updates.
-func TestSparseHints(t *testing.T) {
-	cases := []struct {
-		name string
-		s    fl.Strategy
-		want bool
-	}{
-		{"dssgd-0.1", DSSGD{ShareFraction: 0.1}, true},
-		{"dssgd-0.9", DSSGD{ShareFraction: 0.9}, false},
-		{"compress-0.9", Compressed{Inner: NonPrivate{}, PruneRatio: 0.9}, true},
-		{"compress-0.2", Compressed{Inner: NonPrivate{}, PruneRatio: 0.2}, false},
-		{"compress-over-dssgd", Compressed{Inner: DSSGD{ShareFraction: 0.1}, PruneRatio: 0.2}, true},
-	}
-	for _, tc := range cases {
-		sc, ok := tc.s.(fl.SparseCapable)
-		if !ok {
-			t.Fatalf("%s does not implement SparseCapable", tc.name)
-		}
-		if got := sc.SparseUpdates(); got != tc.want {
-			t.Errorf("%s: SparseUpdates() = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	if _, ok := fl.Strategy(NonPrivate{}).(fl.SparseCapable); ok {
-		t.Error("NonPrivate must not advertise sparse updates")
 	}
 }

@@ -9,7 +9,7 @@
 //
 // Sanitize draws from a sequential *tensor.RNG — the original path, still
 // what the attack drivers and leakage probes call. The counter path
-// (SanitizeCounter/SanitizeCounterFlat/SanitizeCounterLayers and the
+// (SanitizeCounter/SanitizeCounterFlat and the
 // parallel SanitizeCounterPar/SanitizeBatch) draws from tensor.CounterRNG
 // streams keyed by (round, client, iteration, example, layer), so noise for
 // any slice of any update is a pure function of its coordinates: shards of

@@ -75,17 +75,6 @@ func SanitizeCounter(grads []*tensor.Tensor, c, sigma float64, noise tensor.Coun
 	return norms
 }
 
-// SanitizeCounterLayers is SanitizeCounter with an explicit clipping bound
-// per layer (the median-norm adaptive strategy): layer li is clipped to
-// bounds[li] and noised with std sigma·bounds[li].
-func SanitizeCounterLayers(grads []*tensor.Tensor, bounds []float64, sigma float64, noise tensor.CounterRNG) {
-	for li, g := range grads {
-		d := g.Data()
-		scale, _ := clipScale(chunkedSqSum(d), bounds[li])
-		layerKey(noise, li).ScaleAddNormalBulk(d, 0, scale, sigma*bounds[li])
-	}
-}
-
 // SanitizeCounterFlat clips the whole gradient group to L2 norm c as one
 // concatenated vector (the Abadi et al. convention) and adds counter-engine
 // noise of std sigma·c. Returns the pre-clip group norm.

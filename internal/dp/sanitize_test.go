@@ -114,18 +114,6 @@ func TestSanitizeCounterFlatBoundsGroup(t *testing.T) {
 	}
 }
 
-func TestSanitizeCounterLayersUsesBounds(t *testing.T) {
-	noise := tensor.NewCounterRNG(6)
-	g := []*tensor.Tensor{tensor.FromSlice([]float64{3, 4}, 2), tensor.FromSlice([]float64{6, 8}, 2)}
-	SanitizeCounterLayers(g, []float64{1, 100}, 0, noise)
-	if math.Abs(g[0].L2Norm()-1) > 1e-9 {
-		t.Fatalf("layer 0 not clipped to its bound: %v", g[0].L2Norm())
-	}
-	if math.Abs(g[1].L2Norm()-10) > 1e-9 {
-		t.Fatalf("layer 1 inside its bound must be unchanged: %v", g[1].L2Norm())
-	}
-}
-
 // TestSanitizeBatchDeterministicAcrossParallelism runs the fused batch
 // pipeline at worker counts 1 and 8 over the same per-example gradients and
 // requires byte-identical buffers, accumulator and norms — under -race this

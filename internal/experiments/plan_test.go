@@ -99,7 +99,7 @@ var offDefault = map[string]string{
 	"method.delta": "1e-06", "method.decay-from": "8", "method.decay-to": "1", "method.share": "0.25", "method.compress": "0.3",
 	"runtime.deadline": "150ms", "runtime.quorum": "2", "runtime.dropout": "0.25",
 	"faults.plan": "drop=0.2", "faults.population": "churn=0.1",
-	"aggregation.rule": "trimmed:0.34", "aggregation.shards": "4", "aggregation.tree-fanout": "2",
+	"aggregation.rule": "trimmed:0.34", "aggregation.shards": "4",
 	"aggregation.sampler": "floyd", "aggregation.mux-workers": "3",
 	"codec.wire": "binary",
 	"training.k": "12", "training.kt": "6", "training.rounds": "4", "training.planned-rounds": "9", "training.batch": "5",
@@ -157,8 +157,8 @@ func allowed(driver, key string) (reason string, ok bool) {
 // there that turns out to matter is an error too.
 func TestMetamorphicEveryKeyEveryDriver(t *testing.T) {
 	keys, defaults := schemaKeys()
-	if len(keys) != 42 {
-		t.Fatalf("schema has %d keys, want 42: %v", len(keys), keys)
+	if len(keys) != 41 {
+		t.Fatalf("schema has %d keys, want 41: %v", len(keys), keys)
 	}
 	for _, key := range keys {
 		_, perturbed := offDefault[key]

@@ -63,7 +63,7 @@ func runBarrierRound(cfg Config, global *nn.Model, cohort []int, round int, work
 	params := global.Params()
 	agg.Begin(params)
 	for _, i := range live {
-		foldClientInto(agg, cohort[i], updates[i], weights[i])
+		foldInto(agg, updates[i], weights[i])
 	}
 	rs := RoundStats{Clients: len(live), Dropped: len(cohort) - len(live)}
 	for _, i := range live {

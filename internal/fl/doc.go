@@ -46,8 +46,10 @@
 //
 // # Exact and hierarchical aggregation
 //
-// Config.Shards ≥ 1 swaps the float folds for ExactAggregator (one shard,
-// the parity oracle) or TreeAggregator (edge folds composed into a root):
+// Config.Shards ≥ 1 swaps the float folds for ExactAggregator, the flat
+// exact fold; an aggregation tree exists only as edge RoundServers
+// forwarding partials to a root that absorbs them with FoldPartial (the
+// simnet fabric, core.RunSimnet), and the flat fold is its parity oracle:
 // sums accumulate in ExactVec, a fixed-point superaccumulator on the
 // float64 grid (bit 0 = 2^-1074, two's-complement uint64 limbs, one limb
 // window per vector grown on demand), so addition is exact, any grouping

@@ -24,11 +24,13 @@ import (
 // theorem instead of a tolerance — and, as a bonus, makes arrival-order
 // streaming folds bit-reproducible at any GOMAXPROCS.
 //
-// The exact fold is opt-in (Config.Shards ≥ 1, core.Config.Shards,
-// fedserve -agg-shards): its committed bits differ from the legacy float
-// aggregators' order-dependent sums, so the flat parity oracle for a tree
-// fold is the single-shard exact fold (Shards=1), and every pre-existing
-// seeded golden — which runs with Shards=0 — is untouched.
+// The exact fold is opt-in (Config.Shards ≥ 1, aggregation.shards): its
+// committed bits differ from the legacy float aggregators' order-dependent
+// sums, and every pre-existing seeded golden — which runs with Shards=0 —
+// is untouched. In process any Shards ≥ 1 is the one flat exact fold; the
+// tree itself is physical, edge RoundServers on the simnet fabric
+// (core.RunSimnet) forwarding partials to the root, and that flat fold is
+// its parity oracle.
 
 // Accumulator geometry. Every finite float64 is an integer multiple of
 // 2^-1074, so the accumulator is a two's-complement integer on that grid:
@@ -89,8 +91,8 @@ func specFloat(s byte) float64 {
 // ExactVec is a vector of exact fixed-point accumulators for float64
 // addends: a superaccumulator. Addition is integer addition on the 2^-1074
 // grid, hence exact, commutative and associative: sums are invariant to
-// arrival order, grouping, shard assignment and tree fanout, which is the
-// arithmetic foundation of the hierarchical fold. Round performs the single
+// arrival order, grouping and shard assignment, which is the arithmetic
+// foundation of the hierarchical fold. Round performs the single
 // round-to-nearest-even per element. Not safe for concurrent use; the
 // aggregators lock around it.
 //
@@ -501,31 +503,6 @@ type Partial struct {
 	Sums    []*ExactVec
 }
 
-// Merge absorbs another partial of the same rule and geometry.
-func (p *Partial) Merge(o *Partial) error {
-	if o.Rule != p.Rule {
-		return fmt.Errorf("fl: merging %q partial into %q", o.Rule, p.Rule)
-	}
-	if len(o.Sums) != len(p.Sums) {
-		return fmt.Errorf("fl: merging partial of %d tensors into %d", len(o.Sums), len(p.Sums))
-	}
-	for i := range p.Sums {
-		if err := p.Sums[i].Merge(o.Sums[i]); err != nil {
-			return err
-		}
-	}
-	if p.WSum != nil {
-		if o.WSum == nil {
-			return fmt.Errorf("fl: weighted partial merge without a weight sum")
-		}
-		if err := p.WSum.Merge(o.WSum); err != nil {
-			return err
-		}
-	}
-	p.Clients += o.Clients
-	return nil
-}
-
 // Wire converts the partial to its wire form.
 func (p *Partial) Wire() *PartialWire {
 	w := &PartialWire{Rule: p.Rule, Clients: p.Clients, Sums: make([]ExactTensorWire, len(p.Sums))}
@@ -626,64 +603,11 @@ func PartialFromWire(w *PartialWire) (*Partial, error) {
 	return p, nil
 }
 
-// --- Topology --------------------------------------------------------------
-
-// Topology assigns the client population to aggregation shards: contiguous
-// balanced ranges when the population size K is known (the first K mod
-// Shards shards own one extra client), id mod Shards when it is not (a
-// standalone fedserve doesn't know K). Pure arithmetic — every participant
-// derives the same assignment with no coordination.
-type Topology struct {
-	K      int // population size; ≤0 = unknown (modulo assignment)
-	Shards int // shard count; values ≤1 collapse to one shard
-}
-
-// ShardOf returns the owning shard of a client id.
-func (t Topology) ShardOf(id int) int {
-	s := t.Shards
-	if s <= 1 {
-		return 0
-	}
-	if t.K <= 0 {
-		if id < 0 {
-			id = -id
-		}
-		return id % s
-	}
-	if id < 0 {
-		return 0
-	}
-	if id >= t.K {
-		return s - 1
-	}
-	q, r := t.K/s, t.K%s
-	if id < r*(q+1) {
-		return id / (q + 1)
-	}
-	return r + (id-r*(q+1))/q
-}
-
-// Range returns shard s's contiguous client range [lo, hi); it is only
-// meaningful when K is known.
-func (t Topology) Range(s int) (lo, hi int) {
-	if t.Shards <= 1 {
-		return 0, t.K
-	}
-	q, r := t.K/t.Shards, t.K%t.Shards
-	lo = s*q + min(s, r)
-	hi = lo + q
-	if s < r {
-		hi++
-	}
-	return lo, hi
-}
-
 // --- Interfaces ------------------------------------------------------------
 
-// ClientFolder is implemented by aggregators that route folds by client
-// identity (the tree fold needs the id to pick a shard; Fold does not
-// carry it). The runtimes probe for it exactly as they probe for
-// WeightedFolder.
+// ClientFolder is a fold that takes the client's identity. No runtime
+// probes for it; it stays, with ExactAggregator.FoldClient, because
+// benchmark/probes.go binds both (ROADMAP 2(a)).
 type ClientFolder interface {
 	FoldClient(clientID int, update []*tensor.Tensor, weight float64)
 }
@@ -692,17 +616,6 @@ type ClientFolder interface {
 // partial fold — the root of a hierarchical deployment.
 type PartialFolder interface {
 	FoldPartial(p *Partial) error
-}
-
-// foldClientInto routes one update into agg with its client identity when
-// the aggregator is identity-aware — the dispatch rule shared by the
-// in-process and RPC runtimes (mirroring foldInto).
-func foldClientInto(agg Aggregator, clientID int, update []*tensor.Tensor, weight float64) {
-	if cf, ok := agg.(ClientFolder); ok {
-		cf.FoldClient(clientID, update, weight)
-		return
-	}
-	foldInto(agg, update, weight)
 }
 
 // --- Exact aggregator ------------------------------------------------------
@@ -822,8 +735,7 @@ func (a *ExactAggregator) FoldWeighted(update []*tensor.Tensor, weight float64) 
 	a.n++
 }
 
-// FoldClient implements ClientFolder: a flat exact fold has one shard, so
-// identity routing is a plain fold.
+// FoldClient is FoldWeighted; the client id is unused (see ClientFolder).
 func (a *ExactAggregator) FoldClient(clientID int, update []*tensor.Tensor, weight float64) {
 	a.FoldWeighted(update, weight)
 }
@@ -930,116 +842,14 @@ type edgeFold struct{ *ExactAggregator }
 
 func (edgeFold) Commit([]*tensor.Tensor) {}
 
-// --- Tree aggregator -------------------------------------------------------
-
-// TreeAggregator is the in-process multi-level aggregation tree: client
-// folds route to their shard's edge, and Commit composes the edge partials
-// — fanout-ary, level by level — into a root exact fold before applying
-// it. Because composition is exact merge, the committed bits are invariant
-// to the shard assignment and fanout; the deployment harness
-// (core.RunSimnet) runs the same algebra with the edges behind real
-// RoundServers on the simnet fabric.
-type TreeAggregator struct {
-	topo   Topology
-	fanout int
-	edges  []*ExactAggregator
-	root   *ExactAggregator
-}
-
-// NewTree builds a tree fold for an aggregation rule over a shard
-// topology. fanout bounds how many partials one compose step merges
-// (≤1 = compose all at once).
-func NewTree(rule string, topo Topology, fanout int) (*TreeAggregator, error) {
-	if topo.Shards < 1 {
-		return nil, fmt.Errorf("fl: tree aggregation needs ≥1 shard, got %d", topo.Shards)
-	}
-	root, err := NewExact(rule)
-	if err != nil {
-		return nil, err
-	}
-	t := &TreeAggregator{topo: topo, fanout: fanout, root: root}
-	t.edges = make([]*ExactAggregator, topo.Shards)
-	for i := range t.edges {
-		t.edges[i], _ = NewExact(rule)
-	}
-	return t, nil
-}
-
-// Begin implements Aggregator.
-func (t *TreeAggregator) Begin(params []*tensor.Tensor) {
-	t.root.Begin(params)
-	for _, e := range t.edges {
-		e.Begin(params)
-	}
-}
-
-// Fold implements Aggregator. Without a client identity the update lands
-// on shard 0 — exact merge makes placement arithmetically irrelevant;
-// identity-aware callers use FoldClient.
-func (t *TreeAggregator) Fold(update []*tensor.Tensor) { t.edges[0].Fold(update) }
-
-// FoldWeighted implements WeightedFolder (shard 0, as Fold).
-func (t *TreeAggregator) FoldWeighted(update []*tensor.Tensor, weight float64) {
-	t.edges[0].FoldWeighted(update, weight)
-}
-
-// FoldClient implements ClientFolder: the update folds at its shard's edge.
-func (t *TreeAggregator) FoldClient(clientID int, update []*tensor.Tensor, weight float64) {
-	t.edges[t.topo.ShardOf(clientID)].FoldWeighted(update, weight)
-}
-
-// Count implements Aggregator.
-func (t *TreeAggregator) Count() int {
-	n := 0
-	for _, e := range t.edges {
-		n += e.Count()
-	}
-	return n
-}
-
-// Commit implements Aggregator: compose the edge partials fanout-ary into
-// the root, then commit the root.
-func (t *TreeAggregator) Commit(params []*tensor.Tensor) {
-	parts := make([]*Partial, len(t.edges))
-	for i, e := range t.edges {
-		parts[i] = e.TakePartial()
-	}
-	f := t.fanout
-	if f <= 1 {
-		f = len(parts)
-	}
-	for len(parts) > 1 {
-		next := parts[:0]
-		for lo := 0; lo < len(parts); lo += f {
-			hi := lo + f
-			if hi > len(parts) {
-				hi = len(parts)
-			}
-			dst := parts[lo]
-			for _, src := range parts[lo+1 : hi] {
-				// Same-geometry merges by construction; an error here would
-				// be a programming bug, not a data condition.
-				if err := dst.Merge(src); err != nil {
-					panic(err)
-				}
-			}
-			next = append(next, dst)
-		}
-		parts = next
-	}
-	if err := t.root.FoldPartial(parts[0]); err != nil {
-		panic(err)
-	}
-	t.root.Commit(params)
-}
-
 // --- Construction ----------------------------------------------------------
 
-// NewAggregatorFor constructs the server fold for an aggregation rule and
-// shard topology: shards ≤ 0 is the legacy float fold (NewAggregator,
-// byte-identical to every pre-sharding run), shards = 1 the flat exact
-// fold (the tree's parity oracle), shards > 1 the aggregation tree. k is
-// the population size when known (≤0 falls back to modulo sharding).
+// NewAggregatorFor constructs the server fold for an aggregation rule:
+// shards ≤ 0 is the legacy float fold (NewAggregator, byte-identical to
+// every pre-sharding run), shards ≥ 1 the flat exact fold. In process the
+// shard count selects exact arithmetic only; a tree of edge folds exists
+// on the simnet fabric alone. fanout and k are unused, kept while
+// benchmark/probes.go binds the four-argument form (ROADMAP 2(a)).
 //
 // Robust rules (median/trimmed/krum) are order statistics over the raw
 // update multiset — they are not grouping-invariant, so there is no exact
@@ -1047,15 +857,11 @@ func (t *TreeAggregator) Commit(params []*tensor.Tensor) {
 // median). Any sharded topology combined with a robust rule is a
 // configuration error here, up front, rather than a silently wrong commit.
 func NewAggregatorFor(rule string, shards, fanout, k int) (Aggregator, error) {
-	if shards >= 1 && RobustAggregation(rule) {
+	if shards <= 0 {
+		return NewAggregator(rule)
+	}
+	if RobustAggregation(rule) {
 		return nil, fmt.Errorf("fl: robust aggregation %q is not grouping-invariant and cannot run on the exact/tree topology (shards=%d); use shards=0", rule, shards)
 	}
-	switch {
-	case shards <= 0:
-		return NewAggregator(rule)
-	case shards == 1:
-		return NewExact(rule)
-	default:
-		return NewTree(rule, Topology{K: k, Shards: shards}, fanout)
-	}
+	return NewExact(rule)
 }

@@ -324,53 +324,6 @@ func TestPartialWireValidate(t *testing.T) {
 	}
 }
 
-func TestTopologyShardOfMatchesRanges(t *testing.T) {
-	for k := 1; k <= 40; k++ {
-		for s := 1; s <= k+2; s++ {
-			topo := Topology{K: k, Shards: s}
-			eff := s
-			if eff > 1 {
-				// Ranges must partition [0,K) contiguously.
-				prev := 0
-				for sh := 0; sh < s; sh++ {
-					lo, hi := topo.Range(sh)
-					if lo != prev {
-						t.Fatalf("K=%d S=%d shard %d starts at %d, want %d", k, s, sh, lo, prev)
-					}
-					prev = hi
-				}
-				if prev != k {
-					t.Fatalf("K=%d S=%d ranges end at %d", k, s, prev)
-				}
-			}
-			for id := 0; id < k; id++ {
-				sh := topo.ShardOf(id)
-				if sh < 0 || sh >= maxInt(eff, 1) {
-					t.Fatalf("K=%d S=%d id %d → shard %d", k, s, id, sh)
-				}
-				lo, hi := topo.Range(sh)
-				if id < lo || id >= hi {
-					t.Fatalf("K=%d S=%d id %d → shard %d range [%d,%d)", k, s, id, sh, lo, hi)
-				}
-			}
-		}
-	}
-	// Unknown population: modulo assignment, total coverage.
-	topo := Topology{Shards: 4}
-	for id := 0; id < 100; id++ {
-		if got := topo.ShardOf(id); got != id%4 {
-			t.Fatalf("modulo shard of %d = %d", id, got)
-		}
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // randomRound builds params plus per-client (update, weight) pairs with
 // adversarial magnitudes so float folds would be order-sensitive.
 func randomRound(g *tensor.RNG, clients int) (params []*tensor.Tensor, updates [][]*tensor.Tensor, weights []float64) {
@@ -394,13 +347,15 @@ func randomRound(g *tensor.RNG, clients int) (params []*tensor.Tensor, updates [
 	return
 }
 
-func TestTreeFoldMatchesFlatExactly(t *testing.T) {
+// TestPartialWireComposesBitIdentical drives the deployment algebra — edge
+// folds serialized through the wire form and recomposed at a fresh root —
+// at every population K ≤ 16, every shard count and a scrambled arrival
+// order at both tiers, and requires the flat exact fold's bits.
+func TestPartialWireComposesBitIdentical(t *testing.T) {
 	g := tensor.NewRNG(77)
-	rules := []string{AggFedSGD, AggFedAvg, AggWeighted}
 	for k := 1; k <= 16; k++ {
 		params, updates, weights := randomRound(g, k)
-		for _, rule := range rules {
-			// Flat exact oracle.
+		for _, rule := range []string{AggFedSGD, AggFedAvg, AggWeighted} {
 			flatParams := tensor.CloneAll(params)
 			flat, err := NewExact(rule)
 			if err != nil {
@@ -408,77 +363,39 @@ func TestTreeFoldMatchesFlatExactly(t *testing.T) {
 			}
 			flat.Begin(flatParams)
 			for c := 0; c < k; c++ {
-				flat.FoldClient(c, updates[c], weights[c])
+				flat.FoldWeighted(updates[c], weights[c])
 			}
 			flat.Commit(flatParams)
 			for shards := 1; shards <= k; shards++ {
-				for _, fanout := range []int{0, 2, 3, shards} {
-					treeParams := tensor.CloneAll(params)
-					tree, err := NewTree(rule, Topology{K: k, Shards: shards}, fanout)
+				edges := make([]*ExactAggregator, shards)
+				for s := range edges {
+					edges[s], _ = NewExact(rule)
+					edges[s].Begin(params)
+				}
+				arrival := tensor.Split(9, int64(k), int64(shards))
+				for _, c := range arrival.Perm(k) {
+					edges[c*shards/k].FoldWeighted(updates[c], weights[c])
+				}
+				rootParams := tensor.CloneAll(params)
+				root, _ := NewExact(rule)
+				root.Begin(rootParams)
+				for _, s := range arrival.Perm(shards) {
+					p, err := PartialFromWire(edges[s].TakePartial().Wire())
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("rule %s K=%d S=%d: %v", rule, k, shards, err)
 					}
-					tree.Begin(treeParams)
-					// Fold in a scrambled arrival order.
-					for _, c := range tensor.Split(9, int64(k), int64(shards)).Perm(k) {
-						tree.FoldClient(c, updates[c], weights[c])
-					}
-					if tree.Count() != k {
-						t.Fatalf("rule %s K=%d S=%d: count %d", rule, k, shards, tree.Count())
-					}
-					tree.Commit(treeParams)
-					if !sameBits(treeParams, flatParams) {
-						t.Fatalf("rule %s K=%d S=%d F=%d: tree commit differs from flat", rule, k, shards, fanout)
+					if err := root.FoldPartial(p); err != nil {
+						t.Fatalf("rule %s K=%d S=%d: %v", rule, k, shards, err)
 					}
 				}
+				if root.Count() != k {
+					t.Fatalf("rule %s K=%d S=%d: root counts %d clients", rule, k, shards, root.Count())
+				}
+				root.Commit(rootParams)
+				if !sameBits(rootParams, flatParams) {
+					t.Fatalf("rule %s K=%d S=%d: wire-composed root differs from flat fold", rule, k, shards)
+				}
 			}
-		}
-	}
-}
-
-func TestPartialWireComposesBitIdentical(t *testing.T) {
-	// Edge folds serialized through the wire form and recomposed at a fresh
-	// root must commit the same bits as the flat fold — the deployment path
-	// (edge RoundServer → PartialWire → root) in miniature.
-	g := tensor.NewRNG(13)
-	const k, shards = 12, 4
-	params, updates, weights := randomRound(g, k)
-	for _, rule := range []string{AggFedSGD, AggFedAvg, AggWeighted} {
-		flatParams := tensor.CloneAll(params)
-		flat, _ := NewExact(rule)
-		flat.Begin(flatParams)
-		for c := 0; c < k; c++ {
-			flat.FoldClient(c, updates[c], weights[c])
-		}
-		flat.Commit(flatParams)
-
-		topo := Topology{K: k, Shards: shards}
-		edges := make([]*ExactAggregator, shards)
-		for s := range edges {
-			edges[s], _ = NewExact(rule)
-			edges[s].Begin(tensor.CloneAll(params))
-		}
-		for c := 0; c < k; c++ {
-			edges[topo.ShardOf(c)].FoldClient(c, updates[c], weights[c])
-		}
-		rootParams := tensor.CloneAll(params)
-		root, _ := NewExact(rule)
-		root.Begin(rootParams)
-		for _, e := range edges {
-			p, err := PartialFromWire(e.TakePartial().Wire())
-			if err != nil {
-				t.Fatalf("rule %s: %v", rule, err)
-			}
-			if err := root.FoldPartial(p); err != nil {
-				t.Fatalf("rule %s: %v", rule, err)
-			}
-		}
-		if root.Count() != k {
-			t.Fatalf("rule %s: root counts %d clients, want %d", rule, root.Count(), k)
-		}
-		root.Commit(rootParams)
-		if !sameBits(rootParams, flatParams) {
-			t.Fatalf("rule %s: wire-composed root differs from flat fold", rule)
 		}
 	}
 }
@@ -547,10 +464,10 @@ func TestNewAggregatorForSelectsImplementation(t *testing.T) {
 	} else if _, ok := a.(*ExactAggregator); !ok {
 		t.Fatalf("shards=1 gave %T, want flat exact fold", a)
 	}
-	if a, err := NewAggregatorFor(AggFedAvg, 4, 2, 8); err != nil {
+	if a, err := NewAggregatorFor(AggFedAvg, 4, 0, 8); err != nil {
 		t.Fatal(err)
-	} else if _, ok := a.(*TreeAggregator); !ok {
-		t.Fatalf("shards=4 gave %T, want tree fold", a)
+	} else if _, ok := a.(*ExactAggregator); !ok {
+		t.Fatalf("shards=4 gave %T, want flat exact fold", a)
 	}
 	if _, err := NewAggregatorFor("median", 1, 0, 8); err == nil {
 		t.Fatal("unknown rule accepted")

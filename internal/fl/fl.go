@@ -160,17 +160,10 @@ type Config struct {
 	Sampler string
 
 	// Shards selects the server aggregation fold: 0 (default) is the
-	// legacy float fold, 1 the flat exact fold (the hierarchical parity
-	// oracle), ≥2 an aggregation tree with that many edge shards. See
-	// exact.go for the exactness contract.
+	// legacy float fold, ≥1 the flat exact fold. A tree of edge folds is
+	// the simnet fabric's alone (core.RunSimnet); in process the exact
+	// fold is its parity oracle. See exact.go for the exactness contract.
 	Shards int
-
-	// TreeFanout groups the in-process tree's serial partial merge into
-	// steps of that many partials (≤1 = all at once). It is bit-irrelevant
-	// — exact merges are associative — and shapes no traffic: a deployment's
-	// edges send their partials straight to the root. It goes with ROADMAP
-	// 2(a), since benchmark/probes.go binds it.
-	TreeFanout int
 
 	// Aggregation selects the server rule: AggFedSGD (default) applies
 	// W ← W + mean(ΔW); AggFedAvg replaces W with the mean of the client
@@ -394,8 +387,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: negative shard count %d", c.Shards)
 	case c.Shards > c.K:
 		return fmt.Errorf("fl: %d shards exceed population K=%d", c.Shards, c.K)
-	case c.TreeFanout < 0:
-		return fmt.Errorf("fl: negative tree fanout %d", c.TreeFanout)
 	}
 	if _, err := c.Round.Scenario.Partitioner(); err != nil {
 		return err
@@ -515,14 +506,10 @@ func newLocalRunner(cfg Config) *localRunner {
 
 // rebuild constructs the in-memory structures a restart loses.
 func (l *localRunner) rebuild() {
-	par := l.cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	l.workers = newWorkerPool(par, l.cfg.Model)
+	l.workers = newWorkerPool(l.cfg.Parallelism, l.cfg.Model)
 	// Rule and shard count were validated by RunWith; Shards=0 is the
 	// legacy fold.
-	l.agg, _ = NewAggregatorFor(l.cfg.Aggregation, l.cfg.Shards, l.cfg.TreeFanout, l.cfg.K)
+	l.agg, _ = NewAggregatorFor(l.cfg.Aggregation, l.cfg.Shards, 0, 0)
 }
 
 // Restart implements RoundRunner. Every draw the round makes is keyed by
@@ -628,13 +615,17 @@ func (w *worker) step(strat Strategy, seed int64, round, id int, params []*tenso
 }
 
 // workerPool is a fixed set of workers handed out over a channel; at most
-// len(slots) clients train concurrently.
+// cap(slots) clients train concurrently.
 type workerPool struct {
 	spec  nn.Spec
 	slots chan *worker
 }
 
+// newWorkerPool sizes the pool at par workers (≤0 = GOMAXPROCS).
 func newWorkerPool(par int, spec nn.Spec) *workerPool {
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
 	p := &workerPool{spec: spec, slots: make(chan *worker, par)}
 	for i := 0; i < par; i++ {
 		p.slots <- nil // materialized lazily on first acquire

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -58,13 +57,15 @@ type ClientMux struct {
 	// the point the in-process runtime does (the shared client step). Nil
 	// is an honest closed world.
 	Plan Plan
-	// Workers bounds concurrent sessions (0 = GOMAXPROCS).
+	// Workers bounds concurrent sessions (0 = GOMAXPROCS); the first
+	// RunRound reads it.
 	Workers int
 
-	// pool recycles workers across rounds so steady-state training reuses
-	// models, arenas and RNG state instead of rebuilding them every
-	// RunRound.
-	pool sync.Pool
+	// workers is the mux's fixed worker set, built at the first RunRound
+	// and kept for the mux's life, so steady-state training reuses models,
+	// arenas and RNG state — across a GC too — instead of rebuilding them.
+	workers     *workerPool
+	workersOnce sync.Once
 }
 
 // RunRound drains one round's task list over the worker pool and returns
@@ -76,24 +77,15 @@ func (m *ClientMux) RunRound(tasks []MuxTask) []MuxResult {
 	if len(tasks) == 0 {
 		return results
 	}
-	workers := m.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	m.workersOnce.Do(func() { m.workers = newWorkerPool(m.Workers, m.Spec) })
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for n := 0; n < workers; n++ {
+	for n := min(cap(m.workers.slots), len(tasks)); n > 0; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w, _ := m.pool.Get().(*worker)
-			if w == nil {
-				w = newWorker(m.Spec)
-			}
-			defer m.pool.Put(w)
+			w := m.workers.acquire()
+			defer m.workers.release(w)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {

@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,6 +90,98 @@ func TestClientMuxMatchesPerClientGoroutines(t *testing.T) {
 			if !got[i].Equal(want[i], 0) {
 				t.Fatalf("workers=%d: param %d differs from per-client-goroutine round", workers, i)
 			}
+		}
+	}
+}
+
+// modelRecorder trains like sgdStrategy and records the model each client
+// trained on — the identity of the worker that served it.
+type modelRecorder struct {
+	mu     sync.Mutex
+	models map[*nn.Model]bool
+}
+
+func (*modelRecorder) Name() string { return "sgd" }
+
+func (r *modelRecorder) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats) {
+	r.mu.Lock()
+	r.models[env.Model] = true
+	r.mu.Unlock()
+	return sgdStrategy{}.ClientUpdate(env)
+}
+
+// The mux's workers are a fixed set built at its first round and kept for
+// its life: a round after two GCs is served by the workers of the round
+// before, so steady state never rebuilds a model or a cold arena.
+func TestClientMuxKeepsWorkersAcrossGC(t *testing.T) {
+	spec, err := dataset.Get("cancer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewRoundServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
+	cfg := RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1, TotalRounds: 2}
+	rec := &modelRecorder{}
+	mux := &ClientMux{Spec: spec.ModelSpec(), Data: dataset.New(spec, 42), Strat: rec, Seed: 42, Workers: 2}
+	round := func(r int) {
+		t.Helper()
+		rec.models = map[*nn.Model]bool{}
+		tasks := make([]MuxTask, 4)
+		for i := range tasks {
+			tasks[i] = MuxTask{ClientID: i, Addr: srv.Addr()}
+		}
+		done := make(chan []MuxResult, 1)
+		go func() { done <- mux.RunRound(tasks) }()
+		res, err := srv.StreamRound(r, model.Params(), cfg, NewFedSGD(), RoundOptions{Clients: len(tasks)})
+		<-done
+		if err != nil || res.Folded != len(tasks) {
+			t.Fatalf("round %d: %+v, %v", r, res, err)
+		}
+	}
+	// held lists the workers the mux's free list holds between rounds.
+	held := func() map[*worker]bool {
+		ws := make([]*worker, cap(mux.workers.slots))
+		set := map[*worker]bool{}
+		for i := range ws {
+			ws[i] = <-mux.workers.slots
+			if ws[i] != nil {
+				set[ws[i]] = true
+			}
+		}
+		for _, w := range ws {
+			mux.workers.slots <- w
+		}
+		return set
+	}
+
+	round(0)
+	first := held()
+	if len(first) != 2 {
+		t.Fatalf("round 0 left %d workers, want 2", len(first))
+	}
+	runtime.GC()
+	runtime.GC()
+	round(1)
+	for m := range rec.models {
+		served := false
+		for w := range first {
+			served = served || w.model == m
+		}
+		if !served {
+			t.Fatal("round 1 trained on a model no round-0 worker owns")
+		}
+	}
+	second := held()
+	if len(second) != len(first) {
+		t.Fatalf("round 1 left %d workers, round 0 left %d", len(second), len(first))
+	}
+	for w := range second {
+		if !first[w] {
+			t.Fatal("round 1 built a new worker")
 		}
 	}
 }

@@ -533,7 +533,7 @@ func (s *RoundServer) StreamRound(round int, params []*tensor.Tensor, cfg RoundC
 			res.Folded++
 			return
 		}
-		foldClientInto(agg, r.client, r.update, r.weight)
+		foldInto(agg, r.update, r.weight)
 		updateMsgPool.Put(r.msg)
 		res.Folded++
 	}

@@ -56,16 +56,6 @@ func TensorsFromSparse(ws []SparseTensorWire) []*tensor.Tensor {
 	return out
 }
 
-// SparseCapable is an optional Strategy extension declaring that the
-// strategy's shared updates are mostly zeros (DSSGD's selective sharing,
-// the top-k compression wrapper). It is advisory — the wire layer always
-// measures density per update via EncodeUpdate and never lets a
-// declaration force the larger encoding; tools and tests use the marker
-// to know which strategies are expected to travel sparse.
-type SparseCapable interface {
-	SparseUpdates() bool
-}
-
 // sparseWorthwhile reports whether the sparse encoding of ts is smaller
 // than the dense one: each nonzero costs an index plus a value against
 // one value per entry dense, so sparse wins below ~50% density.

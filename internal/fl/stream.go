@@ -91,7 +91,7 @@ func (l *localRunner) Round(round int, cohort []int, global *nn.Model) (RoundSta
 		if san != nil {
 			san.ServerSanitize(round, res.idx, res.update, ServerNoise(cfg.Seed, round))
 		}
-		foldClientInto(agg, cohort[res.idx], res.update, res.weight)
+		foldInto(agg, res.update, res.weight)
 		folded++
 		rs.MeanGradNorm += res.stats.MeanGradNorm
 		rs.MsPerIter += res.stats.MsPerIter()

@@ -442,9 +442,8 @@ func TestExtraSessionsWaitForNextRound(t *testing.T) {
 	}
 }
 
-// sparseEchoStrategy shares exactly one nonzero coordinate per tensor and
-// declares itself sparse-capable, exercising the sparse wire path end to
-// end.
+// sparseEchoStrategy shares exactly one nonzero coordinate per tensor,
+// exercising the sparse wire path end to end.
 type sparseEchoStrategy struct{ value float64 }
 
 func (sparseEchoStrategy) Name() string { return "sparse-echo" }
@@ -456,8 +455,6 @@ func (s sparseEchoStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, Clie
 	}
 	return delta, ClientStats{Iters: 1}
 }
-
-func (sparseEchoStrategy) SparseUpdates() bool { return true }
 
 func TestSparseUpdateOverTCP(t *testing.T) {
 	spec, _ := dataset.Get("cancer")
