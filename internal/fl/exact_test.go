@@ -347,11 +347,11 @@ func randomRound(g *tensor.RNG, clients int) (params []*tensor.Tensor, updates [
 	return
 }
 
-// TestPartialWireComposesBitIdentical drives the deployment algebra — edge
-// folds serialized through the wire form and recomposed at a fresh root —
-// at every population K ≤ 16, every shard count and a scrambled arrival
-// order at both tiers, and requires the flat exact fold's bits.
-func TestPartialWireComposesBitIdentical(t *testing.T) {
+// TestTreeFoldMatchesFlatExactly drives the aggregation tree's algebra —
+// edge folds over contiguous shards, their partials recomposed at a fresh
+// root — at every population K ≤ 16, every shard count and a scrambled
+// arrival order at both tiers, and requires the flat exact fold's bits.
+func TestTreeFoldMatchesFlatExactly(t *testing.T) {
 	g := tensor.NewRNG(77)
 	for k := 1; k <= 16; k++ {
 		params, updates, weights := randomRound(g, k)
@@ -380,11 +380,7 @@ func TestPartialWireComposesBitIdentical(t *testing.T) {
 				root, _ := NewExact(rule)
 				root.Begin(rootParams)
 				for _, s := range arrival.Perm(shards) {
-					p, err := PartialFromWire(edges[s].TakePartial().Wire())
-					if err != nil {
-						t.Fatalf("rule %s K=%d S=%d: %v", rule, k, shards, err)
-					}
-					if err := root.FoldPartial(p); err != nil {
+					if err := root.FoldPartial(edges[s].TakePartial()); err != nil {
 						t.Fatalf("rule %s K=%d S=%d: %v", rule, k, shards, err)
 					}
 				}
@@ -393,9 +389,55 @@ func TestPartialWireComposesBitIdentical(t *testing.T) {
 				}
 				root.Commit(rootParams)
 				if !sameBits(rootParams, flatParams) {
-					t.Fatalf("rule %s K=%d S=%d: wire-composed root differs from flat fold", rule, k, shards)
+					t.Fatalf("rule %s K=%d S=%d: tree commit differs from flat fold", rule, k, shards)
 				}
 			}
+		}
+	}
+}
+
+func TestPartialWireComposesBitIdentical(t *testing.T) {
+	// Edge folds serialized through the wire form and recomposed at a fresh
+	// root must commit the same bits as the flat fold — the deployment path
+	// (edge RoundServer → PartialWire → root) in miniature.
+	g := tensor.NewRNG(13)
+	const k, shards = 12, 4
+	params, updates, weights := randomRound(g, k)
+	for _, rule := range []string{AggFedSGD, AggFedAvg, AggWeighted} {
+		flatParams := tensor.CloneAll(params)
+		flat, _ := NewExact(rule)
+		flat.Begin(flatParams)
+		for c := 0; c < k; c++ {
+			flat.FoldWeighted(updates[c], weights[c])
+		}
+		flat.Commit(flatParams)
+
+		edges := make([]*ExactAggregator, shards)
+		for s := range edges {
+			edges[s], _ = NewExact(rule)
+			edges[s].Begin(tensor.CloneAll(params))
+		}
+		for c := 0; c < k; c++ {
+			edges[c*shards/k].FoldWeighted(updates[c], weights[c])
+		}
+		rootParams := tensor.CloneAll(params)
+		root, _ := NewExact(rule)
+		root.Begin(rootParams)
+		for _, e := range edges {
+			p, err := PartialFromWire(e.TakePartial().Wire())
+			if err != nil {
+				t.Fatalf("rule %s: %v", rule, err)
+			}
+			if err := root.FoldPartial(p); err != nil {
+				t.Fatalf("rule %s: %v", rule, err)
+			}
+		}
+		if root.Count() != k {
+			t.Fatalf("rule %s: root counts %d clients, want %d", rule, root.Count(), k)
+		}
+		root.Commit(rootParams)
+		if !sameBits(rootParams, flatParams) {
+			t.Fatalf("rule %s: wire-composed root differs from flat fold", rule)
 		}
 	}
 }
