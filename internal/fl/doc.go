@@ -105,11 +105,11 @@
 // installed by AdversaryShard, which survives scenario Repartition. The
 // matching defenses are the robust aggregation rules (robust.go):
 // AggMedian, AggTrimmed ("trimmed:β") and AggKrum ("krum:f") buffer raw
-// updates (O(Kt·model) per round, the
-// documented price of robustness) and commit order statistics that are
-// pure functions of the update multiset — bit-identical in any arrival
-// order, at any GOMAXPROCS, with TrimmedMean(β=0) equal to the exact mean
-// fold bit-for-bit. Robust rules ignore aggregation weights, and they are
+// updates (O(Kt·model), held across rounds: the price of robustness) and
+// commit order statistics, selected rather than sorted, that are pure
+// functions of the update multiset under a total order on every float64,
+// NaNs included — bit-identical in any arrival order, at any GOMAXPROCS,
+// with TrimmedMean(β=0) equal to the exact mean fold bit-for-bit. Robust rules ignore aggregation weights, and they are
 // not grouping-invariant: NewAggregatorFor and validate refuse them on
 // any sharded topology. See DESIGN.md, "Adversarial clients & robust
 // aggregation".

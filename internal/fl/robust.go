@@ -3,7 +3,8 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"fedcdp/internal/tensor"
@@ -16,15 +17,14 @@ import (
 //
 // Unlike the streaming folds (FedSGD and friends hold one O(model)
 // accumulator), a robust statistic needs the raw per-client updates: every
-// fold CLONES its update into a buffer, so server memory is O(Kt·model) per
-// round — the explicit price of robustness, paid only when a robust rule is
-// selected. The buffered statistics are pure functions of the update
-// MULTISET: the median picks sorted middles ((a+b)/2 for even n), the
-// trimmed mean sorts before trimming and sums survivors in exact fixed-point
-// arithmetic (ExactVec), and Krum's pairwise distances are symmetric with a
-// deterministic total-order tie-break — so Commit is bit-identical in any
-// arrival order, at any GOMAXPROCS, even over the simnet fabric's
-// arrival-order folds.
+// fold copies its update into a buffer held across rounds, O(Kt·model) —
+// the explicit price of robustness, paid only under a robust rule. The
+// statistics are pure functions of the update MULTISET under orderKey's
+// total order (NaNs included): the median SELECTS the middle ranks ((a+b)/2
+// for even n), the trimmed mean selects away both tails and sums survivors
+// in exact fixed-point arithmetic (ExactVec), and Krum's pairwise distances
+// are symmetric with a total-order tie-break — so Commit is bit-identical
+// in any arrival order, at any GOMAXPROCS, even over the simnet fabric.
 //
 // Robust folds intentionally ignore aggregation weights (a hostile client
 // could inflate its own) and client identity, and they are NOT
@@ -32,67 +32,126 @@ import (
 // get the median. NewAggregatorFor refuses robust rules on any sharded
 // topology (see the tree caveat in DESIGN.md).
 
-// robustBuffer is the shared Fold side of every robust aggregator: cloned
-// updates (Fold must not retain its argument; see Aggregator), collected
-// under a lock, geometry-checked against Begin's params.
+// robustBuffer is the shared Fold side of every robust aggregator: update
+// copies (Fold must not retain its argument; see Aggregator) in slots kept
+// across rounds, under a lock, geometry-checked against Begin's params.
 type robustBuffer struct {
-	mu      sync.Mutex
-	shape   []*tensor.Tensor // params at Begin, for geometry checks only
-	updates [][]*tensor.Tensor
+	mu    sync.Mutex
+	shape []*tensor.Tensor   // params at Begin, for geometry checks only
+	slots [][]*tensor.Tensor // slots[:n] hold this round's updates
+	n     int
+	keys  []uint64 // Commit's block transpose
 }
 
 func (b *robustBuffer) Begin(params []*tensor.Tensor) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.shape = params
-	b.updates = b.updates[:0]
+	b.n = 0
 }
 
-// Fold clones the update into the buffer — O(model) per fold, O(Kt·model)
-// per round. Updates whose geometry does not match the round's parameters
-// are dropped (the wire layer validates shapes; this guards in-process
-// misuse from poisoning an order statistic).
+// Fold copies the update into slot n — O(model) per fold; a slot is cloned
+// only when the model's geometry changed. Updates whose geometry does not
+// match the round's parameters are dropped (the wire layer validates
+// shapes; this guards in-process misuse from poisoning an order statistic).
 func (b *robustBuffer) Fold(update []*tensor.Tensor) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !geometryMatches(update, b.shape) {
 		return
 	}
-	b.updates = append(b.updates, tensor.CloneAll(update))
+	if b.n < len(b.slots) && geometryMatches(b.slots[b.n], update) {
+		for i, t := range b.slots[b.n] {
+			t.CopyFrom(update[i])
+		}
+	} else { // a new slot, or a new model geometry: later slots are stale too
+		b.slots = append(b.slots[:b.n], tensor.CloneAll(update))
+	}
+	b.n++
 }
 
 func (b *robustBuffer) Count() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.updates)
+	return b.n
 }
 
-// column gathers coordinate (layer i, offset j) across all buffered updates
-// into dst.
-func (b *robustBuffer) column(dst []float64, i, j int) []float64 {
-	dst = dst[:0]
-	for _, u := range b.updates {
-		dst = append(dst, u[i].Data()[j])
+// columns calls col for every coordinate of params with its n buffered
+// values as contiguous order keys, transposed a block of coordinates at a
+// time into one reused scratch slice.
+func (b *robustBuffer) columns(params []*tensor.Tensor, col func(d []float64, j int, keys []uint64)) {
+	const block = 128 // coordinates per transpose
+	n := b.n
+	if cap(b.keys) < block*n {
+		b.keys = make([]uint64, block*n)
 	}
-	return dst
+	for i, p := range params {
+		d := p.Data()
+		for j0 := 0; j0 < len(d); j0 += block {
+			w := min(block, len(d)-j0)
+			for s, u := range b.slots[:n] {
+				for c, v := range u[i].Data()[j0 : j0+w] {
+					b.keys[c*n+s] = orderKey(v)
+				}
+			}
+			for c := 0; c < w; c++ {
+				col(d, j0+c, b.keys[c*n:(c+1)*n])
+			}
+		}
+	}
 }
 
-// sortFloatsTotal sorts ascending under a total order: the usual < on
-// reals, with exactly-equal values (and non-comparable ones — NaNs, signed
-// zeros) broken by their IEEE-754 bit patterns. The result is a canonical
-// permutation of the multiset, so every order statistic computed from it is
-// arrival-order invariant even on hostile inputs.
-func sortFloatsTotal(vals []float64) {
-	sort.Slice(vals, func(a, b int) bool {
-		x, y := vals[a], vals[b]
-		if x < y {
-			return true
+// orderKey maps v to a key whose unsigned order is the robust folds' total
+// order: IEEE-754 totalOrder (−NaN < −Inf < … < +Inf < +NaN, NaNs by
+// payload), except that +0 precedes −0, as the folds always ordered zeros.
+func orderKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	k := b ^ (uint64(int64(b)>>63) | 1<<63)
+	if b<<1 == 0 {
+		k = ^k // swaps the keys of +0 and −0, which are adjacent
+	}
+	return k
+}
+
+// keyValue inverts orderKey.
+func keyValue(k uint64) float64 {
+	if k == 1<<63 || k == 1<<63-1 {
+		k = ^k
+	}
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// selectKey places the rank-r key at keys[r], none larger before it and none
+// smaller after: quickselect on the middle key by branch-free Lomuto passes
+// (x < p; x ≤ p when p equals the window's floor, so equal keys cost two
+// passes, not a quadratic walk), then an insertion sort of ≤ 4 keys.
+func selectKey(keys []uint64, r int) {
+	var floor uint64 // no key in the window is below it; 0 is the least key
+	for len(keys) > 4 {
+		m, last := len(keys)/2, len(keys)-1
+		keys[m], keys[last] = keys[last], keys[m]
+		p, i := keys[last], 0
+		_, ne := bits.Sub64(0, p^floor, 0) // 0 iff p == floor
+		for k, x := range keys[:last] {    // keys[:i] below p, keys[i:k] not
+			keys[k], keys[i] = keys[i], x
+			_, below := bits.Sub64(x, p, 1-ne)
+			i += int(below)
 		}
-		if y < x {
-			return false
+		keys[i], keys[last] = p, keys[i]
+		switch {
+		case r > i:
+			keys, r, floor = keys[i+1:], r-i-1, p
+		case r < i && ne == 1:
+			keys = keys[:i]
+		default:
+			return
 		}
-		return math.Float64bits(x) < math.Float64bits(y)
-	})
+	}
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
 }
 
 // CoordMedianAggregator commits W ← W + median(ΔW) coordinate-wise: with
@@ -109,30 +168,25 @@ func NewCoordMedian() *CoordMedianAggregator { return &CoordMedianAggregator{} }
 func (a *CoordMedianAggregator) Commit(params []*tensor.Tensor) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := len(a.updates)
+	n := a.n
 	if n == 0 {
 		return
 	}
-	col := make([]float64, 0, n)
-	for i, p := range params {
-		d := p.Data()
-		for j := range d {
-			col = a.column(col, i, j)
-			sortFloatsTotal(col)
-			if n%2 == 1 {
-				d[j] += col[n/2]
-			} else {
-				// The midpoint of the two central sorted values — symmetric,
-				// so it too depends only on the multiset.
-				d[j] += (col[n/2-1] + col[n/2]) / 2
-			}
+	a.columns(params, func(d []float64, j int, col []uint64) {
+		selectKey(col, n/2)
+		if n%2 == 1 {
+			d[j] += keyValue(col[n/2])
+			return
 		}
-	}
+		// The midpoint of the two central ranks: a function of the multiset.
+		selectKey(col[:n/2], n/2-1)
+		d[j] += (keyValue(col[n/2-1]) + keyValue(col[n/2])) / 2
+	})
 }
 
 // TrimmedMeanAggregator commits W ← W + trimmedmean_β(ΔW) coordinate-wise:
-// each coordinate sorts its Kt values, discards the ⌊β·Kt⌋ smallest and
-// largest, and averages the survivors in exact fixed-point arithmetic (one
+// each coordinate selects away its ⌊β·Kt⌋ smallest and largest values and
+// averages the survivors in exact fixed-point arithmetic (one
 // reused single-element ExactVec, zeroed in O(window) per coordinate),
 // rounding once — so at β=0 the commit is bit-identical to the flat exact
 // mean fold (NewExact, the repo's mean parity oracle), and at any β the
@@ -157,7 +211,7 @@ func NewTrimmedMean(beta float64) (*TrimmedMeanAggregator, error) {
 func (a *TrimmedMeanAggregator) Commit(params []*tensor.Tensor) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := len(a.updates)
+	n := a.n
 	if n == 0 {
 		return
 	}
@@ -165,22 +219,17 @@ func (a *TrimmedMeanAggregator) Commit(params []*tensor.Tensor) {
 	if 2*t >= n {
 		t = (n - 1) / 2
 	}
-	m := n - 2*t
-	inv := 1 / float64(m)
-	col := make([]float64, 0, n)
+	inv := 1 / float64(n-2*t)
 	sum := NewExactVec(1)
-	for i, p := range params {
-		d := p.Data()
-		for j := range d {
-			col = a.column(col, i, j)
-			sortFloatsTotal(col)
-			sum.Zero()
-			for _, v := range col[t : n-t] {
-				sum.Add(0, v)
-			}
-			d[j] += inv * sum.Round(0)
+	a.columns(params, func(d []float64, j int, col []uint64) {
+		selectKey(col, t)
+		selectKey(col[t:], n-2*t)
+		sum.Zero()
+		for _, k := range col[t : n-t] {
+			sum.Add(0, keyValue(k))
 		}
-	}
+		d[j] += inv * sum.Round(0)
+	})
 }
 
 // KrumAggregator commits W ← W + ΔW_k* where k* is the Krum selection: the
@@ -211,11 +260,10 @@ func NewKrum(f int) (*KrumAggregator, error) {
 func (a *KrumAggregator) Commit(params []*tensor.Tensor) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := len(a.updates)
-	if n == 0 {
+	if a.n == 0 {
 		return
 	}
-	best := a.updates[krumSelect(a.updates, a.F)]
+	best := a.slots[krumSelect(a.slots[:a.n], a.F)]
 	tensor.AddAllScaled(params, 1, best)
 }
 
@@ -245,27 +293,27 @@ func krumSelect(updates [][]*tensor.Tensor, f int) int {
 			dist[i][j], dist[j][i] = d, d
 		}
 	}
-	scores := make([]float64, n)
-	row := make([]float64, 0, n-1)
+	scores := make([]uint64, n)
+	row := make([]uint64, 0, n-1)
 	for i := 0; i < n; i++ {
 		row = row[:0]
 		for j := 0; j < n; j++ {
 			if j != i {
-				row = append(row, dist[i][j])
+				row = append(row, orderKey(dist[i][j]))
 			}
 		}
-		// Sum the k nearest in ascending sorted order: a pure function of
-		// the row's distance multiset.
-		sortFloatsTotal(row)
+		// Sum the k nearest in ascending order, a function of the multiset.
+		selectKey(row, k)
+		slices.Sort(row[:k])
 		s := 0.0
 		for _, d := range row[:k] {
-			s += d
+			s += keyValue(d)
 		}
-		scores[i] = s
+		scores[i] = orderKey(s)
 	}
 	best := 0
 	for i := 1; i < n; i++ {
-		if robustLess(scores[i], scores[best]) ||
+		if scores[i] < scores[best] ||
 			(scores[i] == scores[best] && lexLess(updates[i], updates[best])) {
 			best = i
 		}
@@ -274,6 +322,7 @@ func krumSelect(updates [][]*tensor.Tensor, f int) int {
 }
 
 // sqDist returns the squared L2 distance between two aligned tensor lists.
+// A NaN comes back canonical: its bits may depend on operand (arrival) order.
 func sqDist(a, b []*tensor.Tensor) float64 {
 	s := 0.0
 	for i := range a {
@@ -283,18 +332,10 @@ func sqDist(a, b []*tensor.Tensor) float64 {
 			s += d * d
 		}
 	}
+	if s != s {
+		return math.NaN()
+	}
 	return s
-}
-
-// robustLess is < under the total order sortFloatsTotal sorts by.
-func robustLess(a, b float64) bool {
-	if a < b {
-		return true
-	}
-	if b < a {
-		return false
-	}
-	return math.Float64bits(a) < math.Float64bits(b)
 }
 
 // lexLess compares two aligned tensor lists lexicographically under the
@@ -304,10 +345,9 @@ func lexLess(a, b []*tensor.Tensor) bool {
 	for i := range a {
 		da, db := a[i].Data(), b[i].Data()
 		for j := range da {
-			if math.Float64bits(da[j]) == math.Float64bits(db[j]) {
-				continue
+			if ka, kb := orderKey(da[j]), orderKey(db[j]); ka != kb {
+				return ka < kb
 			}
-			return robustLess(da[j], db[j])
 		}
 	}
 	return false

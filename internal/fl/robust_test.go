@@ -2,15 +2,17 @@ package fl
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"fedcdp/internal/tensor"
 )
 
 // Tests for the robust aggregation folds (robust.go): rule parsing, the
-// multiset-purity (arrival-order invariance) contract, the β=0 ≡ exact-mean
-// parity anchor, statistical correctness on known inputs, and the
-// topology guard that keeps order statistics off the sharded tree.
+// multiset-purity (arrival-order invariance) contract, NaN included, the
+// β=0 ≡ exact-mean parity anchor, statistical correctness on known inputs,
+// the sort-based reference the selecting Commits must equal bit for bit,
+// and the topology guard that keeps order statistics off the sharded tree.
 
 func robustParams(vals ...float64) []*tensor.Tensor {
 	data := make([]float64, len(vals))
@@ -261,4 +263,189 @@ func TestRobustTopologyGuard(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("fl.Run must refuse robust rule + sharded topology")
 	}
+}
+
+// TestRobustFoldsOrderFreeWithNaN extends the multiset-purity contract to
+// NaNs of both signs beside ±0: every arrival order of the six values
+// commits one bit pattern under each robust rule. A comparator that breaks
+// value ties by raw bits is not transitive once a NaN is present (−1 < 1 by
+// value, 1 < NaN and NaN < −1 by bits), and its order statistics then
+// depend on arrival order.
+func TestRobustFoldsOrderFreeWithNaN(t *testing.T) {
+	vals := []float64{-1, 1, math.NaN(), math.Copysign(math.NaN(), -1), 0, math.Copysign(0, -1)}
+	var perms [][]int
+	var permute func(p []int, k int)
+	permute = func(p []int, k int) {
+		if k == len(p) {
+			perms = append(perms, append([]int(nil), p...))
+			return
+		}
+		for i := k; i < len(p); i++ {
+			p[k], p[i] = p[i], p[k]
+			permute(p, k+1)
+			p[k], p[i] = p[i], p[k]
+		}
+	}
+	permute([]int{0, 1, 2, 3, 4, 5}, 0)
+	for _, rule := range []string{AggMedian, "trimmed:0.2", "krum:1"} {
+		agg := mustAgg(t, rule)
+		seen := map[uint64][]int{}
+		for _, order := range perms {
+			params := robustParams(0.5)
+			agg.Begin(params)
+			for _, i := range order {
+				agg.Fold(robustParams(vals[i]))
+			}
+			agg.Commit(params)
+			bits := math.Float64bits(params[0].Data()[0])
+			if _, ok := seen[bits]; !ok {
+				seen[bits] = order
+			}
+		}
+		if len(seen) != 1 {
+			t.Errorf("%s commits %d bit patterns across arrival orders: %v", rule, len(seen), seen)
+		}
+	}
+}
+
+// sortFloatsTotal is the order the robust folds sorted by before they
+// selected: ascending by <, with equal values broken by IEEE-754 bits (so
+// +0 before −0). It is a total order on non-NaN values only, and it is the
+// reference orderKey must reproduce there.
+func sortFloatsTotal(vals []float64) {
+	sort.Slice(vals, func(a, b int) bool {
+		x, y := vals[a], vals[b]
+		if x < y {
+			return true
+		}
+		if y < x {
+			return false
+		}
+		return math.Float64bits(x) < math.Float64bits(y)
+	})
+}
+
+// refMedian and refTrimmedMean are the sort-based order statistics: each
+// sorts a copy of the column and reads its ranks, committing through the
+// same expressions as the selecting folds.
+func refMedian(col []float64) float64 {
+	col = append([]float64(nil), col...)
+	sortFloatsTotal(col)
+	n := len(col)
+	if n%2 == 1 {
+		return col[n/2]
+	}
+	return (col[n/2-1] + col[n/2]) / 2
+}
+
+func refTrimmedMean(col []float64, beta float64) float64 {
+	col = append([]float64(nil), col...)
+	sortFloatsTotal(col)
+	n := len(col)
+	t := int(beta * float64(n))
+	if 2*t >= n {
+		t = (n - 1) / 2
+	}
+	sum := NewExactVec(1)
+	for _, v := range col[t : n-t] {
+		sum.Add(0, v)
+	}
+	return 1 / float64(n-2*t) * sum.Round(0)
+}
+
+// hostileValue draws a non-NaN coordinate a Byzantine client might send:
+// signed zeros, infinities, subnormals, values at the float64 range's
+// edge, heavy duplicates, arbitrary bit patterns, or an honest normal.
+func hostileValue(rng *tensor.RNG) float64 {
+	edges := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, math.MaxFloat64, -math.MaxFloat64}
+	switch rng.Intn(5) {
+	case 0:
+		return edges[rng.Intn(len(edges))]
+	case 1:
+		return float64(rng.Intn(3) - 1)
+	case 2:
+		if v := math.Float64frombits(uint64(rng.Int63())<<1 | uint64(rng.Intn(2))); !math.IsNaN(v) {
+			return v
+		}
+		return math.Inf(1)
+	default:
+		return rng.Normal(0, 1)
+	}
+}
+
+// FuzzRobustOrderStats equates the selecting median and trimmed-mean
+// Commits with the sort-based reference, bit for bit, on hostile non-NaN
+// columns. shape holds three bytes per round — cohort size n in 1–64, β's
+// index and a layer length — and one median and one trimmed-mean
+// aggregator serve every round, so a round whose n or geometry differs
+// from the last exercises the buffer kept across rounds. Every fold comes
+// from one reused update buffer, as from the wire, so a fold that kept its
+// argument instead of copying it fails too.
+func FuzzRobustOrderStats(f *testing.F) {
+	f.Add(int64(1), []byte{24, 2, 200})
+	f.Add(int64(2), []byte{0, 0, 0, 63, 4, 130, 9, 1, 130, 1, 3, 7})
+	f.Add(int64(3), []byte{5, 3, 255, 5, 3, 40, 40, 2, 1})
+	betas := []float64{0, 0.1, 0.2, 0.34, 0.49}
+	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
+		rng := tensor.Split(seed, 33)
+		med, tm := NewCoordMedian(), &TrimmedMeanAggregator{}
+		for r := 0; r+3 <= len(shape) && r < 24; r += 3 {
+			n, beta := 1+int(shape[r])%64, betas[int(shape[r+1])%len(betas)]
+			dims := []int{1 + int(shape[r+2]), 1 + int(shape[r+2])%7}
+			updates := make([][]float64, n)
+			for s := range updates {
+				updates[s] = make([]float64, dims[0]+dims[1])
+				for c := range updates[s] {
+					updates[s][c] = hostileValue(rng)
+				}
+			}
+			base := make([]float64, dims[0]+dims[1])
+			for c := range base {
+				base[c] = rng.Normal(0, 1)
+			}
+			tm.Beta = beta
+			for _, tc := range []struct {
+				agg Aggregator
+				ref func([]float64) float64
+			}{
+				{med, refMedian},
+				{tm, func(col []float64) float64 { return refTrimmedMean(col, beta) }},
+			} {
+				params := layered(base, dims)
+				wire := layered(base, dims)
+				tc.agg.Begin(params)
+				for _, u := range updates {
+					copy(wire[0].Data(), u[:dims[0]])
+					copy(wire[1].Data(), u[dims[0]:])
+					tc.agg.Fold(wire)
+				}
+				for _, w := range wire {
+					w.Fill(math.NaN())
+				}
+				tc.agg.Commit(params)
+				got := append(append([]float64(nil), params[0].Data()...), params[1].Data()...)
+				col := make([]float64, n)
+				for c, b := range base {
+					for s, u := range updates {
+						col[s] = u[c]
+					}
+					if want := b + tc.ref(col); math.Float64bits(got[c]) != math.Float64bits(want) {
+						t.Fatalf("%T n=%d β=%v coordinate %d: commit %v (%#x), sort-based %v (%#x)",
+							tc.agg, n, beta, c, got[c], math.Float64bits(got[c]), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	})
+}
+
+// layered splits a copy of flat into tensors of the given lengths.
+func layered(flat []float64, dims []int) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(dims))
+	for i, d := range dims {
+		out[i] = tensor.FromSlice(append([]float64(nil), flat[:d]...), d)
+		flat = flat[d:]
+	}
+	return out
 }
