@@ -546,7 +546,7 @@ func (w *PartialWire) Validate() error {
 	default:
 		return fmt.Errorf("fl: partial carries unknown rule %q", w.Rule)
 	}
-	if w.Clients < 0 || w.Clients > 1<<31 {
+	if w.Clients < 0 || int64(w.Clients) > 1<<31 {
 		return fmt.Errorf("fl: partial client count %d outside [0, 2^31]", w.Clients)
 	}
 	if (w.Rule == AggWeighted) != w.HasWSum {

@@ -15,6 +15,14 @@
 // PrecisionFP32 (see internal/nn and core.Config.Precision). PrecisionFP64
 // is the pinned reference; parity tests bound the fp32 paths against it.
 //
+// On amd64 with AVX (read once at start-up from CPUID and XGETBV) the
+// float64 kernels run their inner loops in assembly, four lanes at a time,
+// with every Go multiply and add its own instruction — never a fused
+// multiply-add — so they return the Go loops' bits on every non-NaN result
+// and NaN wherever Go gives NaN (FuzzGEMMKernels; which NaN payload
+// survives is not fixed, by the Go compiler either). Float32, other
+// architectures and CPUs without AVX run the Go loops.
+//
 // # Determinism contracts
 //
 // Two generator families cover every random draw in the repository:
@@ -48,6 +56,8 @@
 // so and are documented accordingly. A Tensor is not internally
 // synchronized — concurrent writers need external coordination. Arena is a
 // single-goroutine scratch recycler: each worker owns one. The blocked
-// MatMul kernels may shard rows across goroutines internally; their
-// accumulation order is fixed, so results do not depend on GOMAXPROCS.
+// MatMul kernels may shard rows across goroutines internally; each output
+// element's operations depend on the reduction length alone, so results do
+// not depend on GOMAXPROCS or on how many GEMM slots were free
+// (TestGEMMIndependentOfPartition). A serial GEMM allocates nothing.
 package tensor

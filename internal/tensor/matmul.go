@@ -9,24 +9,35 @@ import (
 // This file is the GEMM core of the batched execution engine. All three
 // transpose variants share the same structure: the output is split into
 // panels of rows, panels are processed by up to GOMAXPROCS goroutines, and
-// the reduction dimension is walked in cache-sized blocks with contiguous
-// row-major inner loops (axpy/dot style), so the compiler can keep the hot
-// loops free of bounds checks and the B panel stays in cache across a row
-// panel.
+// each pair of output rows (and a last odd row) is one strip — the row's
+// whole run of reduction terms, each term an axpy c[j] += a·b[j] over a
+// contiguous row of b, so the hot loop is contiguous and a SIMD strip can
+// keep its output tile in registers across the terms.
 //
-// Accumulation order: the NT kernel (MatMulT) reduces each output element
-// with a single sequential accumulator in increasing k order — bit-for-bit
-// the order MatVec uses, which keeps the batched Dense forward identical to
-// the per-example reference. The NN and TN kernels group k-terms in pairs
-// (2×2 register blocking halves their store traffic), so they agree with
+// Accumulation order: every output element's sequence of operations
+// depends on the reduction length alone — not on which rows a goroutine
+// was given, how many goroutines ran, or whether a row was served in a
+// pair. The NT kernel (MatMulT) reduces each output element with a single
+// sequential accumulator from +0 in increasing k order, then adds it to
+// the destination — bit for bit the order MatVec uses, which keeps the
+// batched Dense forward identical to the per-example reference. Where the
+// operand shape amortizes a transposed copy of b (ntPanelPays), the NT
+// kernel walks k innermost over that copy as axpys instead of as dot
+// products; the accumulators, and so the results, are the same. The NN and
+// TN kernels group k-terms in pairs (c += a₀·b₀ + a₁·b₁), so they agree with
 // the sequential reference to rounding error only; the engine parity tests
 // pin the end-to-end difference below 1e-9 (see DESIGN.md).
 //
-// The kernel bodies are generic over the element type (gemmElem): the
-// float64 instantiation is the default engine and the reference oracle; the
-// float32 instantiation backs the fp32 bulk path in matmul32.go. One body
-// per variant means the two precisions cannot drift apart structurally —
-// only in element width.
+// The kernel bodies are generic over the element type (gemmElem) and are
+// methods of a gemmEngine, which holds the strips they call: the float64
+// engine is the default and the reference oracle; the float32 engine backs
+// the fp32 bulk path in matmul32.go. One body per variant means the two
+// precisions cannot drift apart structurally — only in element width. The
+// strips are plain Go, except that on amd64 with AVX the float64 engine
+// runs them in assembly (matmul_amd64.s), four lanes per instruction: a
+// separate VMULPD and VADDPD for each Go multiply and add, never a fused
+// multiply-add, so each lane rounds exactly as the scalar Go does and the
+// results are the same bits.
 
 // gemmElem is the element type a GEMM kernel runs at.
 type gemmElem interface{ ~float32 | ~float64 }
@@ -39,6 +50,12 @@ const (
 	// gemmParallelFlops is the minimum multiply-add count before the kernels
 	// spawn goroutines; below it the fork/join overhead dominates.
 	gemmParallelFlops = 1 << 16
+	// gemmPanelMinRows and gemmPanelMinWidth gate the NT kernel's panel
+	// form: the transposed copy of b costs k·n moves per call, which pays
+	// once a few output rows reuse it, and a SIMD strip's tile is 8
+	// columns wide.
+	gemmPanelMinRows  = 4
+	gemmPanelMinWidth = 8
 )
 
 func mat2(t *Tensor, op string) (rows, cols int) {
@@ -46,6 +63,116 @@ func mat2(t *Tensor, op string) (rows, cols int) {
 		panic(fmt.Sprintf("tensor: %s wants rank-2 matrices, got shape %v", op, t.shape))
 	}
 	return t.shape[0], t.shape[1]
+}
+
+// gemmEngine is one element type's GEMM: the kernel bodies (its methods),
+// the strips they call, and the pool of NT panels.
+//
+// A strip is one or two output rows over a run of kn reduction terms: term
+// x scales row x of b (b[x·bs : x·bs+n], n = len(c0)) by a0[x·as] (and
+// a1[x·as]). The Go strips below define the arithmetic as loops of row
+// operations; a SIMD strip computes the same operations in the same order
+// on each element, holding the output tile in registers across the terms.
+type gemmEngine[F gemmElem] struct {
+	// pairs2 adds the terms to c0 and c1 two at a time — per pair,
+	// c += a[x]·b_x + a[x+1]·b_{x+1} — and a last odd term alone (NN, TN).
+	pairs2 func(c0, c1, a0, a1, b []F, kn, as, bs int)
+	// pairs1 is pairs2 for one row.
+	pairs1 func(c, a, b []F, kn, as, bs int)
+
+	// The NT panel form (ntPanelRows) runs on SIMD strips only — in Go the
+	// dot form is faster — so these stay nil on an engine of Go strips.
+	//
+	// seq2 adds to c0 and c1 the sums Σ a[x]·b_x accumulated from +0 one
+	// term at a time in increasing x, with a stride 1: per element, the
+	// dot form's accumulator (ntDotRows), then c += sum.
+	seq2 func(c0, c1, a0, a1, b []F, kn, bs int)
+	// seq1 is seq2 for one row.
+	seq1 func(c, a, b []F, kn, bs int)
+	// transpose writes the n×k matrix src into dst as k×n.
+	transpose func(dst, src []F, n, k int)
+
+	// panels recycles *[]F scratch for the NT panel form.
+	panels sync.Pool
+}
+
+// newGemmEngine returns an engine over the plain Go strips.
+func newGemmEngine[F gemmElem]() *gemmEngine[F] {
+	return &gemmEngine[F]{pairs2: addPairs2[F], pairs1: addPairs1[F]}
+}
+
+var (
+	// gemmF64 runs the float64 GEMMs; withSIMD swaps in the SIMD strips
+	// where the CPU and OS support them (decided once, here).
+	gemmF64 = withSIMD(newGemmEngine[float64]())
+	// gemmF32 runs the float32 bulk path (matmul32.go).
+	gemmF32 = newGemmEngine[float32]()
+)
+
+func addPairs2[F gemmElem](c0, c1, a0, a1, b []F, kn, as, bs int) {
+	n := len(c0)
+	x := 0
+	for ; x+1 < kn; x += 2 {
+		addRows22(c0, c1, b[x*bs:x*bs+n], b[(x+1)*bs:(x+1)*bs+n], a0[x*as], a0[(x+1)*as], a1[x*as], a1[(x+1)*as])
+	}
+	if x < kn {
+		addRows21(c0, c1, b[x*bs:x*bs+n], a0[x*as], a1[x*as])
+	}
+}
+
+func addPairs1[F gemmElem](c, a, b []F, kn, as, bs int) {
+	n := len(c)
+	x := 0
+	for ; x+1 < kn; x += 2 {
+		addRow12(c, b[x*bs:x*bs+n], b[(x+1)*bs:(x+1)*bs+n], a[x*as], a[(x+1)*as])
+	}
+	if x < kn {
+		addRow11(c, b[x*bs:x*bs+n], a[x*as])
+	}
+}
+
+// The row operations the Go strips are built from; every slice has
+// len(c0) (or len(c)) elements. They stay out of line: inlined into the
+// strip loops, their coefficients spill from registers and the strips run
+// slower.
+
+//go:noinline
+func addRows22[F gemmElem](c0, c1, b0, b1 []F, a00, a01, a10, a11 F) {
+	c1 = c1[:len(c0)]
+	b0 = b0[:len(c0)]
+	b1 = b1[:len(c0)]
+	for j, bv0 := range b0 {
+		bv1 := b1[j]
+		c0[j] += a00*bv0 + a01*bv1
+		c1[j] += a10*bv0 + a11*bv1
+	}
+}
+
+//go:noinline
+func addRows21[F gemmElem](c0, c1, b []F, a0, a1 F) {
+	c1 = c1[:len(c0)]
+	b = b[:len(c0)]
+	for j, bv := range b {
+		c0[j] += a0 * bv
+		c1[j] += a1 * bv
+	}
+}
+
+//go:noinline
+func addRow12[F gemmElem](c, b0, b1 []F, a0, a1 F) {
+	b0 = b0[:len(c)]
+	b1 = b1[:len(c)]
+	for j, bv0 := range b0 {
+		c[j] += a0*bv0 + a1*b1[j]
+	}
+}
+
+//go:noinline
+func addRow11[F gemmElem](c, b []F, a F) {
+	b = b[:len(c)]
+	for j, bv := range b {
+		c[j] += a * bv
+	}
 }
 
 // gemmSlots caps the number of extra CPU-bound GEMM goroutines in flight
@@ -56,17 +183,14 @@ func mat2(t *Tensor, op string) (rows, cols int) {
 // simply executes serially on its own goroutine.
 var gemmSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// parallelRows invokes fn over disjoint sub-ranges of [0, rows), forking
-// helper goroutines when the work is large enough to amortize them and free
-// gemmSlots remain; the calling goroutine always processes the first range.
-func parallelRows(rows int, flops int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
+// gemmHelpers acquires the gemmSlots for a GEMM over rows output rows and
+// flops multiply-adds and returns how many helper goroutines it may fork:
+// 0 when the work is too small to amortize them or no slot is free. A
+// non-zero count must be handed to forkRows, which releases the slots.
+func gemmHelpers(rows, flops int) int {
+	workers := min(runtime.GOMAXPROCS(0), rows)
 	if flops < gemmParallelFlops || workers <= 1 {
-		fn(0, rows)
-		return
+		return 0
 	}
 	extra := 0
 	for extra < workers-1 {
@@ -74,14 +198,17 @@ func parallelRows(rows int, flops int, fn func(lo, hi int)) {
 		case gemmSlots <- struct{}{}:
 			extra++
 		default:
-			goto acquired
+			return extra
 		}
 	}
-acquired:
-	if extra == 0 {
-		fn(0, rows)
-		return
-	}
+	return extra
+}
+
+// forkRows invokes fn over disjoint sub-ranges of [0, rows) on the calling
+// goroutine and up to extra helpers (acquired by gemmHelpers), and returns
+// once every range is done. The kernels call it only on their parallel
+// path, so the serial path builds no closure.
+func forkRows(rows, extra int, fn func(lo, hi int)) {
 	chunk := (rows + extra) / (extra + 1)
 	spawned := (rows+chunk-1)/chunk - 1
 	for ; extra > spawned; extra-- { // chunk rounding may need fewer helpers
@@ -89,10 +216,7 @@ acquired:
 	}
 	var wg sync.WaitGroup
 	for lo := chunk; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
+		hi := min(lo+chunk, rows)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -125,83 +249,39 @@ func MatMul(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// AddMatMul computes dst += a·b (shapes as in MatMul), 2×2 register-blocked:
-// two rows of dst share each streamed pair of b rows, so four multiply-adds
-// are done per two stores.
+// AddMatMul computes dst += a·b (shapes as in MatMul). Two rows of dst
+// share each streamed pair of b rows, so every load of b feeds four
+// multiply-adds.
 func AddMatMul(dst, a, b *Tensor) {
 	m, k := mat2(a, "AddMatMul")
 	_, n := mat2(b, "AddMatMul")
-	addMatMulKernel(dst.data, a.data, b.data, m, n, k)
+	gemmF64.addMatMul(dst.data, a.data, b.data, m, n, k)
 }
 
-// addMatMulKernel is the NN GEMM body: cd += ad·bd for row-major ad (m×k),
+// addMatMul is the NN GEMM body: cd += ad·bd for row-major ad (m×k),
 // bd (k×n), cd (m×n).
-func addMatMulKernel[F gemmElem](cd, ad, bd []F, m, n, k int) {
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		for kk := 0; kk < k; kk += gemmBlockK {
-			kend := kk + gemmBlockK
-			if kend > k {
-				kend = k
-			}
-			i := lo
-			for ; i+1 < hi; i += 2 {
-				ai0 := ad[i*k : (i+1)*k]
-				ai1 := ad[(i+1)*k : (i+2)*k]
-				ci0 := cd[i*n : (i+1)*n]
-				ci1 := cd[(i+1)*n : (i+2)*n : (i+2)*n]
-				ci1 = ci1[:len(ci0)]
-				kx := kk
-				for ; kx+1 < kend; kx += 2 {
-					a00, a01 := ai0[kx], ai0[kx+1]
-					a10, a11 := ai1[kx], ai1[kx+1]
-					b0 := bd[kx*n : (kx+1)*n]
-					b0 = b0[:len(ci0)]
-					b1 := bd[(kx+1)*n : (kx+2)*n]
-					b1 = b1[:len(ci0)]
-					for j, bv0 := range b0 {
-						bv1 := b1[j]
-						ci0[j] += a00*bv0 + a01*bv1
-						ci1[j] += a10*bv0 + a11*bv1
-					}
-				}
-				for ; kx < kend; kx++ {
-					a0, a1 := ai0[kx], ai1[kx]
-					bk := bd[kx*n : (kx+1)*n]
-					bk = bk[:len(ci0)]
-					for j, bv := range bk {
-						ci0[j] += a0 * bv
-						ci1[j] += a1 * bv
-					}
-				}
-			}
-			for ; i < hi; i++ {
-				ai := ad[i*k : (i+1)*k]
-				ci := cd[i*n : (i+1)*n]
-				kx := kk
-				for ; kx+1 < kend; kx += 2 {
-					a0, a1 := ai[kx], ai[kx+1]
-					b0 := bd[kx*n : (kx+1)*n]
-					b0 = b0[:len(ci)]
-					b1 := bd[(kx+1)*n : (kx+2)*n]
-					b1 = b1[:len(ci)]
-					for j, bv0 := range b0 {
-						ci[j] += a0*bv0 + a1*b1[j]
-					}
-				}
-				for ; kx < kend; kx++ {
-					av := ai[kx]
-					if av == 0 {
-						continue
-					}
-					bk := bd[kx*n : (kx+1)*n]
-					bk = bk[:len(ci)]
-					for j, bv := range bk {
-						ci[j] += av * bv
-					}
-				}
-			}
+func (e *gemmEngine[F]) addMatMul(cd, ad, bd []F, m, n, k int) {
+	if extra := gemmHelpers(m, m*n*k); extra > 0 {
+		forkRows(m, extra, func(lo, hi int) { e.nnRows(cd, ad, bd, n, k, lo, hi) })
+		return
+	}
+	e.nnRows(cd, ad, bd, n, k, 0, m)
+}
+
+// nnRows computes output rows [lo, hi) of the NN GEMM, one block of
+// gemmBlockK reduction terms at a time.
+func (e *gemmEngine[F]) nnRows(cd, ad, bd []F, n, k, lo, hi int) {
+	for kk := 0; kk < k; kk += gemmBlockK {
+		kn := min(gemmBlockK, k-kk)
+		b := bd[kk*n:]
+		i := lo
+		for ; i+1 < hi; i += 2 {
+			e.pairs2(cd[i*n:(i+1)*n], cd[(i+1)*n:(i+2)*n], ad[i*k+kk:], ad[(i+1)*k+kk:], b, kn, 1, n)
 		}
-	})
+		if i < hi {
+			e.pairs1(cd[i*n:(i+1)*n], ad[i*k+kk:], b, kn, 1, n)
+		}
+	}
 }
 
 // MatMulT computes dst = a·bᵀ for a (M×K) and b (N×K), writing into dst
@@ -225,48 +305,100 @@ func MatMulT(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// AddMatMulT computes dst += a·bᵀ (shapes as in MatMulT). Both operand rows
-// are contiguous, so each output element is a single dot product; two dots
-// share each streamed a-row for instruction-level parallelism, and every
-// dot keeps its own sequential accumulator.
+// AddMatMulT computes dst += a·bᵀ (shapes as in MatMulT). Each output
+// element is one dot product with its own sequential accumulator; see
+// addMatMulT for the two loop orders that compute it.
 func AddMatMulT(dst, a, b *Tensor) {
 	m, k := mat2(a, "AddMatMulT")
 	n, _ := mat2(b, "AddMatMulT")
-	addMatMulTKernel(dst.data, a.data, b.data, m, n, k)
+	gemmF64.addMatMulT(dst.data, a.data, b.data, m, n, k)
 }
 
-// addMatMulTKernel is the NT GEMM body: cd += ad·bdᵀ for row-major ad
-// (m×k), bd (n×k), cd (m×n).
-func addMatMulTKernel[F gemmElem](cd, ad, bd []F, m, n, k int) {
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := ad[i*k : (i+1)*k]
-			ci := cd[i*n : (i+1)*n]
-			j := 0
-			for ; j+1 < n; j += 2 {
-				b0 := bd[j*k : (j+1)*k]
-				b0 = b0[:len(ai)]
-				b1 := bd[(j+1)*k : (j+2)*k]
-				b1 = b1[:len(ai)]
-				var s0, s1 F
-				for x, av := range ai {
-					s0 += av * b0[x]
-					s1 += av * b1[x]
-				}
-				ci[j] += s0
-				ci[j+1] += s1
-			}
-			for ; j < n; j++ {
-				bj := bd[j*k : (j+1)*k]
-				bj = bj[:len(ai)]
-				var s F
-				for x, av := range ai {
-					s += av * bj[x]
-				}
-				ci[j] += s
-			}
+// ntPanelPays reports whether an NT GEMM with m output rows and n output
+// columns pays for the panel form on SIMD strips — a property of the
+// operand shape alone.
+func ntPanelPays(m, n int) bool { return m >= gemmPanelMinRows && n >= gemmPanelMinWidth }
+
+// addMatMulT is the NT GEMM body: cd += ad·bdᵀ for row-major ad (m×k),
+// bd (n×k), cd (m×n). With SIMD strips, shapes past ntPanelPays copy bdᵀ
+// into a pooled k×n panel once and run seq strips over it (ntPanelRows);
+// the rest take the dot form (ntDotRows).
+func (e *gemmEngine[F]) addMatMulT(cd, ad, bd []F, m, n, k int) {
+	if e.seq2 == nil || !ntPanelPays(m, n) {
+		if extra := gemmHelpers(m, m*n*k); extra > 0 {
+			forkRows(m, extra, func(lo, hi int) { ntDotRows(cd, ad, bd, n, k, lo, hi) })
+			return
 		}
-	})
+		ntDotRows(cd, ad, bd, n, k, 0, m)
+		return
+	}
+	buf := e.scratch(k * n)
+	bt := *buf
+	e.transpose(bt, bd, n, k)
+	if extra := gemmHelpers(m, m*n*k); extra > 0 {
+		forkRows(m, extra, func(lo, hi int) { e.ntPanelRows(cd, ad, bt, n, k, lo, hi) })
+	} else {
+		e.ntPanelRows(cd, ad, bt, n, k, 0, m)
+	}
+	e.panels.Put(buf)
+}
+
+// scratch draws a length-size buffer from the engine's panel pool.
+func (e *gemmEngine[F]) scratch(size int) *[]F {
+	p, _ := e.panels.Get().(*[]F)
+	if p == nil {
+		p = new([]F)
+	}
+	if cap(*p) < size {
+		*p = make([]F, size)
+	}
+	*p = (*p)[:size]
+	return p
+}
+
+// ntDotRows computes output rows [lo, hi) of the NT GEMM as dot products:
+// two dots share each streamed a-row for instruction-level parallelism.
+func ntDotRows[F gemmElem](cd, ad, bd []F, n, k, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ai := ad[i*k : (i+1)*k]
+		ci := cd[i*n : (i+1)*n]
+		j := 0
+		for ; j+1 < n; j += 2 {
+			b0 := bd[j*k : (j+1)*k]
+			b0 = b0[:len(ai)]
+			b1 := bd[(j+1)*k : (j+2)*k]
+			b1 = b1[:len(ai)]
+			var s0, s1 F
+			for x, av := range ai {
+				s0 += av * b0[x]
+				s1 += av * b1[x]
+			}
+			ci[j] += s0
+			ci[j+1] += s1
+		}
+		for ; j < n; j++ {
+			bj := bd[j*k : (j+1)*k]
+			bj = bj[:len(ai)]
+			var s F
+			for x, av := range ai {
+				s += av * bj[x]
+			}
+			ci[j] += s
+		}
+	}
+}
+
+// ntPanelRows computes output rows [lo, hi) of the NT GEMM from bt = bdᵀ
+// (k×n): row i of the output adds Σ_x a[i][x]·bt[x], accumulated from +0 in
+// increasing x — per element, the dot form's accumulator.
+func (e *gemmEngine[F]) ntPanelRows(cd, ad, bt []F, n, k, lo, hi int) {
+	i := lo
+	for ; i+1 < hi; i += 2 {
+		e.seq2(cd[i*n:(i+1)*n], cd[(i+1)*n:(i+2)*n], ad[i*k:(i+1)*k], ad[(i+1)*k:(i+2)*k], bt, k, n)
+	}
+	if i < hi {
+		e.seq1(cd[i*n:(i+1)*n], ad[i*k:(i+1)*k], bt, k, n)
+	}
 }
 
 // MatMulTN computes dst = aᵀ·b for a (K×M) and b (K×N), writing into dst
@@ -292,71 +424,34 @@ func MatMulTN(dst, a, b *Tensor) *Tensor {
 
 // AddMatMulTN computes dst += aᵀ·b (shapes as in MatMulTN). Reads of a are
 // column-strided, but each loaded element feeds a full contiguous axpy over
-// a row of b; 2×2 register blocking (two output rows × two k-terms) halves
-// the store traffic.
+// a row of b, and two rows of dst share each streamed pair of b rows.
 func AddMatMulTN(dst, a, b *Tensor) {
 	k, m := mat2(a, "AddMatMulTN")
 	_, n := mat2(b, "AddMatMulTN")
-	addMatMulTNKernel(dst.data, a.data, b.data, m, n, k)
+	gemmF64.addMatMulTN(dst.data, a.data, b.data, m, n, k)
 }
 
-// addMatMulTNKernel is the TN GEMM body: cd += adᵀ·bd for row-major ad
-// (k×m), bd (k×n), cd (m×n).
-func addMatMulTNKernel[F gemmElem](cd, ad, bd []F, m, n, k int) {
-	parallelRows(m, m*n*k, func(lo, hi int) {
-		i := lo
-		for ; i+1 < hi; i += 2 {
-			ci0 := cd[i*n : (i+1)*n]
-			ci1 := cd[(i+1)*n : (i+2)*n : (i+2)*n]
-			ci1 = ci1[:len(ci0)]
-			kx := 0
-			for ; kx+1 < k; kx += 2 {
-				a00, a01 := ad[kx*m+i], ad[kx*m+i+1]
-				a10, a11 := ad[(kx+1)*m+i], ad[(kx+1)*m+i+1]
-				b0 := bd[kx*n : (kx+1)*n]
-				b0 = b0[:len(ci0)]
-				b1 := bd[(kx+1)*n : (kx+2)*n]
-				b1 = b1[:len(ci0)]
-				for j, bv0 := range b0 {
-					bv1 := b1[j]
-					ci0[j] += a00*bv0 + a10*bv1
-					ci1[j] += a01*bv0 + a11*bv1
-				}
-			}
-			for ; kx < k; kx++ {
-				a0, a1 := ad[kx*m+i], ad[kx*m+i+1]
-				bk := bd[kx*n : (kx+1)*n]
-				bk = bk[:len(ci0)]
-				for j, bv := range bk {
-					ci0[j] += a0 * bv
-					ci1[j] += a1 * bv
-				}
-			}
-		}
-		for ; i < hi; i++ {
-			ci := cd[i*n : (i+1)*n]
-			kx := 0
-			for ; kx+1 < k; kx += 2 {
-				a0, a1 := ad[kx*m+i], ad[(kx+1)*m+i]
-				b0 := bd[kx*n : (kx+1)*n]
-				b0 = b0[:len(ci)]
-				b1 := bd[(kx+1)*n : (kx+2)*n]
-				b1 = b1[:len(ci)]
-				for j, bv0 := range b0 {
-					ci[j] += a0*bv0 + a1*b1[j]
-				}
-			}
-			for ; kx < k; kx++ {
-				av := ad[kx*m+i]
-				if av == 0 {
-					continue
-				}
-				bk := bd[kx*n : (kx+1)*n]
-				bk = bk[:len(ci)]
-				for j, bv := range bk {
-					ci[j] += av * bv
-				}
-			}
-		}
-	})
+// addMatMulTN is the TN GEMM body: cd += adᵀ·bd for row-major ad (k×m),
+// bd (k×n), cd (m×n).
+func (e *gemmEngine[F]) addMatMulTN(cd, ad, bd []F, m, n, k int) {
+	if k == 0 {
+		return // nothing to add, and no column of ad to start a strip at
+	}
+	if extra := gemmHelpers(m, m*n*k); extra > 0 {
+		forkRows(m, extra, func(lo, hi int) { e.tnRows(cd, ad, bd, m, n, k, lo, hi) })
+		return
+	}
+	e.tnRows(cd, ad, bd, m, n, k, 0, m)
+}
+
+// tnRows computes output rows [lo, hi) of the TN GEMM: column i of ad,
+// read at stride m, scales the rows of bd.
+func (e *gemmEngine[F]) tnRows(cd, ad, bd []F, m, n, k, lo, hi int) {
+	i := lo
+	for ; i+1 < hi; i += 2 {
+		e.pairs2(cd[i*n:(i+1)*n], cd[(i+1)*n:(i+2)*n], ad[i:], ad[i+1:], bd, k, m, n)
+	}
+	if i < hi {
+		e.pairs1(cd[i*n:(i+1)*n], ad[i:], bd, k, m, n)
+	}
 }

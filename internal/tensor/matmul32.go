@@ -80,14 +80,14 @@ func gemm32(dst, a, b *Tensor, m, n, k int, add bool, kernel func(cd, ad, bd []f
 func MatMul32(dst, a, b *Tensor) {
 	m, k := mat2(a, "MatMul32")
 	_, n := mat2(b, "MatMul32")
-	gemm32(dst, a, b, m, n, k, false, addMatMulKernel[float32])
+	gemm32(dst, a, b, m, n, k, false, gemmF32.addMatMul)
 }
 
 // AddMatMul32 is AddMatMul computed at float32 (dst += a·b).
 func AddMatMul32(dst, a, b *Tensor) {
 	m, k := mat2(a, "AddMatMul32")
 	_, n := mat2(b, "AddMatMul32")
-	gemm32(dst, a, b, m, n, k, true, addMatMulKernel[float32])
+	gemm32(dst, a, b, m, n, k, true, gemmF32.addMatMul)
 }
 
 // MatMulT32 is MatMulT computed at float32 (dst = a·bᵀ). dst must be
@@ -95,14 +95,14 @@ func AddMatMul32(dst, a, b *Tensor) {
 func MatMulT32(dst, a, b *Tensor) {
 	m, k := mat2(a, "MatMulT32")
 	n, _ := mat2(b, "MatMulT32")
-	gemm32(dst, a, b, m, n, k, false, addMatMulTKernel[float32])
+	gemm32(dst, a, b, m, n, k, false, gemmF32.addMatMulT)
 }
 
 // AddMatMulT32 is AddMatMulT computed at float32 (dst += a·bᵀ).
 func AddMatMulT32(dst, a, b *Tensor) {
 	m, k := mat2(a, "AddMatMulT32")
 	n, _ := mat2(b, "AddMatMulT32")
-	gemm32(dst, a, b, m, n, k, true, addMatMulTKernel[float32])
+	gemm32(dst, a, b, m, n, k, true, gemmF32.addMatMulT)
 }
 
 // MatMulTN32 is MatMulTN computed at float32 (dst = aᵀ·b). dst must be
@@ -110,12 +110,12 @@ func AddMatMulT32(dst, a, b *Tensor) {
 func MatMulTN32(dst, a, b *Tensor) {
 	k, m := mat2(a, "MatMulTN32")
 	_, n := mat2(b, "MatMulTN32")
-	gemm32(dst, a, b, m, n, k, false, addMatMulTNKernel[float32])
+	gemm32(dst, a, b, m, n, k, false, gemmF32.addMatMulTN)
 }
 
 // AddMatMulTN32 is AddMatMulTN computed at float32 (dst += aᵀ·b).
 func AddMatMulTN32(dst, a, b *Tensor) {
 	k, m := mat2(a, "AddMatMulTN32")
 	_, n := mat2(b, "AddMatMulTN32")
-	gemm32(dst, a, b, m, n, k, true, addMatMulTNKernel[float32])
+	gemm32(dst, a, b, m, n, k, true, gemmF32.addMatMulTN)
 }
