@@ -312,7 +312,7 @@ func BenchmarkConvForwardBackward(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			conv.ZeroGrads()
 			conv.ForwardBatch(xb)
-			conv.BackwardBatch(gradB)
+			conv.BackwardBatch(gradB, true)
 			conv.AccumGrads()
 		}
 	})
@@ -435,6 +435,17 @@ func BenchmarkNoiseEngine(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			noise.AddNormalBulk(buf.Data(), uint64(i)*uint64(n), 1)
 		}
+	})
+	// The kernel alone at 4,096 elements, on the engine this CPU selects
+	// (internal/tensor's BenchmarkNoiseEngineKernel prices each engine).
+	b.Run("gauss/kernel/n=4096", func(b *testing.B) {
+		const k = 4096
+		noise := tensor.NewCounterRNG(3)
+		dst := buf.Data()[:k]
+		for i := 0; i < b.N; i++ {
+			noise.ScaleAddNormalBulk(dst, uint64(i)*k, 0.5, 1)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/elem")
 	})
 
 	// One Fed-CDP local iteration at the benchmark batch size: the

@@ -63,7 +63,7 @@ func FuzzUpdateMsgDecode(f *testing.F) {
 	sparse := UpdateMsg{ClientID: 0, Round: 0, Weight: 1}
 	sparse.Sparse = SparseFromTensors([]*tensor.Tensor{tensor.FromSlice([]float64{0, 0, 7, 0}, 4)})
 	hostileNaN := UpdateMsg{ClientID: 1, Round: 0, Delta: []TensorWire{{Shape: []int{1}, Data: []float64{math.NaN()}}}}
-	hostileLen := UpdateMsg{ClientID: 1, Round: 0, Delta: []TensorWire{{Shape: []int{1 << 40}, Data: []float64{1}}}}
+	hostileLen := UpdateMsg{ClientID: 1, Round: 0, Delta: []TensorWire{{Shape: []int{math.MaxInt32}, Data: []float64{1}}}}
 	f.Add(gobBytes(f, good))
 	f.Add(gobBytes(f, sparse))
 	f.Add(gobBytes(f, hostileNaN))

@@ -108,8 +108,14 @@ func (m *Model) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 // layers and returns the (B × features) input gradient. Parameter gradient
 // buffers are not modified; use AccumBatchGrads or ExampleGrads.
 func (m *Model) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
+	return m.backwardBatch(grad, true)
+}
+
+// backwardBatch is BackwardBatch; without needDx the first layer caches
+// its output gradient and computes no input gradient, and nil is returned.
+func (m *Model) backwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		grad = m.Layers[i].BackwardBatch(grad)
+		grad = m.Layers[i].BackwardBatch(grad, needDx || i > 0)
 	}
 	return grad
 }
@@ -225,7 +231,8 @@ func ArgmaxRows(t *tensor.Tensor, out []int) []int {
 // it returns, layer caches hold what AccumBatchGrads/ExampleGrads need;
 // ExampleGrads may then be called concurrently for distinct examples (see
 // Layer), which is how the parallel sanitization pipeline recovers a
-// whole mini-batch's gradients across goroutines.
+// whole mini-batch's gradients across goroutines. The first layer computes
+// no input gradient: nothing in training reads it.
 func (m *Model) BatchPass(xs []*tensor.Tensor, ys []int) float64 {
 	b := len(xs)
 	m.xBatch = Stack(m.arena, m.xBatch, xs)
@@ -236,7 +243,7 @@ func (m *Model) BatchPass(xs []*tensor.Tensor, ys []int) float64 {
 	}
 	losses := m.lossVals[:b]
 	SoftmaxCrossEntropyBatch(m.lossGrad, losses, logits, ys)
-	m.BackwardBatch(m.lossGrad)
+	m.backwardBatch(m.lossGrad, false)
 	var sum float64
 	for _, l := range losses {
 		sum += l

@@ -199,6 +199,68 @@ func TestBatchParityWithArena(t *testing.T) {
 	}
 }
 
+// TestBatchPassSkipsInputGrad pins BatchPass, which leaves the first
+// layer's input gradient uncomputed, to the full backward bit for bit:
+// the same losses and every example's recovered gradients, on the paper
+// CNN (conv first) and an MLP (dense first).
+func TestBatchPassSkipsInputGrad(t *testing.T) {
+	for name, c := range map[string]struct {
+		spec           Spec
+		inLen, classes int
+	}{
+		"cnn": {ImageCNN(1, 12, 12, 6), 144, 6},
+		"mlp": {TabularMLP(9, 8, 3), 9, 3},
+	} {
+		full, skip := twinModels(c.spec, 11)
+		xs, ys := randomBatch(tensor.NewRNG(12), 5, c.inLen, c.classes)
+
+		logits := full.ForwardBatch(Stack(nil, nil, xs))
+		lossGrad := tensor.New(len(xs), c.classes)
+		losses := make([]float64, len(xs))
+		SoftmaxCrossEntropyBatch(lossGrad, losses, logits, ys)
+		if full.BackwardBatch(lossGrad) == nil {
+			t.Fatalf("%s: the full backward returned no input gradient", name)
+		}
+		var want float64
+		for _, l := range losses {
+			want += l
+		}
+		want /= float64(len(xs))
+
+		if got := skip.BatchPass(xs, ys); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: BatchPass loss %v, full backward %v", name, got, want)
+		}
+		for i, l := range skip.lossVals[:len(xs)] {
+			if math.Float64bits(l) != math.Float64bits(losses[i]) {
+				t.Fatalf("%s: example %d loss %v, full backward %v", name, i, l, losses[i])
+			}
+		}
+		switch l := skip.Layers[0].(type) {
+		case *Conv2D:
+			if l.dxB != nil {
+				t.Fatalf("%s: BatchPass computed the conv input gradient", name)
+			}
+		case *Dense:
+			if l.dxB != nil {
+				t.Fatalf("%s: BatchPass computed the dense input gradient", name)
+			}
+		}
+		g, h := tensor.ZerosLike(full.Grads()), tensor.ZerosLike(skip.Grads())
+		for i := range xs {
+			full.ExampleGrads(i, g)
+			skip.ExampleGrads(i, h)
+			for p := range g {
+				for j, v := range g[p].Data() {
+					if math.Float64bits(v) != math.Float64bits(h[p].Data()[j]) {
+						t.Fatalf("%s: example %d param %d elem %d: BatchPass %v, full backward %v",
+							name, i, p, j, h[p].Data()[j], v)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBatchGradientsMeanLoss(t *testing.T) {
 	spec := TabularMLP(10, 8, 3)
 	ref, bm := twinModels(spec, 12)

@@ -219,8 +219,11 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 
 // BackwardBatch caches the output gradient and returns the input gradient:
 // per example, dcols_i = W_matᵀ·dY_i followed by col2im.
-func (c *Conv2D) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 	c.gB = grad
+	if !needDx {
+		return nil
+	}
 	b := grad.Shape()[0]
 	ckk, p := c.patchDims()
 	c.dxB = ensureBuf(c.arena, c.dxB, b, c.InC*c.InH*c.InW)

@@ -98,8 +98,11 @@ func (d *Dense) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardBatch caches the output gradient and returns dX = dY·W.
-func (d *Dense) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 	d.gB = grad
+	if !needDx {
+		return nil
+	}
 	d.dxB = ensureBuf(d.arena, d.dxB, grad.Shape()[0], d.In)
 	if d.fp32() {
 		tensor.MatMul32(d.dxB, grad, d.W)

@@ -21,10 +21,12 @@ type Layer interface {
 	// ForwardBatch computes outputs for a (B × inLen) batch, returning a
 	// (B × outLen) tensor owned by the layer (valid until the next call).
 	ForwardBatch(x *tensor.Tensor) *tensor.Tensor
-	// BackwardBatch computes the (B × inLen) input gradient from a
-	// (B × outLen) output gradient, caching what per-example or batch
-	// gradient recovery needs. It does not modify Grads.
-	BackwardBatch(grad *tensor.Tensor) *tensor.Tensor
+	// BackwardBatch caches what per-example or batch gradient recovery
+	// needs from a (B × outLen) output gradient and, when needDx is set,
+	// returns the (B × inLen) input gradient; otherwise it returns nil
+	// (the first layer's input gradient is read by no one in training).
+	// It does not modify Grads.
+	BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor
 	// AccumGrads adds the batch-summed parameter gradients of the most
 	// recent BackwardBatch into the layer's Grads buffers.
 	AccumGrads()
@@ -146,7 +148,10 @@ func (a *Activation) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardBatch multiplies the batch gradient by the activation derivative.
-func (a *Activation) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
+func (a *Activation) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
+	if !needDx {
+		return nil
+	}
 	a.dxB = ensureBuf(a.arena, a.dxB, grad.Shape()...)
 	copy(a.dxB.Data(), grad.Data())
 	applyKindGrad(a.Kind, a.dxB.Data(), a.inB.Data(), a.outB.Data())

@@ -126,7 +126,10 @@ func (p *MaxPool2) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // BackwardBatch routes each output gradient to its argmax input position.
-func (p *MaxPool2) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor {
+func (p *MaxPool2) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
+	if !needDx {
+		return nil
+	}
 	b := grad.Shape()[0]
 	n, on := p.C*p.H*p.W, p.OutLen()
 	p.dxB = ensureBuf(p.arena, p.dxB, b, n)
@@ -180,7 +183,12 @@ func (Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor { return grad }
 func (Flatten) ForwardBatch(x *tensor.Tensor) *tensor.Tensor { return x }
 
 // BackwardBatch passes the batch gradient through unchanged.
-func (Flatten) BackwardBatch(grad *tensor.Tensor) *tensor.Tensor { return grad }
+func (Flatten) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
+	if !needDx {
+		return nil
+	}
+	return grad
+}
 
 // AccumGrads is a no-op.
 func (Flatten) AccumGrads() {}

@@ -100,45 +100,50 @@ const (
 	zigM      = 1 << 31             // j is treated as a signed 32-bit coordinate
 )
 
-var (
-	zigKn [zigLayers]uint32  // acceptance thresholds on |j|
-	zigWn [zigLayers]float64 // x-coordinate scale per layer
-	zigFn [zigLayers]float64 // density at the layer edge
-)
+// The ziggurat's tables: zigKn holds the acceptance thresholds on |j|,
+// zigWn the x-coordinate scale per layer and zigFn the density at the
+// layer edge.
+var zigKn, zigWn, zigFn = zigTables()
 
-func init() {
+func zigTables() (kn [zigLayers]uint32, wn, fn [zigLayers]float64) {
 	dn, tn := float64(zigR), float64(zigR)
 	q := zigV / math.Exp(-0.5*dn*dn)
-	zigKn[0] = uint32(dn / q * zigM)
-	zigKn[1] = 0
-	zigWn[0] = q / zigM
-	zigWn[zigLayers-1] = dn / zigM
-	zigFn[0] = 1.0
-	zigFn[zigLayers-1] = math.Exp(-0.5 * dn * dn)
+	kn[0] = uint32(dn / q * zigM)
+	kn[1] = 0
+	wn[0] = q / zigM
+	wn[zigLayers-1] = dn / zigM
+	fn[0] = 1.0
+	fn[zigLayers-1] = math.Exp(-0.5 * dn * dn)
 	for i := zigLayers - 2; i >= 1; i-- {
 		dn = math.Sqrt(-2 * math.Log(zigV/dn+math.Exp(-0.5*dn*dn)))
-		zigKn[i+1] = uint32(dn / tn * zigM)
+		kn[i+1] = uint32(dn / tn * zigM)
 		tn = dn
-		zigFn[i] = math.Exp(-0.5 * dn * dn)
-		zigWn[i] = dn / zigM
+		fn[i] = math.Exp(-0.5 * dn * dn)
+		wn[i] = dn / zigM
 	}
+	return kn, wn, fn
 }
 
 // zigNormal maps one mixed 64-bit draw to a standard normal. The fast path
-// (~98.8% of draws) costs one compare and one multiply on top of the mix
-// that produced u; rejections continue on a stream re-seeded from u, so the
-// whole sample remains a pure function of the originating (key, counter).
+// (97.24% of draws) costs one compare and one multiply on top of the mix
+// that produced u. The other 2.76% reject: the wedges and the tail, plus
+// every draw in layer 1, where zigKn[1] = 0. Rejections continue on a
+// stream re-seeded from u, so the whole sample remains a pure function of
+// the originating (key, counter).
 func zigNormal(u uint64) float64 {
 	j := int32(uint32(u))            // signed 32-bit x-coordinate
 	i := (u >> 32) & (zigLayers - 1) // layer index from independent bits
-	abs := uint32(j)
-	if j < 0 {
-		abs = uint32(-j)
-	}
-	if abs < zigKn[i] {
+	if zigAbs(j) < zigKn[i] {
 		return float64(j) * zigWn[i]
 	}
 	return zigNormalSlow(u, j, i)
+}
+
+// zigAbs is |j| without a branch. |MinInt32| is 1<<31, above every zigKn,
+// so that coordinate always rejects.
+func zigAbs(j int32) uint32 {
+	m := j >> 31
+	return uint32((j ^ m) - m)
 }
 
 // zigNormalSlow resolves a rejected fast-path draw: wedge acceptance for
@@ -169,11 +174,7 @@ func zigNormalSlow(u uint64, j int32, i uint64) float64 {
 		u = s.next()
 		j = int32(uint32(u))
 		i = (u >> 32) & (zigLayers - 1)
-		abs := uint32(j)
-		if j < 0 {
-			abs = uint32(-j)
-		}
-		if abs < zigKn[i] {
+		if zigAbs(j) < zigKn[i] {
 			return float64(j) * zigWn[i]
 		}
 	}
@@ -185,30 +186,13 @@ func (c CounterRNG) NormalAt(ctr uint64) float64 {
 	return zigNormal(mix64(c.key + ctr*crngGolden))
 }
 
-// FillNormalBulk writes N(mean, std²) samples at counters [ctr, ctr+len(dst))
-// into dst. Disjoint counter ranges of the same key may be filled from
-// different goroutines concurrently; the assembled result is identical to a
-// single sequential pass.
-func (c CounterRNG) FillNormalBulk(dst []float64, ctr uint64, mean, std float64) {
-	base := c.key + ctr*crngGolden
-	for i := range dst {
-		dst[i] = mean + std*zigNormal(mix64(base))
-		base += crngGolden
-	}
-}
-
 // AddNormalBulk adds std·N(0,1) noise at counters [ctr, ctr+len(dst)) to dst
-// in place. Like FillNormalBulk it is sharding-agnostic: noising a slice in
-// chunks from many goroutines yields the same bits as one sequential sweep.
+// in place. It is sharding-agnostic: noising a slice in chunks from many
+// goroutines yields the same bits as one sequential sweep. It is
+// ScaleAddNormalBulk at scale 1: dst·1 is dst bit for bit, and where dst is
+// a NaN the sum is that NaN, quieted, either way (FuzzNoiseKernels).
 func (c CounterRNG) AddNormalBulk(dst []float64, ctr uint64, std float64) {
-	if std == 0 {
-		return
-	}
-	base := c.key + ctr*crngGolden
-	for i := range dst {
-		dst[i] += std * zigNormal(mix64(base))
-		base += crngGolden
-	}
+	c.ScaleAddNormalBulk(dst, ctr, 1, std)
 }
 
 // ScaleAddNormalBulk applies the fused sanitize kernel dst[i] = dst[i]·scale
@@ -223,13 +207,39 @@ func (c CounterRNG) ScaleAddNormalBulk(dst []float64, ctr uint64, scale, std flo
 		}
 		return
 	}
-	if scale == 1 {
-		c.AddNormalBulk(dst, ctr, std)
-		return
+	noiseStrip(dst, c.key+ctr*crngGolden, scale, std)
+}
+
+// noiseStrip runs ScaleAddNormalBulk's kernel from the mixer input base of
+// dst[0]: the AVX2 strip where the CPU has it (crng_amd64.go), else the Go
+// loop.
+var noiseStrip = scaleAddNormalGo
+
+func init() {
+	if s := noiseSIMD(); s != nil {
+		noiseStrip = s
 	}
-	base := c.key + ctr*crngGolden
+}
+
+// scaleAddNormalGo is the portable kernel and the reference the AVX2 strip
+// is diffed against. The ziggurat's fast path is written out in the loop;
+// only a rejected draw calls out, to noiseSlow.
+func scaleAddNormalGo(dst []float64, base uint64, scale, std float64) {
 	for i := range dst {
-		dst[i] = dst[i]*scale + std*zigNormal(mix64(base))
+		u := mix64(base)
 		base += crngGolden
+		j := int32(uint32(u))
+		k := (u >> 32) & (zigLayers - 1)
+		if zigAbs(j) >= zigKn[k] {
+			dst[i] = noiseSlow(dst[i], u, scale, std)
+			continue
+		}
+		dst[i] = dst[i]*scale + std*(float64(j)*zigWn[k])
 	}
+}
+
+// noiseSlow is one element of the kernel whose draw u the fast path
+// rejected.
+func noiseSlow(d float64, u uint64, scale, std float64) float64 {
+	return d*scale + std*zigNormalSlow(u, int32(uint32(u)), (u>>32)&(zigLayers-1))
 }

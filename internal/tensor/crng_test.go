@@ -151,52 +151,61 @@ func TestCounterKeyIndependence(t *testing.T) {
 }
 
 // TestBulkMatchesPointwise pins the bulk kernels to the pointwise sampler:
-// filling a slice in one call, in shards, or element by element must agree
+// noising a slice in one call, in shards, or element by element must agree
 // bit-for-bit — the property the parallel sanitizer is built on.
 func TestBulkMatchesPointwise(t *testing.T) {
 	const n = 1000
 	c := NewCounterRNG(5, 3)
-
-	whole := make([]float64, n)
-	c.FillNormalBulk(whole, 0, 0.5, 2)
-
-	sharded := make([]float64, n)
-	for lo := 0; lo < n; lo += 96 { // deliberately uneven shard edges
-		hi := lo + 96
-		if hi > n {
-			hi = n
+	ramp := func() []float64 {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = float64(i)
 		}
-		c.FillNormalBulk(sharded[lo:hi], uint64(lo), 0.5, 2)
+		return d
+	}
+
+	whole := ramp()
+	c.ScaleAddNormalBulk(whole, 0, 0.25, 3)
+	sharded := ramp()
+	for lo := 0; lo < n; lo += 97 { // deliberately uneven shard edges
+		hi := min(lo+97, n)
+		c.ScaleAddNormalBulk(sharded[lo:hi], uint64(lo), 0.25, 3)
 	}
 	for i := range whole {
 		if whole[i] != sharded[i] {
-			t.Fatalf("sharded fill diverges at %d: %v vs %v", i, whole[i], sharded[i])
+			t.Fatalf("sharded ScaleAddNormalBulk diverges at %d: %v vs %v", i, whole[i], sharded[i])
 		}
-		if want := 0.5 + 2*c.NormalAt(uint64(i)); whole[i] != want {
-			t.Fatalf("bulk fill diverges from pointwise at %d", i)
+		if want := float64(i)*0.25 + 3*c.NormalAt(uint64(i)); whole[i] != want {
+			t.Fatalf("ScaleAddNormalBulk diverges from pointwise at %d", i)
 		}
 	}
 
-	add := make([]float64, n)
-	for i := range add {
-		add[i] = float64(i)
+	add := ramp()
+	for lo := 0; lo < n; lo += 61 {
+		c.AddNormalBulk(add[lo:min(lo+61, n)], uint64(lo), 3)
 	}
-	c.AddNormalBulk(add, 0, 3)
 	for i := range add {
 		if want := float64(i) + 3*c.NormalAt(uint64(i)); add[i] != want {
-			t.Fatalf("AddNormalBulk diverges at %d", i)
+			t.Fatalf("AddNormalBulk diverges from pointwise at %d", i)
 		}
 	}
+}
 
-	fused := make([]float64, n)
-	for i := range fused {
-		fused[i] = float64(i)
-	}
-	c.ScaleAddNormalBulk(fused, 0, 0.25, 3)
-	for i := range fused {
-		if want := float64(i)*0.25 + 3*c.NormalAt(uint64(i)); fused[i] != want {
-			t.Fatalf("ScaleAddNormalBulk diverges at %d", i)
+// TestZigguratRejectionRate pins the share of draws the fast path rejects
+// to 2.76%: the wedges and the tail, plus all of layer 1 (1/128 of draws),
+// whose zigKn is 0.
+func TestZigguratRejectionRate(t *testing.T) {
+	const n = 1_000_000
+	c := NewCounterRNG(8, 1)
+	rejected := 0
+	for ctr := uint64(0); ctr < n; ctr++ {
+		u := c.Uint64At(ctr)
+		if zigAbs(int32(uint32(u))) >= zigKn[(u>>32)&(zigLayers-1)] {
+			rejected++
 		}
+	}
+	if rate := float64(rejected) / n; rate < 0.0266 || rate > 0.0286 {
+		t.Fatalf("fast path rejects %.4f%% of draws, want 2.66%%–2.86%%", 100*rate)
 	}
 }
 
@@ -219,17 +228,159 @@ func TestScaleAddNormalBulkEdgeCases(t *testing.T) {
 	}
 }
 
+// unmix64 inverts mix64: each xorshift by s undone by repeated shifts,
+// each multiply by the multiplier's inverse mod 2⁶⁴.
+func unmix64(z uint64) uint64 {
+	unshift := func(z uint64, s uint) uint64 {
+		for r := z >> s; r != 0; r >>= s {
+			z ^= r
+		}
+		return z
+	}
+	z = unshift(z, 31)
+	z *= inverse64(crngMixB)
+	z = unshift(z, 27)
+	z *= inverse64(crngMixA)
+	return unshift(z, 30)
+}
+
+// inverse64 is the inverse of odd a mod 2⁶⁴ (Newton's iteration doubles
+// the correct low bits each step).
+func inverse64(a uint64) uint64 {
+	x := a
+	for i := 0; i < 5; i++ {
+		x *= 2 - a*x
+	}
+	return x
+}
+
+// counterFor returns the counter at which key draws u.
+func counterFor(key, u uint64) uint64 {
+	return (unmix64(u) - key) * inverse64(crngGolden)
+}
+
+// noiseEngine is one implementation of the noise kernel.
+type noiseEngine struct {
+	name  string
+	strip func([]float64, uint64, float64, float64)
+}
+
+// noiseEngines are the kernels FuzzNoiseKernels diffs: the Go loop and,
+// where the CPU has it, the AVX2 strip.
+func noiseEngines() []noiseEngine {
+	e := []noiseEngine{{"go", scaleAddNormalGo}}
+	if s := noiseSIMD(); s != nil {
+		e = append(e, noiseEngine{"avx2", s})
+	}
+	return e
+}
+
+// noiseValues are the scale and std arguments FuzzNoiseKernels picks from
+// when its selector byte is below their count: signed zeros, one, negatives,
+// subnormals, infinities and overflowing magnitudes.
+var noiseValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.5, -3, 1e-300,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff),
+	math.Inf(1), math.Inf(-1), 1e308, -math.MaxFloat64,
+}
+
+// FuzzNoiseKernels runs AddNormalBulk and ScaleAddNormalBulk on every
+// engine over a hostile destination (fillHostile: signed zeros,
+// infinities, quiet and signalling NaNs of both signs, subnormals,
+// ±MaxFloat64) and holds each element to the pointwise definition
+// dst·scale + std·NormalAt(ctr+i) — dst + std·NormalAt(ctr+i) for
+// AddNormalBulk — bit for bit. So the AVX2 strip returns the Go loop's
+// bits, and AddNormalBulk at dst·1 returns the bits of the sum without the
+// product, signalling NaNs included. The one latitude is the payload of a
+// NaN from two NaN operands, which Go leaves to the compiler. Counters
+// reach past 2⁶⁴ and lengths cover every tail of a four-lane strip. The
+// corpus holds the counters whose j is MinInt32 and 0 (|j| overflows; z
+// is 0, so an infinite std makes std·z NaN).
+func FuzzNoiseKernels(f *testing.F) {
+	const key = 0x1234_5678_9abc_def0
+	minInt32 := counterFor(key, 7<<32|1<<31)
+	zero := counterFor(key, 9<<32)
+	f.Add(uint64(key), minInt32-5, uint8(11), uint64(1), uint8(64), uint8(4), uint8(5))
+	f.Add(uint64(key), zero-2, uint8(7), uint64(2), uint8(255), uint8(3), uint8(10))
+	f.Add(uint64(key), zero-1, uint8(4), uint64(3), uint8(0), uint8(2), uint8(11))
+	f.Add(uint64(1), uint64(math.MaxUint64-20), uint8(67), uint64(4), uint8(128), uint8(1), uint8(13))
+	f.Add(uint64(2), uint64(0), uint8(0), uint64(5), uint8(40), uint8(0), uint8(2))
+	f.Add(uint64(3), uint64(1<<40), uint8(33), uint64(6), uint8(200), uint8(7), uint8(8))
+	f.Add(uint64(4), uint64(7), uint8(40), uint64(93), uint8(255), uint8(2), uint8(0))
+	f.Add(uint64(5), uint64(8), uint8(40), uint64(94), uint8(255), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, key, ctr uint64, nb uint8, seed uint64, pct, scaleSel, stdSel uint8) {
+		n := int(nb) % 68
+		pick := func(sel uint8, raw uint64) float64 {
+			if int(sel) < len(noiseValues) {
+				return noiseValues[sel]
+			}
+			return math.Float64frombits(raw)
+		}
+		scale, std := pick(scaleSel, seed*crngMixA), pick(stdSel, seed*crngMixB)
+		c := CounterRNG{key: key}
+		dst := make([]float64, n)
+		fillHostile(dst, seed, pct)
+		defer func(s func([]float64, uint64, float64, float64)) { noiseStrip = s }(noiseStrip)
+		for _, e := range noiseEngines() {
+			noiseStrip = e.strip
+			for _, add := range []bool{false, true} {
+				got := append([]float64(nil), dst...)
+				if add {
+					c.AddNormalBulk(got, ctr, std)
+				} else {
+					c.ScaleAddNormalBulk(got, ctr, scale, std)
+				}
+				for i, d := range dst {
+					z := c.NormalAt(ctr + uint64(i))
+					scaled, s := d*scale, std*z
+					want := scaled + s
+					if add {
+						scaled, want = d, d+s
+					}
+					if std == 0 { // no draws: dst is only scaled, and left alone at scale 1
+						want = scaled
+						if scale == 1 {
+							want = d
+						}
+					}
+					if math.Float64bits(got[i]) == math.Float64bits(want) {
+						continue
+					}
+					twoNaNs := add && d != d && s != s ||
+						!add && (d != d && scale != scale || scaled != scaled && s != s)
+					if got[i] != got[i] && want != want && twoNaNs {
+						continue
+					}
+					t.Fatalf("%s add=%v n=%d ctr=%#x elem %d: dst %#016x scale %v std %v: got %#016x, want %#016x",
+						e.name, add, n, ctr, i, math.Float64bits(d), scale, std,
+						math.Float64bits(got[i]), math.Float64bits(want))
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkNoiseEngineKernel prices each engine of the noise kernel over
+// 4,096 elements per call.
+func BenchmarkNoiseEngineKernel(b *testing.B) {
+	const n = 4096
+	dst := make([]float64, n)
+	for _, e := range noiseEngines() {
+		b.Run(e.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.strip(dst, uint64(i)*n*crngGolden, 0.5, 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+		})
+	}
+}
+
 func BenchmarkCounterNormal(b *testing.B) {
 	c := NewCounterRNG(1)
 	dst := make([]float64, 4096)
 	b.Run("pointwise", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c.NormalAt(uint64(i))
-		}
-	})
-	b.Run("bulk4096", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.AddNormalBulk(dst, uint64(i)*4096, 1)
 		}
 	})
 	b.Run("mathrand4096", func(b *testing.B) {

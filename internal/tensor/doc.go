@@ -41,8 +41,18 @@
 //     pure function of (seed, labels..., k). There is no shared cursor, so
 //     any goroutine may generate any sub-range of any stream in any order
 //     and the assembled output is bit-identical at every GOMAXPROCS. The
-//     fused kernels (FillNormalBulk/AddNormalBulk/ScaleAddNormalBulk)
-//     honor the same indexing, so bulk ≡ pointwise exactly.
+//     bulk kernels (AddNormalBulk, ScaleAddNormalBulk; one loop, the first
+//     at scale 1) honor the same indexing, so bulk ≡ pointwise exactly.
+//     On amd64 with AVX2 (CPUID leaf 7, read once at start-up) their
+//     ziggurat fast path runs in assembly, four counters at a time: each
+//     lane mixes its own counter, every 64-bit multiply is composed
+//     exactly from 32-bit partial products, |j| < zigKn[k] is compared
+//     unsigned (on exact doubles, so |MinInt32| rejects), and the float
+//     steps are separate multiplies and one add in the Go grouping, never
+//     fused. Rejected lanes come back to Go, which resolves them with the
+//     scalar slow path, so the strip returns the Go loop's bits
+//     (FuzzNoiseKernels). Other architectures and CPUs without AVX2 run
+//     the Go loop.
 //
 // Reserved Split/CounterRNG label spaces are documented at their owners:
 // labels 1–7 under the root seed belong to internal/fl (model init, cohort
