@@ -18,10 +18,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math/rand"
 	"os"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"fedcdp/internal/accountant"
 	"fedcdp/internal/attack"
@@ -786,6 +788,63 @@ func BenchmarkChurn(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(rounds*b.N)/b.Elapsed().Seconds(), "rounds/sec")
+		})
+	}
+}
+
+// BenchmarkLedger prices the per-user ε ledger at churn-2k's scale: 2,000
+// users over 25 committed rounds, 200 joining at round 5 and 200 leaving at
+// round 15, each present user churning out of a round with probability
+// 0.05. One op is the whole run as core charges it after training: every
+// round, Participate for each active user, then MaxEpsilon. The fedcdp row
+// charges a constant q, so users share states by participation count; the
+// fedsdp row charges q = kt/active, which changes with the pool every
+// round, so histories diverge — the ledger's worst case.
+func BenchmarkLedger(b *testing.B) {
+	const users, rounds, kt, churn = 2000, 25, 40, 0.05
+	rng := rand.New(rand.NewSource(42))
+	active := make([][]int, rounds)
+	charges := 0
+	for r := range active {
+		for id := 0; id < users; id++ {
+			joined, left := id < users-200 || r >= 5, id < 200 && r >= 15
+			if joined && !left && rng.Float64() >= churn {
+				active[r] = append(active[r], id)
+			}
+		}
+		charges += len(active[r])
+	}
+	for _, tc := range []struct {
+		name  string
+		steps int
+		q     func(active int) float64
+	}{
+		{"fedcdp", 2, func(int) float64 { return 0.005 }},
+		{"fedsdp", 1, func(n int) float64 { return float64(kt) / float64(n) }},
+	} {
+		// run charges the whole run once and returns the time MaxEpsilon took.
+		run := func() (maxEps time.Duration) {
+			led := accountant.NewLedger(1e-5)
+			for _, pool := range active {
+				q := tc.q(len(pool))
+				for _, id := range pool {
+					led.Participate(id, q, 0.06, tc.steps)
+				}
+				start := time.Now()
+				led.MaxEpsilon()
+				maxEps += time.Since(start)
+			}
+			return maxEps
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			run() // the per-step RDP grids are computed once per process
+			b.ResetTimer()
+			var maxEps time.Duration
+			for i := 0; i < b.N; i++ {
+				maxEps += run()
+			}
+			b.ReportMetric(float64((b.Elapsed()-maxEps).Nanoseconds())/float64(b.N*charges), "ns/user-round")
+			b.ReportMetric(maxEps.Seconds()*1e6/float64(b.N*rounds), "maxeps-us")
 		})
 	}
 }

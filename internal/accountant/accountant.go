@@ -3,6 +3,7 @@ package accountant
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Accountant tracks cumulative RDP across the rounds of a federated-learning
@@ -11,20 +12,14 @@ import (
 // decaying clipping bound the *sensitivity* changes but σ and q do not, so
 // the composition is unaffected — see Section VI of the paper).
 type Accountant struct {
-	Delta  float64
-	orders []float64
-	rdp    []float64 // cumulative RDP per order
-	steps  int
+	Delta float64
+	rdp   []float64 // cumulative RDP per order
+	steps int
 }
 
 // New returns an accountant for a fixed δ using the default order grid.
 func New(delta float64) *Accountant {
-	orders := defaultOrders()
-	return &Accountant{
-		Delta:  delta,
-		orders: orders,
-		rdp:    make([]float64, len(orders)),
-	}
+	return &Accountant{Delta: delta, rdp: make([]float64, len(defaultOrders()))}
 }
 
 // Accumulate adds `steps` compositions of the sampled Gaussian mechanism
@@ -35,11 +30,18 @@ func (a *Accountant) Accumulate(q, sigma float64, steps int) {
 	if steps < 0 {
 		panic(fmt.Sprintf("accountant: negative steps %d", steps))
 	}
-	grid := defaultGridRDP(q, sigma)
-	for i := range a.orders {
-		a.rdp[i] += float64(steps) * grid[i]
-	}
+	accumulate(a.rdp, defaultGridRDP(q, sigma), steps)
 	a.steps += steps
+}
+
+// accumulate adds steps compositions of a per-step RDP grid to rdp. It is
+// the one place RDP composes, for accountants and ledger states alike, so
+// both perform the same operand sequence. The rounding of the product is
+// explicit: a compiler may not fuse it into the add on any GOARCH.
+func accumulate(rdp, grid []float64, steps int) {
+	for i := range rdp {
+		rdp[i] += float64(float64(steps) * grid[i])
+	}
 }
 
 // Steps returns the number of accumulated compositions.
@@ -50,13 +52,21 @@ func (a *Accountant) Steps() int { return a.steps }
 // guarantee is perfect, and the RDP→(ε, δ) conversion's log(1/δ)/(α−1)
 // floor is an artifact of the order grid, not spend.
 func (a *Accountant) Epsilon() (eps, optOrder float64) {
-	if a.steps == 0 {
-		return 0, a.orders[0]
+	return minEpsilon(a.rdp, a.steps, epsilonFloor(a.Delta))
+}
+
+// minEpsilon converts an RDP vector over the default order grid to ε,
+// minimized over orders, with floor = epsilonFloor(δ). Ties keep the
+// lowest order.
+func minEpsilon(rdp []float64, steps int, floor []float64) (eps, optOrder float64) {
+	orders := defaultOrders()
+	if steps == 0 {
+		return 0, orders[0]
 	}
 	best := -1.0
-	bestOrder := a.orders[0]
-	for i, o := range a.orders {
-		e := a.rdp[i] + logInv(a.Delta)/(o-1)
+	bestOrder := orders[0]
+	for i, o := range orders {
+		e := rdp[i] + floor[i]
 		if best < 0 || e < best {
 			best = e
 			bestOrder = o
@@ -67,6 +77,37 @@ func (a *Accountant) Epsilon() (eps, optOrder float64) {
 
 func logInv(delta float64) float64 {
 	return -math.Log(delta)
+}
+
+// The conversion term log(1/δ)/(α−1) depends on δ and the order alone, so
+// it is memoized per δ (bounded like the RDP grid cache): the cached values
+// are the same expression, evaluated once, so ε keeps its bits and an ε
+// conversion costs no math.Log.
+var (
+	floorMu    sync.Mutex
+	floorCache = map[float64][]float64{}
+)
+
+// epsilonFloor returns logInv(δ)/(α−1) over the default order grid,
+// memoized per δ. The returned slice is shared and must not be mutated.
+func epsilonFloor(delta float64) []float64 {
+	floorMu.Lock()
+	f, ok := floorCache[delta]
+	floorMu.Unlock()
+	if ok {
+		return f
+	}
+	orders := defaultOrders()
+	f = make([]float64, len(orders))
+	for i, o := range orders {
+		f[i] = logInv(delta) / (o - 1)
+	}
+	floorMu.Lock()
+	if len(floorCache) < rdpGridCap {
+		floorCache[delta] = f
+	}
+	floorMu.Unlock()
+	return f
 }
 
 // Params bundles the federated configuration needed for accounting.

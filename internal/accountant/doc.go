@@ -22,12 +22,20 @@
 // across rounds and accountants (rdp.go): repeated accumulation at one
 // noise scale is a table lookup, bit-identical to direct computation.
 //
-// Ledger extends the same accounting to open-world populations: one RDP
-// accumulator per user (Participate), charged only for committed rounds
-// the user was present for, with MaxEpsilon — the worst-exposed user —
-// as the run's published ε and MinEpsilon surfacing the exposure spread
-// a single global accountant cannot represent. Under uniform
-// participation the ledger max is bit-identical to a global Accountant,
-// which is what lets open-world runtimes publish it without perturbing
-// any closed-world golden. See DESIGN.md, "Open-world population".
+// Ledger extends the same accounting to open-world populations: each user
+// (Participate) is charged only for committed rounds the user was present
+// for, with MaxEpsilon — the worst-exposed user — as the run's published ε
+// and MinEpsilon surfacing the exposure spread a single global accountant
+// cannot represent. Users with the same charge history share one
+// immutable state (RDP vector, steps, ε), created once by the composition
+// loop an Accountant runs, so a shared state has a per-user accumulator's
+// bits; freed states are recycled, so live states never exceed users + 1.
+// Under uniform participation the ledger max is bit-identical to a global
+// Accountant, which is what lets open-world runtimes publish it without
+// perturbing any closed-world golden. See DESIGN.md, "Open-world
+// population".
+//
+// The conversion term log(1/δ)/(α−1) is evaluated once per δ, and every
+// product is rounded before it is added (float64(a*b) + c), so no GOARCH
+// fuses an FMA into ε.
 package accountant

@@ -66,9 +66,11 @@ func logErfc(x float64) float64 {
 	r := math.Erfc(x)
 	if r == 0 {
 		// Asymptotic: log erfc(x) ≈ -x² - log(x√π) - x⁻²/2 + 5x⁻⁴/8 ...
-		return -math.Log(math.Pi)/2 - math.Log(x) - x*x -
-			0.5*math.Pow(x, -2) + 0.625*math.Pow(x, -4) -
-			37.0/24.0*math.Pow(x, -6) + 353.0/64.0*math.Pow(x, -8)
+		// Every product is rounded before it is added (here and below): a
+		// compiler may not fuse it into an FMA on any GOARCH.
+		return float64(-math.Log(math.Pi)/2) - math.Log(x) - float64(x*x) -
+			float64(0.5*math.Pow(x, -2)) + float64(0.625*math.Pow(x, -4)) -
+			float64(37.0/24.0*math.Pow(x, -6)) + float64(353.0/64.0*math.Pow(x, -8))
 	}
 	return math.Log(r)
 }
@@ -78,7 +80,7 @@ func logErfc(x float64) float64 {
 func computeLogAInt(q, sigma float64, alpha int) float64 {
 	logA := math.Inf(-1)
 	for i := 0; i <= alpha; i++ {
-		logCoef := logComb(alpha, i) + float64(i)*math.Log(q) + float64(alpha-i)*math.Log1p(-q)
+		logCoef := logComb(alpha, i) + float64(float64(i)*math.Log(q)) + float64(float64(alpha-i)*math.Log1p(-q))
 		s := logCoef + float64(i*i-i)/(2*sigma*sigma)
 		logA = logAdd(logA, s)
 	}
@@ -92,12 +94,12 @@ func computeLogAInt(q, sigma float64, alpha int) float64 {
 func computeLogAFrac(q, sigma, alpha float64) (logA float64, ok bool) {
 	logA0 := math.Inf(-1)
 	logA1 := math.Inf(-1)
-	z0 := sigma*sigma*math.Log(1/q-1) + 0.5
+	z0 := float64(sigma*sigma*math.Log(1/q-1)) + 0.5
 	for i := 0; ; i++ {
 		logCoef, sign := logBinomReal(alpha, i)
 		j := alpha - float64(i)
-		logT0 := logCoef + float64(i)*math.Log(q) + j*math.Log1p(-q)
-		logT1 := logCoef + j*math.Log(q) + float64(i)*math.Log1p(-q)
+		logT0 := logCoef + float64(float64(i)*math.Log(q)) + float64(j*math.Log1p(-q))
+		logT1 := logCoef + float64(j*math.Log(q)) + float64(float64(i)*math.Log1p(-q))
 		logE0 := math.Log(0.5) + logErfc((float64(i)-z0)/(math.Sqrt2*sigma))
 		logE1 := math.Log(0.5) + logErfc((z0-j)/(math.Sqrt2*sigma))
 		logS0 := logT0 + float64(i)*(float64(i)-1)/(2*sigma*sigma) + logE0
@@ -250,7 +252,7 @@ func Epsilon(q, sigma float64, steps int, delta float64, orders []float64) (eps,
 		} else {
 			perStep = RDPAtOrder(q, sigma, a)
 		}
-		rdp := float64(steps) * perStep
+		rdp := float64(float64(steps) * perStep)
 		e := rdp + math.Log(1/delta)/(a-1)
 		if e < best {
 			best = e
