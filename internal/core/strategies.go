@@ -10,10 +10,11 @@ import (
 
 // sanitizer is the per-example sanitization hook passed to localSGD: it is
 // invoked with the local iteration and example index of the gradient group
-// it must clip+noise in place. It must be a pure function of (iter, example,
-// g) — noise keyed, never drawn from a mutable stream — because localSGD
-// fans a mini-batch's sanitization out over goroutines.
-type sanitizer func(iter, example int, g []*tensor.Tensor)
+// it must clip+noise in place, and returns the group's pre-clip L2 norm
+// (the first iteration's norm statistic). It must be a pure function of
+// (iter, example, g) — noise keyed, never drawn from a mutable stream —
+// because localSGD fans a mini-batch's sanitization out over goroutines.
+type sanitizer func(iter, example int, g []*tensor.Tensor) float64
 
 // localSGD runs the shared local-training loop: L iterations of batch SGD
 // where each example's gradient is passed through sanitize (nil for
@@ -31,7 +32,9 @@ type sanitizer func(iter, example int, g []*tensor.Tensor)
 // With a sanitizer the per-example stage runs through dp.SanitizeBatch:
 // each example is recovered into its own buffer and clip+noised
 // concurrently, then folded in example order — the fused pipeline whose
-// output is bit-identical at any GOMAXPROCS.
+// output is bit-identical at any GOMAXPROCS. The first iteration's norms
+// are the ones the sanitizer's clip already summed, so no example is read
+// twice for them.
 func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.ClientStats) {
 	start := time.Now()
 	model, arena := env.Model, env.Arena
@@ -92,20 +95,16 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 		if sanitize != nil {
 			iter := l
 			model.BatchPass(xs, ys)
-			job := dp.BatchSanitizeJob{
+			dp.SanitizeBatch(dp.BatchSanitizeJob{
 				N:       len(xs),
 				Recover: model.ExampleGrads,
 				Sanitize: func(i int, g []*tensor.Tensor) {
-					sanitize(iter, i, g)
+					preNorms[i] = sanitize(iter, i, g)
 				},
 				Bufs:   bufs,
 				Accum:  batch,
 				Weight: inv,
-			}
-			if first {
-				job.PreNorms = preNorms
-			}
-			dp.SanitizeBatch(job)
+			})
 			if first {
 				for _, n := range preNorms[:len(xs)] {
 					normSum += n
@@ -219,12 +218,12 @@ func (f FedCDP) sanitizer(env *fl.ClientEnv) sanitizer {
 	c := f.Clip.Bound(env.Round, env.Cfg.TotalRounds)
 	noise := *env.Noise
 	if f.FlatClip {
-		return func(l, j int, g []*tensor.Tensor) {
-			dp.SanitizeCounterFlat(g, c, f.Sigma, exampleNoise(noise, l, j))
+		return func(l, j int, g []*tensor.Tensor) float64 {
+			return dp.SanitizeCounterFlat(g, c, f.Sigma, exampleNoise(noise, l, j))
 		}
 	}
-	return func(l, j int, g []*tensor.Tensor) {
-		dp.SanitizeCounter(g, c, f.Sigma, exampleNoise(noise, l, j))
+	return func(l, j int, g []*tensor.Tensor) float64 {
+		return dp.SanitizeCounterNorm(g, c, f.Sigma, exampleNoise(noise, l, j))
 	}
 }
 

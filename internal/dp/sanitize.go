@@ -65,14 +65,38 @@ func layerKey(noise tensor.CounterRNG, layer int) tensor.CounterRNG {
 // internally. Returns the pre-clip norms of each layer.
 func SanitizeCounter(grads []*tensor.Tensor, c, sigma float64, noise tensor.CounterRNG) []float64 {
 	norms := make([]float64, len(grads))
+	sanitizeLayers(grads, c, sigma, noise, norms)
+	return norms
+}
+
+// SanitizeCounterNorm is SanitizeCounter returning the group's pre-clip L2
+// norm instead of the per-layer ones: the per-layer squared sums the clip
+// computes, added in layer order — groupNormChunked of the unsanitized
+// group, bit for bit, without a second pass over it.
+func SanitizeCounterNorm(grads []*tensor.Tensor, c, sigma float64, noise tensor.CounterRNG) float64 {
+	return math.Sqrt(sanitizeLayers(grads, c, sigma, noise, nil))
+}
+
+// sanitizeLayers is the one pass of SanitizeCounter and
+// SanitizeCounterNorm: per layer, one chunkedSqSum, the clip scale from it
+// and the fused clip+noise. It stores each layer's pre-clip norm in norms
+// when that is non-nil, and returns the sum of the squared sums in layer
+// order. A layer's squared sum is taken before that layer is noised and
+// the others are not touched, so the sum is the unsanitized group's.
+func sanitizeLayers(grads []*tensor.Tensor, c, sigma float64, noise tensor.CounterRNG, norms []float64) float64 {
 	std := sigma * c
+	var sqSum float64
 	for li, g := range grads {
 		d := g.Data()
-		scale, norm := clipScale(chunkedSqSum(d), c)
-		norms[li] = norm
+		sq := chunkedSqSum(d)
+		sqSum += sq
+		scale, norm := clipScale(sq, c)
+		if norms != nil {
+			norms[li] = norm
+		}
 		layerKey(noise, li).ScaleAddNormalBulk(d, 0, scale, std)
 	}
-	return norms
+	return sqSum
 }
 
 // SanitizeCounterFlat clips the whole gradient group to L2 norm c as one

@@ -172,6 +172,25 @@ func TestSanitizeBatchDeterministicAcrossParallelism(t *testing.T) {
 	groupsEqualBits(t, want, accum1, "weighted sum")
 }
 
+// TestSanitizeCounterNormIsGroupNorm pins the first local step's norm
+// statistic: SanitizeCounterNorm returns groupNormChunked of the
+// unsanitized group bit for bit, on layers that straddle the norm-chunk
+// edge and past a clip, and sanitizes exactly as SanitizeCounter does.
+func TestSanitizeCounterNormIsGroupNorm(t *testing.T) {
+	noise := tensor.NewCounterRNG(13, 5)
+	for _, scale := range []float64{1e-3, 0.05, 3, 40} {
+		g := gradGroup(17, scale)
+		want := groupNormChunked(g)
+		h := cloneGroup(g)
+		SanitizeCounter(h, 4, 0.5, noise)
+		if got := SanitizeCounterNorm(g, 4, 0.5, noise); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("scale %v: group norm %v (%#016x), groupNormChunked %v (%#016x)",
+				scale, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		groupsEqualBits(t, h, g, "SanitizeCounterNorm vs SanitizeCounter")
+	}
+}
+
 // TestSanitizeCounterNoiseIsKeyed pins the stream identity property: the
 // same (key, layer, offset) always produces the same noise, and different
 // derived keys produce different noise.

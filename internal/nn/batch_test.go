@@ -261,6 +261,24 @@ func TestBatchPassSkipsInputGrad(t *testing.T) {
 	}
 }
 
+// TestDenseExampleGradsAllocatesNothing pins Dense.ExampleGrads to zero
+// allocations per call at the adult MLP's input layer (batch 3, 105 → 32):
+// examples are recovered concurrently on raw rows, and the row pass's
+// coefficient must not escape to the heap.
+func TestDenseExampleGradsAllocatesNothing(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	d := NewDense(105, 32, rng)
+	x, g := tensor.New(3, 105), tensor.New(3, 32)
+	rng.FillUniform(x, -1, 1)
+	rng.FillUniform(g, -1, 1)
+	d.ForwardBatch(x)
+	d.BackwardBatch(g, false)
+	dst := []*tensor.Tensor{tensor.New(32, 105), tensor.New(32)}
+	if n := testing.AllocsPerRun(100, func() { d.ExampleGrads(2, dst) }); n != 0 {
+		t.Fatalf("Dense.ExampleGrads: %v allocations per call, want 0", n)
+	}
+}
+
 func TestBatchGradientsMeanLoss(t *testing.T) {
 	spec := TabularMLP(10, 8, 3)
 	ref, bm := twinModels(spec, 12)

@@ -143,12 +143,8 @@ func (d *Dense) ExampleGrads(i int, dst []*tensor.Tensor) {
 	}
 	dst[0].Zero()
 	for r, gv := range g {
-		if gv == 0 {
-			continue
-		}
-		row := dw[r*d.In : (r+1)*d.In]
-		for c, xv := range x {
-			row[c] += gv * xv
+		if gv != 0 {
+			tensor.Axpy(dw[r*d.In:(r+1)*d.In], gv, x)
 		}
 	}
 	copy(db, g)

@@ -167,7 +167,7 @@ func zigNormalSlow(u uint64, j int32, i uint64) float64 {
 		}
 		// Wedge: accept x with probability proportional to the density gap.
 		x := float64(j) * zigWn[i]
-		if zigFn[i]+s.float64()*(zigFn[i-1]-zigFn[i]) < math.Exp(-0.5*x*x) {
+		if zigFn[i]+float64(s.float64()*(zigFn[i-1]-zigFn[i])) < math.Exp(-0.5*x*x) {
 			return x
 		}
 		// Redraw a fresh (coordinate, layer) pair from the sample's stream.
@@ -234,12 +234,12 @@ func scaleAddNormalGo(dst []float64, base uint64, scale, std float64) {
 			dst[i] = noiseSlow(dst[i], u, scale, std)
 			continue
 		}
-		dst[i] = dst[i]*scale + std*(float64(j)*zigWn[k])
+		dst[i] = float64(dst[i]*scale) + float64(std*(float64(j)*zigWn[k]))
 	}
 }
 
 // noiseSlow is one element of the kernel whose draw u the fast path
 // rejected.
 func noiseSlow(d float64, u uint64, scale, std float64) float64 {
-	return d*scale + std*zigNormalSlow(u, int32(uint32(u)), (u>>32)&(zigLayers-1))
+	return float64(d*scale) + float64(std*zigNormalSlow(u, int32(uint32(u)), (u>>32)&(zigLayers-1)))
 }

@@ -23,6 +23,17 @@
 // survives is not fixed, by the Go compiler either). Float32, other
 // architectures and CPUs without AVX run the Go loops.
 //
+// The element-wise row pass c[j] += a·b[j] is one kernel, Axpy, under
+// AddScaled (and so Add, Sub, AddAllScaled), AddOuter and MatVecT; with
+// AVX it is the GEMM's one-row strip at one term, whose multiply and add
+// are the Go loop's, so its bits are the Go loop's (FuzzRowKernel), and it
+// allocates nothing.
+//
+// Every product the package adds is written float64(a*b) + c, which the
+// Go spec forbids the compiler to fuse into one multiply-add, so the
+// kernels round the same way on arm64 (which fuses a*b + c) as on amd64
+// (which never does).
+//
 // # Determinism contracts
 //
 // Two generator families cover every random draw in the repository:

@@ -146,19 +146,32 @@ func TestGEMMAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestNTPanelFormMatchesMatVec checks the NT panel form (shapes past
-// ntPanelPays) against MatVec bit for bit, as the dot form is by
-// TestMatMulMatchesMatVecBitwise: the batched Dense forward must equal the
-// per-example reference whichever form its shape selects.
+// TestNTPanelFormMatchesMatVec checks the NT panel form against MatVec bit
+// for bit, as the dot form is by TestMatMulMatchesMatVecBitwise: the
+// batched Dense forward must equal the per-example reference whichever
+// form its shape selects. The first shapes take the panel form; the small
+// batches m ∈ {1, 2, 3} × n ∈ {2, 8, 32} sit on both sides of
+// ntPanelPays, so each also runs both forms forced, over hostile
+// operands, and must get the same bits from each.
 func TestNTPanelFormMatchesMatVec(t *testing.T) {
 	if gemmF64.seq2 == nil {
 		t.Skip("no SIMD strips on this CPU: NT runs in dot form only")
 	}
-	rng := NewRNG(9)
-	for _, s := range []gemmCase{{"panel", 8, 32, 29}, {"odd", 13, 45, 301}, {"conv2", 16, 200, 49}} {
+	cases := []gemmCase{{"panel", 8, 32, 29}, {"odd", 13, 45, 301}, {"conv2", 16, 200, 49}}
+	for _, s := range cases {
 		if !ntPanelPays(s.m, s.n) {
 			t.Fatalf("%s: %d×%d does not take the panel form", s.name, s.m, s.n)
 		}
+	}
+	for m := 1; m <= 3; m++ {
+		for _, n := range []int{2, 8, 32} {
+			for _, k := range []int{1, 30, 105} {
+				cases = append(cases, gemmCase{"batch", m, n, k})
+			}
+		}
+	}
+	rng := NewRNG(9)
+	for ci, s := range cases {
 		w := randomMat(rng, s.n, s.k)
 		x := New(s.m, s.k)
 		rng.FillUniform(x, -2, 2)
@@ -166,8 +179,25 @@ func TestNTPanelFormMatchesMatVec(t *testing.T) {
 		for i := 0; i < s.m; i++ {
 			for j, v := range MatVec(w, x.Row(i)).Data() {
 				if y.At(i, j) != v {
-					t.Fatalf("%s row %d col %d: panel form %v != MatVec %v", s.name, i, j, y.At(i, j), v)
+					t.Fatalf("%s %d×%d×%d row %d col %d: MatMulT %v != MatVec %v", s.name, s.m, s.n, s.k, i, j, y.At(i, j), v)
 				}
+			}
+		}
+
+		a, b := make([]float64, s.m*s.k), make([]float64, s.n*s.k)
+		dot := make([]float64, s.m*s.n)
+		fillHostile(a, uint64(ci), 48)
+		fillHostile(b, uint64(ci)^0x5555, 48)
+		fillHostile(dot, uint64(ci)^0xaaaa, 48)
+		panel := append([]float64(nil), dot...)
+		ntDotRows(dot, a, b, s.n, s.k, 0, s.m)
+		bt := make([]float64, s.k*s.n)
+		gemmF64.transpose(bt, b, s.n, s.k)
+		gemmF64.ntPanelRows(panel, a, bt, s.n, s.k, 0, s.m)
+		for i := range dot {
+			if !sameOrBothNaN(panel[i], dot[i]) {
+				t.Fatalf("%s %d×%d×%d: element (%d,%d) panel %#016x, dot %#016x",
+					s.name, s.m, s.n, s.k, i/s.n, i%s.n, math.Float64bits(panel[i]), math.Float64bits(dot[i]))
 			}
 		}
 	}
@@ -259,4 +289,83 @@ func FuzzGEMMKernels(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRowKernel holds Axpy's AVX pass to the Go loop it replaces,
+// addRow11, bit for bit (NaN where the other is NaN; see matmul_amd64.s on
+// payloads): every length 0–67 — each tail of the 8-column tile, and
+// several full tiles — at an offset 0–3 elements off the allocation, over
+// hostile operands, with the fuzzed α and then every hostile value as α.
+func FuzzRowKernel(f *testing.F) {
+	for n := 0; n <= 67; n++ {
+		f.Add(uint64(n), uint8(n), hostileValues[n%len(hostileValues)], uint8(96))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nb uint8, alpha float64, pct uint8) {
+		if gemmF64.seq2 == nil {
+			t.Skip("Axpy runs the Go loop on this CPU")
+		}
+		n, off := int(nb)%68, int(seed%4)
+		dst := make([]float64, off+n)[off:]
+		src := make([]float64, off+n)[off:]
+		fillHostile(dst, seed, pct)
+		fillHostile(src, seed^0x5555, pct)
+		for _, a := range append([]float64{alpha}, hostileValues...) {
+			got, want := append([]float64(nil), dst...), append([]float64(nil), dst...)
+			rowKernel(got, a, src)
+			addRow11(want, src, a)
+			for j := range got {
+				if !sameOrBothNaN(got[j], want[j]) {
+					t.Fatalf("n=%d α=%v: element %d kernel %#016x, Go %#016x (dst %v, src %v)",
+						n, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]), dst[j], src[j])
+				}
+			}
+		}
+	})
+}
+
+// TestRowPassesAllocateNothing pins AddScaled and AddOuter to zero
+// allocations per call: the AVX pass's one-element coefficient must stay
+// on the stack.
+func TestRowPassesAllocateNothing(t *testing.T) {
+	rng := NewRNG(3)
+	x, y := New(3458), New(3458)
+	rng.FillUniform(x, -1, 1)
+	rng.FillUniform(y, -1, 1)
+	if n := testing.AllocsPerRun(100, func() { x.AddScaled(-0.1, y) }); n != 0 {
+		t.Errorf("AddScaled: %v allocations per call, want 0", n)
+	}
+	w, a, b := New(32, 105), New(32), New(105)
+	rng.FillUniform(a, -1, 1)
+	rng.FillUniform(b, -1, 1)
+	if n := testing.AllocsPerRun(100, func() { AddOuter(w, 0.5, a, b) }); n != 0 {
+		t.Errorf("AddOuter: %v allocations per call, want 0", n)
+	}
+}
+
+// BenchmarkRowKernel prices Axpy's pass per engine at the adult MLP's
+// parameter count (3,458), the length of every SGD step and batch fold on
+// the tabular workloads.
+func BenchmarkRowKernel(b *testing.B) {
+	const n = 3458
+	rng := NewRNG(4)
+	c, x := New(n), New(n)
+	rng.FillUniform(c, -1, 1)
+	rng.FillUniform(x, -1, 1)
+	for _, e := range []struct {
+		name string
+		pass func(c []float64, a float64, b []float64)
+	}{
+		{"go", func(c []float64, a float64, b []float64) { addRow11(c, b, a) }},
+		{"avx", rowKernel},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			if e.name == "avx" && gemmF64.seq2 == nil {
+				b.Skip("no AVX on this CPU")
+			}
+			for i := 0; i < b.N; i++ {
+				e.pass(c.data, 1e-9, x.data)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		})
+	}
 }

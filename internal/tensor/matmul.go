@@ -51,10 +51,11 @@ const (
 	// spawn goroutines; below it the fork/join overhead dominates.
 	gemmParallelFlops = 1 << 16
 	// gemmPanelMinRows and gemmPanelMinWidth gate the NT kernel's panel
-	// form: the transposed copy of b costs k·n moves per call, which pays
-	// once a few output rows reuse it, and a SIMD strip's tile is 8
-	// columns wide.
-	gemmPanelMinRows  = 4
+	// form: the transposed copy of b costs k·n moves per call, which two
+	// output rows already repay on every NT shape the models run (one row
+	// does not: 1×10×784 runs twice as long as the dot form), and a SIMD
+	// strip's tile is 8 columns wide — below that the dot form wins.
+	gemmPanelMinRows  = 2
 	gemmPanelMinWidth = 8
 )
 
@@ -143,8 +144,8 @@ func addRows22[F gemmElem](c0, c1, b0, b1 []F, a00, a01, a10, a11 F) {
 	b1 = b1[:len(c0)]
 	for j, bv0 := range b0 {
 		bv1 := b1[j]
-		c0[j] += a00*bv0 + a01*bv1
-		c1[j] += a10*bv0 + a11*bv1
+		c0[j] += F(a00*bv0) + F(a01*bv1)
+		c1[j] += F(a10*bv0) + F(a11*bv1)
 	}
 }
 
@@ -153,8 +154,8 @@ func addRows21[F gemmElem](c0, c1, b []F, a0, a1 F) {
 	c1 = c1[:len(c0)]
 	b = b[:len(c0)]
 	for j, bv := range b {
-		c0[j] += a0 * bv
-		c1[j] += a1 * bv
+		c0[j] += F(a0 * bv)
+		c1[j] += F(a1 * bv)
 	}
 }
 
@@ -163,7 +164,7 @@ func addRow12[F gemmElem](c, b0, b1 []F, a0, a1 F) {
 	b0 = b0[:len(c)]
 	b1 = b1[:len(c)]
 	for j, bv0 := range b0 {
-		c[j] += a0*bv0 + a1*b1[j]
+		c[j] += F(a0*bv0) + F(a1*b1[j])
 	}
 }
 
@@ -171,7 +172,7 @@ func addRow12[F gemmElem](c, b0, b1 []F, a0, a1 F) {
 func addRow11[F gemmElem](c, b []F, a F) {
 	b = b[:len(c)]
 	for j, bv := range b {
-		c[j] += a * bv
+		c[j] += F(a * bv)
 	}
 }
 
@@ -370,8 +371,8 @@ func ntDotRows[F gemmElem](cd, ad, bd []F, n, k, lo, hi int) {
 			b1 = b1[:len(ai)]
 			var s0, s1 F
 			for x, av := range ai {
-				s0 += av * b0[x]
-				s1 += av * b1[x]
+				s0 += F(av * b0[x])
+				s1 += F(av * b1[x])
 			}
 			ci[j] += s0
 			ci[j+1] += s1
@@ -381,7 +382,7 @@ func ntDotRows[F gemmElem](cd, ad, bd []F, n, k, lo, hi int) {
 			bj = bj[:len(ai)]
 			var s F
 			for x, av := range ai {
-				s += av * bj[x]
+				s += F(av * bj[x])
 			}
 			ci[j] += s
 		}

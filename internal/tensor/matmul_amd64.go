@@ -103,12 +103,31 @@ func hasAVX() bool {
 	return xcr0&6 == 6
 }
 
+// avx is hasAVX, read once at start-up.
+var avx = hasAVX()
+
 // withSIMD swaps the AVX strips into e when the CPU and OS support them;
 // otherwise e keeps the Go ones.
 func withSIMD(e *gemmEngine[float64]) *gemmEngine[float64] {
-	if hasAVX() {
+	if avx {
 		e.pairs2, e.pairs1, e.seq2, e.seq1 = addPairs2AVX, addPairs1AVX, addSeq2AVX, addSeq1AVX
 		e.transpose = transposeAVX
 	}
 	return e
+}
+
+// rowKernel is Axpy's pass, c[j] += a·b[j]. With AVX it is pairs1AVX at
+// one term: its ODD1 step is one VMULPD and one VADDPD per lane, addRow11's
+// multiply and add, so the bits are addRow11's (FuzzRowKernel). pairs1AVX
+// is called directly, not through an engine's func field, so the
+// one-element coefficient array does not escape and the pass allocates
+// nothing. Without AVX it is addRow11.
+func rowKernel(c []float64, a float64, b []float64) {
+	b = b[:len(c)]
+	if !avx {
+		addRow11(c, b, a)
+		return
+	}
+	coef := [1]float64{a}
+	pairs1AVX(c, coef[:], b, 1, 1, 0)
 }

@@ -68,7 +68,7 @@ func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Normal returns a sample from N(mean, std²).
 func (g *RNG) Normal(mean, std float64) float64 {
-	return mean + std*g.r.NormFloat64()
+	return mean + float64(std*g.r.NormFloat64())
 }
 
 // Perm returns a random permutation of [0,n).
@@ -78,7 +78,7 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 func (g *RNG) FillNormal(t *Tensor, mean, std float64) {
 	d := t.Data()
 	for i := range d {
-		d[i] = mean + std*g.r.NormFloat64()
+		d[i] = mean + float64(std*g.r.NormFloat64())
 	}
 }
 
@@ -86,7 +86,7 @@ func (g *RNG) FillNormal(t *Tensor, mean, std float64) {
 func (g *RNG) FillUniform(t *Tensor, lo, hi float64) {
 	d := t.Data()
 	for i := range d {
-		d[i] = lo + (hi-lo)*g.r.Float64()
+		d[i] = lo + float64((hi-lo)*g.r.Float64())
 	}
 }
 
@@ -97,7 +97,7 @@ func (g *RNG) AddNormal(t *Tensor, std float64) {
 	}
 	d := t.Data()
 	for i := range d {
-		d[i] += std * g.r.NormFloat64()
+		d[i] += float64(std * g.r.NormFloat64())
 	}
 }
 

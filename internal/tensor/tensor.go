@@ -132,12 +132,18 @@ func (t *Tensor) Fill(v float64) {
 
 // AddScaled adds alpha*other to t in place (axpy). Lengths must match.
 func (t *Tensor) AddScaled(alpha float64, other *Tensor) {
-	if len(t.data) != len(other.data) {
-		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(t.data), len(other.data)))
+	Axpy(t.data, alpha, other.data)
+}
+
+// Axpy adds alpha·src[j] to dst[j] for every j, each element rounded as
+// dst[j] + float64(alpha·src[j]): the row pass under AddScaled (and so Add,
+// Sub and AddAllScaled), AddOuter, MatVecT and the per-example outer
+// products. Lengths must match.
+func Axpy(dst []float64, alpha float64, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: axpy length mismatch %d vs %d", len(dst), len(src)))
 	}
-	for i, v := range other.data {
-		t.data[i] += alpha * v
-	}
+	rowKernel(dst, alpha, src)
 }
 
 // Add adds other to t element-wise in place.
@@ -160,7 +166,7 @@ func (t *Tensor) Dot(other *Tensor) float64 {
 	}
 	var s float64
 	for i, v := range t.data {
-		s += v * other.data[i]
+		s += float64(v * other.data[i])
 	}
 	return s
 }
@@ -169,7 +175,7 @@ func (t *Tensor) Dot(other *Tensor) float64 {
 func (t *Tensor) L2Norm() float64 {
 	var s float64
 	for _, v := range t.data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -237,7 +243,7 @@ func MatVec(w *Tensor, x *Tensor) *Tensor {
 		row := wd[r*cols : (r+1)*cols]
 		var s float64
 		for c, v := range row {
-			s += v * xd[c]
+			s += float64(v * xd[c])
 		}
 		yd[r] = s
 	}
@@ -257,13 +263,8 @@ func MatVecT(w *Tensor, x *Tensor) *Tensor {
 	y := New(cols)
 	wd, xd, yd := w.data, x.data, y.data
 	for r := 0; r < rows; r++ {
-		xv := xd[r]
-		if xv == 0 {
-			continue
-		}
-		row := wd[r*cols : (r+1)*cols]
-		for c, v := range row {
-			yd[c] += v * xv
+		if xv := xd[r]; xv != 0 {
+			rowKernel(yd, xv, wd[r*cols:(r+1)*cols])
 		}
 	}
 	return y
@@ -277,16 +278,10 @@ func AddOuter(w *Tensor, alpha float64, a, b *Tensor) {
 	rows, cols := w.shape[0], w.shape[1]
 	wd, ad, bd := w.data, a.data, b.data
 	for r := 0; r < rows; r++ {
-		av := alpha * ad[r]
-		if av == 0 {
-			continue
-		}
-		row := wd[r*cols : (r+1)*cols]
-		for c := range row {
-			row[c] += av * bd[c]
+		if av := alpha * ad[r]; av != 0 {
+			rowKernel(wd[r*cols:(r+1)*cols], av, bd)
 		}
 	}
-	_ = cols
 }
 
 // GroupL2Norm returns the Euclidean norm of a set of tensors viewed as one
@@ -295,7 +290,7 @@ func GroupL2Norm(ts []*Tensor) float64 {
 	var s float64
 	for _, t := range ts {
 		for _, v := range t.data {
-			s += v * v
+			s += float64(v * v)
 		}
 	}
 	return math.Sqrt(s)
