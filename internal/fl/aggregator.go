@@ -21,7 +21,9 @@ import (
 // run-to-run reproducibility, which is why the simulator's deterministic
 // mode serializes folds in cohort order (see DESIGN.md). Fold must not
 // retain update past its return: a wire round's update aliases a decode
-// buffer that is reused once it is folded (robustBuffer copies for this).
+// buffer that is reused once it is folded, and an in-process round hands
+// the update back to a worker's arena, where the next client's ΔW is
+// drawn from it (robustBuffer copies for this).
 type Aggregator interface {
 	Begin(params []*tensor.Tensor)
 	Fold(update []*tensor.Tensor)

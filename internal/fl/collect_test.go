@@ -14,8 +14,8 @@ import (
 // barrier round was retired.
 
 // collectAggregator retains every folded update — the O(Kt) barrier-era
-// behaviour — for tests that need the raw updates back. It retains
-// references, not copies.
+// behaviour — for tests that need the raw updates back. It retains copies:
+// Fold must not keep the update itself, which the runtime reuses.
 type collectAggregator struct {
 	mu      sync.Mutex
 	updates [][]*tensor.Tensor
@@ -34,7 +34,7 @@ func (a *collectAggregator) Begin(params []*tensor.Tensor) {
 func (a *collectAggregator) Fold(update []*tensor.Tensor) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.updates = append(a.updates, update)
+	a.updates = append(a.updates, tensor.CloneAll(update))
 }
 
 // Count implements Aggregator.

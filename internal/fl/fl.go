@@ -506,7 +506,12 @@ func newLocalRunner(cfg Config) *localRunner {
 
 // rebuild constructs the in-memory structures a restart loses.
 func (l *localRunner) rebuild() {
-	l.workers = newWorkerPool(l.cfg.Parallelism, l.cfg.Model)
+	// The round folds in cohort order on its own goroutine, which can run
+	// a whole cohort behind the trainers when they hold every core, so
+	// the hand-back keeps up to a cohort of updates: with two per worker,
+	// 66% of churn-2k's folded updates found the channel full and their
+	// clients' successors allocated a fresh ΔW.
+	l.workers = newWorkerPool(l.cfg.Parallelism, l.cfg.Model, l.cfg.Kt)
 	// Rule and shard count were validated by RunWith; Shards=0 is the
 	// legacy fold.
 	l.agg, _ = NewAggregatorFor(l.cfg.Aggregation, l.cfg.Shards, 0, 0)
@@ -615,18 +620,23 @@ func (w *worker) step(strat Strategy, seed int64, round, id int, params []*tenso
 }
 
 // workerPool is a fixed set of workers handed out over a channel; at most
-// cap(slots) clients train concurrently.
+// cap(slots) clients train concurrently. spent carries the in-process
+// round's folded updates back to the workers (recycle, reclaim), so a
+// client's ΔW comes from its worker's arena instead of the heap.
 type workerPool struct {
 	spec  nn.Spec
 	slots chan *worker
+	spent chan []*tensor.Tensor
 }
 
-// newWorkerPool sizes the pool at par workers (≤0 = GOMAXPROCS).
-func newWorkerPool(par int, spec nn.Spec) *workerPool {
+// newWorkerPool sizes the pool at par workers (≤0 = GOMAXPROCS) and keeps
+// up to spare folded updates for them to reuse (0 for a pool whose
+// updates leave by wire and come back by its own path).
+func newWorkerPool(par int, spec nn.Spec, spare int) *workerPool {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	p := &workerPool{spec: spec, slots: make(chan *worker, par)}
+	p := &workerPool{spec: spec, slots: make(chan *worker, par), spent: make(chan []*tensor.Tensor, spare)}
 	for i := 0; i < par; i++ {
 		p.slots <- nil // materialized lazily on first acquire
 	}
@@ -642,6 +652,27 @@ func (p *workerPool) acquire() *worker {
 }
 
 func (p *workerPool) release(w *worker) { p.slots <- w }
+
+// recycle hands a folded update back for a later client to train into. It
+// never blocks: when the channel is full the update is left to the garbage
+// collector.
+func (p *workerPool) recycle(update []*tensor.Tensor) {
+	select {
+	case p.spent <- update:
+	default:
+	}
+}
+
+// reclaim moves one recycled update, if one waits, into w's arena. A client
+// step draws exactly one ΔW that does not come back to the arena, so one in
+// per step keeps every arena level.
+func (p *workerPool) reclaim(w *worker) {
+	select {
+	case u := <-p.spent:
+		w.arena.Put(u...)
+	default:
+	}
+}
 
 // evalChunk bounds the batch width of Evaluate so validation of large sets
 // stays cache-resident rather than materializing one huge activation batch.

@@ -77,7 +77,7 @@ func (m *ClientMux) RunRound(tasks []MuxTask) []MuxResult {
 	if len(tasks) == 0 {
 		return results
 	}
-	m.workersOnce.Do(func() { m.workers = newWorkerPool(m.Workers, m.Spec) })
+	m.workersOnce.Do(func() { m.workers = newWorkerPool(m.Workers, m.Spec, 0) })
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for n := min(cap(m.workers.slots), len(tasks)); n > 0; n-- {

@@ -62,6 +62,7 @@ func dispatchCohort(cfg Config, cohort []int, round int, workers *workerPool, gl
 				return
 			}
 			data := clientShard(cfg, round, id)
+			workers.reclaim(w)
 			upd, st := w.step(cfg.Strategy, cfg.Seed, round, id, globalParams, cfg.Round, data, cfg.Plan)
 			if cfg.Plan != nil && cfg.Plan.DropUpdate(round, id) {
 				// The update was computed but lost in transit.
@@ -82,7 +83,8 @@ func (l *localRunner) Round(round int, cohort []int, global *nn.Model) (RoundSta
 	rs := RoundStats{}
 	folded := 0
 
-	// commit sanitizes and folds exactly one update. It runs in cohort
+	// commit sanitizes and folds exactly one update, then hands it back to
+	// the workers (Fold keeps no reference to it). It runs in cohort
 	// order, which makes the float fold — and so the whole round — a pure
 	// function of the seed and the survivor set (barrier_test.go pins it
 	// bit-identical to the lockstep oracle).
@@ -92,6 +94,7 @@ func (l *localRunner) Round(round int, cohort []int, global *nn.Model) (RoundSta
 			san.ServerSanitize(round, res.idx, res.update, ServerNoise(cfg.Seed, round))
 		}
 		foldInto(agg, res.update, res.weight)
+		l.workers.recycle(res.update)
 		folded++
 		rs.MeanGradNorm += res.stats.MeanGradNorm
 		rs.MsPerIter += res.stats.MsPerIter()

@@ -493,3 +493,80 @@ func TestSparseUpdateOverTCP(t *testing.T) {
 		}
 	}
 }
+
+// arenaStrategy draws its ΔW from the worker's arena, as the production
+// local trainer does, fills it with a constant and counts how often it
+// draws each tensor. The n-th client of a round starts training only once
+// the round has folded n updates (folded, set by the fold hook), so the
+// round scheduler is at most one update behind the trainers however fast
+// they are.
+type arenaStrategy struct {
+	mu     *sync.Mutex
+	cond   *sync.Cond
+	folded map[int]int
+	calls  map[int]int
+	drawn  map[*tensor.Tensor]int
+}
+
+func newArenaStrategy() arenaStrategy {
+	mu := new(sync.Mutex)
+	return arenaStrategy{mu: mu, cond: sync.NewCond(mu), folded: map[int]int{}, calls: map[int]int{}, drawn: map[*tensor.Tensor]int{}}
+}
+
+func (arenaStrategy) Name() string { return "arena" }
+
+func (s arenaStrategy) foldHook(round, folded int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.folded[round] = folded
+	s.cond.Broadcast()
+}
+
+func (s arenaStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats) {
+	params := env.Model.Params()
+	delta := make([]*tensor.Tensor, len(params))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, p := range params {
+		delta[i] = env.Arena.Get(p.Shape()...)
+		delta[i].Fill(0.5)
+		s.drawn[delta[i]]++
+	}
+	n := s.calls[env.Round]
+	s.calls[env.Round]++
+	for s.folded[env.Round] < n {
+		s.cond.Wait()
+	}
+	return delta, ClientStats{Iters: 1}
+}
+
+// TestInProcessDeltaComesFromArena pins the hand-back of folded updates:
+// with one worker, every client's ΔW after the first two is a folded
+// update drawn back from the worker's arena. A step can start before its
+// predecessor is folded, so a second set may be needed, but never a third.
+// The final model is the one a run whose updates are fresh tensors makes.
+func TestInProcessDeltaComesFromArena(t *testing.T) {
+	s := newArenaStrategy()
+	cfg := smallConfig(t, s)
+	cfg.Parallelism, cfg.Rounds = 1, 5
+	cfg.foldHook = s.foldHook
+	hist, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nParams := len(hist.Final.Params())
+	if steps := cfg.Rounds * cfg.Kt; len(s.drawn) > 2*nParams {
+		t.Fatalf("%d client steps drew %d distinct ΔW tensors, want at most two sets of %d", steps, len(s.drawn), nParams)
+	}
+
+	cfg.Strategy, cfg.foldHook = echoStrategy{value: 0.5}, nil
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range hist.Final.Params() {
+		if !p.Equal(want.Final.Params()[i], 0) {
+			t.Fatalf("param %d differs from the run whose updates are fresh tensors", i)
+		}
+	}
+}

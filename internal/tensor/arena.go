@@ -17,7 +17,8 @@ type Arena struct {
 func NewArena() *Arena { return &Arena{free: make(map[int][]*Tensor)} }
 
 // Get returns a zeroed tensor of the given shape, reusing a returned buffer
-// of the same element count when one is available.
+// of the same element count when one is available. A reused tensor keeps
+// its shape slice when the rank matches, so a hit allocates nothing.
 func (a *Arena) Get(shape ...int) *Tensor {
 	if a == nil {
 		return New(shape...)
@@ -32,9 +33,10 @@ func (a *Arena) Get(shape ...int) *Tensor {
 	}
 	t := bufs[len(bufs)-1]
 	a.free[n] = bufs[:len(bufs)-1]
-	s := make([]int, len(shape))
-	copy(s, shape)
-	t.shape = s
+	if len(t.shape) != len(shape) {
+		t.shape = make([]int, len(shape))
+	}
+	copy(t.shape, shape)
 	t.Zero()
 	return t
 }

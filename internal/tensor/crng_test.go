@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -209,6 +211,208 @@ func TestZigguratRejectionRate(t *testing.T) {
 	}
 }
 
+// zigNormalSlowExact is the slow path without the squeeze: every wedge
+// test calls math.Exp. It is the oracle the squeezed slow path is held to
+// bit for bit. calls, when not nil, counts the math.Exp calls and
+// the ones the squeeze of w would have spared.
+func zigNormalSlowExact(u uint64, j int32, i uint64, w *[zigLayers]zigWedge, calls, spared *int) float64 {
+	s := ctrStream{state: mix64(u)}
+	for {
+		if i == 0 {
+			for {
+				x := -math.Log(s.float64()) / zigR
+				y := -math.Log(s.float64())
+				if y+y >= x*x {
+					if j < 0 {
+						return -(zigR + x)
+					}
+					return zigR + x
+				}
+			}
+		}
+		x := float64(j) * zigWn[i]
+		y := zigFn[i] + float64(s.float64()*(zigFn[i-1]-zigFn[i]))
+		if calls != nil {
+			*calls++
+			c := zigFn[i] + w[i].slope*(w[i].b-math.Abs(x))
+			if y < c-w[i].below || y >= c+w[i].above {
+				*spared++
+			}
+		}
+		if y < math.Exp(-0.5*x*x) {
+			return x
+		}
+		u = s.next()
+		j = int32(uint32(u))
+		i = (u >> 32) & (zigLayers - 1)
+		if zigAbs(j) < zigKn[i] {
+			return float64(j) * zigWn[i]
+		}
+	}
+}
+
+// rejectedDraw builds the n-th of a sequence of draws the fast path
+// rejects: layer n mod 128, a sign from the hash of n, and |j| spread over
+// the layer's rejected coordinates [zigKn[i], 2³¹] (2³¹ is MinInt32).
+func rejectedDraw(n uint64) (u uint64, j int32, i uint64) {
+	r := mix64(n * crngGolden)
+	i = n % zigLayers
+	span := uint64(zigM - zigKn[i] + 1)
+	abs := uint64(zigKn[i]) + (r>>8)%span
+	j = int32(uint32(abs))
+	if r&1 != 0 {
+		j = int32(uint32(-int64(abs)))
+	}
+	u = r&^(1<<39-1) | i<<32 | uint64(uint32(j))
+	return u, j, i
+}
+
+// checkSlowMatchesExact runs n rejected draws (rejectedDraw) through
+// zigNormalSlow and the exact oracle and fails on the first differing bit.
+func checkSlowMatchesExact(t *testing.T, n uint64) {
+	t.Helper()
+	var layers [zigLayers][2]bool
+	for k := uint64(0); k < n; k++ {
+		u, j, i := rejectedDraw(k)
+		if zigAbs(j) < zigKn[i] {
+			t.Fatalf("draw %d (layer %d, j %d) is not rejected", k, i, j)
+		}
+		layers[i][u>>31&1] = true
+		got, want := zigNormalSlow(u, j, i), zigNormalSlowExact(u, j, i, nil, nil, nil)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %#x (layer %d, j %d): squeezed %v, exact %v", u, i, j, got, want)
+		}
+	}
+	for i, s := range layers {
+		if !s[0] || !s[1] {
+			t.Fatalf("layer %d not drawn with both signs", i)
+		}
+	}
+}
+
+// TestZigguratSlowMatchesExact holds the squeezed slow path to the exact
+// one on 2²⁰ rejected draws, every layer with both signs, and again with
+// the squeeze's band widened a thousandfold, which moves decisions to
+// math.Exp and so must change no bit either.
+func TestZigguratSlowMatchesExact(t *testing.T) {
+	checkSlowMatchesExact(t, 1<<20)
+	defer func(w [zigLayers]zigWedge) { zigWedges = w }(zigWedges)
+	zigWedges = zigSqueeze(1000 * zigSqueezeMargin)
+	checkSlowMatchesExact(t, 1<<16)
+}
+
+// FuzzZigguratSlowMatchesOracle holds the squeezed slow path to the exact
+// one on any draw the fast path rejects.
+func FuzzZigguratSlowMatchesOracle(f *testing.F) {
+	for n := uint64(0); n < 8; n++ {
+		u, _, _ := rejectedDraw(n * 37)
+		f.Add(u)
+	}
+	f.Add(uint64(7<<32 | 1<<31))
+	f.Fuzz(func(t *testing.T, u uint64) {
+		j, i := int32(uint32(u)), (u>>32)&(zigLayers-1)
+		if zigAbs(j) < zigKn[i] {
+			return
+		}
+		got, want := zigNormalSlow(u, j, i), zigNormalSlowExact(u, j, i, nil, nil, nil)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %#x (layer %d, j %d): squeezed %v, exact %v", u, i, j, got, want)
+		}
+	})
+}
+
+// squeezeViolations counts the coordinates of layers 1..127 where e^{−x²/2}
+// as math.Exp computes it falls outside the squeeze [chord − below,
+// chord + above] of w, both signs of j: each layer's two ends, ±2,000
+// coordinates around each root of x·e^{−x²/2} = slope (the extremes of
+// f − chord) and perLayer coordinates spread over the rest.
+func squeezeViolations(w *[zigLayers]zigWedge, perLayer int) (bad int, first string) {
+	check := func(i int, j int64) {
+		if j < int64(zigKn[i]) || j > zigM {
+			return
+		}
+		for _, sj := range [2]int64{j, -j} {
+			if sj < math.MinInt32 {
+				continue
+			}
+			x := float64(sj) * zigWn[i]
+			c := zigFn[i] + w[i].slope*(w[i].b-math.Abs(x))
+			if f := math.Exp(-0.5 * x * x); f < c-w[i].below || f > c+w[i].above {
+				if bad == 0 {
+					first = fmt.Sprintf("layer %d, j %d: e^(-x²/2) = %v outside [%v, %v]", i, sj, f, c-w[i].below, c+w[i].above)
+				}
+				bad++
+			}
+		}
+	}
+	for i := 1; i < zigLayers; i++ {
+		lo, hi := int64(zigKn[i]), int64(zigM)
+		for _, j := range [...]int64{lo, lo + 1, hi - 1, hi} {
+			check(i, j)
+		}
+		for _, r := range [...]float64{zigCritical(w[i].slope, 0, 1), zigCritical(w[i].slope, 1, 40)} {
+			jc := int64(math.Round(r / zigWn[i]))
+			for d := int64(-2000); d <= 2000; d++ {
+				check(i, jc+d)
+			}
+		}
+		for k := 0; k < perLayer; k++ {
+			check(i, lo+(hi-lo)*int64(k)/int64(perLayer))
+		}
+	}
+	return bad, first
+}
+
+// TestZigguratSqueezeBrackets pins lo ≤ math.Exp(−x²/2) ≤ hi, the squeeze
+// the wedge test trusts without calling math.Exp, on every layer at its
+// ends, around its critical points and at 10⁵ coordinates more. As a check
+// on the check, the band widened a thousandfold still brackets, and the
+// band without its margin, whose edges touch the density at the critical
+// points, must be caught.
+func TestZigguratSqueezeBrackets(t *testing.T) {
+	if bad, first := squeezeViolations(&zigWedges, 100_000); bad > 0 {
+		t.Fatalf("%d coordinates escape the squeeze; first: %s", bad, first)
+	}
+	wide := zigSqueeze(1000 * zigSqueezeMargin)
+	if bad, first := squeezeViolations(&wide, 1000); bad > 0 {
+		t.Fatalf("widened squeeze: %d coordinates escape; first: %s", bad, first)
+	}
+	bare := zigSqueeze(0)
+	if bad, _ := squeezeViolations(&bare, 1000); bad == 0 {
+		t.Fatal("the squeeze without its margin escaped no check: the check cannot see a band that is too tight")
+	} else {
+		t.Logf("without its margin the squeeze fails at %d coordinates", bad)
+	}
+}
+
+// TestZigguratExpCallRate recounts, on 10⁶ counters, the draws whose wedge
+// tests reach math.Exp: at most 0.3% with the squeeze, against about 2.7%
+// when every wedge test calls it.
+func TestZigguratExpCallRate(t *testing.T) {
+	const n = 1_000_000
+	c := NewCounterRNG(8, 2)
+	exact, squeezed := 0, 0
+	for ctr := uint64(0); ctr < n; ctr++ {
+		u := c.Uint64At(ctr)
+		j, i := int32(uint32(u)), (u>>32)&(zigLayers-1)
+		if zigAbs(j) < zigKn[i] {
+			continue
+		}
+		calls, spared := 0, 0
+		zigNormalSlowExact(u, j, i, &zigWedges, &calls, &spared)
+		if calls > 0 {
+			exact++
+		}
+		if calls > spared {
+			squeezed++
+		}
+	}
+	t.Logf("draws reaching math.Exp: %.3f%% exact, %.3f%% squeezed", 100*float64(exact)/n, 100*float64(squeezed)/n)
+	if float64(squeezed)/n > 0.003 {
+		t.Fatalf("%.3f%% of draws reach math.Exp, want at most 0.3%%", 100*float64(squeezed)/n)
+	}
+}
+
 // TestScaleAddNormalBulkEdgeCases covers the std=0 and scale=1 fast paths.
 func TestScaleAddNormalBulkEdgeCases(t *testing.T) {
 	c := NewCounterRNG(6)
@@ -259,19 +463,16 @@ func counterFor(key, u uint64) uint64 {
 	return (unmix64(u) - key) * inverse64(crngGolden)
 }
 
-// noiseEngine is one implementation of the noise kernel.
-type noiseEngine struct {
-	name  string
-	strip func([]float64, uint64, float64, float64)
-}
-
-// noiseEngines are the kernels FuzzNoiseKernels diffs: the Go loop and,
-// where the CPU has it, the AVX2 strip.
-func noiseEngines() []noiseEngine {
-	e := []noiseEngine{{"go", scaleAddNormalGo}}
-	if s := noiseSIMD(); s != nil {
-		e = append(e, noiseEngine{"avx2", s})
+// noiseEngines are the kernels FuzzNoiseKernels diffs: the Go loop and the
+// SIMD strips the CPU has (AVX-512, AVX2). It logs their names, so a run
+// on a host without one shows which engines it held to the definition.
+func noiseEngines(tb testing.TB) []noiseEngine {
+	e := append([]noiseEngine{{"go", 0}}, noiseSIMD()...)
+	names := make([]string, len(e))
+	for i, n := range e {
+		names[i] = n.name
 	}
+	tb.Logf("noise engines: %s", strings.Join(names, ", "))
 	return e
 }
 
@@ -308,6 +509,7 @@ func FuzzNoiseKernels(f *testing.F) {
 	f.Add(uint64(3), uint64(1<<40), uint8(33), uint64(6), uint8(200), uint8(7), uint8(8))
 	f.Add(uint64(4), uint64(7), uint8(40), uint64(93), uint8(255), uint8(2), uint8(0))
 	f.Add(uint64(5), uint64(8), uint8(40), uint64(94), uint8(255), uint8(4), uint8(1))
+	engines := noiseEngines(f)
 	f.Fuzz(func(t *testing.T, key, ctr uint64, nb uint8, seed uint64, pct, scaleSel, stdSel uint8) {
 		n := int(nb) % 68
 		pick := func(sel uint8, raw uint64) float64 {
@@ -320,9 +522,9 @@ func FuzzNoiseKernels(f *testing.F) {
 		c := CounterRNG{key: key}
 		dst := make([]float64, n)
 		fillHostile(dst, seed, pct)
-		defer func(s func([]float64, uint64, float64, float64)) { noiseStrip = s }(noiseStrip)
-		for _, e := range noiseEngines() {
-			noiseStrip = e.strip
+		defer func(lanes int) { noiseLanes = lanes }(noiseLanes)
+		for _, e := range engines {
+			noiseLanes = e.lanes
 			for _, add := range []bool{false, true} {
 				got := append([]float64(nil), dst...)
 				if add {
@@ -365,12 +567,41 @@ func FuzzNoiseKernels(f *testing.F) {
 func BenchmarkNoiseEngineKernel(b *testing.B) {
 	const n = 4096
 	dst := make([]float64, n)
-	for _, e := range noiseEngines() {
+	for _, e := range noiseEngines(b) {
 		b.Run(e.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.strip(dst, uint64(i)*n*crngGolden, 0.5, 1)
+				noiseStrip(dst, uint64(i)*n*crngGolden, 0.5, 1, e.lanes)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+		})
+	}
+}
+
+// BenchmarkZigguratSlow prices one rejected draw through the squeezed slow
+// path and through the exact oracle, over the first 4,096 draws of a
+// counter stream that the fast path rejects.
+func BenchmarkZigguratSlow(b *testing.B) {
+	c := NewCounterRNG(3)
+	var draws []uint64
+	for ctr := uint64(0); len(draws) < 4096; ctr++ {
+		if u := c.Uint64At(ctr); zigAbs(int32(uint32(u))) >= zigKn[(u>>32)&(zigLayers-1)] {
+			draws = append(draws, u)
+		}
+	}
+	for _, e := range []struct {
+		name string
+		slow func(uint64, int32, uint64) float64
+	}{
+		{"squeezed", zigNormalSlow},
+		{"exact", func(u uint64, j int32, i uint64) float64 { return zigNormalSlowExact(u, j, i, nil, nil, nil) }},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			var sum float64
+			for n := 0; n < b.N; n++ {
+				u := draws[n%len(draws)]
+				sum += e.slow(u, int32(uint32(u)), (u>>32)&(zigLayers-1))
+			}
+			_ = sum
 		})
 	}
 }

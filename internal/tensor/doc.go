@@ -54,16 +54,22 @@
 //     and the assembled output is bit-identical at every GOMAXPROCS. The
 //     bulk kernels (AddNormalBulk, ScaleAddNormalBulk; one loop, the first
 //     at scale 1) honor the same indexing, so bulk ≡ pointwise exactly.
-//     On amd64 with AVX2 (CPUID leaf 7, read once at start-up) their
-//     ziggurat fast path runs in assembly, four counters at a time: each
-//     lane mixes its own counter, every 64-bit multiply is composed
-//     exactly from 32-bit partial products, |j| < zigKn[k] is compared
-//     unsigned (on exact doubles, so |MinInt32| rejects), and the float
-//     steps are separate multiplies and one add in the Go grouping, never
+//     On amd64 their ziggurat fast path runs in assembly on the widest
+//     engine the CPU has, chosen once at start-up from CPUID and XGETBV:
+//     avx512 (AVX512F and AVX512DQ, with the OS saving the opmask and ZMM
+//     state), eight counters at a time, then avx2 (CPUID leaf 7), four at
+//     a time, then the Go loop. In each strip every lane mixes its own
+//     counter, every 64-bit multiply is the exact product mod 2⁶⁴
+//     (VPMULLQ, or composed from 32-bit partial products), |j| < zigKn[k]
+//     is compared unsigned (so |MinInt32| rejects), and the float steps
+//     are separate multiplies and one add in the Go grouping, never
 //     fused. Rejected lanes come back to Go, which resolves them with the
-//     scalar slow path, so the strip returns the Go loop's bits
-//     (FuzzNoiseKernels). Other architectures and CPUs without AVX2 run
-//     the Go loop.
+//     scalar slow path, so each strip returns the Go loop's bits
+//     (FuzzNoiseKernels). The slow path decides its wedge tests from a
+//     per-layer chord squeeze and calls math.Exp only inside the squeeze's
+//     band, deciding exactly as the exact test would
+//     (TestZigguratSlowMatchesExact, TestZigguratSqueezeBrackets). Other
+//     architectures run the Go loop.
 //
 // Reserved Split/CounterRNG label spaces are documented at their owners:
 // labels 1–7 under the root seed belong to internal/fl (model init, cohort

@@ -247,6 +247,23 @@ func TestArenaReusesBuffers(t *testing.T) {
 	}
 }
 
+// TestArenaHitAllocatesNothing pins a Get the arena can serve to zero
+// allocations: the reused tensor keeps its shape slice when the rank
+// matches.
+func TestArenaHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	a := NewArena()
+	a.Put(a.Get(3, 4))
+	if n := testing.AllocsPerRun(100, func() { a.Put(a.Get(4, 3)) }); n != 0 {
+		t.Fatalf("arena hit: %v allocations, want 0", n)
+	}
+	if x := a.Get(2, 6); x.Shape()[0] != 2 || x.Shape()[1] != 6 {
+		t.Fatalf("reused buffer shape %v, want (2,6)", x.Shape())
+	}
+}
+
 func TestNilArenaAllocates(t *testing.T) {
 	var a *Arena
 	x := a.Get(2, 2)

@@ -14,16 +14,18 @@ type Tensor struct {
 
 // New returns a zero-filled tensor with the given shape.
 // It panics if any dimension is negative.
+// The panic formats the copy, not the argument, so shape does not escape
+// and a call with literal dimensions allocates no argument slice.
 func New(shape ...int) *Tensor {
+	s := make([]int, len(shape))
+	copy(s, shape)
 	n := 1
-	for _, d := range shape {
+	for _, d := range s {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, s))
 		}
 		n *= d
 	}
-	s := make([]int, len(shape))
-	copy(s, shape)
 	return &Tensor{shape: s, data: make([]float64, n)}
 }
 
