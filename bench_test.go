@@ -229,55 +229,6 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkGEMMShapes prices each GEMM the models run, at its own shape:
-// the MNIST CNN's per-example conv GEMMs and its batch-5 dense layer
-// (nn.ImageCNN at 1×28×28, the cnn-inproc setting) and the tabular MLP's
-// batch-4 30→32 layer, each in the three variants it runs (a conv layer's
-// forward is NN, its input gradient TN and its per-example weight gradient
-// NT; a dense layer's forward is NT, its input gradient NN and its weight
-// gradient TN). Sub-benchmarks are named layer/variant/m×n×k for
-// C[m×n] over a reduction of length k. Run with -cpu 1 to price the serial
-// kernels a saturated trainer runs.
-func BenchmarkGEMMShapes(b *testing.B) {
-	shapes := []struct {
-		layer, variant string
-		m, n, k        int
-	}{
-		{"conv1", "nn", 8, 196, 25}, {"conv1", "tn", 25, 196, 8}, {"conv1", "nt", 8, 25, 196},
-		{"conv2", "nn", 16, 49, 200}, {"conv2", "tn", 200, 49, 16}, {"conv2", "nt", 16, 200, 49},
-		{"dense", "nn", 5, 784, 10}, {"dense", "tn", 10, 784, 5}, {"dense", "nt", 5, 10, 784},
-		{"mlp", "nn", 4, 30, 32}, {"mlp", "tn", 32, 30, 4}, {"mlp", "nt", 4, 32, 30},
-	}
-	for _, s := range shapes {
-		s := s
-		b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", s.layer, s.variant, s.m, s.n, s.k), func(b *testing.B) {
-			rng := tensor.NewRNG(1)
-			dst := tensor.New(s.m, s.n)
-			var x, y *tensor.Tensor
-			var run func()
-			switch s.variant {
-			case "nn":
-				x, y = tensor.New(s.m, s.k), tensor.New(s.k, s.n)
-				run = func() { tensor.MatMul(dst, x, y) }
-			case "tn":
-				x, y = tensor.New(s.k, s.m), tensor.New(s.k, s.n)
-				run = func() { tensor.MatMulTN(dst, x, y) }
-			default:
-				x, y = tensor.New(s.m, s.k), tensor.New(s.n, s.k)
-				run = func() { tensor.MatMulT(dst, x, y) }
-			}
-			rng.FillUniform(x, -1, 1)
-			rng.FillUniform(y, -1, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-			b.ReportMetric(2*float64(s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-	}
-}
-
 // BenchmarkConvForwardBackward compares the per-example scalar convolution
 // (reference) against the im2col+GEMM batched engine on the paper CNN's
 // first conv layer at the MNIST benchmark batch size. The acceptance bar

@@ -103,3 +103,27 @@ func TestNoiseEngineGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestConvGolden pins a seeded MNIST CNN run under Fed-CDP(decay) — the
+// paper's own setting — at GOMAXPROCS 1 and 4. The cancer goldens above run
+// dense layers only; this one fails if any bit of the conv path changes:
+// the patch matrix (tensor.Im2Col) and its adjoint, the GEMM strips the
+// conv layers run on, or the per-example weight gradients.
+func TestConvGolden(t *testing.T) {
+	const want = 0x5f12a7c5922b3d37
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := Run(Config{
+			Dataset: "mnist", Method: MethodFedCDPDecay,
+			K: 4, Kt: 2, Rounds: 2, LocalIters: 3,
+			Sigma: 0.05, Seed: 29, ValExamples: 20, EvalEvery: 100,
+		})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := digestTensors(res.Final.Params()); got != want {
+			t.Errorf("GOMAXPROCS %d: conv golden digest = %#x, want %#x", procs, got, want)
+		}
+	}
+}

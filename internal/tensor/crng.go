@@ -172,7 +172,7 @@ var zigWedges = zigSqueeze(zigSqueezeMargin)
 // are read at those four points.
 func zigSqueeze(margin float64) (w [zigLayers]zigWedge) {
 	for i := 1; i < zigLayers; i++ {
-		a, b := float64(zigKn[i])*zigWn[i], zigM*zigWn[i]
+		a, b := float64(float64(zigKn[i])*zigWn[i]), float64(zigM*zigWn[i])
 		h := zigFn[i-1] - zigFn[i]
 		slope := h / (b - a)
 		var lo, hi float64 // extremes of f − chord
@@ -180,10 +180,10 @@ func zigSqueeze(margin float64) (w [zigLayers]zigWedge) {
 			if x < a || x > b {
 				continue
 			}
-			g := math.Exp(-0.5*x*x) - (zigFn[i] + slope*(b-x))
+			g := math.Exp(-0.5*x*x) - (zigFn[i] + float64(slope*(b-x)))
 			lo, hi = min(lo, g), max(hi, g)
 		}
-		w[i] = zigWedge{b: b, slope: slope, below: margin*h - lo, above: margin*h + hi}
+		w[i] = zigWedge{b: b, slope: slope, below: float64(margin*h) - lo, above: float64(margin*h) + hi}
 	}
 	return w
 }
@@ -193,7 +193,7 @@ func zigSqueeze(margin float64) (w [zigLayers]zigWedge) {
 func zigCritical(s, lo, hi float64) float64 {
 	rising := lo < 1
 	for {
-		mid := lo + (hi-lo)/2
+		mid := lo + float64((hi-lo)/2)
 		if mid <= lo || mid >= hi {
 			return mid
 		}
@@ -232,7 +232,7 @@ func zigNormalSlow(u uint64, j int32, i uint64) float64 {
 		x := float64(j) * zigWn[i]
 		y := zigFn[i] + float64(s.float64()*(zigFn[i-1]-zigFn[i]))
 		w := &zigWedges[i]
-		c := zigFn[i] + w.slope*(w.b-math.Abs(x))
+		c := zigFn[i] + float64(w.slope*(w.b-math.Abs(x)))
 		if y < c-w.below || y < c+w.above && y < math.Exp(-0.5*x*x) {
 			return x
 		}

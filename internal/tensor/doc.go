@@ -15,13 +15,23 @@
 // PrecisionFP32 (see internal/nn and core.Config.Precision). PrecisionFP64
 // is the pinned reference; parity tests bound the fp32 paths against it.
 //
-// On amd64 with AVX (read once at start-up from CPUID and XGETBV) the
-// float64 kernels run their inner loops in assembly, four lanes at a time,
-// with every Go multiply and add its own instruction — never a fused
-// multiply-add — so they return the Go loops' bits on every non-NaN result
-// and NaN wherever Go gives NaN (FuzzGEMMKernels; which NaN payload
-// survives is not fixed, by the Go compiler either). Float32, other
-// architectures and CPUs without AVX run the Go loops.
+// On amd64 the float64 kernels run their inner loops in assembly on the
+// widest engine the CPU has, chosen once at start-up from CPUID and XGETBV:
+// avx512, whose two-row strips hold 16 output columns per row in ZMM
+// registers, eight lanes at a time, with the rest of the strips on AVX;
+// then avx, every strip on 8-column tiles, four lanes at a time; then the
+// Go loops. Every Go multiply and add is its own instruction — never a
+// fused multiply-add — so each engine returns the Go loops' bits on every
+// non-NaN result and NaN wherever Go gives NaN (FuzzGEMMKernels runs every
+// engine the host has; which NaN payload survives is not fixed, by the Go
+// compiler either). Float32, other architectures and CPUs without AVX run
+// the Go loops.
+//
+// Im2Col builds most rows of the patch matrix from rows already written —
+// taps one stride apart see the same pixels one output position apart —
+// and gathers from the image only what no earlier row holds. It moves
+// values and never computes one, so the matrix is the plain gather's bit
+// for bit (FuzzIm2Col).
 //
 // The element-wise row pass c[j] += a·b[j] is one kernel, Axpy, under
 // AddScaled (and so Add, Sub, AddAllScaled), AddOuter and MatVecT; with

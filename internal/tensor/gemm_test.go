@@ -1,14 +1,29 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // goGEMM is the float64 engine over the plain Go strips: the oracle the
 // SIMD strips are diffed against.
 var goGEMM = newGemmEngine[float64]()
+
+// gemmEnginesLogged returns every float64 engine this CPU runs
+// (gemmEngines, widest first, the Go strips last) and logs their names, so
+// a run shows which strips it held to the contract.
+func gemmEnginesLogged(tb testing.TB) []*gemmEngine[float64] {
+	es := gemmEngines()
+	names := make([]string, len(es))
+	for i, e := range es {
+		names[i] = e.name
+	}
+	tb.Logf("gemm engines: %s", strings.Join(names, ", "))
+	return es
+}
 
 // gemmCase is one GEMM in (m, n, k) terms: C[m×n] from a reduction of
 // length k.
@@ -17,14 +32,58 @@ type gemmCase struct {
 	m, n, k int
 }
 
-// modelGEMMs are the shapes the models run, by variant: the MNIST CNN's
-// per-example conv GEMMs and its batch-5 dense layer (nn.ImageCNN at
-// 1×28×28), and the tabular MLP's batch-4 30→32 layer (BenchmarkGEMMShapes
-// prices the same twelve).
-var modelGEMMs = map[string][]gemmCase{
-	"nn": {{"conv1", 8, 196, 25}, {"conv2", 16, 49, 200}, {"dense", 5, 784, 10}, {"mlp", 4, 30, 32}},
-	"tn": {{"conv1", 25, 196, 8}, {"conv2", 200, 49, 16}, {"dense", 10, 784, 5}, {"mlp", 32, 30, 4}},
-	"nt": {{"conv1", 8, 25, 196}, {"conv2", 16, 200, 49}, {"dense", 5, 10, 784}, {"mlp", 4, 32, 30}},
+// workloadGEMMs are the GEMMs the benchmark workloads' models run, each at
+// its own shape (C[m×n] over a reduction of length k): the MNIST CNN
+// (nn.ImageCNN at 1×28×28; cnn-inproc, batch 5), the adult MLP (105→32→32→2;
+// churn-2k, batch 3) and the cancer MLP (30→32→32→2; flat-faulted and
+// tree-100k, batch 4). A conv layer's forward is NN, its input gradient TN
+// (the first layer needs none) and its per-example weight gradient NT; a
+// dense layer's forward is NT and its input gradient NN — its per-example
+// weight gradients are row passes. Evaluation runs the forwards on chunks
+// of 64 examples and on the remainder of the validation set (8, 36 or 40).
+var workloadGEMMs = func() (gs []workloadGEMM) {
+	add := func(name, v string, m, n, k int) { gs = append(gs, workloadGEMM{name, v, m, n, k}) }
+	add("cnn/conv1", "nn", 8, 196, 25)
+	add("cnn/conv1", "nt", 8, 25, 196)
+	add("cnn/conv2", "nn", 16, 49, 200)
+	add("cnn/conv2", "tn", 200, 49, 16)
+	add("cnn/conv2", "nt", 16, 200, 49)
+	for _, b := range []int{5, 64, 8} {
+		add("cnn/dense", "nt", b, 10, 784)
+	}
+	add("cnn/dense", "nn", 5, 784, 10)
+	for _, mlp := range []struct {
+		name  string
+		in    int
+		batch []int
+	}{{"adult", 105, []int{3, 64, 36}}, {"cancer", 30, []int{4, 64, 36, 40}}} {
+		for _, b := range mlp.batch {
+			add(mlp.name+"/dense1", "nt", b, 32, mlp.in)
+			add(mlp.name+"/dense2", "nt", b, 32, 32)
+			add(mlp.name+"/dense3", "nt", b, 2, 32)
+		}
+		add(mlp.name+"/dense2", "nn", mlp.batch[0], 32, 32)
+		add(mlp.name+"/dense3", "nn", mlp.batch[0], 32, 2)
+	}
+	return gs
+}()
+
+// workloadGEMM is one entry of workloadGEMMs: the model and layer that
+// runs it, its variant and its shape.
+type workloadGEMM struct {
+	name, variant string
+	m, n, k       int
+}
+
+// strayGEMMs are shapes no workload runs that TestGEMMAllocatesNothing
+// checks beside workloadGEMMs: conv1's input gradient (TN with an odd m, so
+// its last row runs the one-row strip), the CNN's batch-5 dense TN and the
+// tabular MLP's batch-4 30→32 layer as NN and TN.
+var strayGEMMs = []workloadGEMM{
+	{"cnn/conv1", "tn", 25, 196, 8},
+	{"cnn/dense", "tn", 10, 784, 5},
+	{"mlp", "nn", 4, 30, 32},
+	{"mlp", "tn", 32, 30, 4},
 }
 
 // operands returns a and b shaped for variant v at (m, n, k).
@@ -39,8 +98,23 @@ func operands(v string, m, n, k int) (a, b *Tensor) {
 	}
 }
 
-// addGEMM runs dst += op(a, b) for variant v through the public API.
-func addGEMM(v string, dst, a, b *Tensor) {
+// addGEMM runs dst += op(a, b) for variant v on engine e, with a and b
+// shaped as operands shapes them.
+func addGEMM(e *gemmEngine[float64], v string, dst, a, b *Tensor) {
+	m, n := dst.shape[0], dst.shape[1]
+	switch v {
+	case "nn":
+		e.addMatMul(dst.data, a.data, b.data, m, n, a.shape[1])
+	case "nt":
+		e.addMatMulT(dst.data, a.data, b.data, m, n, a.shape[1])
+	default:
+		e.addMatMulTN(dst.data, a.data, b.data, m, n, a.shape[0])
+	}
+}
+
+// addGEMMAPI runs dst += op(a, b) for variant v through the public API,
+// on gemmF64.
+func addGEMMAPI(v string, dst, a, b *Tensor) {
 	switch v {
 	case "nn":
 		AddMatMul(dst, a, b)
@@ -56,7 +130,8 @@ func sameOrBothNaN(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
 }
 
-// TestGEMMIndependentOfPartition runs every variant at GOMAXPROCS 1–4 with
+// TestGEMMIndependentOfPartition runs every variant on every engine at
+// GOMAXPROCS 1–4 with
 // enough free gemmSlots for one helper per row, so the row partition — and
 // which rows run in pairs — changes with GOMAXPROCS. Each element's
 // operations depend on k alone, so the results must not. The first case is
@@ -70,6 +145,12 @@ func TestGEMMIndependentOfPartition(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	rng := NewRNG(23)
+	for _, e := range gemmEnginesLogged(t) {
+		testPartitionIndependence(t, e, rng)
+	}
+}
+
+func testPartitionIndependence(t *testing.T, e *gemmEngine[float64], rng *RNG) {
 	for _, v := range []string{"nn", "tn", "nt"} {
 		for _, s := range []gemmCase{{"zero-a-inf-b", 3, 1000, 23}, {"random", 7, 301, 64}, {"hostile", 5, 517, 41}} {
 			a, b := operands(v, s.m, s.n, s.k)
@@ -96,15 +177,15 @@ func TestGEMMIndependentOfPartition(t *testing.T) {
 			for procs := 1; procs <= 4; procs++ {
 				runtime.GOMAXPROCS(procs)
 				got := dst0.Clone()
-				addGEMM(v, got, a, b)
+				addGEMM(e, v, got, a, b)
 				if want == nil {
 					want = got
 					continue
 				}
 				for i, x := range got.data {
 					if y := want.data[i]; !sameOrBothNaN(x, y) {
-						t.Fatalf("%s %s: element (%d,%d) is %v at GOMAXPROCS %d, %v at 1",
-							v, s.name, i/s.n, i%s.n, x, procs, y)
+						t.Fatalf("%s %s %s: element (%d,%d) is %v at GOMAXPROCS %d, %v at 1",
+							e.name, v, s.name, i/s.n, i%s.n, x, procs, y)
 					}
 				}
 			}
@@ -115,7 +196,7 @@ func TestGEMMIndependentOfPartition(t *testing.T) {
 				}
 				for i := 0; i < s.m; i++ {
 					if x := want.At(i, col); !math.IsNaN(x) {
-						t.Fatalf("%s: row %d of the Inf column is %v, want NaN (0·Inf)", v, i, x)
+						t.Fatalf("%s %s: row %d of the Inf column is %v, want NaN (0·Inf)", e.name, v, i, x)
 					}
 				}
 			}
@@ -123,26 +204,35 @@ func TestGEMMIndependentOfPartition(t *testing.T) {
 	}
 }
 
-// TestGEMMAllocatesNothing pins every variant at the models' shapes to
-// zero allocations per call on the serial path (GOMAXPROCS 1), NT panel
-// form included: the parallel closure is built only where helpers run and
-// the panel comes from a pool.
+// TestGEMMAllocatesNothing pins every engine at every shape the workloads
+// run (workloadGEMMs) and at strayGEMMs to zero allocations per call on the
+// serial path (GOMAXPROCS 1), NT panel form included: the parallel closure
+// is built only where helpers run and the panel comes from a pool. The
+// same shapes also go once through the public AddMatMul, AddMatMulT and
+// AddMatMulTN, the entry points the models call.
 func TestGEMMAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := NewRNG(5)
-	for v, cases := range modelGEMMs {
-		for _, s := range cases {
-			a, b := operands(v, s.m, s.n, s.k)
-			rng.FillUniform(a, -1, 1)
-			rng.FillUniform(b, -1, 1)
-			dst := New(s.m, s.n)
-			if n := testing.AllocsPerRun(50, func() { addGEMM(v, dst, a, b) }); n != 0 {
-				t.Errorf("%s %s (%d×%d×%d): %v allocations per call, want 0", v, s.name, s.m, s.n, s.k, n)
-			}
+	shapes := append(append([]workloadGEMM(nil), workloadGEMMs...), strayGEMMs...)
+	check := func(engine string, s workloadGEMM, add func(dst, a, b *Tensor)) {
+		a, b := operands(s.variant, s.m, s.n, s.k)
+		rng.FillUniform(a, -1, 1)
+		rng.FillUniform(b, -1, 1)
+		dst := New(s.m, s.n)
+		if n := testing.AllocsPerRun(50, func() { add(dst, a, b) }); n != 0 {
+			t.Errorf("%s %s %s (%d×%d×%d): %v allocations per call, want 0", engine, s.name, s.variant, s.m, s.n, s.k, n)
 		}
+	}
+	for _, e := range gemmEnginesLogged(t) {
+		for _, s := range shapes {
+			check(e.name, s, func(dst, a, b *Tensor) { addGEMM(e, s.variant, dst, a, b) })
+		}
+	}
+	for _, s := range shapes {
+		check("api/"+gemmF64.name, s, func(dst, a, b *Tensor) { addGEMMAPI(s.variant, dst, a, b) })
 	}
 }
 
@@ -152,11 +242,18 @@ func TestGEMMAllocatesNothing(t *testing.T) {
 // form its shape selects. The first shapes take the panel form; the small
 // batches m ∈ {1, 2, 3} × n ∈ {2, 8, 32} sit on both sides of
 // ntPanelPays, so each also runs both forms forced, over hostile
-// operands, and must get the same bits from each.
+// operands, and must get the same bits from each. Every SIMD engine runs.
 func TestNTPanelFormMatchesMatVec(t *testing.T) {
-	if gemmF64.seq2 == nil {
+	es := gemmEnginesLogged(t)
+	if len(es) == 1 {
 		t.Skip("no SIMD strips on this CPU: NT runs in dot form only")
 	}
+	for _, e := range es[:len(es)-1] {
+		testNTPanelForm(t, e)
+	}
+}
+
+func testNTPanelForm(t *testing.T, e *gemmEngine[float64]) {
 	cases := []gemmCase{{"panel", 8, 32, 29}, {"odd", 13, 45, 301}, {"conv2", 16, 200, 49}}
 	for _, s := range cases {
 		if !ntPanelPays(s.m, s.n) {
@@ -175,11 +272,12 @@ func TestNTPanelFormMatchesMatVec(t *testing.T) {
 		w := randomMat(rng, s.n, s.k)
 		x := New(s.m, s.k)
 		rng.FillUniform(x, -2, 2)
-		y := MatMulT(nil, x, w)
+		y := New(s.m, s.n)
+		addGEMM(e, "nt", y, x, w)
 		for i := 0; i < s.m; i++ {
 			for j, v := range MatVec(w, x.Row(i)).Data() {
 				if y.At(i, j) != v {
-					t.Fatalf("%s %d×%d×%d row %d col %d: MatMulT %v != MatVec %v", s.name, s.m, s.n, s.k, i, j, y.At(i, j), v)
+					t.Fatalf("%s %s %d×%d×%d row %d col %d: MatMulT %v != MatVec %v", e.name, s.name, s.m, s.n, s.k, i, j, y.At(i, j), v)
 				}
 			}
 		}
@@ -192,12 +290,12 @@ func TestNTPanelFormMatchesMatVec(t *testing.T) {
 		panel := append([]float64(nil), dot...)
 		ntDotRows(dot, a, b, s.n, s.k, 0, s.m)
 		bt := make([]float64, s.k*s.n)
-		gemmF64.transpose(bt, b, s.n, s.k)
-		gemmF64.ntPanelRows(panel, a, bt, s.n, s.k, 0, s.m)
+		e.transpose(bt, b, s.n, s.k)
+		e.ntPanelRows(panel, a, bt, s.n, s.k, 0, s.m)
 		for i := range dot {
 			if !sameOrBothNaN(panel[i], dot[i]) {
-				t.Fatalf("%s %d×%d×%d: element (%d,%d) panel %#016x, dot %#016x",
-					s.name, s.m, s.n, s.k, i/s.n, i%s.n, math.Float64bits(panel[i]), math.Float64bits(dot[i]))
+				t.Fatalf("%s %s %d×%d×%d: element (%d,%d) panel %#016x, dot %#016x",
+					e.name, s.name, s.m, s.n, s.k, i/s.n, i%s.n, math.Float64bits(panel[i]), math.Float64bits(dot[i]))
 			}
 		}
 	}
@@ -242,14 +340,14 @@ func fillHostile(s []float64, seed uint64, pct uint8) {
 	}
 }
 
-// FuzzGEMMKernels diffs the float64 engine (the AVX strips on a CPU that
-// has them) against the plain Go strips on all three variants over hostile
-// operands and a hostile destination: every result the same bits, and NaN
-// wherever the other is NaN (NaN payloads are not part of the contract;
-// see matmul_amd64.s). Shapes reach every tail: m odd and even, n mod 8
-// in 0–7, k odd and past the gemmBlockK edge, both NT forms, and m·n·k on
-// both sides of gemmParallelFlops. The Go engine runs NT in dot form, so
-// the NT diff also holds the panel form to the dot form.
+// FuzzGEMMKernels diffs every SIMD engine the CPU runs (AVX-512 and AVX
+// strips alike) against the plain Go strips on all three variants over
+// hostile operands and a hostile destination: every result the same bits,
+// and NaN wherever the other is NaN (NaN payloads are not part of the
+// contract; see matmul_amd64.s). Shapes reach every tail: m odd and even,
+// n mod 16 in 0–15, k odd and past the gemmBlockK edge, both NT forms, and
+// m·n·k on both sides of gemmParallelFlops. The Go engine runs NT in dot
+// form, so the NT diff also holds the panel form to the dot form.
 func FuzzGEMMKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(5), uint16(7), uint8(40))
 	f.Add(uint64(2), uint8(8), uint8(32), uint16(257), uint8(255))
@@ -257,8 +355,10 @@ func FuzzGEMMKernels(f *testing.F) {
 	f.Add(uint64(4), uint8(9), uint8(35), uint16(300), uint8(0))
 	f.Add(uint64(5), uint8(1), uint8(66), uint16(0), uint8(128))
 	f.Add(uint64(6), uint8(30), uint8(250), uint16(513), uint8(8))
+	es := gemmEnginesLogged(f)
+	simd := es[:len(es)-1]
 	f.Fuzz(func(t *testing.T, seed uint64, mb, nb uint8, kb uint16, pct uint8) {
-		if gemmF64.seq2 == nil {
+		if len(simd) == 0 {
 			t.Skip("the float64 engine runs the Go strips on this CPU")
 		}
 		m, n, k := 1+int(mb)%32, 1+int(nb), int(kb)%600
@@ -269,22 +369,30 @@ func FuzzGEMMKernels(f *testing.F) {
 		fillHostile(b, seed^0x5555, pct)
 		fillHostile(c, seed^0xaaaa, pct)
 		for _, v := range []string{"nn", "nt", "tn"} {
-			got, want := append([]float64(nil), c...), append([]float64(nil), c...)
+			want := append([]float64(nil), c...)
 			switch v {
 			case "nn":
-				gemmF64.addMatMul(got, a, b, m, n, k)
 				goGEMM.addMatMul(want, a, b, m, n, k)
 			case "nt":
-				gemmF64.addMatMulT(got, a, b, m, n, k)
 				goGEMM.addMatMulT(want, a, b, m, n, k)
 			default:
-				gemmF64.addMatMulTN(got, a, b, m, n, k)
 				goGEMM.addMatMulTN(want, a, b, m, n, k)
 			}
-			for i := range got {
-				if !sameOrBothNaN(got[i], want[i]) {
-					t.Fatalf("%s %d×%d×%d: element (%d,%d) SIMD %#016x, Go %#016x",
-						v, m, n, k, i/n, i%n, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			for _, e := range simd {
+				got := append([]float64(nil), c...)
+				switch v {
+				case "nn":
+					e.addMatMul(got, a, b, m, n, k)
+				case "nt":
+					e.addMatMulT(got, a, b, m, n, k)
+				default:
+					e.addMatMulTN(got, a, b, m, n, k)
+				}
+				for i := range got {
+					if !sameOrBothNaN(got[i], want[i]) {
+						t.Fatalf("%s %s %d×%d×%d: element (%d,%d) SIMD %#016x, Go %#016x",
+							e.name, v, m, n, k, i/n, i%n, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
 				}
 			}
 		}
@@ -367,5 +475,30 @@ func BenchmarkRowKernel(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
 		})
+	}
+}
+
+// BenchmarkGEMMShapes prices every GEMM the benchmark workloads run
+// (workloadGEMMs) on every engine this CPU has, in ns/op and GFLOP/s.
+// Sub-benchmarks are named model/layer/variant/m×n×k/engine. Run with
+// -cpu 1 to price the serial strips a saturated trainer runs; the host is
+// noisy, so compare engines interleaved (-count) and take the minimum.
+func BenchmarkGEMMShapes(b *testing.B) {
+	es := gemmEnginesLogged(b)
+	for _, s := range workloadGEMMs {
+		rng := NewRNG(1)
+		x, y := operands(s.variant, s.m, s.n, s.k)
+		rng.FillUniform(x, -1, 1)
+		rng.FillUniform(y, -1, 1)
+		dst := New(s.m, s.n)
+		for _, e := range es {
+			b.Run(fmt.Sprintf("%s/%s/%dx%dx%d/%s", s.name, s.variant, s.m, s.n, s.k, e.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					addGEMM(e, s.variant, dst, x, y)
+				}
+				b.ReportMetric(2*float64(s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }

@@ -8,11 +8,12 @@ func convOut(in, k, stride, pad int) int { return (in+2*pad-k)/stride + 1 }
 // validRange returns the half-open range of output positions [lo, hi) whose
 // input coordinate ox*stride - pad + kx lies inside [0, in); positions
 // outside it read (or write) padding. Splitting the inner loops on this
-// range removes the per-element bounds branch from the hot path.
+// range removes the per-element bounds branch from the hot path. Both ends
+// lie in [0, out]: a tap that sees no input has lo == hi.
 func validRange(out, in, kx, stride, pad int) (lo, hi int) {
 	// ox*stride - pad + kx >= 0  ⇒  ox >= ceil((pad-kx)/stride)
 	if d := pad - kx; d > 0 {
-		lo = (d + stride - 1) / stride
+		lo = min((d+stride-1)/stride, out)
 	}
 	// ox*stride - pad + kx <= in-1  ⇒  ox <= floor((in-1+pad-kx)/stride).
 	// A negative numerator means no output position is valid; guard it
@@ -22,10 +23,7 @@ func validRange(out, in, kx, stride, pad int) (lo, hi int) {
 	if d < 0 {
 		return lo, lo
 	}
-	hi = d/stride + 1
-	if hi > out {
-		hi = out
-	}
+	hi = min(d/stride+1, out)
 	if hi < lo {
 		hi = lo
 	}
@@ -40,6 +38,18 @@ func validRange(out, in, kx, stride, pad int) (lo, hi int) {
 //
 // x may be any tensor of length C·H·W (row views included). dst must be a
 // rank-2 (C·K·K × OH·OW) tensor and is fully overwritten; nil allocates.
+//
+// Most rows are copies of rows already written, since taps one stride
+// apart see the same pixels one output position apart. For ky ≥ stride,
+// line oy of tap (ic,ky,kx) reads input line oy·stride−pad+ky, which is
+// what line oy+1 of tap (ic,ky−stride,kx) reads: all but the row's last
+// line is that row moved up one line. For kx ≥ stride, column ox is column
+// ox+1 of tap (ic,ky,kx−stride): each remaining line is that row's line
+// moved left one element, and only its last column is read from the
+// image. Only the taps with kx < stride gather their remaining lines — all
+// of them where ky < stride too, the last one elsewhere. Every value is
+// moved, never computed, so the matrix is the gather's bit for bit
+// (FuzzIm2Col).
 func Im2Col(dst, x *Tensor, c, h, w, k, stride, pad int) *Tensor {
 	if x.Len() != c*h*w {
 		panic(fmt.Sprintf("tensor: Im2Col input length %d, want %d", x.Len(), c*h*w))
@@ -51,40 +61,54 @@ func Im2Col(dst, x *Tensor, c, h, w, k, stride, pad int) *Tensor {
 	} else if len(dst.shape) != 2 || dst.shape[0] != rows || dst.shape[1] != cols {
 		panic(fmt.Sprintf("tensor: Im2Col dst shape %v, want (%d,%d)", dst.shape, rows, cols))
 	}
-	xd, dd := x.data, dst.data
-	row := 0
+	if oh <= 0 || ow <= 0 {
+		return dst
+	}
+	dd := dst.data
 	for ic := 0; ic < c; ic++ {
+		img := x.data[ic*h*w : (ic+1)*h*w]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				drow := dd[row*cols : (row+1)*cols]
-				oxLo, oxHi := validRange(ow, w, kx, stride, pad)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*stride - pad + ky
-					dseg := drow[oy*ow : (oy+1)*ow]
-					if iy < 0 || iy >= h {
-						for i := range dseg {
-							dseg[i] = 0
+				r := (ic*k+ky)*k + kx
+				drow := dd[r*cols : (r+1)*cols]
+				first := 0 // the first line not copied from the row above
+				if ky >= stride {
+					copy(drow, dd[(r-stride*k)*cols+ow:(r-stride*k+1)*cols])
+					first = oh - 1
+				}
+				if kx >= stride {
+					copy(drow[first*ow:], dd[(r-stride)*cols+first*ow+1:(r-stride+1)*cols])
+					ix := (ow-1)*stride - pad + kx
+					for oy := first; oy < oh; oy++ {
+						v := 0.0
+						if iy := oy*stride - pad + ky; iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = img[iy*w+ix]
 						}
+						drow[oy*ow+ow-1] = v
+					}
+					continue
+				}
+				lo, hi := validRange(ow, w, kx, stride, pad)
+				for oy := first; oy < oh; oy++ {
+					dseg := drow[oy*ow : (oy+1)*ow]
+					iy := oy*stride - pad + ky
+					if iy < 0 || iy >= h || lo == hi {
+						clear(dseg)
 						continue
 					}
-					xrow := xd[(ic*h+iy)*w : (ic*h+iy+1)*w]
-					for ox := 0; ox < oxLo; ox++ {
-						dseg[ox] = 0
-					}
+					clear(dseg[:lo])
+					clear(dseg[hi:])
+					xrow := img[iy*w : (iy+1)*w]
+					ix := lo*stride - pad + kx
 					if stride == 1 {
-						copy(dseg[oxLo:oxHi], xrow[oxLo-pad+kx:])
-					} else {
-						ix := oxLo*stride - pad + kx
-						for ox := oxLo; ox < oxHi; ox++ {
-							dseg[ox] = xrow[ix]
-							ix += stride
-						}
+						copy(dseg[lo:hi], xrow[ix:])
+						continue
 					}
-					for ox := oxHi; ox < ow; ox++ {
-						dseg[ox] = 0
+					for ox := lo; ox < hi; ox++ {
+						dseg[ox] = xrow[ix]
+						ix += stride
 					}
 				}
-				row++
 			}
 		}
 	}

@@ -34,10 +34,11 @@ import (
 // the fp32 bulk path in matmul32.go. One body per variant means the two
 // precisions cannot drift apart structurally — only in element width. The
 // strips are plain Go, except that on amd64 with AVX the float64 engine
-// runs them in assembly (matmul_amd64.s), four lanes per instruction: a
-// separate VMULPD and VADDPD for each Go multiply and add, never a fused
-// multiply-add, so each lane rounds exactly as the scalar Go does and the
-// results are the same bits.
+// runs them in assembly (matmul_amd64.s) — with AVX-512, its two-row
+// strips eight lanes per instruction, otherwise four: a separate VMULPD
+// and VADDPD for each Go multiply and add, never a fused multiply-add, so
+// each lane rounds exactly as the scalar Go does and the results are the
+// same bits.
 
 // gemmElem is the element type a GEMM kernel runs at.
 type gemmElem interface{ ~float32 | ~float64 }
@@ -75,6 +76,10 @@ func mat2(t *Tensor, op string) (rows, cols int) {
 // operations; a SIMD strip computes the same operations in the same order
 // on each element, holding the output tile in registers across the terms.
 type gemmEngine[F gemmElem] struct {
+	// name names the strips, for tests and benchmarks: "go", or the SIMD
+	// engine's instruction set (gemmSIMD).
+	name string
+
 	// pairs2 adds the terms to c0 and c1 two at a time — per pair,
 	// c += a[x]·b_x + a[x+1]·b_{x+1} — and a last odd term alone (NN, TN).
 	pairs2 func(c0, c1, a0, a1, b []F, kn, as, bs int)
@@ -99,16 +104,23 @@ type gemmEngine[F gemmElem] struct {
 
 // newGemmEngine returns an engine over the plain Go strips.
 func newGemmEngine[F gemmElem]() *gemmEngine[F] {
-	return &gemmEngine[F]{pairs2: addPairs2[F], pairs1: addPairs1[F]}
+	return &gemmEngine[F]{name: "go", pairs2: addPairs2[F], pairs1: addPairs1[F]}
 }
 
 var (
-	// gemmF64 runs the float64 GEMMs; withSIMD swaps in the SIMD strips
-	// where the CPU and OS support them (decided once, here).
-	gemmF64 = withSIMD(newGemmEngine[float64]())
+	// gemmF64 runs the float64 GEMMs: the widest strips the CPU and OS
+	// support (decided once, here).
+	gemmF64 = gemmEngines()[0]
 	// gemmF32 runs the float32 bulk path (matmul32.go).
 	gemmF32 = newGemmEngine[float32]()
 )
+
+// gemmEngines returns a float64 engine for each set of strips the CPU and
+// OS can run, widest first: the SIMD engines (gemmSIMD), then the Go
+// strips. Every one computes the same bits (FuzzGEMMKernels).
+func gemmEngines() []*gemmEngine[float64] {
+	return append(gemmSIMD(), newGemmEngine[float64]())
+}
 
 func addPairs2[F gemmElem](c0, c1, a0, a1, b []F, kn, as, bs int) {
 	n := len(c0)

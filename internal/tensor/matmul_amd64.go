@@ -2,12 +2,13 @@
 
 package tensor
 
-// The float64 strips in AVX (matmul_amd64.s). Each holds an 8-column tile
-// of its output rows in YMM registers across all kn terms, and each lane
-// runs the multiplies and adds of the Go row operation (addRows22, …) in
-// its order, so the results are the Go strips' bits (FuzzGEMMKernels). The
-// columns past the last full tile run as one masked tile. The wrappers
-// check the bounds the assembly relies on.
+// The float64 strips in AVX and AVX-512 (matmul_amd64.s). Each holds a
+// tile of its output rows in registers across all kn terms — 8 columns in
+// YMM registers, or 16 in ZMM registers for the AVX-512 two-row strips —
+// and each lane runs the multiplies and adds of the Go row operation
+// (addRows22, …) in its order, so the results are the Go strips' bits
+// (FuzzGEMMKernels). The columns past the last full tile run as one masked
+// tile. The wrappers check the bounds the assembly relies on.
 
 //go:noescape
 func pairs2AVX(c0, c1, a0, a1, b []float64, kn, as, bs int)
@@ -22,12 +23,25 @@ func seq2AVX(c0, c1, a0, a1, b []float64, kn, bs int)
 func seq1AVX(c, a, b []float64, kn, bs int)
 
 //go:noescape
+func pairs2AVX512(c0, c1, a0, a1, b []float64, kn, as, bs int)
+
+//go:noescape
+func seq2AVX512(c0, c1, a0, a1, b []float64, kn, bs int)
+
+//go:noescape
 func transpose4AVX(dst, src []float64, n4, k4, n, k int)
 
 func addPairs2AVX(c0, c1, a0, a1, b []float64, kn, as, bs int) {
 	if n := len(c0); n > 0 && kn > 0 {
 		_, _, _, _ = c1[n-1], a0[(kn-1)*as], a1[(kn-1)*as], b[(kn-1)*bs+n-1]
 		pairs2AVX(c0, c1, a0, a1, b, kn, as, bs)
+	}
+}
+
+func addPairs2AVX512(c0, c1, a0, a1, b []float64, kn, as, bs int) {
+	if n := len(c0); n > 0 && kn > 0 {
+		_, _, _, _ = c1[n-1], a0[(kn-1)*as], a1[(kn-1)*as], b[(kn-1)*bs+n-1]
+		pairs2AVX512(c0, c1, a0, a1, b, kn, as, bs)
 	}
 }
 
@@ -50,6 +64,18 @@ func addSeq2AVX(c0, c1, a0, a1, b []float64, kn, bs int) {
 		_, _, _ = a0[kn-1], a1[kn-1], b[(kn-1)*bs+n-1]
 	}
 	seq2AVX(c0, c1, a0, a1, b, kn, bs)
+}
+
+func addSeq2AVX512(c0, c1, a0, a1, b []float64, kn, bs int) {
+	n := len(c0)
+	if n == 0 {
+		return
+	}
+	_ = c1[n-1]
+	if kn > 0 {
+		_, _, _ = a0[kn-1], a1[kn-1], b[(kn-1)*bs+n-1]
+	}
+	seq2AVX512(c0, c1, a0, a1, b, kn, bs)
 }
 
 func addSeq1AVX(c, a, b []float64, kn, bs int) {
@@ -106,14 +132,31 @@ func hasAVX() bool {
 // avx is hasAVX, read once at start-up.
 var avx = hasAVX()
 
-// withSIMD swaps the AVX strips into e when the CPU and OS support them;
-// otherwise e keeps the Go ones.
-func withSIMD(e *gemmEngine[float64]) *gemmEngine[float64] {
-	if avx {
-		e.pairs2, e.pairs1, e.seq2, e.seq1 = addPairs2AVX, addPairs1AVX, addSeq2AVX, addSeq1AVX
-		e.transpose = transposeAVX
+// gemmSIMD returns an engine for each set of SIMD strips the CPU and OS
+// support, widest first: "avx512" (hasAVX512) runs the two-row strips,
+// which carry every row of a GEMM but a last odd one, on 16-column tiles
+// and the rest as "avx" does; "avx" runs every strip on 8-column tiles.
+func gemmSIMD() []*gemmEngine[float64] {
+	if !avx {
+		return nil
 	}
-	return e
+	var es []*gemmEngine[float64]
+	if hasAVX512() {
+		e := avxEngine("avx512")
+		e.pairs2, e.seq2 = addPairs2AVX512, addSeq2AVX512
+		es = append(es, e)
+	}
+	return append(es, avxEngine("avx"))
+}
+
+// avxEngine returns an engine named name over the AVX strips.
+func avxEngine(name string) *gemmEngine[float64] {
+	return &gemmEngine[float64]{
+		name:   name,
+		pairs2: addPairs2AVX, pairs1: addPairs1AVX,
+		seq2: addSeq2AVX, seq1: addSeq1AVX,
+		transpose: transposeAVX,
+	}
 }
 
 // rowKernel is Axpy's pass, c[j] += a·b[j]. With AVX it is pairs1AVX at

@@ -483,6 +483,272 @@ s1done:
 	VZEROUPPER
 	RET
 
+// The AVX-512 two-row strips. Each holds a 16-column tile of each output
+// row in two ZMM registers (Z8, Z9 for row 0; Z10, Z11 for row 1) and runs
+// the same steps as pairs2AVX and seq2AVX, eight lanes to an instruction
+// instead of four: every lane still does one VMULPD per product and one
+// VADDPD per sum, grouped as PAIR2, ODD2 and SEQ2 group them. The columns
+// past the last full tile run as one tile under the opmasks K1 (columns
+// 0–7) and K2 (8–15); a masked-off lane is neither loaded nor stored.
+//
+// The full tiles keep their own unmasked loop. One loop running every tile
+// under masks (all ones for a full tile) gives the same bits but is slower
+// on every shape the models run through these strips: calls timed
+// alternately in one process at GOMAXPROCS 1 on a 2-core Xeon (model 207),
+// median of 400 alternations per shape, the masked-only strips took 1.03×
+// (conv1 NT 8×25×196) to 1.24× (conv1 NN 8×196×25) as long, conv2's TN
+// and NT 1.12× and 1.16×, the MLPs' 32-column NT layers 1.05–1.20×.
+
+// ZTAILMASK(r) sets K1 and K2 to the lanes j < r of the tile, for
+// 0 < r < 16. r must be CX (the shift count); it clobbers BX.
+#define ZTAILMASK(r) \
+	MOVQ  $1, BX; \
+	SHLQ  r, BX; \
+	DECQ  BX; \
+	KMOVW BX, K1; \
+	SHRQ  $8, BX; \
+	KMOVW BX, K2
+
+// PAIR2Z is PAIR2 on ZMM registers: b_x in Z4 (columns 0–7) and Z5
+// (8–15), b_x+1 in Z6 and Z7.
+#define PAIR2Z \
+	VBROADCASTSD (R14), Z0; \
+	VBROADCASTSD (R14)(R12*1), Z1; \
+	VBROADCASTSD (DX), Z2; \
+	VBROADCASTSD (DX)(R12*1), Z3; \
+	VMULPD       Z4, Z0, Z12; \
+	VMULPD       Z6, Z1, Z13; \
+	VADDPD       Z12, Z13, Z13; \
+	VADDPD       Z8, Z13, Z8; \
+	VMULPD       Z5, Z0, Z12; \
+	VMULPD       Z7, Z1, Z13; \
+	VADDPD       Z12, Z13, Z13; \
+	VADDPD       Z9, Z13, Z9; \
+	VMULPD       Z2, Z4, Z4; \
+	VMULPD       Z3, Z6, Z6; \
+	VADDPD       Z4, Z6, Z6; \
+	VADDPD       Z10, Z6, Z10; \
+	VMULPD       Z2, Z5, Z5; \
+	VMULPD       Z3, Z7, Z7; \
+	VADDPD       Z5, Z7, Z7; \
+	VADDPD       Z11, Z7, Z11; \
+	LEAQ         (R14)(R12*2), R14; \
+	LEAQ         (DX)(R12*2), DX
+
+// ODD2Z is ODD2 on ZMM registers (b_x in Z4, Z5).
+#define ODD2Z \
+	VBROADCASTSD (R14), Z0; \
+	VBROADCASTSD (DX), Z2; \
+	VMULPD       Z0, Z4, Z12; \
+	VADDPD       Z8, Z12, Z8; \
+	VMULPD       Z0, Z5, Z13; \
+	VADDPD       Z9, Z13, Z9; \
+	VMULPD       Z2, Z4, Z4; \
+	VADDPD       Z10, Z4, Z10; \
+	VMULPD       Z2, Z5, Z5; \
+	VADDPD       Z11, Z5, Z11
+
+// SEQ2Z is SEQ2 on ZMM registers (b_x in Z4, Z5).
+#define SEQ2Z \
+	VBROADCASTSD (R8)(CX*8), Z0; \
+	VBROADCASTSD (R9)(CX*8), Z1; \
+	VMULPD       Z0, Z4, Z2; \
+	VADDPD       Z8, Z2, Z8; \
+	VMULPD       Z0, Z5, Z3; \
+	VADDPD       Z9, Z3, Z9; \
+	VMULPD       Z1, Z4, Z4; \
+	VADDPD       Z10, Z4, Z10; \
+	VMULPD       Z1, Z5, Z5; \
+	VADDPD       Z11, Z5, Z11
+
+// func pairs2AVX512(c0, c1, a0, a1, b []float64, kn, as, bs int)
+TEXT ·pairs2AVX512(SB), NOSPLIT, $0-144
+	MOVQ c0_base+0(FP), DI
+	MOVQ c1_base+24(FP), SI
+	MOVQ a0_base+48(FP), R8
+	MOVQ a1_base+72(FP), R9
+	MOVQ b_base+96(FP), R10
+	MOVQ kn+120(FP), R11
+	MOVQ as+128(FP), R12
+	SHLQ $3, R12
+	MOVQ bs+136(FP), R13
+	SHLQ $3, R13
+	XORQ AX, AX
+
+p2ztile:
+	LEAQ    16(AX), BX
+	CMPQ    BX, c0_len+8(FP)
+	JGT     p2ztail
+	VMOVUPD (DI)(AX*8), Z8
+	VMOVUPD 64(DI)(AX*8), Z9
+	VMOVUPD (SI)(AX*8), Z10
+	VMOVUPD 64(SI)(AX*8), Z11
+	LEAQ    (R10)(AX*8), BX
+	MOVQ    R8, R14
+	MOVQ    R9, DX
+	MOVQ    R11, CX
+	SHRQ    $1, CX
+	JZ      p2zodd
+
+p2zpair:
+	VMOVUPD (BX), Z4
+	VMOVUPD 64(BX), Z5
+	VMOVUPD (BX)(R13*1), Z6
+	VMOVUPD 64(BX)(R13*1), Z7
+	PAIR2Z
+	LEAQ    (BX)(R13*2), BX
+	DECQ    CX
+	JNZ     p2zpair
+
+p2zodd:
+	TESTQ   $1, R11
+	JZ      p2zstore
+	VMOVUPD (BX), Z4
+	VMOVUPD 64(BX), Z5
+	ODD2Z
+
+p2zstore:
+	VMOVUPD Z8, (DI)(AX*8)
+	VMOVUPD Z9, 64(DI)(AX*8)
+	VMOVUPD Z10, (SI)(AX*8)
+	VMOVUPD Z11, 64(SI)(AX*8)
+	ADDQ    $16, AX
+	JMP     p2ztile
+
+p2ztail:
+	MOVQ      c0_len+8(FP), CX
+	SUBQ      AX, CX
+	JZ        p2zdone
+	ZTAILMASK(CX)
+	VMOVUPD.Z (DI)(AX*8), K1, Z8
+	VMOVUPD.Z 64(DI)(AX*8), K2, Z9
+	VMOVUPD.Z (SI)(AX*8), K1, Z10
+	VMOVUPD.Z 64(SI)(AX*8), K2, Z11
+	LEAQ      (R10)(AX*8), BX
+	MOVQ      R8, R14
+	MOVQ      R9, DX
+	MOVQ      R11, CX
+	SHRQ      $1, CX
+	JZ        p2ztodd
+
+p2ztpair:
+	VMOVUPD.Z (BX), K1, Z4
+	VMOVUPD.Z 64(BX), K2, Z5
+	VMOVUPD.Z (BX)(R13*1), K1, Z6
+	VMOVUPD.Z 64(BX)(R13*1), K2, Z7
+	PAIR2Z
+	LEAQ      (BX)(R13*2), BX
+	DECQ      CX
+	JNZ       p2ztpair
+
+p2ztodd:
+	TESTQ     $1, R11
+	JZ        p2ztstore
+	VMOVUPD.Z (BX), K1, Z4
+	VMOVUPD.Z 64(BX), K2, Z5
+	ODD2Z
+
+p2ztstore:
+	VMOVUPD Z8, K1, (DI)(AX*8)
+	VMOVUPD Z9, K2, 64(DI)(AX*8)
+	VMOVUPD Z10, K1, (SI)(AX*8)
+	VMOVUPD Z11, K2, 64(SI)(AX*8)
+
+p2zdone:
+	VZEROUPPER
+	RET
+
+// func seq2AVX512(c0, c1, a0, a1, b []float64, kn, bs int)
+TEXT ·seq2AVX512(SB), NOSPLIT, $0-136
+	MOVQ c0_base+0(FP), DI
+	MOVQ c1_base+24(FP), SI
+	MOVQ a0_base+48(FP), R8
+	MOVQ a1_base+72(FP), R9
+	MOVQ b_base+96(FP), R10
+	MOVQ kn+120(FP), R11
+	MOVQ bs+128(FP), R13
+	SHLQ $3, R13
+	XORQ AX, AX
+
+s2ztile:
+	LEAQ   16(AX), BX
+	CMPQ   BX, c0_len+8(FP)
+	JGT    s2ztail
+	VXORPD Z8, Z8, Z8
+	VXORPD Z9, Z9, Z9
+	VXORPD Z10, Z10, Z10
+	VXORPD Z11, Z11, Z11
+	LEAQ   (R10)(AX*8), BX
+	XORQ   CX, CX
+	CMPQ   CX, R11
+	JGE    s2zadd
+
+s2zterm:
+	VMOVUPD (BX), Z4
+	VMOVUPD 64(BX), Z5
+	SEQ2Z
+	ADDQ    R13, BX
+	INCQ    CX
+	CMPQ    CX, R11
+	JLT     s2zterm
+
+s2zadd:
+	VMOVUPD (DI)(AX*8), Z4
+	VMOVUPD 64(DI)(AX*8), Z5
+	VMOVUPD (SI)(AX*8), Z6
+	VMOVUPD 64(SI)(AX*8), Z7
+	VADDPD  Z8, Z4, Z4
+	VADDPD  Z9, Z5, Z5
+	VADDPD  Z10, Z6, Z6
+	VADDPD  Z11, Z7, Z7
+	VMOVUPD Z4, (DI)(AX*8)
+	VMOVUPD Z5, 64(DI)(AX*8)
+	VMOVUPD Z6, (SI)(AX*8)
+	VMOVUPD Z7, 64(SI)(AX*8)
+	ADDQ    $16, AX
+	JMP     s2ztile
+
+s2ztail:
+	MOVQ   c0_len+8(FP), CX
+	SUBQ   AX, CX
+	JZ     s2zdone
+	ZTAILMASK(CX)
+	VXORPD Z8, Z8, Z8
+	VXORPD Z9, Z9, Z9
+	VXORPD Z10, Z10, Z10
+	VXORPD Z11, Z11, Z11
+	LEAQ   (R10)(AX*8), BX
+	XORQ   CX, CX
+	CMPQ   CX, R11
+	JGE    s2ztadd
+
+s2ztterm:
+	VMOVUPD.Z (BX), K1, Z4
+	VMOVUPD.Z 64(BX), K2, Z5
+	SEQ2Z
+	ADDQ      R13, BX
+	INCQ      CX
+	CMPQ      CX, R11
+	JLT       s2ztterm
+
+s2ztadd:
+	VMOVUPD.Z (DI)(AX*8), K1, Z4
+	VMOVUPD.Z 64(DI)(AX*8), K2, Z5
+	VMOVUPD.Z (SI)(AX*8), K1, Z6
+	VMOVUPD.Z 64(SI)(AX*8), K2, Z7
+	VADDPD    Z8, Z4, Z4
+	VADDPD    Z9, Z5, Z5
+	VADDPD    Z10, Z6, Z6
+	VADDPD    Z11, Z7, Z7
+	VMOVUPD   Z4, K1, (DI)(AX*8)
+	VMOVUPD   Z5, K2, 64(DI)(AX*8)
+	VMOVUPD   Z6, K1, (SI)(AX*8)
+	VMOVUPD   Z7, K2, 64(SI)(AX*8)
+
+s2zdone:
+	VZEROUPPER
+	RET
+
 // func transpose4AVX(dst, src []float64, n4, k4, n, k int)
 //
 // Writes the leading n4×k4 block of the n×k matrix src into dst (k×n), four

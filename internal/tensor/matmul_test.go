@@ -161,30 +161,35 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 
 func TestIm2ColKernelLargerThanPaddedExtent(t *testing.T) {
 	// Regression: with in+pad < k <= in+2*pad some kernel taps see no valid
-	// input at all; truncation-toward-zero division used to admit ox=0 and
-	// read out of range. in=1, pad=2, k=4, stride=2 → convOut=1, and taps
-	// kx=3 have no valid position.
-	x := New(1, 1, 1)
-	x.Data()[0] = 5
-	cols := Im2Col(nil, x, 1, 1, 1, 4, 2, 2)
-	if cols.Shape()[0] != 16 || cols.Shape()[1] != 1 {
-		t.Fatalf("cols shape %v, want (16,1)", cols.Shape())
-	}
-	// Only the tap aligned with the single input pixel (ky=2, kx=2) is
-	// non-zero: 0*2-2+2 = 0.
-	for r := 0; r < 16; r++ {
-		want := 0.0
-		if r == 2*4+2 {
-			want = 5
+	// input at all. At stride 2 (in=1, pad=2, k=4 → convOut=1, taps kx=3
+	// see nothing) truncation-toward-zero division used to admit ox=0 and
+	// read out of range; at stride 1 (k=5 → convOut=1, taps kx=0 and 4 see
+	// nothing) the first valid position came out past the last output
+	// position and the zero fill ran off the row.
+	for _, tc := range []struct{ k, stride int }{{4, 2}, {5, 1}} {
+		x := New(1, 1, 1)
+		x.Data()[0] = 5
+		kk := tc.k * tc.k
+		cols := Im2Col(nil, x, 1, 1, 1, tc.k, tc.stride, 2)
+		if cols.Shape()[0] != kk || cols.Shape()[1] != 1 {
+			t.Fatalf("k=%d stride=%d: cols shape %v, want (%d,1)", tc.k, tc.stride, cols.Shape(), kk)
 		}
-		if cols.At(r, 0) != want {
-			t.Fatalf("tap %d = %v, want %v", r, cols.At(r, 0), want)
+		// Only the tap aligned with the single input pixel (ky=2, kx=2) is
+		// non-zero: 0*stride-2+2 = 0.
+		for r := 0; r < kk; r++ {
+			want := 0.0
+			if r == 2*tc.k+2 {
+				want = 5
+			}
+			if cols.At(r, 0) != want {
+				t.Fatalf("k=%d stride=%d: tap %d = %v, want %v", tc.k, tc.stride, r, cols.At(r, 0), want)
+			}
 		}
-	}
-	// And the adjoint must not write out of range either.
-	img := Col2Im(nil, cols, 1, 1, 1, 4, 2, 2)
-	if img.Data()[0] != 5 {
-		t.Fatalf("col2im round trip = %v, want 5", img.Data()[0])
+		// And the adjoint must not write out of range either.
+		img := Col2Im(nil, cols, 1, 1, 1, tc.k, tc.stride, 2)
+		if img.Data()[0] != 5 {
+			t.Fatalf("k=%d stride=%d: col2im round trip = %v, want 5", tc.k, tc.stride, img.Data()[0])
+		}
 	}
 }
 
