@@ -310,9 +310,11 @@ func BenchmarkPerExampleGradExtraction(b *testing.B) {
 			for _, t := range batchG {
 				t.Zero()
 			}
-			m.BatchGradients(xs, ys, scratch, func(j int, g []*tensor.Tensor) {
-				tensor.AddAllScaled(batchG, 1/float64(batch), g)
-			})
+			m.BatchPass(xs, ys)
+			for j := range xs {
+				m.ExampleGrads(j, scratch)
+				tensor.AddAllScaled(batchG, 1/float64(batch), scratch)
+			}
 		}
 	})
 }
@@ -423,10 +425,12 @@ func BenchmarkNoiseEngine(b *testing.B) {
 				t.Zero()
 			}
 			if reference {
-				m.BatchGradients(xs, ys, scratch, func(j int, g []*tensor.Tensor) {
-					dp.Sanitize(g, 4, 6, rng)
-					tensor.AddAllScaled(batch, 1/float64(len(xs)), g)
-				})
+				m.BatchPass(xs, ys)
+				for j := range xs {
+					m.ExampleGrads(j, scratch)
+					dp.Sanitize(scratch, 4, 6, rng)
+					tensor.AddAllScaled(batch, 1/float64(len(xs)), scratch)
+				}
 				continue
 			}
 			m.BatchPass(xs, ys)

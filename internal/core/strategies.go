@@ -51,6 +51,11 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 	batch := arenaLike(arena, model.Grads())
 	defer arena.Put(batch...)
 
+	// The mini-batch: BatchInto writes each example straight into a row.
+	x := arena.Get(env.Cfg.BatchSize, env.Data.Features())
+	defer arena.Put(x)
+	ys := make([]int, 0, env.Cfg.BatchSize)
+
 	// Per-example buffers for the sanitize pipeline, or one streaming scratch
 	// for the non-private first iteration's norm statistics — drawn from the
 	// arena once (batches are always full-size) and reused across
@@ -75,14 +80,15 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 	}
 
 	for l := 0; l < env.Cfg.LocalIters; l++ {
-		xs, ys := env.Data.Batch(l, env.Cfg.BatchSize)
+		ys = env.Data.BatchInto(x, l, ys)
+		model.BatchPassOn(x, ys)
 		if sanitize == nil && l > 0 {
 			// Non-private fast path: batch-summed gradients straight into
 			// the shared buffers — the execution model a conventional
 			// framework uses, and the baseline Table III compares against.
 			model.ZeroGrads()
-			model.BatchAccumulate(xs, ys)
-			model.SGDStep(env.Cfg.LR/float64(len(xs)), model.Grads())
+			model.AccumBatchGrads()
+			model.SGDStep(env.Cfg.LR/float64(len(ys)), model.Grads())
 			continue
 		}
 		// Per-example recovery: Fed-CDP sanitization needs each example's
@@ -91,12 +97,11 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 			t.Zero()
 		}
 		first := l == 0
-		inv := 1 / float64(len(xs))
+		inv := 1 / float64(len(ys))
 		if sanitize != nil {
 			iter := l
-			model.BatchPass(xs, ys)
 			dp.SanitizeBatch(dp.BatchSanitizeJob{
-				N:       len(xs),
+				N:       len(ys),
 				Recover: model.ExampleGrads,
 				Sanitize: func(i int, g []*tensor.Tensor) {
 					preNorms[i] = sanitize(iter, i, g)
@@ -106,17 +111,18 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 				Weight: inv,
 			})
 			if first {
-				for _, n := range preNorms[:len(xs)] {
+				for _, n := range preNorms[:len(ys)] {
 					normSum += n
 				}
-				normN += len(xs)
+				normN += len(ys)
 			}
 		} else {
-			model.BatchGradients(xs, ys, scratch, func(i int, g []*tensor.Tensor) {
-				normSum += tensor.GroupL2Norm(g)
+			for i := range ys {
+				model.ExampleGrads(i, scratch)
+				normSum += tensor.GroupL2Norm(scratch)
 				normN++
-				tensor.AddAllScaled(batch, inv, g)
-			})
+				tensor.AddAllScaled(batch, inv, scratch)
+			}
 		}
 		model.SGDStep(env.Cfg.LR, batch)
 	}

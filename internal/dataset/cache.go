@@ -16,9 +16,15 @@ import (
 // of a dataset share one cache (WithPartitioner copies the pointer); the
 // samples are partitioner-independent.
 //
-// Scalar draws — class picks, label-flip coins, shard units — are not
-// cached: a short tensor.Split stream costs tens of nanoseconds, no more
-// than a map lookup under a lock.
+// The cache owns its slots: a miss generates into a new slot the cache
+// keeps (past the cap, into a pooled scratch), and readers copy out —
+// ClientData.BatchInto into its batch row, Sample and Get into a private
+// tensor — so a hit is one copy. Cold samples reseed a pooled generator,
+// so no stream or register is allocated per sample.
+//
+// Scalar draws — class picks, label-flip coins — are not cached: a short
+// tensor.Split stream costs tens of nanoseconds, no more than a map lookup
+// under a lock, and a coin alone (tensor.SplitFloat64) builds no stream.
 
 // sampleCacheFloats bounds the float64s held by cached sample tensors
 // (16 MiB); past it, samples are generated but not retained.
@@ -35,31 +41,42 @@ type derivedCache struct {
 	samples map[sampleKey]*tensor.Tensor
 }
 
+// sampleGen generates cold samples: rng is reseeded per sample, scratch
+// holds one the full cache will not keep. A pool inside a cache would keep
+// a dropped dataset's cache reachable from the runtime for two collections.
+type sampleGen struct {
+	rng     *tensor.RNG
+	scratch *tensor.Tensor
+}
+
+var sampleGens = sync.Pool{New: func() any { return &sampleGen{rng: tensor.NewRNG(0)} }}
+
 func newDerivedCache() *derivedCache {
 	return &derivedCache{samples: make(map[sampleKey]*tensor.Tensor)}
 }
 
-// getSample returns a private copy of the cached example, if present.
-// Cached tensors are never handed out directly: callers own (and may
-// mutate) what Sample returns.
-func (c *derivedCache) getSample(key sampleKey) (*tensor.Tensor, bool) {
+// copyOut copies the sample cached under key into dst, reporting whether
+// the cache held one and, if not, whether one of dst's size would still
+// fit. Slots are never written once kept, so the copy needs no lock.
+func (c *derivedCache) copyOut(key sampleKey, dst []float64) (hit, room bool) {
 	c.mu.Lock()
-	t, ok := c.samples[key]
+	t, hit := c.samples[key]
+	room = c.floats+len(dst) <= sampleCacheFloats
 	c.mu.Unlock()
-	if !ok {
-		return nil, false
+	if hit {
+		copy(dst, t.Data())
 	}
-	return t.Clone(), true
+	return hit, room
 }
 
-// putSample retains a copy of t under key unless the key is already held
-// or the cap is reached; only a sample it keeps is cloned.
-func (c *derivedCache) putSample(key sampleKey, t *tensor.Tensor) {
+// keep makes t the slot for key unless the key is already held or the cap
+// is reached; the cache owns t from here on.
+func (c *derivedCache) keep(key sampleKey, t *tensor.Tensor) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.samples[key]; ok || c.floats+t.Len() > sampleCacheFloats {
 		return
 	}
-	c.samples[key] = t.Clone()
+	c.samples[key] = t
 	c.floats += t.Len()
 }

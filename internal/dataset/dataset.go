@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fedcdp/internal/nn"
@@ -216,14 +217,22 @@ func (d *Dataset) makePrototype(class int) *tensor.Tensor {
 	return p
 }
 
+// clamp01 clamps t into [0, 1] in place: below 0 becomes +0, above 1
+// becomes 1, −0 and NaN pass through (max(v, 0) would make −0 +0). Each
+// out-of-range set is one contiguous run of bit patterns, so each test is
+// an unsigned compare the compiler turns into a conditional move.
 func clamp01(t *tensor.Tensor) {
+	const one, inf = 0x3ff0000000000000, 0x7ff0000000000000
 	d := t.Data()
 	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		} else if v > 1 {
-			d[i] = 1
+		b := math.Float64bits(v)
+		if b-(1<<63+1) < inf { // −Inf ≤ v < −0
+			b = 0
 		}
+		if b-(one+1) < inf-one { // 1 < v ≤ +Inf
+			b = one
+		}
+		d[i] = math.Float64frombits(b)
 	}
 }
 
@@ -235,16 +244,36 @@ func (d *Dataset) Prototype(class int) *tensor.Tensor { return d.protos[class] }
 // example; repeat draws are served from the sample cache (see cache.go),
 // and the returned tensor is always the caller's to mutate.
 func (d *Dataset) Sample(stream, idx int64, class int) *tensor.Tensor {
-	key := sampleKey{stream: stream, idx: idx, class: class}
-	if x, ok := d.cache.getSample(key); ok {
-		return x
-	}
-	rng := tensor.Split(d.seed, 2000, stream, idx, int64(class))
-	x := d.protos[class].Clone()
-	rng.AddNormal(x, d.Spec.Noise)
-	clamp01(x)
-	d.cache.putSample(key, x)
+	x := tensor.New(d.protos[class].Shape()...)
+	d.sampleInto(x.Data(), stream, idx, class)
 	return x
+}
+
+// sampleInto writes Sample(stream, idx, class) into dst: a copy of the
+// cached sample, or a cold one generated into a new slot (see cache.go).
+func (d *Dataset) sampleInto(dst []float64, stream, idx int64, class int) {
+	key := sampleKey{stream: stream, idx: idx, class: class}
+	hit, keep := d.cache.copyOut(key, dst)
+	if hit {
+		return
+	}
+	g := sampleGens.Get().(*sampleGen)
+	if g.scratch == nil || g.scratch.Len() != len(dst) {
+		g.scratch = tensor.New(d.protos[class].Shape()...)
+	}
+	x := g.scratch
+	if keep {
+		x = tensor.New(x.Shape()...)
+	}
+	g.rng.Reseed(d.seed, 2000, stream, idx, int64(class))
+	x.CopyFrom(d.protos[class])
+	g.rng.AddNormal(x, d.Spec.Noise)
+	clamp01(x)
+	copy(dst, x.Data())
+	sampleGens.Put(g)
+	if keep {
+		d.cache.keep(key, x)
+	}
 }
 
 // flipLabel deterministically replaces the true class with a uniformly
@@ -274,15 +303,13 @@ func (d *Dataset) extraFlipAtRound(class int, rho float64, label, stream, idx, r
 
 // flip draws label-flip stream (seed, labels...): its first draw is the
 // coin that flips class at rate rho, its second the uniformly random
-// different class it flips to.
+// different class it flips to; only a label that flips builds the stream.
 func (d *Dataset) flip(class int, rho float64, labels ...int64) int {
-	if rho <= 0 || d.Spec.Classes < 2 {
+	if rho <= 0 || d.Spec.Classes < 2 || tensor.SplitFloat64(d.seed, labels...) >= rho {
 		return class
 	}
 	rng := tensor.Split(d.seed, labels...)
-	if rng.Float64() >= rho {
-		return class
-	}
+	rng.Float64() // the coin
 	other := rng.Intn(d.Spec.Classes - 1)
 	if other >= class {
 		other++
@@ -374,16 +401,25 @@ func (c *ClientData) Len() int { return c.shard.N }
 // Classes returns the classes that can appear in this shard.
 func (c *ClientData) Classes() []int { return c.shard.Classes }
 
+// Features returns the length of one example.
+func (c *ClientData) Features() int { return c.ds.protos[0].Len() }
+
 // Get returns the i-th local example and its label, generated
 // deterministically from (dataset seed, client id, i): the partitioner
 // assigns the class, the dataset draws the sample and applies label noise
 // (the spec's base rate plus any per-client skew rate).
 func (c *ClientData) Get(i int) (*tensor.Tensor, int) {
+	class, y := c.label(i)
+	return c.ds.Sample(int64(c.id), int64(i), class), y
+}
+
+// label returns local example i's class and its label after label noise.
+func (c *ClientData) label(i int) (class, y int) {
 	if i < 0 || i >= c.shard.N {
 		panic(fmt.Sprintf("dataset: client example index %d out of range [0,%d)", i, c.shard.N))
 	}
-	class := c.shard.ClassAt(i)
-	y := c.ds.flipLabel(class, int64(c.id), int64(i))
+	class = c.shard.ClassAt(i)
+	y = c.ds.flipLabel(class, int64(c.id), int64(i))
 	if c.shard.FlipRate > 0 {
 		if c.shard.FlipLabel != 0 {
 			y = c.ds.extraFlipAtRound(y, c.shard.FlipRate, c.shard.FlipLabel, int64(c.id), int64(i), int64(c.shard.Round))
@@ -394,7 +430,7 @@ func (c *ClientData) Get(i int) (*tensor.Tensor, int) {
 	if c.flip != nil {
 		y = c.flip(i, y, c.ds.Spec.Classes)
 	}
-	return c.ds.Sample(int64(c.id), int64(i), class), y
+	return class, y
 }
 
 // Batch returns batch b of size bs using a deterministic per-client epoch
@@ -408,4 +444,22 @@ func (c *ClientData) Batch(b, bs int) ([]*tensor.Tensor, []int) {
 		xs[j], ys[j] = c.Get(idx)
 	}
 	return xs, ys
+}
+
+// BatchInto is Batch(b, bs) for bs = x's row count, written straight into
+// the rows of x (bs × Features), with the labels in ys's storage, which it
+// returns. No example is cloned or stacked: a cached one is one copy.
+func (c *ClientData) BatchInto(x *tensor.Tensor, b int, ys []int) []int {
+	bs, n := x.Shape()[0], x.Shape()[1]
+	if n != c.Features() {
+		panic(fmt.Sprintf("dataset: batch rows of %d features, want %d", n, c.Features()))
+	}
+	xd, ys := x.Data(), ys[:0]
+	for j := 0; j < bs; j++ {
+		idx := (b*bs + j) % c.shard.N
+		class, y := c.label(idx)
+		c.ds.sampleInto(xd[j*n:(j+1)*n], int64(c.id), int64(idx), class)
+		ys = append(ys, y)
+	}
+	return ys
 }

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"fedcdp/internal/nn"
@@ -367,6 +369,79 @@ func TestSampleCacheReturnsPrivateCopies(t *testing.T) {
 	}
 }
 
+// TestBatchIntoMatchesBatchAndStack pins BatchInto to the matrix nn.Stack
+// builds from Batch, bit for bit and label for label, while the sample
+// cache fills, once it is warm and once it is full. Between fetches the
+// test scribbles over the batch: a write that reached the cache would
+// surface in a later warm fetch.
+func TestBatchIntoMatchesBatchAndStack(t *testing.T) {
+	for _, name := range []string{"mnist", "adult"} {
+		spec, _ := Get(name)
+		d := New(spec, 11)
+		x := tensor.New(spec.BatchSize, d.Client(0).Features())
+		var ys []int
+		check := func(what string, id int) {
+			cd := d.Client(id)
+			for b := 0; b < 4; b++ {
+				ys = cd.BatchInto(x, b, ys)
+				xs, want := New(spec, 11).Client(id).Batch(b, spec.BatchSize)
+				ref := nn.Stack(nil, nil, xs)
+				for i, v := range ref.Data() {
+					if math.Float64bits(x.Data()[i]) != math.Float64bits(v) {
+						t.Fatalf("%s %s client %d batch %d: element %d is %v, Batch+Stack %v", name, what, id, b, i, x.Data()[i], v)
+					}
+				}
+				for j := range want {
+					if ys[j] != want[j] {
+						t.Fatalf("%s %s client %d batch %d: label %d is %d, Batch %d", name, what, id, b, j, ys[j], want[j])
+					}
+				}
+				x.Fill(-1e9)
+			}
+		}
+		check("cold", 3)
+		check("warm", 3)
+		for idx := int64(0); d.cache.floats+x.Shape()[1] <= sampleCacheFloats; idx++ {
+			d.Sample(9, idx, 0)
+		}
+		check("full cache", 5)
+	}
+}
+
+// TestBatchIntoConcurrent: goroutines filling batches of the same clients
+// from one dataset race on its cache slots and share the pooled
+// generators; each must still read Batch's bits.
+func TestBatchIntoConcurrent(t *testing.T) {
+	spec, _ := Get("adult")
+	const clients, batches = 3, 12
+	want := make([][]*tensor.Tensor, clients)
+	for id := range want {
+		ref := New(spec, 5).Client(id)
+		for b := 0; b < batches; b++ {
+			xs, _ := ref.Batch(b, spec.BatchSize)
+			want[id] = append(want[id], nn.Stack(nil, nil, xs))
+		}
+	}
+	d := New(spec, 5)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			x := tensor.New(spec.BatchSize, spec.Features)
+			var ys []int
+			for b := 0; b < batches; b++ {
+				ys = d.Client(id).BatchInto(x, b, ys)
+				if !x.Equal(want[id][b], 0) {
+					t.Errorf("client %d batch %d differs from Batch under concurrent fills", id, b)
+					return
+				}
+			}
+		}(g % clients)
+	}
+	wg.Wait()
+}
+
 // TestFullSampleCacheMissClonesNothing: once the sample cache is at its
 // cap, a miss must cost no more than generating the sample uncached — the
 // cache may not clone a sample it is about to throw away.
@@ -393,5 +468,34 @@ func TestFullSampleCacheMissClonesNothing(t *testing.T) {
 	})
 	if miss > uncached {
 		t.Fatalf("a miss on a full cache allocates %.0f objects, an uncached sample %.0f", miss, uncached)
+	}
+}
+
+// TestClamp01KeepsTheBranchyRulesBits pins the branch-free clamp to the
+// rule it replaced, bit for bit: below 0 becomes +0, above 1 becomes 1, and
+// everything else — −0 and NaN of either sign included — passes through.
+func TestClamp01KeepsTheBranchyRulesBits(t *testing.T) {
+	vals := []float64{
+		math.Copysign(0, -1), 0, math.NaN(), -math.NaN(), math.Float64frombits(0xfff8000000000001),
+		math.Inf(-1), math.Inf(1), -math.MaxFloat64, math.MaxFloat64,
+		-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64,
+		math.Nextafter(1, 2), math.Nextafter(1, 0), 1, -1, 0.5, -0.5, 2, 1e300, -1e-300,
+	}
+	rng := tensor.NewRNG(3)
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rng.Normal(0.5, 0.6))
+	}
+	x := tensor.FromSlice(append([]float64(nil), vals...), len(vals))
+	clamp01(x)
+	for i, v := range vals {
+		want := v
+		if v < 0 {
+			want = 0
+		} else if v > 1 {
+			want = 1
+		}
+		if got := x.Data()[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clamp01(%v) = %v (%#x), want %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

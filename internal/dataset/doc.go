@@ -42,8 +42,10 @@
 // construction; WithPartitioner shares prototypes, so repartitioning an
 // existing dataset (e.g. applying a server-published scenario) is cheap.
 // Scalar draws — class picks, flip coins — are short tensor.Split streams,
-// drawn afresh on every query. Sample tensors cost a draw per element, so
-// the dataset keeps those it generated in a bounded cache shared across
-// views (cache.go); a cache hit is bit-identical to regeneration by
-// construction.
+// drawn afresh on every query: a coin alone is tensor.SplitFloat64, and a
+// class pick reseeds a pooled generator. Sample tensors cost a draw per
+// element, so the dataset keeps those it generated in a bounded cache
+// shared across views (cache.go); a cache hit is bit-identical to
+// regeneration by construction. Training reads a batch with
+// ClientData.BatchInto, straight into its batch matrix.
 package dataset

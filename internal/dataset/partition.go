@@ -196,10 +196,14 @@ func specClasses(s Spec, id int) []int {
 // uniformClassAt is the original per-(client, index) class pick: uniform
 // over the shard's classes, drawn from Split label 3000. IID and
 // LabelNoiseSkew share it, which is what keeps the iid scenario bit-for-bit
-// compatible with the pre-partitioner Client(id).
+// compatible with the pre-partitioner Client(id). It reseeds a pooled RNG.
 func uniformClassAt(d *Dataset, id int, classes []int) func(int) int {
 	return func(i int) int {
-		return classes[tensor.Split(d.seed, 3000, int64(id), int64(i)).Intn(len(classes))]
+		g := sampleGens.Get().(*sampleGen)
+		g.rng.Reseed(d.seed, 3000, int64(id), int64(i))
+		c := classes[g.rng.Intn(len(classes))]
+		sampleGens.Put(g)
+		return c
 	}
 }
 

@@ -676,7 +676,10 @@ func (p *workerPool) reclaim(w *worker) {
 
 // evalChunk bounds the batch width of Evaluate so validation of large sets
 // stays cache-resident rather than materializing one huge activation batch.
-const evalChunk = 64
+// It also bounds what a collection that lands mid-evaluation finds live: a
+// 64-wide MNIST chunk holds 11 MB of conv buffers, enough to lift the next
+// heap goal well past what training needs.
+const evalChunk = 16
 
 // Evaluate returns validation accuracy of the model on a labelled set,
 // classifying in batched-engine chunks. Dense-only models predict

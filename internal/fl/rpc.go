@@ -141,7 +141,20 @@ type RoundServer struct {
 	waiting  int
 	closed   bool
 	closedCh chan struct{}
+
+	// receipts counts sessions between handing their outcome to the round
+	// and writing its receipt; Close waits for them (see ackGrace).
+	receipts sync.WaitGroup
+	// beforeAck, when set (tests), runs between a session's delivery and
+	// its receipt.
+	beforeAck func()
 }
+
+// ackGrace bounds how long Close waits for receipts still being written:
+// a client whose update the last round folded must hear so before the
+// server's process exits, but a peer that stopped reading must not hold
+// the exit forever.
+const ackGrace = 5 * time.Second
 
 // roundState is one open round: its announcement, admission quota and
 // result stream. results is buffered to the full quota — at most max
@@ -257,11 +270,34 @@ func NewRoundServerOn(ln net.Listener) *RoundServer {
 func (s *RoundServer) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting connections, refuses every waiting session with
-// an explicit round-over message, and aborts any round in flight.
+// an explicit round-over message, aborts any round in flight, and waits —
+// up to ackGrace — for the receipts of sessions whose outcome a round
+// already took.
 func (s *RoundServer) Close() error {
 	err := s.ln.Close()
 	s.shutdown()
+	done := make(chan struct{})
+	go func() {
+		s.receipts.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(ackGrace):
+	}
 	return err
+}
+
+// holdReceipt registers a session about to deliver its outcome, so Close
+// waits for its receipt. Once the server is closed it registers nothing:
+// Close may already be waiting.
+func (s *RoundServer) holdReceipt() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.receipts.Add(1)
+	}
+	return !s.closed
 }
 
 // shutdown marks the server closed and wakes every waiting session so it
@@ -412,7 +448,14 @@ func (s *RoundServer) handle(conn net.Conn) {
 		}
 		res.update, res.msg = update, upd
 	}
-	switch st.deliver(res) {
+	if s.holdReceipt() {
+		defer s.receipts.Done()
+	}
+	status := st.deliver(res)
+	if s.beforeAck != nil {
+		s.beforeAck()
+	}
+	switch status {
 	case deliverTaken:
 		if res.msg != nil {
 			upd = nil // the round's fold owns it now

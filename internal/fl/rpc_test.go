@@ -1,8 +1,10 @@
 package fl
 
 import (
+	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/nn"
@@ -86,6 +88,75 @@ func TestRPCRoundOverLoopback(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("aggregated model did not move")
+	}
+}
+
+// TestCloseWaitsForFinalReceipts: a server that closes right after its
+// last commit, as fedserve does before it exits, must first let every
+// session it folded write its receipt. The seam holds each receipt back
+// past the commit; once Close returns, the test drops every server-side
+// connection as a process exit would, and every client must still have
+// been told its update was folded.
+func TestCloseWaitsForFinalReceipts(t *testing.T) {
+	spec, _ := dataset.Get("cancer")
+	ds := dataset.New(spec, 42)
+	model := nn.Build(spec.ModelSpec(), tensor.NewRNG(7))
+	cfg := RoundConfig{BatchSize: 4, LocalIters: 1, LR: 0.1, TotalRounds: 1}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := &connLog{Listener: ln}
+	srv := NewRoundServerOn(conns)
+	srv.beforeAck = func() { time.Sleep(100 * time.Millisecond) }
+
+	const kt = 3
+	var wg sync.WaitGroup
+	clientErrs := make([]error, kt)
+	for i := 0; i < kt; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			clientErrs[id] = runClient(srv.Addr(), id, sgdStrategy{}, ds.Client(id), spec.ModelSpec(), 42, ClientOptions{})
+		}(i)
+	}
+	res, err := srv.StreamRound(0, model.Params(), cfg, newCollect(), RoundOptions{Clients: kt})
+	if err != nil || res.Folded != kt {
+		t.Fatalf("round: %+v, %v", res, err)
+	}
+	srv.Close()
+	conns.closeAll()
+	wg.Wait()
+	for i, cerr := range clientErrs {
+		if cerr != nil {
+			t.Fatalf("client %d, folded into the last round: %v", i, cerr)
+		}
+	}
+}
+
+// connLog is a listener that remembers the connections it accepted, so a
+// test can drop them all at once.
+type connLog struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *connLog) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *connLog) closeAll() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
 	}
 }
 

@@ -52,36 +52,23 @@ func (m *Model) SetPrecision(p string) {
 // the float64 default).
 func (m *Model) Precision() string { return m.prec }
 
-// ensureBuf returns t when it already has the wanted shape (no allocation —
-// the steady-state path), reshapes it via View when only the shape differs,
-// and otherwise draws a fresh zeroed buffer from the arena, releasing the
-// old one. Batched layers use it so buffers are allocated once per batch
-// geometry and reused across iterations and rounds.
-func ensureBuf(a *tensor.Arena, t *tensor.Tensor, shape ...int) *tensor.Tensor {
+// ensureBuf returns t when it already has the wanted (rows × cols) shape
+// (no allocation — the steady-state path), reshapes it via View when only
+// the shape differs, and otherwise draws a fresh zeroed buffer from the
+// arena, releasing the old one. Batched layers use it so buffers are
+// allocated once per batch geometry and reused across iterations and
+// rounds.
+func ensureBuf(a *tensor.Arena, t *tensor.Tensor, rows, cols int) *tensor.Tensor {
 	if t != nil {
-		ts := t.Shape()
-		if len(ts) == len(shape) {
-			same := true
-			for i, d := range shape {
-				if ts[i] != d {
-					same = false
-					break
-				}
-			}
-			if same {
-				return t
-			}
+		if s := t.Shape(); len(s) == 2 && s[0] == rows && s[1] == cols {
+			return t
 		}
-		n := 1
-		for _, d := range shape {
-			n *= d
-		}
-		if t.Len() == n {
-			return t.View(shape...)
+		if t.Len() == rows*cols {
+			return t.View(rows, cols)
 		}
 	}
 	a.Put(t)
-	return a.Get(shape...)
+	return a.Get(rows, cols)
 }
 
 // UseArena routes the model's batched scratch buffers (and those of its
@@ -234,9 +221,16 @@ func ArgmaxRows(t *tensor.Tensor, out []int) []int {
 // whole mini-batch's gradients across goroutines. The first layer computes
 // no input gradient: nothing in training reads it.
 func (m *Model) BatchPass(xs []*tensor.Tensor, ys []int) float64 {
-	b := len(xs)
 	m.xBatch = Stack(m.arena, m.xBatch, xs)
-	logits := m.ForwardBatch(m.xBatch)
+	return m.BatchPassOn(m.xBatch, ys)
+}
+
+// BatchPassOn is BatchPass over a (B × features) batch matrix the caller
+// filled (dataset.ClientData.BatchInto writes one), so nothing is stacked.
+// The layers read x until the batch's gradients are recovered.
+func (m *Model) BatchPassOn(x *tensor.Tensor, ys []int) float64 {
+	b := x.Shape()[0]
+	logits := m.ForwardBatch(x)
 	m.lossGrad = ensureBuf(m.arena, m.lossGrad, logits.Shape()[0], logits.Shape()[1])
 	if cap(m.lossVals) < b {
 		m.lossVals = make([]float64, b)
@@ -249,31 +243,6 @@ func (m *Model) BatchPass(xs []*tensor.Tensor, ys []int) float64 {
 		sum += l
 	}
 	return sum / float64(b)
-}
-
-// BatchGradients runs one batched forward/backward pass over a labelled
-// batch and streams each example's parameter gradient to visit via the
-// reusable scratch buffers (aligned with Grads; contents are only valid for
-// the duration of the call). It is the Fed-CDP batched training driver:
-// visit clips, noises and accumulates. The model's Grads buffers are not
-// modified. Returns the mean batch loss.
-func (m *Model) BatchGradients(xs []*tensor.Tensor, ys []int, scratch []*tensor.Tensor, visit func(i int, g []*tensor.Tensor)) float64 {
-	loss := m.BatchPass(xs, ys)
-	for i := range xs {
-		m.ExampleGrads(i, scratch)
-		visit(i, scratch)
-	}
-	return loss
-}
-
-// BatchAccumulate runs one batched forward/backward pass over a labelled
-// batch and adds the batch-summed parameter gradients into Grads — the
-// non-private fast path (one GEMM per layer instead of per-example
-// recovery). Returns the mean batch loss.
-func (m *Model) BatchAccumulate(xs []*tensor.Tensor, ys []int) float64 {
-	loss := m.BatchPass(xs, ys)
-	m.AccumBatchGrads()
-	return loss
 }
 
 // PredictBatch classifies a slice of examples with the batched engine.

@@ -186,15 +186,12 @@ func TestBatchParityWithArena(t *testing.T) {
 			_, g := ref.ExampleGradient(x, ys[i])
 			refGrads[i] = g
 		}
-		visited := 0
-		bm.BatchGradients(xs, ys, scratch, func(i int, g []*tensor.Tensor) {
-			if d := maxAbsDiff(g, refGrads[i]); d > parityTol {
+		bm.BatchPass(xs, ys)
+		for i := range xs {
+			bm.ExampleGrads(i, scratch)
+			if d := maxAbsDiff(scratch, refGrads[i]); d > parityTol {
 				t.Fatalf("iter %d example %d gradient differs by %v", iter, i, d)
 			}
-			visited++
-		})
-		if visited != len(xs) {
-			t.Fatalf("visited %d examples, want %d", visited, len(xs))
 		}
 	}
 }
@@ -279,7 +276,59 @@ func TestDenseExampleGradsAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestBatchGradientsMeanLoss(t *testing.T) {
+// TestConvExampleGradsAllocatesNothing pins Conv2D.ExampleGrads to zero
+// allocations per call at a serial GEMM shape: examples are recovered
+// concurrently from row views the batch pass built, and dW is written
+// into dst without a view of it.
+func TestConvExampleGradsAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c, x, g := smallConvBatch(3)
+	c.ForwardBatch(x)
+	c.BackwardBatch(g, false)
+	dst := tensor.ZerosLike(c.Grads())
+	if n := testing.AllocsPerRun(100, func() { c.ExampleGrads(2, dst) }); n != 0 {
+		t.Fatalf("Conv2D.ExampleGrads: %v allocations per call, want 0", n)
+	}
+}
+
+// TestConvBatchPassAllocatesNothing pins the conv layer's steady state:
+// once its buffers and their row views exist, a forward, backward and
+// gradient accumulation over the same batch geometry allocate nothing.
+func TestConvBatchPassAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	c, x, g := smallConvBatch(3)
+	c.setArena(tensor.NewArena())
+	step := func() {
+		c.ForwardBatch(x)
+		c.BackwardBatch(g, true)
+		c.AccumGrads()
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("Conv2D batch pass: %v allocations per step, want 0", n)
+	}
+}
+
+// smallConvBatch returns a 1×10×10 → 4-filter 3×3 convolution with a batch
+// of b random inputs and output gradients, small enough that every GEMM
+// runs serially.
+func smallConvBatch(b int) (*Conv2D, *tensor.Tensor, *tensor.Tensor) {
+	rng := tensor.NewRNG(9)
+	c := NewConv2D(1, 10, 10, 4, 3, 1, 1, rng)
+	x, g := tensor.New(b, 100), tensor.New(b, c.OutLen())
+	rng.FillUniform(x, -1, 1)
+	rng.FillUniform(g, -1, 1)
+	return c, x, g
+}
+
+// TestBatchPassMeanLoss: both batch entry points, over a slice of examples
+// and over a batch matrix the caller filled, return the per-example path's
+// mean loss.
+func TestBatchPassMeanLoss(t *testing.T) {
 	spec := TabularMLP(10, 8, 3)
 	ref, bm := twinModels(spec, 12)
 	rng := tensor.NewRNG(13)
@@ -289,10 +338,11 @@ func TestBatchGradientsMeanLoss(t *testing.T) {
 		want += ref.Loss(x, ys[i])
 	}
 	want /= float64(len(xs))
-	scratch := tensor.ZerosLike(bm.Grads())
-	got := bm.BatchGradients(xs, ys, scratch, func(int, []*tensor.Tensor) {})
-	if math.Abs(got-want) > parityTol {
-		t.Fatalf("mean batch loss %v, want %v", got, want)
+	if got := bm.BatchPass(xs, ys); math.Abs(got-want) > parityTol {
+		t.Fatalf("BatchPass mean loss %v, want %v", got, want)
+	}
+	if got := bm.BatchPassOn(Stack(nil, nil, xs), ys); math.Abs(got-want) > parityTol {
+		t.Fatalf("BatchPassOn mean loss %v, want %v", got, want)
 	}
 }
 

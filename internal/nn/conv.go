@@ -23,14 +23,19 @@ type Conv2D struct {
 
 	// Batched-engine state (see batch.go): per-example im2col patch
 	// matrices for the whole batch (row i = example i's (C·K·K × OH·OW)
-	// matrix, flattened), the cached output-gradient batch, owned
-	// output/input-gradient buffers, and a patch-gradient scratch.
+	// matrix, flattened), owned output/input-gradient buffers, and a
+	// patch-gradient scratch.
 	arena   *tensor.Arena
 	prec    string
 	colsB   *tensor.Tensor
-	gB      *tensor.Tensor
 	yB, dxB *tensor.Tensor
 	dcols   *tensor.Tensor
+
+	// Per-example row views of the batch buffers (see rowViews; gRows
+	// views the cached output-gradient batch), and W and GW as
+	// (OutC × C·K·K) matrices.
+	xRows, colRows, yRows, gRows, dxRows rowViews
+	wmat, gwmat                          *tensor.Tensor
 }
 
 // NewConv2D returns a convolution layer for (inC, inH, inW) inputs.
@@ -49,6 +54,7 @@ func NewConv2D(inC, inH, inW, outC, k, stride, pad int, rng *tensor.RNG) *Conv2D
 	fanIn := inC * k * k
 	fanOut := outC * k * k
 	rng.Xavier(c.W, fanIn, fanOut)
+	c.wmat, c.gwmat = c.W.View(outC, fanIn), c.GW.View(outC, fanIn)
 	c.params = []*tensor.Tensor{c.W, c.B}
 	c.grads = []*tensor.Tensor{c.GW, c.GB}
 	return c
@@ -181,6 +187,24 @@ func biasRowSums(dst, gd []float64, p int, add bool) {
 	}
 }
 
+// rowViews holds a batch buffer's rows as (r × c) matrices, rebuilt only
+// when over is handed another buffer, so no pass builds a view per example.
+// ExampleGrads, which runs concurrently, only reads what the pass built.
+type rowViews struct {
+	of   *tensor.Tensor
+	rows []*tensor.Tensor
+}
+
+func (v *rowViews) over(t *tensor.Tensor, r, c int) []*tensor.Tensor {
+	if b := t.Shape()[0]; t != v.of || len(v.rows) != b {
+		v.of, v.rows = t, v.rows[:0]
+		for i := 0; i < b; i++ {
+			v.rows = append(v.rows, t.Row(i).View(r, c))
+		}
+	}
+	return v.rows
+}
+
 // ForwardBatch convolves a (B × InC·InH·InW) batch as im2col + GEMM: per
 // example, Y_i = W_mat·cols_i + b with W viewed as (OutC × C·K·K). The
 // output starts from the bias, mirroring the scalar reference's term order
@@ -195,12 +219,13 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	ckk, p := c.patchDims()
 	c.colsB = ensureBuf(c.arena, c.colsB, b, ckk*p)
 	c.yB = ensureBuf(c.arena, c.yB, b, c.OutLen())
-	wmat := c.W.View(c.OutC, ckk)
+	xs := c.xRows.over(x, 1, x.Shape()[1])
+	colss := c.colRows.over(c.colsB, ckk, p)
+	ys := c.yRows.over(c.yB, c.OutC, p)
 	bd := c.B.Data()
 	for i := 0; i < b; i++ {
-		cols := c.colsB.Row(i).View(ckk, p)
-		tensor.Im2Col(cols, x.Row(i), c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad)
-		y := c.yB.Row(i).View(c.OutC, p)
+		cols, y := colss[i], ys[i]
+		tensor.Im2Col(cols, xs[i], c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad)
 		yd := y.Data()
 		for oc := 0; oc < c.OutC; oc++ {
 			row := yd[oc*p : (oc+1)*p]
@@ -209,9 +234,9 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 		if c.fp32() {
-			tensor.AddMatMul32(y, wmat, cols)
+			tensor.AddMatMul32(y, c.wmat, cols)
 		} else {
-			tensor.AddMatMul(y, wmat, cols)
+			tensor.AddMatMul(y, c.wmat, cols)
 		}
 	}
 	return c.yB
@@ -220,23 +245,22 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 // BackwardBatch caches the output gradient and returns the input gradient:
 // per example, dcols_i = W_matᵀ·dY_i followed by col2im.
 func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
-	c.gB = grad
+	ckk, p := c.patchDims()
+	gs := c.gRows.over(grad, c.OutC, p)
 	if !needDx {
 		return nil
 	}
 	b := grad.Shape()[0]
-	ckk, p := c.patchDims()
 	c.dxB = ensureBuf(c.arena, c.dxB, b, c.InC*c.InH*c.InW)
 	c.dcols = ensureBuf(c.arena, c.dcols, ckk, p)
-	wmat := c.W.View(c.OutC, ckk)
+	dxs := c.dxRows.over(c.dxB, 1, c.dxB.Shape()[1])
 	for i := 0; i < b; i++ {
-		gi := grad.Row(i).View(c.OutC, p)
 		if c.fp32() {
-			tensor.MatMulTN32(c.dcols, wmat, gi)
+			tensor.MatMulTN32(c.dcols, c.wmat, gs[i])
 		} else {
-			tensor.MatMulTN(c.dcols, wmat, gi)
+			tensor.MatMulTN(c.dcols, c.wmat, gs[i])
 		}
-		tensor.Col2Im(c.dxB.Row(i), c.dcols, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad)
+		tensor.Col2Im(dxs[i], c.dcols, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad)
 	}
 	return c.dxB
 }
@@ -244,17 +268,14 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor 
 // AccumGrads adds the batch-summed gradients: GW += Σ_i dY_i·cols_iᵀ and
 // GB += spatial sums of dY.
 func (c *Conv2D) AccumGrads() {
-	b := c.gB.Shape()[0]
-	ckk, p := c.patchDims()
-	gwmat := c.GW.View(c.OutC, ckk)
+	_, p := c.patchDims()
 	gbd := c.GB.Data()
-	for i := 0; i < b; i++ {
-		gi := c.gB.Row(i).View(c.OutC, p)
-		cols := c.colsB.Row(i).View(ckk, p)
+	for i, gi := range c.gRows.rows {
+		cols := c.colRows.rows[i]
 		if c.fp32() {
-			tensor.AddMatMulT32(gwmat, gi, cols)
+			tensor.AddMatMulT32(c.gwmat, gi, cols)
 		} else {
-			tensor.AddMatMulT(gwmat, gi, cols)
+			tensor.AddMatMulT(c.gwmat, gi, cols)
 		}
 		biasRowSums(gbd, gi.Data(), p, true)
 	}
@@ -262,11 +283,16 @@ func (c *Conv2D) AccumGrads() {
 
 // ExampleGrads recovers example i's gradients from the cached batch
 // buffers: dW_i = dY_i·cols_iᵀ (one small GEMM), db_i = spatial sums.
+// dW is MatMulT's arithmetic, written into the zeroed dst[0] itself: its
+// row-major layout is the (OutC × C·K·K) matrix's, so no view is built.
 func (c *Conv2D) ExampleGrads(i int, dst []*tensor.Tensor) {
 	ckk, p := c.patchDims()
-	gi := c.gB.Row(i).View(c.OutC, p)
-	cols := c.colsB.Row(i).View(ckk, p)
-	tensor.MatMulT(dst[0].View(c.OutC, ckk), gi, cols)
+	if dst[0].Len() != c.OutC*ckk || dst[1].Len() != c.OutC {
+		panic(fmt.Sprintf("nn: conv example gradient wants %d+%d elements, got %d+%d", c.OutC*ckk, c.OutC, dst[0].Len(), dst[1].Len()))
+	}
+	gi := c.gRows.rows[i]
+	dst[0].Zero()
+	tensor.AddMatMulT(dst[0], gi, c.colRows.rows[i])
 	biasRowSums(dst[1].Data(), gi.Data(), p, false)
 }
 

@@ -17,7 +17,8 @@
 // still recovering every example's parameter gradient from the batch
 // buffers (ExampleGrads); parity tests pin it to the reference path at
 // ≤1e-9. BatchPass runs forward+backward in one call and is the entry the
-// DP sanitize pipeline (internal/dp.SanitizeBatch) builds on.
+// DP sanitize pipeline (internal/dp.SanitizeBatch) builds on; BatchPassOn
+// is the same pass over a batch matrix the caller filled in place.
 //
 // # Concurrency and determinism
 //
@@ -26,7 +27,8 @@
 // build one model per worker and reset it with SetParams. After a
 // BatchPass, ExampleGrads(i) for distinct i read disjoint slices of the
 // batch buffers and may be consumed from concurrent goroutines, which is
-// what lets the DP pipeline fan per-example clip+noise over a pool. Given
+// what lets the DP pipeline fan per-example clip+noise over a pool; the
+// views they read are built by the batch pass, never by them. Given
 // identical parameters and inputs, both engines are deterministic at any
 // GOMAXPROCS; they differ from each other only by float rounding. Federated
 // training (internal/core) always runs the batched engine; the per-example

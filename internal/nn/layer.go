@@ -141,7 +141,7 @@ func (a *Activation) setArena(ar *tensor.Arena) { a.arena = ar }
 // ForwardBatch applies the nonlinearity to a whole batch in one sweep.
 func (a *Activation) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	a.inB = x
-	a.outB = ensureBuf(a.arena, a.outB, x.Shape()...)
+	a.outB = ensureBuf(a.arena, a.outB, x.Shape()[0], x.Shape()[1])
 	copy(a.outB.Data(), x.Data())
 	applyKind(a.Kind, a.outB.Data())
 	return a.outB
@@ -152,7 +152,7 @@ func (a *Activation) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Ten
 	if !needDx {
 		return nil
 	}
-	a.dxB = ensureBuf(a.arena, a.dxB, grad.Shape()...)
+	a.dxB = ensureBuf(a.arena, a.dxB, grad.Shape()[0], grad.Shape()[1])
 	copy(a.dxB.Data(), grad.Data())
 	applyKindGrad(a.Kind, a.dxB.Data(), a.inB.Data(), a.outB.Data())
 	return a.dxB

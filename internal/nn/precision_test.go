@@ -114,8 +114,10 @@ func TestPrecisionTrainingTrajectory(t *testing.T) {
 		xs, ys := randomBatch(rng, 8, 20, 4)
 		ref.ZeroGrads()
 		f32.ZeroGrads()
-		ref.BatchAccumulate(xs, ys)
-		f32.BatchAccumulate(xs, ys)
+		ref.BatchPass(xs, ys)
+		f32.BatchPass(xs, ys)
+		ref.AccumBatchGrads()
+		f32.AccumBatchGrads()
 		ref.SGDStep(0.1, ref.Grads())
 		f32.SGDStep(0.1, f32.Grads())
 	}

@@ -114,13 +114,16 @@ type Plan struct {
 	Joins     []PopEvent
 	Leaves    []PopEvent
 
-	crashes    map[[2]int]bool // explicit + bound (round, client) crash events
-	restarts   map[int]bool    // explicit + bound restart-before rounds
-	byz        map[int]bool    // bound Byzantine attacker identities
-	poisoned   map[int]bool    // bound poisoned-client identities
-	arrivals   map[int]int     // bound late-joiner id → first active round
-	departures map[int]int     // bound leaver id → first inactive round
-	parts      []partition
+	crashes  map[[2]int]bool // explicit + bound (round, client) crash events
+	restarts map[int]bool    // explicit + bound restart-before rounds
+	byz      map[int]bool    // bound Byzantine attacker identities
+	poisoned map[int]bool    // bound poisoned-client identities
+	// arrive and depart are the bound lifecycles, indexed by client id and
+	// nil without join/leave clauses: a late joiner's first active round
+	// and a leaver's first inactive round, 0 for a client without one
+	// (population events fall in [1, rounds)).
+	arrive, depart []int
+	parts          []partition
 
 	seed  int64
 	bound bool
@@ -466,8 +469,7 @@ func (p *Plan) Bind(seed int64, rounds, clients int) (*Plan, error) {
 // before the first round is not an arrival, and an event the run never
 // reaches would lie about the population the experiment was told it had.
 func (p *Plan) bindPopulation(seed int64, rounds, clients int) error {
-	p.arrivals = map[int]int{}
-	p.departures = map[int]int{}
+	p.arrive, p.depart = nil, nil
 	joining, leaving := 0, 0
 	for _, e := range p.Joins {
 		joining += e.Count
@@ -486,6 +488,7 @@ func (p *Plan) bindPopulation(seed int64, rounds, clients int) error {
 	if joining+leaving > clients {
 		return fmt.Errorf("simnet: join+leave budgets (%d+%d) exceed the %d-client population", joining, leaving, clients)
 	}
+	p.arrive, p.depart = make([]int, clients), make([]int, clients)
 	joinRNG := tensor.Split(seed, labelJoin)
 	taken := map[int]bool{}
 	for _, e := range p.Joins {
@@ -493,7 +496,7 @@ func (p *Plan) bindPopulation(seed int64, rounds, clients int) error {
 			id := joinRNG.Intn(clients)
 			if !taken[id] {
 				taken[id] = true
-				p.arrivals[id] = e.Round
+				p.arrive[id] = e.Round
 				n++
 			}
 		}
@@ -504,7 +507,7 @@ func (p *Plan) bindPopulation(seed int64, rounds, clients int) error {
 			id := leaveRNG.Intn(clients)
 			if !taken[id] {
 				taken[id] = true
-				p.departures[id] = e.Round
+				p.depart[id] = e.Round
 				n++
 			}
 		}
@@ -648,7 +651,7 @@ func (p *Plan) PoisonLabel(client, index, label, classes int) int {
 	if classes < 2 || !p.PoisonedClient(client) {
 		return label
 	}
-	if tensor.Split(p.seed, labelPoisonFlip, int64(client), int64(index)).Float64() < p.PoisonRate {
+	if tensor.SplitFloat64(p.seed, labelPoisonFlip, int64(client), int64(index)) < p.PoisonRate {
 		return (label + 1) % classes
 	}
 	return label
@@ -675,17 +678,10 @@ func (p *Plan) ClientActive(round, client int) bool {
 		return true
 	}
 	p.mustBeBound()
-	if r, ok := p.arrivals[client]; ok && round < r {
+	if client < len(p.arrive) && (round < p.arrive[client] || p.depart[client] > 0 && round >= p.depart[client]) {
 		return false
 	}
-	if r, ok := p.departures[client]; ok && round >= r {
-		return false
-	}
-	if p.ChurnRate > 0 &&
-		tensor.Split(p.seed, labelChurn, int64(round), int64(client)).Float64() < p.ChurnRate {
-		return false
-	}
-	return true
+	return p.ChurnRate <= 0 || tensor.SplitFloat64(p.seed, labelChurn, int64(round), int64(client)) >= p.ChurnRate
 }
 
 // Events returns a human-readable summary of the plan's materialized
@@ -708,11 +704,15 @@ func (p *Plan) Events() string {
 	for id := range p.poisoned {
 		parts = append(parts, fmt.Sprintf("poison@%d", id))
 	}
-	for id, r := range p.arrivals {
-		parts = append(parts, fmt.Sprintf("join@%d:%d", r, id))
+	for id, r := range p.arrive {
+		if r > 0 {
+			parts = append(parts, fmt.Sprintf("join@%d:%d", r, id))
+		}
 	}
-	for id, r := range p.departures {
-		parts = append(parts, fmt.Sprintf("leave@%d:%d", r, id))
+	for id, r := range p.depart {
+		if r > 0 {
+			parts = append(parts, fmt.Sprintf("leave@%d:%d", r, id))
+		}
 	}
 	if len(parts) == 0 {
 		return "none"

@@ -3,6 +3,8 @@ package simnet
 import (
 	"strings"
 	"testing"
+
+	"fedcdp/internal/tensor"
 )
 
 // The open-world population grammar: join=n@r, leave=n@r, churn=rate. The
@@ -156,6 +158,26 @@ func TestClientActiveChurnDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("churn schedule identical across seeds")
+	}
+}
+
+// TestClientActiveCoinIsTheSplitStreams: the churn coin reads the first
+// draw of the (seed, churn label, round, client) stream without building
+// it, lifecycles included, and a query allocates nothing.
+func TestClientActiveCoinIsTheSplitStreams(t *testing.T) {
+	const rounds, clients = 20, 300
+	p := MustParsePlan("join=30@5,leave=30@12,churn=0.2").MustBind(11, rounds, clients)
+	for r := 0; r < rounds; r++ {
+		for id := 0; id < clients+5; id++ {
+			want := (id >= clients || (r >= p.arrive[id] && (p.depart[id] == 0 || r < p.depart[id]))) &&
+				tensor.Split(11, labelChurn, int64(r), int64(id)).Float64() >= 0.2
+			if got := p.ClientActive(r, id); got != want {
+				t.Fatalf("ClientActive(%d, %d) = %v, the lifecycle and Split coin say %v", r, id, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.ClientActive(7, 42) }); n != 0 {
+		t.Fatalf("ClientActive: %v allocations per query, want 0", n)
 	}
 }
 

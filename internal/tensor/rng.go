@@ -32,6 +32,20 @@ func Split(seed int64, labels ...int64) *RNG {
 	return NewRNG(int64(mixLabels(seed, labels)))
 }
 
+// SplitFloat64 returns Split(seed, labels...).Float64(), the first
+// uniform draw of a keyed stream, building no generator: the first source
+// draw has a closed form (source.go), so a one-coin stream allocates
+// nothing. The rare draw that rounds to 1, which Float64 resamples, falls
+// back to the stream itself.
+func SplitFloat64(seed int64, labels ...int64) float64 {
+	var s source
+	s.Seed(int64(mixLabels(seed, labels)))
+	if f := float64(s.Int63()) / (1 << 63); f < 1 {
+		return f
+	}
+	return Split(seed, labels...).Float64()
+}
+
 // mixLabels folds a label path into a derived seed. SplitMix64-style
 // mixing keeps children statistically independent for adjacent labels.
 func mixLabels(seed int64, labels []int64) uint64 {

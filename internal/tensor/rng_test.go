@@ -152,6 +152,29 @@ func TestReseedMatchesSplit(t *testing.T) {
 	}
 }
 
+// TestSplitFloat64MatchesSplit pins the closed-form first coin to the
+// stream it stands for over 2·10⁵ keys of the shapes the callers use —
+// (label, round, client) and (label, stream, index) — and to zero
+// allocations per call.
+func TestSplitFloat64MatchesSplit(t *testing.T) {
+	for seed := int64(-1); seed <= 1; seed++ {
+		for a := int64(0); a < 300; a++ {
+			for b := int64(-1); b < 222; b++ {
+				got, want := SplitFloat64(seed, 4000+a%3, a, b), Split(seed, 4000+a%3, a, b).Float64()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("SplitFloat64(%d, %d, %d, %d) = %v, Split stream's first Float64 %v", seed, 4000+a%3, a, b, got, want)
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { SplitFloat64(42, 9, 3, 7) }); n != 0 {
+		t.Fatalf("SplitFloat64: %v allocations per call, want 0", n)
+	}
+}
+
 func TestSampleDistinctFloyd(t *testing.T) {
 	g := Split(99, 12, 3)
 	got := g.SampleDistinctFloyd(100000, 1000)
