@@ -12,7 +12,7 @@
 // The experiment (-config, -set; see internal/config) determines the task:
 // dataset, cohort size training.kt (thinned by runtime.dropout), rounds,
 // evaluation schedule, deadline and quorum, aggregation rule and topology,
-// codec, precision, scenario. Its canonical digest is published with every
+// codec, scenario. Its canonical digest is published with every
 // round announcement, and fedclient refuses a server whose digest is not its
 // own. Only -addr and -secure are not part of that identity. Keys a server
 // of real processes cannot honor (faults.*, runtime.simnet) are refused.

@@ -36,8 +36,8 @@ func TestConfigAndSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := digestOf(t, out); got != "cfcc018c880addd8" {
-		t.Fatalf("fault-acceptance.yaml digests to %s, want cfcc018c880addd8", got)
+	if got := digestOf(t, out); got != "d6cfbe1694d10521" {
+		t.Fatalf("fault-acceptance.yaml digests to %s, want d6cfbe1694d10521", got)
 	}
 	if !strings.Contains(out, "dataset=cancer method=fed-cdp K=12 Kt=6 T=4 L=3") {
 		t.Fatalf("run does not follow the file:\n%s", out)
@@ -65,6 +65,7 @@ func TestSetRefusals(t *testing.T) {
 		{"method.sigma=lots", `method.sigma: not a number: "lots"`},
 		{"method.sigma", `invalid value "method.sigma" for flag -set: want section.key=value`},
 		{"method.name=non-private", `unknown method.name "non-private" (have [nonprivate fedsdp`},
+		{"model.precision=fp32", `unknown section "model" (have data, method`},
 	} {
 		out, err := fedtrain(t, "-config", faultAcceptance, "-set", tc.arg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -8,7 +8,6 @@ import (
 	"fedcdp/internal/core"
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
-	"fedcdp/internal/tensor"
 )
 
 // normalized returns a copy with every enum default spelled out by its
@@ -25,7 +24,6 @@ func (e *Experiment) normalized() *Experiment {
 			*p = name
 		}
 	}
-	def(&c.Model.Precision, tensor.PrecisionFP64)
 	def(&c.Data.Dataset, "mnist")
 	def(&c.Data.Scenario, dataset.ScenarioIID)
 	def(&c.Method.Name, core.MethodFedCDP)

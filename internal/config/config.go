@@ -13,7 +13,6 @@ import (
 	"fedcdp/internal/dataset"
 	"fedcdp/internal/fl"
 	"fedcdp/internal/simnet"
-	"fedcdp/internal/tensor"
 )
 
 // Version is the config schema version this package reads and writes.
@@ -36,7 +35,6 @@ type Experiment struct {
 	// Seed is the root seed every stochastic component derives from.
 	Seed int64
 
-	Model       ModelBlock
 	Data        DataBlock
 	Method      MethodBlock
 	Runtime     RuntimeBlock
@@ -46,11 +44,6 @@ type Experiment struct {
 	Training    TrainingBlock
 	Experiment  ExperimentBlock
 	Sweep       SweepBlock
-}
-
-// ModelBlock selects the arithmetic width.
-type ModelBlock struct {
-	Precision string // "" (fp64) or "fp32"
 }
 
 // DataBlock names the benchmark and its heterogeneity scenario.
@@ -232,9 +225,6 @@ func (e *Experiment) Validate() error {
 	if e.Method.Name != "" && !knownMethod(e.Method.Name) {
 		return fmt.Errorf("config: unknown method.name %q (have %v)", e.Method.Name, core.Methods())
 	}
-	if err := oneOf("model.precision", e.Model.Precision, tensor.PrecisionFP64, tensor.PrecisionFP32); err != nil {
-		return err
-	}
 	if err := oneOf("aggregation.sampler", e.Aggregation.Sampler, fl.SamplerLegacy, fl.SamplerFloyd); err != nil {
 		return err
 	}
@@ -372,7 +362,6 @@ func (e *Experiment) CoreConfig() core.Config {
 		EvalEvery:       e.Training.EvalEvery,
 		Parallelism:     e.Training.Parallelism,
 		Codec:           e.Codec.Wire,
-		Precision:       e.Model.Precision,
 		DropoutRate:     e.Runtime.Dropout,
 		RoundDeadline:   e.Runtime.Deadline,
 		MinQuorum:       e.Runtime.Quorum,

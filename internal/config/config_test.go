@@ -40,9 +40,6 @@ func TestParseFullDocument(t *testing.T) {
 version: 1
 seed: 7
 
-model:
-  precision: fp32
-
 data:
   dataset: cancer
   scenario: dirichlet
@@ -88,7 +85,6 @@ sweep:
 	}
 	want := Default()
 	want.Seed = 7
-	want.Model = ModelBlock{Precision: "fp32"}
 	want.Data = DataBlock{Dataset: "cancer", Scenario: "dirichlet", Alpha: 0.1}
 	want.Method.Name = core.MethodFedSDPSrv
 	want.Method.Clip = 2.5
@@ -120,7 +116,10 @@ func TestParseErrors(t *testing.T) {
 		{"unknown top-level key", "speed: 9\n", `unknown key "speed" in top level`},
 		// The mode switches retired with their oracles are unknown keys now —
 		// refused with a line number, not silently ignored.
-		{"removed model.engine", "model:\n  engine: batched\n", `line 2: unknown key "engine" in section model`},
+		{"removed model.engine", "model:\n  engine: batched\n", `line 1: unknown section "model" (have data, method`},
+		// So is the model section, with model.precision its last key.
+		{"removed model section", "seed: 1\nmodel:\n", `line 2: unknown section "model" (have data, method`},
+		{"removed model.precision", "model:\n  precision: fp32\n", `line 1: unknown section "model" (have data, method`},
 		{"removed method.noise-engine", "method:\n  sigma: 1\n  noise-engine: counter\n", `line 3: unknown key "noise-engine" in section method`},
 		{"removed runtime.name", "runtime:\n  name: streaming\n", `line 2: unknown key "name" in section runtime`},
 		{"removed codec.quant", "codec:\n  quant: 8\n", `unknown key "quant" in section codec`},
@@ -175,8 +174,6 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	docs := map[string]string{
 		"empty": "",
 		"full": `seed: 9
-model:
-  precision: fp32
 data:
   dataset: cancer
   scenario: dirichlet
@@ -298,8 +295,6 @@ func TestDigestDistinguishesEveryField(t *testing.T) {
 				} else {
 					v = core.MethodDSSGD
 				}
-			case "precision":
-				v = "fp32"
 			case "rule":
 				v = fl.AggMedian
 			case "sampler":
@@ -331,7 +326,6 @@ func TestValidateRejections(t *testing.T) {
 		{"empty dataset", func(e *Experiment) { e.Data.Dataset = "" }, "data.dataset must be set"},
 		{"unknown dataset", func(e *Experiment) { e.Data.Dataset = "imagenet" }, "data.dataset"},
 		{"unknown method", func(e *Experiment) { e.Method.Name = "fed-prox" }, "unknown method.name"},
-		{"unknown precision", func(e *Experiment) { e.Model.Precision = "fp16" }, "unknown model.precision"},
 		{"unknown sampler", func(e *Experiment) { e.Aggregation.Sampler = "knuth" }, "unknown aggregation.sampler"},
 		{"unknown codec", func(e *Experiment) { e.Codec.Wire = "json" }, "unknown codec.wire"},
 		{"server-side sdp under simnet", func(e *Experiment) { e.Method.Name, e.Runtime.Simnet = core.MethodFedSDPSrv, true }, "round servers do not"},
@@ -368,8 +362,7 @@ func TestValidateRejections(t *testing.T) {
 // here, so a new key cannot land without joining them.
 var offDefault = map[string]string{
 	"version": "2", "seed": "7",
-	"model.precision": "fp32",
-	"data.dataset":    "cancer", "data.scenario": "dirichlet", "data.alpha": "0.1", "data.shards": "3", "data.period": "4",
+	"data.dataset": "cancer", "data.scenario": "dirichlet", "data.alpha": "0.1", "data.shards": "3", "data.period": "4",
 	"method.name": "dssgd", "method.clip": "2.5", "method.sigma": "0.5", "method.accountant-sigma": "6",
 	"method.delta": "1e-06", "method.decay-from": "8", "method.decay-to": "1", "method.share": "0.25", "method.compress": "0.3",
 	"runtime.simnet": "true", "runtime.deadline": "150ms", "runtime.quorum": "2", "runtime.dropout": "0.25",
@@ -433,7 +426,7 @@ func TestSetMatchesParse(t *testing.T) {
 func TestSetErrors(t *testing.T) {
 	cases := []struct{ key, value, want string }{
 		{"method.strength", "11", `unknown key "strength" in section method (have name, clip, sigma`},
-		{"bogus.key", "1", `unknown section "bogus" (have model, data`},
+		{"bogus.key", "1", `unknown section "bogus" (have data, method`},
 		{"speed", "9", `unknown key "speed" in top level (have version, seed)`},
 		{"method.sigma.x", "1", `unknown key "sigma.x" in section method`},
 		{"method.sigma", "much", `method.sigma: not a number: "much"`},

@@ -1,8 +1,8 @@
 // Package config is the declarative experiment layer: one versioned,
-// schema-validated file fully determines a run — seed, model precision,
-// dataset and heterogeneity scenario, privacy method, deployment with
-// deadline/quorum, fault and adversary plan,
-// aggregation rule/topology/sampler, wire codec, and training horizon.
+// schema-validated file fully determines a run — seed, dataset and
+// heterogeneity scenario, privacy method, deployment with deadline/quorum,
+// fault and adversary plan, aggregation rule/topology/sampler, wire codec,
+// and training horizon.
 //
 // The format is a strict YAML subset (see Parse): unindented section
 // headers, indented "key: value" lines, full-line comments. An omitted key

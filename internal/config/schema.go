@@ -21,15 +21,13 @@ type field struct {
 
 // sectionOrder fixes the canonical section layout. The empty name is the
 // top-level block (version, seed).
-var sectionOrder = []string{"", "model", "data", "method", "runtime", "faults", "aggregation", "codec", "training", "experiment", "sweep"}
+var sectionOrder = []string{"", "data", "method", "runtime", "faults", "aggregation", "codec", "training", "experiment", "sweep"}
 
 // schema returns the full field table in canonical order.
 func schema() []field {
 	return []field{
 		fInt("", "version", func(e *Experiment) *int { return &e.Version }),
 		fI64("", "seed", func(e *Experiment) *int64 { return &e.Seed }),
-
-		fStr("model", "precision", func(e *Experiment) *string { return &e.Model.Precision }),
 
 		fStr("data", "dataset", func(e *Experiment) *string { return &e.Data.Dataset }),
 		fStr("data", "scenario", func(e *Experiment) *string { return &e.Data.Scenario }),

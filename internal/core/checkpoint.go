@@ -77,8 +77,8 @@ func (c *Checkpoint) Resume(rounds int) (*Result, error) {
 		return nil, fmt.Errorf("core: resume needs a positive round count, got %d", rounds)
 	}
 	// The resumed segment is resolved exactly as core.Run resolves the
-	// checkpointed Config — same partition, precision, sampler, fold and
-	// plan — continued from the checkpoint's round and parameters.
+	// checkpointed Config — same partition, sampler, fold and plan —
+	// continued from the checkpoint's round and parameters.
 	cfg := c.Cfg
 	cfg.Rounds = rounds
 	r, err := cfg.resolve(c.NextRound, cfg.PlannedRounds, fl.TensorsFromWire(c.Params))

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fedcdp/internal/fl"
-	"fedcdp/internal/tensor"
 )
 
 func checkpointBaseConfig() Config {
@@ -29,7 +28,6 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}{
 		{"defaults", func(*Config) {}},
 		{"sampler=floyd", func(c *Config) { c.Sampler = fl.SamplerFloyd }},
-		{"precision=fp32", func(c *Config) { c.Precision = tensor.PrecisionFP32 }},
 		{"shards=1", func(c *Config) { c.Shards = 1 }},
 		{"shards=4", func(c *Config) { c.Shards = 4 }},
 	} {

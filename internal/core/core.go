@@ -73,12 +73,6 @@ type Config struct {
 	// transport session; Run has no wire (see DESIGN.md, "Wire codec").
 	Codec string
 
-	// Precision selects the client GEMM arithmetic width:
-	// tensor.PrecisionFP64 (the default, pinned as the reference oracle)
-	// or tensor.PrecisionFP32, the bulk float32 path (see DESIGN.md,
-	// "Precision").
-	Precision string
-
 	// DropoutRate is the per-round probability that a selected client
 	// fails to report (device churn); see fl.Config.DropoutRate. The round
 	// engine flips the coin, so Run and RunSimnet thin cohorts identically.
@@ -344,7 +338,6 @@ func (c Config) resolve(start, planned int, params []*tensor.Tensor) (*Resolved,
 			LocalIters:   c.LocalIters,
 			LR:           c.LR,
 			Scenario:     c.Scenario,
-			Precision:    c.Precision,
 			ConfigDigest: c.ConfigDigest,
 		},
 		Strategy:        strat,

@@ -141,33 +141,3 @@ func TestEngineParityFedCDP(t *testing.T) {
 func TestEngineParityFedCDPDecay(t *testing.T) {
 	checkEngineParity(t, "cancer", NewFedCDPDecay(6, 2, 0.01), 3)
 }
-
-// TestPrecisionEndToEnd runs the same seeded experiment under the fp64
-// reference oracle and the fp32 bulk GEMM path: the run must complete,
-// track the oracle's final accuracy closely, and reject unknown widths.
-// (Per-kernel tolerance parity is pinned in internal/nn/precision_test.go;
-// this is the whole-system check through core.Run.)
-func TestPrecisionEndToEnd(t *testing.T) {
-	run := func(prec string) float64 {
-		res, err := Run(Config{
-			Dataset: "cancer", Method: MethodNonPrivate,
-			K: 4, Kt: 2, Rounds: 3, LocalIters: 2,
-			Seed: 11, ValExamples: 60, EvalEvery: 1,
-			Precision: prec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc, _ := res.FinalAccuracy()
-		return acc
-	}
-	fp64 := run(tensor.PrecisionFP64)
-	fp32 := run(tensor.PrecisionFP32)
-	if math.Abs(fp64-fp32) > 0.05 {
-		t.Fatalf("fp32 accuracy %v strayed from fp64 oracle %v", fp32, fp64)
-	}
-
-	if _, err := Run(Config{Dataset: "cancer", K: 2, Kt: 1, Rounds: 1, Precision: "fp16"}); err == nil {
-		t.Fatal("unknown precision must be rejected")
-	}
-}

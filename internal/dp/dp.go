@@ -41,7 +41,7 @@ func (l LinearDecay) Bound(round, totalRounds int) float64 {
 	if frac > 1 {
 		frac = 1
 	}
-	return l.From + (l.To-l.From)*frac
+	return l.From + float64((l.To-l.From)*frac)
 }
 
 // String implements ClipPolicy.

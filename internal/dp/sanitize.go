@@ -34,7 +34,7 @@ func chunkedSqSum(d []float64) float64 {
 		}
 		var s float64
 		for _, v := range d[lo:hi] {
-			s += v * v
+			s += float64(v * v)
 		}
 		total += s
 	}
@@ -217,7 +217,7 @@ func SanitizeCounterPar(grads []*tensor.Tensor, c, sigma float64, noise tensor.C
 		sh := shards[s]
 		var sum float64
 		for _, v := range grads[sh.li].Data()[sh.lo:sh.hi] {
-			sum += v * v
+			sum += float64(v * v)
 		}
 		partials[s] = sum
 	})

@@ -92,9 +92,8 @@ func schemaKeys() (keys []string, defaults map[string]string) {
 // version, the deployment switch (refused with experiment.name), and the
 // experiment and sweep blocks, which select and fan out drivers.
 var offDefault = map[string]string{
-	"seed":            "7",
-	"model.precision": "fp32",
-	"data.dataset":    "cancer", "data.scenario": "dirichlet", "data.alpha": "0.1", "data.shards": "3", "data.period": "4",
+	"seed":         "7",
+	"data.dataset": "cancer", "data.scenario": "dirichlet", "data.alpha": "0.1", "data.shards": "3", "data.period": "4",
 	"method.name": "dssgd", "method.clip": "2.5", "method.sigma": "0.5", "method.accountant-sigma": "6",
 	"method.delta": "1e-06", "method.decay-from": "8", "method.decay-to": "1", "method.share": "0.25", "method.compress": "0.3",
 	"runtime.deadline": "150ms", "runtime.quorum": "2", "runtime.dropout": "0.25",
@@ -119,7 +118,6 @@ func init() {
 	// batch: they read the data, seed and defense keys, and nothing else.
 	for _, name := range []string{"table7", "fig1", "fig4"} {
 		inert[name] = map[string]string{
-			"model.precision":         "the attack MLP is float64; no federation is trained",
 			"training.":               "no federation is trained: the victim's first local iteration, at round 0, is attacked on a fixed batch",
 			"runtime.":                "no rounds are run, so nothing straggles, drops or needs a quorum",
 			"faults.":                 "no rounds are run, so no plan is replayed (fedattack stages a poisoned victim)",
@@ -157,8 +155,8 @@ func allowed(driver, key string) (reason string, ok bool) {
 // there that turns out to matter is an error too.
 func TestMetamorphicEveryKeyEveryDriver(t *testing.T) {
 	keys, defaults := schemaKeys()
-	if len(keys) != 41 {
-		t.Fatalf("schema has %d keys, want 41: %v", len(keys), keys)
+	if len(keys) != 40 {
+		t.Fatalf("schema has %d keys, want 40: %v", len(keys), keys)
 	}
 	for _, key := range keys {
 		_, perturbed := offDefault[key]

@@ -103,7 +103,6 @@ func trainCohort(cfg Config, global *nn.Model, cohort []int, round int, workers 
 				return
 			}
 			w.model.SetParams(globalParams)
-			w.model.SetPrecision(cfg.Round.Precision)
 			data := clientShard(cfg, round, id)
 			weights[i] = float64(data.Len())
 			updates[i], stats[i] = cfg.Strategy.ClientUpdate(w.envFor(cfg.Seed, cfg.Round, round, id, data))

@@ -466,7 +466,7 @@ func appendParamPayload(b []byte, m *ParamMsg) []byte {
 	b = appendF64(b, m.Cfg.Scenario.Alpha)
 	b = appendI64(b, int64(m.Cfg.Scenario.Shards))
 	b = appendI64(b, int64(m.Cfg.Scenario.Period))
-	b = appendStr(b, m.Cfg.Precision)
+	b = appendStr(b, "") // the retired precision slot: every run is float64
 	b = appendStr(b, m.Cfg.ConfigDigest)
 	return appendDenseSection(b, m.Params)
 }
@@ -490,10 +490,14 @@ func parseParamPayload(b []byte, m *ParamMsg) error {
 				Shards: int(r.i64()),
 				Period: int(r.i64()),
 			},
-			Precision:    r.str(),
-			ConfigDigest: r.str(),
 		},
 	}
+	// The retired precision slot: a peer announcing a width other than
+	// float64 trains at one this end cannot honour.
+	if p := r.str(); p != "" && p != "fp64" {
+		return fmt.Errorf("fl: announced precision %q unknown", p)
+	}
+	m.Cfg.ConfigDigest = r.str()
 	dense, sparse, err := readTensorsInto(&r, r.i64(), params, nil)
 	if err != nil {
 		return err

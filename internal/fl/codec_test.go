@@ -35,8 +35,7 @@ func testParamMsg() *ParamMsg {
 		}),
 		Cfg: RoundConfig{
 			BatchSize: 8, LocalIters: 5, LR: 0.05, TotalRounds: 9,
-			Scenario:  dataset.Scenario{Name: "dirichlet", Alpha: 0.3},
-			Precision: tensor.PrecisionFP32,
+			Scenario: dataset.Scenario{Name: "dirichlet", Alpha: 0.3},
 		},
 	}
 }
@@ -456,19 +455,44 @@ func frameBytes(version, kind byte, payload []byte) []byte {
 func TestBinaryHostileFrames(t *testing.T) {
 	goodPayload := appendAckPayload(nil, &AckMsg{Accepted: true, Reason: "ok"})
 	good := frameBytes(binaryVersion, kindAck, goodPayload)
+	readAck := func(s *binarySession) error { return s.ReadAck(new(AckMsg)) }
+	readParam := func(s *binarySession) error { return s.ReadParam(new(ParamMsg)) }
+
+	// announce is a round announcement whose precision slot, between the
+	// scenario and the config digest, reads prec.
+	announce := func(prec string) []byte {
+		b := appendI64(nil, 0)                           // Round
+		b = appendU8(b, 0)                               // Denied
+		b = appendStr(b, "")                             // Reason
+		b = appendI64(appendI64(b, 1), 1)                // BatchSize, LocalIters
+		b = appendI64(appendF64(b, 0.1), 1)              // LR, TotalRounds
+		b = appendF64(appendStr(b, ""), 0)               // Scenario.Name, .Alpha
+		b = appendI64(appendI64(b, 0), 0)                // Scenario.Shards, .Period
+		b = appendStr(appendStr(b, prec), "")            // precision, ConfigDigest
+		b = appendDenseSection(b, testParamMsg().Params) // Params
+		return frameBytes(binaryVersion, kindParam, b)
+	}
+	// A slot the old default wrote, or the float64 it named, still decodes.
+	for _, prec := range []string{"", "fp64"} {
+		if err := readParam(&binarySession{r: bytes.NewReader(announce(prec))}); err != nil {
+			t.Fatalf("precision slot %q: %v", prec, err)
+		}
+	}
 
 	cases := []struct {
 		name string
 		raw  []byte
 		want string
+		read func(*binarySession) error
 	}{
-		{"empty stream", nil, "frame header"},
-		{"truncated header", good[:7], "frame header"},
-		{"bad magic", append([]byte{'g', 'o', 'b', '!'}, good[4:]...), "magic"},
-		{"bad version", frameBytes(99, kindAck, goodPayload), "version"},
-		{"wrong kind", frameBytes(binaryVersion, kindParam, goodPayload), "kind"},
-		{"truncated payload", good[:len(good)-2], "payload"},
-		{"trailing payload bytes", frameBytes(binaryVersion, kindAck, append(append([]byte{}, goodPayload...), 0xEE)), "trailing"},
+		{"empty stream", nil, "frame header", readAck},
+		{"truncated header", good[:7], "frame header", readAck},
+		{"bad magic", append([]byte{'g', 'o', 'b', '!'}, good[4:]...), "magic", readAck},
+		{"bad version", frameBytes(99, kindAck, goodPayload), "version", readAck},
+		{"wrong kind", frameBytes(binaryVersion, kindParam, goodPayload), "kind", readAck},
+		{"truncated payload", good[:len(good)-2], "payload", readAck},
+		{"trailing payload bytes", frameBytes(binaryVersion, kindAck, append(append([]byte{}, goodPayload...), 0xEE)), "trailing", readAck},
+		{"fp32 precision slot", announce("fp32"), `announced precision "fp32" unknown`, readParam},
 	}
 	// Oversized declared length: stamp a length beyond the cap.
 	over := append([]byte{}, good...)
@@ -477,12 +501,11 @@ func TestBinaryHostileFrames(t *testing.T) {
 		name string
 		raw  []byte
 		want string
-	}{"oversized length", over, "exceeds"})
+		read func(*binarySession) error
+	}{"oversized length", over, "exceeds", readAck})
 
 	for _, tc := range cases {
-		s := &binarySession{r: bytes.NewReader(tc.raw)}
-		var ack AckMsg
-		err := s.ReadAck(&ack)
+		err := tc.read(&binarySession{r: bytes.NewReader(tc.raw)})
 		if err == nil {
 			t.Fatalf("%s: hostile frame decoded without error", tc.name)
 		}
@@ -620,7 +643,7 @@ func TestBinaryHostileTensorSections(t *testing.T) {
 	qp = appendF64(qp, 0)   // Scenario.Alpha
 	qp = appendI64(qp, 0)   // Scenario.Shards
 	qp = appendI64(qp, 0)   // Scenario.Period
-	qp = appendStr(qp, "")  // Precision
+	qp = appendStr(qp, "")  // precision
 	qp = appendStr(qp, "")  // ConfigDigest
 	qp = appendUpdateSection(qp, &UpdateMsg{Sparse: SparseFromTensors([]*tensor.Tensor{tensor.FromSlice([]float64{0, 1}, 2)})})
 	var pm ParamMsg

@@ -21,12 +21,11 @@
 // and a RoundRunner is what it hands each cohort to: the in-process
 // streaming round (Run), the simnet fabric deployment (core.RunSimnet), the
 // TCP server other processes dial into (core.Serve) or the lockstep oracle
-// (barrier_test.go). worker.step is the one client
-// step (parameters, precision, the per-(seed, round, client) noise key,
-// Strategy.ClientUpdate, Byzantine corruption), run by the
-// in-process pool, the one-shot remote client and the ClientMux alike;
-// openSession is the one client-side session preamble. See DESIGN.md,
-// "Round engine".
+// (barrier_test.go). worker.step is the one client step (parameters, the
+// per-(seed, round, client) noise key, Strategy.ClientUpdate, Byzantine
+// corruption), run by the in-process pool, the one-shot remote client and
+// the ClientMux alike; openSession is the one client-side session
+// preamble. See DESIGN.md, "Round engine".
 //
 // # The in-process round and its fold order
 //
@@ -129,8 +128,8 @@
 // round-over refusals and update receipts; a session that fails costs its
 // round one slot (RoundResult.Failed), never the round. The server publishes its
 // RoundConfig — including the heterogeneity Scenario, which remote clients
-// apply to their local dataset view, and the GEMM Precision — so a
-// federation agrees on one configuration without per-client flags. The
+// apply to their local dataset view — so a federation agrees on one
+// configuration without per-client flags. The
 // transport is pluggable at both ends (NewRoundServerOn takes any
 // net.Listener, ClientOptions.Dial any dialer): real TCP is the
 // default, and internal/simnet substitutes an in-memory fabric with

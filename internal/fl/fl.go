@@ -61,12 +61,6 @@ type RoundConfig struct {
 	// per-client configuration. The zero value means the client's own
 	// partition (iid by default) stands.
 	Scenario dataset.Scenario
-	// Precision selects the arithmetic width of client GEMM kernels:
-	// tensor.PrecisionFP64 ("" defaults to it, the pinned reference
-	// oracle) or tensor.PrecisionFP32, the bulk float32 path. Published
-	// with the round so every participant trains at the same width;
-	// evaluation and DP noise always run at float64.
-	Precision string
 	// ConfigDigest is the canonical digest of the declarative experiment
 	// config the server is running (see internal/config). Pure metadata —
 	// it never influences training — but clients that were launched from a
@@ -375,8 +369,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("fl: dropout rate %v outside [0,1]", c.DropoutRate)
 	case c.StartRound < 0:
 		return fmt.Errorf("fl: negative start round %d", c.StartRound)
-	case c.Round.Precision != "" && c.Round.Precision != tensor.PrecisionFP64 && c.Round.Precision != tensor.PrecisionFP32:
-		return fmt.Errorf("fl: unknown precision %q", c.Round.Precision)
 	case c.MinQuorum < 0 || c.MinQuorum > c.Kt:
 		return fmt.Errorf("fl: quorum %d outside [0, Kt=%d]", c.MinQuorum, c.Kt)
 	case c.RoundDeadline < 0:
@@ -604,14 +596,13 @@ func (w *worker) envFor(seed int64, rc RoundConfig, round, id int, data *dataset
 }
 
 // step is the client half of the round protocol, the one place a client's
-// inputs are wired on every runtime: load the published parameters at the
-// published precision, derive the (seed, round, id) streams, run the
-// strategy's local training on the shard view, and apply any Byzantine
-// corruption the plan mandates — after training, before the update leaves
-// the client (a corrupted update can still be lost in transit).
+// inputs are wired on every runtime: load the published parameters, derive
+// the (seed, round, id) streams, run the strategy's local training on the
+// shard view, and apply any Byzantine corruption the plan mandates — after
+// training, before the update leaves the client (a corrupted update can
+// still be lost in transit).
 func (w *worker) step(strat Strategy, seed int64, round, id int, params []*tensor.Tensor, rc RoundConfig, data *dataset.ClientData, plan Plan) ([]*tensor.Tensor, ClientStats) {
 	w.model.SetParams(params)
-	w.model.SetPrecision(rc.Precision)
 	upd, st := strat.ClientUpdate(w.envFor(seed, rc, round, id, data))
 	if plan != nil {
 		plan.CorruptUpdate(round, id, upd)
@@ -686,17 +677,21 @@ const evalChunk = 16
 // bit-identically to the per-example path; conv logits agree to rounding
 // error (see tensor/matmul.go), so an argmax could in principle differ on an
 // exact near-tie between classes.
+//
+// A last short chunk runs as the full-width window that ends at the last
+// example, and only its rows past the previous chunk count: a forward row
+// does not depend on the rest of its batch, so the predictions are the
+// same, and every chunk has one width, so the layers never resize (and
+// reallocate) their buffers between chunks or evaluations.
 func Evaluate(m *nn.Model, xs []*tensor.Tensor, ys []int) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	correct := 0
 	for lo := 0; lo < len(xs); lo += evalChunk {
-		hi := lo + evalChunk
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		for i, p := range m.PredictBatch(xs[lo:hi]) {
+		hi := min(lo+evalChunk, len(xs))
+		start := max(hi-evalChunk, 0)
+		for i, p := range m.PredictBatch(xs[start:hi])[lo-start:] {
 			if p == ys[lo+i] {
 				correct++
 			}

@@ -320,3 +320,43 @@ func TestClientStatsMsPerIter(t *testing.T) {
 func sampleCohort(cfg Config, round int) []int {
 	return ActiveCohort(cfg.Seed, round, PopulationOf(cfg.K, cfg.Plan), cfg.Kt, cfg.Sampler, false)
 }
+
+// TestEvaluateMatchesPerExample pins Evaluate's chunking, the short last
+// chunk run as a full-width window included, against one prediction per
+// example on the MNIST CNN.
+func TestEvaluateMatchesPerExample(t *testing.T) {
+	spec, _ := dataset.Get("mnist")
+	m := nn.Build(spec.ModelSpec(), tensor.NewRNG(3))
+	xs, ys := dataset.New(spec, 3).Validation(201)
+	if len(xs) != 201 {
+		t.Fatalf("validation set has %d examples, want 201", len(xs))
+	}
+	for _, n := range []int{1, 8, 16, 200, 201} {
+		correct := 0
+		for i, x := range xs[:n] {
+			if m.PredictBatch([]*tensor.Tensor{x})[0] == ys[i] {
+				correct++
+			}
+		}
+		if got, want := Evaluate(m, xs[:n], ys[:n]), float64(correct)/float64(n); got != want {
+			t.Errorf("n=%d: Evaluate = %v, per-example argmax = %v", n, got, want)
+		}
+	}
+}
+
+// TestEvaluateKeepsLayerBuffers pins that evaluating the arena-less global
+// model again allocates only PredictBatch's result slice per chunk: the
+// layers' batch buffers keep their width across chunks and evaluations.
+func TestEvaluateKeepsLayerBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	spec, _ := dataset.Get("mnist")
+	m := nn.Build(spec.ModelSpec(), tensor.NewRNG(4))
+	xs, ys := dataset.New(spec, 4).Validation(200)
+	Evaluate(m, xs, ys)
+	chunks := (len(xs) + evalChunk - 1) / evalChunk
+	if allocs := testing.AllocsPerRun(3, func() { Evaluate(m, xs, ys) }); allocs > float64(chunks) {
+		t.Fatalf("a second Evaluate allocates %.0f objects, want at most one result slice per chunk (%d)", allocs, chunks)
+	}
+}

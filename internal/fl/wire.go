@@ -162,8 +162,6 @@ func (m *ParamMsg) Validate() error {
 		return fmt.Errorf("fl: announced learning rate %v not positive and finite", m.Cfg.LR)
 	case len(m.Params) == 0:
 		return fmt.Errorf("fl: announcement carries no parameters")
-	case m.Cfg.Precision != "" && m.Cfg.Precision != tensor.PrecisionFP64 && m.Cfg.Precision != tensor.PrecisionFP32:
-		return fmt.Errorf("fl: announced precision %q unknown", m.Cfg.Precision)
 	}
 	for i, w := range m.Params {
 		if err := w.Validate(); err != nil {

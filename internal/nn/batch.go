@@ -29,29 +29,6 @@ import (
 // buffers from a caller-owned arena.
 type arenaLayer interface{ setArena(*tensor.Arena) }
 
-// precisionLayer is implemented by batched layers whose GEMMs can run on
-// the float32 bulk kernels (tensor.PrecisionFP32). Storage stays float64;
-// only the blocked inner loops change width.
-type precisionLayer interface{ setPrecision(string) }
-
-// SetPrecision selects the arithmetic width of the batched engine's GEMM
-// kernels: "" or tensor.PrecisionFP64 (the default and reference oracle)
-// runs float64 throughout; tensor.PrecisionFP32 routes every layer GEMM
-// through the f32 bulk path. Layers without a precision hook and the
-// per-example reference path always compute at float64.
-func (m *Model) SetPrecision(p string) {
-	m.prec = p
-	for _, l := range m.Layers {
-		if pl, ok := l.(precisionLayer); ok {
-			pl.setPrecision(p)
-		}
-	}
-}
-
-// Precision reports the engine precision selected by SetPrecision ("" means
-// the float64 default).
-func (m *Model) Precision() string { return m.prec }
-
 // ensureBuf returns t when it already has the wanted (rows × cols) shape
 // (no allocation — the steady-state path), reshapes it via View when only
 // the shape differs, and otherwise draws a fresh zeroed buffer from the

@@ -26,7 +26,6 @@ type Conv2D struct {
 	// matrix, flattened), owned output/input-gradient buffers, and a
 	// patch-gradient scratch.
 	arena   *tensor.Arena
-	prec    string
 	colsB   *tensor.Tensor
 	yB, dxB *tensor.Tensor
 	dcols   *tensor.Tensor
@@ -102,7 +101,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 							if ix < 0 || ix >= c.InW {
 								continue
 							}
-							sum += wd[wRow+kx] * xd[xRow+ix]
+							sum += float64(wd[wRow+kx] * xd[xRow+ix])
 						}
 					}
 				}
@@ -145,8 +144,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 							if ix < 0 || ix >= c.InW {
 								continue
 							}
-							gwd[wRow+kx] += g * xd[xRow+ix]
-							dxd[xRow+ix] += g * wd[wRow+kx]
+							gwd[wRow+kx] += float64(g * xd[xRow+ix])
+							dxd[xRow+ix] += float64(g * wd[wRow+kx])
 						}
 					}
 				}
@@ -157,12 +156,6 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 func (c *Conv2D) setArena(a *tensor.Arena) { c.arena = a }
-
-var _ precisionLayer = (*Conv2D)(nil)
-
-func (c *Conv2D) setPrecision(p string) { c.prec = p }
-
-func (c *Conv2D) fp32() bool { return c.prec == tensor.PrecisionFP32 }
 
 // patchDims returns the im2col geometry: rows C·K·K, columns OH·OW.
 func (c *Conv2D) patchDims() (ckk, p int) {
@@ -233,11 +226,7 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 				row[j] = bd[oc]
 			}
 		}
-		if c.fp32() {
-			tensor.AddMatMul32(y, c.wmat, cols)
-		} else {
-			tensor.AddMatMul(y, c.wmat, cols)
-		}
+		tensor.AddMatMul(y, c.wmat, cols)
 	}
 	return c.yB
 }
@@ -255,11 +244,7 @@ func (c *Conv2D) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor 
 	c.dcols = ensureBuf(c.arena, c.dcols, ckk, p)
 	dxs := c.dxRows.over(c.dxB, 1, c.dxB.Shape()[1])
 	for i := 0; i < b; i++ {
-		if c.fp32() {
-			tensor.MatMulTN32(c.dcols, c.wmat, gs[i])
-		} else {
-			tensor.MatMulTN(c.dcols, c.wmat, gs[i])
-		}
+		tensor.MatMulTN(c.dcols, c.wmat, gs[i])
 		tensor.Col2Im(dxs[i], c.dcols, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad)
 	}
 	return c.dxB
@@ -272,11 +257,7 @@ func (c *Conv2D) AccumGrads() {
 	gbd := c.GB.Data()
 	for i, gi := range c.gRows.rows {
 		cols := c.colRows.rows[i]
-		if c.fp32() {
-			tensor.AddMatMulT32(c.gwmat, gi, cols)
-		} else {
-			tensor.AddMatMulT(c.gwmat, gi, cols)
-		}
+		tensor.AddMatMulT(c.gwmat, gi, cols)
 		biasRowSums(gbd, gi.Data(), p, true)
 	}
 }

@@ -20,10 +20,8 @@ type Dense struct {
 	params, grads []*tensor.Tensor
 
 	// Batched-engine state: cached input/output-gradient batches and owned
-	// output buffers (see batch.go for the execution contract); prec selects
-	// the GEMM kernel width (fp64 default, fp32 bulk path).
+	// output buffers (see batch.go for the execution contract).
 	arena   *tensor.Arena
-	prec    string
 	xB, gB  *tensor.Tensor
 	yB, dxB *tensor.Tensor
 }
@@ -66,12 +64,6 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 func (d *Dense) setArena(a *tensor.Arena) { d.arena = a }
 
-var _ precisionLayer = (*Dense)(nil)
-
-func (d *Dense) setPrecision(p string) { d.prec = p }
-
-func (d *Dense) fp32() bool { return d.prec == tensor.PrecisionFP32 }
-
 // ForwardBatch computes Y = X·Wᵀ + b for a (B × In) batch in one GEMM. Each
 // row reproduces Forward on that example bit-for-bit (identical accumulation
 // order).
@@ -82,11 +74,7 @@ func (d *Dense) ForwardBatch(x *tensor.Tensor) *tensor.Tensor {
 	}
 	d.xB = x
 	d.yB = ensureBuf(d.arena, d.yB, b, d.Out)
-	if d.fp32() {
-		tensor.MatMulT32(d.yB, x, d.W)
-	} else {
-		tensor.MatMulT(d.yB, x, d.W)
-	}
+	tensor.MatMulT(d.yB, x, d.W)
 	yd, bd := d.yB.Data(), d.B.Data()
 	for i := 0; i < b; i++ {
 		row := yd[i*d.Out : (i+1)*d.Out]
@@ -104,22 +92,14 @@ func (d *Dense) BackwardBatch(grad *tensor.Tensor, needDx bool) *tensor.Tensor {
 		return nil
 	}
 	d.dxB = ensureBuf(d.arena, d.dxB, grad.Shape()[0], d.In)
-	if d.fp32() {
-		tensor.MatMul32(d.dxB, grad, d.W)
-	} else {
-		tensor.MatMul(d.dxB, grad, d.W)
-	}
+	tensor.MatMul(d.dxB, grad, d.W)
 	return d.dxB
 }
 
 // AccumGrads adds the batch-summed gradients: GW += dYᵀ·X (one GEMM) and
 // GB += column sums of dY.
 func (d *Dense) AccumGrads() {
-	if d.fp32() {
-		tensor.AddMatMulTN32(d.GW, d.gB, d.xB)
-	} else {
-		tensor.AddMatMulTN(d.GW, d.gB, d.xB)
-	}
+	tensor.AddMatMulTN(d.GW, d.gB, d.xB)
 	b := d.gB.Shape()[0]
 	gd, gbd := d.gB.Data(), d.GB.Data()
 	for i := 0; i < b; i++ {

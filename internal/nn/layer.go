@@ -115,7 +115,7 @@ func applyKindGrad(kind string, gd, in, od []float64) {
 		}
 	case ActTanh:
 		for i := range gd {
-			gd[i] *= 1 - od[i]*od[i]
+			gd[i] *= 1 - float64(od[i]*od[i])
 		}
 	}
 }

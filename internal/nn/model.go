@@ -17,13 +17,11 @@ type Model struct {
 
 	// Batched-engine scratch (see batch.go): input batch, loss gradient and
 	// per-example losses, reused across iterations; arena is the optional
-	// per-goroutine buffer recycler set by UseArena; prec is the GEMM
-	// precision selected by SetPrecision.
+	// per-goroutine buffer recycler set by UseArena.
 	arena    *tensor.Arena
 	xBatch   *tensor.Tensor
 	lossGrad *tensor.Tensor
 	lossVals []float64
-	prec     string
 }
 
 // Forward runs one example through all layers and returns the logits.

@@ -5,17 +5,9 @@
 // for convolution lowering, L2 norms and norm clipping, scratch-buffer
 // arenas, and deterministic random number generation.
 //
-// # Precision
+// # Kernels
 //
-// Storage is always float64. The GEMM kernels are generic over the element
-// type and instantiated for both widths: the 32-suffixed variants
-// (MatMul32, AddMatMulT32, …) round their float64 inputs into pooled
-// float32 scratch, multiply at float32, and widen the result back — a
-// compute format, not a storage format, selected per run through
-// PrecisionFP32 (see internal/nn and core.Config.Precision). PrecisionFP64
-// is the pinned reference; parity tests bound the fp32 paths against it.
-//
-// On amd64 the float64 kernels run their inner loops in assembly on the
+// On amd64 the GEMM kernels run their inner loops in assembly on the
 // widest engine the CPU has, chosen once at start-up from CPUID and XGETBV:
 // avx512, whose two-row strips hold 16 output columns per row in ZMM
 // registers, eight lanes at a time, with the rest of the strips on AVX;
@@ -24,8 +16,8 @@
 // fused multiply-add — so each engine returns the Go loops' bits on every
 // non-NaN result and NaN wherever Go gives NaN (FuzzGEMMKernels runs every
 // engine the host has; which NaN payload survives is not fixed, by the Go
-// compiler either). Float32, other architectures and CPUs without AVX run
-// the Go loops.
+// compiler either). Other architectures and CPUs without AVX run the Go
+// loops.
 //
 // Im2Col builds most rows of the patch matrix from rows already written —
 // taps one stride apart see the same pixels one output position apart —

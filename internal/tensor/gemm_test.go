@@ -8,14 +8,14 @@ import (
 	"testing"
 )
 
-// goGEMM is the float64 engine over the plain Go strips: the oracle the
-// SIMD strips are diffed against.
-var goGEMM = newGemmEngine[float64]()
+// goGEMM is the engine over the plain Go strips: the oracle the SIMD
+// strips are diffed against.
+var goGEMM = newGemmEngine()
 
-// gemmEnginesLogged returns every float64 engine this CPU runs
+// gemmEnginesLogged returns every engine this CPU runs
 // (gemmEngines, widest first, the Go strips last) and logs their names, so
 // a run shows which strips it held to the contract.
-func gemmEnginesLogged(tb testing.TB) []*gemmEngine[float64] {
+func gemmEnginesLogged(tb testing.TB) []*gemmEngine {
 	es := gemmEngines()
 	names := make([]string, len(es))
 	for i, e := range es {
@@ -100,7 +100,7 @@ func operands(v string, m, n, k int) (a, b *Tensor) {
 
 // addGEMM runs dst += op(a, b) for variant v on engine e, with a and b
 // shaped as operands shapes them.
-func addGEMM(e *gemmEngine[float64], v string, dst, a, b *Tensor) {
+func addGEMM(e *gemmEngine, v string, dst, a, b *Tensor) {
 	m, n := dst.shape[0], dst.shape[1]
 	switch v {
 	case "nn":
@@ -113,7 +113,7 @@ func addGEMM(e *gemmEngine[float64], v string, dst, a, b *Tensor) {
 }
 
 // addGEMMAPI runs dst += op(a, b) for variant v through the public API,
-// on gemmF64.
+// on gemm.
 func addGEMMAPI(v string, dst, a, b *Tensor) {
 	switch v {
 	case "nn":
@@ -150,7 +150,7 @@ func TestGEMMIndependentOfPartition(t *testing.T) {
 	}
 }
 
-func testPartitionIndependence(t *testing.T, e *gemmEngine[float64], rng *RNG) {
+func testPartitionIndependence(t *testing.T, e *gemmEngine, rng *RNG) {
 	for _, v := range []string{"nn", "tn", "nt"} {
 		for _, s := range []gemmCase{{"zero-a-inf-b", 3, 1000, 23}, {"random", 7, 301, 64}, {"hostile", 5, 517, 41}} {
 			a, b := operands(v, s.m, s.n, s.k)
@@ -232,7 +232,7 @@ func TestGEMMAllocatesNothing(t *testing.T) {
 		}
 	}
 	for _, s := range shapes {
-		check("api/"+gemmF64.name, s, func(dst, a, b *Tensor) { addGEMMAPI(s.variant, dst, a, b) })
+		check("api/"+gemm.name, s, func(dst, a, b *Tensor) { addGEMMAPI(s.variant, dst, a, b) })
 	}
 }
 
@@ -253,7 +253,7 @@ func TestNTPanelFormMatchesMatVec(t *testing.T) {
 	}
 }
 
-func testNTPanelForm(t *testing.T, e *gemmEngine[float64]) {
+func testNTPanelForm(t *testing.T, e *gemmEngine) {
 	cases := []gemmCase{{"panel", 8, 32, 29}, {"odd", 13, 45, 301}, {"conv2", 16, 200, 49}}
 	for _, s := range cases {
 		if !ntPanelPays(s.m, s.n) {
@@ -409,7 +409,7 @@ func FuzzRowKernel(f *testing.F) {
 		f.Add(uint64(n), uint8(n), hostileValues[n%len(hostileValues)], uint8(96))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, nb uint8, alpha float64, pct uint8) {
-		if gemmF64.seq2 == nil {
+		if gemm.seq2 == nil {
 			t.Skip("Axpy runs the Go loop on this CPU")
 		}
 		n, off := int(nb)%68, int(seed%4)
@@ -467,7 +467,7 @@ func BenchmarkRowKernel(b *testing.B) {
 		{"avx", rowKernel},
 	} {
 		b.Run(e.name, func(b *testing.B) {
-			if e.name == "avx" && gemmF64.seq2 == nil {
+			if e.name == "avx" && gemm.seq2 == nil {
 				b.Skip("no AVX on this CPU")
 			}
 			for i := 0; i < b.N; i++ {

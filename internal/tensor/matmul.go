@@ -28,20 +28,12 @@ import (
 // the sequential reference to rounding error only; the engine parity tests
 // pin the end-to-end difference below 1e-9 (see DESIGN.md).
 //
-// The kernel bodies are generic over the element type (gemmElem) and are
-// methods of a gemmEngine, which holds the strips they call: the float64
-// engine is the default and the reference oracle; the float32 engine backs
-// the fp32 bulk path in matmul32.go. One body per variant means the two
-// precisions cannot drift apart structurally — only in element width. The
-// strips are plain Go, except that on amd64 with AVX the float64 engine
-// runs them in assembly (matmul_amd64.s) — with AVX-512, its two-row
-// strips eight lanes per instruction, otherwise four: a separate VMULPD
-// and VADDPD for each Go multiply and add, never a fused multiply-add, so
-// each lane rounds exactly as the scalar Go does and the results are the
-// same bits.
-
-// gemmElem is the element type a GEMM kernel runs at.
-type gemmElem interface{ ~float32 | ~float64 }
+// The kernel bodies are methods of a gemmEngine, which holds the strips
+// they call. The strips are plain Go, except that on amd64 with AVX they
+// run in assembly (matmul_amd64.s) — with AVX-512, the two-row strips
+// eight lanes per instruction, otherwise four: a separate VMULPD and VADDPD
+// for each Go multiply and add, never a fused multiply-add, so each lane
+// rounds exactly as the scalar Go does and the results are the same bits.
 
 const (
 	// gemmBlockK is the reduction-dimension block: 256 float64 rows of B
@@ -67,24 +59,24 @@ func mat2(t *Tensor, op string) (rows, cols int) {
 	return t.shape[0], t.shape[1]
 }
 
-// gemmEngine is one element type's GEMM: the kernel bodies (its methods),
-// the strips they call, and the pool of NT panels.
+// gemmEngine is one set of strips: the kernel bodies (its methods), the
+// strips they call, and the pool of NT panels.
 //
 // A strip is one or two output rows over a run of kn reduction terms: term
 // x scales row x of b (b[x·bs : x·bs+n], n = len(c0)) by a0[x·as] (and
 // a1[x·as]). The Go strips below define the arithmetic as loops of row
 // operations; a SIMD strip computes the same operations in the same order
 // on each element, holding the output tile in registers across the terms.
-type gemmEngine[F gemmElem] struct {
+type gemmEngine struct {
 	// name names the strips, for tests and benchmarks: "go", or the SIMD
 	// engine's instruction set (gemmSIMD).
 	name string
 
 	// pairs2 adds the terms to c0 and c1 two at a time — per pair,
 	// c += a[x]·b_x + a[x+1]·b_{x+1} — and a last odd term alone (NN, TN).
-	pairs2 func(c0, c1, a0, a1, b []F, kn, as, bs int)
+	pairs2 func(c0, c1, a0, a1, b []float64, kn, as, bs int)
 	// pairs1 is pairs2 for one row.
-	pairs1 func(c, a, b []F, kn, as, bs int)
+	pairs1 func(c, a, b []float64, kn, as, bs int)
 
 	// The NT panel form (ntPanelRows) runs on SIMD strips only — in Go the
 	// dot form is faster — so these stay nil on an engine of Go strips.
@@ -92,37 +84,33 @@ type gemmEngine[F gemmElem] struct {
 	// seq2 adds to c0 and c1 the sums Σ a[x]·b_x accumulated from +0 one
 	// term at a time in increasing x, with a stride 1: per element, the
 	// dot form's accumulator (ntDotRows), then c += sum.
-	seq2 func(c0, c1, a0, a1, b []F, kn, bs int)
+	seq2 func(c0, c1, a0, a1, b []float64, kn, bs int)
 	// seq1 is seq2 for one row.
-	seq1 func(c, a, b []F, kn, bs int)
+	seq1 func(c, a, b []float64, kn, bs int)
 	// transpose writes the n×k matrix src into dst as k×n.
-	transpose func(dst, src []F, n, k int)
+	transpose func(dst, src []float64, n, k int)
 
-	// panels recycles *[]F scratch for the NT panel form.
+	// panels recycles *[]float64 scratch for the NT panel form.
 	panels sync.Pool
 }
 
 // newGemmEngine returns an engine over the plain Go strips.
-func newGemmEngine[F gemmElem]() *gemmEngine[F] {
-	return &gemmEngine[F]{name: "go", pairs2: addPairs2[F], pairs1: addPairs1[F]}
+func newGemmEngine() *gemmEngine {
+	return &gemmEngine{name: "go", pairs2: addPairs2, pairs1: addPairs1}
 }
 
-var (
-	// gemmF64 runs the float64 GEMMs: the widest strips the CPU and OS
-	// support (decided once, here).
-	gemmF64 = gemmEngines()[0]
-	// gemmF32 runs the float32 bulk path (matmul32.go).
-	gemmF32 = newGemmEngine[float32]()
-)
+// gemm runs the GEMMs: the widest strips the CPU and OS support (decided
+// once, here).
+var gemm = gemmEngines()[0]
 
-// gemmEngines returns a float64 engine for each set of strips the CPU and
-// OS can run, widest first: the SIMD engines (gemmSIMD), then the Go
-// strips. Every one computes the same bits (FuzzGEMMKernels).
-func gemmEngines() []*gemmEngine[float64] {
-	return append(gemmSIMD(), newGemmEngine[float64]())
+// gemmEngines returns an engine for each set of strips the CPU and OS can
+// run, widest first: the SIMD engines (gemmSIMD), then the Go strips.
+// Every one computes the same bits (FuzzGEMMKernels).
+func gemmEngines() []*gemmEngine {
+	return append(gemmSIMD(), newGemmEngine())
 }
 
-func addPairs2[F gemmElem](c0, c1, a0, a1, b []F, kn, as, bs int) {
+func addPairs2(c0, c1, a0, a1, b []float64, kn, as, bs int) {
 	n := len(c0)
 	x := 0
 	for ; x+1 < kn; x += 2 {
@@ -133,7 +121,7 @@ func addPairs2[F gemmElem](c0, c1, a0, a1, b []F, kn, as, bs int) {
 	}
 }
 
-func addPairs1[F gemmElem](c, a, b []F, kn, as, bs int) {
+func addPairs1(c, a, b []float64, kn, as, bs int) {
 	n := len(c)
 	x := 0
 	for ; x+1 < kn; x += 2 {
@@ -150,41 +138,41 @@ func addPairs1[F gemmElem](c, a, b []F, kn, as, bs int) {
 // slower.
 
 //go:noinline
-func addRows22[F gemmElem](c0, c1, b0, b1 []F, a00, a01, a10, a11 F) {
+func addRows22(c0, c1, b0, b1 []float64, a00, a01, a10, a11 float64) {
 	c1 = c1[:len(c0)]
 	b0 = b0[:len(c0)]
 	b1 = b1[:len(c0)]
 	for j, bv0 := range b0 {
 		bv1 := b1[j]
-		c0[j] += F(a00*bv0) + F(a01*bv1)
-		c1[j] += F(a10*bv0) + F(a11*bv1)
+		c0[j] += float64(a00*bv0) + float64(a01*bv1)
+		c1[j] += float64(a10*bv0) + float64(a11*bv1)
 	}
 }
 
 //go:noinline
-func addRows21[F gemmElem](c0, c1, b []F, a0, a1 F) {
+func addRows21(c0, c1, b []float64, a0, a1 float64) {
 	c1 = c1[:len(c0)]
 	b = b[:len(c0)]
 	for j, bv := range b {
-		c0[j] += F(a0 * bv)
-		c1[j] += F(a1 * bv)
+		c0[j] += float64(a0 * bv)
+		c1[j] += float64(a1 * bv)
 	}
 }
 
 //go:noinline
-func addRow12[F gemmElem](c, b0, b1 []F, a0, a1 F) {
+func addRow12(c, b0, b1 []float64, a0, a1 float64) {
 	b0 = b0[:len(c)]
 	b1 = b1[:len(c)]
 	for j, bv0 := range b0 {
-		c[j] += F(a0*bv0) + F(a1*b1[j])
+		c[j] += float64(a0*bv0) + float64(a1*b1[j])
 	}
 }
 
 //go:noinline
-func addRow11[F gemmElem](c, b []F, a F) {
+func addRow11(c, b []float64, a float64) {
 	b = b[:len(c)]
 	for j, bv := range b {
-		c[j] += F(a * bv)
+		c[j] += float64(a * bv)
 	}
 }
 
@@ -268,12 +256,12 @@ func MatMul(dst, a, b *Tensor) *Tensor {
 func AddMatMul(dst, a, b *Tensor) {
 	m, k := mat2(a, "AddMatMul")
 	_, n := mat2(b, "AddMatMul")
-	gemmF64.addMatMul(dst.data, a.data, b.data, m, n, k)
+	gemm.addMatMul(dst.data, a.data, b.data, m, n, k)
 }
 
 // addMatMul is the NN GEMM body: cd += ad·bd for row-major ad (m×k),
 // bd (k×n), cd (m×n).
-func (e *gemmEngine[F]) addMatMul(cd, ad, bd []F, m, n, k int) {
+func (e *gemmEngine) addMatMul(cd, ad, bd []float64, m, n, k int) {
 	if extra := gemmHelpers(m, m*n*k); extra > 0 {
 		forkRows(m, extra, func(lo, hi int) { e.nnRows(cd, ad, bd, n, k, lo, hi) })
 		return
@@ -283,7 +271,7 @@ func (e *gemmEngine[F]) addMatMul(cd, ad, bd []F, m, n, k int) {
 
 // nnRows computes output rows [lo, hi) of the NN GEMM, one block of
 // gemmBlockK reduction terms at a time.
-func (e *gemmEngine[F]) nnRows(cd, ad, bd []F, n, k, lo, hi int) {
+func (e *gemmEngine) nnRows(cd, ad, bd []float64, n, k, lo, hi int) {
 	for kk := 0; kk < k; kk += gemmBlockK {
 		kn := min(gemmBlockK, k-kk)
 		b := bd[kk*n:]
@@ -324,7 +312,7 @@ func MatMulT(dst, a, b *Tensor) *Tensor {
 func AddMatMulT(dst, a, b *Tensor) {
 	m, k := mat2(a, "AddMatMulT")
 	n, _ := mat2(b, "AddMatMulT")
-	gemmF64.addMatMulT(dst.data, a.data, b.data, m, n, k)
+	gemm.addMatMulT(dst.data, a.data, b.data, m, n, k)
 }
 
 // ntPanelPays reports whether an NT GEMM with m output rows and n output
@@ -336,7 +324,7 @@ func ntPanelPays(m, n int) bool { return m >= gemmPanelMinRows && n >= gemmPanel
 // bd (n×k), cd (m×n). With SIMD strips, shapes past ntPanelPays copy bdᵀ
 // into a pooled k×n panel once and run seq strips over it (ntPanelRows);
 // the rest take the dot form (ntDotRows).
-func (e *gemmEngine[F]) addMatMulT(cd, ad, bd []F, m, n, k int) {
+func (e *gemmEngine) addMatMulT(cd, ad, bd []float64, m, n, k int) {
 	if e.seq2 == nil || !ntPanelPays(m, n) {
 		if extra := gemmHelpers(m, m*n*k); extra > 0 {
 			forkRows(m, extra, func(lo, hi int) { ntDotRows(cd, ad, bd, n, k, lo, hi) })
@@ -357,13 +345,13 @@ func (e *gemmEngine[F]) addMatMulT(cd, ad, bd []F, m, n, k int) {
 }
 
 // scratch draws a length-size buffer from the engine's panel pool.
-func (e *gemmEngine[F]) scratch(size int) *[]F {
-	p, _ := e.panels.Get().(*[]F)
+func (e *gemmEngine) scratch(size int) *[]float64 {
+	p, _ := e.panels.Get().(*[]float64)
 	if p == nil {
-		p = new([]F)
+		p = new([]float64)
 	}
 	if cap(*p) < size {
-		*p = make([]F, size)
+		*p = make([]float64, size)
 	}
 	*p = (*p)[:size]
 	return p
@@ -371,7 +359,7 @@ func (e *gemmEngine[F]) scratch(size int) *[]F {
 
 // ntDotRows computes output rows [lo, hi) of the NT GEMM as dot products:
 // two dots share each streamed a-row for instruction-level parallelism.
-func ntDotRows[F gemmElem](cd, ad, bd []F, n, k, lo, hi int) {
+func ntDotRows(cd, ad, bd []float64, n, k, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ai := ad[i*k : (i+1)*k]
 		ci := cd[i*n : (i+1)*n]
@@ -381,10 +369,10 @@ func ntDotRows[F gemmElem](cd, ad, bd []F, n, k, lo, hi int) {
 			b0 = b0[:len(ai)]
 			b1 := bd[(j+1)*k : (j+2)*k]
 			b1 = b1[:len(ai)]
-			var s0, s1 F
+			var s0, s1 float64
 			for x, av := range ai {
-				s0 += F(av * b0[x])
-				s1 += F(av * b1[x])
+				s0 += float64(av * b0[x])
+				s1 += float64(av * b1[x])
 			}
 			ci[j] += s0
 			ci[j+1] += s1
@@ -392,9 +380,9 @@ func ntDotRows[F gemmElem](cd, ad, bd []F, n, k, lo, hi int) {
 		for ; j < n; j++ {
 			bj := bd[j*k : (j+1)*k]
 			bj = bj[:len(ai)]
-			var s F
+			var s float64
 			for x, av := range ai {
-				s += F(av * bj[x])
+				s += float64(av * bj[x])
 			}
 			ci[j] += s
 		}
@@ -404,7 +392,7 @@ func ntDotRows[F gemmElem](cd, ad, bd []F, n, k, lo, hi int) {
 // ntPanelRows computes output rows [lo, hi) of the NT GEMM from bt = bdᵀ
 // (k×n): row i of the output adds Σ_x a[i][x]·bt[x], accumulated from +0 in
 // increasing x — per element, the dot form's accumulator.
-func (e *gemmEngine[F]) ntPanelRows(cd, ad, bt []F, n, k, lo, hi int) {
+func (e *gemmEngine) ntPanelRows(cd, ad, bt []float64, n, k, lo, hi int) {
 	i := lo
 	for ; i+1 < hi; i += 2 {
 		e.seq2(cd[i*n:(i+1)*n], cd[(i+1)*n:(i+2)*n], ad[i*k:(i+1)*k], ad[(i+1)*k:(i+2)*k], bt, k, n)
@@ -441,12 +429,12 @@ func MatMulTN(dst, a, b *Tensor) *Tensor {
 func AddMatMulTN(dst, a, b *Tensor) {
 	k, m := mat2(a, "AddMatMulTN")
 	_, n := mat2(b, "AddMatMulTN")
-	gemmF64.addMatMulTN(dst.data, a.data, b.data, m, n, k)
+	gemm.addMatMulTN(dst.data, a.data, b.data, m, n, k)
 }
 
 // addMatMulTN is the TN GEMM body: cd += adᵀ·bd for row-major ad (k×m),
 // bd (k×n), cd (m×n).
-func (e *gemmEngine[F]) addMatMulTN(cd, ad, bd []F, m, n, k int) {
+func (e *gemmEngine) addMatMulTN(cd, ad, bd []float64, m, n, k int) {
 	if k == 0 {
 		return // nothing to add, and no column of ad to start a strip at
 	}
@@ -459,7 +447,7 @@ func (e *gemmEngine[F]) addMatMulTN(cd, ad, bd []F, m, n, k int) {
 
 // tnRows computes output rows [lo, hi) of the TN GEMM: column i of ad,
 // read at stride m, scales the rows of bd.
-func (e *gemmEngine[F]) tnRows(cd, ad, bd []F, m, n, k, lo, hi int) {
+func (e *gemmEngine) tnRows(cd, ad, bd []float64, m, n, k, lo, hi int) {
 	i := lo
 	for ; i+1 < hi; i += 2 {
 		e.pairs2(cd[i*n:(i+1)*n], cd[(i+1)*n:(i+2)*n], ad[i:], ad[i+1:], bd, k, m, n)

@@ -136,11 +136,11 @@ var avx = hasAVX()
 // support, widest first: "avx512" (hasAVX512) runs the two-row strips,
 // which carry every row of a GEMM but a last odd one, on 16-column tiles
 // and the rest as "avx" does; "avx" runs every strip on 8-column tiles.
-func gemmSIMD() []*gemmEngine[float64] {
+func gemmSIMD() []*gemmEngine {
 	if !avx {
 		return nil
 	}
-	var es []*gemmEngine[float64]
+	var es []*gemmEngine
 	if hasAVX512() {
 		e := avxEngine("avx512")
 		e.pairs2, e.seq2 = addPairs2AVX512, addSeq2AVX512
@@ -150,8 +150,8 @@ func gemmSIMD() []*gemmEngine[float64] {
 }
 
 // avxEngine returns an engine named name over the AVX strips.
-func avxEngine(name string) *gemmEngine[float64] {
-	return &gemmEngine[float64]{
+func avxEngine(name string) *gemmEngine {
+	return &gemmEngine{
 		name:   name,
 		pairs2: addPairs2AVX, pairs1: addPairs1AVX,
 		seq2: addSeq2AVX, seq1: addSeq1AVX,
