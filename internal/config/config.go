@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -222,17 +223,18 @@ func (e *Experiment) Validate() error {
 	if _, err := dataset.Get(e.Data.Dataset); err != nil {
 		return fmt.Errorf("config: data.dataset: %w", err)
 	}
-	if e.Method.Name != "" && !knownMethod(e.Method.Name) {
+	if e.Method.Name != "" && !slices.Contains(core.Methods(), e.Method.Name) {
 		return fmt.Errorf("config: unknown method.name %q (have %v)", e.Method.Name, core.Methods())
 	}
-	if err := oneOf("aggregation.sampler", e.Aggregation.Sampler, fl.SamplerLegacy, fl.SamplerFloyd); err != nil {
-		return err
+	samplers := []string{fl.SamplerLegacy, fl.SamplerFloyd}
+	if e.Aggregation.Sampler != "" && !slices.Contains(samplers, e.Aggregation.Sampler) {
+		return fmt.Errorf("config: unknown aggregation.sampler %q (have %v)", e.Aggregation.Sampler, samplers)
 	}
 	if !fl.ValidCodec(e.Codec.Wire) {
 		return fmt.Errorf("config: unknown codec.wire %q", e.Codec.Wire)
 	}
-	if e.Runtime.Simnet && e.Method.Name == core.MethodFedSDPSrv {
-		return fmt.Errorf("config: method.name: %w", core.ServerSanitizeRefusal("runtime.simnet's"))
+	if err := core.ServerSanitizeRefusal(e.Method.Name, "runtime.simnet's"); e.Runtime.Simnet && err != nil {
+		return fmt.Errorf("config: method.name: %w", err)
 	}
 	if e.Runtime.Simnet && e.Runtime.Deadline != 0 {
 		return fmt.Errorf("config: runtime.deadline %v cannot run under runtime.simnet, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the faults.plan crash, drop and latency clauses", e.Runtime.Deadline)
@@ -308,27 +310,6 @@ func (e *Experiment) Validate() error {
 	return nil
 }
 
-func knownMethod(name string) bool {
-	for _, m := range core.Methods() {
-		if m == name {
-			return true
-		}
-	}
-	return false
-}
-
-func oneOf(name, v string, allowed ...string) error {
-	if v == "" {
-		return nil
-	}
-	for _, a := range allowed {
-		if v == a {
-			return nil
-		}
-	}
-	return fmt.Errorf("config: unknown %s %q (have %v)", name, v, allowed)
-}
-
 // scenario is the data block's heterogeneity scenario, as Validate checks it
 // and CoreConfig passes it on.
 func (e *Experiment) scenario() dataset.Scenario {
@@ -385,9 +366,10 @@ func (e *Experiment) CoreConfig() core.Config {
 // round server folds what arrives.
 func (e *Experiment) DialIn() (*core.Resolved, error) {
 	const onFabric = "is realized on the simnet fabric (fedtrain -set runtime.simnet=true); fedserve and fedclient are real processes on real links, which fail on their own and replay no plan"
+	if err := core.ServerSanitizeRefusal(e.Method.Name, "fedserve's"); err != nil {
+		return nil, fmt.Errorf("config: method.name: %w", err)
+	}
 	switch {
-	case e.Method.Name == core.MethodFedSDPSrv:
-		return nil, fmt.Errorf("config: method.name: %w", core.ServerSanitizeRefusal("fedserve's"))
 	case e.Faults.Plan != "":
 		return nil, fmt.Errorf("config: faults.plan %q %s — clear it with -set faults.plan=", e.Faults.Plan, onFabric)
 	case e.Faults.Population != "":

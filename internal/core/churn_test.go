@@ -259,7 +259,7 @@ func TestEpsilonChargesOnlyCommittedRounds(t *testing.T) {
 	}
 	// Reconstruct the charge sequence: exactly one composition block per
 	// committed round, nothing for uncommitted ones.
-	q := roundSamplingRate(res.Cfg, res.Spec, res.Cfg.K)
+	q, _ := instanceLevel.charge(res.Cfg, res.Spec, res.Cfg.K)
 	acc := accountant.New(res.Cfg.Delta)
 	for i, r := range res.Rounds {
 		if r.Committed {

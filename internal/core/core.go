@@ -12,21 +12,6 @@ import (
 	"fedcdp/internal/tensor"
 )
 
-// Method names accepted by Config.Method.
-const (
-	MethodNonPrivate  = "nonprivate"
-	MethodFedSDP      = "fedsdp"
-	MethodFedSDPSrv   = "fedsdp-server"
-	MethodFedCDP      = "fedcdp"
-	MethodFedCDPDecay = "fedcdp-decay"
-	MethodDSSGD       = "dssgd"
-)
-
-// Methods lists all method names in the paper's presentation order.
-func Methods() []string {
-	return []string{MethodNonPrivate, MethodFedSDP, MethodFedSDPSrv, MethodFedCDP, MethodFedCDPDecay, MethodDSSGD}
-}
-
 // Config is the high-level experiment configuration. Zero fields inherit the
 // benchmark's Table I defaults; the privacy defaults are the paper's
 // (C = 4, σ = 6, δ = 1e-5, decay 6→2).
@@ -197,31 +182,6 @@ func (c Config) withDefaults(spec dataset.Spec) Config {
 	return c
 }
 
-// Strategy builds the fl.Strategy for the configured method.
-func (c Config) Strategy() (fl.Strategy, error) {
-	var s fl.Strategy
-	switch c.Method {
-	case MethodNonPrivate, "":
-		s = NonPrivate{}
-	case MethodFedSDP:
-		s = FedSDP{C: c.Clip, Sigma: c.Sigma}
-	case MethodFedSDPSrv:
-		s = FedSDP{C: c.Clip, Sigma: c.Sigma, AtServer: true}
-	case MethodFedCDP:
-		s = NewFedCDP(c.Clip, c.Sigma)
-	case MethodFedCDPDecay:
-		s = NewFedCDPDecay(c.DecayFrom, c.DecayTo, c.Sigma)
-	case MethodDSSGD:
-		s = DSSGD{ShareFraction: c.ShareFraction}
-	default:
-		return nil, fmt.Errorf("core: unknown method %q (have %v)", c.Method, Methods())
-	}
-	if c.CompressRatio > 0 {
-		s = Compressed{Inner: s, PruneRatio: c.CompressRatio}
-	}
-	return s, nil
-}
-
 // Result is a run history annotated with privacy accounting.
 type Result struct {
 	*fl.History
@@ -387,39 +347,9 @@ func (r *Resolved) result(hist *fl.History) *Result {
 	return &Result{History: hist, Spec: r.Spec, Cfg: r.Cfg, Ledger: ledger}
 }
 
-// roundSamplingRate returns the method's per-step sampling rate for a round
-// whose sampling pool holds `active` clients. Fed-CDP samples instances at
-// q = B·kt/N; Fed-SDP samples clients at q = kt/active. kt is the cohort
-// actually drawable — capped at the active population, exactly as the
-// runtimes cap it.
-func roundSamplingRate(cfg Config, spec dataset.Spec, active int) float64 {
-	kt := cfg.Kt
-	if kt > active {
-		kt = active
-	}
-	var q float64
-	switch cfg.Method {
-	case MethodFedCDP, MethodFedCDPDecay:
-		p := accountant.Params{
-			TotalData:  spec.TrainN,
-			PerRoundKt: kt,
-			BatchSize:  cfg.BatchSize,
-		}
-		q = p.FedCDPSamplingRate()
-	case MethodFedSDP, MethodFedSDPSrv:
-		q = float64(kt) / float64(active)
-	}
-	if q > 1 {
-		q = 1
-	}
-	return q
-}
-
-// annotateEpsilon fills RoundStats.Epsilon with cumulative privacy spending.
-// Fed-CDP composes L sampled-Gaussian steps per round at the instance-level
-// rate q = B·Kt/N; Fed-SDP composes one step per round at the client-level
-// rate q = Kt/K. Non-private methods and DSSGD provide no guarantee (ε stays
-// 0, i.e. "unbounded" — see History documentation).
+// annotateEpsilon fills RoundStats.Epsilon with cumulative privacy spending
+// as the method row's accounting charges it; under no guarantee ε stays 0,
+// i.e. "unbounded" (see History documentation).
 //
 // Only committed rounds are charged: a round below quorum leaves the global
 // model unchanged and publishes nothing, so composing its mechanism would
@@ -432,13 +362,8 @@ func roundSamplingRate(cfg Config, spec dataset.Spec, active int) float64 {
 // round's pool is charged at that round's rate, and the published ε is the
 // worst user's. The returned ledger is nil on the closed-world path.
 func annotateEpsilon(cfg Config, spec dataset.Spec, hist *fl.History, pop fl.Population) *accountant.Ledger {
-	var stepsPerRound int
-	switch cfg.Method {
-	case MethodFedCDP, MethodFedCDPDecay:
-		stepsPerRound = cfg.LocalIters
-	case MethodFedSDP, MethodFedSDPSrv:
-		stepsPerRound = 1
-	default:
+	m, err := lookupMethod(cfg.Method)
+	if err != nil || m.acct == noGuarantee {
 		return nil
 	}
 	sigma := cfg.Sigma
@@ -446,11 +371,11 @@ func annotateEpsilon(cfg Config, spec dataset.Spec, hist *fl.History, pop fl.Pop
 		sigma = cfg.AccountantSigma
 	}
 	if !pop.Dynamic() {
-		q := roundSamplingRate(cfg, spec, cfg.K)
+		q, steps := m.acct.charge(cfg, spec, cfg.K)
 		acc := accountant.New(cfg.Delta)
 		for i := range hist.Rounds {
 			if hist.Rounds[i].Committed {
-				acc.Accumulate(q, sigma, stepsPerRound)
+				acc.Accumulate(q, sigma, steps)
 			}
 			eps, _ := acc.Epsilon()
 			hist.Rounds[i].Epsilon = eps
@@ -462,9 +387,9 @@ func annotateEpsilon(cfg Config, spec dataset.Spec, hist *fl.History, pop fl.Pop
 		round := hist.Rounds[i].Round
 		if hist.Rounds[i].Committed {
 			active := pop.ActiveSet(round)
-			q := roundSamplingRate(cfg, spec, len(active))
+			q, steps := m.acct.charge(cfg, spec, len(active))
 			for _, id := range active {
-				led.Participate(id, q, sigma, stepsPerRound)
+				led.Participate(id, q, sigma, steps)
 			}
 		}
 		eps, _, _ := led.MaxEpsilon()

@@ -35,8 +35,7 @@
 // (internal/fl/barrier_test.go) those replaced survive as test-file
 // oracles that pin them. Every configuration is a deterministic seeded
 // run. After a run, core annotates
-// the history with cumulative privacy spending via internal/accountant
-// (Fed-CDP composes L sampled-Gaussian steps per round at the instance
-// rate; Fed-SDP one per round at the client rate), and checkpoint.go
+// the history with cumulative privacy spending via internal/accountant, as
+// the method table (methods.go) charges each method, and checkpoint.go
 // saves/resumes runs with schedules anchored across segments.
 package core

@@ -110,7 +110,7 @@ func TestNoiseEngineGolden(t *testing.T) {
 // the patch matrix (tensor.Im2Col) and its adjoint, the GEMM strips the
 // conv layers run on, or the per-example weight gradients.
 func TestConvGolden(t *testing.T) {
-	const want = 0x5f12a7c5922b3d37
+	const want uint64 = 0x5f12a7c5922b3d37
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		res, err := Run(Config{

@@ -41,10 +41,10 @@ func simnetEdgeAddr(s int) string    { return fmt.Sprintf("edge%d", s) }
 // per seed. For bit-exact faulted runs use Shards ≥ 1, or Run with
 // Config.Faults (in-process injection), which folds in cohort order.
 func RunSimnet(cfg Config) (*Result, error) {
-	switch {
-	case cfg.Method == MethodFedSDPSrv:
-		return nil, fmt.Errorf("core: %w", ServerSanitizeRefusal("the simnet"))
-	case cfg.RoundDeadline != 0:
+	if err := ServerSanitizeRefusal(cfg.Method, "the simnet"); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	if cfg.RoundDeadline != 0 {
 		return nil, fmt.Errorf("core: round deadline %v cannot run on the simnet fabric, whose clock is virtual (it moves only when a message is delivered, so no straggler ever crosses a cutoff); stragglers there come from the plan's crash, drop and latency clauses", cfg.RoundDeadline)
 	}
 	return cfg.deploy(func(r *Resolved, fc fl.Config) (fl.RoundRunner, error) {
@@ -66,12 +66,15 @@ func (cfg Config) deploy(open func(*Resolved, fl.Config) (fl.RoundRunner, error)
 	return r.result(hist), nil
 }
 
-// ServerSanitizeRefusal is the error that refuses MethodFedSDPSrv on a wire
-// deployment — whose names the round servers, e.g. "the simnet" or "fedserve's". Only the
-// in-process round probes its strategy for fl.ServerSanitizer; a wire round
-// server folds what arrives.
-func ServerSanitizeRefusal(whose string) error {
-	return fmt.Errorf("method %s sanitizes at the server, which %s round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", MethodFedSDPSrv, whose, MethodFedSDP)
+// ServerSanitizeRefusal refuses a method whose row sanitizes at the server on
+// a wire deployment, whose round servers fold what arrives (only the
+// in-process round probes for fl.ServerSanitizer); nil for any other method.
+// whose names the round servers, e.g. "the simnet" or "fedserve's".
+func ServerSanitizeRefusal(name, whose string) error {
+	if m, _ := lookupMethod(name); m.at != serverUpdate {
+		return nil
+	}
+	return fmt.Errorf("method %s sanitizes at the server, which %s round servers do not do (updates would fold without clip or noise while ε is still charged); use %s, the client-side placement with the same accounting", name, whose, MethodFedSDP)
 }
 
 // fabric is the simnet deployment of the round engine's runner seam: the

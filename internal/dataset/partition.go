@@ -111,6 +111,11 @@ func (s Scenario) Partitioner() (Partitioner, error) {
 	case "", ScenarioIID:
 		return IID{}, nil
 	case ScenarioDirichlet:
+		// A NaN or infinite concentration has no Gamma draw; only a wire
+		// announcement can carry one past the config's range checks.
+		if math.IsNaN(s.Alpha) || math.IsInf(s.Alpha, 0) {
+			return nil, fmt.Errorf("dataset: dirichlet alpha %v is not finite", s.Alpha)
+		}
 		return Dirichlet{Alpha: s.Alpha}, nil
 	case ScenarioPathological:
 		return Pathological{Shards: s.Shards}, nil

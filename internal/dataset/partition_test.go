@@ -40,6 +40,14 @@ func TestScenarioRegistry(t *testing.T) {
 	if _, err := (Scenario{Name: "zipf"}).Partitioner(); err == nil {
 		t.Fatal("expected error for unknown scenario")
 	}
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (Scenario{Name: ScenarioDirichlet, Alpha: alpha}).Partitioner(); err == nil {
+			t.Fatalf("dirichlet alpha %v: expected an error", alpha)
+		}
+	}
+	if p, err := (Scenario{Name: ScenarioDirichlet}).Partitioner(); err != nil || p.(Dirichlet).Alpha != 0 {
+		t.Fatalf("dirichlet alpha 0 = (%v, %v), want the 0.5 default's zero value", p, err)
+	}
 }
 
 func TestScenarioString(t *testing.T) {

@@ -110,9 +110,9 @@ func Table7(e *config.Experiment) (*Report, error) {
 					st.add(reconstruct(m, gw, gb, ys, xs, attack.Config{MaxIters: maxIters, Seed: e.Seed + int64(100+c)}))
 				}
 				succ, dist, iters := st.row()
-				paper := paperTable7[dsName+"-"+typ][methodLabel(method)]
+				paper := paperTable7[dsName+"-"+typ][p.label(method)]
 				r.Rows = append(r.Rows, []string{
-					dsName, typ, methodLabel(method),
+					dsName, typ, p.label(method),
 					succ, yn(paper.Succeed),
 					dist, f4(paper.Distance),
 					iters, fmt.Sprint(paper.Iters),
@@ -187,7 +187,7 @@ func Fig4(e *config.Experiment) (*Report, error) {
 		m := attackModel(v.Spec, e.Seed)
 		xs, ys := v.FL.Data.Client(0).Batch(0, 3)
 		acfg := attack.Config{MaxIters: p.n(300, 60), Seed: e.Seed}
-		row := []string{methodLabel(method)}
+		row := []string{p.label(method)}
 		if method == core.MethodFedSDP {
 			row[0] = "fed-sdp(client)"
 		}
@@ -237,8 +237,8 @@ func Fig5(e *config.Experiment) (*Report, error) {
 	}
 
 	for _, method := range accuracyMethods {
-		accRow := []string{methodLabel(method), "accuracy"}
-		distRow := []string{methodLabel(method), "t2-attack-dist"}
+		accRow := []string{p.label(method), "accuracy"}
+		distRow := []string{p.label(method), "t2-attack-dist"}
 		for _, ratio := range ratios {
 			sets := p.scaled("data.dataset=mnist", "method.name="+method,
 				kv("training.k", p.n(20, 8)), kv("training.kt", p.n(8, 4)), kv("method.compress", ratio))

@@ -115,7 +115,7 @@ func Table2(e *config.Experiment) (*Report, error) {
 		return nil, err
 	}
 	for i, m := range accuracyMethods {
-		row := []string{methodLabel(m)}
+		row := []string{p.label(m)}
 		for _, res := range runs[i*len(cohorts) : (i+1)*len(cohorts)] {
 			row = append(row, f3ok(res.FinalAccuracy()))
 		}
@@ -146,7 +146,7 @@ func Table3(e *config.Experiment) (*Report, error) {
 		return nil, err
 	}
 	for i, m := range accuracyMethods {
-		row := []string{methodLabel(m)}
+		row := []string{p.label(m)}
 		var ratioSum float64
 		for j := range names {
 			ms, _ := runs[i*len(names)+j].MeanMsPerIter()
@@ -156,7 +156,7 @@ func Table3(e *config.Experiment) (*Report, error) {
 				ratioSum += ms / base
 			}
 		}
-		row = append(row, fmt.Sprintf("%.2f", ratioSum/float64(len(names))), paperRatioOverNP(methodLabel(m)))
+		row = append(row, fmt.Sprintf("%.2f", ratioSum/float64(len(names))), paperRatioOverNP(p.label(m)))
 		r.Rows = append(r.Rows, row)
 	}
 	return r, nil
@@ -254,20 +254,11 @@ func Fig3(e *config.Experiment) (*Report, error) {
 	return r, nil
 }
 
-func methodLabel(m string) string {
-	switch m {
-	case core.MethodNonPrivate:
-		return "non-private"
-	case core.MethodFedSDP:
-		return "fed-sdp"
-	case core.MethodFedSDPSrv:
-		return "fed-sdp(server)"
-	case core.MethodFedCDP:
-		return "fed-cdp"
-	case core.MethodFedCDPDecay:
-		return "fed-cdp(decay)"
-	case core.MethodDSSGD:
-		return "dssgd"
-	}
-	return m
+// label is a method's report label: the Name of the strategy its row in
+// core's method table builds, without the pruning a cell may wrap it in.
+func (p plan) label(method string) string {
+	c := p.e.CoreConfig()
+	c.Method, c.CompressRatio = method, 0
+	s, _ := c.Strategy() // a driver names only methods of core.Methods()
+	return s.Name()
 }

@@ -457,16 +457,25 @@ func TestBinaryHostileFrames(t *testing.T) {
 	good := frameBytes(binaryVersion, kindAck, goodPayload)
 	readAck := func(s *binarySession) error { return s.ReadAck(new(AckMsg)) }
 	readParam := func(s *binarySession) error { return s.ReadParam(new(ParamMsg)) }
+	// readValid reads an announcement as a client takes it: decoded, then
+	// validated before anything is trained on it.
+	readValid := func(s *binarySession) error {
+		var pm ParamMsg
+		if err := s.ReadParam(&pm); err != nil {
+			return err
+		}
+		return pm.Validate()
+	}
 
 	// announce is a round announcement whose precision slot, between the
-	// scenario and the config digest, reads prec.
-	announce := func(prec string) []byte {
+	// scenario and the config digest, reads prec, under scenario sc.
+	announce := func(prec string, sc dataset.Scenario) []byte {
 		b := appendI64(nil, 0)                           // Round
 		b = appendU8(b, 0)                               // Denied
 		b = appendStr(b, "")                             // Reason
 		b = appendI64(appendI64(b, 1), 1)                // BatchSize, LocalIters
 		b = appendI64(appendF64(b, 0.1), 1)              // LR, TotalRounds
-		b = appendF64(appendStr(b, ""), 0)               // Scenario.Name, .Alpha
+		b = appendF64(appendStr(b, sc.Name), sc.Alpha)   // Scenario.Name, .Alpha
 		b = appendI64(appendI64(b, 0), 0)                // Scenario.Shards, .Period
 		b = appendStr(appendStr(b, prec), "")            // precision, ConfigDigest
 		b = appendDenseSection(b, testParamMsg().Params) // Params
@@ -474,7 +483,7 @@ func TestBinaryHostileFrames(t *testing.T) {
 	}
 	// A slot the old default wrote, or the float64 it named, still decodes.
 	for _, prec := range []string{"", "fp64"} {
-		if err := readParam(&binarySession{r: bytes.NewReader(announce(prec))}); err != nil {
+		if err := readValid(&binarySession{r: bytes.NewReader(announce(prec, dataset.Scenario{}))}); err != nil {
 			t.Fatalf("precision slot %q: %v", prec, err)
 		}
 	}
@@ -492,7 +501,8 @@ func TestBinaryHostileFrames(t *testing.T) {
 		{"wrong kind", frameBytes(binaryVersion, kindParam, goodPayload), "kind", readAck},
 		{"truncated payload", good[:len(good)-2], "payload", readAck},
 		{"trailing payload bytes", frameBytes(binaryVersion, kindAck, append(append([]byte{}, goodPayload...), 0xEE)), "trailing", readAck},
-		{"fp32 precision slot", announce("fp32"), `announced precision "fp32" unknown`, readParam},
+		{"fp32 precision slot", announce("fp32", dataset.Scenario{}), `announced precision "fp32" unknown`, readParam},
+		{"NaN dirichlet alpha", announce("", dataset.Scenario{Name: dataset.ScenarioDirichlet, Alpha: math.NaN()}), "dirichlet alpha NaN is not finite", readValid},
 	}
 	// Oversized declared length: stamp a length beyond the cap.
 	over := append([]byte{}, good...)

@@ -796,7 +796,7 @@ func (a *ExactAggregator) Commit(params []*tensor.Tensor) {
 		for i, p := range params {
 			d := p.Data()
 			for j := range d {
-				d[j] += inv * a.sums[i].Round(j)
+				d[j] += float64(inv * a.sums[i].Round(j))
 			}
 		}
 	case AggFedAvg:
@@ -805,7 +805,7 @@ func (a *ExactAggregator) Commit(params []*tensor.Tensor) {
 			p.Zero()
 			d := p.Data()
 			for j := range d {
-				d[j] += inv * a.sums[i].Round(j)
+				d[j] += float64(inv * a.sums[i].Round(j))
 			}
 		}
 	case AggWeighted:
@@ -818,7 +818,7 @@ func (a *ExactAggregator) Commit(params []*tensor.Tensor) {
 			p.Zero()
 			d := p.Data()
 			for j := range d {
-				d[j] += inv * a.sums[i].Round(j)
+				d[j] += float64(inv * a.sums[i].Round(j))
 			}
 		}
 	}

@@ -120,7 +120,7 @@ func QuantizeUpdate(ts []*tensor.Tensor, bits int, st *QuantState) []QuantTensor
 			}
 			w.Q[j] = int16(q)
 			if e != nil {
-				e[j] = v - q*w.Scale
+				e[j] = v - float64(q*w.Scale)
 			}
 		}
 		out[i] = w

@@ -180,7 +180,7 @@ func (a *CoordMedianAggregator) Commit(params []*tensor.Tensor) {
 		}
 		// The midpoint of the two central ranks: a function of the multiset.
 		selectKey(col[:n/2], n/2-1)
-		d[j] += (keyValue(col[n/2-1]) + keyValue(col[n/2])) / 2
+		d[j] += float64((keyValue(col[n/2-1]) + keyValue(col[n/2])) * 0.5)
 	})
 }
 
@@ -228,7 +228,7 @@ func (a *TrimmedMeanAggregator) Commit(params []*tensor.Tensor) {
 		for _, k := range col[t : n-t] {
 			sum.Add(0, keyValue(k))
 		}
-		d[j] += inv * sum.Round(0)
+		d[j] += float64(inv * sum.Round(0))
 	})
 }
 
@@ -329,7 +329,7 @@ func sqDist(a, b []*tensor.Tensor) float64 {
 		da, db := a[i].Data(), b[i].Data()
 		for j := range da {
 			d := da[j] - db[j]
-			s += d * d
+			s += float64(d * d)
 		}
 	}
 	if s != s {
