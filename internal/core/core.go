@@ -360,7 +360,9 @@ func (r *Resolved) result(hist *fl.History) *Result {
 // sampling pool, so one global accountant is exact and cheap at any K. On an
 // open world the spend is per user: every client active in a committed
 // round's pool is charged at that round's rate, and the published ε is the
-// worst user's. The returned ledger is nil on the closed-world path.
+// worst user's. Those are the ids the round loop drew the cohort from
+// (RoundStats.ActiveIDs); only a round it did not record is walked again.
+// The returned ledger is nil on the closed-world path.
 func annotateEpsilon(cfg Config, spec dataset.Spec, hist *fl.History, pop fl.Population) *accountant.Ledger {
 	m, err := lookupMethod(cfg.Method)
 	if err != nil || m.acct == noGuarantee {
@@ -386,7 +388,10 @@ func annotateEpsilon(cfg Config, spec dataset.Spec, hist *fl.History, pop fl.Pop
 	for i := range hist.Rounds {
 		round := hist.Rounds[i].Round
 		if hist.Rounds[i].Committed {
-			active := pop.ActiveSet(round)
+			active := hist.Rounds[i].ActiveIDs
+			if active == nil { // e.g. a checkpointed prefix
+				active = pop.ActiveSet(round)
+			}
 			q, steps := m.acct.charge(cfg, spec, len(active))
 			for _, id := range active {
 				led.Participate(id, q, sigma, steps)

@@ -63,6 +63,8 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 	var scratch []*tensor.Tensor
 	var bufs [][]*tensor.Tensor
 	var preNorms []float64
+	var job dp.BatchSanitizeJob
+	iter := 0
 	if sanitize != nil {
 		bufs = make([][]*tensor.Tensor, env.Cfg.BatchSize)
 		for i := range bufs {
@@ -74,6 +76,16 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 				arena.Put(b...)
 			}
 		}()
+		// One job per client step: each iteration sets N, Weight and the
+		// iter its Sanitize reads.
+		job = dp.BatchSanitizeJob{
+			Recover: model.ExampleGrads,
+			Sanitize: func(i int, g []*tensor.Tensor) {
+				preNorms[i] = sanitize(iter, i, g)
+			},
+			Bufs:  bufs,
+			Accum: batch,
+		}
 	} else {
 		scratch = arenaLike(arena, model.Grads())
 		defer arena.Put(scratch...)
@@ -99,17 +111,8 @@ func localSGD(env *fl.ClientEnv, sanitize sanitizer) ([]*tensor.Tensor, fl.Clien
 		first := l == 0
 		inv := 1 / float64(len(ys))
 		if sanitize != nil {
-			iter := l
-			dp.SanitizeBatch(dp.BatchSanitizeJob{
-				N:       len(ys),
-				Recover: model.ExampleGrads,
-				Sanitize: func(i int, g []*tensor.Tensor) {
-					preNorms[i] = sanitize(iter, i, g)
-				},
-				Bufs:   bufs,
-				Accum:  batch,
-				Weight: inv,
-			})
+			iter, job.N, job.Weight = l, len(ys), inv
+			dp.SanitizeBatch(job)
 			if first {
 				for _, n := range preNorms[:len(ys)] {
 					normSum += n

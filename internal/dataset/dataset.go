@@ -189,10 +189,10 @@ func (d *Dataset) makePrototype(class int) *tensor.Tensor {
 	for ch := 0; ch < s.Channels; ch++ {
 		grid := make([]float64, coarse*coarse)
 		for i := range grid {
-			grid[i] = 0.5 + s.ProtoStd*rng.Normal(0, 1)
+			grid[i] = 0.5 + float64(s.ProtoStd*rng.Normal(0, 1))
 		}
 		for y := 0; y < s.Height; y++ {
-			fy := float64(y) / float64(s.Height-1) * float64(coarse-1)
+			fy := float64(float64(y) / float64(s.Height-1) * float64(coarse-1))
 			y0 := int(fy)
 			y1 := y0 + 1
 			if y1 >= coarse {
@@ -200,15 +200,15 @@ func (d *Dataset) makePrototype(class int) *tensor.Tensor {
 			}
 			wy := fy - float64(y0)
 			for x := 0; x < s.Width; x++ {
-				fx := float64(x) / float64(s.Width-1) * float64(coarse-1)
+				fx := float64(float64(x) / float64(s.Width-1) * float64(coarse-1))
 				x0 := int(fx)
 				x1 := x0 + 1
 				if x1 >= coarse {
 					x1 = coarse - 1
 				}
 				wx := fx - float64(x0)
-				v := (1-wy)*((1-wx)*grid[y0*coarse+x0]+wx*grid[y0*coarse+x1]) +
-					wy*((1-wx)*grid[y1*coarse+x0]+wx*grid[y1*coarse+x1])
+				v := float64((1-wy)*(float64((1-wx)*grid[y0*coarse+x0])+float64(wx*grid[y0*coarse+x1]))) +
+					float64(wy*(float64((1-wx)*grid[y1*coarse+x0])+float64(wx*grid[y1*coarse+x1])))
 				p.Set(v, ch, y, x)
 			}
 		}

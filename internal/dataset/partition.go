@@ -360,7 +360,7 @@ func (QuantitySkew) Shard(d *Dataset, id int) Shard {
 	// truncated at c, E[w] = a/(a-1)·(1 - c^(1-a)) + c^(1-a)·c … computed
 	// in closed form below.
 	a := quantityExponent
-	mean := a/(a-1)*(1-math.Pow(quantityCap, 1-a)) + math.Pow(quantityCap, -a)*quantityCap
+	mean := float64(a/(a-1)*(1-math.Pow(quantityCap, 1-a))) + float64(math.Pow(quantityCap, -a)*quantityCap)
 	n := int(math.Round(float64(s.PerClient) * w / mean))
 	if min := int(float64(s.PerClient) * quantityMinFactor); n < min {
 		n = min
@@ -524,16 +524,18 @@ func gammaSample(rng *tensor.RNG, shape float64) float64 {
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := rng.Normal(0, 1)
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
 		v = v * v * v
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		// v is the product v·v·v: rounded here, at its use, it fuses into
+		// 1-v on no target, and amd64 compiles the loop as before.
+		if math.Log(u) < float64(0.5*x*x)+float64(d*(1-float64(v)+math.Log(v))) {
 			return d * v
 		}
 	}
@@ -602,7 +604,7 @@ func (d *Dataset) Stats(clients int) PartitionStats {
 		entropy := 0.0
 		for _, k := range counts {
 			p := float64(k) / float64(sample)
-			entropy -= p * math.Log2(p)
+			entropy -= float64(p * math.Log2(p))
 		}
 		ps.MeanEntropy += entropy
 		ps.MeanFlip += c.shard.FlipRate

@@ -20,8 +20,9 @@
 //
 // Norm reductions are chunked (2048-element sub-sums folded in fixed
 // order), so a clipped norm does not depend on how the traversal was
-// sharded. SanitizeBatch fans per-example recover+clip+noise over a
-// goroutine pool but folds the batch accumulation in example order —
+// sharded. SanitizeBatch fans per-example recover+clip+noise over helpers
+// taken from tensor's CPU budget (none while client workers fill the
+// cores) but folds the batch accumulation in example order —
 // parallelism changes wall-clock, never results. Compress selects its
 // threshold with an O(n) quickselect and keeps exactly total−k entries,
 // breaking ties in scan order, so compression is also schedule-independent.

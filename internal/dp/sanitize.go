@@ -9,7 +9,6 @@ package dp
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -140,42 +139,22 @@ func shardGroup(grads []*tensor.Tensor) []shard {
 	return shards
 }
 
-// sanitizeSlots caps the number of extra CPU-bound sanitize goroutines in
-// flight across the whole process, mirroring tensor's gemmSlots: the
-// federated trainer already runs up to GOMAXPROCS clients concurrently, and
-// without a global cap each client's SanitizeBatch would fork another
-// GOMAXPROCS goroutines (P² oversubscription). Slots are acquired
-// non-blockingly — a sanitize pass running while the machine is saturated
-// simply executes serially on its own goroutine, with identical output
-// (shard results never depend on the worker count).
-var sanitizeSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// runShards fans fn(shard index) out over at most par goroutines (the
-// caller's plus extras bounded by free sanitizeSlots), pulling work from an
-// atomic cursor. fn must only touch state owned by its shard index.
-func runShards(nShards, par int, fn func(s int)) {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > nShards {
+// shardHelpers takes the helpers a pass over nShards shards may fork
+// beside its caller from tensor's CPU budget: at most par goroutines in all
+// (par ≤ 0: GOMAXPROCS), and none while the cores are busy. Shard results
+// never depend on the count.
+func shardHelpers(nShards, par int) int {
+	if par <= 0 || par > nShards {
 		par = nShards
 	}
-	extra := 0
-	for extra < par-1 {
-		select {
-		case sanitizeSlots <- struct{}{}:
-			extra++
-		default: // saturated: stop asking for helpers
-			goto acquired
-		}
-	}
-acquired:
-	if extra == 0 {
-		for s := 0; s < nShards; s++ {
-			fn(s)
-		}
-		return
-	}
+	return tensor.TakeHelpers(par - 1)
+}
+
+// runShards runs fn(shard index) for every shard on the calling goroutine
+// and extra helpers taken by shardHelpers, pulling work from an atomic
+// cursor, and gives the helpers back. fn must only touch state owned by
+// its shard index.
+func runShards(nShards, extra int, fn func(s int)) {
 	var cursor atomic.Int64
 	work := func() {
 		for {
@@ -190,10 +169,8 @@ acquired:
 	for w := 0; w < extra; w++ {
 		wg.Add(1)
 		go func() {
-			defer func() {
-				<-sanitizeSlots
-				wg.Done()
-			}()
+			defer wg.Done()
+			defer tensor.AddBusy(-1)
 			work()
 		}()
 	}
@@ -213,7 +190,7 @@ func SanitizeCounterPar(grads []*tensor.Tensor, c, sigma float64, noise tensor.C
 
 	// Phase 1: per-shard squared sums, reduced per layer in shard order.
 	partials := make([]float64, len(shards))
-	runShards(len(shards), par, func(s int) {
+	runShards(len(shards), shardHelpers(len(shards), par), func(s int) {
 		sh := shards[s]
 		var sum float64
 		for _, v := range grads[sh.li].Data()[sh.lo:sh.hi] {
@@ -234,7 +211,7 @@ func SanitizeCounterPar(grads []*tensor.Tensor, c, sigma float64, noise tensor.C
 	// Phase 2: fused clip+noise per shard; the layer stream's counter is the
 	// element offset, so shard boundaries don't shift the noise.
 	std := sigma * c
-	runShards(len(shards), par, func(s int) {
+	runShards(len(shards), shardHelpers(len(shards), par), func(s int) {
 		sh := shards[s]
 		d := grads[sh.li].Data()[sh.lo:sh.hi]
 		layerKey(noise, sh.li).ScaleAddNormalBulk(d, uint64(sh.lo), scales[sh.li], std)
@@ -273,6 +250,18 @@ type BatchSanitizeJob struct {
 	Parallelism int
 }
 
+// example recovers and sanitizes example i into its own buffer.
+func (job BatchSanitizeJob) example(i int) {
+	g := job.Bufs[i]
+	job.Recover(i, g)
+	if job.PreNorms != nil {
+		job.PreNorms[i] = groupNormChunked(g)
+	}
+	if job.Sanitize != nil {
+		job.Sanitize(i, g)
+	}
+}
+
 // SanitizeBatch runs the job: examples are recovered and sanitized in
 // parallel (each into its own buffer, so scheduling cannot affect the
 // result), then folded into Accum in example order. The output — buffers,
@@ -281,16 +270,13 @@ func SanitizeBatch(job BatchSanitizeJob) {
 	if job.N == 0 {
 		return
 	}
-	runShards(job.N, job.Parallelism, func(i int) {
-		g := job.Bufs[i]
-		job.Recover(i, g)
-		if job.PreNorms != nil {
-			job.PreNorms[i] = groupNormChunked(g)
+	if extra := shardHelpers(job.N, job.Parallelism); extra > 0 {
+		runShards(job.N, extra, job.example) // the serial path builds no closure
+	} else {
+		for i := 0; i < job.N; i++ {
+			job.example(i)
 		}
-		if job.Sanitize != nil {
-			job.Sanitize(i, g)
-		}
-	})
+	}
 	if job.Accum != nil {
 		for i := 0; i < job.N; i++ {
 			tensor.AddAllScaled(job.Accum, job.Weight, job.Bufs[i])

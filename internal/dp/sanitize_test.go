@@ -2,6 +2,7 @@ package dp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fedcdp/internal/tensor"
@@ -116,8 +117,9 @@ func TestSanitizeCounterFlatBoundsGroup(t *testing.T) {
 
 // TestSanitizeBatchDeterministicAcrossParallelism runs the fused batch
 // pipeline at worker counts 1 and 8 over the same per-example gradients and
-// requires byte-identical buffers, accumulator and norms — under -race this
-// also proves the fan-out is data-race free.
+// requires byte-identical buffers, accumulator and norms, and every helper
+// back in the CPU budget — under -race this also proves the fan-out is
+// data-race free.
 func TestSanitizeBatchDeterministicAcrossParallelism(t *testing.T) {
 	const n = 6
 	noise := tensor.NewCounterRNG(21, 4)
@@ -155,6 +157,9 @@ func TestSanitizeBatchDeterministicAcrossParallelism(t *testing.T) {
 
 	bufs1, accum1, norms1 := run(1)
 	bufs8, accum8, norms8 := run(8)
+	if b := tensor.Busy(); b != 0 {
+		t.Fatalf("SanitizeBatch left %d helpers in the CPU budget", b)
+	}
 	for i := range bufs1 {
 		groupsEqualBits(t, bufs1[i], bufs8[i], "example buffer")
 	}
@@ -170,6 +175,63 @@ func TestSanitizeBatchDeterministicAcrossParallelism(t *testing.T) {
 		tensor.AddAllScaled(want, 1.0/n, bufs1[i])
 	}
 	groupsEqualBits(t, want, accum1, "weighted sum")
+}
+
+// TestFullBudgetSanitizesSerially is a round whose client workers fill
+// every core: they hold the whole CPU budget, so SanitizeBatch runs every
+// example on its caller and allocates nothing — no closure, no WaitGroup,
+// no goroutine. With the budget empty the same job forks, and gives every
+// helper back.
+func TestFullBudgetSanitizesSerially(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 8
+	noise := tensor.NewCounterRNG(3, 9)
+	source := gradGroup(31, 3)
+	bufs := make([][]*tensor.Tensor, n)
+	for i := range bufs {
+		bufs[i] = tensor.ZerosLike(source)
+	}
+	job := BatchSanitizeJob{
+		N: n,
+		Recover: func(i int, dst []*tensor.Tensor) {
+			for li, t := range dst {
+				t.CopyFrom(source[li])
+			}
+		},
+		Sanitize: func(i int, g []*tensor.Tensor) {
+			SanitizeCounterNorm(g, 4, 0.5, noise.Derive(int64(i)))
+		},
+		Bufs:   bufs,
+		Accum:  tensor.ZerosLike(source),
+		Weight: 1.0 / n,
+	}
+	if a := allocsPerCall(20, func() { SanitizeBatch(job) }); a == 0 {
+		t.Fatal("an empty budget at GOMAXPROCS 4 forked no helper")
+	}
+	if b := tensor.Busy(); b != 0 {
+		t.Fatalf("SanitizeBatch left %d helpers in the CPU budget", b)
+	}
+	tensor.AddBusy(4)
+	defer tensor.AddBusy(-4)
+	if a := allocsPerCall(20, func() { SanitizeBatch(job) }); a != 0 {
+		t.Fatalf("SanitizeBatch under a full CPU budget allocated %d times per call, want 0", a)
+	}
+}
+
+// allocsPerCall is testing.AllocsPerRun without its GOMAXPROCS(1), under
+// which the budget has no idle core to fork onto and every call is serial.
+func allocsPerCall(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // TestSanitizeCounterNormIsGroupNorm pins the first local step's norm

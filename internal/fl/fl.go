@@ -460,14 +460,14 @@ func RunWith(cfg Config, open func(Config) (RoundRunner, error)) (*History, erro
 				return nil, fmt.Errorf("fl: restart before round %d: %w", round, err)
 			}
 		}
-		cohort, active := ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, false)
+		cohort, active, ids := ActiveCohortCount(cfg.Seed, round, pop, cfg.Kt, cfg.Sampler, false)
 		cohort = dropClients(cfg, round, cohort, dropCoin)
 		rs, err := runner.Round(round, cohort, global)
 		if err != nil {
 			return nil, err
 		}
 		rs.Round = round
-		rs.Active = active
+		rs.Active, rs.ActiveIDs = active, ids
 		if round%evalEvery == 0 || r == cfg.Rounds-1 {
 			rs.Accuracy = Evaluate(global, valX, valY)
 			rs.Evaluated = true
@@ -600,8 +600,11 @@ func (w *worker) envFor(seed int64, rc RoundConfig, round, id int, data *dataset
 // the (seed, round, id) streams, run the strategy's local training on the
 // shard view, and apply any Byzantine corruption the plan mandates — after
 // training, before the update leaves the client (a corrupted update can
-// still be lost in transit).
+// still be lost in transit). The worker counts in tensor's CPU budget
+// throughout, so its GEMMs and sanitize passes fork only onto idle cores.
 func (w *worker) step(strat Strategy, seed int64, round, id int, params []*tensor.Tensor, rc RoundConfig, data *dataset.ClientData, plan Plan) ([]*tensor.Tensor, ClientStats) {
+	tensor.AddBusy(1)
+	defer tensor.AddBusy(-1)
 	w.model.SetParams(params)
 	upd, st := strat.ClientUpdate(w.envFor(seed, rc, round, id, data))
 	if plan != nil {

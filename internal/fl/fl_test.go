@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -358,5 +359,39 @@ func TestEvaluateKeepsLayerBuffers(t *testing.T) {
 	chunks := (len(xs) + evalChunk - 1) / evalChunk
 	if allocs := testing.AllocsPerRun(3, func() { Evaluate(m, xs, ys) }); allocs > float64(chunks) {
 		t.Fatalf("a second Evaluate allocates %.0f objects, want at most one result slice per chunk (%d)", allocs, chunks)
+	}
+}
+
+// busyStrategy is echoStrategy that records whether a client ever trained
+// outside tensor's CPU budget.
+type busyStrategy struct {
+	echoStrategy
+	uncounted *atomic.Bool
+}
+
+func (b busyStrategy) ClientUpdate(env *ClientEnv) ([]*tensor.Tensor, ClientStats) {
+	if tensor.Busy() < 1 {
+		b.uncounted.Store(true)
+	}
+	return b.echoStrategy.ClientUpdate(env)
+}
+
+// TestWorkersCountAgainstCPUBudget pins the worker's side of the budget:
+// every client trains counted in it — so its GEMMs and sanitize passes see
+// the cores its fellow workers hold — and leaves it when it is done.
+func TestWorkersCountAgainstCPUBudget(t *testing.T) {
+	for _, par := range []int{1, 3} {
+		uncounted := new(atomic.Bool)
+		cfg := smallConfig(t, busyStrategy{echoStrategy{0.5}, uncounted})
+		cfg.Parallelism = par
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if uncounted.Load() {
+			t.Fatalf("parallelism %d: a client trained with no goroutine in the CPU budget, want its worker counted", par)
+		}
+		if n := tensor.Busy(); n != 0 {
+			t.Fatalf("parallelism %d: %d goroutines left in the CPU budget after the run", par, n)
+		}
 	}
 }

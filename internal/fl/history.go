@@ -23,6 +23,9 @@ type RoundStats struct {
 	// open-world registry's active set; K on closed-world runs). Cohorts
 	// are drawn from — and privacy is charged to — exactly this set.
 	Active int
+	// ActiveIDs is that set in ascending order on an open world (nil on a
+	// closed one): the ids the ledger charges, from the round's own walk.
+	ActiveIDs []int
 	// WireBytes is the network traffic the round generated, when the run
 	// went over an instrumented fabric (core.RunSimnet); zero elsewhere.
 	WireBytes int64

@@ -74,28 +74,29 @@ func (p Population) ActiveCount(round int) int {
 // active count, and an empty active set yields an empty cohort (the round
 // trains nobody and cannot meet a positive quorum).
 func ActiveCohort(seed int64, round int, pop Population, kt int, sampler string, withReplacement bool) []int {
-	cohort, _ := ActiveCohortCount(seed, round, pop, kt, sampler, withReplacement)
+	cohort, _, _ := ActiveCohortCount(seed, round, pop, kt, sampler, withReplacement)
 	return cohort
 }
 
 // ActiveCohortCount is ActiveCohort plus the size of the round's active set
-// (RoundStats.Active), both from one walk over the population: a dynamic
-// plan's ClientActive coins are the cost of a round at large K, so the
-// runtimes materialize the active set once and use it for both.
-func ActiveCohortCount(seed int64, round int, pop Population, kt int, sampler string, withReplacement bool) (cohort []int, active int) {
+// (RoundStats.Active) and, on a dynamic population, its ids (nil on a
+// static one), all from one walk over the population: a dynamic plan's
+// ClientActive coins are the cost of a round at large K, so the round loop
+// materializes the active set once for the draw, the count and the ledger.
+func ActiveCohortCount(seed int64, round int, pop Population, kt int, sampler string, withReplacement bool) (cohort []int, active int, ids []int) {
 	if !pop.Dynamic() {
 		if sampler == SamplerFloyd && !withReplacement {
-			return SampleCohortFloyd(seed, round, pop.K, kt), pop.K
+			return SampleCohortFloyd(seed, round, pop.K, kt), pop.K, nil
 		}
-		return SampleCohort(seed, round, pop.K, kt, withReplacement), pop.K
+		return SampleCohort(seed, round, pop.K, kt, withReplacement), pop.K, nil
 	}
-	ids := pop.ActiveSet(round)
+	ids = pop.ActiveSet(round)
 	n := len(ids)
 	if kt > n {
 		kt = n
 	}
 	if kt == 0 {
-		return nil, n
+		return nil, n, ids
 	}
 	var pos []int
 	if sampler == SamplerFloyd && !withReplacement {
@@ -107,5 +108,5 @@ func ActiveCohortCount(seed int64, round int, pop Population, kt int, sampler st
 	for i, at := range pos {
 		cohort[i] = ids[at]
 	}
-	return cohort, n
+	return cohort, n, ids
 }

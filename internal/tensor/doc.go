@@ -85,8 +85,9 @@
 // so and are documented accordingly. A Tensor is not internally
 // synchronized — concurrent writers need external coordination. Arena is a
 // single-goroutine scratch recycler: each worker owns one. The blocked
-// MatMul kernels may shard rows across goroutines internally; each output
-// element's operations depend on the reduction length alone, so results do
-// not depend on GOMAXPROCS or on how many GEMM slots were free
+// MatMul kernels may shard rows across helper goroutines, taken from the
+// process's one CPU budget (TakeHelpers, AddBusy) only onto idle cores;
+// each output element's operations depend on the reduction length alone,
+// so results do not depend on GOMAXPROCS or on how many helpers ran
 // (TestGEMMIndependentOfPartition). A serial GEMM allocates nothing.
 package tensor

@@ -131,17 +131,17 @@ func sameOrBothNaN(x, y float64) bool {
 }
 
 // TestGEMMIndependentOfPartition runs every variant on every engine at
-// GOMAXPROCS 1–4 with
-// enough free gemmSlots for one helper per row, so the row partition — and
-// which rows run in pairs — changes with GOMAXPROCS. Each element's
-// operations depend on k alone, so the results must not. The first case is
-// the one a zero-skip in the single-row tail got wrong: an all-zero a
-// against an Inf in b's last row is NaN in every row (0·Inf), not only in
-// the rows that happened to be paired.
+// GOMAXPROCS 1–4 with the CPU budget empty, so each call forks one helper
+// per idle core and the row partition — and which rows run in pairs —
+// changes with GOMAXPROCS. Each element's operations depend on k alone, so
+// the results must not. The first case is the one a zero-skip in the
+// single-row tail got wrong: an all-zero a against an Inf in b's last row
+// is NaN in every row (0·Inf), not only in the rows that happened to be
+// paired.
 func TestGEMMIndependentOfPartition(t *testing.T) {
-	saved := gemmSlots
-	gemmSlots = make(chan struct{}, 8)
-	defer func() { gemmSlots = saved }()
+	if n := Busy(); n != 0 {
+		t.Fatalf("the CPU budget holds %d goroutines before the test; its partitions need it empty", n)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	rng := NewRNG(23)
@@ -178,6 +178,9 @@ func testPartitionIndependence(t *testing.T, e *gemmEngine, rng *RNG) {
 				runtime.GOMAXPROCS(procs)
 				got := dst0.Clone()
 				addGEMM(e, v, got, a, b)
+				if n := Busy(); n != 0 {
+					t.Fatalf("%s %s %s: %d helpers still in the CPU budget after the call at GOMAXPROCS %d", e.name, v, s.name, n, procs)
+				}
 				if want == nil {
 					want = got
 					continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the GEMM core of the batched execution engine. All three
@@ -176,52 +177,64 @@ func addRow11(c, b []float64, a float64) {
 	}
 }
 
-// gemmSlots caps the number of extra CPU-bound GEMM goroutines in flight
-// across the whole process. The federated trainer already runs up to
-// GOMAXPROCS clients concurrently; without a global cap each client's GEMMs
-// would fork another GOMAXPROCS goroutines (P² oversubscription). Slots are
-// acquired non-blockingly: a GEMM running while the machine is saturated
-// simply executes serially on its own goroutine.
-var gemmSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+// busy is the process's one CPU budget: the goroutines computing right
+// now. A client worker counts itself while it trains, a GEMM or sanitize
+// helper until it returns, so helpers fork only onto cores no worker holds:
+// a round whose clients fill GOMAXPROCS cores forks none, while its tail, a
+// lone client or an evaluation on the server still fans out.
+var busy atomic.Int64
 
-// gemmHelpers acquires the gemmSlots for a GEMM over rows output rows and
-// flops multiply-adds and returns how many helper goroutines it may fork:
-// 0 when the work is too small to amortize them or no slot is free. A
-// non-zero count must be handed to forkRows, which releases the slots.
-func gemmHelpers(rows, flops int) int {
-	workers := min(runtime.GOMAXPROCS(0), rows)
-	if flops < gemmParallelFlops || workers <= 1 {
-		return 0
-	}
-	extra := 0
-	for extra < workers-1 {
-		select {
-		case gemmSlots <- struct{}{}:
-			extra++
-		default:
-			return extra
+// AddBusy counts delta goroutines into the budget (out of it, when
+// negative). It never waits: a worker over GOMAXPROCS still runs.
+func AddBusy(delta int) { busy.Add(int64(delta)) }
+
+// Busy reports the budget's count.
+func Busy() int { return int(busy.Load()) }
+
+// TakeHelpers takes up to want helper goroutines from the budget — no more
+// than GOMAXPROCS−1, read at the call, and no more than the cores left
+// idle — without blocking, and returns how many it took. Each helper gives
+// itself back with AddBusy(-1).
+func TakeHelpers(want int) int {
+	procs := int64(runtime.GOMAXPROCS(0))
+	for {
+		n := busy.Load()
+		take := min(int64(want), procs-1, procs-n)
+		if take <= 0 {
+			return 0
+		}
+		if busy.CompareAndSwap(n, n+take) {
+			return int(take)
 		}
 	}
-	return extra
+}
+
+// gemmHelpers takes the helpers for a GEMM over rows output rows and flops
+// multiply-adds from the budget: 0 when the work is too small to amortize
+// them or no core is idle. A non-zero count must be handed to forkRows,
+// which gives them back.
+func gemmHelpers(rows, flops int) int {
+	if flops < gemmParallelFlops {
+		return 0
+	}
+	return TakeHelpers(rows - 1)
 }
 
 // forkRows invokes fn over disjoint sub-ranges of [0, rows) on the calling
-// goroutine and up to extra helpers (acquired by gemmHelpers), and returns
-// once every range is done. The kernels call it only on their parallel
-// path, so the serial path builds no closure.
+// goroutine and up to extra helpers (taken by gemmHelpers), and returns
+// once every range is done and its helpers are back in the budget. Only the
+// kernels' parallel path calls it, so the serial path builds no closure.
 func forkRows(rows, extra int, fn func(lo, hi int)) {
 	chunk := (rows + extra) / (extra + 1)
 	spawned := (rows+chunk-1)/chunk - 1
-	for ; extra > spawned; extra-- { // chunk rounding may need fewer helpers
-		<-gemmSlots
-	}
+	AddBusy(spawned - extra) // chunk rounding may need fewer helpers
 	var wg sync.WaitGroup
 	for lo := chunk; lo < rows; lo += chunk {
 		hi := min(lo+chunk, rows)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			defer func() { <-gemmSlots }()
+			defer AddBusy(-1)
 			fn(lo, hi)
 		}(lo, hi)
 	}

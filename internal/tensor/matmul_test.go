@@ -194,9 +194,9 @@ func TestIm2ColKernelLargerThanPaddedExtent(t *testing.T) {
 }
 
 func TestParallelRowsUnderRaisedGOMAXPROCS(t *testing.T) {
-	// Exercise the goroutine fan-out and slot accounting even on a
+	// Exercise the goroutine fan-out and the CPU budget even on a
 	// single-core host, and verify repeated large GEMMs do not deadlock
-	// (slots must be released after every call).
+	// (every helper must give itself back after every call).
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	rng := NewRNG(17)
@@ -207,26 +207,58 @@ func TestParallelRowsUnderRaisedGOMAXPROCS(t *testing.T) {
 		if got := MatMul(nil, a, b); !got.Equal(want, 1e-12) {
 			t.Fatalf("parallel MatMul iteration %d mismatch", i)
 		}
-	}
-	// With all slots occupied the kernels must degrade to serial, not block.
-	filled := 0
-	for {
-		select {
-		case gemmSlots <- struct{}{}:
-			filled++
-			continue
-		default:
+		if n := Busy(); n != 0 {
+			t.Fatalf("iteration %d left %d helpers in the CPU budget", i, n)
 		}
-		break
 	}
-	defer func() {
-		for i := 0; i < filled; i++ {
-			<-gemmSlots
-		}
-	}()
+	// With the budget full the kernels must degrade to serial, not block.
+	AddBusy(4)
+	defer AddBusy(-4)
 	if got := MatMul(nil, a, b); !got.Equal(want, 1e-12) {
-		t.Fatal("serial-fallback MatMul mismatch under slot exhaustion")
+		t.Fatal("serial-fallback MatMul mismatch under a full CPU budget")
 	}
+	if n := Busy(); n != 4 {
+		t.Fatalf("a GEMM under a full budget moved its count to %d, want 4", n)
+	}
+}
+
+// TestFullBudgetForksNothing is a round whose client workers fill every
+// core: they hold the whole CPU budget, so a GEMM past gemmParallelFlops
+// runs serially on its caller and allocates nothing — no closure, no
+// WaitGroup, no goroutine. With the budget empty the same call forks.
+func TestFullBudgetForksNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := NewRNG(29)
+	a := randomMat(rng, 96, 64)
+	b := randomMat(rng, 64, 96)
+	dst := New(96, 96)
+	if 96*96*64 < gemmParallelFlops {
+		t.Fatal("the GEMM is below gemmParallelFlops; it never forks")
+	}
+	if n := allocsPerCall(50, func() { MatMul(dst, a, b) }); n == 0 {
+		t.Fatal("an empty budget at GOMAXPROCS 4 forked no helper")
+	}
+	AddBusy(4)
+	defer AddBusy(-4)
+	if n := allocsPerCall(50, func() { MatMul(dst, a, b) }); n != 0 {
+		t.Fatalf("a GEMM under a full CPU budget allocated %d times per call, want 0", n)
+	}
+}
+
+// allocsPerCall is testing.AllocsPerRun without its GOMAXPROCS(1), under
+// which the budget has no idle core to fork onto and every call is serial.
+func allocsPerCall(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 func TestArenaReusesBuffers(t *testing.T) {
