@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -255,20 +256,23 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// TestBinariesFlagSurface pins the whole command-line surface: -config and
+// binaryFlags is the whole command-line surface, per binary: -config and
 // -set name the experiment, and the only other flags are the ones that are
-// not experiment identity. A flag that respells a schema key fails here.
+// not experiment identity.
+var binaryFlags = map[string][]string{
+	"fedtrain":  {"checkpoint-in", "checkpoint-out", "config", "set", "sweep-workers"},
+	"fedserve":  {"addr", "config", "secure", "set"},
+	"fedclient": {"addr", "backoff", "config", "give-up", "id", "max-backoff", "secure", "set"},
+	"fedattack": {"batch", "client", "config", "mask", "max-iters", "optimizer", "out", "set", "type"},
+	"tables":    {"config", "format", "set", "sweep-workers"},
+}
+
+// TestBinariesFlagSurface pins binaryFlags against each built binary's
+// usage. A flag that respells a schema key fails here.
 func TestBinariesFlagSurface(t *testing.T) {
-	want := map[string][]string{
-		"fedtrain":  {"checkpoint-in", "checkpoint-out", "config", "set", "sweep-workers"},
-		"fedserve":  {"addr", "config", "secure", "set"},
-		"fedclient": {"addr", "backoff", "config", "give-up", "id", "max-backoff", "secure", "set"},
-		"fedattack": {"batch", "client", "config", "mask", "max-iters", "optimizer", "out", "set", "type"},
-		"tables":    {"config", "format", "set", "sweep-workers"},
-	}
 	flagLine := regexp.MustCompile(`(?m)^  -([a-z-]+)`)
 	total := 0
-	for name, flags := range want {
+	for name, flags := range binaryFlags {
 		usage, _ := exec.Command(binary(t, name), "-h").CombinedOutput()
 		var got []string
 		for _, m := range flagLine.FindAllSubmatch(usage, -1) {
@@ -283,6 +287,122 @@ func TestBinariesFlagSurface(t *testing.T) {
 	if total > 32 {
 		t.Errorf("the five binaries define %d flags, want at most 32", total)
 	}
+}
+
+// TestReadmeCommands holds README.md's commands to the surfaces they name:
+// every `go run ./cmd/<bin>` line of an sh block (continuations joined, a
+// block's VAR="..." assignments expanded) and every such inline-code span,
+// as in the Walkthroughs table. Its -config / -set must load through
+// config.Flags, and each other flag must be in binaryFlags for that binary.
+// A line commented "# refused" shows a refusal, so it is not loaded.
+func TestReadmeCommands(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cmds []string
+	for _, span := range regexp.MustCompile("`(go run ./cmd/[^`]*)`").FindAllStringSubmatch(string(readme), -1) {
+		cmds = append(cmds, span[1])
+	}
+	assign := regexp.MustCompile(`^([A-Z_]+)=(.*)$`)
+	var vars map[string]string
+	inSh := false
+	for _, line := range strings.Split(strings.ReplaceAll(string(readme), "\\\n", " "), "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			inSh, vars = line == "```sh", map[string]string{}
+		case !inSh:
+		case assign.MatchString(line):
+			m := assign.FindStringSubmatch(line)
+			vars[m[1]] = strings.Join(shellWords(m[2]), " ")
+		case strings.HasPrefix(line, "go run ./cmd/"):
+			cmds = append(cmds, os.Expand(line, func(v string) string {
+				if _, ok := vars[v]; !ok {
+					t.Errorf("README: $%s is not assigned in its block: %s", v, line)
+				}
+				return vars[v]
+			}))
+		}
+	}
+	if len(cmds) < 40 {
+		t.Fatalf("found %d go run ./cmd/ commands in README.md; the extraction is broken", len(cmds))
+	}
+	refused := regexp.MustCompile(`#\s*refused\b`)
+	for _, cmd := range cmds {
+		words := shellWords(cmd)
+		if len(words) > 0 && words[len(words)-1] == "&" {
+			words = words[:len(words)-1]
+		}
+		bin := strings.TrimPrefix(words[2], "./cmd/")
+		known, ok := binaryFlags[bin]
+		if !ok {
+			t.Errorf("README: %s: no binary %q", cmd, bin)
+			continue
+		}
+		var cf config.Flags
+		args := words[3:]
+		for i := 0; i < len(args); i++ {
+			name, value, inline := strings.Cut(strings.TrimPrefix(args[i], "-"), "=")
+			switch {
+			case !strings.HasPrefix(args[i], "-"):
+				t.Errorf("README: %s: stray argument %q", cmd, args[i])
+				continue
+			case !slices.Contains(known, name):
+				t.Errorf("README: %s: %s has no flag -%s", cmd, bin, name)
+				continue
+			case !inline && i+1 < len(args) && !strings.HasPrefix(args[i+1], "-"):
+				i++
+				value = args[i]
+			}
+			switch name {
+			case "config":
+				cf.Path = value
+			case "set":
+				cf.Sets = append(cf.Sets, value)
+			}
+		}
+		if refused.MatchString(cmd) {
+			continue
+		}
+		if _, err := cf.Load(); err != nil {
+			t.Errorf("README: %s: %v", cmd, err)
+		}
+	}
+}
+
+// shellWords splits a README command line as sh would: blanks separate
+// words, single and double quotes group, and an unquoted # at the start of
+// a word begins a comment.
+func shellWords(line string) []string {
+	var words []string
+	var w strings.Builder
+	inWord := false
+	var quote rune
+	for _, r := range line {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == '#' && !inWord:
+			return words
+		case r == ' ' || r == '\t':
+			if inWord {
+				words = append(words, w.String())
+				w.Reset()
+				inWord = false
+			}
+		default:
+			w.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, w.String())
+	}
+	return words
 }
 
 // TestEndToEndTCPDeployment launches the fleet the README describes:

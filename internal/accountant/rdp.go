@@ -274,12 +274,3 @@ func AbadiBound(q, sigma float64, steps int, delta, c2 float64) float64 {
 // DefaultC2 is the constant in Equation (2) calibrated against the paper's
 // reported Table VI values (see EXPERIMENTS.md).
 const DefaultC2 = 1.455
-
-// MomentsValid reports whether the moments-accountant premise q < 1/(16σ)
-// (Definition 5) holds for the given parameters.
-func MomentsValid(q, sigma float64) bool {
-	if sigma <= 0 {
-		return false
-	}
-	return q < 1/(16*sigma)
-}

@@ -228,18 +228,6 @@ func TestAbadiBoundScalesLinearlyInQ(t *testing.T) {
 	}
 }
 
-func TestMomentsValid(t *testing.T) {
-	if !MomentsValid(0.01, 6) { // 0.01 < 1/96
-		t.Fatal("q=0.01, σ=6 must satisfy q < 1/(16σ)")
-	}
-	if MomentsValid(0.1, 6) {
-		t.Fatal("q=0.1, σ=6 must violate q < 1/(16σ)")
-	}
-	if MomentsValid(0.01, 0) {
-		t.Fatal("σ=0 is never valid")
-	}
-}
-
 func TestDefaultOrdersSortedAndAboveOne(t *testing.T) {
 	orders := DefaultOrders()
 	if len(orders) < 50 {

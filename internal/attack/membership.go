@@ -74,7 +74,7 @@ func MembershipInference(loss LossFn, members, nonMembers []Sample) MembershipRe
 		if adv := tpr - fpr; adv > best.Advantage {
 			best = MembershipResult{Advantage: adv, TPR: tpr, FPR: fpr, Threshold: s.loss}
 		}
-		auc += (fpr - prevFPR) * (tpr + prevTPR) / 2
+		auc += float64((fpr - prevFPR) * (tpr + prevTPR) / 2)
 		prevFPR, prevTPR = fpr, tpr
 	}
 	best.AUC = auc

@@ -58,7 +58,7 @@ func (m *MLP) actPrimeFromZ(z float64) float64 {
 		return s * (1 - s)
 	}
 	t := tanhF(z)
-	return 1 - t*t
+	return 1 - float64(t*t)
 }
 
 func (m *MLP) actSecondFromZ(z float64) float64 {
@@ -67,7 +67,7 @@ func (m *MLP) actSecondFromZ(z float64) float64 {
 		return s * (1 - s) * (1 - 2*s)
 	}
 	t := tanhF(z)
-	return -2 * t * (1 - t*t)
+	return -2 * t * (1 - float64(t*t))
 }
 
 // trace holds the forward/backward intermediates of one example.
@@ -300,7 +300,7 @@ func (m *MLP) inputAdjoint(tr *trace, barGW, barGB []*tensor.Tensor, scale float
 	zbTop := tensor.New(p.Len())
 	ztd, pd, td := zbTop.Data(), p.Data(), top.Data()
 	for i := range ztd {
-		ztd[i] = pd[i]*td[i] - pd[i]*pDotBar
+		ztd[i] = float64(pd[i]*td[i]) - float64(pd[i]*pDotBar)
 	}
 	zbarD[L-1] = zbTop
 

@@ -18,8 +18,8 @@ func Adam(obj Objective, x []float64, lr float64, maxIters int, stop StopFn) (in
 	loss, grad := obj(x)
 	for it := 1; it <= maxIters; it++ {
 		for i, g := range grad {
-			m[i] = beta1*m[i] + (1-beta1)*g
-			v[i] = beta2*v[i] + (1-beta2)*g*g
+			m[i] = float64(beta1*m[i]) + float64((1-beta1)*g)
+			v[i] = float64(beta2*v[i]) + float64((1-beta2)*g*g)
 			mh := m[i] / (1 - math.Pow(beta1, float64(it)))
 			vh := v[i] / (1 - math.Pow(beta2, float64(it)))
 			x[i] -= lr * mh / (math.Sqrt(vh) + eps)
@@ -53,7 +53,7 @@ func LBFGS(obj Objective, x []float64, maxIters int, stop StopFn) (int, float64)
 	dot := func(a, b []float64) float64 {
 		var s float64
 		for i := range a {
-			s += a[i] * b[i]
+			s += float64(a[i] * b[i])
 		}
 		return s
 	}
@@ -66,7 +66,7 @@ func LBFGS(obj Objective, x []float64, maxIters int, stop StopFn) (int, float64)
 		for i := k - 1; i >= 0; i-- {
 			alpha[i] = rhoHist[i] * dot(sHist[i], q)
 			for j := range q {
-				q[j] -= alpha[i] * yHist[i][j]
+				q[j] -= float64(alpha[i] * yHist[i][j])
 			}
 		}
 		// Initial Hessian scaling.
@@ -82,9 +82,9 @@ func LBFGS(obj Objective, x []float64, maxIters int, stop StopFn) (int, float64)
 			q[j] *= gamma
 		}
 		for i := 0; i < k; i++ {
-			beta := rhoHist[i] * dot(yHist[i], q)
+			beta := float64(rhoHist[i] * dot(yHist[i], q))
 			for j := range q {
-				q[j] += (alpha[i] - beta) * sHist[i][j]
+				q[j] += float64((alpha[i] - beta) * sHist[i][j])
 			}
 		}
 		d := q
@@ -112,16 +112,16 @@ func LBFGS(obj Objective, x []float64, maxIters int, stop StopFn) (int, float64)
 		xNew := make([]float64, n)
 		eval := func(s float64) (float64, []float64) {
 			for j := range xNew {
-				xNew[j] = x[j] + s*d[j]
+				xNew[j] = x[j] + float64(s*d[j])
 			}
 			return obj(xNew)
 		}
 		lossNew, gradNew := eval(step)
-		ok := lossNew <= loss+armijoC*step*dg
+		ok := lossNew <= loss+float64(armijoC*step*dg)
 		if ok {
 			for grow := 0; grow < 12; grow++ {
 				lossTry, gradTry := eval(step * 2)
-				if lossTry <= loss+armijoC*step*2*dg && lossTry < lossNew {
+				if lossTry <= loss+float64(float64(armijoC*step)*2*dg) && lossTry < lossNew {
 					step *= 2
 					lossNew, gradNew = lossTry, gradTry
 					continue
@@ -134,7 +134,7 @@ func LBFGS(obj Objective, x []float64, maxIters int, stop StopFn) (int, float64)
 			for ls := 0; ls < maxLS; ls++ {
 				step *= shrink
 				lossNew, gradNew = eval(step)
-				if lossNew <= loss+armijoC*step*dg {
+				if lossNew <= loss+float64(armijoC*step*dg) {
 					ok = true
 					break
 				}

@@ -50,7 +50,7 @@ func RMSE(a, b *tensor.Tensor) float64 {
 	ad, bd := a.Data(), b.Data()
 	for i := range ad {
 		d := ad[i] - bd[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(ad)))
 }

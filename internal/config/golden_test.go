@@ -10,6 +10,7 @@ package config_test
 
 import (
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -73,6 +74,91 @@ func sameRunModuloDigest(t *testing.T, fromFile, fromFlags core.Config) {
 	}
 	if fromFile.ConfigDigest == "" {
 		t.Fatal("config-loaded run carries no digest")
+	}
+}
+
+// The walkthrough documents the quick-start and cross-silo configs were
+// written from, verbatim: a checked-in file may reword its comments but must
+// name the same experiment.
+const (
+	quickstartDoc = `
+version: 1
+seed: 1
+
+data:
+  dataset: mnist
+
+method:
+  name: fedcdp
+  clip: 4
+  sigma: 0.06
+  accountant-sigma: 6
+
+training:
+  k: 16           # client population
+  kt: 8           # participants per round
+  rounds: 12
+  iters: 20
+  val-examples: 200
+`
+	medicalDoc = `
+version: 1
+seed: 5
+
+data:
+  dataset: cancer
+
+method:
+  sigma: 0.06
+  accountant-sigma: 6   # see DESIGN.md on noise scaling
+
+training:
+  k: 8
+  kt: 8
+  rounds: 3
+  iters: 50
+  val-examples: 143
+  eval-every: 100
+`
+)
+
+// TestCheckedInConfigs: every file under configs/ loads and validates, and
+// the two walkthrough configs canonicalize to their source documents'
+// digests.
+func TestCheckedInConfigs(t *testing.T) {
+	paths, err := filepath.Glob("../../configs/*.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no configs/*.yaml found")
+	}
+	loaded := map[string]*config.Experiment{}
+	for _, p := range paths {
+		e, err := config.Load(p)
+		if err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		if err := e.Validate(); err != nil {
+			t.Errorf("%s: %v", p, err)
+			continue
+		}
+		loaded[filepath.Base(p)] = e
+	}
+	for name, doc := range map[string]string{"quickstart.yaml": quickstartDoc, "medical.yaml": medicalDoc} {
+		e, ok := loaded[name]
+		if !ok {
+			t.Errorf("configs/%s is missing or invalid", name)
+			continue
+		}
+		want, err := config.Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.Digest(), want.Digest(); got != want {
+			t.Errorf("configs/%s has digest %s, its source document %s", name, got, want)
+		}
 	}
 }
 

@@ -471,6 +471,20 @@ func TestFullSampleCacheMissClonesNothing(t *testing.T) {
 	}
 }
 
+// TestNewMNISTAllocatesLittle: building a dataset writes each class
+// prototype pixel by pixel through Tensor.Set, and core.Run builds one per
+// deployment. A Set that heap-allocates its variadic index costs one object
+// per pixel (about 7,900 for mnist); the build itself needs a few dozen.
+func TestNewMNISTAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	spec, _ := Get("mnist")
+	if n := testing.AllocsPerRun(5, func() { New(spec, 5) }); n >= 100 {
+		t.Fatalf("dataset.New(mnist) allocates %.0f objects, want < 100", n)
+	}
+}
+
 // TestClamp01KeepsTheBranchyRulesBits pins the branch-free clamp to the
 // rule it replaced, bit for bit: below 0 becomes +0, above 1 becomes 1, and
 // everything else — −0 and NaN of either sign included — passes through.

@@ -240,15 +240,3 @@ func quickselect(a []float64, k int) float64 {
 	}
 	return a[lo]
 }
-
-// JoinGrads returns a freshly backed slice holding ws followed by bs, for
-// sanitizing weight and bias gradients as one group. Callers previously
-// spelled this append(ws, bs...), which silently overwrites neighbouring
-// entries of ws's backing array whenever ws is a reslice with spare
-// capacity; the explicit make+copy can never alias its inputs.
-func JoinGrads(ws, bs []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ws)+len(bs))
-	copy(out, ws)
-	copy(out[len(ws):], bs)
-	return out
-}

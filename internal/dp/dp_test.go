@@ -323,28 +323,6 @@ func TestQuickselectMatchesSort(t *testing.T) {
 	}
 }
 
-func TestJoinGradsNoAliasing(t *testing.T) {
-	// Build gw as a reslice with spare capacity so append(gw, gb...) would
-	// overwrite backing[2] — the aliasing bug JoinGrads exists to prevent.
-	backing := make([]*tensor.Tensor, 3)
-	for i := range backing {
-		backing[i] = tensor.FromSlice([]float64{float64(i)}, 1)
-	}
-	gw := backing[:2]
-	gb := []*tensor.Tensor{tensor.FromSlice([]float64{9}, 1)}
-	joined := JoinGrads(gw, gb)
-	if len(joined) != 3 || joined[0] != gw[0] || joined[1] != gw[1] || joined[2] != gb[0] {
-		t.Fatal("JoinGrads must concatenate in order")
-	}
-	if backing[2].At(0) != 2 {
-		t.Fatal("JoinGrads must not write through the source backing array")
-	}
-	joined[0] = nil
-	if gw[0] == nil {
-		t.Fatal("JoinGrads result must not share backing with its inputs")
-	}
-}
-
 func TestCompressPropertyKeepsLargest(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)

@@ -134,7 +134,7 @@ func Fig1(e *config.Experiment) (*Report, error) {
 		Header: []string{"dataset", "leak", "succeed", "distance", "iters"},
 		Notes: []string{
 			"paper: all three types succeed by iteration ~50 with T=300; type-2 converges fastest",
-			"examples/leakage renders the reconstructions as PGM images",
+			"fedattack -type 2 -out <dir> renders a reconstruction and its truth as PGM images",
 		},
 	}
 	for _, dsName := range []string{"mnist", "lfw", "cifar10"} {

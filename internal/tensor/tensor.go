@@ -68,7 +68,7 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}

@@ -283,3 +283,16 @@ func TestStringMentionsShape(t *testing.T) {
 		t.Fatal("String must be non-empty")
 	}
 }
+
+// TestAtSetAllocateNothing: the out-of-range panic formats a copy of the
+// index, so the variadic index slice stays on the caller's stack and a
+// per-element loop over At / Set allocates nothing.
+func TestAtSetAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	tt := New(2, 3, 4)
+	if n := testing.AllocsPerRun(100, func() { tt.Set(tt.At(1, 2, 3)+1, 1, 2, 3) }); n != 0 {
+		t.Fatalf("At + Set allocate %.0f objects per call, want 0", n)
+	}
+}
