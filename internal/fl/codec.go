@@ -86,7 +86,7 @@ const (
 
 // frameBufPool recycles frame encode/decode buffers across sessions and
 // messages — the shared scratch that keeps the binary path allocation-free
-// at steady state (asserted in bench_test.go).
+// at steady state (TestBinaryEncodeZeroAlloc, TestBinaryDecodeZeroAlloc).
 var frameBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 4096)
@@ -107,6 +107,14 @@ func grown(b []byte, n int) []byte {
 }
 
 func appendU8(b []byte, v byte) []byte { return append(b, v) }
+
+// boolByte is a flag's wire byte.
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
 
 func appendU16(b []byte, v uint16) []byte {
 	off := len(b)
@@ -237,11 +245,17 @@ func (r *wireReader) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(s))
 }
 
-func (r *wireReader) str() string {
+// str reads a u16-prefixed string. It returns prev itself when the bytes
+// spell it, so a message decoded into again and again allocates no string
+// it already holds (the digest and scenario of every announcement).
+func (r *wireReader) str(prev string) string {
 	n := int(r.u16())
 	s := r.take(n)
 	if s == nil {
 		return ""
+	}
+	if string(s) == prev {
+		return prev
 	}
 	return string(s)
 }
@@ -452,11 +466,7 @@ func reuse[T any](s []T, n int) []T {
 
 func appendParamPayload(b []byte, m *ParamMsg) []byte {
 	b = appendI64(b, int64(m.Round))
-	if m.Denied {
-		b = appendU8(b, 1)
-	} else {
-		b = appendU8(b, 0)
-	}
+	b = appendU8(b, boolByte(m.Denied))
 	b = appendStr(b, m.Reason)
 	b = appendI64(b, int64(m.Cfg.BatchSize))
 	b = appendI64(b, int64(m.Cfg.LocalIters))
@@ -471,34 +481,36 @@ func appendParamPayload(b []byte, m *ParamMsg) []byte {
 	return appendDenseSection(b, m.Params)
 }
 
-// parseParamPayload decodes into m, reusing its Params buffers.
+// parseParamPayload decodes into m, reusing its Params buffers, their
+// tensor views and the strings it already holds.
 func parseParamPayload(b []byte, m *ParamMsg) error {
 	r := wireReader{b: b}
-	params := m.Params
+	prev := *m
 	*m = ParamMsg{
 		Round:  int(r.i64()),
 		Denied: r.u8() != 0,
-		Reason: r.str(),
+		Reason: r.str(prev.Reason),
 		Cfg: RoundConfig{
 			BatchSize:   int(r.i64()),
 			LocalIters:  int(r.i64()),
 			LR:          r.f64(),
 			TotalRounds: int(r.i64()),
 			Scenario: dataset.Scenario{
-				Name:   r.str(),
+				Name:   r.str(prev.Cfg.Scenario.Name),
 				Alpha:  r.f64(),
 				Shards: int(r.i64()),
 				Period: int(r.i64()),
 			},
 		},
+		views: prev.views,
 	}
 	// The retired precision slot: a peer announcing a width other than
 	// float64 trains at one this end cannot honour.
-	if p := r.str(); p != "" && p != "fp64" {
+	if p := r.str("fp64"); p != "" && p != "fp64" {
 		return fmt.Errorf("fl: announced precision %q unknown", p)
 	}
-	m.Cfg.ConfigDigest = r.str()
-	dense, sparse, err := readTensorsInto(&r, r.i64(), params, nil)
+	m.Cfg.ConfigDigest = r.str(prev.Cfg.ConfigDigest)
+	dense, sparse, err := readTensorsInto(&r, r.i64(), prev.Params, nil)
 	if err != nil {
 		return err
 	}
@@ -519,7 +531,11 @@ func appendUpdatePayload(b []byte, m *UpdateMsg) []byte {
 	b = appendI64(b, int64(m.ClientID))
 	b = appendI64(b, int64(m.Round))
 	b = appendF64(b, m.Weight)
-	if m.Partial != nil {
+	switch {
+	case m.partial != nil:
+		b = appendI64(b, partialSentinel)
+		return appendPartialDirect(b, m.partial)
+	case m.Partial != nil:
 		b = appendI64(b, partialSentinel)
 		return appendPartial(b, m.Partial)
 	}
@@ -529,28 +545,10 @@ func appendUpdatePayload(b []byte, m *UpdateMsg) []byte {
 // appendExactScalar writes one exact accumulator element: spec, sign,
 // exponent, and the length-prefixed big-endian mantissa.
 func appendExactScalar(b []byte, w ExactScalarWire) []byte {
-	b = appendU8(b, w.Spec)
-	if w.Neg {
-		b = appendU8(b, 1)
-	} else {
-		b = appendU8(b, 0)
-	}
+	b = append(b, w.Spec, boolByte(w.Neg))
 	b = appendI64(b, w.Exp)
 	b = appendU32(b, uint32(len(w.Mant)))
 	return append(b, w.Mant...)
-}
-
-func parseExactScalar(r *wireReader) ExactScalarWire {
-	w := ExactScalarWire{Spec: r.u8(), Neg: r.u8() != 0, Exp: r.i64()}
-	n := r.u32()
-	if n > exactMantBytes {
-		r.fail("fl: exact mantissa of %d bytes exceeds %d", n, exactMantBytes)
-		return w
-	}
-	if raw := r.take(int(n)); raw != nil {
-		w.Mant = append([]byte(nil), raw...)
-	}
-	return w
 }
 
 // appendPartial writes an edge partial: rule, client count, optional
@@ -558,11 +556,9 @@ func parseExactScalar(r *wireReader) ExactScalarWire {
 func appendPartial(b []byte, p *PartialWire) []byte {
 	b = appendStr(b, p.Rule)
 	b = appendI64(b, int64(p.Clients))
+	b = appendU8(b, boolByte(p.HasWSum))
 	if p.HasWSum {
-		b = appendU8(b, 1)
 		b = appendExactScalar(b, p.WSum)
-	} else {
-		b = appendU8(b, 0)
 	}
 	b = appendI64(b, int64(len(p.Sums)))
 	for _, t := range p.Sums {
@@ -577,13 +573,93 @@ func appendPartial(b []byte, p *PartialWire) []byte {
 	return b
 }
 
-// parsePartial is appendPartial's bounds-checked inverse; semantic
-// validation (rule, counts, scalar envelope) stays with PartialWire.Validate.
-func parsePartial(r *wireReader) (*PartialWire, error) {
-	p := &PartialWire{Rule: r.str(), Clients: int(r.i64())}
-	if r.u8() != 0 {
-		p.HasWSum = true
-		p.WSum = parseExactScalar(r)
+// appendPartialDirect writes the bytes appendPartial writes for p.Wire(),
+// straight from p's accumulators: an edge's exact sums go limbs → frame
+// with no wire struct per scalar.
+func appendPartialDirect(b []byte, p *Partial) []byte {
+	b = appendStr(b, p.Rule)
+	b = appendI64(b, int64(p.Clients))
+	b = appendU8(b, boolByte(p.WSum != nil))
+	if p.WSum != nil {
+		b = p.WSum.appendScalar(b, 0)
+	}
+	b = appendI64(b, int64(len(p.Sums)))
+	for i, v := range p.Sums {
+		b = appendU8(b, byte(len(p.Shapes[i])))
+		for _, d := range p.Shapes[i] {
+			b = appendI64(b, int64(d))
+		}
+		for j := 0; j < v.Len(); j++ {
+			b = v.appendScalar(b, j)
+		}
+	}
+	return b
+}
+
+// minScalarBytes is the smallest wire scalar: spec, sign, exponent and a
+// zero mantissa length. A partial tensor is sized only once its declared
+// elements could all be present at this many bytes each, so a frame costs
+// memory in proportion to the bytes it carries, not the counts it claims.
+const minScalarBytes = 1 + 1 + 8 + 4
+
+// readScalarInto parses one wire scalar and, once it passes
+// validateExactScalar, deposits it into element i of v. A malformed scalar
+// is recorded on r; the returned error is an envelope refusal.
+func readScalarInto(r *wireReader, v *ExactVec, i int) error {
+	w := ExactScalarWire{Spec: r.u8(), Neg: r.u8() != 0, Exp: r.i64()}
+	n := r.u32()
+	if n > exactMantBytes {
+		r.fail("fl: exact mantissa of %d bytes exceeds %d", n, exactMantBytes)
+		return nil
+	}
+	if w.Mant = r.take(int(n)); r.err != nil {
+		return nil
+	}
+	if err := validateExactScalar(w); err != nil {
+		return err
+	}
+	v.setScalar(i, w)
+	return nil
+}
+
+// partialScratch is the storage a binary partial frame decodes into, drawn
+// from partialPool: the partial and the weight-sum vector it keeps while a
+// partial has none. Its accumulators keep their windows from frame to
+// frame, so a warm root parses a partial without allocating.
+type partialScratch struct {
+	p    Partial
+	wsum *ExactVec
+}
+
+var partialPool = sync.Pool{New: func() any { return new(partialScratch) }}
+
+// knownRule returns the rule raw spells, or "" for none the exact fold
+// implements.
+func knownRule(raw []byte) string {
+	for _, rule := range [...]string{AggFedSGD, AggFedAvg, AggWeighted} {
+		if string(raw) == rule {
+			return rule
+		}
+	}
+	return ""
+}
+
+// readPartialInto parses an edge partial (appendPartial's layout) into s and
+// returns it. It is the binary codec's whole partial gate: every check of
+// PartialWire.Validate runs here, each scalar is validated before it is
+// deposited, and a partial tensor is sized only after its minimum bytes
+// are proven present.
+func readPartialInto(r *wireReader, s *partialScratch) (*Partial, error) {
+	raw := r.take(int(r.u16()))
+	clients := int(r.i64())
+	hasWSum := r.u8() != 0
+	if hasWSum {
+		if s.wsum == nil {
+			s.wsum = NewExactVec(1)
+		}
+		if err := readScalarInto(r, s.wsum, 0); err != nil {
+			return nil, fmt.Errorf("fl: partial weight sum: %w", err)
+		}
 	}
 	count := r.i64()
 	if r.err != nil {
@@ -592,13 +668,30 @@ func parsePartial(r *wireReader) (*PartialWire, error) {
 	if count < 0 || count > maxWireTensors {
 		return nil, fmt.Errorf("fl: binary partial declares %d tensors (cap %d)", count, maxWireTensors)
 	}
-	p.Sums = make([]ExactTensorWire, 0, count)
-	for i := int64(0); i < count; i++ {
+	p := &s.p
+	p.Rule, p.Clients, p.WSum = knownRule(raw), clients, nil
+	switch {
+	case p.Rule == "":
+		return nil, fmt.Errorf("fl: partial carries unknown rule %q", raw)
+	case clients < 0 || int64(clients) > 1<<31:
+		return nil, fmt.Errorf("fl: partial client count %d outside [0, 2^31]", clients)
+	case (p.Rule == AggWeighted) != hasWSum:
+		return nil, fmt.Errorf("fl: partial rule %q with weight-sum presence %v", p.Rule, hasWSum)
+	case count == 0:
+		return nil, fmt.Errorf("fl: partial carries %d tensors (want 1..%d)", count, maxWireTensors)
+	}
+	if hasWSum {
+		p.WSum = s.wsum
+	}
+	p.Shapes, p.Sums = p.Shapes[:0], p.Sums[:0]
+	for i := 0; i < int(count); i++ {
 		rank := int(r.u8())
 		if rank > maxWireDims {
 			return nil, fmt.Errorf("fl: binary partial tensor rank %d exceeds %d", rank, maxWireDims)
 		}
-		shape := make([]int, rank)
+		p.Shapes, p.Sums = extend(p.Shapes), extend(p.Sums)
+		shape := reuse(p.Shapes[i], rank)
+		p.Shapes[i] = shape
 		for j := range shape {
 			d := r.i64()
 			if d < 0 || d > maxWireElems {
@@ -613,38 +706,61 @@ func parsePartial(r *wireReader) (*PartialWire, error) {
 		if err != nil {
 			return nil, err
 		}
-		elems := make([]ExactScalarWire, n)
-		for j := range elems {
-			elems[j] = parseExactScalar(r)
+		if rest := len(r.b) - r.off; rest/minScalarBytes < n {
+			return nil, fmt.Errorf("fl: truncated binary frame: %d elements need at least %d bytes, %d remain", n, minScalarBytes*n, rest)
+		}
+		v := p.Sums[i]
+		if v == nil || v.Len() != n {
+			v = NewExactVec(n)
+			p.Sums[i] = v
+		}
+		for j := 0; j < n; j++ {
+			err := readScalarInto(r, v, j)
 			if r.err != nil {
 				return nil, r.err
 			}
+			if err != nil {
+				return nil, fmt.Errorf("fl: partial tensor %d element %d: %w", i, j, err)
+			}
 		}
-		p.Sums = append(p.Sums, ExactTensorWire{Shape: shape, Elems: elems})
 	}
-	return p, r.err
+	return p, nil
 }
 
-// parseUpdatePayload decodes into m, reusing its Delta and Sparse buffers.
+// parseUpdatePayload decodes into m, reusing its Delta and Sparse buffers,
+// their tensor views and the partial storage it holds. A partial frame
+// decodes into m's partial storage (drawn from partialPool when it has
+// none) and leaves the gob body, m.Partial, nil.
 func parseUpdatePayload(b []byte, m *UpdateMsg) error {
 	r := wireReader{b: b}
-	dense, sparse := m.Delta, m.Sparse
+	prev := *m
 	*m = UpdateMsg{
 		ClientID: int(r.i64()),
 		Round:    int(r.i64()),
 		Weight:   r.f64(),
+		scratch:  prev.scratch,
+		views:    prev.views,
 	}
 	count := r.i64()
 	if count == partialSentinel && r.err == nil {
-		p, err := parsePartial(&r)
+		if m.scratch == nil {
+			m.scratch = partialPool.Get().(*partialScratch)
+		}
+		p, err := readPartialInto(&r, m.scratch)
+		if err == nil {
+			err = r.done()
+		}
 		if err != nil {
+			// A refused frame may have widened the storage's windows or
+			// sized it to hostile counts: it is not kept.
+			m.scratch = nil
 			return err
 		}
-		m.Partial = p
-		return r.done()
+		m.partial = p
+		return nil
 	}
 	var err error
-	m.Delta, m.Sparse, err = readTensorsInto(&r, count, dense, sparse)
+	m.Delta, m.Sparse, err = readTensorsInto(&r, count, prev.Delta, prev.Sparse)
 	if err != nil {
 		return err
 	}
@@ -652,17 +768,13 @@ func parseUpdatePayload(b []byte, m *UpdateMsg) error {
 }
 
 func appendAckPayload(b []byte, m *AckMsg) []byte {
-	if m.Accepted {
-		b = appendU8(b, 1)
-	} else {
-		b = appendU8(b, 0)
-	}
+	b = appendU8(b, boolByte(m.Accepted))
 	return appendStr(b, m.Reason)
 }
 
 func parseAckPayload(b []byte, m *AckMsg) error {
 	r := wireReader{b: b}
-	*m = AckMsg{Accepted: r.u8() != 0, Reason: r.str()}
+	*m = AckMsg{Accepted: r.u8() != 0, Reason: r.str(m.Reason)}
 	return r.done()
 }
 
@@ -679,6 +791,9 @@ type wireSession interface {
 	// WriteUpdateTensors encodes a client update straight from its dense
 	// in-memory tensors, dense or sparse by density.
 	WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error
+	// WritePartial sends an edge's partial fold for a round as shard
+	// (edge → root; see SendPartial).
+	WritePartial(shard, round int, p *Partial) error
 	ReadUpdate(*UpdateMsg) error
 	WriteAck(*AckMsg) error
 	ReadAck(*AckMsg) error
@@ -759,16 +874,22 @@ func (s *gobSession) ReadAck(m *AckMsg) error {
 	return s.dec.Decode(m)
 }
 
+func (s *gobSession) WritePartial(shard, round int, p *Partial) error {
+	return s.enc.Encode(&UpdateMsg{ClientID: shard, Round: round, Partial: p.Wire()})
+}
+
 func (s *gobSession) WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error {
 	msg := UpdateMsg{ClientID: clientID, Round: round, Weight: weight}
 	msg.Delta, msg.Sparse = EncodeUpdate(ts)
 	return s.enc.Encode(&msg)
 }
 
-// binarySession speaks the framed binary encoding over rw.
+// binarySession speaks the framed binary encoding over rw. hdr is the
+// frame-header scratch readFrame reads into.
 type binarySession struct {
-	r io.Reader
-	w io.Writer
+	r   io.Reader
+	w   io.Writer
+	hdr [frameHeaderLen]byte
 }
 
 // beginFrame draws a pooled buffer pre-filled with the 12-byte header
@@ -798,30 +919,30 @@ func (s *binarySession) endFrame(bp *[]byte) error {
 	return nil
 }
 
-// readFrame reads one frame of the wanted kind into a pooled buffer,
-// returning the payload and a release function to call once parsed. The
-// buffer grows with the payload bytes that arrive, never ahead of them to
-// the length the header claims: a peer that declares maxFramePayload and
-// hangs up costs what it sent, and a failed read returns nothing to the
-// pool.
-func (s *binarySession) readFrame(wantKind byte) ([]byte, func(), error) {
-	var h [frameHeaderLen]byte
-	if _, err := io.ReadFull(s.r, h[:]); err != nil {
-		return nil, nil, fmt.Errorf("fl: reading binary frame header: %w", err)
+// readFrame reads one frame of the wanted kind into a pooled buffer and
+// returns it, holding the payload; the caller puts it back in frameBufPool
+// once parsed. The buffer grows with the payload bytes that arrive, never
+// ahead of them to the length the header claims: a peer that declares
+// maxFramePayload and hangs up costs what it sent, and a failed read
+// returns nothing to the pool.
+func (s *binarySession) readFrame(wantKind byte) (*[]byte, error) {
+	h := s.hdr[:]
+	if _, err := io.ReadFull(s.r, h); err != nil {
+		return nil, fmt.Errorf("fl: reading binary frame header: %w", err)
 	}
 	switch {
 	case h[0] != binaryMagic[0]:
-		return nil, nil, codecMismatch(CodecBinary, CodecGob)
+		return nil, codecMismatch(CodecBinary, CodecGob)
 	case !bytes.Equal(h[:4], binaryMagic[:]):
-		return nil, nil, fmt.Errorf("fl: bad binary frame magic % x", h[:4])
+		return nil, fmt.Errorf("fl: bad binary frame magic % x", h[:4])
 	case h[4] != binaryVersion:
-		return nil, nil, fmt.Errorf("fl: unsupported binary codec version %d", h[4])
+		return nil, fmt.Errorf("fl: unsupported binary codec version %d", h[4])
 	case h[5] != wantKind:
-		return nil, nil, fmt.Errorf("fl: unexpected binary frame kind %d, want %d", h[5], wantKind)
+		return nil, fmt.Errorf("fl: unexpected binary frame kind %d, want %d", h[5], wantKind)
 	}
 	n := binary.LittleEndian.Uint32(h[8:12])
 	if n > maxFramePayload {
-		return nil, nil, fmt.Errorf("fl: binary frame payload %d exceeds %d", n, maxFramePayload)
+		return nil, fmt.Errorf("fl: binary frame payload %d exceeds %d", n, maxFramePayload)
 	}
 	bp := frameBufPool.Get().(*[]byte)
 	b := (*bp)[:0]
@@ -831,12 +952,12 @@ func (s *binarySession) readFrame(wantKind byte) ([]byte, func(), error) {
 		}
 		end := min(int(n), cap(b))
 		if _, err := io.ReadFull(s.r, b[len(b):end]); err != nil {
-			return nil, nil, fmt.Errorf("fl: reading binary frame payload: %w", err)
+			return nil, fmt.Errorf("fl: reading binary frame payload: %w", err)
 		}
 		b = b[:end]
 	}
 	*bp = b
-	return b, func() { frameBufPool.Put(bp) }, nil
+	return bp, nil
 }
 
 func (s *binarySession) WriteParam(m *ParamMsg) error {
@@ -846,12 +967,12 @@ func (s *binarySession) WriteParam(m *ParamMsg) error {
 }
 
 func (s *binarySession) ReadParam(m *ParamMsg) error {
-	b, release, err := s.readFrame(kindParam)
+	bp, err := s.readFrame(kindParam)
 	if err != nil {
 		return err
 	}
-	defer release()
-	return parseParamPayload(b, m)
+	defer frameBufPool.Put(bp)
+	return parseParamPayload(*bp, m)
 }
 
 func (s *binarySession) WriteUpdate(m *UpdateMsg) error {
@@ -870,13 +991,24 @@ func (s *binarySession) WriteUpdateTensors(clientID, round int, weight float64, 
 	return s.endFrame(bp)
 }
 
+func (s *binarySession) WritePartial(shard, round int, p *Partial) error {
+	bp := beginFrame(kindUpdate)
+	b := *bp
+	b = appendI64(b, int64(shard))
+	b = appendI64(b, int64(round))
+	b = appendF64(b, 0) // Weight
+	b = appendI64(b, partialSentinel)
+	*bp = appendPartialDirect(b, p)
+	return s.endFrame(bp)
+}
+
 func (s *binarySession) ReadUpdate(m *UpdateMsg) error {
-	b, release, err := s.readFrame(kindUpdate)
+	bp, err := s.readFrame(kindUpdate)
 	if err != nil {
 		return err
 	}
-	defer release()
-	return parseUpdatePayload(b, m)
+	defer frameBufPool.Put(bp)
+	return parseUpdatePayload(*bp, m)
 }
 
 func (s *binarySession) WriteAck(m *AckMsg) error {
@@ -886,10 +1018,10 @@ func (s *binarySession) WriteAck(m *AckMsg) error {
 }
 
 func (s *binarySession) ReadAck(m *AckMsg) error {
-	b, release, err := s.readFrame(kindAck)
+	bp, err := s.readFrame(kindAck)
 	if err != nil {
 		return err
 	}
-	defer release()
-	return parseAckPayload(b, m)
+	defer frameBufPool.Put(bp)
+	return parseAckPayload(*bp, m)
 }

@@ -80,10 +80,13 @@ func checkParamEqual(t *testing.T, label string, a, b *ParamMsg) {
 	}
 }
 
-// checkUpdateEqual asserts b decodes bit-identically to a, across both
-// tensor payload encodings.
+// checkUpdateEqual asserts b decodes bit-identically to a, across every
+// payload encoding.
 func checkUpdateEqual(t *testing.T, label string, a, b *UpdateMsg) {
 	t.Helper()
+	if !bytes.Equal(partialBytes(a), partialBytes(b)) {
+		t.Fatalf("%s: partial not bit-identical", label)
+	}
 	if a.ClientID != b.ClientID || a.Round != b.Round || math.Float64bits(a.Weight) != math.Float64bits(b.Weight) {
 		t.Fatalf("%s: header changed: %+v vs %+v", label, a, b)
 	}
@@ -107,6 +110,26 @@ func checkUpdateEqual(t *testing.T, label string, a, b *UpdateMsg) {
 			}
 		}
 	}
+}
+
+// partialBytes is m's partial in binary form (nil for none), whichever of
+// gob's wire body or the binary codec's in-place decode carries it.
+func partialBytes(m *UpdateMsg) []byte {
+	switch {
+	case m.partial != nil:
+		return appendPartialDirect(nil, m.partial)
+	case m.Partial != nil:
+		return appendPartial(nil, m.Partial)
+	}
+	return nil
+}
+
+// exportedUpdate is m's exported fields: what a decode must reproduce. The
+// unexported decode storage (tensor views, a partial's pooled accumulators
+// and their windows) may differ between a fresh and a reused message;
+// checkUpdateEqual compares the partial it holds by value.
+func exportedUpdate(m *UpdateMsg) UpdateMsg {
+	return UpdateMsg{ClientID: m.ClientID, Round: m.Round, Weight: m.Weight, Delta: m.Delta, Sparse: m.Sparse, Partial: m.Partial}
 }
 
 // testUpdateMsgs returns one update per payload encoding, including a
@@ -270,7 +293,7 @@ func TestDecodeIntoDirtyMessage(t *testing.T) {
 					}
 				}
 				checkUpdateEqual(t, label, &clean, got)
-				if !reflect.DeepEqual(&clean, got) {
+				if !reflect.DeepEqual(exportedUpdate(&clean), exportedUpdate(got)) {
 					t.Fatalf("%s: dirty decode %+v, clean decode %+v", label, got, &clean)
 				}
 			}

@@ -53,11 +53,13 @@
 // float64 grid (bit 0 = 2^-1074, two's-complement uint64 limbs, one limb
 // window per vector grown on demand), so addition is exact, any grouping
 // of a cohort into partials commits the same bits, and each coordinate
-// rounds to float64 once at Commit. Edges forward their sums as Partials
-// (PartialWire on the wire, an exclusive UpdateMsg encoding); wire scalars
-// are held to the accumulator's envelope (ErrExactEnvelope) before any
-// storage is sized from them. See exact.go and DESIGN.md, "Hierarchical
-// aggregation".
+// rounds to float64 once at Commit. Edges forward their sums as Partials,
+// an exclusive UpdateMsg encoding: on the binary codec straight from the
+// edge's accumulators into the frame and from the frame into the root's
+// pooled ones, on gob as a PartialWire. Wire scalars are held to the
+// accumulator's envelope (ErrExactEnvelope) before they are deposited, and
+// a partial tensor is sized only from the bytes that arrived. See exact.go
+// and DESIGN.md, "Hierarchical aggregation".
 //
 // # DP noise and the key schedule
 //

@@ -381,28 +381,61 @@ func (v *ExactVec) appendScalarWire(buf []byte, i int) (ExactScalarWire, []byte)
 	if len(mag) == 0 {
 		return w, buf
 	}
-	low := 0
+	low, n := mantSpan(mag)
+	w.Neg = neg
+	w.Exp = int64(v.lo*64 + low + exactMinExp)
+	start := len(buf)
+	buf = append(buf, make([]byte, n)...)
+	w.Mant = buf[start : start+n : start+n]
+	putMant(w.Mant, mag, low)
+	return w, buf
+}
+
+// appendScalar writes element i straight from its limbs as the bytes
+// appendExactScalar writes for ScalarWire(i): spec, sign, exponent and the
+// length-prefixed canonical mantissa. An edge lays its partial frame down
+// with it, one scalar at a time, without a wire struct in between.
+func (v *ExactVec) appendScalar(b []byte, i int) []byte {
+	var scratch [exactMaxLimbs]uint64
+	mag, neg := v.magnitude(i, &scratch)
+	var exp int64
+	low, n := 0, 0
+	if len(mag) > 0 {
+		low, n = mantSpan(mag)
+		exp = int64(v.lo*64 + low + exactMinExp)
+	}
+	b = append(b, v.spec[i], boolByte(neg))
+	b = appendI64(b, exp)
+	b = appendU32(b, uint32(n))
+	off := len(b)
+	b = grown(b, n)
+	putMant(b[off:], mag, low)
+	return b
+}
+
+// mantSpan returns the lowest set bit of a nonzero magnitude and the byte
+// length of its canonical mantissa, mag>>low.
+func mantSpan(mag []uint64) (low, n int) {
 	for mag[low>>6] == 0 {
 		low += 64
 	}
 	low += bits.TrailingZeros64(mag[low>>6])
 	top := len(mag)*64 - 1 - bits.LeadingZeros64(mag[len(mag)-1])
-	w.Neg = neg
-	w.Exp = int64(v.lo*64 + low + exactMinExp)
-	// The canonical mantissa is mag>>low, big-endian: lay it down 64 bits
-	// at a time from the low end.
-	start, n := len(buf), (top-low)/8+1
-	buf = append(buf, make([]byte, n)...)
-	w.Mant = buf[start : start+n : start+n]
+	return low, (top-low)/8 + 1
+}
+
+// putMant lays the canonical mantissa mag>>low into dst big-endian, 64 bits
+// at a time from its low end; len(dst) is mantSpan's byte length.
+func putMant(dst []byte, mag []uint64, low int) {
+	n := len(dst)
 	for p := low; n > 0; p += 64 {
 		c := bitsAt(mag, p)
 		for k := 0; k < 8 && n > 0; k++ {
 			n--
-			w.Mant[n] = byte(c)
+			dst[n] = byte(c)
 			c >>= 8
 		}
 	}
-	return w, buf
 }
 
 // ErrExactEnvelope marks a wire scalar outside what the accumulator can

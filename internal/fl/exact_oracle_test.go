@@ -232,8 +232,10 @@ func (s *diffState) run(prog []byte) {
 			dst := arg % oracleVecs
 			for i := 0; i < oracleDim; i++ {
 				w := s.got[vi].ScalarWire(i)
-				r := wireReader{b: appendExactScalar(nil, w)}
-				back := parseExactScalar(&r)
+				raw := appendExactScalar(nil, w)
+				if direct := s.got[vi].appendScalar(nil, i); !bytes.Equal(direct, raw) {
+					s.t.Fatalf("direct scalar bytes % x, wire form's % x", direct, raw)
+				}
 				if err := validateExactScalar(w); err != nil {
 					// Only a sum past the wire envelope may fail to install.
 					if wireTopBit(w) <= exactTopBit && len(w.Mant) <= exactMantBytes {
@@ -241,10 +243,12 @@ func (s *diffState) run(prog []byte) {
 					}
 					continue
 				}
+				r := wireReader{b: raw}
+				err := readScalarInto(&r, s.got[dst], i)
 				if r.err != nil {
 					s.t.Fatalf("own wire form does not parse: %v", r.err)
 				}
-				if err := s.got[dst].SetScalarWire(i, back); err != nil {
+				if err != nil {
 					s.t.Fatalf("own wire form rejected: %v", err)
 				}
 				s.want[dst].SetScalarWire(i, s.want[vi].ScalarWire(i))

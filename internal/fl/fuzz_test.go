@@ -195,15 +195,30 @@ func FuzzBinaryDecode(f *testing.F) {
 			checkParamEqual(t, "fuzz param", &gotPM, &again)
 		}
 		var gotUM UpdateMsg
-		if parseUpdatePayload(data, &gotUM) == nil && gotUM.Validate() == nil {
+		umErr := parseUpdatePayload(data, &gotUM)
+		if umErr == nil {
+			umErr = gotUM.Validate()
+		}
+		if umErr == nil {
 			re := appendUpdatePayload(nil, &gotUM)
 			var again UpdateMsg
 			if err := parseUpdatePayload(re, &again); err != nil {
 				t.Fatalf("re-parsing a validated update: %v", err)
 			}
 			checkUpdateEqual(t, "fuzz update", &gotUM, &again)
-			if gotUM.Partial != nil {
-				checkPartialSound(t, gotUM.Partial)
+		}
+		// A partial payload is differential: the in-place parse accepts
+		// exactly what the pre-in-place parser and PartialWire.Validate
+		// accept, into the same accumulator bits.
+		if want, oErr := oraclePartialUpdate(data); oErr != errNotPartial {
+			if oErr == nil {
+				oErr = want.Validate()
+			}
+			if (umErr == nil) != (oErr == nil) {
+				t.Fatalf("in-place parse error %v, oracle error %v", umErr, oErr)
+			}
+			if umErr == nil {
+				checkPartialMatchesOracle(t, gotUM.partial, want.Partial)
 			}
 		}
 		var gotAck AckMsg

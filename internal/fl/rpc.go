@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,6 +62,28 @@ func TensorsFromWire(ws []TensorWire) []*tensor.Tensor {
 	return out
 }
 
+// viewsOver returns tensor views over ws in views' storage, building a view
+// only where the one kept there no longer covers its wire tensor's buffer
+// and shape: a message decoded into again and again builds its views once
+// per buffer (a buffer is reallocated only when a larger model arrives).
+func viewsOver(views []*tensor.Tensor, ws []TensorWire) []*tensor.Tensor {
+	views = views[:0]
+	for _, w := range ws {
+		views = extend(views)
+		if v := views[len(views)-1]; v == nil || !viewCovers(v, w) {
+			views[len(views)-1] = tensor.FromSlice(w.Data, w.Shape...)
+		}
+	}
+	return views
+}
+
+// viewCovers reports whether t is a view of w: the same buffer and shape.
+func viewCovers(t *tensor.Tensor, w TensorWire) bool {
+	d := t.Data()
+	return len(d) == len(w.Data) && slices.Equal(t.Shape(), w.Shape) &&
+		(len(d) == 0 || &d[0] == &w.Data[0])
+}
+
 // ParamMsg is the server→client round announcement — or, with Denied set,
 // the protocol-level "round over" refusal sent to sessions the server can
 // no longer serve, instead of leaving them hanging on a dead socket.
@@ -70,6 +93,15 @@ type ParamMsg struct {
 	Cfg    RoundConfig
 	Denied bool
 	Reason string
+
+	views []*tensor.Tensor // tensor views over Params (tensors)
+}
+
+// tensors returns the announced parameters as tensor views over Params,
+// built once per buffer; they are valid until the next decode into m.
+func (m *ParamMsg) tensors() []*tensor.Tensor {
+	m.views = viewsOver(m.views, m.Params)
+	return m.views
 }
 
 // UpdateMsg is the client→server local update. Exactly one of Delta
@@ -89,15 +121,33 @@ type UpdateMsg struct {
 	// partial fold, forwarded upstream in a hierarchical deployment (see
 	// exact.go). ClientID then carries the edge's shard index — the
 	// duplicate-session dedup applies to shards exactly as to clients.
+	// Partial is gob's body for it; the binary codec decodes a partial in
+	// place into partial instead.
 	Partial *PartialWire
+
+	partial *Partial         // a partial the binary codec decoded, validated
+	scratch *partialScratch  // partial's storage, from partialPool
+	views   []*tensor.Tensor // tensor views over Delta (Tensors)
 }
 
-// Tensors decodes the update payload, whichever encoding was used.
+// Tensors decodes the update payload, whichever encoding was used. Dense
+// tensors are views over Delta, built once per buffer and kept on the
+// message: they are valid until its next decode.
 func (m *UpdateMsg) Tensors() []*tensor.Tensor {
 	if len(m.Sparse) > 0 {
 		return TensorsFromSparse(m.Sparse)
 	}
-	return TensorsFromWire(m.Delta)
+	m.views = viewsOver(m.views, m.Delta)
+	return m.views
+}
+
+// recycle returns m, and any partial storage it holds, to their pools.
+func (m *UpdateMsg) recycle() {
+	if m.scratch != nil {
+		partialPool.Put(m.scratch)
+		m.scratch, m.partial = nil, nil
+	}
+	updateMsgPool.Put(m)
 }
 
 // AckMsg is the server→client receipt for an update: Accepted reports
@@ -163,8 +213,7 @@ const ackGrace = 5 * time.Second
 // mutex never block.
 type roundState struct {
 	round    int
-	cfg      RoundConfig
-	wire     []TensorWire
+	announce ParamMsg // sent to every session: round, params, cfg
 	max      int
 	admitted int
 	cutoff   time.Time // wall-clock transport deadline; zero = none
@@ -181,13 +230,13 @@ type sessionResult struct {
 	update  []*tensor.Tensor
 	weight  float64
 	partial *Partial   // set instead of update on edge→root sessions
-	msg     *UpdateMsg // what update was decoded from; the fold recycles it
+	msg     *UpdateMsg // what update or partial was decoded from; the fold recycles it
 	err     error
 }
 
 // updateMsgPool recycles the messages sessions decode updates into. A dense
-// update's tensors alias its message's buffers, so a message goes back only
-// once its update has been folded.
+// update's tensors and a binary partial alias their message's buffers, so
+// a message goes back (recycle) only once what it carries has been folded.
 var updateMsgPool = sync.Pool{New: func() any { return new(UpdateMsg) }}
 
 // deliverStatus reports how the round loop received a session's outcome.
@@ -397,14 +446,14 @@ func (s *RoundServer) handle(conn net.Conn) {
 		// forever. Wall-clock on purpose — it bounds I/O, not the round.
 		_ = conn.SetDeadline(st.cutoff.Add(5 * time.Second))
 	}
-	if err := sess.WriteParam(&ParamMsg{Round: st.round, Params: st.wire, Cfg: st.cfg}); err != nil {
+	if err := sess.WriteParam(&st.announce); err != nil {
 		st.deliver(sessionResult{err: fmt.Errorf("fl: sending params: %w", err)})
 		return
 	}
 	upd := updateMsgPool.Get().(*UpdateMsg)
 	defer func() {
 		if upd != nil {
-			updateMsgPool.Put(upd)
+			upd.recycle()
 		}
 	}()
 	if err := sess.ReadUpdate(upd); err != nil {
@@ -419,34 +468,22 @@ func (s *RoundServer) handle(conn net.Conn) {
 	// Hostile-input gate: the update must be structurally valid AND foldable
 	// against this round's parameters before it reaches the aggregator — a
 	// malformed peer gets an error, never a server panic.
-	res := sessionResult{client: upd.ClientID, weight: upd.Weight}
-	if upd.Partial != nil {
-		// Edge→root partial fold: validated and geometry-checked exactly
-		// like a client update; ClientID is the shard index, so the dedup
-		// below absorbs an edge re-submitting after a lost ack.
-		err := upd.Validate()
-		if err == nil {
-			err = partialMatchesParams(upd.Partial, st.wire)
-		}
-		if err == nil {
-			res.partial, err = PartialFromWire(upd.Partial)
-		}
-		if err != nil {
-			st.deliver(sessionResult{err: err})
-			_ = sess.WriteAck(&AckMsg{Reason: err.Error()})
-			return
-		}
+	// Edge→root partial folds are validated and geometry-checked exactly
+	// like client updates; ClientID is then the shard index, so the dedup
+	// below absorbs an edge re-submitting after a lost ack.
+	res := sessionResult{client: upd.ClientID, weight: upd.Weight, msg: upd}
+	if upd.partial != nil || upd.Partial != nil {
+		res.partial, err = upd.decodePartial(st.announce.Params)
 	} else {
-		update, err := upd.DecodeTensors()
+		res.update, err = upd.DecodeTensors()
 		if err == nil {
-			err = updateMatchesParams(update, st.wire)
+			err = updateMatchesParams(res.update, st.announce.Params)
 		}
-		if err != nil {
-			st.deliver(sessionResult{err: err})
-			_ = sess.WriteAck(&AckMsg{Reason: err.Error()})
-			return
-		}
-		res.update, res.msg = update, upd
+	}
+	if err != nil {
+		st.deliver(sessionResult{err: err})
+		_ = sess.WriteAck(&AckMsg{Reason: err.Error()})
+		return
 	}
 	if s.holdReceipt() {
 		defer s.receipts.Done()
@@ -457,21 +494,27 @@ func (s *RoundServer) handle(conn net.Conn) {
 	}
 	switch status {
 	case deliverTaken:
-		if res.msg != nil {
-			upd = nil // the round's fold owns it now
-		}
-		_ = sess.WriteAck(&AckMsg{Accepted: true})
+		upd = nil // the round's fold owns it now
+		_ = sess.WriteAck(&ackFolded)
 	case deliverDup:
 		// The client's data IS in the round (its first copy was folded), so
 		// the honest receipt is an acceptance — just not a second fold. Its
 		// admission slot goes back to the round: a duplicate must never
 		// consume quota a distinct client is waiting for.
 		s.releaseSlot(st)
-		_ = sess.WriteAck(&AckMsg{Accepted: true, Reason: "duplicate update: already folded this round"})
+		_ = sess.WriteAck(&ackDuplicate)
 	default:
-		_ = sess.WriteAck(&AckMsg{Reason: "round closed before the update arrived"})
+		_ = sess.WriteAck(&ackClosed)
 	}
 }
+
+// The receipts a session's outcome earns, shared read-only by every
+// session.
+var (
+	ackFolded    = AckMsg{Accepted: true}
+	ackDuplicate = AckMsg{Accepted: true, Reason: "duplicate update: already folded this round"}
+	ackClosed    = AckMsg{Reason: "round closed before the update arrived"}
+)
 
 // RoundOptions configures one streaming round.
 type RoundOptions struct {
@@ -518,11 +561,10 @@ func (s *RoundServer) StreamRound(round int, params []*tensor.Tensor, cfg RoundC
 	s.accept.Do(func() { go s.acceptLoop() })
 
 	st := &roundState{
-		round:   round,
-		cfg:     cfg,
-		wire:    WireFromTensors(params),
-		max:     opt.Clients,
-		results: make(chan sessionResult, opt.Clients),
+		round:    round,
+		announce: ParamMsg{Round: round, Params: WireFromTensors(params), Cfg: cfg},
+		max:      opt.Clients,
+		results:  make(chan sessionResult, opt.Clients),
 	}
 	if opt.Deadline > 0 {
 		st.cutoff = time.Now().Add(opt.Deadline)
@@ -563,6 +605,7 @@ func (s *RoundServer) StreamRound(round int, params []*tensor.Tensor, cfg RoundC
 			res.Failed++
 			return
 		}
+		defer r.msg.recycle()
 		if r.partial != nil {
 			pf, ok := agg.(PartialFolder)
 			if !ok {
@@ -577,7 +620,6 @@ func (s *RoundServer) StreamRound(round int, params []*tensor.Tensor, cfg RoundC
 			return
 		}
 		foldInto(agg, r.update, r.weight)
-		updateMsgPool.Put(r.msg)
 		res.Folded++
 	}
 	// Duplicates are acknowledged out-of-band (roundState.deliver) and do
@@ -681,6 +723,7 @@ type clientConn struct {
 	wireSession
 	conn net.Conn
 	pm   *ParamMsg
+	ack  AckMsg // the receipt, read into by receipt
 }
 
 // openSession is the client half of the protocol up to and including the
@@ -746,7 +789,7 @@ func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data 
 		}
 		data = data.RepartitionAt(p, pm.Round)
 	}
-	delta, _ := w.step(strat, seed, pm.Round, id, TensorsFromWire(pm.Params), pm.Cfg, data, plan)
+	delta, _ := w.step(strat, seed, pm.Round, id, pm.tensors(), pm.Cfg, data, plan)
 	err := s.WriteUpdateTensors(id, pm.Round, float64(data.Len()), delta)
 	w.arena.Put(delta...)
 	if err != nil {
@@ -757,15 +800,18 @@ func (s *clientConn) submit(w *worker, strat Strategy, seed int64, id int, data 
 
 // receipt reads the server's ack for what the session just sent.
 func (s *clientConn) receipt(what string) error {
-	var ack AckMsg
-	if err := s.ReadAck(&ack); err != nil {
+	if err := s.ReadAck(&s.ack); err != nil {
 		return fmt.Errorf("fl: reading %s receipt: %w", what, err)
 	}
-	if !ack.Accepted {
-		return fmt.Errorf("fl: %s not folded: %s", what, ack.Reason)
+	if !s.ack.Accepted {
+		return fmt.Errorf("fl: %s not folded: %s", what, s.ack.Reason)
 	}
 	return nil
 }
+
+// paramMsgPool recycles the announcements decoded by sessions that train on
+// no worker: an abandoning client and an edge forwarding its partial.
+var paramMsgPool = sync.Pool{New: func() any { return new(ParamMsg) }}
 
 // AbandonSession connects to a round server, receives the round
 // announcement, and disconnects without submitting an update — the wire
@@ -776,7 +822,9 @@ func (s *clientConn) receipt(what string) error {
 // announced round, or an error if no announcement arrived (e.g. the
 // session was denied).
 func AbandonSession(addr string, opt ClientOptions) (int, error) {
-	s, err := openSession(addr, opt, new(ParamMsg))
+	pm := paramMsgPool.Get().(*ParamMsg)
+	defer paramMsgPool.Put(pm)
+	s, err := openSession(addr, opt, pm)
 	if err != nil {
 		return 0, err
 	}
@@ -791,7 +839,9 @@ func AbandonSession(addr string, opt ClientOptions) (int, error) {
 // must match round, or the session resolves as an error. A nil return
 // means the root acknowledged folding the partial.
 func SendPartial(addr string, shard, round int, p *Partial, opt ClientOptions) error {
-	s, err := openSession(addr, opt, new(ParamMsg))
+	pm := paramMsgPool.Get().(*ParamMsg)
+	defer paramMsgPool.Put(pm)
+	s, err := openSession(addr, opt, pm)
 	if err != nil {
 		return err
 	}
@@ -799,7 +849,7 @@ func SendPartial(addr string, shard, round int, p *Partial, opt ClientOptions) e
 	if s.pm.Round != round {
 		return fmt.Errorf("fl: root is serving round %d, partial is for %d", s.pm.Round, round)
 	}
-	if err := s.WriteUpdate(&UpdateMsg{ClientID: shard, Round: round, Partial: p.Wire()}); err != nil {
+	if err := s.WritePartial(shard, round, p); err != nil {
 		return fmt.Errorf("fl: sending partial: %w", err)
 	}
 	return s.receipt("partial")

@@ -105,7 +105,7 @@ func (m *UpdateMsg) Validate() error {
 		return fmt.Errorf("fl: invalid update weight %v", m.Weight)
 	}
 	encodings := 0
-	for _, set := range []bool{len(m.Delta) > 0, len(m.Sparse) > 0, m.Partial != nil} {
+	for _, set := range [...]bool{len(m.Delta) > 0, len(m.Sparse) > 0, m.Partial != nil, m.partial != nil} {
 		if set {
 			encodings++
 		}
@@ -115,6 +115,9 @@ func (m *UpdateMsg) Validate() error {
 			return fmt.Errorf("fl: update carries no payload")
 		}
 		return fmt.Errorf("fl: update mixes payload encodings")
+	}
+	if m.partial != nil {
+		return nil // the binary parser validated it scalar by scalar
 	}
 	if m.Partial != nil {
 		return m.Partial.Validate()
@@ -194,14 +197,34 @@ func updateMatchesParams(update []*tensor.Tensor, params []TensorWire) error {
 // partialMatchesParams is updateMatchesParams for an edge's partial fold:
 // the exact sums must be foldable against the round's parameters before
 // they reach the root aggregator.
-func partialMatchesParams(p *PartialWire, params []TensorWire) error {
+func partialMatchesParams(p *Partial, params []TensorWire) error {
 	if len(p.Sums) != len(params) {
 		return fmt.Errorf("fl: partial has %d tensors, round has %d", len(p.Sums), len(params))
 	}
 	for i, s := range p.Sums {
-		if len(s.Elems) != len(params[i].Data) {
-			return fmt.Errorf("fl: partial tensor %d has %d elements, parameter has %d", i, len(s.Elems), len(params[i].Data))
+		if s.Len() != len(params[i].Data) {
+			return fmt.Errorf("fl: partial tensor %d has %d elements, parameter has %d", i, s.Len(), len(params[i].Data))
 		}
 	}
 	return nil
+}
+
+// decodePartial is DecodeTensors for an edge's partial fold, checked
+// against the round's parameters: the partial the binary codec validated
+// while parsing, or gob's wire body, installed by PartialFromWire.
+func (m *UpdateMsg) decodePartial(params []TensorWire) (*Partial, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	p := m.partial
+	if p == nil {
+		var err error
+		if p, err = PartialFromWire(m.Partial); err != nil {
+			return nil, err
+		}
+	}
+	if err := partialMatchesParams(p, params); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
