@@ -807,11 +807,13 @@ func BenchmarkLedger(b *testing.B) {
 // BenchmarkRobustAgg prices the robust aggregation folds against the
 // streaming FedSGD mean along the cohort-size axis: the robust rules
 // buffer raw updates (O(Kt·model) memory, held across rounds) and compute
-// order statistics at Commit — median and trimmed mean select ranks per
-// coordinate (trimmed also sums survivors exactly), Krum scores O(Kt²)
-// pairwise distances. Each op is one round on one aggregator built outside
-// the loop, as the runtimes keep theirs; the trimmed:0.2/kt25 row is
-// flat-faulted's shape (a 4,270-parameter model).
+// order statistics at Commit — median and trimmed mean sort every
+// coordinate with one network (trimmed also sums survivors exactly), Krum
+// scores O(Kt²) pairwise distances. Each op is one round on one aggregator
+// built outside the loop, as the runtimes keep theirs; the kt128 rows
+// price the network where its margin over quickselect narrows, and the
+// trimmed:0.2/kt25 row is flat-faulted's shape (the cancer MLP's 2,114
+// parameters).
 func BenchmarkRobustAgg(b *testing.B) {
 	type row struct {
 		rule    string
@@ -823,7 +825,8 @@ func BenchmarkRobustAgg(b *testing.B) {
 			rows = append(rows, row{rule, kt, 4096})
 		}
 	}
-	rows = append(rows, row{"trimmed:0.2", 25, 4270})
+	rows = append(rows, row{fl.AggMedian, 128, 4096}, row{"trimmed:0.34", 128, 4096},
+		row{"trimmed:0.2", 25, 2114})
 	for _, r := range rows {
 		rng := tensor.Split(42, 9)
 		updates := make([][]*tensor.Tensor, r.kt)
@@ -856,11 +859,11 @@ func BenchmarkRobustAgg(b *testing.B) {
 
 // BenchmarkExactFold prices the exact fold behind the sharded topologies
 // (fl.NewExact over fl.ExactVec) at the tree-100k model size: each op is one
-// round — Begin, Kt FoldClient calls of a 4,270-parameter update, Commit —
+// round — Begin, Kt FoldClient calls of a 2,114-parameter update, Commit —
 // at an edge's share of a cohort (Kt=32) and a flat server's (Kt=1000).
 // ns/addend is the per-coordinate cost of absorbing one float64 exactly.
 func BenchmarkExactFold(b *testing.B) {
-	const dim = 4270
+	const dim = 2114
 	rng := tensor.Split(42, 12)
 	updates := make([][]*tensor.Tensor, 32)
 	for i := range updates {

@@ -9,8 +9,6 @@ package dp
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"fedcdp/internal/tensor"
 )
@@ -139,45 +137,6 @@ func shardGroup(grads []*tensor.Tensor) []shard {
 	return shards
 }
 
-// shardHelpers takes the helpers a pass over nShards shards may fork
-// beside its caller from tensor's CPU budget: at most par goroutines in all
-// (par ≤ 0: GOMAXPROCS), and none while the cores are busy. Shard results
-// never depend on the count.
-func shardHelpers(nShards, par int) int {
-	if par <= 0 || par > nShards {
-		par = nShards
-	}
-	return tensor.TakeHelpers(par - 1)
-}
-
-// runShards runs fn(shard index) for every shard on the calling goroutine
-// and extra helpers taken by shardHelpers, pulling work from an atomic
-// cursor, and gives the helpers back. fn must only touch state owned by
-// its shard index.
-func runShards(nShards, extra int, fn func(s int)) {
-	var cursor atomic.Int64
-	work := func() {
-		for {
-			s := int(cursor.Add(1)) - 1
-			if s >= nShards {
-				return
-			}
-			fn(s)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < extra; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer tensor.AddBusy(-1)
-			work()
-		}()
-	}
-	work() // the calling goroutine always participates
-	wg.Wait()
-}
-
 // SanitizeCounterPar is SanitizeCounter for large gradient groups (e.g. a
 // whole client update under Fed-SDP): the norm pass and the fused clip+noise
 // pass each shard the group's layers across par goroutines (par ≤ 0 means
@@ -187,10 +146,13 @@ func SanitizeCounterPar(grads []*tensor.Tensor, c, sigma float64, noise tensor.C
 	if len(shards) <= 1 || par == 1 {
 		return SanitizeCounter(grads, c, sigma, noise)
 	}
+	if par <= 0 || par > len(shards) {
+		par = len(shards)
+	}
 
 	// Phase 1: per-shard squared sums, reduced per layer in shard order.
 	partials := make([]float64, len(shards))
-	runShards(len(shards), shardHelpers(len(shards), par), func(s int) {
+	tensor.Fork(len(shards), tensor.TakeHelpers(par-1), func(_, s int) {
 		sh := shards[s]
 		var sum float64
 		for _, v := range grads[sh.li].Data()[sh.lo:sh.hi] {
@@ -211,7 +173,7 @@ func SanitizeCounterPar(grads []*tensor.Tensor, c, sigma float64, noise tensor.C
 	// Phase 2: fused clip+noise per shard; the layer stream's counter is the
 	// element offset, so shard boundaries don't shift the noise.
 	std := sigma * c
-	runShards(len(shards), shardHelpers(len(shards), par), func(s int) {
+	tensor.Fork(len(shards), tensor.TakeHelpers(par-1), func(_, s int) {
 		sh := shards[s]
 		d := grads[sh.li].Data()[sh.lo:sh.hi]
 		layerKey(noise, sh.li).ScaleAddNormalBulk(d, uint64(sh.lo), scales[sh.li], std)
@@ -270,8 +232,12 @@ func SanitizeBatch(job BatchSanitizeJob) {
 	if job.N == 0 {
 		return
 	}
-	if extra := shardHelpers(job.N, job.Parallelism); extra > 0 {
-		runShards(job.N, extra, job.example) // the serial path builds no closure
+	par := job.Parallelism
+	if par <= 0 || par > job.N {
+		par = job.N
+	}
+	if extra := tensor.TakeHelpers(par - 1); extra > 0 {
+		tensor.Fork(job.N, extra, func(_, i int) { job.example(i) }) // the serial path builds no closure
 	} else {
 		for i := 0; i < job.N; i++ {
 			job.example(i)

@@ -293,23 +293,6 @@ func appendDenseSection(b []byte, ws []TensorWire) []byte {
 	return b
 }
 
-// appendUpdateSection writes an update's tensor section from its wire forms
-// (whichever of dense/sparse the message carries).
-func appendUpdateSection(b []byte, m *UpdateMsg) []byte {
-	b = appendI64(b, int64(len(m.Delta)+len(m.Sparse)))
-	for _, w := range m.Delta {
-		b = appendTensorHeader(b, encDense, w.Shape)
-		b = appendF64s(b, w.Data)
-	}
-	for _, w := range m.Sparse {
-		b = appendTensorHeader(b, encSparse, w.Shape)
-		b = appendI64(b, int64(len(w.Indices)))
-		b = appendI32s(b, w.Indices)
-		b = appendF64s(b, w.Values)
-	}
-	return b
-}
-
 // appendDirectTensors writes an update section straight from dense in-memory
 // tensors with no intermediate wire structs: the dense-vs-sparse decision is
 // EncodeUpdate's (sparse below 50% density), the sparse entries are counted
@@ -527,55 +510,11 @@ func parseParamPayload(b []byte, m *ParamMsg) error {
 // unambiguous and leaves all existing frames byte-identical.
 const partialSentinel int64 = -1
 
-func appendUpdatePayload(b []byte, m *UpdateMsg) []byte {
-	b = appendI64(b, int64(m.ClientID))
-	b = appendI64(b, int64(m.Round))
-	b = appendF64(b, m.Weight)
-	switch {
-	case m.partial != nil:
-		b = appendI64(b, partialSentinel)
-		return appendPartialDirect(b, m.partial)
-	case m.Partial != nil:
-		b = appendI64(b, partialSentinel)
-		return appendPartial(b, m.Partial)
-	}
-	return appendUpdateSection(b, m)
-}
-
-// appendExactScalar writes one exact accumulator element: spec, sign,
-// exponent, and the length-prefixed big-endian mantissa.
-func appendExactScalar(b []byte, w ExactScalarWire) []byte {
-	b = append(b, w.Spec, boolByte(w.Neg))
-	b = appendI64(b, w.Exp)
-	b = appendU32(b, uint32(len(w.Mant)))
-	return append(b, w.Mant...)
-}
-
-// appendPartial writes an edge partial: rule, client count, optional
-// weight sum, then the exact-sum tensors (rank, dims, per-element scalars).
-func appendPartial(b []byte, p *PartialWire) []byte {
-	b = appendStr(b, p.Rule)
-	b = appendI64(b, int64(p.Clients))
-	b = appendU8(b, boolByte(p.HasWSum))
-	if p.HasWSum {
-		b = appendExactScalar(b, p.WSum)
-	}
-	b = appendI64(b, int64(len(p.Sums)))
-	for _, t := range p.Sums {
-		b = appendU8(b, byte(len(t.Shape)))
-		for _, d := range t.Shape {
-			b = appendI64(b, int64(d))
-		}
-		for _, e := range t.Elems {
-			b = appendExactScalar(b, e)
-		}
-	}
-	return b
-}
-
-// appendPartialDirect writes the bytes appendPartial writes for p.Wire(),
-// straight from p's accumulators: an edge's exact sums go limbs → frame
-// with no wire struct per scalar.
+// appendPartialDirect writes an edge partial — rule, client count, optional
+// weight sum, then the exact-sum tensors (rank, dims, per-element scalars)
+// — straight from p's accumulators: an edge's exact sums go limbs → frame
+// with no wire struct per scalar. It is the partial format's only encoder;
+// appendPartial in the tests writes the same bytes from p.Wire().
 func appendPartialDirect(b []byte, p *Partial) []byte {
 	b = appendStr(b, p.Rule)
 	b = appendI64(b, int64(p.Clients))
@@ -644,7 +583,7 @@ func knownRule(raw []byte) string {
 	return ""
 }
 
-// readPartialInto parses an edge partial (appendPartial's layout) into s and
+// readPartialInto parses an edge partial (appendPartialDirect's layout) into s and
 // returns it. It is the binary codec's whole partial gate: every check of
 // PartialWire.Validate runs here, each scalar is validated before it is
 // deposited, and a partial tensor is sized only after its minimum bytes
@@ -785,9 +724,6 @@ func parseAckPayload(b []byte, m *AckMsg) error {
 type wireSession interface {
 	WriteParam(*ParamMsg) error
 	ReadParam(*ParamMsg) error
-	// WriteUpdate encodes a prebuilt update message (tests, benchmarks,
-	// trusted re-encoding). The client path uses WriteUpdateTensors.
-	WriteUpdate(*UpdateMsg) error
 	// WriteUpdateTensors encodes a client update straight from its dense
 	// in-memory tensors, dense or sparse by density.
 	WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error
@@ -851,9 +787,8 @@ func (g *gobReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *gobSession) WriteParam(m *ParamMsg) error   { return s.enc.Encode(m) }
-func (s *gobSession) WriteUpdate(m *UpdateMsg) error { return s.enc.Encode(m) }
-func (s *gobSession) WriteAck(m *AckMsg) error       { return s.enc.Encode(m) }
+func (s *gobSession) WriteParam(m *ParamMsg) error { return s.enc.Encode(m) }
+func (s *gobSession) WriteAck(m *AckMsg) error     { return s.enc.Encode(m) }
 
 // The Read methods zero their target first: gob leaves fields the stream
 // omits (zero values) untouched, so decoding into a reused message would
@@ -973,12 +908,6 @@ func (s *binarySession) ReadParam(m *ParamMsg) error {
 	}
 	defer frameBufPool.Put(bp)
 	return parseParamPayload(*bp, m)
-}
-
-func (s *binarySession) WriteUpdate(m *UpdateMsg) error {
-	bp := beginFrame(kindUpdate)
-	*bp = appendUpdatePayload(*bp, m)
-	return s.endFrame(bp)
 }
 
 func (s *binarySession) WriteUpdateTensors(clientID, round int, weight float64, ts []*tensor.Tensor) error {

@@ -186,7 +186,7 @@ func TestCodecMessageParityMatrix(t *testing.T) {
 		checkParamEqual(t, codec+"/denied", denied, &gotDenied)
 
 		for name, um := range testUpdateMsgs() {
-			if err := s.WriteUpdate(um); err != nil {
+			if err := writeUpdate(s, um); err != nil {
 				t.Fatalf("%s/%s: WriteUpdate: %v", codec, name, err)
 			}
 			var got UpdateMsg
@@ -285,7 +285,7 @@ func TestDecodeIntoDirtyMessage(t *testing.T) {
 				var clean UpdateMsg
 				got := dirty()
 				for _, m := range []*UpdateMsg{&clean, got} {
-					if err := s.WriteUpdate(um); err != nil {
+					if err := writeUpdate(s, um); err != nil {
 						t.Fatal(err)
 					}
 					if err := s.ReadUpdate(m); err != nil {

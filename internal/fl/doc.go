@@ -107,10 +107,11 @@
 // matching defenses are the robust aggregation rules (robust.go):
 // AggMedian, AggTrimmed ("trimmed:β") and AggKrum ("krum:f") buffer raw
 // updates (O(Kt·model), held across rounds: the price of robustness) and
-// commit order statistics, selected rather than sorted, that are pure
-// functions of the update multiset under a total order on every float64,
-// NaNs included — bit-identical in any arrival order, at any GOMAXPROCS,
-// with TrimmedMean(β=0) equal to the exact mean fold bit-for-bit. Robust rules ignore aggregation weights, and they are
+// commit order statistics — slot rows sorted by one network, a block of
+// coordinates at a time — that are pure functions of the update multiset
+// under a total order on every float64, NaNs included: bit-identical in
+// any arrival order, at any GOMAXPROCS and helper count, with
+// TrimmedMean(β=0) equal to the exact mean fold bit-for-bit. Robust rules ignore aggregation weights, and they are
 // not grouping-invariant: NewAggregatorFor and validate refuse them on
 // any sharded topology. See DESIGN.md, "Adversarial clients & robust
 // aggregation".

@@ -102,8 +102,8 @@ func specFloat(s byte) float64 {
 // (reserve); Zero keeps it, so a reused vector re-lays nothing after its
 // first round. One window per vector, not the full 36 limbs per coordinate,
 // is a memory decision: clipped and noised updates span 3–5 limbs, where
-// the full range is 288 B × 4,270 parameters × 33 aggregators ≈ 40 MB on a
-// 32-shard tree whose whole process peaks at 79 MB.
+// the full range is 288 B × 2,114 parameters × 33 aggregators ≈ 20 MB on
+// a 32-shard tree of the cancer MLP whose whole process peaked at 79 MB.
 //
 // Headroom (why no sum wraps). Every leaf — a float64 addend or a wire
 // scalar — lies strictly below the window's top limb, |leaf| < 2^(64(w−1)),
@@ -130,11 +130,16 @@ func NewExactVec(n int) *ExactVec {
 func (v *ExactVec) Len() int { return v.n }
 
 // Zero resets every element to an empty sum (for reuse across rounds). The
-// window is kept, so this is O(n·w) — O(w) on the one-element vector the
-// trimmed mean zeroes per coordinate.
+// window is kept, so this is O(n·w).
 func (v *ExactVec) Zero() {
 	clear(v.limbs)
 	clear(v.spec) // exactFinite
+}
+
+// zero resets element i to an empty sum in O(w), keeping the window.
+func (v *ExactVec) zero(i int) {
+	clear(v.limbs[i*v.w : (i+1)*v.w])
+	v.spec[i] = exactFinite
 }
 
 // reserve grows the window to cover absolute limbs [lo, hi), re-laying the

@@ -149,7 +149,7 @@ func TestDirectPartialKeepsBits(t *testing.T) {
 		if err := edge.WritePartial(trial, 7, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := oracleEdge.WriteUpdate(&UpdateMsg{ClientID: trial, Round: 7, Partial: p.Wire()}); err != nil {
+		if err := writeUpdate(oracleEdge, &UpdateMsg{ClientID: trial, Round: 7, Partial: p.Wire()}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(frame.Bytes(), viaWire.Bytes()) {

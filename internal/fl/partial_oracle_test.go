@@ -5,6 +5,90 @@ import (
 	"fmt"
 )
 
+// The binary update encoders from wire structs. No session writes a
+// prebuilt message — clients write their tensors (WriteUpdateTensors),
+// edges their accumulators (WritePartial) — so these are test-only: the
+// oracle appendPartialDirect's bytes are diffed against, and the source of
+// FuzzBinaryDecode's seeds.
+
+// writeUpdate sends a prebuilt update message over a session: the gob
+// session encodes the struct, the binary one frames appendUpdatePayload.
+func writeUpdate(s wireSession, m *UpdateMsg) error {
+	switch s := s.(type) {
+	case *gobSession:
+		return s.enc.Encode(m)
+	case *binarySession:
+		bp := beginFrame(kindUpdate)
+		*bp = appendUpdatePayload(*bp, m)
+		return s.endFrame(bp)
+	}
+	panic(fmt.Sprintf("fl: no update writer for %T", s))
+}
+
+// appendUpdatePayload writes an update frame's payload from m's wire forms.
+func appendUpdatePayload(b []byte, m *UpdateMsg) []byte {
+	b = appendI64(b, int64(m.ClientID))
+	b = appendI64(b, int64(m.Round))
+	b = appendF64(b, m.Weight)
+	switch {
+	case m.partial != nil:
+		b = appendI64(b, partialSentinel)
+		return appendPartialDirect(b, m.partial)
+	case m.Partial != nil:
+		b = appendI64(b, partialSentinel)
+		return appendPartial(b, m.Partial)
+	}
+	return appendUpdateSection(b, m)
+}
+
+// appendExactScalar writes one exact accumulator element: spec, sign,
+// exponent, and the length-prefixed big-endian mantissa.
+func appendExactScalar(b []byte, w ExactScalarWire) []byte {
+	b = append(b, w.Spec, boolByte(w.Neg))
+	b = appendI64(b, w.Exp)
+	b = appendU32(b, uint32(len(w.Mant)))
+	return append(b, w.Mant...)
+}
+
+// appendPartial writes an edge partial: rule, client count, optional
+// weight sum, then the exact-sum tensors (rank, dims, per-element scalars).
+func appendPartial(b []byte, p *PartialWire) []byte {
+	b = appendStr(b, p.Rule)
+	b = appendI64(b, int64(p.Clients))
+	b = appendU8(b, boolByte(p.HasWSum))
+	if p.HasWSum {
+		b = appendExactScalar(b, p.WSum)
+	}
+	b = appendI64(b, int64(len(p.Sums)))
+	for _, t := range p.Sums {
+		b = appendU8(b, byte(len(t.Shape)))
+		for _, d := range t.Shape {
+			b = appendI64(b, int64(d))
+		}
+		for _, e := range t.Elems {
+			b = appendExactScalar(b, e)
+		}
+	}
+	return b
+}
+
+// appendUpdateSection writes an update's tensor section from its wire forms
+// (whichever of dense/sparse the message carries).
+func appendUpdateSection(b []byte, m *UpdateMsg) []byte {
+	b = appendI64(b, int64(len(m.Delta)+len(m.Sparse)))
+	for _, w := range m.Delta {
+		b = appendTensorHeader(b, encDense, w.Shape)
+		b = appendF64s(b, w.Data)
+	}
+	for _, w := range m.Sparse {
+		b = appendTensorHeader(b, encSparse, w.Shape)
+		b = appendI64(b, int64(len(w.Indices)))
+		b = appendI32s(b, w.Indices)
+		b = appendF64s(b, w.Values)
+	}
+	return b
+}
+
 // The binary partial parser as it stood before partials decoded in place:
 // one wire struct per scalar, validated afterwards by PartialWire.Validate
 // and installed by PartialFromWire. It is the oracle the in-place parser

@@ -1,7 +1,10 @@
 package fl
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -448,4 +451,226 @@ func layered(flat []float64, dims []int) []*tensor.Tensor {
 		flat = flat[d:]
 	}
 	return out
+}
+
+// TestSortingNetworkSorts holds the memoized Batcher networks to the 0–1
+// principle — a comparator network sorts every input iff it sorts every
+// 0–1 input — exhaustively for n ≤ 16, and to random keys with heavy ties
+// for every n up to 130.
+func TestSortingNetworkSorts(t *testing.T) {
+	var b robustBuffer
+	apply := func(net [][2]int, keys []uint64) {
+		for _, c := range net {
+			if keys[c[1]] < keys[c[0]] {
+				keys[c[0]], keys[c[1]] = keys[c[1]], keys[c[0]]
+			}
+		}
+	}
+	for n := 1; n <= 16; n++ {
+		net := b.network(n)
+		keys := make([]uint64, n)
+		for m := 0; m < 1<<n; m++ {
+			for i := range keys {
+				keys[i] = uint64(m >> i & 1)
+			}
+			apply(net, keys)
+			if !slices.IsSorted(keys) {
+				t.Fatalf("n=%d: network leaves 0–1 input %b unsorted: %v", n, m, keys)
+			}
+		}
+	}
+	rng := tensor.Split(7, 41)
+	for n := 17; n <= 130; n++ {
+		net := b.network(n)
+		if &net[0] != &b.network(n)[0] {
+			t.Fatalf("n=%d: network rebuilt, not memoized", n)
+		}
+		for trial := 0; trial < 20; trial++ {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = uint64(rng.Intn(n/2 + 1))
+			}
+			want := slices.Clone(keys)
+			slices.Sort(want)
+			apply(net, keys)
+			if !slices.Equal(keys, want) {
+				t.Fatalf("n=%d: network output %v, want %v", n, keys, want)
+			}
+		}
+	}
+}
+
+// TestSumRowsSpillMatchesExactVec drives sumRows's spill path: columns
+// whose values' exponents span more than the double-double head's 106 bits
+// (1, 2⁻⁶⁰, 2⁻¹²⁰, …), with sums that sit a hair off a tie at half an ulp,
+// where fl(hi + lo) alone rounds the wrong way. Every column must come out
+// as ExactVec rounds it — and so must random wide-range columns, columns
+// with ±Inf or NaN and columns whose partial sums overflow.
+func TestSumRowsSpillMatchesExactVec(t *testing.T) {
+	p := math.Ldexp
+	cols := [][]float64{
+		{1, p(1, -60), p(1, -120)},
+		{1, p(1, -53), p(1, -120)},  // a hair above a tie: rounds up
+		{1, p(1, -53), -p(1, -120)}, // a hair below it: rounds down
+		{-1, -p(1, -53), -p(1, -200), p(1, -300)},
+		{p(1, 600), 1, p(1, -600), -p(1, 600)},
+		{p(3, 1000), p(1, -1074), -p(3, 1000), p(1, -1074)},
+		{math.MaxFloat64, math.MaxFloat64, -math.MaxFloat64},
+		{math.Inf(1), 1, p(1, -120)},
+		{math.Inf(1), math.Inf(-1), 2},
+		{math.NaN(), 1, -1},
+		{p(1, -53), 1, p(1, -120), p(1, -53)},
+	}
+	rng := tensor.Split(5, 43)
+	for len(cols) < blockWidth {
+		col := make([]float64, 1+rng.Intn(16))
+		for i := range col {
+			col[i] = p(rng.Float64()+1, rng.Intn(400)-200)
+			if rng.Intn(2) == 0 {
+				col[i] = -col[i]
+			}
+		}
+		cols = append(cols, col)
+	}
+	for _, w := range []int{len(cols), 11, 1} {
+		s := &blockScratch{spill: NewExactVec(blockWidth)}
+		for c0 := 0; c0 < len(cols); c0 += w {
+			m := 0
+			for _, col := range cols[c0:min(c0+w, len(cols))] {
+				m = max(m, len(col))
+			}
+			ww := min(w, len(cols)-c0)
+			rows := make([]uint64, m*ww) // short columns pad with +0
+			for c, col := range cols[c0 : c0+ww] {
+				for r, v := range col {
+					rows[r*ww+c] = orderKey(v)
+				}
+				for r := len(col); r < m; r++ {
+					rows[r*ww+c] = orderKey(0)
+				}
+			}
+			s.sumRows(rows, ww)
+			for c, col := range cols[c0 : c0+ww] {
+				ref := NewExactVec(1)
+				for _, v := range col {
+					ref.Add(0, v)
+				}
+				want := ref.Round(0)
+				if got := s.inc[c]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("w=%d column %v: sumRows %v (%#x), ExactVec %v (%#x)",
+						w, col, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+		if w == len(cols) && !slices.Contains(s.spilled[:3], true) {
+			t.Fatal("the wide-exponent columns never reached the spill path")
+		}
+		for c := range cols[:min(w, len(cols))] {
+			if s.spill.Round(c) != 0 {
+				t.Fatalf("w=%d: the spill accumulator kept column %d's residual", w, c)
+			}
+		}
+	}
+}
+
+// robustOf returns a median or trimmed-mean aggregator's buffer.
+func robustOf(agg Aggregator) *robustBuffer {
+	switch a := agg.(type) {
+	case *CoordMedianAggregator:
+		return &a.robustBuffer
+	case *TrimmedMeanAggregator:
+		return &a.robustBuffer
+	}
+	panic(fmt.Sprintf("%T buffers no updates", agg))
+}
+
+// TestRobustCommitIndependentOfHelpers commits one hostile cohort — NaNs,
+// infinities, signed zeros and wide-exponent values beside honest normals,
+// over layers that blocks straddle — with no helper (the budget full) and
+// with every idle core, at GOMAXPROCS 1 and 2: all commit one bit pattern.
+func TestRobustCommitIndependentOfHelpers(t *testing.T) {
+	dims := []int{300, 7, 1, 333}
+	const n = 25
+	rng := tensor.Split(9, 44)
+	updates := make([][]*tensor.Tensor, n)
+	base := make([]float64, 641)
+	for c := range base {
+		base[c] = rng.Normal(0, 1)
+	}
+	wide := []float64{math.NaN(), math.Inf(-1), math.Copysign(0, -1), 1e300, math.Ldexp(1, -120), math.Ldexp(1, -53)}
+	for s := range updates {
+		flat := make([]float64, len(base))
+		for c := range flat {
+			if rng.Intn(8) == 0 {
+				flat[c] = wide[rng.Intn(len(wide))]
+			} else {
+				flat[c] = rng.Normal(0, 1)
+			}
+		}
+		updates[s] = layered(flat, dims)
+	}
+	for _, rule := range []string{AggMedian, "trimmed:0.2", "trimmed:0"} {
+		var ref []uint64
+		for _, procs := range []int{1, 2} {
+			for _, full := range []bool{true, false} {
+				prev := runtime.GOMAXPROCS(procs)
+				if full {
+					tensor.AddBusy(procs)
+				}
+				agg := mustAgg(t, rule)
+				params := layered(base, dims)
+				agg.Begin(params)
+				for _, u := range updates {
+					agg.Fold(u)
+				}
+				agg.Commit(params)
+				if full {
+					tensor.AddBusy(-procs)
+				}
+				runtime.GOMAXPROCS(prev)
+				if forked := len(robustOf(agg).workers) > 1; forked == (full || procs == 1) {
+					t.Fatalf("%s: GOMAXPROCS %d, full budget %v: forked %v", rule, procs, full, forked)
+				}
+				var got []uint64
+				for _, p := range params {
+					for _, v := range p.Data() {
+						got = append(got, math.Float64bits(v))
+					}
+				}
+				if ref == nil {
+					ref = got
+				} else if !slices.Equal(got, ref) {
+					t.Fatalf("%s: GOMAXPROCS %d, full budget %v commits other bits", rule, procs, full)
+				}
+			}
+		}
+	}
+}
+
+// TestKrumCommitAllocatesNothing pins Krum's scratch — the n×n distances,
+// the scores and the neighbour row — to the aggregator: once a round has
+// sized it, a round of the same cohort allocates nothing.
+func TestKrumCommitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc counts are meaningless")
+	}
+	rng := tensor.Split(3, 45)
+	updates := make([][]*tensor.Tensor, 9)
+	for i := range updates {
+		u := tensor.New(40)
+		rng.FillNormal(u, 0, 1)
+		updates[i] = []*tensor.Tensor{u}
+	}
+	agg := mustAgg(t, "krum:2")
+	params := []*tensor.Tensor{tensor.New(40)}
+	round := func() {
+		agg.Begin(params)
+		for _, u := range updates {
+			agg.Fold(u)
+		}
+		agg.Commit(params)
+	}
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("a Krum round allocates %v times, want 0", n)
+	}
 }

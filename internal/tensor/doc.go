@@ -31,6 +31,12 @@
 // are the Go loop's, so its bits are the Go loop's (FuzzRowKernel), and it
 // allocates nothing.
 //
+// CompareExchange orders two rows of uint64 keys lane by lane (min into
+// one, max into the other): the comparator of a sorting network applied to
+// a whole row of coordinates at once, which the robust folds in
+// internal/fl sort with. With AVX-512 it is a VPMINUQ/VPMAXUQ strip; a min
+// and a max are exact, so its bits are the Go strip's (FuzzCompareExchange).
+//
 // Every product the package adds is written float64(a*b) + c, which the
 // Go spec forbids the compiler to fuse into one multiply-add, so the
 // kernels round the same way on arm64 (which fuses a*b + c) as on amd64
@@ -86,7 +92,8 @@
 // synchronized — concurrent writers need external coordination. Arena is a
 // single-goroutine scratch recycler: each worker owns one. The blocked
 // MatMul kernels may shard rows across helper goroutines, taken from the
-// process's one CPU budget (TakeHelpers, AddBusy) only onto idle cores;
+// process's one CPU budget (TakeHelpers, AddBusy) only onto idle cores and
+// run by Fork, the one fork every package's helpers go through;
 // each output element's operations depend on the reduction length alone,
 // so results do not depend on GOMAXPROCS or on how many helpers ran
 // (TestGEMMIndependentOfPartition). A serial GEMM allocates nothing.

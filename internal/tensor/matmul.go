@@ -194,7 +194,7 @@ func Busy() int { return int(busy.Load()) }
 // TakeHelpers takes up to want helper goroutines from the budget — no more
 // than GOMAXPROCS−1, read at the call, and no more than the cores left
 // idle — without blocking, and returns how many it took. Each helper gives
-// itself back with AddBusy(-1).
+// itself back with AddBusy(-1); Fork does that for the helpers it runs.
 func TakeHelpers(want int) int {
 	procs := int64(runtime.GOMAXPROCS(0))
 	for {
@@ -221,25 +221,57 @@ func gemmHelpers(rows, flops int) int {
 }
 
 // forkRows invokes fn over disjoint sub-ranges of [0, rows) on the calling
-// goroutine and up to extra helpers (taken by gemmHelpers), and returns
-// once every range is done and its helpers are back in the budget. Only the
-// kernels' parallel path calls it, so the serial path builds no closure.
+// goroutine and up to extra helpers (taken by gemmHelpers), one range per
+// goroutine, through Fork. Only the kernels' parallel path calls it, so the
+// serial path builds no closure.
 func forkRows(rows, extra int, fn func(lo, hi int)) {
 	chunk := (rows + extra) / (extra + 1)
-	spawned := (rows+chunk-1)/chunk - 1
-	AddBusy(spawned - extra) // chunk rounding may need fewer helpers
-	var wg sync.WaitGroup
-	for lo := chunk; lo < rows; lo += chunk {
-		hi := min(lo+chunk, rows)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			defer AddBusy(-1)
-			fn(lo, hi)
-		}(lo, hi)
+	Fork((rows+chunk-1)/chunk, extra, func(_, c int) { fn(c*chunk, min((c+1)*chunk, rows)) })
+}
+
+// Fork runs fn(w, i) for every i in [0, n): on the calling goroutine, as
+// worker w = 0, and on extra helpers, workers 1…extra, that the caller took
+// with TakeHelpers. Every worker pulls indices from one atomic cursor, so
+// which worker runs an index is up to the scheduler: fn's result must
+// depend on i alone, and w may only pick the worker's own scratch. Fork
+// returns once every index is done and every helper is back in the budget;
+// helpers beyond n−1 are given back unused. With no helpers it runs every
+// index on the caller; a caller whose serial path must not allocate calls
+// Fork only when it got some, since fn's closure is built at the call.
+func Fork(n, extra int, fn func(w, i int)) {
+	if spare := extra - max(n-1, 0); spare > 0 {
+		AddBusy(-spare)
+		extra -= spare
 	}
-	fn(0, chunk)
-	wg.Wait()
+	j := &forkJob{n: n, fn: fn}
+	j.wg.Add(extra)
+	for w := 1; w <= extra; w++ {
+		go j.help(w)
+	}
+	j.work(0)
+	j.wg.Wait()
+}
+
+// forkJob is one Fork's shared state, one allocation per fork.
+type forkJob struct {
+	wg     sync.WaitGroup
+	cursor atomic.Int64
+	n      int
+	fn     func(w, i int)
+}
+
+// work runs fn as worker w until the cursor passes n.
+func (j *forkJob) work(w int) {
+	for i := int(j.cursor.Add(1)) - 1; i < j.n; i = int(j.cursor.Add(1)) - 1 {
+		j.fn(w, i)
+	}
+}
+
+// help is a helper's whole life: work, then give its core back.
+func (j *forkJob) help(w int) {
+	defer j.wg.Done()
+	defer AddBusy(-1)
+	j.work(w)
 }
 
 // MatMul computes dst = a·b for row-major matrices a (M×K) and b (K×N),
